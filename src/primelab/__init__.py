@@ -13,7 +13,6 @@ The package evaluates, at desk scale and with exact-arithmetic cross-checks:
 
 from __future__ import annotations
 
-from ._backend import HAS_NUMBA, resolve_backend
 from .tables import ArithTables, build_tables, load_tables, save_tables
 from .approximants import (
     ApproximantWeights,
@@ -73,7 +72,6 @@ __all__ = [
     "ArithTables",
     "CorrelationResult",
     "FirstMomentReport",
-    "HAS_NUMBA",
     "LemmaReport",
     "MomentReport",
     "MonicPolyPair",
@@ -106,7 +104,6 @@ __all__ = [
     "omega_experiment",
     "psi_R",
     "psi_tuple",
-    "resolve_backend",
     "s2_reduced",
     "s_k",
     "s_tilde_k",

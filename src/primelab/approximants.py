@@ -28,7 +28,6 @@ import math
 import numpy as np
 
 from . import constants, tables as tables_mod
-from ._backend import njit, resolve_backend
 from .constants import CONST_P_CUT, EULER_GAMMA, HILDEBRAND_PAIR
 from .tables import ArithTables
 
@@ -81,7 +80,7 @@ def _small_tables(limit: int) -> ArithTables:
             num_div=big.num_div[: limit + 1],
             psi_prefix=big.psi_prefix[: limit + 1],
         )
-    tb = tables_mod.build_tables(limit, backend=None)
+    tb = tables_mod.build_tables(limit)
     _tables_cache.clear()
     _tables_cache.append(tb)
     return tb
@@ -211,28 +210,14 @@ def biglambda_R(n: int, R: int, tables: ArithTables | None = None) -> float:
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _range_add_kernel(out, ds, ys, n_hi):  # pragma: no cover - compiled
-    for i in range(ds.size):
-        d = ds[i]
-        y = ys[i]
-        for m in range(d, n_hi + 1, d):
-            out[m] += y
-
-
-def lambda_R_range(
-    n_hi: int, weights: ApproximantWeights, backend: str | None = None
-) -> np.ndarray:
+def lambda_R_range(n_hi: int, weights: ApproximantWeights) -> np.ndarray:
     """float64 array L with L[n] = lambda_R(n) for 0 <= n <= n_hi (L[0] = 0)."""
     if n_hi < 0:
         raise ValueError(f"n_hi must be >= 0, got {n_hi}")
     out = np.zeros(n_hi + 1, dtype=np.float64)
-    if resolve_backend(backend) == "numba":
-        _range_add_kernel(out, weights.d_values, weights.y_float, n_hi)
-    else:
-        for d, y in zip(weights.d_values.tolist(), weights.y_float.tolist()):
-            if d <= n_hi:
-                out[d::d] += y
+    for d, y in zip(weights.d_values.tolist(), weights.y_float.tolist()):
+        if d <= n_hi:
+            out[d::d] += y
     out[0] = 0.0
     return out
 
@@ -248,9 +233,7 @@ def lambda_R_range_exact(n_hi: int, weights: ApproximantWeights) -> list[int]:
     return vals
 
 
-def biglambda_R_range(
-    n_hi: int, R: int, backend: str | None = None
-) -> np.ndarray:
+def biglambda_R_range(n_hi: int, R: int) -> np.ndarray:
     """float64 array B with B[n] = biglambda_R(n) for 0 <= n <= n_hi."""
     if R < 1:
         raise ValueError(f"R must be >= 1, got {R}")
@@ -262,13 +245,8 @@ def biglambda_R_range(
             ds.append(d)
             ys.append(int(tb.mu[d]) * (logR - math.log(d)))
     out = np.zeros(n_hi + 1, dtype=np.float64)
-    ds_arr = np.array(ds, dtype=np.int64)
-    ys_arr = np.array(ys, dtype=np.float64)
-    if resolve_backend(backend) == "numba":
-        _range_add_kernel(out, ds_arr, ys_arr, n_hi)
-    else:
-        for d, y in zip(ds, ys):
-            out[d::d] += y
+    for d, y in zip(ds, ys):
+        out[d::d] += y
     out[0] = 0.0
     return out
 

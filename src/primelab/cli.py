@@ -45,9 +45,8 @@ from dataclasses import asdict
 import numpy as np
 
 from . import approximants, correlations, lemmas, moments, singular, tables
-from ._backend import resolve_backend
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # Fixed CSV column orders, one list per (sub)command mode.
 SIEVE_FIELDS = ["n_max", "primes", "psi", "mertens", "squarefree"]
@@ -160,14 +159,14 @@ def _resolve_h(args, N: int) -> tuple[int, float | None]:
 # table acquisition (optional binary cache keyed by n_max)
 # ----------------------------------------------------------------------------
 
-def _tables_for(n_max: int, backend: str | None) -> tables.ArithTables:
+def _tables_for(n_max: int) -> tables.ArithTables:
     """Build tables, or load/save them via the cache directory if configured."""
     path = None
     if os.environ.get(tables.CACHE_DIR_ENV):
         path = tables.cache_path(n_max)
         if os.path.exists(path):
             return tables.load_tables(path)
-    tb = tables.build_tables(n_max, backend=backend)
+    tb = tables.build_tables(n_max)
     if path is not None:
         tables.save_tables(tb, path)
     return tb
@@ -246,13 +245,12 @@ def _fail_identity(message: str) -> int:
 # ----------------------------------------------------------------------------
 
 def _cmd_sieve(args) -> int:
-    backend = resolve_backend(args.backend)
     n = args.n_max
-    tb = _tables_for(n, backend)
+    tb = _tables_for(n)
     values = np.arange(2, n + 1, dtype=np.int64)
     primes = int(np.count_nonzero(tb.spf[2:n + 1] == values))
     mu = tb.mu[1:n + 1]
-    config = {"command": "sieve", "n_max": n, "backend": backend,
+    config = {"command": "sieve", "n_max": n,
               "cache_dir": os.environ.get(tables.CACHE_DIR_ENV, "")}
     rows = [{
         "n_max": n,
@@ -266,13 +264,11 @@ def _cmd_sieve(args) -> int:
 
 
 def _cmd_lambda(args) -> int:
-    backend = resolve_backend(args.backend)
     R, n = args.r, args.n
     weights = approximants.build_weights(R, exact=args.exact)
-    lam = approximants.lambda_R_range(n, weights, backend=backend)
-    big = approximants.biglambda_R_range(n, R, backend=backend)
-    config = {"command": "lambda", "R": R, "n": n, "backend": backend,
-              "exact": args.exact}
+    lam = approximants.lambda_R_range(n, weights)
+    big = approximants.biglambda_R_range(n, R)
+    config = {"command": "lambda", "R": R, "n": n, "exact": args.exact}
     if args.exact:
         # Hard identity: the float evaluation must agree with the exact
         # rational values scaled by the common denominator.
@@ -313,28 +309,27 @@ def _cmd_singular(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
-    backend = resolve_backend(args.backend)
     N = args.n
     R = _resolve_R(args, N)
     pattern = args.pattern
     max_shift = max(pattern.shifts)
     n_needed = (2 * N if args.primed_range else N) + max_shift + 1
-    tb = _tables_for(n_needed, backend)
+    tb = _tables_for(n_needed)
     if args.mixed:
         if args.exact:
             raise ValueError("--exact is not available for mixed correlations")
         res = correlations.s_tilde_k(N, pattern, R, tb,
                                      primed_range=args.primed_range,
-                                     p_cut=args.p_cut, backend=backend)
+                                     p_cut=args.p_cut)
     else:
         res = correlations.s_k(N, pattern, R, tb, exact=args.exact,
                                primed_range=args.primed_range,
-                               p_cut=args.p_cut, backend=backend)
+                               p_cut=args.p_cut)
     config = {
         "command": "correlate", "N": N, "R": R,
         "r_exp": args.r_exp, "pattern": str(pattern),
         "mixed": args.mixed, "primed_range": args.primed_range,
-        "exact": args.exact, "p_cut": args.p_cut, "backend": backend,
+        "exact": args.exact, "p_cut": args.p_cut,
     }
     rows = [{
         "N": N, "R": R, "pattern": str(pattern),
@@ -351,7 +346,6 @@ def _cmd_correlate(args) -> int:
 
 
 def _run_omega(args, N: int, h: int, R: int, lam: float | None) -> int:
-    backend = resolve_backend(args.backend)
     rho = args.rho
     if args.c == "couple":
         theta = math.log(R) / math.log(N)
@@ -362,11 +356,11 @@ def _run_omega(args, N: int, h: int, R: int, lam: float | None) -> int:
             C = float(args.c)
         except ValueError as exc:
             raise ValueError(f"--c must be a float or 'couple': {args.c!r}") from exc
-    tb = _tables_for(2 * N + h + 1, backend)
-    exp = moments.omega_experiment(N, h, R, rho, C, tb, backend=backend)
+    tb = _tables_for(2 * N + h + 1)
+    exp = moments.omega_experiment(N, h, R, rho, C, tb)
     config = {
         "command": "omega", "N": N, "h": h, "R": R,
-        "lambda_param": lam, "rho": rho, "C": C, "backend": backend,
+        "lambda_param": lam, "rho": rho, "C": C,
     }
     rows = [asdict(exp)]
     _emit("omega", config, OMEGA_FIELDS, rows, args.format, args.output)
@@ -380,15 +374,14 @@ def _run_omega(args, N: int, h: int, R: int, lam: float | None) -> int:
 
 
 def _cmd_moments(args) -> int:
-    backend = resolve_backend(args.backend)
     N = args.n
     h, lam = _resolve_h(args, N)
 
     if args.first_moment:
-        tb = _tables_for(N + h + 1, backend)
+        tb = _tables_for(N + h + 1)
         rep = moments.first_moment_identity(N, h, tb)
         config = {"command": "moments", "mode": "first_moment",
-                  "N": N, "h": h, "lambda_param": lam, "backend": backend}
+                  "N": N, "h": h, "lambda_param": lam}
         rows = [asdict(rep)]
         _emit("moments", config, FIRST_MOMENT_FIELDS, rows, args.format, args.output)
         if not (rep.exact_equal_12 and rep.exact_equal_13):
@@ -406,29 +399,27 @@ def _cmd_moments(args) -> int:
 
     k = args.k
     if args.psi:
-        tb = _tables_for((2 * N if args.primed else N) + h + 1, backend)
+        tb = _tables_for((2 * N if args.primed else N) + h + 1)
         rep = moments.moment_psi(N, h, k, tb, centered=args.centered,
                                  primed=args.primed)
         config = {"command": "moments", "mode": "psi", "N": N, "h": h, "k": k,
                   "lambda_param": lam, "centered": args.centered,
-                  "primed": args.primed, "backend": backend}
+                  "primed": args.primed}
     elif args.mixed:
         R = _resolve_R(args, N)
-        tb = _tables_for((2 * N if args.primed else N) + h + 1, backend)
-        rep = moments.mixed_moment(N, h, R, k, tb, primed=args.primed,
-                                   backend=backend)
+        tb = _tables_for((2 * N if args.primed else N) + h + 1)
+        rep = moments.mixed_moment(N, h, R, k, tb, primed=args.primed)
         config = {"command": "moments", "mode": "mixed", "N": N, "h": h,
                   "R": R, "r_exp": args.r_exp, "k": k, "lambda_param": lam,
-                  "primed": args.primed, "backend": backend}
+                  "primed": args.primed}
     else:
         R = _resolve_R(args, N)
         rep = moments.moment_psiR(N, h, R, k, exact=args.exact,
-                                  primed=args.primed, expand=args.expand,
-                                  backend=backend)
+                                  primed=args.primed, expand=args.expand)
         config = {"command": "moments", "mode": "psi_R", "N": N, "h": h,
                   "R": R, "r_exp": args.r_exp, "k": k, "lambda_param": lam,
                   "exact": args.exact, "expand": args.expand,
-                  "primed": args.primed, "backend": backend}
+                  "primed": args.primed}
 
     row = asdict(rep)
     if lam is not None and row.get("lambda_param") is None:
@@ -465,12 +456,13 @@ def _parse_poly(text: str) -> tuple[int, ...]:
 
 
 def _cmd_lemma(args) -> int:
-    backend = resolve_backend(args.backend)
     ladder = args.ladder
     params = args.params or {}
-    tb = _tables_for(ladder[-1] + 1, backend)
+    # the lemmas read entries up to the top rung only
+    tb = _tables_for(max(ladder[-1], 2))
     which = args.which
     p_cut = args.p_cut
+    kwargs = {} if p_cut is None else {"p_cut": p_cut}
 
     if which == 1:
         k = int(params.get("k", 1))
@@ -485,22 +477,13 @@ def _cmd_lemma(args) -> int:
                 raise ValueError(f"unknown pair preset {name!r}; "
                                  f"choose from {sorted(_LEMMA_PAIRS)}")
             pair = _LEMMA_PAIRS[name]
-        kwargs = {"backend": backend}
-        if p_cut is not None:
-            kwargs["p_cut"] = p_cut
         rep = lemmas.lemma1(pair, k, ladder, tb, **kwargs)
     elif which == 2:
-        rep = lemmas.lemma2(ladder, tb, backend=backend)
+        rep = lemmas.lemma2(ladder, tb)
     elif which == 3:
-        kwargs = {"backend": backend}
-        if p_cut is not None:
-            kwargs["p_cut"] = p_cut
         rep = lemmas.lemma3(ladder, tb, **kwargs)
     elif which == 4:
         j = int(params.get("j", 2))
-        kwargs = {"backend": backend}
-        if p_cut is not None:
-            kwargs["p_cut"] = p_cut
         if params.get("variant") == "log":
             rep = lemmas.lemma4_log(j, ladder, tb, **kwargs)
         else:
@@ -509,9 +492,6 @@ def _cmd_lemma(args) -> int:
     elif which == 5:
         J = int(params.get("J", 6))
         k = int(params.get("k", 1))
-        kwargs = {"backend": backend}
-        if p_cut is not None:
-            kwargs["p_cut"] = p_cut
         rep = lemmas.lemma5(J, k, ladder, tb, **kwargs)
     else:  # pragma: no cover - argparse choices prevent this
         raise ValueError(f"unknown lemma {which}")
@@ -520,7 +500,7 @@ def _cmd_lemma(args) -> int:
         "command": "lemma", "which": which,
         "ladder": ",".join(str(x) for x in ladder),
         "params": ",".join(f"{k}={v}" for k, v in sorted(params.items())),
-        "p_cut": p_cut, "backend": backend,
+        "p_cut": p_cut,
     }
     for key, val in rep.params:
         config[f"lemma_{key}"] = val
@@ -555,9 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="output format (default csv)")
         parent.add_argument("--output", default=None, metavar="PATH",
                             help="write to PATH instead of stdout")
-        parent.add_argument("--backend", choices=("numba", "numpy"),
-                            default=None,
-                            help="override kernel backend selection")
         parent.add_argument("--threads", type=parse_threads, default=1,
                             help="reserved; accepted but has no effect on output")
         return parent

@@ -47,7 +47,6 @@ import numpy as np
 from . import approximants as ap
 from . import singular as sg
 from . import tables as tables_mod
-from ._backend import njit, resolve_backend
 from .constants import DEFAULT_P_CUT
 from .tables import ArithTables
 
@@ -175,7 +174,6 @@ def s_k(
     exact: bool = False,
     primed_range: bool = False,
     p_cut: int = DEFAULT_P_CUT,
-    backend: str | None = None,
 ) -> CorrelationResult:
     """Correlation sum of pure lambda_R powers over the given pattern.
 
@@ -191,7 +189,7 @@ def s_k(
     top = n_hi + max(max(pattern.shifts), 0)
 
     weights = ap.build_weights(R, exact=exact)
-    lam_arr = ap.lambda_R_range(top, weights, backend=backend)
+    lam_arr = ap.lambda_R_range(top, weights)
     acc = np.ones(n_hi - n_lo + 1, dtype=np.float64)
     for j, a in zip(pattern.shifts, pattern.multiplicities):
         acc *= _window(lam_arr, j, n_lo, n_hi) ** a
@@ -234,7 +232,6 @@ def s_tilde_k(
     tables: ArithTables,
     primed_range: bool = False,
     p_cut: int = DEFAULT_P_CUT,
-    backend: str | None = None,
 ) -> CorrelationResult:
     """Mixed correlation sum: lambda_R powers on the leading shifts, Lambda
     on the last shift (whose multiplicity must be 1).
@@ -256,7 +253,7 @@ def s_tilde_k(
             raise ValueError(f"R must be >= 1, got {R}")
         top = n_hi + max(max(pattern.shifts), 0)
         weights = ap.build_weights(R)
-        lam_arr = ap.lambda_R_range(top, weights, backend=backend)
+        lam_arr = ap.lambda_R_range(top, weights)
         acc = np.ones(n_hi - n_lo + 1, dtype=np.float64)
         for j, a in zip(pattern.shifts[:-1], pattern.multiplicities[:-1]):
             acc *= _window(lam_arr, j, n_lo, n_hi) ** a
@@ -439,28 +436,12 @@ def triple_kernel_closed(a: int, j1: int, j2: int) -> int:
     return total
 
 
-def pair_kernel_scan(
-    r_max: int, j_lo: int, j_hi: int, backend: str | None = None
-) -> int:
+def pair_kernel_scan(r_max: int, j_lo: int, j_hi: int) -> int:
     """Count grid violations of the pair-kernel identity over squarefree
     r1, r2 <= r_max and j in [j_lo, j_hi].  Returns 0 when the closed form
     matches the brute sum everywhere."""
     tb = ap._small_tables(r_max)
     sf = [r for r in range(1, r_max + 1) if tb.mu[r] != 0]
-    if resolve_backend(backend) == "numba":
-        sf_arr = np.array(sf, dtype=np.int64)
-        mu = tb.mu[: r_max + 1].astype(np.int64)
-        phi = tb.phi[: r_max + 1].astype(np.int64)
-        maxd = max(int(tb.num_div[r]) for r in sf)
-        divs = np.zeros((r_max + 1, maxd), dtype=np.int64)
-        divcnt = np.zeros(r_max + 1, dtype=np.int64)
-        for r in sf:
-            ds = _divisors(r, tb)
-            divcnt[r] = len(ds)
-            divs[r, : len(ds)] = ds
-        return int(
-            _pair_scan_kernel_full(sf_arr, mu, phi, divs, divcnt, j_lo, j_hi)
-        )
     bad = 0
     for r1 in sf:
         d1 = np.array(_divisors(r1, tb), dtype=np.int64)
@@ -482,119 +463,11 @@ def pair_kernel_scan(
     return bad
 
 
-@njit(cache=True)
-def _pair_scan_kernel_full(sf, mu, phi, divs, divcnt, j_lo, j_hi):  # pragma: no cover
-    bad = 0
-    for i1 in range(sf.size):
-        r1 = sf[i1]
-        for i2 in range(sf.size):
-            r2 = sf[i2]
-            for j in range(j_lo, j_hi + 1):
-                total = 0
-                for a in range(divcnt[r1]):
-                    d = divs[r1, a]
-                    md = mu[d]
-                    for b in range(divcnt[r2]):
-                        e = divs[r2, b]
-                        x, y = d, e
-                        while y:
-                            x, y = y, x % y
-                        if j % x == 0:
-                            total += md * mu[e] * x
-                if r1 != r2:
-                    closed = 0
-                else:
-                    x = j if j >= 0 else -j
-                    y = r1
-                    while y:
-                        x, y = y, x % y
-                    closed = mu[r1] * mu[x] * phi[x]
-                if total != closed:
-                    bad += 1
-    return bad
-
-
-@njit(cache=True)
-def _triple_scan_kernel(sf, mu, divs, divcnt, spf, j_abs):  # pragma: no cover
-    bad = 0
-    for ia in range(sf.size):
-        a = sf[ia]
-        nd = divcnt[a]
-        for j1 in range(-j_abs, j_abs + 1):
-            for j2 in range(-j_abs, j_abs + 1):
-                if j1 == j2:
-                    continue
-                dj = j1 - j2
-                total = 0
-                for x1 in range(nd):
-                    d = divs[a, x1]
-                    for x2 in range(nd):
-                        e = divs[a, x2]
-                        u, v = d, e
-                        while v:
-                            u, v = v, u % v
-                        if dj % u != 0:
-                            continue
-                        lam_de = d * e // u
-                        for x3 in range(nd):
-                            f = divs[a, x3]
-                            u, v = d, f
-                            while v:
-                                u, v = v, u % v
-                            if j1 % u != 0:
-                                continue
-                            u, v = e, f
-                            while v:
-                                u, v = v, u % v
-                            if j2 % u != 0:
-                                continue
-                            u, v = lam_de, f
-                            while v:
-                                u, v = v, u % v
-                            lcm = lam_de * f // u
-                            total += mu[d] * mu[e] * mu[f] * (d * e * f // lcm)
-                # closed form: multiplicative over p | a
-                closed = 1
-                m = a
-                while m > 1:
-                    p = spf[m]
-                    while m % p == 0:
-                        m //= p
-                    hits = 0
-                    if j1 % p == 0:
-                        hits += 1
-                    if j2 % p == 0:
-                        hits += 1
-                    if dj % p == 0:
-                        hits += 1
-                    if hits == 3:
-                        closed *= -(p - 1) * (p - 2)
-                    elif hits == 1:
-                        closed *= p - 2
-                    else:
-                        closed *= -2
-                if total != closed:
-                    bad += 1
-    return bad
-
-
-def triple_kernel_scan(a_max: int, j_abs: int, backend: str | None = None) -> int:
+def triple_kernel_scan(a_max: int, j_abs: int) -> int:
     """Count grid violations of the triple-kernel identity over squarefree
     a <= a_max and distinct j1, j2 in [-j_abs, j_abs]."""
     tb = ap._small_tables(a_max)
     sf = [r for r in range(1, a_max + 1) if tb.mu[r] != 0]
-    if resolve_backend(backend) == "numba":
-        sf_arr = np.array(sf, dtype=np.int64)
-        mu = tb.mu[: a_max + 1].astype(np.int64)
-        maxd = max(int(tb.num_div[r]) for r in sf)
-        divs = np.zeros((a_max + 1, maxd), dtype=np.int64)
-        divcnt = np.zeros(a_max + 1, dtype=np.int64)
-        for r in sf:
-            ds = _divisors(r, tb)
-            divcnt[r] = len(ds)
-            divs[r, : len(ds)] = ds
-        spf = tb.spf[: a_max + 1].astype(np.int64)
-        return int(_triple_scan_kernel(sf_arr, mu, divs, divcnt, spf, j_abs))
     bad = 0
     for a in sf:
         for j1 in range(-j_abs, j_abs + 1):

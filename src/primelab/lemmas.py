@@ -37,10 +37,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import constants
-from ._backend import njit, resolve_backend
 from .constants import CONST_P_CUT, DEFAULT_P_CUT, EULER_GAMMA, primes_up_to
 from .singular import constant_C, singular_Sn
-from .tables import ArithTables
+from .tables import ArithTables, build_tables, dyadic_blocks
 
 __all__ = [
     "MonicPolyPair",
@@ -144,65 +143,41 @@ def _check_ladder(x_ladder: Sequence[int], tables: ArithTables) -> tuple[int, ..
 # shared sieved evaluator
 
 
-@njit(cache=True)
-def _mult_walk_kernel(spf: np.ndarray, fvals: np.ndarray, x: int, out: np.ndarray):
-    out[0] = 0.0
-    if x >= 1:
-        out[1] = 1.0
-    for n in range(2, x + 1):
-        m = n
-        prod = 1.0
-        ok = True
-        while m > 1:
-            p = spf[m]
-            m //= p
-            if m % p == 0:  # square factor
-                ok = False
-                break
-            prod *= fvals[p]
-        out[n] = prod if ok else 0.0
-
-
-def _mult_values_numpy(fvals: np.ndarray, x: int) -> np.ndarray:
-    out = np.ones(x + 1, dtype=np.float64)
-    out[0] = 0.0
-    ps = primes_up_to(x)
-    for p in ps.tolist():
-        out[p::p] *= fvals[p]
-    for p in ps.tolist():
-        if p * p > x:
-            break
-        out[p * p :: p * p] = 0.0
-    return out
-
-
 def multiplicative_values(
     fvals: np.ndarray,
     x: int,
     tables: ArithTables | None = None,
-    backend: str | None = None,
 ) -> np.ndarray:
     """v[n] = mu^2(n) * prod_{p|n} fvals[p] for 0 <= n <= x (v[0]=0, v[1]=1).
 
     ``fvals`` is indexed by prime; entries at excluded primes should be 0.
-    Factors are multiplied in ascending-prime order on both backends, so
-    the two produce bit-identical arrays.  The compiled path walks smallest
-    prime factors, so it needs ``tables``; without them the slice-sieve
-    fallback is used regardless of backend.
+    The dyadic-block recurrence of ``tables`` fills v block by block: with
+    P = lpf(n) the largest prime factor, v[n] = v[n/P] * fvals[P] for
+    squarefree n and 0.0 otherwise, where lpf(n) = max(spf(n), lpf(n/spf(n))).
+    Keying on the largest prime multiplies the factors in ascending-prime
+    order, so v[n] is bit-for-bit the left-to-right product.  ``tables``
+    supplies spf and mu; without them tables up to x are built.
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     if fvals.shape[0] < x + 1:
         raise ValueError(f"fvals must cover indices up to {x}")
     if tables is None:
-        return _mult_values_numpy(fvals, x)
-    if tables.n_max < x:
+        tables = build_tables(max(x, 2))
+    elif tables.n_max < x:
         raise ValueError(f"tables n_max={tables.n_max} < x={x}")
-    if resolve_backend(backend) == "numba":
-        out = np.empty(x + 1, dtype=np.float64)
-        _mult_walk_kernel(tables.spf, fvals, x, out)
-        return out
-    return _mult_values_numpy(fvals, x)
+    spf, mu = tables.spf, tables.mu
+    out = np.empty(x + 1, dtype=np.float64)
+    out[0] = 0.0
+    out[1] = 1.0
+    lpf = np.empty(x + 1, dtype=np.int32)
+    lpf[1] = 1
+    for lo, hi in dyadic_blocks(x):
+        k = np.arange(lo, hi, dtype=np.int32)
+        big = np.maximum(lpf[k // spf[lo:hi]], spf[lo:hi])
+        lpf[lo:hi] = big
+        out[lo:hi] = np.where(mu[lo:hi] != 0, out[k // big] * fvals[big], 0.0)
+    return out
 
 
 def ladder_sums(
@@ -258,7 +233,6 @@ def lemma1(
     tables: ArithTables,
     *,
     p_cut: int = CONST_P_CUT,
-    backend: str | None = None,
 ) -> LemmaReport:
     """sum_{n<=x, (n,k)=1} mu^2(n) prod_{p|n} P1(p)/P2(p) against its main term
 
@@ -283,7 +257,7 @@ def lemma1(
         if p <= x_max:
             fv[p] = 0.0
 
-    vals = multiplicative_values(fv, x_max, tables, backend)
+    vals = multiplicative_values(fv, x_max, tables)
     lhs = ladder_sums(vals, ladder)
 
     k1, s1 = constants.poly_pair_parts(pair.p1, pair.p2, p_cut)
@@ -317,8 +291,6 @@ def lemma1(
 def lemma2(
     x_ladder: Sequence[int],
     tables: ArithTables,
-    *,
-    backend: str | None = None,
 ) -> LemmaReport:
     """Partial sums S(x) = sum_{n<=x} mu(n) phi_2(n) / (n phi(n)).
 
@@ -335,10 +307,11 @@ def lemma2(
     # mu(n) folded in: f(p) = -(p-2)/(p(p-1)); the p=2 factor is 0 since
     # phi_2(2) = 0, which the formula produces on its own.
     fv[ps] = -(psf - 2.0) / (psf * (psf - 1.0))
-    vals = multiplicative_values(fv, x_max, tables, backend)
+    vals = multiplicative_values(fv, x_max, tables)
     lhs = ladder_sums(vals, ladder)
-    running = np.cumsum(vals)
-    sup_abs = float(np.max(np.abs(running[1:])))
+    running = np.cumsum(vals)[1:]
+    # max |S(t)| without an |S| temporary: at x = 1e7 that is 80 MB
+    sup_abs = float(max(running.max(), -running.min()))
     extras = [("sup_abs", sup_abs)]
     for i, (a, b) in enumerate(zip(lhs, lhs[1:])):
         extras.append((f"cauchy_{i}", abs(b - a)))
@@ -374,7 +347,6 @@ def lemma3(
     tables: ArithTables,
     *,
     p_cut: int = DEFAULT_P_CUT,
-    backend: str | None = None,
 ) -> LemmaReport:
     """sum_{n<=x} mu^2(n) prod_{p|n} (3p-4)/((p-1)(sqrt(p)-1)).
 
@@ -392,7 +364,7 @@ def lemma3(
     rt = np.sqrt(psf)
     fv = np.zeros(x_max + 1, dtype=np.float64)
     fv[ps] = (3.0 * psf - 4.0) / ((psf - 1.0) * (rt - 1.0))
-    vals = multiplicative_values(fv, x_max, tables, backend)
+    vals = multiplicative_values(fv, x_max, tables)
     lhs = ladder_sums(vals, ladder)
     p1 = euler_P1(p_cut)
     main = tuple(p1 * math.sqrt(x) * math.log(x) ** 2 for x in ladder)
@@ -465,7 +437,6 @@ def lemma4(
     tables: ArithTables,
     *,
     p_cut: int = CONST_P_CUT,
-    backend: str | None = None,
 ) -> LemmaReport:
     """sum_{n<=x, (n,k)=1} mu(n) mu.phi((n,j)) / phi^2(n) -> closed constant.
 
@@ -479,7 +450,7 @@ def lemma4(
         raise ValueError(f"k must be a positive integer, got {k}")
     ladder = _check_ladder(x_ladder, tables)
     x_max = ladder[-1]
-    vals = multiplicative_values(_lemma4_fvals(j, k, x_max), x_max, tables, backend)
+    vals = multiplicative_values(_lemma4_fvals(j, k, x_max), x_max, tables)
     lhs = ladder_sums(vals, ladder)
     main_c = _lemma4_main(j, k, p_cut)
     main = tuple(main_c for _ in ladder)
@@ -517,7 +488,6 @@ def lemma4_log(
     tables: ArithTables,
     *,
     p_cut: int = CONST_P_CUT,
-    backend: str | None = None,
 ) -> LemmaReport:
     """-sum_{n<=x} mu(n) mu.phi((n,j)) log n / phi^2(n) against its limit:
 
@@ -531,7 +501,7 @@ def lemma4_log(
         raise ValueError("j must be nonzero")
     ladder = _check_ladder(x_ladder, tables)
     x_max = ladder[-1]
-    vals = multiplicative_values(_lemma4_fvals(j, 1, x_max), x_max, tables, backend)
+    vals = multiplicative_values(_lemma4_fvals(j, 1, x_max), x_max, tables)
     logn = np.zeros(x_max + 1, dtype=np.float64)
     logn[1:] = np.log(np.arange(1, x_max + 1, dtype=np.float64))
     lhs = tuple(-v for v in ladder_sums(vals, ladder, weight=logn))
@@ -635,7 +605,6 @@ def lemma5(
     tables: ArithTables,
     *,
     p_cut: int = DEFAULT_P_CUT,
-    backend: str | None = None,
 ) -> LemmaReport:
     """The twisted sum of ``_lemma5_fvals`` weights against its Euler product.
 
@@ -649,7 +618,7 @@ def lemma5(
         raise ValueError(f"k must be a positive divisor of J, got k={k}, J={J}")
     ladder = _check_ladder(x_ladder, tables)
     x_max = ladder[-1]
-    vals = multiplicative_values(_lemma5_fvals(J, k, x_max), x_max, tables, backend)
+    vals = multiplicative_values(_lemma5_fvals(J, k, x_max), x_max, tables)
     lhs = ladder_sums(vals, ladder)
     main_c = _lemma5_main(J, k, p_cut)
     main = tuple(main_c for _ in ladder)

@@ -320,7 +320,7 @@ def _start_index(N: int, primed: bool) -> int:
 
 
 def _lam_windows_float(
-    N: int, h: int, weights: ApproximantWeights, start: int, backend: str | None
+    N: int, h: int, weights: ApproximantWeights, start: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(values, windows): lambda_R(0..start+N-1+h) and the N window sums.
 
@@ -328,7 +328,7 @@ def _lam_windows_float(
     long-double prefix so the h-fold sums carry no cancellation noise.
     """
     n_top = start + N - 1 + h
-    vals = lambda_R_range(n_top, weights, backend)
+    vals = lambda_R_range(n_top, weights)
     pre = np.cumsum(vals.astype(np.longdouble))
     win = (pre[start + h : start + N + h] - pre[start : start + N]).astype(np.float64)
     return vals, win
@@ -373,7 +373,6 @@ def moment_psiR(
     exact: bool = False,
     primed: bool = False,
     expand: bool = False,
-    backend: str | None = None,
 ) -> MomentReport:
     """M_k(N, h, psi_R) = sum_n (psi_R(n+h) - psi_R(n))^k, n over N values.
 
@@ -391,13 +390,13 @@ def moment_psiR(
         _, win = _lam_windows_exact(N, h, weights, start)
         computed = Fraction(sum(w**k for w in win), weights.denominator**k)
     else:
-        _, win = _lam_windows_float(N, h, weights, start, backend)
+        _, win = _lam_windows_float(N, h, weights, start)
         computed = float(np.sum(win**k))
     via: float | Fraction | None = None
     resid: float | Fraction | None = None
     if expand:
         via = expand_via_correlations(
-            N, h, R, k, exact=exact, primed=primed, backend=backend
+            N, h, R, k, exact=exact, primed=primed
         )
         resid = via - computed
     predicted = _psiR_prediction(N, h, R, k)
@@ -448,7 +447,6 @@ def expand_via_correlations(
     *,
     exact: bool = False,
     primed: bool = False,
-    backend: str | None = None,
 ) -> float | Fraction:
     """The grouping rearrangement of M_k(N, h, psi_R):
 
@@ -477,7 +475,7 @@ def expand_via_correlations(
                     tot_i += _multinomial(k, a) * _pattern_sum_exact(chosen, a)
         return Fraction(tot_i, weights.denominator**k)
 
-    vals = lambda_R_range(n_top, weights, backend)
+    vals = lambda_R_range(n_top, weights)
     wins = [vals[start + j : start + N + j] for j in range(1, h + 1)]
     buf = np.empty(N, dtype=np.float64)
     terms: list[float] = []
@@ -620,7 +618,6 @@ def mixed_moment(
     tables: ArithTables,
     *,
     primed: bool = False,
-    backend: str | None = None,
 ) -> MomentReport:
     """Mtilde_k = sum_n (psi_R-increment)^{k-1} (psi-increment), k in {2, 3}.
 
@@ -645,7 +642,7 @@ def mixed_moment(
     if n_top > tables.n_max:
         raise ValueError(f"need tables up to {n_top}, have n_max={tables.n_max}")
     weights = build_weights(R)
-    lam_vals, U = _lam_windows_float(N, h, weights, start, backend)
+    lam_vals, U = _lam_windows_float(N, h, weights, start)
     V = _psi_windows(N, h, tables, start)
     lamv = tables.lam
     L1 = script_L_float(R, 1)
@@ -732,8 +729,6 @@ def omega_experiment(
     rho: float,
     C: float,
     tables: ArithTables,
-    *,
-    backend: str | None = None,
 ) -> OmegaExperiment:
     """Centered moments m1, m2, m3 over n in [N+1, 2N] with A = sqrt(h log N).
 
@@ -754,7 +749,7 @@ def omega_experiment(
     if n_top > tables.n_max:
         raise ValueError(f"need tables up to {n_top}, have n_max={tables.n_max}")
     weights = build_weights(R)
-    _, U = _lam_windows_float(N, h, weights, start, backend)
+    _, U = _lam_windows_float(N, h, weights, start)
     V = _psi_windows(N, h, tables, start)
 
     a = h + C * A

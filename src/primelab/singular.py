@@ -40,7 +40,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tables as tables_mod
-from ._backend import njit, resolve_backend
 from .constants import DEFAULT_P_CUT, EULER_GAMMA, LOG_2PI, primes_up_to
 from .tables import ArithTables
 
@@ -218,9 +217,7 @@ def singular_two(
 # ---------------------------------------------------------------------------
 
 
-def singular_S2_range(
-    h: int, p_cut: int = DEFAULT_P_CUT, backend: str | None = None
-) -> np.ndarray:
+def singular_S2_range(h: int, p_cut: int = DEFAULT_P_CUT) -> np.ndarray:
     """float64 array S with S[j] = S_2(j) for 1 <= j <= h (S[0] = 0).
 
     Even entries start at 2*C_2 and odd primes p <= h multiply their
@@ -234,43 +231,19 @@ def singular_S2_range(
         out[2::2] = 2.0 * c2
     ps = primes_up_to(h)
     ps = ps[ps > 2]
-    if resolve_backend(backend) == "numba":
-        _s2_sieve_kernel(out, ps, h)
-    else:
-        for p in ps.tolist():
-            out[p::p] *= (p - 1.0) / (p - 2.0)
+    for p in ps.tolist():
+        out[p::p] *= (p - 1.0) / (p - 2.0)
     return out
 
 
-@njit(cache=True)
-def _s2_sieve_kernel(out, ps, h):  # pragma: no cover - compiled
-    for i in range(ps.size):
-        p = ps[i]
-        fac = (p - 1.0) / (p - 2.0)
-        for m in range(p, h + 1, p):
-            out[m] *= fac
-
-
-def _h3_range(h: int, backend: str | None = None) -> np.ndarray:
+def _h3_range(h: int) -> np.ndarray:
     """h3[m] = prod_{p | m, p >= 5} (p-2)/(p-3) for 0 <= m <= h (h3[0] = 1)."""
     out = np.ones(h + 1, dtype=np.float64)
     ps = primes_up_to(h)
     ps = ps[ps >= 5]
-    if resolve_backend(backend) == "numba":
-        _s2_sieve_kernel_ratio(out, ps, h)
-    else:
-        for p in ps.tolist():
-            out[p::p] *= (p - 2.0) / (p - 3.0)
+    for p in ps.tolist():
+        out[p::p] *= (p - 2.0) / (p - 3.0)
     return out
-
-
-@njit(cache=True)
-def _s2_sieve_kernel_ratio(out, ps, h):  # pragma: no cover - compiled
-    for i in range(ps.size):
-        p = ps[i]
-        fac = (p - 2.0) / (p - 3.0)
-        for m in range(p, h + 1, p):
-            out[m] *= fac
 
 
 # ---------------------------------------------------------------------------
@@ -313,12 +286,7 @@ def weighted_S2_sum(h: int, p_cut: int = DEFAULT_P_CUT) -> WeightedS2:
     return WeightedS2(value=value, main=main)
 
 
-def _pair_difference_sum(
-    h: int,
-    p_cut: int,
-    subtract_lower: bool,
-    backend: str | None = None,
-) -> float:
+def _pair_difference_sum(h: int, p_cut: int, subtract_lower: bool) -> float:
     """sum over ordered pairs (a, b) of distinct nonzero differences in
     (-h, h) of cnt(a, b) * W(a, b), where cnt counts the translates fitting
     in [1, h], and W is S((0,a,b)) (subtract_lower=False) or U((0,a,b))
@@ -332,47 +300,7 @@ def _pair_difference_sum(
     # |a - b| reaches 2(h-1), so the index tables extend that far
     s2 = singular_S2_range(2 * h, p_cut=p_cut)
     h3 = _h3_range(2 * h)
-    if resolve_backend(backend) == "numba":
-        return float(_pair_diff_kernel(h, s2, h3, 3.0 * c3, subtract_lower))
     return _pair_diff_numpy(h, s2, h3, 3.0 * c3, subtract_lower)
-
-
-@njit(cache=True)
-def _pair_diff_kernel(h, s2, h3, threec3, subtract_lower):  # pragma: no cover
-    total = 0.0
-    for a in range(-(h - 1), h):
-        if a == 0:
-            continue
-        for b in range(-(h - 1), h):
-            if b == 0 or b == a:
-                continue
-            lo = a if a < b else b
-            if lo > 0:
-                lo = 0
-            hi = a if a > b else b
-            if hi < 0:
-                hi = 0
-            cnt = h - (hi - lo)
-            if cnt <= 0:
-                continue
-            g = a if a > 0 else -a
-            bb = b if b > 0 else -b
-            x, y = g, bb
-            while y:
-                x, y = y, x % y
-            g = x
-            aa = a if a > 0 else -a
-            d = a - b if a > b else b - a
-            # S((0,a,b)) = S2(gcd) * 3 C3 * h3(a) h3(b) h3(a-b) / h3(gcd)^2,
-            # zero unless 3 | a*b*(a-b)
-            f = 0.0
-            if a % 3 == 0 or b % 3 == 0 or (a - b) % 3 == 0:
-                f = s2[g] * threec3 * h3[aa] * h3[bb] * h3[d] / (h3[g] * h3[g])
-            w = f
-            if subtract_lower:
-                w = f - s2[aa] - s2[bb] - s2[d] + 2.0
-            total += cnt * w
-    return total
 
 
 def _pair_diff_numpy(h, s2, h3, threec3, subtract_lower):
@@ -398,9 +326,7 @@ def _pair_diff_numpy(h, s2, h3, threec3, subtract_lower):
     return total
 
 
-def big_R(
-    r: int, h: int, p_cut: int = DEFAULT_P_CUT, backend: str | None = None
-) -> float:
+def big_R(r: int, h: int, p_cut: int = DEFAULT_P_CUT) -> float:
     """R_r(h) = sum over distinct ordered r-tuples from [1, h] of U(tuple).
 
     R_1(h) = 0 identically.  R_2(h) = 2 sum_{j<h} (h-j)(S_2(j) - 1) =
@@ -419,13 +345,11 @@ def big_R(
     if r == 3:
         if h > R3_H_MAX:
             raise ValueError(f"r=3 remainder sum guarded at h <= {R3_H_MAX}")
-        return _pair_difference_sum(h, p_cut, subtract_lower=True, backend=backend)
+        return _pair_difference_sum(h, p_cut, subtract_lower=True)
     raise ValueError(f"big_R supports r <= 3, got {r}")
 
 
-def gallagher_sum(
-    r: int, h: int, p_cut: int = DEFAULT_P_CUT, backend: str | None = None
-) -> float:
+def gallagher_sum(r: int, h: int, p_cut: int = DEFAULT_P_CUT) -> float:
     """sum over distinct ordered r-tuples from [1, h] of S(tuple) (~ h^r).
 
     r = 1 returns exactly h (each singleton contributes exactly 1).
@@ -443,5 +367,5 @@ def gallagher_sum(
     if r == 3:
         if h > R3_H_MAX:
             raise ValueError(f"r=3 tuple average guarded at h <= {R3_H_MAX}")
-        return _pair_difference_sum(h, p_cut, subtract_lower=False, backend=backend)
+        return _pair_difference_sum(h, p_cut, subtract_lower=False)
     raise ValueError(f"gallagher_sum supports r <= 3, got {r}")

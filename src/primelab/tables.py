@@ -1,6 +1,6 @@
 """Sieved arithmetic tables: spf, mu, phi, Lambda, d(n), psi prefix sums.
 
-One pass of a linear (Euler) sieve produces, for all n <= n_max:
+For all n <= n_max the tables hold
 
 * ``spf``       smallest prime factor (int32; spf[1] = 1),
 * ``mu``        Moebius function (int8),
@@ -10,26 +10,34 @@ One pass of a linear (Euler) sieve produces, for all n <= n_max:
 plus the von Mangoldt function ``lam`` (float64; log p at prime powers) and
 its compensated prefix sums ``psi_prefix`` with psi_prefix[x] = psi(x).
 
+A slice sieve over i <= sqrt(n_max) fills ``spf``.  mu, phi and d(n) then
+come from a dyadic-block recurrence: for n in [2^i, 2^(i+1)) write p = spf(n)
+and m = n/p.  Then m < 2^i, so every n of the block reads only finished
+entries and the block is one vectorised numpy step:
+
+* p = spf(m):  mu = 0,      phi = phi(m) p,      d = d(m) / (e(m)+1) * (e(m)+2),
+* otherwise:   mu = -mu(m), phi = phi(m) (p-1),  d = 2 d(m),
+
+where e(n) is the exponent of spf(n) in n.  ``dyadic_blocks`` yields the
+blocks, split further so that no step's temporaries exceed BLOCK_MAX
+entries; ``lemmas.multiplicative_values`` runs the same recurrence keyed on
+the largest prime factor.
+
 Memory is about 33-34 bytes per entry (4+1+8+4+8+8), so n_max = 10**7
 costs ~330 MB; ``build_tables`` refuses requests that cannot fit int32
-smallest-prime-factor storage.
-
-The numba backend runs the classic linear sieve; the numpy backend builds
-the same tables with slice-based sieves (identical integer content; the
-float arrays agree to rounding).  Tables can be saved to / loaded from a
+smallest-prime-factor storage.  Tables can be saved to / loaded from a
 small versioned binary format for reuse across processes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import contextlib
+from dataclasses import dataclass
 import math
 import os
 import struct
 
 import numpy as np
-
-from ._backend import njit, resolve_backend
 
 _MAGIC = b"PRLB"
 _FORMAT_VERSION = 1
@@ -49,7 +57,6 @@ class ArithTables:
     lam: np.ndarray  # float64 von Mangoldt Lambda(n)
     num_div: np.ndarray  # int32 divisor count
     psi_prefix: np.ndarray  # float64, psi_prefix[x] = sum_{n<=x} Lambda(n)
-    _lam_base: np.ndarray | None = field(default=None, repr=False)
 
     def psi(self, x: int) -> float:
         """psi(x) = sum_{n <= x} Lambda(n) straight from the prefix array."""
@@ -71,120 +78,30 @@ class ArithTables:
             out.append((p, e))
         return out
 
-    def lam_exact(self, n: int) -> tuple[int, int] | None:
-        """Exact Lambda: (p, e) if n = p**e (so Lambda(n) = log p), else None."""
-        if not 1 <= n <= self.n_max:
-            raise ValueError(f"n={n} outside table range [1, {self.n_max}]")
-        if n == 1:
-            return None
-        p = int(self.spf[n])
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        return (p, e) if n == 1 else None
-
-    def lam_base_array(self) -> np.ndarray:
-        """int32 array with p at prime powers p**e and 0 elsewhere (cached).
-
-        This is the exact integer skeleton of ``lam``: Lambda(n) = log(base[n])
-        whenever base[n] > 0.
-        """
-        if self._lam_base is None:
-            n = self.n_max
-            base = np.zeros(n + 1, dtype=np.int32)
-            q = np.arange(n + 1, dtype=np.int64)
-            q[:2] = 1
-            p = self.spf.astype(np.int64, copy=True)
-            p[:2] = 1
-            # strip the smallest prime factor completely; prime powers end at 1
-            active = q > 1
-            while np.any(active):
-                div = (q % p == 0) & active
-                q[div] //= p[div]
-                active = div & (q > 1)
-            is_pp = (q == 1) & (np.arange(n + 1) >= 2)
-            base[is_pp] = self.spf[is_pp]
-            self._lam_base = base
-        return self._lam_base
-
 
 # ---------------------------------------------------------------------------
-# numba backend: linear sieve + Kahan prefix
+# sieve: spf by slices, then the dyadic-block recurrence
 # ---------------------------------------------------------------------------
 
-
-@njit(cache=True)
-def _sieve_kernel(n):  # pragma: no cover - compiled
-    spf = np.zeros(n + 1, dtype=np.int32)
-    mu = np.zeros(n + 1, dtype=np.int8)
-    phi = np.zeros(n + 1, dtype=np.int64)
-    nd = np.zeros(n + 1, dtype=np.int32)
-    ecnt = np.zeros(n + 1, dtype=np.int8)  # exponent of spf[i] in i
-    spf[1] = 1
-    mu[1] = 1
-    phi[1] = 1
-    nd[1] = 1
-    nprimes = int(1.3 * n / np.log(n + 2)) + 32
-    primes = np.empty(nprimes, dtype=np.int64)
-    cnt = 0
-    for i in range(2, n + 1):
-        if spf[i] == 0:
-            spf[i] = i
-            mu[i] = -1
-            phi[i] = i - 1
-            nd[i] = 2
-            ecnt[i] = 1
-            primes[cnt] = i
-            cnt += 1
-        for j in range(cnt):
-            p = primes[j]
-            ip = i * p
-            if p > spf[i] or ip > n:
-                break
-            spf[ip] = p
-            if p == spf[i]:
-                mu[ip] = 0
-                phi[ip] = phi[i] * p
-                ecnt[ip] = ecnt[i] + 1
-                nd[ip] = nd[i] // (ecnt[i] + 1) * (ecnt[i] + 2)
-                break
-            else:
-                mu[ip] = -mu[i]
-                phi[ip] = phi[i] * (p - 1)
-                ecnt[ip] = 1
-                nd[ip] = nd[i] * 2
-    return spf, mu, phi, nd, primes[:cnt]
+#: most entries one recurrence step handles; bounds its temporary arrays
+BLOCK_MAX = 1 << 18
 
 
-@njit(cache=True)
-def _lam_psi_kernel(n, primes):  # pragma: no cover - compiled
-    lam = np.zeros(n + 1, dtype=np.float64)
-    for j in range(primes.size):
-        p = primes[j]
-        lp = np.log(np.float64(p))
-        q = p
-        while q <= n:
-            lam[q] = lp
-            q *= p
-    psi = np.zeros(n + 1, dtype=np.float64)
-    s = 0.0
-    c = 0.0  # Kahan compensation
-    for i in range(1, n + 1):
-        y = lam[i] - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-        psi[i] = s
-    return lam, psi
+def dyadic_blocks(n: int):
+    """Yield half-open blocks [lo, hi) covering 2..n, in order, with hi <= 2*lo.
+
+    For k in a block and any divisor d >= 2 of k, k/d <= (hi-1)/2 < lo: a
+    recurrence from k/d to k reads only entries of earlier blocks.
+    """
+    lo = 2
+    while lo <= n:
+        hi = min(2 * lo, lo + BLOCK_MAX, n + 1)
+        yield lo, hi
+        lo = hi
 
 
-# ---------------------------------------------------------------------------
-# numpy backend: slice sieves
-# ---------------------------------------------------------------------------
-
-
-def _sieve_numpy(n: int):
+def _smallest_prime_factors(n: int) -> np.ndarray:
+    """int32 array with spf[k] the least prime dividing k (spf[0]=0, spf[1]=1)."""
     spf = np.zeros(n + 1, dtype=np.int32)
     spf[1] = 1
     for i in range(2, math.isqrt(n) + 1):
@@ -195,37 +112,31 @@ def _sieve_numpy(n: int):
     rest = np.flatnonzero(spf == 0)
     rest = rest[rest >= 2]
     spf[rest] = rest.astype(np.int32)
-
-    idx = np.arange(n + 1, dtype=np.int64)
-    primes = np.flatnonzero(spf == idx)
-    primes = primes[primes >= 2]
-
-    mu = np.ones(n + 1, dtype=np.int8)
-    phi = idx.copy()
-    nd = np.ones(n + 1, dtype=np.int32)
-    for p in primes:
-        p = int(p)
-        mu[p::p] *= -1
-        phi[p::p] //= p
-        phi[p::p] *= p - 1
-        nd[p::p] *= 2
-        if p * p <= n:
-            mu[p * p :: p * p] = 0
-            e = 2
-            q = p * p
-            while q <= n:
-                nd[q::q] //= e
-                nd[q::q] *= e + 1
-                e += 1
-                q *= p
-    mu[0] = 0
-    phi[0] = 0
-    nd[0] = 0
-    phi[1] = 1
-    return spf, mu, phi, nd, primes
+    return spf
 
 
-def _lam_psi_numpy(n: int, primes: np.ndarray):
+def _mu_phi_divisors(spf: np.ndarray):
+    n = spf.size - 1
+    mu = np.zeros(n + 1, dtype=np.int8)
+    phi = np.zeros(n + 1, dtype=np.int64)
+    nd = np.zeros(n + 1, dtype=np.int32)
+    ecnt = np.zeros(n + 1, dtype=np.int8)  # exponent of spf[k] in k
+    mu[1] = phi[1] = nd[1] = 1
+    for lo, hi in dyadic_blocks(n):
+        p = spf[lo:hi]
+        m = np.arange(lo, hi, dtype=np.int32) // p
+        same = spf[m] == p
+        e = ecnt[m]
+        mu[lo:hi] = np.where(same, 0, -mu[m])
+        phi[lo:hi] = phi[m] * np.where(same, p, p - 1)
+        ecnt[lo:hi] = np.where(same, e + 1, 1)
+        nd_m = nd[m]
+        nd[lo:hi] = np.where(same, nd_m // (e + 1) * (e + 2), 2 * nd_m)
+    return mu, phi, nd
+
+
+def _lam_psi(n: int, spf: np.ndarray):
+    primes = np.flatnonzero(spf[2:] == np.arange(2, n + 1, dtype=np.int32)) + 2
     lam = np.zeros(n + 1, dtype=np.float64)
     lam[primes] = np.log(primes.astype(np.float64))
     for p in primes[primes <= math.isqrt(n)]:
@@ -235,12 +146,23 @@ def _lam_psi_numpy(n: int, primes: np.ndarray):
         while q <= n:
             lam[q] = lp
             q *= p
-    # compensated prefix: accumulate in extended precision, then round once
-    psi = np.cumsum(lam.astype(np.longdouble)).astype(np.float64)
+    # compensated prefix: accumulate in extended precision and round each
+    # entry once; the running sum is carried from block to block (slot 0 of
+    # the buffer), so the additions are exactly those of one long cumsum
+    psi = np.empty(n + 1, dtype=np.float64)
+    buf = np.empty(min(n + 1, BLOCK_MAX) + 1, dtype=np.longdouble)
+    buf[0] = 0
+    for lo in range(0, n + 1, BLOCK_MAX):
+        hi = min(lo + BLOCK_MAX, n + 1)
+        acc = buf[: hi - lo + 1]
+        acc[1:] = lam[lo:hi]
+        np.cumsum(acc, out=acc)
+        psi[lo:hi] = acc[1:]
+        buf[0] = acc[-1]
     return lam, psi
 
 
-def build_tables(n_max: int, backend: str | None = None) -> ArithTables:
+def build_tables(n_max: int) -> ArithTables:
     """Sieve all tables up to n_max (inclusive).
 
     Requires n_max >= 2.  Memory is ~34 bytes/entry; n_max beyond int32
@@ -250,12 +172,9 @@ def build_tables(n_max: int, backend: str | None = None) -> ArithTables:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     if n_max > 2**31 - 2:
         raise ValueError(f"n_max={n_max} exceeds int32 spf capacity")
-    if resolve_backend(backend) == "numba":
-        spf, mu, phi, nd, primes = _sieve_kernel(n_max)
-        lam, psi = _lam_psi_kernel(n_max, primes)
-    else:
-        spf, mu, phi, nd, primes = _sieve_numpy(n_max)
-        lam, psi = _lam_psi_numpy(n_max, primes)
+    spf = _smallest_prime_factors(n_max)
+    mu, phi, nd = _mu_phi_divisors(spf)
+    lam, psi = _lam_psi(n_max, spf)
     return ArithTables(
         n_max=n_max, spf=spf, mu=mu, phi=phi, lam=lam, num_div=nd, psi_prefix=psi
     )
@@ -276,13 +195,26 @@ _ARRAY_SPEC = (
 
 
 def save_tables(tables: ArithTables, path: str | os.PathLike) -> None:
-    """Write tables to a little-endian binary file (magic, version, n_max, arrays)."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<HQ", _FORMAT_VERSION, tables.n_max))
-        for name, dt in _ARRAY_SPEC:
-            arr = getattr(tables, name)
-            fh.write(np.ascontiguousarray(arr, dtype=dt).tobytes())
+    """Write tables to a little-endian binary file (magic, version, n_max, arrays).
+
+    The bytes go to a temporary file in the same directory, which is renamed
+    onto ``path`` only when complete: an interrupted or concurrent write never
+    leaves a partial file at ``path`` for a later run to load.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<HQ", _FORMAT_VERSION, tables.n_max))
+            for name, dt in _ARRAY_SPEC:
+                arr = getattr(tables, name)
+                fh.write(np.ascontiguousarray(arr, dtype=dt).data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_tables(path: str | os.PathLike) -> ArithTables:
@@ -297,11 +229,10 @@ def load_tables(path: str | os.PathLike) -> ArithTables:
         n_max = int(n_max)
         arrays = {}
         for name, dt in _ARRAY_SPEC:
-            dtype = np.dtype(dt)
-            buf = fh.read(dtype.itemsize * (n_max + 1))
-            if len(buf) != dtype.itemsize * (n_max + 1):
+            arr = np.empty(n_max + 1, dtype=dt)
+            if fh.readinto(arr) != arr.nbytes:
                 raise ValueError("truncated table file")
-            arrays[name] = np.frombuffer(buf, dtype=dtype).copy()
+            arrays[name] = arr
     return ArithTables(n_max=n_max, **arrays)
 
 
@@ -314,18 +245,6 @@ def cache_path(n_max: int) -> str:
 # ---------------------------------------------------------------------------
 # scalar number theory on top of the tables
 # ---------------------------------------------------------------------------
-
-
-def gcd_or_zero(a: int, b: int) -> int:
-    """gcd variant with (0, a) = (a, 0) = 0.
-
-    Some identity statements use this convention for shift arguments; the
-    implemented closed forms all use the standard gcd (gcd(0, a) = |a|),
-    so this wrapper exists only for spot-checking the alternate reading.
-    """
-    if a == 0 or b == 0:
-        return 0
-    return math.gcd(a, b)
 
 
 def _factor_generic(n: int, tables: ArithTables | None) -> list[tuple[int, int]]:
@@ -396,12 +315,6 @@ def psi_ap(x: int, q: int, a: int, tables: ArithTables) -> float:
     return math.fsum(tables.lam[start : x + 1 : q].tolist())
 
 
-def error_in_ap(x: int, q: int, a: int, tables: ArithTables) -> float:
-    """E(x; q, a) = psi(x; q, a) - [gcd(a,q)=1] * x / phi(q)."""
-    main = x / _phi_scalar(q, tables) if math.gcd(a, q) == 1 else 0.0
-    return psi_ap(x, q, a, tables) - main
-
-
 def _phi_scalar(q: int, tables: ArithTables) -> int:
     if q <= tables.n_max:
         return int(tables.phi[q])
@@ -409,30 +322,6 @@ def _phi_scalar(q: int, tables: ArithTables) -> int:
     for p, _e in _factor_generic(q, tables):
         out = out // p * (p - 1)
     return out
-
-
-@njit(cache=True)
-def _gcd_jit(a, b):  # pragma: no cover - compiled
-    while b:
-        a, b = b, a % b
-    return a
-
-
-@njit(cache=True)
-def _bv_kernel(lam, x, qmax, phis):  # pragma: no cover - compiled
-    total = 0.0
-    for q in range(1, qmax + 1):
-        sums = np.zeros(q, dtype=np.float64)
-        for m in range(1, x + 1):
-            sums[m % q] += lam[m]
-        best = 0.0
-        for a in range(q):
-            if _gcd_jit(a, q) == 1:
-                e = sums[a] - x / phis[q]
-                if abs(e) > best:
-                    best = abs(e)
-        total += best
-    return total
 
 
 def _bv_numpy(lam: np.ndarray, x: int, qmax: int, phis: np.ndarray) -> float:
@@ -453,11 +342,11 @@ def _bv_numpy(lam: np.ndarray, x: int, qmax: int, phis: np.ndarray) -> float:
     return total
 
 
-def bv_sum(x: int, q_max: int, tables: ArithTables, backend: str | None = None) -> float:
+def bv_sum(x: int, q_max: int, tables: ArithTables) -> float:
     """sum_{q <= q_max} max_{(a,q)=1} |psi(x; q, a) - x/phi(q)|.
 
-    For q_max = 1 this is |psi(x) - x|.  Re-running with the same inputs and
-    backend reproduces the value bit-for-bit.
+    For q_max = 1 this is |psi(x) - x|.  Re-running with the same inputs
+    reproduces the value bit-for-bit.
     """
     if not 1 <= q_max:
         raise ValueError(f"q_max must be >= 1, got {q_max}")
@@ -466,6 +355,4 @@ def bv_sum(x: int, q_max: int, tables: ArithTables, backend: str | None = None) 
     phis = np.zeros(q_max + 1, dtype=np.float64)
     for q in range(1, q_max + 1):
         phis[q] = _phi_scalar(q, tables)
-    if resolve_backend(backend) == "numba":
-        return float(_bv_kernel(tables.lam, x, q_max, phis))
     return _bv_numpy(tables.lam, x, q_max, phis)

@@ -11,7 +11,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-import pytest
 import sympy
 
 from primelab import (
@@ -24,7 +23,6 @@ from primelab import (
     script_L,
     script_L_float,
 )
-from primelab._backend import HAS_NUMBA
 from primelab.approximants import sigma_phi_bound
 
 SEED = 20260814
@@ -108,14 +106,6 @@ class TestLambdaRange:
             for p in sympy.factorint(n):
                 kernel *= p
             assert lambda_R_direct(n, R) == lambda_R_direct(kernel, R), (n, R)
-
-    def test_backends_agree(self):
-        if not HAS_NUMBA:
-            pytest.skip("numba unavailable")
-        w = build_weights(60)
-        a = lambda_R_range(5000, w, backend="numpy")
-        b = lambda_R_range(5000, w, backend="numba")
-        assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
 class TestBigLambda:

@@ -68,7 +68,7 @@ class TestExitCodes:
             ["correlate", "--n", "2000", "--r", "8", "--pattern", "0:1,2:1"],
             capsys)
         assert code == 0
-        assert out.startswith("# schema = primelab-correlate-csv-v1\n")
+        assert out.startswith("# schema = primelab-correlate-csv-v2\n")
 
 
 class TestConfigEcho:
@@ -80,7 +80,7 @@ class TestConfigEcho:
         echo = [l for l in out.splitlines() if l.startswith("# ")]
         keys = [l.split(" = ")[0][2:] for l in echo[1:]]  # after schema line
         assert keys == sorted(keys)
-        assert "N" in keys and "R" in keys and "backend" in keys
+        assert "N" in keys and "R" in keys and "backend" not in keys
         # resolved R = round(2000^0.25) echoed as a concrete integer
         assert any(l.startswith("# R = ") for l in echo)
 
@@ -97,7 +97,7 @@ class TestConfigEcho:
             ["singular", "--pattern", "0:1,2:1"], capsys)
         assert code == 0
         payload = json.loads(out)
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert payload["command"] == "singular"
         assert payload["config"]["p_cut"] == 1_000_000
         assert len(payload["rows"]) == 1
@@ -109,7 +109,7 @@ class TestConfigEcho:
         assert code == 0
         assert out == ""
         text = path.read_text()
-        assert text.startswith("# schema = primelab-lambda-csv-v1\n")
+        assert text.startswith("# schema = primelab-lambda-csv-v2\n")
         assert text.splitlines()[-1].startswith("6,")
 
 

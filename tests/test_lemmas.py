@@ -30,7 +30,7 @@ from primelab import (
     script_L_float,
     singular_Sn,
 )
-from primelab._backend import HAS_NUMBA
+from primelab import tables as tables_mod
 from primelab.approximants import hildebrand_main
 from primelab.lemmas import (
     CUBIC_POLY_PAIR,
@@ -59,6 +59,19 @@ def naive_mult_values(fvals: np.ndarray, x: int) -> np.ndarray:
     return out
 
 
+def slice_sieve_mult_values(fvals: np.ndarray, x: int) -> np.ndarray:
+    """The same values by slices: each prime, in ascending order, multiplies
+    its multiples by fvals[p]; multiples of p^2 are then set to 0.0."""
+    out = np.ones(x + 1)
+    out[0] = 0.0
+    primes = list(sympy.primerange(2, x + 1))
+    for p in primes:
+        out[p::p] *= fvals[p]
+    for p in primes:
+        out[p * p :: p * p] = 0.0
+    return out
+
+
 class TestMultiplicativeValues:
     def test_matches_naive_oracle_exactly(self, tables_small):
         """The sieved evaluation is bit-for-bit equal to the per-n product
@@ -73,17 +86,28 @@ class TestMultiplicativeValues:
             expected = naive_mult_values(fvals, x)
             assert np.array_equal(got, expected)
 
-    def test_backends_bit_identical(self, tables_small):
-        if not HAS_NUMBA:
-            pytest.skip("numba unavailable")
+    def test_byte_equal_to_slice_sieve(self, tables_small, monkeypatch):
+        """Byte-for-byte equal to the slice-sieve evaluation, signed zeros
+        included: factors may be negative, +0.0 or -0.0 (excluded primes).
+        Also with small recurrence blocks, and with tables built on demand."""
         rng = np.random.default_rng(SEED + 1)
-        x = 10_000
-        fvals = np.zeros(x + 1)
-        for p in sympy.primerange(2, x + 1):
-            fvals[p] = rng.normal()
-        a = multiplicative_values(fvals, x, tables=tables_small, backend="numpy")
-        b = multiplicative_values(fvals, x, tables=tables_small, backend="numba")
-        assert np.array_equal(a, b)
+        x = tables_small.n_max
+        primes = np.array(list(sympy.primerange(2, x + 1)))
+        for trial in range(4):
+            fvals = np.zeros(x + 1)
+            fvals[primes] = rng.normal(size=primes.size)
+            excluded = primes[rng.random(primes.size) < 0.2]
+            fvals[excluded] = -0.0 if trial % 2 else 0.0
+            fvals[2] = -0.0  # as in Lemma 2, where -(p-2)/(p(p-1)) at p = 2
+            want = slice_sieve_mult_values(fvals, x)
+            got = multiplicative_values(fvals, x, tables=tables_small)
+            assert got.tobytes() == want.tobytes()
+            for top in (1, 2, 3, 1023, 1024, 1025):
+                got = multiplicative_values(fvals, top)
+                assert got.tobytes() == want[: top + 1].tobytes(), top
+        monkeypatch.setattr(tables_mod, "BLOCK_MAX", 64)
+        got = multiplicative_values(fvals, x, tables=tables_small)
+        assert got.tobytes() == want.tobytes()
 
     def test_ladder_sums_prefixes(self):
         values = np.arange(11, dtype=np.float64)

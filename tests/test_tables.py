@@ -10,10 +10,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 import sympy
 
 from primelab import ArithTables, build_tables, load_tables, save_tables
-from primelab._backend import HAS_NUMBA
+from primelab import tables as tables_mod
 from primelab.tables import bv_sum, phi2, psi_ap, squarefree_kernel
 
 SEED = 20260814
@@ -33,6 +34,14 @@ def naive_lambda(n: int) -> float:
         (p, _e), = fac.items()
         return math.log(p)
     return 0.0
+
+
+def assert_same_tables(small: ArithTables, big: ArithTables) -> None:
+    """Every array of ``small`` is byte-equal to the same prefix of ``big``."""
+    n = small.n_max
+    for name in ("spf", "mu", "phi", "lam", "num_div", "psi_prefix"):
+        a, b = getattr(small, name), getattr(big, name)[: n + 1]
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (n, name)
 
 
 class TestBuildTables:
@@ -99,15 +108,29 @@ class TestBuildTables:
         assert int(np.count_nonzero(tables_small.mu[1:n + 1])) == 6083
         assert abs(tables_small.psi_prefix[n] - 10013.3966932631) < 1e-6
 
-    def test_backends_agree(self):
-        """Integer tables are bit-identical across backends; lam is allclose."""
-        a = build_tables(5000, backend="numpy")
-        b = build_tables(5000, backend="numba" if HAS_NUMBA else "numpy")
-        assert np.array_equal(a.spf, b.spf)
-        assert np.array_equal(a.mu, b.mu)
-        assert np.array_equal(a.phi, b.phi)
-        assert np.array_equal(a.num_div, b.num_div)
-        assert np.allclose(a.lam, b.lam, rtol=1e-14, atol=0)
+    def test_builds_are_prefixes(self):
+        """build_tables(n) is an exact prefix of build_tables(m) for n < m,
+        at and around the block boundaries of the recurrence."""
+        big = build_tables(2 * tables_mod.BLOCK_MAX + 3)
+        sizes = {2, 3}
+        for b in (2**4, 2**10, tables_mod.BLOCK_MAX, 2 * tables_mod.BLOCK_MAX):
+            sizes.update((b - 1, b, b + 1))
+        for n in sorted(sizes):
+            assert_same_tables(build_tables(n), big)
+
+    def test_block_size_does_not_change_tables(self, monkeypatch):
+        """Splitting the dyadic blocks (and the psi prefix sum) into many
+        small steps gives the same bytes as the default block size."""
+        want = build_tables(5000)
+        monkeypatch.setattr(tables_mod, "BLOCK_MAX", 64)
+        assert_same_tables(build_tables(5000), want)
+
+    def test_psi_prefix_is_one_extended_precision_cumsum(self):
+        """The block-carried prefix sum rounds exactly like one long-double
+        cumsum over the whole lam array."""
+        tb = build_tables(2 * tables_mod.BLOCK_MAX + 3)
+        want = np.cumsum(tb.lam.astype(np.longdouble)).astype(np.float64)
+        assert tb.psi_prefix.tobytes() == want.tobytes()
 
     def test_rejects_bad_n_max(self):
         import pytest
@@ -129,6 +152,26 @@ class TestSaveLoad:
         assert np.array_equal(back.lam.view(np.int64), tb.lam.view(np.int64))
         assert np.array_equal(back.psi_prefix.view(np.int64),
                               tb.psi_prefix.view(np.int64))
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        """A write that fails part-way leaves neither the target nor a temp
+        file, and the partial bytes are never visible at the target."""
+        tb = build_tables(3000)
+        path = tmp_path / "primelab_tables_3000.bin"
+        real = np.ascontiguousarray
+        seen_at_failure = []
+
+        def fail_at_phi(arr, dtype=None):  # phi is the third array written
+            if arr is tb.phi:
+                seen_at_failure.append(path.exists())
+                raise OSError("disk full")
+            return real(arr, dtype=dtype)
+
+        monkeypatch.setattr(tables_mod.np, "ascontiguousarray", fail_at_phi)
+        with pytest.raises(OSError, match="disk full"):
+            save_tables(tb, path)
+        assert seen_at_failure == [False]
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestHelpers:
