@@ -29,7 +29,7 @@ import numpy as np
 
 from . import constants, tables as tables_mod
 from .constants import CONST_P_CUT, EULER_GAMMA, HILDEBRAND_PAIR
-from .tables import ArithTables
+from .tables import ArithTables, prime_divisors, squarefree_divisors
 
 #: largest R for which the exact (common-denominator) weight mode is offered;
 #: D = lcm of totients grows exponentially with R
@@ -129,7 +129,7 @@ def build_weights(R: int, exact: bool = False) -> ApproximantWeights:
         for r in sf:
             r = int(r)
             add = denominator // int(phi[r])
-            for d in _divisors_squarefree(r, tb):
+            for d in squarefree_divisors(r, tb):
                 l_int[d] += add
         y_int = tuple(int(d) * int(mu[d]) * l_int[int(d)] for d in sf)
 
@@ -142,13 +142,6 @@ def build_weights(R: int, exact: bool = False) -> ApproximantWeights:
     )
     _weights_cache[key] = w
     return w
-
-
-def _divisors_squarefree(r: int, tb: ArithTables) -> list[int]:
-    divs = [1]
-    for p, _e in tb.factor(r) if r > 1 else []:
-        divs += [d * p for d in divs]
-    return divs
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +169,8 @@ def lambda_R_direct(n: int, R: int) -> Fraction:
             continue
         g = math.gcd(r, n)
         inner = 1
-        if g > 1:
-            for p, _e in tb.factor(g):
-                inner *= 1 - p
+        for p in prime_divisors(g, tb):
+            inner *= 1 - p
         total += Fraction(inner, int(tb.phi[r]))
     return total
 
@@ -189,18 +181,13 @@ def biglambda_R(n: int, R: int, tables: ArithTables | None = None) -> float:
         raise ValueError(f"R must be >= 1, got {R}")
     if n <= 0:
         return 0.0
-    if n == 1:
-        return math.log(R)
-    factors = tables_mod._factor_generic(n, tables)
-    divs = [1]
-    for p, _e in factors:
-        divs += [d * p for d in divs]
+    ps = prime_divisors(n, tables)
     logR = math.log(R)
     terms = []
-    for d in sorted(divs):
+    for d in squarefree_divisors(n, tables):
         if d > R:
             continue
-        m = (-1) ** (sum(1 for p, _ in factors if d % p == 0))
+        m = (-1) ** (sum(1 for p in ps if d % p == 0))
         terms.append(m * (logR - math.log(d)))
     return math.fsum(terms)
 
@@ -261,21 +248,6 @@ def psi_R(x: int, weights: ApproximantWeights) -> float:
     return math.fsum((weights.y_float * counts).tolist())
 
 
-def psi_R_fraction(x: int, weights: ApproximantWeights) -> Fraction:
-    """Exact psi_R(x) from integer-scaled weights."""
-    if not weights.exact:
-        raise ValueError("exact weights required; build with exact=True")
-    acc = 0
-    for d, y in zip(weights.d_values.tolist(), weights.y_int):
-        acc += y * (x // d)
-    return Fraction(acc, weights.denominator)
-
-
-def abs_weight_sum(weights: ApproximantWeights) -> float:
-    """sum_d |y_d| = sum_{r <= R} mu^2(r) sigma(r)/phi(r); bounds |psi_R(x) - x|."""
-    return math.fsum(np.abs(weights.y_float).tolist())
-
-
 def sigma_phi_bound(R: int) -> Fraction:
     """Exact sum_{r <= R} mu^2(r) sigma(r)/phi(r).
 
@@ -291,7 +263,7 @@ def sigma_phi_bound(R: int) -> Fraction:
         if tb.mu[r] == 0:
             continue
         sigma = 1
-        for p, _e in tb.factor(r) if r > 1 else []:
+        for p in prime_divisors(r, tb):
             sigma *= p + 1
         acc += Fraction(sigma, int(tb.phi[r]))
     return acc
@@ -349,12 +321,6 @@ def hildebrand_main(x: float, k: int, p_cut: int = CONST_P_CUT) -> float:
     if k == 0:
         raise ValueError("k must be nonzero")
     k1, s1 = constants.poly_pair_parts(*HILDEBRAND_PAIR, p_cut)
-    k_primes = _distinct_primes(abs(k))
-    k2, s2 = constants.poly_pair_k_parts(*HILDEBRAND_PAIR, k_primes)
+    k2, s2 = constants.poly_pair_k_parts(*HILDEBRAND_PAIR, prime_divisors(k))
     return k1 * k2 * (math.log(x) + EULER_GAMMA + s1 + s2)
 
-
-def _distinct_primes(k: int) -> tuple[int, ...]:
-    if k <= 1:
-        return ()
-    return tuple(p for p, _e in tables_mod._factor_generic(k, None))

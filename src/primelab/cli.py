@@ -247,8 +247,7 @@ def _fail_identity(message: str) -> int:
 def _cmd_sieve(args) -> int:
     n = args.n_max
     tb = _tables_for(n)
-    values = np.arange(2, n + 1, dtype=np.int64)
-    primes = int(np.count_nonzero(tb.spf[2:n + 1] == values))
+    primes = int(np.count_nonzero(tb.num_div[: n + 1] == 2))
     mu = tb.mu[1:n + 1]
     config = {"command": "sieve", "n_max": n,
               "cache_dir": os.environ.get(tables.CACHE_DIR_ENV, "")}

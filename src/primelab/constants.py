@@ -185,8 +185,3 @@ def poly_pair_k_parts(
 #: classic sum_p log(p)/(p(p-1)) that appears in the main term of
 #: sum_{n<=x,(n,k)=1} mu^2(n)/phi(n).
 HILDEBRAND_PAIR: tuple[tuple[int, ...], tuple[int, ...]] = ((1,), (-1, 1))
-
-
-def sum_logp_p_pminus1(p_cut: int = CONST_P_CUT) -> float:
-    """sum_{p <= p_cut} log(p) / (p(p-1)); tail beyond p_cut is O(1/p_cut)."""
-    return poly_pair_parts(*HILDEBRAND_PAIR, p_cut)[1]

@@ -46,9 +46,8 @@ import numpy as np
 
 from . import approximants as ap
 from . import singular as sg
-from . import tables as tables_mod
 from .constants import DEFAULT_P_CUT
-from .tables import ArithTables
+from .tables import ArithTables, prime_divisors, squarefree_divisors
 
 
 @dataclass(frozen=True)
@@ -327,21 +326,6 @@ def s2_reduced(N: int, j: int, R: int) -> Fraction:
     return N * acc
 
 
-def s2_reduced_float(N: int, j: int, R: int) -> float:
-    """Float version of s2_reduced for large R."""
-    if R < 1:
-        raise ValueError(f"R must be >= 1, got {R}")
-    tb = ap._small_tables(R)
-    r = np.arange(R + 1, dtype=np.int64)
-    g = np.gcd(r, abs(j)) if j != 0 else r.copy()
-    mask = tb.mu[: R + 1] != 0
-    mask[0] = False
-    gm = g[mask]
-    num = tb.mu[: R + 1][mask].astype(np.float64) * tb.mu[gm] * tb.phi[gm]
-    den = tb.phi[: R + 1][mask].astype(np.float64) ** 2
-    return N * float(np.sum(num / den))
-
-
 # ---------------------------------------------------------------------------
 # divisor kernels: brute sums, closed forms, and grid scans
 # ---------------------------------------------------------------------------
@@ -350,14 +334,6 @@ def s2_reduced_float(N: int, j: int, R: int) -> float:
 def _require_squarefree(r: int, tb: ArithTables) -> None:
     if r < 1 or tb.mu[r] == 0:
         raise ValueError(f"argument must be squarefree and >= 1, got {r}")
-
-
-def _divisors(r: int, tb: ArithTables) -> list[int]:
-    divs = [1]
-    if r > 1:
-        for p, _e in tb.factor(r):
-            divs += [d * p for d in divs]
-    return sorted(divs)
 
 
 def pair_kernel(r1: int, r2: int, j: int) -> int:
@@ -369,8 +345,8 @@ def pair_kernel(r1: int, r2: int, j: int) -> int:
     _require_squarefree(r1, tb)
     _require_squarefree(r2, tb)
     total = 0
-    for d in _divisors(r1, tb):
-        for e in _divisors(r2, tb):
+    for d in squarefree_divisors(r1, tb):
+        for e in squarefree_divisors(r2, tb):
             g = math.gcd(d, e)
             if j % g == 0:
                 total += int(tb.mu[d]) * int(tb.mu[e]) * g
@@ -393,7 +369,7 @@ def triple_kernel(a: int, j1: int, j2: int) -> int:
     of mu(d) mu(e) mu(f) * d*e*f / [d,e,f], for squarefree a."""
     tb = ap._small_tables(max(a, 2))
     _require_squarefree(a, tb)
-    divs = _divisors(a, tb)
+    divs = squarefree_divisors(a, tb)
     dj = j1 - j2
     total = 0
     for d in divs:
@@ -422,7 +398,7 @@ def triple_kernel_closed(a: int, j1: int, j2: int) -> int:
     _require_squarefree(a, tb)
     total = 1
     dj = j1 - j2
-    for p, _e in tb.factor(a) if a > 1 else []:
+    for p in prime_divisors(a, tb):
         d1, d2, dd = j1 % p == 0, j2 % p == 0, dj % p == 0
         hits = int(d1) + int(d2) + int(dd)
         if hits == 3:
@@ -444,10 +420,10 @@ def pair_kernel_scan(r_max: int, j_lo: int, j_hi: int) -> int:
     sf = [r for r in range(1, r_max + 1) if tb.mu[r] != 0]
     bad = 0
     for r1 in sf:
-        d1 = np.array(_divisors(r1, tb), dtype=np.int64)
+        d1 = np.array(squarefree_divisors(r1, tb), dtype=np.int64)
         m1 = tb.mu[d1].astype(np.int64)
         for r2 in sf:
-            d2 = np.array(_divisors(r2, tb), dtype=np.int64)
+            d2 = np.array(squarefree_divisors(r2, tb), dtype=np.int64)
             m2 = tb.mu[d2].astype(np.int64)
             g = np.gcd.outer(d1, d2)
             coef = np.outer(m1, m2) * g

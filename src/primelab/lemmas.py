@@ -39,7 +39,13 @@ import numpy as np
 from . import constants
 from .constants import CONST_P_CUT, DEFAULT_P_CUT, EULER_GAMMA, primes_up_to
 from .singular import constant_C, singular_Sn
-from .tables import ArithTables, build_tables, dyadic_blocks
+from .tables import (
+    ArithTables,
+    build_tables,
+    dyadic_blocks,
+    prime_divisors,
+    squarefree_kernel,
+)
 
 __all__ = [
     "MonicPolyPair",
@@ -196,28 +202,12 @@ def ladder_sums(
     return tuple(out)
 
 
-def _distinct_primes(k: int) -> tuple[int, ...]:
-    """Ascending distinct prime divisors of |k| by trial division."""
-    k = abs(k)
-    out = []
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
-            out.append(d)
-            while k % d == 0:
-                k //= d
-        d += 1 if d == 2 else 2
-    if k > 1:
-        out.append(k)
-    return tuple(out)
-
-
 def m_of(k: int) -> float:
     """m(k) = sum_{d|k} mu^2(d)/sqrt(d) = prod_{p | k} (1 + 1/sqrt(p)), k != 0."""
     if k == 0:
         raise ValueError("m(k) requires k != 0")
     out = 1.0
-    for p in _distinct_primes(k):
+    for p in prime_divisors(k):
         out *= 1.0 + 1.0 / math.sqrt(p)
     return out
 
@@ -253,7 +243,7 @@ def lemma1(
     v2 = constants.poly_eval_array(pair.p2, ps)
     fv = np.zeros(x_max + 1, dtype=np.float64)
     fv[ps.astype(np.int64)] = v1 / v2
-    for p in _distinct_primes(k):
+    for p in prime_divisors(k):
         if p <= x_max:
             fv[p] = 0.0
 
@@ -261,7 +251,7 @@ def lemma1(
     lhs = ladder_sums(vals, ladder)
 
     k1, s1 = constants.poly_pair_parts(pair.p1, pair.p2, p_cut)
-    k2, s2 = constants.poly_pair_k_parts(pair.p1, pair.p2, _distinct_primes(k))
+    k2, s2 = constants.poly_pair_k_parts(pair.p1, pair.p2, prime_divisors(k))
     main = tuple(k1 * k2 * (math.log(x) + EULER_GAMMA + s1 + s2) for x in ladder)
 
     mk = m_of(k)
@@ -386,14 +376,6 @@ def lemma3(
 # Lemma 4: the C_2-limit sums and the log-weighted variant
 
 
-def _squarefree_kernel_int(j: int) -> int:
-    """j* = product of the distinct primes of |j| (largest squarefree divisor)."""
-    out = 1
-    for p in _distinct_primes(j):
-        out *= p
-    return out
-
-
 def _lemma4_fvals(j: int, k: int, x_max: int) -> np.ndarray:
     """Per-prime factors of mu(n) mu.phi((n,j)) / phi^2(n) with (n,k)=1:
 
@@ -403,10 +385,10 @@ def _lemma4_fvals(j: int, k: int, x_max: int) -> np.ndarray:
     psf = ps.astype(np.float64)
     fv = np.zeros(x_max + 1, dtype=np.float64)
     fv[ps] = -1.0 / (psf - 1.0) ** 2
-    for p in _distinct_primes(j):
+    for p in prime_divisors(j):
         if p <= x_max:
             fv[p] = 1.0 / (p - 1.0)
-    for p in _distinct_primes(k):
+    for p in prime_divisors(k):
         if p <= x_max:
             fv[p] = 0.0
     return fv
@@ -415,8 +397,8 @@ def _lemma4_fvals(j: int, k: int, x_max: int) -> np.ndarray:
 def _lemma4_main(j: int, k: int, p_cut: int) -> float:
     """{1 - [2 not| k] mu((2,j))} C_2 prod_{p|k, p>2} (p-1)^2/(p(p-2))
     prod_{p|j, p not| k, p>2} (p-1)/(p-2)."""
-    jp = _distinct_primes(j)
-    kp = _distinct_primes(k)
+    jp = prime_divisors(j)
+    kp = prime_divisors(k)
     mu_2j = -1 if 2 in jp else 1  # mu((2, j))
     brace = 1.0 - (0.0 if 2 in kp else float(mu_2j))
     c2 = constant_C(2, p_cut).value
@@ -455,9 +437,9 @@ def lemma4(
     main_c = _lemma4_main(j, k, p_cut)
     main = tuple(main_c for _ in ladder)
 
-    j_star = _squarefree_kernel_int(j)
+    j_star = squarefree_kernel(j).value
     j_prime = j_star // math.gcd(j_star, k)
-    jp_primes = _distinct_primes(j_prime)
+    jp_primes = prime_divisors(j_prime)
     d_jp = 2 ** len(jp_primes)
     phi_jp = 1
     for p in jp_primes:
@@ -506,7 +488,7 @@ def lemma4_log(
     logn[1:] = np.log(np.arange(1, x_max + 1, dtype=np.float64))
     lhs = tuple(-v for v in ladder_sums(vals, ladder, weight=logn))
 
-    jp = _distinct_primes(j)
+    jp = prime_divisors(j)
     if j % 2 == 0:
         s2j = singular_Sn(2, j).value
         base = _sum_logp_p_pminus2(p_cut)
@@ -519,7 +501,7 @@ def lemma4_log(
         main_c = singular_Sn(2, 2 * j).value * (math.log(2.0) / 2.0)
     main = tuple(main_c for _ in ladder)
 
-    j_star = _squarefree_kernel_int(j)
+    j_star = squarefree_kernel(j).value
     d_js = 2 ** len(jp)
     phi_js = 1
     for p in jp:
@@ -556,8 +538,8 @@ def _lemma5_fvals(J: int, k: int, x_max: int) -> np.ndarray:
     psf = ps.astype(np.float64)
     fv = np.zeros(x_max + 1, dtype=np.float64)
     fv[ps] = -2.0 / ((psf - 1.0) * (psf - 2.0))
-    Jp = _distinct_primes(J)
-    kp = _distinct_primes(k)
+    Jp = prime_divisors(J)
+    kp = prime_divisors(k)
     for p in Jp:
         if 2 < p <= x_max:
             fv[p] = 1.0 / (p - 1.0)
@@ -578,8 +560,8 @@ def _lemma5_main(J: int, k: int, p_cut: int) -> float:
     """
     if k % 2 == 0:
         return 0.0
-    Jp = set(_distinct_primes(J))
-    kp = set(_distinct_primes(k))
+    Jp = set(prime_divisors(J))
+    kp = set(prime_divisors(k))
     if 3 not in Jp:
         return 0.0  # the p=3 generic factor 1 - 2/((p-1)(p-2)) vanishes
     ps = primes_up_to(p_cut)[1:]  # odd primes; p = 2 contributes the leading 2
@@ -650,7 +632,7 @@ def mult_identity_check(n: int, f: Callable[[int], Fraction]) -> Fraction:
     """
     if n == 0:
         raise ValueError("n must be nonzero")
-    ps = _distinct_primes(n)
+    ps = prime_divisors(n)
     fp = {p: Fraction(f(p)) for p in ps}
     for p, v in fp.items():
         if 1 + v == 0:

@@ -39,9 +39,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import tables as tables_mod
 from .constants import DEFAULT_P_CUT, EULER_GAMMA, LOG_2PI, primes_up_to
-from .tables import ArithTables
+from .tables import ArithTables, prime_divisors
 
 #: linear coefficient in R_2(h) ~ -h log h + A h
 R2_LINEAR_COEFF = 2.0 - EULER_GAMMA - LOG_2PI
@@ -132,9 +131,7 @@ def singular_vector(
     special: set[int] = set(int(p) for p in primes_up_to(r))
     for i in range(r):
         for k in range(i + 1, r):
-            d = abs(shifts[i] - shifts[k])
-            for p, _e in tables_mod._factor_generic(d, tables):
-                special.add(p)
+            special.update(prime_divisors(shifts[i] - shifts[k], tables))
 
     finite = Fraction(1)
     correction = 1.0
@@ -169,7 +166,7 @@ def singular_Sn(
     if j % n != 0:
         return SingularValue(0.0, Fraction(0), p_cut, 0.0)
     gh = Fraction(1)
-    for p, _e in tables_mod._factor_generic(abs(j), tables):
+    for p in prime_divisors(j, tables):
         if p in (n - 1, n):
             gh *= Fraction(p, p - 1)
         else:

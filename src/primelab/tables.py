@@ -64,20 +64,6 @@ class ArithTables:
             raise ValueError(f"x={x} outside table range [0, {self.n_max}]")
         return float(self.psi_prefix[x])
 
-    def factor(self, n: int) -> list[tuple[int, int]]:
-        """Factor 2 <= n <= n_max into [(p, e), ...] by walking spf."""
-        if not 2 <= n <= self.n_max:
-            raise ValueError(f"n={n} outside table range [2, {self.n_max}]")
-        out: list[tuple[int, int]] = []
-        while n > 1:
-            p = int(self.spf[n])
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        return out
-
 
 # ---------------------------------------------------------------------------
 # sieve: spf by slices, then the dyadic-block recurrence
@@ -246,13 +232,55 @@ def cache_path(n_max: int) -> str:
 # scalar number theory on top of the tables
 # ---------------------------------------------------------------------------
 
+#: largest n that is factored by trial division when the tables do not
+#: reach it; a prime just below the bound takes about 0.1 s
+FACTOR_MAX = 10**12
 
-def _factor_generic(n: int, tables: ArithTables | None) -> list[tuple[int, int]]:
-    if tables is not None and n <= tables.n_max:
-        return tables.factor(n)
-    from sympy import factorint  # lazy: only needed beyond table range
 
-    return sorted((int(p), int(e)) for p, e in factorint(n).items())
+def factorize(n: int, tables: ArithTables | None = None) -> list[tuple[int, int]]:
+    """Prime factorization [(p, e), ...] of n >= 1 in ascending p ([] for n = 1).
+
+    Walks spf while the tables reach n; beyond them it trial-divides by 2
+    and the odd numbers up to isqrt(n), and refuses n > FACTOR_MAX.
+    """
+    if n < 1:
+        raise ValueError(f"factorization requires n >= 1, got {n}")
+    if n > FACTOR_MAX:
+        raise ValueError(
+            f"n={n} lies beyond the tables and the trial-division bound {FACTOR_MAX}"
+        )
+    table_max = tables.n_max if tables is not None else 0
+    out: list[tuple[int, int]] = []
+    p = 2
+    while n > 1:
+        if n <= table_max:
+            p = int(tables.spf[n])
+        elif p * p > n:
+            p = n
+        elif n % p:
+            p += 1 if p == 2 else 2
+            continue
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        out.append((p, e))
+    return out
+
+
+def prime_divisors(n: int, tables: ArithTables | None = None) -> tuple[int, ...]:
+    """Ascending distinct primes dividing n != 0; the sign of n is ignored."""
+    if n == 0:
+        raise ValueError("every prime divides 0")
+    return tuple(p for p, _e in factorize(abs(n), tables))
+
+
+def squarefree_divisors(n: int, tables: ArithTables | None = None) -> list[int]:
+    """Ascending squarefree divisors of n != 0 (the divisors of its kernel)."""
+    divs = [1]
+    for p in prime_divisors(n, tables):
+        divs += [d * p for d in divs]
+    return sorted(divs)
 
 
 def phi2(n: int, tables: ArithTables | None = None) -> int:
@@ -262,10 +290,8 @@ def phi2(n: int, tables: ArithTables | None = None) -> int:
     """
     if n < 1:
         raise ValueError(f"phi2 requires n >= 1, got {n}")
-    if n == 1:
-        return 1
     out = 1
-    for p, e in _factor_generic(n, tables):
+    for p, e in factorize(n, tables):
         if e > 1:
             raise ValueError(f"phi2 domain is squarefree n; {n} is divisible by {p}^2")
         out *= p - 2
@@ -288,11 +314,9 @@ def squarefree_kernel(j: int, tables: ArithTables | None = None) -> SquarefreeKe
     if j == 0:
         raise ValueError("squarefree kernel undefined at j = 0")
     j = abs(j)
-    if j == 1:
-        return SquarefreeKernel(1, "tables" if tables is not None else "factorization")
     use_tables = tables is not None and j <= tables.n_max
     val = 1
-    for p, _e in _factor_generic(j, tables if use_tables else None):
+    for p in prime_divisors(j, tables):
         val *= p
     return SquarefreeKernel(val, "tables" if use_tables else "factorization")
 
@@ -319,7 +343,7 @@ def _phi_scalar(q: int, tables: ArithTables) -> int:
     if q <= tables.n_max:
         return int(tables.phi[q])
     out = q
-    for p, _e in _factor_generic(q, tables):
+    for p in prime_divisors(q, tables):
         out = out // p * (p - 1)
     return out
 

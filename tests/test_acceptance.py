@@ -1,6 +1,6 @@
 """Acceptance gates: fourteen criteria, one pass/fail line each.
 
-Each criterion prints (and appends to acceptance_report.txt) a single
+Each criterion prints (and appends to build/acceptance_report.txt) a single
 line `✅/❌ <label> — <measured values>`.  Hard identities are asserted
 exactly; observed asymptotics use the stated soft tolerances.  Criterion 7's
 second clause is genuinely out of reach at desk scale (the 3/4 diagonal
@@ -35,12 +35,13 @@ from primelab.correlations import pair_kernel_scan, triple_kernel_scan
 from primelab.lemmas import HILDEBRAND_POLY_PAIR
 from primelab.singular import big_R, weighted_S2_sum
 
-REPORT_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
+REPORT_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "build",
                            "acceptance_report.txt")
 
 
 @pytest.fixture(scope="session", autouse=True)
 def _fresh_report():
+    os.makedirs(os.path.dirname(REPORT_PATH), exist_ok=True)
     with open(REPORT_PATH, "w") as fh:
         fh.write("# acceptance gates\n")
     yield

@@ -23,7 +23,7 @@ from primelab import (
     script_L,
     script_L_float,
 )
-from primelab.approximants import sigma_phi_bound
+from primelab.approximants import biglambda_R, sigma_phi_bound
 
 SEED = 20260814
 N_TRIALS = 60
@@ -134,6 +134,7 @@ class TestBigLambda:
             brute = sum(int(sympy.mobius(d)) * math.log(R / d)
                         for d in sympy.divisors(n) if d <= R)
             assert abs(vals[n] - brute) < 1e-9, n
+            assert abs(biglambda_R(n, R) - brute) < 1e-9, n
 
 
 class TestScriptL:

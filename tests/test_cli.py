@@ -63,6 +63,15 @@ class TestExitCodes:
              "--rho", "0.3", "--c", "-0.5"], capsys)
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["singular", "--sn", "2", "--j", "20000000000014"],
+        ["lemma", "--which", "4", "--ladder", "1e3", "--params", "j=1000000000039"],
+    ], ids=["singular", "lemma"])
+    def test_factor_bound_returns_3(self, argv, capsys):
+        """Numbers past the tables and the trial-division bound are refused."""
+        assert cli.main(argv) == 3
+        assert "trial-division bound" in capsys.readouterr().err
+
     def test_success_returns_0(self, capsys):
         code, out = run_main(
             ["correlate", "--n", "2000", "--r", "8", "--pattern", "0:1,2:1"],
@@ -181,6 +190,27 @@ class TestSubcommands:
         code, out = run_main(["singular", "--sn", "2", "--j", "6"], capsys)
         assert code == 0
         assert json.loads(out)["rows"][0]["finite_part"] == "4"
+
+
+def test_cells_do_not_import_sympy():
+    """The Euler-product cells factor without sympy (a fresh interpreter,
+    since the test process imports sympy as its oracle)."""
+    cells = [
+        ["singular", "--pattern", "0:1,2:1"],
+        ["correlate", "--n", "1e4", "--r", "10", "--pattern", "0:1,2:1"],
+        ["lemma", "--which", "4", "--ladder", "1e3", "--params", "j=2,variant=log"],
+    ]
+    script = (
+        "import json, os, sys\n"
+        "from primelab import cli\n"
+        f"codes = [cli.main(a + ['--output', os.devnull]) for a in {cells!r}]\n"
+        "print(json.dumps([codes, 'sympy' in sys.modules]))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PRIMELAB_CACHE_DIR"}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout) == [[0, 0, 0], False]
 
 
 class TestCache:

@@ -15,7 +15,16 @@ import sympy
 
 from primelab import ArithTables, build_tables, load_tables, save_tables
 from primelab import tables as tables_mod
-from primelab.tables import bv_sum, phi2, psi_ap, squarefree_kernel
+from primelab.tables import (
+    FACTOR_MAX,
+    bv_sum,
+    factorize,
+    phi2,
+    prime_divisors,
+    psi_ap,
+    squarefree_divisors,
+    squarefree_kernel,
+)
 
 SEED = 20260814
 N_TRIALS = 200
@@ -172,6 +181,51 @@ class TestSaveLoad:
             save_tables(tb, path)
         assert seen_at_failure == [False]
         assert list(tmp_path.iterdir()) == []
+
+
+class TestFactorize:
+    def test_against_sympy_factorint(self, tables_small):
+        """Ascending [(p, e)] equal to sympy's, on and past the tables."""
+        rng = np.random.default_rng(SEED + 9)
+        n_max = tables_small.n_max
+        sample = [1, 2, 3, 4, n_max, n_max + 1]
+        sample += [p * p for p in (2, 3, 97, 20011, 999_979)]
+        sample += [int(n) for n in rng.integers(2, n_max + 1, size=N_TRIALS)]
+        sample += [int(n) for n in rng.integers(n_max + 1, 10**9, size=N_TRIALS)]
+        sample += [int(n) for n in rng.integers(10**9, FACTOR_MAX + 1, size=20)]
+        for n in sample:
+            expected = sorted(sympy.factorint(n).items())
+            assert factorize(n, tables_small) == expected, n
+            assert factorize(n) == expected, n
+
+    def test_zero_and_negative_are_refused(self, tables_small):
+        """sympy reports 0 as {0: 1}; 0 has no prime factorization."""
+        for n in (0, -1, -6):
+            with pytest.raises(ValueError):
+                factorize(n, tables_small)
+        with pytest.raises(ValueError):
+            prime_divisors(0)
+
+    def test_bound_beyond_the_tables(self, tables_small):
+        """Trial division stops at FACTOR_MAX; a prime just below it is
+        factored, anything larger is refused with or without tables."""
+        assert factorize(999_999_999_989) == [(999_999_999_989, 1)]
+        assert factorize(FACTOR_MAX) == [(2, 12), (5, 12)]
+        for tb in (None, tables_small):
+            with pytest.raises(ValueError, match="trial-division bound"):
+                factorize(FACTOR_MAX + 1, tb)
+
+    def test_prime_and_squarefree_divisors(self, tables_small):
+        """Distinct primes of |n| and the squarefree divisors, both ascending."""
+        rng = np.random.default_rng(SEED + 10)
+        for n in [1, 2, 12, 30030, 2 * 999_983] + [
+            int(n) for n in rng.integers(2, 3 * tables_small.n_max, size=60)
+        ]:
+            fac = sympy.factorint(n)
+            assert prime_divisors(-n, tables_small) == tuple(sorted(fac)), n
+            expected = sorted(d for d in sympy.divisors(n)
+                              if all(e == 1 for e in sympy.factorint(d).values()))
+            assert squarefree_divisors(n, tables_small) == expected, n
 
 
 class TestHelpers:
