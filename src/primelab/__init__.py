@@ -13,7 +13,7 @@ The package evaluates, at desk scale and with exact-arithmetic cross-checks:
 
 from __future__ import annotations
 
-from .tables import ArithTables, build_tables, load_tables, save_tables
+from .tables import ArithTables, build_tables, load_tables, save_tables, tables_for
 from .approximants import (
     ApproximantWeights,
     biglambda_R_range,
@@ -113,4 +113,5 @@ __all__ = [
     "singular_S2_range",
     "singular_Sn",
     "singular_vector",
+    "tables_for",
 ]

@@ -27,9 +27,9 @@ import math
 
 import numpy as np
 
-from . import constants, tables as tables_mod
+from . import constants
 from .constants import CONST_P_CUT, EULER_GAMMA, HILDEBRAND_PAIR
-from .tables import ArithTables, prime_divisors, squarefree_divisors
+from .tables import ArithTables, prime_divisors, squarefree_divisors, tables_for
 
 #: largest R for which the exact (common-denominator) weight mode is offered;
 #: D = lcm of totients grows exponentially with R
@@ -61,29 +61,6 @@ class ApproximantWeights:
 
 
 _weights_cache: dict[tuple[int, bool], ApproximantWeights] = {}
-_tables_cache: list[ArithTables] = []
-
-
-def _small_tables(limit: int) -> ArithTables:
-    """mu/phi/spf up to `limit` for weight construction (grow-only cache)."""
-    limit = max(limit, 2)
-    if _tables_cache and _tables_cache[0].n_max >= limit:
-        big = _tables_cache[0]
-        if big.n_max == limit:
-            return big
-        return ArithTables(
-            n_max=limit,
-            spf=big.spf[: limit + 1],
-            mu=big.mu[: limit + 1],
-            phi=big.phi[: limit + 1],
-            lam=big.lam[: limit + 1],
-            num_div=big.num_div[: limit + 1],
-            psi_prefix=big.psi_prefix[: limit + 1],
-        )
-    tb = tables_mod.build_tables(limit)
-    _tables_cache.clear()
-    _tables_cache.append(tb)
-    return tb
 
 
 def build_weights(R: int, exact: bool = False) -> ApproximantWeights:
@@ -104,7 +81,7 @@ def build_weights(R: int, exact: bool = False) -> ApproximantWeights:
     if hit is not None:
         return hit
 
-    tb = _small_tables(R)
+    tb = tables_for(R)
     mu = tb.mu[: R + 1].astype(np.int64)
     phi = tb.phi[: R + 1]
     sf = np.flatnonzero(mu != 0)
@@ -162,7 +139,7 @@ def lambda_R_direct(n: int, R: int) -> Fraction:
         raise ValueError(f"direct evaluation limited to R <= {EXACT_R_MAX}")
     if n <= 0:
         return Fraction(0)
-    tb = _small_tables(R)
+    tb = tables_for(R)
     total = Fraction(0)
     for r in range(1, R + 1):
         if tb.mu[r] == 0:
@@ -224,7 +201,7 @@ def biglambda_R_range(n_hi: int, R: int) -> np.ndarray:
     """float64 array B with B[n] = biglambda_R(n) for 0 <= n <= n_hi."""
     if R < 1:
         raise ValueError(f"R must be >= 1, got {R}")
-    tb = _small_tables(min(R, max(n_hi, 2)))
+    tb = tables_for(min(R, n_hi))
     logR = math.log(R)
     ds, ys = [], []
     for d in range(1, min(R, n_hi) + 1):
@@ -257,7 +234,7 @@ def sigma_phi_bound(R: int) -> Fraction:
     """
     if R < 1:
         raise ValueError(f"R must be >= 1, got {R}")
-    tb = _small_tables(R)
+    tb = tables_for(R)
     acc = Fraction(0)
     for r in range(1, R + 1):
         if tb.mu[r] == 0:
@@ -282,7 +259,7 @@ def script_L(R: int, k: int = 1) -> Fraction:
         raise ValueError(f"exact script_L limited to R <= {EXACT_R_MAX}")
     if k == 0:
         raise ValueError("k must be nonzero")
-    tb = _small_tables(R)
+    tb = tables_for(R)
     acc = Fraction(0)
     for r in range(1, R + 1):
         if tb.mu[r] != 0 and math.gcd(r, abs(k)) == 1:
@@ -296,7 +273,7 @@ def script_L_float(R: int, k: int = 1) -> float:
         raise ValueError(f"R must be >= 1, got {R}")
     if k == 0:
         raise ValueError("k must be nonzero")
-    tb = _small_tables(R)
+    tb = tables_for(R)
     r = np.arange(R + 1, dtype=np.int64)
     mask = tb.mu[: R + 1] != 0
     mask[0] = False

@@ -129,11 +129,6 @@ def parse_keyvals(text: str) -> dict[str, str]:
     return out
 
 
-def parse_threads(text: str) -> int:
-    n = parse_count(text)
-    return n
-
-
 def _resolve_R(args, N: int) -> int:
     """Resolve the truncation level from --r or --r-exp (R = round(N^theta))."""
     if getattr(args, "r", None) is not None:
@@ -153,23 +148,6 @@ def _resolve_h(args, N: int) -> tuple[int, float | None]:
     if getattr(args, "lambda_param", None) is not None:
         return moments.h_from_lambda(N, args.lambda_param), args.lambda_param
     raise ValueError("one of --h / --lambda is required")
-
-
-# ----------------------------------------------------------------------------
-# table acquisition (optional binary cache keyed by n_max)
-# ----------------------------------------------------------------------------
-
-def _tables_for(n_max: int) -> tables.ArithTables:
-    """Build tables, or load/save them via the cache directory if configured."""
-    path = None
-    if os.environ.get(tables.CACHE_DIR_ENV):
-        path = tables.cache_path(n_max)
-        if os.path.exists(path):
-            return tables.load_tables(path)
-    tb = tables.build_tables(n_max)
-    if path is not None:
-        tables.save_tables(tb, path)
-    return tb
 
 
 # ----------------------------------------------------------------------------
@@ -246,7 +224,7 @@ def _fail_identity(message: str) -> int:
 
 def _cmd_sieve(args) -> int:
     n = args.n_max
-    tb = _tables_for(n)
+    tb = tables.tables_for(n)
     primes = int(np.count_nonzero(tb.num_div[: n + 1] == 2))
     mu = tb.mu[1:n + 1]
     config = {"command": "sieve", "n_max": n,
@@ -313,7 +291,7 @@ def _cmd_correlate(args) -> int:
     pattern = args.pattern
     max_shift = max(pattern.shifts)
     n_needed = (2 * N if args.primed_range else N) + max_shift + 1
-    tb = _tables_for(n_needed)
+    tb = tables.tables_for(n_needed)
     if args.mixed:
         if args.exact:
             raise ValueError("--exact is not available for mixed correlations")
@@ -355,7 +333,7 @@ def _run_omega(args, N: int, h: int, R: int, lam: float | None) -> int:
             C = float(args.c)
         except ValueError as exc:
             raise ValueError(f"--c must be a float or 'couple': {args.c!r}") from exc
-    tb = _tables_for(2 * N + h + 1)
+    tb = tables.tables_for(2 * N + h + 1)
     exp = moments.omega_experiment(N, h, R, rho, C, tb)
     config = {
         "command": "omega", "N": N, "h": h, "R": R,
@@ -377,7 +355,7 @@ def _cmd_moments(args) -> int:
     h, lam = _resolve_h(args, N)
 
     if args.first_moment:
-        tb = _tables_for(N + h + 1)
+        tb = tables.tables_for(N + h + 1)
         rep = moments.first_moment_identity(N, h, tb)
         config = {"command": "moments", "mode": "first_moment",
                   "N": N, "h": h, "lambda_param": lam}
@@ -398,7 +376,7 @@ def _cmd_moments(args) -> int:
 
     k = args.k
     if args.psi:
-        tb = _tables_for((2 * N if args.primed else N) + h + 1)
+        tb = tables.tables_for((2 * N if args.primed else N) + h + 1)
         rep = moments.moment_psi(N, h, k, tb, centered=args.centered,
                                  primed=args.primed)
         config = {"command": "moments", "mode": "psi", "N": N, "h": h, "k": k,
@@ -406,7 +384,7 @@ def _cmd_moments(args) -> int:
                   "primed": args.primed}
     elif args.mixed:
         R = _resolve_R(args, N)
-        tb = _tables_for((2 * N if args.primed else N) + h + 1)
+        tb = tables.tables_for((2 * N if args.primed else N) + h + 1)
         rep = moments.mixed_moment(N, h, R, k, tb, primed=args.primed)
         config = {"command": "moments", "mode": "mixed", "N": N, "h": h,
                   "R": R, "r_exp": args.r_exp, "k": k, "lambda_param": lam,
@@ -458,7 +436,7 @@ def _cmd_lemma(args) -> int:
     ladder = args.ladder
     params = args.params or {}
     # the lemmas read entries up to the top rung only
-    tb = _tables_for(max(ladder[-1], 2))
+    tb = tables.tables_for(ladder[-1])
     which = args.which
     p_cut = args.p_cut
     kwargs = {} if p_cut is None else {"p_cut": p_cut}
@@ -534,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="output format (default csv)")
         parent.add_argument("--output", default=None, metavar="PATH",
                             help="write to PATH instead of stdout")
-        parent.add_argument("--threads", type=parse_threads, default=1,
+        parent.add_argument("--threads", type=parse_count, default=1,
                             help="reserved; accepted but has no effect on output")
         return parent
 

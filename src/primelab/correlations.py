@@ -47,7 +47,7 @@ import numpy as np
 from . import approximants as ap
 from . import singular as sg
 from .constants import DEFAULT_P_CUT
-from .tables import ArithTables, prime_divisors, squarefree_divisors
+from .tables import ArithTables, prime_divisors, squarefree_divisors, tables_for
 
 
 @dataclass(frozen=True)
@@ -316,7 +316,7 @@ def s2_reduced(N: int, j: int, R: int) -> Fraction:
         raise ValueError(f"R must be >= 1, got {R}")
     if R > ap.EXACT_R_MAX:
         raise ValueError(f"exact reduced sum limited to R <= {ap.EXACT_R_MAX}")
-    tb = ap._small_tables(R)
+    tb = tables_for(R)
     acc = Fraction(0)
     for r in range(1, R + 1):
         if tb.mu[r] == 0:
@@ -341,7 +341,7 @@ def pair_kernel(r1: int, r2: int, j: int) -> int:
 
     Standard gcd conventions: every (d,e) divides j = 0.
     """
-    tb = ap._small_tables(max(r1, r2))
+    tb = tables_for(max(r1, r2))
     _require_squarefree(r1, tb)
     _require_squarefree(r2, tb)
     total = 0
@@ -355,7 +355,7 @@ def pair_kernel(r1: int, r2: int, j: int) -> int:
 
 def pair_kernel_closed(r1: int, r2: int, j: int) -> int:
     """Closed form: 0 unless r1 = r2 = r, else mu(r) mu((j,r)) phi((j,r))."""
-    tb = ap._small_tables(max(r1, r2))
+    tb = tables_for(max(r1, r2))
     _require_squarefree(r1, tb)
     _require_squarefree(r2, tb)
     if r1 != r2:
@@ -367,7 +367,7 @@ def pair_kernel_closed(r1: int, r2: int, j: int) -> int:
 def triple_kernel(a: int, j1: int, j2: int) -> int:
     """Brute sum over d, e, f | a with (d,e) | j1-j2, (d,f) | j1, (e,f) | j2
     of mu(d) mu(e) mu(f) * d*e*f / [d,e,f], for squarefree a."""
-    tb = ap._small_tables(max(a, 2))
+    tb = tables_for(a)
     _require_squarefree(a, tb)
     divs = squarefree_divisors(a, tb)
     dj = j1 - j2
@@ -394,7 +394,7 @@ def triple_kernel_closed(a: int, j1: int, j2: int) -> int:
         (p-2)        if p divides exactly one of {j1 - j2, j1, j2},
         -2           if p divides none.
     """
-    tb = ap._small_tables(max(a, 2))
+    tb = tables_for(a)
     _require_squarefree(a, tb)
     total = 1
     dj = j1 - j2
@@ -416,7 +416,7 @@ def pair_kernel_scan(r_max: int, j_lo: int, j_hi: int) -> int:
     """Count grid violations of the pair-kernel identity over squarefree
     r1, r2 <= r_max and j in [j_lo, j_hi].  Returns 0 when the closed form
     matches the brute sum everywhere."""
-    tb = ap._small_tables(r_max)
+    tb = tables_for(r_max)
     sf = [r for r in range(1, r_max + 1) if tb.mu[r] != 0]
     bad = 0
     for r1 in sf:
@@ -442,7 +442,7 @@ def pair_kernel_scan(r_max: int, j_lo: int, j_hi: int) -> int:
 def triple_kernel_scan(a_max: int, j_abs: int) -> int:
     """Count grid violations of the triple-kernel identity over squarefree
     a <= a_max and distinct j1, j2 in [-j_abs, j_abs]."""
-    tb = ap._small_tables(a_max)
+    tb = tables_for(a_max)
     sf = [r for r in range(1, a_max + 1) if tb.mu[r] != 0]
     bad = 0
     for a in sf:

@@ -41,10 +41,10 @@ from .constants import CONST_P_CUT, DEFAULT_P_CUT, EULER_GAMMA, primes_up_to
 from .singular import constant_C, singular_Sn
 from .tables import (
     ArithTables,
-    build_tables,
     dyadic_blocks,
     prime_divisors,
     squarefree_kernel,
+    tables_for,
 )
 
 __all__ = [
@@ -169,7 +169,7 @@ def multiplicative_values(
     if fvals.shape[0] < x + 1:
         raise ValueError(f"fvals must cover indices up to {x}")
     if tables is None:
-        tables = build_tables(max(x, 2))
+        tables = tables_for(x)
     elif tables.n_max < x:
         raise ValueError(f"tables n_max={tables.n_max} < x={x}")
     spf, mu = tables.spf, tables.mu
@@ -437,7 +437,7 @@ def lemma4(
     main_c = _lemma4_main(j, k, p_cut)
     main = tuple(main_c for _ in ladder)
 
-    j_star = squarefree_kernel(j).value
+    j_star = squarefree_kernel(j)
     j_prime = j_star // math.gcd(j_star, k)
     jp_primes = prime_divisors(j_prime)
     d_jp = 2 ** len(jp_primes)
@@ -501,7 +501,7 @@ def lemma4_log(
         main_c = singular_Sn(2, 2 * j).value * (math.log(2.0) / 2.0)
     main = tuple(main_c for _ in ladder)
 
-    j_star = squarefree_kernel(j).value
+    j_star = squarefree_kernel(j)
     d_js = 2 ** len(jp)
     phi_js = 1
     for p in jp:

@@ -25,8 +25,14 @@ the largest prime factor.
 
 Memory is about 33-34 bytes per entry (4+1+8+4+8+8), so n_max = 10**7
 costs ~330 MB; ``build_tables`` refuses requests that cannot fit int32
-smallest-prime-factor storage.  Tables can be saved to / loaded from a
-small versioned binary format for reuse across processes.
+smallest-prime-factor storage.
+
+``tables_for`` is the one provider every caller goes through: it serves a
+request as a prefix of a cache file in PRIMELAB_CACHE_DIR or of the largest
+build the process holds, and builds only when neither reaches n_max.  A
+cache file is a small versioned header followed by the six arrays,
+little-endian; ``load_tables`` maps it read-only, so pages a command never
+touches are never read.
 """
 
 from __future__ import annotations
@@ -34,7 +40,9 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass
 import math
+import mmap
 import os
+import re
 import struct
 
 import numpy as np
@@ -178,6 +186,8 @@ _ARRAY_SPEC = (
     ("num_div", "<i4"),
     ("psi_prefix", "<f8"),
 )
+_HEADER = struct.Struct("<4sHQ")  # magic, format version, n_max
+_ENTRY_BYTES = sum(np.dtype(dt).itemsize for _name, dt in _ARRAY_SPEC)
 
 
 def save_tables(tables: ArithTables, path: str | os.PathLike) -> None:
@@ -191,8 +201,7 @@ def save_tables(tables: ArithTables, path: str | os.PathLike) -> None:
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<HQ", _FORMAT_VERSION, tables.n_max))
+            fh.write(_HEADER.pack(_MAGIC, _FORMAT_VERSION, tables.n_max))
             for name, dt in _ARRAY_SPEC:
                 arr = getattr(tables, name)
                 fh.write(np.ascontiguousarray(arr, dtype=dt).data)
@@ -203,29 +212,80 @@ def save_tables(tables: ArithTables, path: str | os.PathLike) -> None:
         raise
 
 
-def load_tables(path: str | os.PathLike) -> ArithTables:
-    """Read tables written by save_tables; validates magic and version."""
+def load_tables(path: str | os.PathLike, n_max: int | None = None) -> ArithTables:
+    """Map a file written by save_tables read-only, as tables up to n_max.
+
+    n_max defaults to the file's own and may not exceed it.  The magic, the
+    version and the exact file size are checked (ValueError otherwise); each
+    array is a read-only view of the first n_max + 1 entries of the mapping,
+    so pages no caller touches are never read.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER.size:
+            raise ValueError(f"truncated table file {os.fspath(path)!r}")
+        magic, version, file_max = _HEADER.unpack(fh.read(_HEADER.size))
         if magic != _MAGIC:
             raise ValueError(f"not a primelab table file (magic {magic!r})")
-        version, n_max = struct.unpack("<HQ", fh.read(10))
         if version != _FORMAT_VERSION:
             raise ValueError(f"unsupported table format version {version}")
-        n_max = int(n_max)
-        arrays = {}
-        for name, dt in _ARRAY_SPEC:
-            arr = np.empty(n_max + 1, dtype=dt)
-            if fh.readinto(arr) != arr.nbytes:
-                raise ValueError("truncated table file")
-            arrays[name] = arr
+        expected = _HEADER.size + (file_max + 1) * _ENTRY_BYTES
+        if size != expected:
+            raise ValueError(
+                f"table file {os.fspath(path)!r} has {size} bytes, "
+                f"expected {expected} for n_max={file_max}"
+            )
+        n_max = file_max if n_max is None else n_max
+        if not 0 <= n_max <= file_max:
+            raise ValueError(f"n_max={n_max} outside the file's range [0, {file_max}]")
+        mapping = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    arrays = {}
+    offset = _HEADER.size
+    for name, dt in _ARRAY_SPEC:
+        arrays[name] = np.frombuffer(mapping, dtype=dt, count=n_max + 1, offset=offset)
+        offset += (file_max + 1) * arrays[name].itemsize
     return ArithTables(n_max=n_max, **arrays)
 
 
-def cache_path(n_max: int) -> str:
-    """Default cache file location, honoring the PRIMELAB_CACHE_DIR variable."""
-    base = os.environ.get(CACHE_DIR_ENV, ".")
-    return os.path.join(base, f"primelab_tables_{n_max}.bin")
+# ---------------------------------------------------------------------------
+# the table provider
+# ---------------------------------------------------------------------------
+
+_CACHE_FILE = re.compile(r"primelab_tables_(\d+)\.bin")
+
+#: the largest build this process has made; smaller requests get its prefix
+_held: ArithTables | None = None
+
+
+def tables_for(n_max: int) -> ArithTables:
+    """Tables up to max(n_max, 2): the one way the CLI and the library get them.
+
+    If PRIMELAB_CACHE_DIR names a directory holding some
+    ``primelab_tables_<m>.bin`` with m >= n_max, the largest such file is
+    mapped read-only (``load_tables``).  Otherwise the result is a prefix of
+    the largest build this process holds, built first if none reaches n_max;
+    with a cache dir set, that build is saved there, so the next request in
+    any process finds a file.
+    """
+    global _held
+    n_max = max(n_max, 2)
+    cache_dir = os.environ.get(CACHE_DIR_ENV)
+    if cache_dir:
+        sizes = {}
+        for name in os.listdir(cache_dir):
+            match = _CACHE_FILE.fullmatch(name)
+            if match and int(match[1]) >= n_max:
+                sizes[int(match[1])] = name
+        if sizes:
+            return load_tables(os.path.join(cache_dir, sizes[max(sizes)]), n_max)
+    if _held is None or _held.n_max < n_max:
+        _held = build_tables(n_max)
+    if cache_dir:
+        save_tables(_held, os.path.join(cache_dir, f"primelab_tables_{_held.n_max}.bin"))
+    return ArithTables(
+        n_max=n_max,
+        **{name: getattr(_held, name)[: n_max + 1] for name, _dt in _ARRAY_SPEC},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -298,27 +358,14 @@ def phi2(n: int, tables: ArithTables | None = None) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class SquarefreeKernel:
-    """Largest squarefree divisor j* of j, with the computation source."""
-
-    value: int
-    source: str  # "tables" or "factorization"
-
-
-def squarefree_kernel(j: int, tables: ArithTables | None = None) -> SquarefreeKernel:
+def squarefree_kernel(j: int, tables: ArithTables | None = None) -> int:
     """j* = prod_{p | j} p for j != 0; the sign of j is ignored.
 
     Raises ValueError at j = 0 (every prime divides 0, so j* is undefined).
     """
     if j == 0:
         raise ValueError("squarefree kernel undefined at j = 0")
-    j = abs(j)
-    use_tables = tables is not None and j <= tables.n_max
-    val = 1
-    for p in prime_divisors(j, tables):
-        val *= p
-    return SquarefreeKernel(val, "tables" if use_tables else "factorization")
+    return math.prod(prime_divisors(j, tables))
 
 
 # ---------------------------------------------------------------------------

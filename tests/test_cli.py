@@ -225,6 +225,32 @@ class TestCache:
         # cache_dir is echoed, so bytes match between build and load paths
         assert out1 == out2
 
+    def test_damaged_cache_file_returns_3(self, tmp_path, capsys, monkeypatch):
+        """A truncated cache file is refused with exit 3, not read or traced."""
+        from primelab import tables
+        path = tmp_path / "primelab_tables_3000.bin"
+        tables.save_tables(tables.build_tables(3000), path)
+        path.write_bytes(path.read_bytes()[:-8])
+        monkeypatch.setenv(tables.CACHE_DIR_ENV, str(tmp_path))
+        assert cli.main(["sieve", "--n-max", "3000"]) == 3
+        err = capsys.readouterr().err
+        assert "precondition failed" in err and "Traceback" not in err
+
+
+def test_correlate_builds_tables_once(monkeypatch, capsys):
+    """Without a cache dir the CLI tables and the weights share one build."""
+    from primelab import approximants, tables
+    monkeypatch.delenv(tables.CACHE_DIR_ENV, raising=False)
+    monkeypatch.setattr(tables, "_held", None)
+    monkeypatch.setattr(approximants, "_weights_cache", {})
+    built = []
+    real = tables.build_tables
+    monkeypatch.setattr(tables, "build_tables", lambda n: built.append(n) or real(n))
+    code, _ = run_main(
+        ["correlate", "--n", "2000", "--r", "8", "--pattern", "0:1,2:1"], capsys)
+    assert code == 0
+    assert built == [2003]
+
 
 class TestDeterminism:
     CELLS = [

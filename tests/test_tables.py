@@ -161,6 +161,34 @@ class TestSaveLoad:
         assert np.array_equal(back.lam.view(np.int64), tb.lam.view(np.int64))
         assert np.array_equal(back.psi_prefix.view(np.int64),
                               tb.psi_prefix.view(np.int64))
+        for name in ("spf", "mu", "phi", "lam", "num_div", "psi_prefix"):
+            assert not getattr(back, name).flags.writeable, name
+
+    def test_prefix_load(self, tmp_path):
+        """load_tables(path, n) is byte-equal to build_tables(n) for n up to
+        the file's n_max, and refuses n above it."""
+        path = tmp_path / "primelab_tables_3000.bin"
+        save_tables(build_tables(3000), path)
+        for n in (2, 1000, 2999, 3000):
+            back = load_tables(path, n)
+            assert back.n_max == n
+            assert_same_tables(back, build_tables(n))
+        with pytest.raises(ValueError, match="outside the file's range"):
+            load_tables(path, 3001)
+
+    @pytest.mark.parametrize("damage", [
+        lambda raw: b"XXXX" + raw[4:],
+        lambda raw: raw[:4] + (2).to_bytes(2, "little") + raw[6:],
+        lambda raw: raw[:-1],
+        lambda raw: raw[:10],
+        lambda raw: raw + b"\0",
+    ], ids=["magic", "version", "truncated", "short-header", "trailing"])
+    def test_damaged_file_is_refused(self, tmp_path, damage):
+        path = tmp_path / "primelab_tables_100.bin"
+        save_tables(build_tables(100), path)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ValueError):
+            load_tables(path)
 
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
         """A write that fails part-way leaves neither the target nor a temp
@@ -181,6 +209,38 @@ class TestSaveLoad:
             save_tables(tb, path)
         assert seen_at_failure == [False]
         assert list(tmp_path.iterdir()) == []
+
+
+class TestProvider:
+    @pytest.fixture(autouse=True)
+    def no_held_build(self, monkeypatch):
+        monkeypatch.setattr(tables_mod, "_held", None)
+
+    def test_larger_cache_file_serves_smaller_request(self, tmp_path, monkeypatch):
+        """A cached file with a larger n_max serves every smaller request
+        byte-identically, and nothing new is written."""
+        save_tables(build_tables(5000), tmp_path / "primelab_tables_5000.bin")
+        monkeypatch.setenv(tables_mod.CACHE_DIR_ENV, str(tmp_path))
+        for n in (2, 1234, 4999):
+            tb = tables_mod.tables_for(n)
+            assert tb.n_max == n
+            assert_same_tables(tb, build_tables(n))
+        assert [p.name for p in tmp_path.iterdir()] == ["primelab_tables_5000.bin"]
+
+    def test_held_build_serves_and_fills_the_cache(self, tmp_path, monkeypatch):
+        """One build serves smaller requests; a cache dir with no file that
+        reaches the request gets the held build written to it."""
+        monkeypatch.delenv(tables_mod.CACHE_DIR_ENV, raising=False)
+        built = []
+        real = tables_mod.build_tables
+        monkeypatch.setattr(tables_mod, "build_tables",
+                            lambda n: built.append(n) or real(n))
+        big = tables_mod.tables_for(4000)
+        assert_same_tables(tables_mod.tables_for(1), big)
+        monkeypatch.setenv(tables_mod.CACHE_DIR_ENV, str(tmp_path))
+        assert_same_tables(tables_mod.tables_for(3000), big)
+        assert built == [4000]
+        assert [p.name for p in tmp_path.iterdir()] == ["primelab_tables_4000.bin"]
 
 
 class TestFactorize:
@@ -247,7 +307,7 @@ class TestHelpers:
             expected = 1
             for p in sympy.factorint(abs(j)):
                 expected *= p
-            assert kern.value == expected, j
+            assert kern == expected, j
 
     def test_psi_ap_against_brute(self, tables_small):
         """psi(x; q, a) = sum of Lambda(n) over n <= x, n = a mod q."""
