@@ -29,10 +29,11 @@ smallest-prime-factor storage.
 
 ``tables_for`` is the one provider every caller goes through: it serves a
 request as a prefix of a cache file in PRIMELAB_CACHE_DIR or of the largest
-build the process holds, and builds only when neither reaches n_max.  A
-cache file is a small versioned header followed by the six arrays,
-little-endian; ``load_tables`` maps it read-only, so pages a command never
-touches are never read.
+build the process holds, and builds only when neither reaches n_max; a
+build it saves replaces the smaller cache files it serves.  A cache file is
+a small versioned header followed by the six arrays, little-endian;
+``load_tables`` maps it read-only, so pages a command never touches are
+never read.
 """
 
 from __future__ import annotations
@@ -257,6 +258,16 @@ _CACHE_FILE = re.compile(r"primelab_tables_(\d+)\.bin")
 _held: ArithTables | None = None
 
 
+def _cache_files(cache_dir: str) -> dict[int, str]:
+    """The table files in cache_dir, keyed on their n_max."""
+    files = {}
+    for name in os.listdir(cache_dir):
+        match = _CACHE_FILE.fullmatch(name)
+        if match:
+            files[int(match[1])] = os.path.join(cache_dir, name)
+    return files
+
+
 def tables_for(n_max: int) -> ArithTables:
     """Tables up to max(n_max, 2): the one way the CLI and the library get them.
 
@@ -265,23 +276,31 @@ def tables_for(n_max: int) -> ArithTables:
     mapped read-only (``load_tables``).  Otherwise the result is a prefix of
     the largest build this process holds, built first if none reaches n_max;
     with a cache dir set, that build is saved there, so the next request in
-    any process finds a file.
+    any process finds a file, and the smaller files it now serves are
+    removed: the dir ends with one file, the largest request's, whatever
+    order the requests came in.
     """
     global _held
     n_max = max(n_max, 2)
     cache_dir = os.environ.get(CACHE_DIR_ENV)
     if cache_dir:
-        sizes = {}
-        for name in os.listdir(cache_dir):
-            match = _CACHE_FILE.fullmatch(name)
-            if match and int(match[1]) >= n_max:
-                sizes[int(match[1])] = name
-        if sizes:
-            return load_tables(os.path.join(cache_dir, sizes[max(sizes)]), n_max)
+        while True:
+            files = _cache_files(cache_dir)
+            served = [m for m in files if m >= n_max]
+            if not served:
+                break
+            try:
+                return load_tables(files[max(served)], n_max)
+            except FileNotFoundError:
+                continue  # a larger file replaced it since the listing
     if _held is None or _held.n_max < n_max:
         _held = build_tables(n_max)
     if cache_dir:
         save_tables(_held, os.path.join(cache_dir, f"primelab_tables_{_held.n_max}.bin"))
+        for m, path in _cache_files(cache_dir).items():
+            if m < _held.n_max:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(path)
     return ArithTables(
         n_max=n_max,
         **{name: getattr(_held, name)[: n_max + 1] for name, _dt in _ARRAY_SPEC},

@@ -242,6 +242,36 @@ class TestProvider:
         assert built == [4000]
         assert [p.name for p in tmp_path.iterdir()] == ["primelab_tables_4000.bin"]
 
+    @pytest.mark.parametrize("order", [(1000, 3000, 2000), (3000, 1000, 2000)])
+    def test_cache_keeps_one_file_whatever_the_order(self, tmp_path, monkeypatch, order):
+        """A larger build replaces the smaller files it serves, so the same
+        requests in any order leave the same single file."""
+        monkeypatch.setenv(tables_mod.CACHE_DIR_ENV, str(tmp_path))
+        (tmp_path / "other.bin").write_bytes(b"kept")
+        for n in order:
+            tables_mod.tables_for(n)
+            monkeypatch.setattr(tables_mod, "_held", None)  # a new process
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "other.bin", "primelab_tables_3000.bin"]
+        assert_same_tables(tables_mod.tables_for(1000), build_tables(1000))
+
+    def test_file_removed_after_listing_is_looked_up_again(self, tmp_path, monkeypatch):
+        """Another process may replace the file chosen between the listing
+        and the open; the lookup then finds the larger file, with no build."""
+        save_tables(build_tables(3000), tmp_path / "primelab_tables_3000.bin")
+        monkeypatch.setenv(tables_mod.CACHE_DIR_ENV, str(tmp_path))
+        real = tables_mod.load_tables
+
+        def replaced_first(path, n_max=None):
+            if not (tmp_path / "primelab_tables_5000.bin").exists():
+                save_tables(build_tables(5000), tmp_path / "primelab_tables_5000.bin")
+                (tmp_path / "primelab_tables_3000.bin").unlink()
+            return real(path, n_max)
+
+        monkeypatch.setattr(tables_mod, "load_tables", replaced_first)
+        monkeypatch.setattr(tables_mod, "build_tables", None)
+        assert_same_tables(tables_mod.tables_for(2500), build_tables(2500))
+
 
 class TestFactorize:
     def test_against_sympy_factorint(self, tables_small):
