@@ -13,7 +13,10 @@ Two families, both parametrized by a level R >= 1:
 Weights exist in a float64 form for large R and in an exact form where
 every y_d is an integer over one common denominator D = lcm of the phi(r)
 (Python ints, no overflow); the exact form powers the rational identity
-checks.  ``script_L(R, k) = sum_{r <= R, (r,k)=1} mu^2(r)/phi(r)`` comes
+checks.  Both forms tabulate through one divisor scatter: float64 arrays
+for the float form, numpy object arrays of Python ints for the exact one,
+so exact values run through the same numpy code downstream.
+``script_L(R, k) = sum_{r <= R, (r,k)=1} mu^2(r)/phi(r)`` comes
 with its truncated main term (via the shared constants machinery, so the
 value agrees bit-for-bit with the general lemma evaluator specialized to
 the same polynomial pair).
@@ -98,17 +101,11 @@ def build_weights(R: int, exact: bool = False) -> ApproximantWeights:
     denominator = None
     y_int = None
     if exact:
-        denominator = 1
-        for r in sf:
-            denominator = math.lcm(denominator, int(phi[r]))
-        l_int = [0] * (R + 1)
-        # distribute mu^2(r)/phi(r) to every divisor of r
-        for r in sf:
-            r = int(r)
-            add = denominator // int(phi[r])
-            for d in squarefree_divisors(r, tb):
-                l_int[d] += add
-        y_int = tuple(int(d) * int(mu[d]) * l_int[int(d)] for d in sf)
+        denominator = math.lcm(*(int(phi[r]) for r in sf))
+        # the same sums over multiples, on D * mu^2(r)/phi(r) as Python ints
+        u_int = np.zeros(R + 1, dtype=object)
+        u_int[sf] = [denominator // int(phi[r]) for r in sf]
+        y_int = tuple(int(d) * int(mu[d]) * u_int[d::d].sum() for d in sf)
 
     w = ApproximantWeights(
         R=R,
@@ -174,27 +171,34 @@ def biglambda_R(n: int, R: int, tables: ArithTables | None = None) -> float:
 # ---------------------------------------------------------------------------
 
 
-def lambda_R_range(n_hi: int, weights: ApproximantWeights) -> np.ndarray:
-    """float64 array L with L[n] = lambda_R(n) for 0 <= n <= n_hi (L[0] = 0)."""
+def _divisor_scatter(n_hi: int, ds, ys, dtype) -> np.ndarray:
+    """Array out with out[n] = sum_{d | n} y_d for 0 <= n <= n_hi (out[0] = 0).
+
+    One slice update per d, in the order given, so float sums round the same
+    way on every call; dtype=object keeps Python ints exact.
+    """
     if n_hi < 0:
         raise ValueError(f"n_hi must be >= 0, got {n_hi}")
-    out = np.zeros(n_hi + 1, dtype=np.float64)
-    for d, y in zip(weights.d_values.tolist(), weights.y_float.tolist()):
+    out = np.zeros(n_hi + 1, dtype=dtype)
+    for d, y in zip(ds, ys):
         if d <= n_hi:
             out[d::d] += y
-    out[0] = 0.0
     return out
 
 
-def lambda_R_range_exact(n_hi: int, weights: ApproximantWeights) -> list[int]:
-    """Integer list V with V[n] = D * lambda_R(n), D = weights.denominator."""
+def lambda_R_range(n_hi: int, weights: ApproximantWeights) -> np.ndarray:
+    """float64 array L with L[n] = lambda_R(n) for 0 <= n <= n_hi (L[0] = 0)."""
+    return _divisor_scatter(
+        n_hi, weights.d_values.tolist(), weights.y_float.tolist(), np.float64
+    )
+
+
+def lambda_R_range_exact(n_hi: int, weights: ApproximantWeights) -> np.ndarray:
+    """Object array V of Python ints with V[n] = D * lambda_R(n) for
+    0 <= n <= n_hi, D = weights.denominator."""
     if not weights.exact:
         raise ValueError("exact weights required; build with exact=True")
-    vals = [0] * (n_hi + 1)
-    for d, y in zip(weights.d_values.tolist(), weights.y_int):
-        for m in range(d, n_hi + 1, d):
-            vals[m] += y
-    return vals
+    return _divisor_scatter(n_hi, weights.d_values.tolist(), weights.y_int, object)
 
 
 def biglambda_R_range(n_hi: int, R: int) -> np.ndarray:
@@ -208,11 +212,7 @@ def biglambda_R_range(n_hi: int, R: int) -> np.ndarray:
         if tb.mu[d] != 0:
             ds.append(d)
             ys.append(int(tb.mu[d]) * (logR - math.log(d)))
-    out = np.zeros(n_hi + 1, dtype=np.float64)
-    for d, y in zip(ds, ys):
-        out[d::d] += y
-    out[0] = 0.0
-    return out
+    return _divisor_scatter(n_hi, ds, ys, np.float64)
 
 
 def psi_R(x: int, weights: ApproximantWeights) -> float:

@@ -289,7 +289,8 @@ def _cmd_correlate(args) -> int:
     N = args.n
     R = _resolve_R(args, N)
     pattern = args.pattern
-    max_shift = max(pattern.shifts)
+    # negative shifts read no entries past n = N (or 2N)
+    max_shift = max(max(pattern.shifts), 0)
     n_needed = (2 * N if args.primed_range else N) + max_shift + 1
     tb = tables.tables_for(n_needed)
     if args.mixed:

@@ -165,6 +165,21 @@ def _check_range(N: int, pattern: ShiftPattern, tables: ArithTables, primed: boo
         )
 
 
+def _pattern_sum(arrays, shifts, mults, n_lo: int, n_hi: int):
+    """sum_{n=n_lo}^{n_hi} prod_i arrays[i][n + shifts[i]] ** mults[i].
+
+    Indices <= 0 read as 0.  Float arrays give a numpy float; object arrays
+    of Python ints give an exact Python int.  The factors multiply in the
+    order given, so a float sum rounds the same way on every call.
+    """
+    # ** returns a new array, so the in-place products never write into arrays[0]
+    acc = _window(arrays[0], shifts[0], n_lo, n_hi) ** mults[0]
+    for arr, j, a in zip(arrays[1:], shifts[1:], mults[1:]):
+        w = _window(arr, j, n_lo, n_hi)
+        acc *= w if a == 1 else w**a
+    return np.sum(acc)
+
+
 def s_k(
     N: int,
     pattern: ShiftPattern,
@@ -176,10 +191,11 @@ def s_k(
 ) -> CorrelationResult:
     """Correlation sum of pure lambda_R powers over the given pattern.
 
-    exact=True additionally evaluates the sum as an exact rational
-    (requires R within the exact-weight guard).  primed_range=True sums
-    over n in [N+1, 2N] instead of [1, N].  Predictions are attached for
-    k <= 3; larger k is computed but carries no prediction.
+    exact=True evaluates the sum as an exact rational instead (requires R
+    within the exact-weight guard); ``computed`` is then its float value.
+    primed_range=True sums over n in [N+1, 2N] instead of [1, N].
+    Predictions are attached for k <= 3; larger k is computed but carries
+    no prediction.
     """
     _check_range(N, pattern, tables, primed_range)
     if R < 1:
@@ -188,39 +204,17 @@ def s_k(
     top = n_hi + max(max(pattern.shifts), 0)
 
     weights = ap.build_weights(R, exact=exact)
-    lam_arr = ap.lambda_R_range(top, weights)
-    acc = np.ones(n_hi - n_lo + 1, dtype=np.float64)
-    for j, a in zip(pattern.shifts, pattern.multiplicities):
-        acc *= _window(lam_arr, j, n_lo, n_hi) ** a
-    computed = float(np.sum(acc))
-
-    exact_value = None
     if exact:
-        vals = ap.lambda_R_range_exact(top, weights)
-        D = weights.denominator
-        total = 0
-        for n in range(n_lo, n_hi + 1):
-            term = 1
-            for j, a in zip(pattern.shifts, pattern.multiplicities):
-                m = n + j
-                term *= vals[m] ** a if m >= 1 else 0
-            total += term
-        exact_value = Fraction(total, D**pattern.k)
-        computed = float(exact_value)
-
-    predicted = _predict_main(N, pattern, R, mixed=False, p_cut=p_cut)
-    return CorrelationResult(
-        pattern=pattern,
-        N=N,
-        R=R,
-        computed=computed,
-        predicted_main=predicted,
-        residual=None if predicted is None else computed - predicted,
-        normalized_residual=(
-            None if predicted in (None, 0.0) else computed / predicted - 1.0
-        ),
-        exact_value=exact_value,
-        primed_range=primed_range,
+        lam_arr = ap.lambda_R_range_exact(top, weights)
+    else:
+        lam_arr = ap.lambda_R_range(top, weights)
+    total = _pattern_sum(
+        [lam_arr] * pattern.r, pattern.shifts, pattern.multiplicities, n_lo, n_hi
+    )
+    if exact:
+        total = Fraction(total, weights.denominator**pattern.k)
+    return _result(
+        N, pattern, R, total, mixed=False, primed_range=primed_range, p_cut=p_cut
     )
 
 
@@ -244,21 +238,38 @@ def s_tilde_k(
         raise ValueError("mixed pattern requires multiplicity 1 on the last shift")
     n_lo, n_hi = (N + 1, 2 * N) if primed_range else (1, N)
 
-    lam_von = _window(tables.lam, pattern.shifts[-1], n_lo, n_hi)
-    if pattern.r == 1:
-        computed = float(np.sum(lam_von))
-    else:
+    arrays = [tables.lam]
+    if pattern.r > 1:
         if R < 1:
             raise ValueError(f"R must be >= 1, got {R}")
         top = n_hi + max(max(pattern.shifts), 0)
-        weights = ap.build_weights(R)
-        lam_arr = ap.lambda_R_range(top, weights)
-        acc = np.ones(n_hi - n_lo + 1, dtype=np.float64)
-        for j, a in zip(pattern.shifts[:-1], pattern.multiplicities[:-1]):
-            acc *= _window(lam_arr, j, n_lo, n_hi) ** a
-        computed = float(np.sum(acc * lam_von))
+        lam_arr = ap.lambda_R_range(top, ap.build_weights(R))
+        arrays = [lam_arr] * (pattern.r - 1) + arrays
+    total = _pattern_sum(arrays, pattern.shifts, pattern.multiplicities, n_lo, n_hi)
+    return _result(
+        N, pattern, R, total, mixed=True, primed_range=primed_range, p_cut=p_cut
+    )
 
-    predicted = _predict_main(N, pattern, R, mixed=True, p_cut=p_cut)
+
+def _result(
+    N: int,
+    pattern: ShiftPattern,
+    R: int,
+    value,
+    *,
+    mixed: bool,
+    primed_range: bool,
+    p_cut: int,
+) -> CorrelationResult:
+    """The CorrelationResult of one sum (a Fraction in exact mode), with its
+    predicted main term where one is known."""
+    k, r = pattern.k, pattern.r
+    c = 1.0 if mixed else PREDICTION_CONSTANTS.c_of(pattern.multiplicities)
+    predicted = None
+    if c is not None:
+        sing = sg.singular_vector(pattern.shifts, p_cut=p_cut).value
+        predicted = c * sing * N * math.log(R) ** (k - r)
+    computed = float(value)
     return CorrelationResult(
         pattern=pattern,
         N=N,
@@ -269,35 +280,19 @@ def s_tilde_k(
         normalized_residual=(
             None if predicted in (None, 0.0) else computed / predicted - 1.0
         ),
-        mixed=True,
+        exact_value=value if isinstance(value, Fraction) else None,
+        mixed=mixed,
         primed_range=primed_range,
     )
-
-
-def _predict_main(
-    N: int, pattern: ShiftPattern, R: int, mixed: bool, p_cut: int
-) -> float | None:
-    k, r = pattern.k, pattern.r
-    if mixed:
-        c = 1.0
-    else:
-        c = PREDICTION_CONSTANTS.c_of(pattern.multiplicities)
-        if c is None:
-            return None
-    sing = sg.singular_vector(pattern.shifts, p_cut=p_cut).value
-    return c * sing * N * math.log(R) ** (k - r)
 
 
 def psi_tuple(N: int, shifts: tuple[int, ...], tables: ArithTables) -> float:
     """psi_j(N) = sum_{n <= N} prod_i Lambda(n + j_i) over distinct shifts."""
     pattern = ShiftPattern(tuple(shifts), (1,) * len(shifts))
     _check_range(N, pattern, tables, primed=False)
-    if pattern.r == 1:
-        return float(np.sum(_window(tables.lam, pattern.shifts[0], 1, N)))
-    acc = _window(tables.lam, pattern.shifts[0], 1, N).copy()
-    for j in pattern.shifts[1:]:
-        acc *= _window(tables.lam, j, 1, N)
-    return float(np.sum(acc))
+    return float(
+        _pattern_sum([tables.lam] * pattern.r, pattern.shifts, pattern.multiplicities, 1, N)
+    )
 
 
 # ---------------------------------------------------------------------------

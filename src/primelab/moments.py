@@ -52,6 +52,7 @@ from .approximants import (
     lambda_R_range_exact,
     script_L_float,
 )
+from .correlations import _pattern_sum
 from .tables import ArithTables
 
 __all__ = [
@@ -319,34 +320,24 @@ def _start_index(N: int, primed: bool) -> int:
     return N + 1 if primed else 1
 
 
-def _lam_windows_float(
-    N: int, h: int, weights: ApproximantWeights, start: int
+def _lam_windows(
+    N: int, h: int, weights: ApproximantWeights, start: int, exact: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """(values, windows): lambda_R(0..start+N-1+h) and the N window sums.
 
-    windows[i] = sum_{j=1}^{h} lambda_R(start+i+j), accumulated through a
-    long-double prefix so the h-fold sums carry no cancellation noise.
+    windows[i] = sum_{j=1}^{h} lambda_R(start+i+j), read off one prefix sum:
+    long double for floats, so the h-fold sums carry no cancellation noise,
+    and Python ints scaled by D (object arrays) for exact weights.
     """
     n_top = start + N - 1 + h
-    vals = lambda_R_range(n_top, weights)
-    pre = np.cumsum(vals.astype(np.longdouble))
-    win = (pre[start + h : start + N + h] - pre[start : start + N]).astype(np.float64)
-    return vals, win
-
-
-def _lam_windows_exact(
-    N: int, h: int, weights: ApproximantWeights, start: int
-) -> tuple[list[int], list[int]]:
-    """Integer analogue of ``_lam_windows_float`` (values scaled by D)."""
-    n_top = start + N - 1 + h
-    vals = lambda_R_range_exact(n_top, weights)
-    win = [0] * N
-    acc = sum(vals[start + 1 : start + h + 1])
-    win[0] = acc
-    for i in range(1, N):
-        acc += vals[start + h + i] - vals[start + i]
-        win[i] = acc
-    return vals, win
+    if exact:
+        vals = lambda_R_range_exact(n_top, weights)
+        pre = np.cumsum(vals)
+    else:
+        vals = lambda_R_range(n_top, weights)
+        pre = np.cumsum(vals.astype(np.longdouble))
+    win = pre[start + h : start + N + h] - pre[start : start + N]
+    return vals, win if exact else win.astype(np.float64)
 
 
 def _psi_windows(N: int, h: int, tables: ArithTables, start: int) -> np.ndarray:
@@ -385,13 +376,9 @@ def moment_psiR(
         raise ValueError(f"need N, h, k >= 1, got N={N}, h={h}, k={k}")
     start = _start_index(N, primed)
     weights = build_weights(R, exact=exact)
-    computed: float | Fraction
-    if exact:
-        _, win = _lam_windows_exact(N, h, weights, start)
-        computed = Fraction(sum(w**k for w in win), weights.denominator**k)
-    else:
-        _, win = _lam_windows_float(N, h, weights, start)
-        computed = float(np.sum(win**k))
+    _, win = _lam_windows(N, h, weights, start, exact)
+    total = np.sum(win**k)
+    computed = Fraction(total, weights.denominator**k) if exact else float(total)
     via: float | Fraction | None = None
     resid: float | Fraction | None = None
     if expand:
@@ -420,25 +407,6 @@ def moment_psiR(
     )
 
 
-def _pattern_sum_exact(wins: list[list[int]], a: tuple[int, ...]) -> int:
-    """sum_n prod_i wins[i][n]^{a_i} over aligned integer windows."""
-    if len(wins) == 1:
-        (w1,) = wins
-        a1 = a[0]
-        return sum(v**a1 for v in w1)
-    if len(wins) == 2:
-        w1, w2 = wins
-        a1, a2 = a
-        return sum(v1**a1 * v2**a2 for v1, v2 in zip(w1, w2))
-    total = 0
-    for row in zip(*wins):
-        term = 1
-        for v, e in zip(row, a):
-            term *= v**e
-        total += term
-    return total
-
-
 def expand_via_correlations(
     N: int,
     h: int,
@@ -453,44 +421,30 @@ def expand_via_correlations(
     sum_{r=1}^{k} sum_{1<=j_1<...<j_r<=h} sum_{compositions a of k}
         k!/(a_1!...a_r!) * sum_n prod_i lambda_R(n+j_i)^{a_i} .
 
-    Every term is a shifted correlation sum S_k(N, j, a); the whole is an
-    exact identity with the direct moment (same finite set of products,
-    regrouped), so the exact-mode value equals the direct one identically.
+    Every term is a shifted correlation sum S_k(N, j, a), taken by the
+    pattern-sum kernel of ``correlations.s_k`` on floats or on exact ints
+    (scaled by D^k).  The whole is an exact identity with the direct moment
+    (same finite set of products, regrouped), so the exact-mode value
+    equals the direct one identically.
     """
     if N < 1 or h < 1 or k < 1:
         raise ValueError(f"need N, h, k >= 1, got N={N}, h={h}, k={k}")
     start = _start_index(N, primed)
     n_top = start + N - 1 + h
     weights = build_weights(R, exact=exact)
-
     if exact:
-        vals_i = lambda_R_range_exact(n_top, weights)
-        wins_i = [vals_i[start + j : start + N + j] for j in range(1, h + 1)]
-        tot_i = 0
-        for r in range(1, k + 1):
-            comps = list(_compositions(k, r))
-            for js in combinations(range(1, h + 1), r):
-                chosen = [wins_i[j - 1] for j in js]
-                for a in comps:
-                    tot_i += _multinomial(k, a) * _pattern_sum_exact(chosen, a)
-        return Fraction(tot_i, weights.denominator**k)
-
-    vals = lambda_R_range(n_top, weights)
-    wins = [vals[start + j : start + N + j] for j in range(1, h + 1)]
-    buf = np.empty(N, dtype=np.float64)
-    terms: list[float] = []
+        vals = lambda_R_range_exact(n_top, weights)
+    else:
+        vals = lambda_R_range(n_top, weights)
+    terms = []
     for r in range(1, k + 1):
         comps = list(_compositions(k, r))
         for js in combinations(range(1, h + 1), r):
-            chosen = [wins[j - 1] for j in js]
             for a in comps:
-                np.power(chosen[0], a[0], out=buf)
-                for w, e in zip(chosen[1:], a[1:]):
-                    if e == 1:
-                        buf *= w
-                    else:
-                        buf *= w**e
-                terms.append(_multinomial(k, a) * float(np.sum(buf)))
+                sk = _pattern_sum([vals] * r, js, a, start, start + N - 1)
+                terms.append(_multinomial(k, a) * sk)
+    if exact:
+        return Fraction(sum(terms), weights.denominator**k)
     return math.fsum(terms)
 
 
@@ -642,7 +596,7 @@ def mixed_moment(
     if n_top > tables.n_max:
         raise ValueError(f"need tables up to {n_top}, have n_max={tables.n_max}")
     weights = build_weights(R)
-    lam_vals, U = _lam_windows_float(N, h, weights, start)
+    lam_vals, U = _lam_windows(N, h, weights, start)
     V = _psi_windows(N, h, tables, start)
     lamv = tables.lam
     L1 = script_L_float(R, 1)
@@ -749,7 +703,7 @@ def omega_experiment(
     if n_top > tables.n_max:
         raise ValueError(f"need tables up to {n_top}, have n_max={tables.n_max}")
     weights = build_weights(R)
-    _, U = _lam_windows_float(N, h, weights, start)
+    _, U = _lam_windows(N, h, weights, start)
     V = _psi_windows(N, h, tables, start)
 
     a = h + C * A

@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import DEFAULT_P_CUT, EULER_GAMMA, LOG_2PI, primes_up_to
-from .tables import ArithTables, prime_divisors
+from .tables import prime_divisors
 
 #: linear coefficient in R_2(h) ~ -h log h + A h
 R2_LINEAR_COEFF = 2.0 - EULER_GAMMA - LOG_2PI
@@ -107,7 +107,6 @@ def _generic_factor(r: int, p: int) -> float:
 def singular_vector(
     shifts: tuple[int, ...] | list[int],
     p_cut: int = DEFAULT_P_CUT,
-    tables: ArithTables | None = None,
 ) -> SingularValue:
     """S(j) for a tuple of distinct integer shifts.
 
@@ -131,7 +130,7 @@ def singular_vector(
     special: set[int] = set(int(p) for p in primes_up_to(r))
     for i in range(r):
         for k in range(i + 1, r):
-            special.update(prime_divisors(shifts[i] - shifts[k], tables))
+            special.update(prime_divisors(shifts[i] - shifts[k]))
 
     finite = Fraction(1)
     correction = 1.0
@@ -151,7 +150,6 @@ def singular_Sn(
     n: int,
     j: int,
     p_cut: int = DEFAULT_P_CUT,
-    tables: ArithTables | None = None,
 ) -> SingularValue:
     """S_n(j) = C_n * G_n(j) * H_n(j) when n | j, else 0; j != 0 required.
 
@@ -166,7 +164,7 @@ def singular_Sn(
     if j % n != 0:
         return SingularValue(0.0, Fraction(0), p_cut, 0.0)
     gh = Fraction(1)
-    for p in prime_divisors(j, tables):
+    for p in prime_divisors(j):
         if p in (n - 1, n):
             gh *= Fraction(p, p - 1)
         else:
@@ -202,11 +200,9 @@ def product_identity_check(
     )
 
 
-def singular_two(
-    j: int, p_cut: int = DEFAULT_P_CUT, tables: ArithTables | None = None
-) -> SingularValue:
+def singular_two(j: int, p_cut: int = DEFAULT_P_CUT) -> SingularValue:
     """S_2(j) = S_n(2, j): 2 C_2 prod_{p|j, p>2} (p-1)/(p-2) for even j != 0."""
-    return singular_Sn(2, j, p_cut=p_cut, tables=tables)
+    return singular_Sn(2, j, p_cut=p_cut)
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +289,10 @@ def _pair_difference_sum(h: int, p_cut: int, subtract_lower: bool) -> float:
     pattern; with r = 3 every ordered distinct triple (j1, j2, j3)
     contributes through (a, b) = (j2 - j1, j3 - j1).
     """
-    c3 = _constant_C_value(3, p_cut)
+    threec3 = 3.0 * _constant_C_value(3, p_cut)
     # |a - b| reaches 2(h-1), so the index tables extend that far
     s2 = singular_S2_range(2 * h, p_cut=p_cut)
     h3 = _h3_range(2 * h)
-    return _pair_diff_numpy(h, s2, h3, 3.0 * c3, subtract_lower)
-
-
-def _pair_diff_numpy(h, s2, h3, threec3, subtract_lower):
     total = 0.0
     vals = np.arange(-(h - 1), h, dtype=np.int64)
     babs = np.abs(vals)

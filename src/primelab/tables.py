@@ -67,12 +67,6 @@ class ArithTables:
     num_div: np.ndarray  # int32 divisor count
     psi_prefix: np.ndarray  # float64, psi_prefix[x] = sum_{n<=x} Lambda(n)
 
-    def psi(self, x: int) -> float:
-        """psi(x) = sum_{n <= x} Lambda(n) straight from the prefix array."""
-        if not 0 <= x <= self.n_max:
-            raise ValueError(f"x={x} outside table range [0, {self.n_max}]")
-        return float(self.psi_prefix[x])
-
 
 # ---------------------------------------------------------------------------
 # sieve: spf by slices, then the dyadic-block recurrence
@@ -278,12 +272,15 @@ def tables_for(n_max: int) -> ArithTables:
     with a cache dir set, that build is saved there, so the next request in
     any process finds a file, and the smaller files it now serves are
     removed: the dir ends with one file, the largest request's, whatever
-    order the requests came in.
+    order the requests came in.  A cache dir that is not an existing
+    directory raises ValueError; it is never created.
     """
     global _held
     n_max = max(n_max, 2)
     cache_dir = os.environ.get(CACHE_DIR_ENV)
     if cache_dir:
+        if not os.path.isdir(cache_dir):
+            raise ValueError(f"{CACHE_DIR_ENV}={cache_dir!r} is not a directory")
         while True:
             files = _cache_files(cache_dir)
             served = [m for m in files if m >= n_max]
@@ -414,24 +411,6 @@ def _phi_scalar(q: int, tables: ArithTables) -> int:
     return out
 
 
-def _bv_numpy(lam: np.ndarray, x: int, qmax: int, phis: np.ndarray) -> float:
-    total = 0.0
-    vals = lam[1 : x + 1]
-    for q in range(1, qmax + 1):
-        pad = (-x) % q
-        padded = np.concatenate([vals, np.zeros(pad)]) if pad else vals
-        # column c of the reshape holds positions c+1, c+1+q, ...: residue (c+1)%q
-        sums = padded.reshape(-1, q).sum(axis=0)
-        bucket = np.zeros(q)
-        for c in range(q):
-            bucket[(c + 1) % q] = sums[c]
-        a = np.arange(q)
-        coprime = np.gcd(a, q) == 1  # gcd(0, 1) = 1 covers the q = 1 case
-        e = np.abs(bucket[coprime] - x / phis[q])
-        total += float(e.max())
-    return total
-
-
 def bv_sum(x: int, q_max: int, tables: ArithTables) -> float:
     """sum_{q <= q_max} max_{(a,q)=1} |psi(x; q, a) - x/phi(q)|.
 
@@ -442,7 +421,18 @@ def bv_sum(x: int, q_max: int, tables: ArithTables) -> float:
         raise ValueError(f"q_max must be >= 1, got {q_max}")
     if not 1 <= x <= tables.n_max:
         raise ValueError(f"x={x} outside table range [1, {tables.n_max}]")
-    phis = np.zeros(q_max + 1, dtype=np.float64)
+    total = 0.0
+    vals = tables.lam[1 : x + 1]
     for q in range(1, q_max + 1):
-        phis[q] = _phi_scalar(q, tables)
-    return _bv_numpy(tables.lam, x, q_max, phis)
+        pad = (-x) % q
+        padded = np.concatenate([vals, np.zeros(pad)]) if pad else vals
+        # column c of the reshape holds positions c+1, c+1+q, ...: residue (c+1)%q
+        sums = padded.reshape(-1, q).sum(axis=0)
+        bucket = np.zeros(q)
+        for c in range(q):
+            bucket[(c + 1) % q] = sums[c]
+        a = np.arange(q)
+        coprime = np.gcd(a, q) == 1  # gcd(0, 1) = 1 covers the q = 1 case
+        e = np.abs(bucket[coprime] - x / float(_phi_scalar(q, tables)))
+        total += float(e.max())
+    return total

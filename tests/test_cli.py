@@ -236,6 +236,29 @@ class TestCache:
         err = capsys.readouterr().err
         assert "precondition failed" in err and "Traceback" not in err
 
+    def test_missing_cache_dir_returns_3(self, tmp_path):
+        """A cache dir that does not exist is a precondition failure (a
+        fresh interpreter, so an uncaught exception would show its traceback)."""
+        from primelab.tables import CACHE_DIR_ENV
+        env = dict(os.environ, **{CACHE_DIR_ENV: str(tmp_path / "missing")})
+        proc = subprocess.run(CLI + ["sieve", "--n-max", "100"],
+                              capture_output=True, env=env, timeout=300)
+        err = proc.stderr.decode()
+        assert proc.returncode == 3, err
+        assert "precondition failed" in err and "Traceback" not in err
+
+
+def test_correlate_negative_shifts(capsys):
+    """Negative shifts need tables only up to N; the cell reports s_k's value."""
+    from primelab import correlations, tables
+    code, out = run_main(
+        ["correlate", "--n", "100", "--r", "5", "--pattern=-5:1,-3:1",
+         "--format", "json"], capsys)
+    assert code == 0
+    direct = correlations.s_k(100, correlations.ShiftPattern.parse("-5:1,-3:1"),
+                              5, tables.tables_for(100))
+    assert json.loads(out)["rows"][0]["computed"] == direct.computed
+
 
 def test_correlate_builds_tables_once(monkeypatch, capsys):
     """Without a cache dir the CLI tables and the weights share one build."""
@@ -259,9 +282,14 @@ class TestDeterminism:
          "--format", "json"],
         ["lemma", "--which", "2", "--ladder", "1e3,3e3"],
         ["singular", "--pattern", "0:1,4:1"],
+        ["correlate", "--n", "3000", "--r", "10", "--pattern", "0:2,2:1",
+         "--exact"],
+        ["moments", "--n", "1500", "--h", "4", "--r", "12", "--k", "2",
+         "--exact", "--expand"],
     ]
 
-    @pytest.mark.parametrize("cell", CELLS, ids=[c[0] for c in CELLS])
+    @pytest.mark.parametrize(
+        "cell", CELLS, ids=[c[0] + ("-exact" if "--exact" in c else "") for c in CELLS])
     def test_bit_identical_across_threads(self, cell):
         """Re-running with a different --threads value must give the same
         bytes on stdout (full subprocess pipeline)."""

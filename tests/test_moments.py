@@ -100,6 +100,19 @@ class TestGroupingIdentity:
         via = expand_via_correlations(2000, 6, 15, 3)
         assert abs(direct.computed - via) < 1e-10 * abs(direct.computed)
 
+    def test_exact_path_stays_integer(self, tables_small):
+        """Exact mode never passes through floats: every lambda_R value is a
+        Python int, and the exact sums are Fractions."""
+        from primelab import ShiftPattern, build_weights, lambda_R_range_exact, s_k
+        vals = lambda_R_range_exact(600, build_weights(12, exact=True))
+        assert all(type(v) is int for v in vals)
+        res = s_k(500, ShiftPattern((0, 2), (2, 1)), 12, tables_small, exact=True)
+        assert type(res.exact_value) is Fraction
+        rep = moment_psiR(500, 4, 12, 2, exact=True, expand=True)
+        assert type(rep.computed) is Fraction
+        assert type(rep.via_correlations) is Fraction
+        assert type(expand_via_correlations(500, 3, 12, 3, exact=True)) is Fraction
+
     def test_primed_range_identity(self):
         rep = moment_psiR(800, 4, 10, 2, exact=True, expand=True, primed=True)
         assert rep.computed == rep.via_correlations
