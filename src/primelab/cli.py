@@ -225,7 +225,8 @@ def _fail_identity(message: str) -> int:
 def _cmd_sieve(args) -> int:
     n = args.n_max
     tb = tables.tables_for(n)
-    primes = int(np.count_nonzero(tb.num_div[: n + 1] == 2))
+    is_prime = tb.spf[2 : n + 1] == np.arange(2, n + 1, dtype=np.int32)
+    primes = int(np.count_nonzero(is_prime))
     mu = tb.mu[1:n + 1]
     config = {"command": "sieve", "n_max": n,
               "cache_dir": os.environ.get(tables.CACHE_DIR_ENV, "")}
@@ -324,6 +325,8 @@ def _cmd_correlate(args) -> int:
 
 
 def _run_omega(args, N: int, h: int, R: int, lam: float | None) -> int:
+    if N < 2:  # before the coupled C divides by log N
+        raise ValueError(f"need N >= 2, got N={N}")
     rho = args.rho
     if args.c == "couple":
         theta = math.log(R) / math.log(N)

@@ -364,6 +364,10 @@ def triple_kernel(a: int, j1: int, j2: int) -> int:
     of mu(d) mu(e) mu(f) * d*e*f / [d,e,f], for squarefree a."""
     tb = tables_for(a)
     _require_squarefree(a, tb)
+    return _triple_kernel(a, j1, j2, tb)
+
+
+def _triple_kernel(a: int, j1: int, j2: int, tb: ArithTables) -> int:
     divs = squarefree_divisors(a, tb)
     dj = j1 - j2
     total = 0
@@ -391,6 +395,10 @@ def triple_kernel_closed(a: int, j1: int, j2: int) -> int:
     """
     tb = tables_for(a)
     _require_squarefree(a, tb)
+    return _triple_kernel_closed(a, j1, j2, tb)
+
+
+def _triple_kernel_closed(a: int, j1: int, j2: int, tb: ArithTables) -> int:
     total = 1
     dj = j1 - j2
     for p in prime_divisors(a, tb):
@@ -445,6 +453,6 @@ def triple_kernel_scan(a_max: int, j_abs: int) -> int:
             for j2 in range(-j_abs, j_abs + 1):
                 if j1 == j2:
                     continue
-                if triple_kernel(a, j1, j2) != triple_kernel_closed(a, j1, j2):
+                if _triple_kernel(a, j1, j2, tb) != _triple_kernel_closed(a, j1, j2, tb):
                     bad += 1
     return bad

@@ -372,8 +372,8 @@ def moment_psiR(
     exact mode both sides are Fractions with denominator D^k, D the common
     denominator of the sieve weights.
     """
-    if N < 1 or h < 1 or k < 1:
-        raise ValueError(f"need N, h, k >= 1, got N={N}, h={h}, k={k}")
+    if N < 2 or h < 1 or k < 1:
+        raise ValueError(f"need N >= 2, h >= 1, k >= 1, got N={N}, h={h}, k={k}")
     start = _start_index(N, primed)
     weights = build_weights(R, exact=exact)
     _, win = _lam_windows(N, h, weights, start, exact)
@@ -396,7 +396,7 @@ def moment_psiR(
         N=N,
         h=h,
         R=R,
-        lambda_param=h / math.log(N) if N >= 2 else float("nan"),
+        lambda_param=h / math.log(N),
         computed=computed,
         via_correlations=via,
         predicted=predicted,

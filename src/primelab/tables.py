@@ -1,37 +1,38 @@
-"""Sieved arithmetic tables: spf, mu, phi, Lambda, d(n), psi prefix sums.
+"""Sieved arithmetic tables: spf and mu stored; phi, Lambda and psi derived.
 
-For all n <= n_max the tables hold
+For all n <= n_max the tables store
 
 * ``spf``       smallest prime factor (int32; spf[1] = 1),
 * ``mu``        Moebius function (int8),
-* ``phi``       Euler totient (int64),
-* ``num_div``   divisor count d(n) (int32),
 
-plus the von Mangoldt function ``lam`` (float64; log p at prime powers) and
-its compensated prefix sums ``psi_prefix`` with psi_prefix[x] = psi(x).
+and derive from spf, on first read,
 
-A slice sieve over i <= sqrt(n_max) fills ``spf``.  mu, phi and d(n) then
-come from a dyadic-block recurrence: for n in [2^i, 2^(i+1)) write p = spf(n)
-and m = n/p.  Then m < 2^i, so every n of the block reads only finished
-entries and the block is one vectorised numpy step:
+* ``phi``         Euler totient (int64),
+* ``lam``         von Mangoldt function (float64; log p at prime powers),
+* ``psi_prefix``  its compensated prefix sums, psi_prefix[x] = psi(x).
 
-* p = spf(m):  mu = 0,      phi = phi(m) p,      d = d(m) / (e(m)+1) * (e(m)+2),
-* otherwise:   mu = -mu(m), phi = phi(m) (p-1),  d = 2 d(m),
+A slice sieve over i <= sqrt(n_max) fills ``spf``.  mu and phi then come
+from a dyadic-block recurrence: for n in [2^i, 2^(i+1)) write p = spf(n) and
+m = n/p.  Then m < 2^i, so every n of the block reads only finished entries
+and the block is one vectorised numpy step:
 
-where e(n) is the exponent of spf(n) in n.  ``dyadic_blocks`` yields the
-blocks, split further so that no step's temporaries exceed BLOCK_MAX
-entries; ``lemmas.multiplicative_values`` runs the same recurrence keyed on
-the largest prime factor.
+* p = spf(m):  mu = 0,      phi = phi(m) p,
+* otherwise:   mu = -mu(m), phi = phi(m) (p-1).
 
-Memory is about 33-34 bytes per entry (4+1+8+4+8+8), so n_max = 10**7
-costs ~330 MB; ``build_tables`` refuses requests that cannot fit int32
+``dyadic_blocks`` yields the blocks, split further so that no step's
+temporaries exceed BLOCK_MAX entries; ``lemmas.multiplicative_values`` runs
+the same recurrence keyed on the largest prime factor.
+
+The stored arrays take 5 bytes per entry (4+1), so n_max = 10**7 costs
+~50 MB; each derived array adds 8 bytes per entry once it is read, and is
+read-only.  ``build_tables`` refuses requests that cannot fit int32
 smallest-prime-factor storage.
 
 ``tables_for`` is the one provider every caller goes through: it serves a
 request as a prefix of a cache file in PRIMELAB_CACHE_DIR or of the largest
 build the process holds, and builds only when neither reaches n_max; a
 build it saves replaces the smaller cache files it serves.  A cache file is
-a small versioned header followed by the six arrays, little-endian;
+a small versioned header followed by spf and mu, little-endian;
 ``load_tables`` maps it read-only, so pages a command never touches are
 never read.
 """
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
+from functools import cached_property
 import math
 import mmap
 import os
@@ -49,10 +51,15 @@ import struct
 import numpy as np
 
 _MAGIC = b"PRLB"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 #: environment variable naming the directory for cached table files
 CACHE_DIR_ENV = "PRIMELAB_CACHE_DIR"
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass
@@ -62,10 +69,22 @@ class ArithTables:
     n_max: int
     spf: np.ndarray  # int32  smallest prime factor, spf[0]=0, spf[1]=1
     mu: np.ndarray  # int8   Moebius
-    phi: np.ndarray  # int64  totient
-    lam: np.ndarray  # float64 von Mangoldt Lambda(n)
-    num_div: np.ndarray  # int32 divisor count
-    psi_prefix: np.ndarray  # float64, psi_prefix[x] = sum_{n<=x} Lambda(n)
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        """int64 totient, phi[0] = 0."""
+        phi = _multiplicative(self.spf, np.int64, lambda p, same: np.where(same, p, p - 1))
+        return _read_only(phi)
+
+    @cached_property
+    def lam(self) -> np.ndarray:
+        """float64 von Mangoldt Lambda(n)."""
+        return _read_only(_von_mangoldt(self.spf))
+
+    @cached_property
+    def psi_prefix(self) -> np.ndarray:
+        """float64, psi_prefix[x] = sum_{n<=x} Lambda(n)."""
+        return _read_only(_prefix_sums(self.lam))
 
 
 # ---------------------------------------------------------------------------
@@ -104,27 +123,21 @@ def _smallest_prime_factors(n: int) -> np.ndarray:
     return spf
 
 
-def _mu_phi_divisors(spf: np.ndarray):
+def _multiplicative(spf: np.ndarray, dtype, factor) -> np.ndarray:
+    """f with f(0) = 0, f(1) = 1 and f(n) = f(m) * factor(p, spf(m) == p),
+    where p = spf(n) and m = n/p: the recurrence behind mu and phi."""
     n = spf.size - 1
-    mu = np.zeros(n + 1, dtype=np.int8)
-    phi = np.zeros(n + 1, dtype=np.int64)
-    nd = np.zeros(n + 1, dtype=np.int32)
-    ecnt = np.zeros(n + 1, dtype=np.int8)  # exponent of spf[k] in k
-    mu[1] = phi[1] = nd[1] = 1
+    out = np.zeros(n + 1, dtype=dtype)
+    out[1] = 1
     for lo, hi in dyadic_blocks(n):
         p = spf[lo:hi]
         m = np.arange(lo, hi, dtype=np.int32) // p
-        same = spf[m] == p
-        e = ecnt[m]
-        mu[lo:hi] = np.where(same, 0, -mu[m])
-        phi[lo:hi] = phi[m] * np.where(same, p, p - 1)
-        ecnt[lo:hi] = np.where(same, e + 1, 1)
-        nd_m = nd[m]
-        nd[lo:hi] = np.where(same, nd_m // (e + 1) * (e + 2), 2 * nd_m)
-    return mu, phi, nd
+        out[lo:hi] = out[m] * factor(p, spf[m] == p)
+    return out
 
 
-def _lam_psi(n: int, spf: np.ndarray):
+def _von_mangoldt(spf: np.ndarray) -> np.ndarray:
+    n = spf.size - 1
     primes = np.flatnonzero(spf[2:] == np.arange(2, n + 1, dtype=np.int32)) + 2
     lam = np.zeros(n + 1, dtype=np.float64)
     lam[primes] = np.log(primes.astype(np.float64))
@@ -135,26 +148,32 @@ def _lam_psi(n: int, spf: np.ndarray):
         while q <= n:
             lam[q] = lp
             q *= p
+    return lam
+
+
+def _prefix_sums(lam: np.ndarray) -> np.ndarray:
     # compensated prefix: accumulate in extended precision and round each
     # entry once; the running sum is carried from block to block (slot 0 of
     # the buffer), so the additions are exactly those of one long cumsum
-    psi = np.empty(n + 1, dtype=np.float64)
-    buf = np.empty(min(n + 1, BLOCK_MAX) + 1, dtype=np.longdouble)
+    size = lam.size
+    psi = np.empty(size, dtype=np.float64)
+    buf = np.empty(min(size, BLOCK_MAX) + 1, dtype=np.longdouble)
     buf[0] = 0
-    for lo in range(0, n + 1, BLOCK_MAX):
-        hi = min(lo + BLOCK_MAX, n + 1)
+    for lo in range(0, size, BLOCK_MAX):
+        hi = min(lo + BLOCK_MAX, size)
         acc = buf[: hi - lo + 1]
         acc[1:] = lam[lo:hi]
         np.cumsum(acc, out=acc)
         psi[lo:hi] = acc[1:]
         buf[0] = acc[-1]
-    return lam, psi
+    return psi
 
 
 def build_tables(n_max: int) -> ArithTables:
-    """Sieve all tables up to n_max (inclusive).
+    """Sieve spf and mu up to n_max (inclusive); phi, lam and psi_prefix
+    follow on first read.
 
-    Requires n_max >= 2.  Memory is ~34 bytes/entry; n_max beyond int32
+    Requires n_max >= 2.  Memory is 5 bytes/entry; n_max beyond int32
     range is refused since spf is stored as int32.
     """
     if n_max < 2:
@@ -162,11 +181,8 @@ def build_tables(n_max: int) -> ArithTables:
     if n_max > 2**31 - 2:
         raise ValueError(f"n_max={n_max} exceeds int32 spf capacity")
     spf = _smallest_prime_factors(n_max)
-    mu, phi, nd = _mu_phi_divisors(spf)
-    lam, psi = _lam_psi(n_max, spf)
-    return ArithTables(
-        n_max=n_max, spf=spf, mu=mu, phi=phi, lam=lam, num_div=nd, psi_prefix=psi
-    )
+    mu = _multiplicative(spf, np.int8, lambda p, same: np.where(same, 0, -1))
+    return ArithTables(n_max=n_max, spf=spf, mu=mu)
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +192,6 @@ def build_tables(n_max: int) -> ArithTables:
 _ARRAY_SPEC = (
     ("spf", "<i4"),
     ("mu", "<i1"),
-    ("phi", "<i8"),
-    ("lam", "<f8"),
-    ("num_div", "<i4"),
-    ("psi_prefix", "<f8"),
 )
 _HEADER = struct.Struct("<4sHQ")  # magic, format version, n_max
 _ENTRY_BYTES = sum(np.dtype(dt).itemsize for _name, dt in _ARRAY_SPEC)
@@ -382,57 +394,3 @@ def squarefree_kernel(j: int, tables: ArithTables | None = None) -> int:
     if j == 0:
         raise ValueError("squarefree kernel undefined at j = 0")
     return math.prod(prime_divisors(j, tables))
-
-
-# ---------------------------------------------------------------------------
-# arithmetic progressions
-# ---------------------------------------------------------------------------
-
-
-def psi_ap(x: int, q: int, a: int, tables: ArithTables) -> float:
-    """psi(x; q, a) = sum_{n <= x, n = a (mod q)} Lambda(n)."""
-    if q < 1:
-        raise ValueError(f"modulus q must be >= 1, got {q}")
-    if not 0 <= x <= tables.n_max:
-        raise ValueError(f"x={x} outside table range [0, {tables.n_max}]")
-    a = a % q
-    start = a if a >= 1 else q
-    if start > x:
-        return 0.0
-    return math.fsum(tables.lam[start : x + 1 : q].tolist())
-
-
-def _phi_scalar(q: int, tables: ArithTables) -> int:
-    if q <= tables.n_max:
-        return int(tables.phi[q])
-    out = q
-    for p in prime_divisors(q, tables):
-        out = out // p * (p - 1)
-    return out
-
-
-def bv_sum(x: int, q_max: int, tables: ArithTables) -> float:
-    """sum_{q <= q_max} max_{(a,q)=1} |psi(x; q, a) - x/phi(q)|.
-
-    For q_max = 1 this is |psi(x) - x|.  Re-running with the same inputs
-    reproduces the value bit-for-bit.
-    """
-    if not 1 <= q_max:
-        raise ValueError(f"q_max must be >= 1, got {q_max}")
-    if not 1 <= x <= tables.n_max:
-        raise ValueError(f"x={x} outside table range [1, {tables.n_max}]")
-    total = 0.0
-    vals = tables.lam[1 : x + 1]
-    for q in range(1, q_max + 1):
-        pad = (-x) % q
-        padded = np.concatenate([vals, np.zeros(pad)]) if pad else vals
-        # column c of the reshape holds positions c+1, c+1+q, ...: residue (c+1)%q
-        sums = padded.reshape(-1, q).sum(axis=0)
-        bucket = np.zeros(q)
-        for c in range(q):
-            bucket[(c + 1) % q] = sums[c]
-        a = np.arange(q)
-        coprime = np.gcd(a, q) == 1  # gcd(0, 1) = 1 covers the q = 1 case
-        e = np.abs(bucket[coprime] - x / float(_phi_scalar(q, tables)))
-        total += float(e.max())
-    return total

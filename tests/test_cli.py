@@ -64,6 +64,18 @@ class TestExitCodes:
         assert code == 3
 
     @pytest.mark.parametrize("argv", [
+        ["moments", "--n", "1", "--h", "1", "--r", "2", "--k", "1"],
+        ["omega", "--n", "1", "--h", "1", "--r", "2", "--rho", "0.3"],
+    ], ids=["moments", "omega"])
+    def test_n_below_2_returns_3(self, argv):
+        """N = 1 has log N = 0; it is refused before any division by it (a
+        fresh interpreter, so an uncaught exception would show its traceback)."""
+        proc = subprocess.run(CLI + argv, capture_output=True, timeout=300)
+        err = proc.stderr.decode()
+        assert proc.returncode == 3, err
+        assert "precondition failed" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
         ["singular", "--sn", "2", "--j", "20000000000014"],
         ["lemma", "--which", "4", "--ladder", "1e3", "--params", "j=1000000000039"],
     ], ids=["singular", "lemma"])

@@ -200,6 +200,17 @@ class TestKernels:
     def test_triple_scan_counts_no_violations(self):
         assert triple_kernel_scan(40, 4) == 0
 
+    def test_triple_scan_fetches_tables_once(self, monkeypatch):
+        """The scan reads one set of tables for the whole grid, not one per
+        kernel evaluation (each fetch may list and map the cache dir)."""
+        from primelab import correlations
+        calls = []
+        real = correlations.tables_for
+        monkeypatch.setattr(correlations, "tables_for",
+                            lambda n: calls.append(n) or real(n))
+        assert triple_kernel_scan(10, 2) == 0
+        assert calls == [10]
+
 
 class TestPsiTuple:
     def test_brute_force(self, tables_small):

@@ -17,11 +17,9 @@ from primelab import ArithTables, build_tables, load_tables, save_tables
 from primelab import tables as tables_mod
 from primelab.tables import (
     FACTOR_MAX,
-    bv_sum,
     factorize,
     phi2,
     prime_divisors,
-    psi_ap,
     squarefree_divisors,
     squarefree_kernel,
 )
@@ -48,7 +46,7 @@ def naive_lambda(n: int) -> float:
 def assert_same_tables(small: ArithTables, big: ArithTables) -> None:
     """Every array of ``small`` is byte-equal to the same prefix of ``big``."""
     n = small.n_max
-    for name in ("spf", "mu", "phi", "lam", "num_div", "psi_prefix"):
+    for name in ("spf", "mu", "phi", "lam", "psi_prefix"):
         a, b = getattr(small, name), getattr(big, name)[: n + 1]
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (n, name)
 
@@ -95,12 +93,6 @@ class TestBuildTables:
             assert abs(tables_small.lam[n] - naive_lambda(n)) < 1e-12, n
         assert tables_small.lam[1] == 0.0
 
-    def test_divisor_counts(self, tables_small):
-        rng = np.random.default_rng(SEED + 5)
-        for n in rng.integers(1, tables_small.n_max, size=N_TRIALS):
-            n = int(n)
-            assert tables_small.num_div[n] == sympy.divisor_count(n), n
-
     def test_psi_prefix_consistency(self, tables_small):
         """psi_prefix[n] - psi_prefix[n-1] = lam[n] and psi_prefix[0] = 0."""
         diffs = np.diff(tables_small.psi_prefix)
@@ -131,6 +123,7 @@ class TestBuildTables:
         """Splitting the dyadic blocks (and the psi prefix sum) into many
         small steps gives the same bytes as the default block size."""
         want = build_tables(5000)
+        want.phi, want.psi_prefix  # derive at the default block size
         monkeypatch.setattr(tables_mod, "BLOCK_MAX", 64)
         assert_same_tables(build_tables(5000), want)
 
@@ -161,8 +154,12 @@ class TestSaveLoad:
         assert np.array_equal(back.lam.view(np.int64), tb.lam.view(np.int64))
         assert np.array_equal(back.psi_prefix.view(np.int64),
                               tb.psi_prefix.view(np.int64))
-        for name in ("spf", "mu", "phi", "lam", "num_div", "psi_prefix"):
+        for name in ("spf", "mu", "phi", "lam", "psi_prefix"):
             assert not getattr(back, name).flags.writeable, name
+        for name in ("phi", "lam", "psi_prefix"):  # derived, also on a build
+            assert not getattr(tb, name).flags.writeable, name
+        # the header, then spf (4 bytes) and mu (1 byte) per entry
+        assert path.stat().st_size == 14 + 5 * (3000 + 1)
 
     def test_prefix_load(self, tmp_path):
         """load_tables(path, n) is byte-equal to build_tables(n) for n up to
@@ -178,7 +175,7 @@ class TestSaveLoad:
 
     @pytest.mark.parametrize("damage", [
         lambda raw: b"XXXX" + raw[4:],
-        lambda raw: raw[:4] + (2).to_bytes(2, "little") + raw[6:],
+        lambda raw: raw[:4] + (1).to_bytes(2, "little") + raw[6:],
         lambda raw: raw[:-1],
         lambda raw: raw[:10],
         lambda raw: raw + b"\0",
@@ -198,13 +195,13 @@ class TestSaveLoad:
         real = np.ascontiguousarray
         seen_at_failure = []
 
-        def fail_at_phi(arr, dtype=None):  # phi is the third array written
-            if arr is tb.phi:
+        def fail_at_mu(arr, dtype=None):  # mu is the last array written
+            if arr is tb.mu:
                 seen_at_failure.append(path.exists())
                 raise OSError("disk full")
             return real(arr, dtype=dtype)
 
-        monkeypatch.setattr(tables_mod.np, "ascontiguousarray", fail_at_phi)
+        monkeypatch.setattr(tables_mod.np, "ascontiguousarray", fail_at_mu)
         with pytest.raises(OSError, match="disk full"):
             save_tables(tb, path)
         assert seen_at_failure == [False]
@@ -338,26 +335,3 @@ class TestHelpers:
             for p in sympy.factorint(abs(j)):
                 expected *= p
             assert kern == expected, j
-
-    def test_psi_ap_against_brute(self, tables_small):
-        """psi(x; q, a) = sum of Lambda(n) over n <= x, n = a mod q."""
-        rng = np.random.default_rng(SEED + 7)
-        lam = tables_small.lam
-        for _ in range(25):
-            x = int(rng.integers(10, 5000))
-            q = int(rng.integers(1, 12))
-            a = int(rng.integers(0, q))
-            brute = sum(lam[n] for n in range(1, x + 1) if n % q == a % q)
-            assert abs(psi_ap(x, q, a, tables_small) - brute) < 1e-9
-
-    def test_psi_ap_frozen_anchor(self, tables_small):
-        """psi(10; 2, 1) = log 3 + log 5 + log 7 + log 9-part = 5.75257..."""
-        assert abs(psi_ap(10, 2, 1, tables_small) - 5.752572638825633) < 1e-12
-
-    def test_bv_sum_monotone_and_small(self, tables_small):
-        """The level sum is nonnegative and grows with the modulus cutoff."""
-        x = 10_000
-        s1 = bv_sum(x, 5, tables_small)
-        s2 = bv_sum(x, 50, tables_small)
-        assert 0.0 <= s1 <= s2
-        assert s2 < x  # far below trivial size at this scale
