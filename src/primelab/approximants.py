@@ -53,15 +53,6 @@ class ApproximantWeights:
     def exact(self) -> bool:
         return self.y_int is not None
 
-    def script_l1(self) -> float:
-        """L_1(R) = sum_{r<=R} mu^2(r)/phi(r) = y_1."""
-        return float(self.y_float[0])
-
-    def script_l1_fraction(self) -> Fraction:
-        if not self.exact:
-            raise ValueError("exact weights required; build with exact=True")
-        return Fraction(self.y_int[0], self.denominator)
-
 
 _weights_cache: dict[tuple[int, bool], ApproximantWeights] = {}
 

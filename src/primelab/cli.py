@@ -225,15 +225,14 @@ def _fail_identity(message: str) -> int:
 def _cmd_sieve(args) -> int:
     n = args.n_max
     tb = tables.tables_for(n)
-    is_prime = tb.spf[2 : n + 1] == np.arange(2, n + 1, dtype=np.int32)
-    primes = int(np.count_nonzero(is_prime))
+    primes = np.flatnonzero(tb.spf[2 : n + 1] == np.arange(2, n + 1, dtype=np.int32)) + 2
     mu = tb.mu[1:n + 1]
     config = {"command": "sieve", "n_max": n,
               "cache_dir": os.environ.get(tables.CACHE_DIR_ENV, "")}
     rows = [{
         "n_max": n,
-        "primes": primes,
-        "psi": float(tb.psi_prefix[n]),
+        "primes": primes.size,
+        "psi": tables.psi_from_primes(primes, n),
         "mertens": int(mu.sum()),
         "squarefree": int(np.count_nonzero(mu)),
     }]
@@ -290,18 +289,14 @@ def _cmd_correlate(args) -> int:
     N = args.n
     R = _resolve_R(args, N)
     pattern = args.pattern
-    # negative shifts read no entries past n = N (or 2N)
-    max_shift = max(max(pattern.shifts), 0)
-    n_needed = (2 * N if args.primed_range else N) + max_shift + 1
-    tb = tables.tables_for(n_needed)
     if args.mixed:
         if args.exact:
             raise ValueError("--exact is not available for mixed correlations")
-        res = correlations.s_tilde_k(N, pattern, R, tb,
+        res = correlations.s_tilde_k(N, pattern, R,
                                      primed_range=args.primed_range,
                                      p_cut=args.p_cut)
     else:
-        res = correlations.s_k(N, pattern, R, tb, exact=args.exact,
+        res = correlations.s_k(N, pattern, R, exact=args.exact,
                                primed_range=args.primed_range,
                                p_cut=args.p_cut)
     config = {
@@ -337,8 +332,7 @@ def _run_omega(args, N: int, h: int, R: int, lam: float | None) -> int:
             C = float(args.c)
         except ValueError as exc:
             raise ValueError(f"--c must be a float or 'couple': {args.c!r}") from exc
-    tb = tables.tables_for(2 * N + h + 1)
-    exp = moments.omega_experiment(N, h, R, rho, C, tb)
+    exp = moments.omega_experiment(N, h, R, rho, C)
     config = {
         "command": "omega", "N": N, "h": h, "R": R,
         "lambda_param": lam, "rho": rho, "C": C,
@@ -359,8 +353,7 @@ def _cmd_moments(args) -> int:
     h, lam = _resolve_h(args, N)
 
     if args.first_moment:
-        tb = tables.tables_for(N + h + 1)
-        rep = moments.first_moment_identity(N, h, tb)
+        rep = moments.first_moment_identity(N, h)
         config = {"command": "moments", "mode": "first_moment",
                   "N": N, "h": h, "lambda_param": lam}
         rows = [asdict(rep)]
@@ -380,16 +373,14 @@ def _cmd_moments(args) -> int:
 
     k = args.k
     if args.psi:
-        tb = tables.tables_for((2 * N if args.primed else N) + h + 1)
-        rep = moments.moment_psi(N, h, k, tb, centered=args.centered,
+        rep = moments.moment_psi(N, h, k, centered=args.centered,
                                  primed=args.primed)
         config = {"command": "moments", "mode": "psi", "N": N, "h": h, "k": k,
                   "lambda_param": lam, "centered": args.centered,
                   "primed": args.primed}
     elif args.mixed:
         R = _resolve_R(args, N)
-        tb = tables.tables_for((2 * N if args.primed else N) + h + 1)
-        rep = moments.mixed_moment(N, h, R, k, tb, primed=args.primed)
+        rep = moments.mixed_moment(N, h, R, k, primed=args.primed)
         config = {"command": "moments", "mode": "mixed", "N": N, "h": h,
                   "R": R, "r_exp": args.r_exp, "k": k, "lambda_param": lam,
                   "primed": args.primed}
@@ -439,8 +430,6 @@ def _parse_poly(text: str) -> tuple[int, ...]:
 def _cmd_lemma(args) -> int:
     ladder = args.ladder
     params = args.params or {}
-    # the lemmas read entries up to the top rung only
-    tb = tables.tables_for(ladder[-1])
     which = args.which
     p_cut = args.p_cut
     kwargs = {} if p_cut is None else {"p_cut": p_cut}
@@ -458,22 +447,22 @@ def _cmd_lemma(args) -> int:
                 raise ValueError(f"unknown pair preset {name!r}; "
                                  f"choose from {sorted(_LEMMA_PAIRS)}")
             pair = _LEMMA_PAIRS[name]
-        rep = lemmas.lemma1(pair, k, ladder, tb, **kwargs)
+        rep = lemmas.lemma1(pair, k, ladder, **kwargs)
     elif which == 2:
-        rep = lemmas.lemma2(ladder, tb)
+        rep = lemmas.lemma2(ladder)
     elif which == 3:
-        rep = lemmas.lemma3(ladder, tb, **kwargs)
+        rep = lemmas.lemma3(ladder, **kwargs)
     elif which == 4:
         j = int(params.get("j", 2))
         if params.get("variant") == "log":
-            rep = lemmas.lemma4_log(j, ladder, tb, **kwargs)
+            rep = lemmas.lemma4_log(j, ladder, **kwargs)
         else:
             k = int(params.get("k", 1))
-            rep = lemmas.lemma4(j, k, ladder, tb, **kwargs)
+            rep = lemmas.lemma4(j, k, ladder, **kwargs)
     elif which == 5:
         J = int(params.get("J", 6))
         k = int(params.get("k", 1))
-        rep = lemmas.lemma5(J, k, ladder, tb, **kwargs)
+        rep = lemmas.lemma5(J, k, ladder, **kwargs)
     else:  # pragma: no cover - argparse choices prevent this
         raise ValueError(f"unknown lemma {which}")
 

@@ -47,7 +47,13 @@ import numpy as np
 from . import approximants as ap
 from . import singular as sg
 from .constants import DEFAULT_P_CUT
-from .tables import ArithTables, prime_divisors, squarefree_divisors, tables_for
+from .tables import (
+    TABLE_MAX,
+    ArithTables,
+    prime_divisors,
+    squarefree_divisors,
+    tables_for,
+)
 
 
 @dataclass(frozen=True)
@@ -152,17 +158,18 @@ def _window(arr: np.ndarray, j: int, n_lo: int, n_hi: int) -> np.ndarray:
     return out
 
 
-def _check_range(N: int, pattern: ShiftPattern, tables: ArithTables, primed: bool):
+def _check_range(N: int, pattern: ShiftPattern, primed: bool) -> tuple[int, int, int]:
+    """(n_lo, n_hi, top): the range of n and the largest index n + j read."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    max_j = max(pattern.shifts)
     if max(abs(s) for s in pattern.shifts) > N:
         raise ValueError("shifts must satisfy |j| <= N")
-    top = (2 * N if primed else N) + max(max_j, 0)
-    if top > tables.n_max:
-        raise ValueError(
-            f"need tables up to {top}, have n_max={tables.n_max}"
-        )
+    n_lo, n_hi = (N + 1, 2 * N) if primed else (1, N)
+    # negative shifts read no entries past n_hi
+    top = n_hi + max(max(pattern.shifts), 0)
+    if top > TABLE_MAX:
+        raise ValueError(f"the sum reads n up to {top}, beyond {TABLE_MAX}")
+    return n_lo, n_hi, top
 
 
 def _pattern_sum(arrays, shifts, mults, n_lo: int, n_hi: int):
@@ -184,7 +191,6 @@ def s_k(
     N: int,
     pattern: ShiftPattern,
     R: int,
-    tables: ArithTables,
     exact: bool = False,
     primed_range: bool = False,
     p_cut: int = DEFAULT_P_CUT,
@@ -197,12 +203,9 @@ def s_k(
     Predictions are attached for k <= 3; larger k is computed but carries
     no prediction.
     """
-    _check_range(N, pattern, tables, primed_range)
+    n_lo, n_hi, top = _check_range(N, pattern, primed_range)
     if R < 1:
         raise ValueError(f"R must be >= 1, got {R}")
-    n_lo, n_hi = (N + 1, 2 * N) if primed_range else (1, N)
-    top = n_hi + max(max(pattern.shifts), 0)
-
     weights = ap.build_weights(R, exact=exact)
     if exact:
         lam_arr = ap.lambda_R_range_exact(top, weights)
@@ -222,7 +225,6 @@ def s_tilde_k(
     N: int,
     pattern: ShiftPattern,
     R: int,
-    tables: ArithTables,
     primed_range: bool = False,
     p_cut: int = DEFAULT_P_CUT,
 ) -> CorrelationResult:
@@ -233,16 +235,15 @@ def s_tilde_k(
     for j >= 0 (window of the prefix sums), which is N + O(|j| log N)
     under the usual error terms.
     """
-    _check_range(N, pattern, tables, primed_range)
+    n_lo, n_hi, top = _check_range(N, pattern, primed_range)
     if pattern.multiplicities[-1] != 1:
         raise ValueError("mixed pattern requires multiplicity 1 on the last shift")
-    n_lo, n_hi = (N + 1, 2 * N) if primed_range else (1, N)
+    if pattern.r > 1 and R < 1:
+        raise ValueError(f"R must be >= 1, got {R}")
 
-    arrays = [tables.lam]
+    # fetched before the weights, which then read a prefix of the same build
+    arrays = [tables_for(top).lam]
     if pattern.r > 1:
-        if R < 1:
-            raise ValueError(f"R must be >= 1, got {R}")
-        top = n_hi + max(max(pattern.shifts), 0)
         lam_arr = ap.lambda_R_range(top, ap.build_weights(R))
         arrays = [lam_arr] * (pattern.r - 1) + arrays
     total = _pattern_sum(arrays, pattern.shifts, pattern.multiplicities, n_lo, n_hi)
@@ -286,12 +287,13 @@ def _result(
     )
 
 
-def psi_tuple(N: int, shifts: tuple[int, ...], tables: ArithTables) -> float:
+def psi_tuple(N: int, shifts: tuple[int, ...]) -> float:
     """psi_j(N) = sum_{n <= N} prod_i Lambda(n + j_i) over distinct shifts."""
     pattern = ShiftPattern(tuple(shifts), (1,) * len(shifts))
-    _check_range(N, pattern, tables, primed=False)
+    _n_lo, _n_hi, top = _check_range(N, pattern, primed=False)
+    lam = tables_for(top).lam
     return float(
-        _pattern_sum([tables.lam] * pattern.r, pattern.shifts, pattern.multiplicities, 1, N)
+        _pattern_sum([lam] * pattern.r, pattern.shifts, pattern.multiplicities, 1, N)
     )
 
 
@@ -353,6 +355,10 @@ def pair_kernel_closed(r1: int, r2: int, j: int) -> int:
     tb = tables_for(max(r1, r2))
     _require_squarefree(r1, tb)
     _require_squarefree(r2, tb)
+    return _pair_kernel_closed(r1, r2, j, tb)
+
+
+def _pair_kernel_closed(r1: int, r2: int, j: int, tb: ArithTables) -> int:
     if r1 != r2:
         return 0
     g = math.gcd(abs(j), r1)
@@ -432,12 +438,7 @@ def pair_kernel_scan(r_max: int, j_lo: int, j_hi: int) -> int:
             coef = np.outer(m1, m2) * g
             for j in range(j_lo, j_hi + 1):
                 total = int(np.sum(coef[j % g == 0]))
-                if r1 != r2:
-                    closed = 0
-                else:
-                    gg = math.gcd(abs(j), r1)
-                    closed = int(tb.mu[r1]) * int(tb.mu[gg]) * int(tb.phi[gg])
-                if total != closed:
+                if total != _pair_kernel_closed(r1, r2, j, tb):
                     bad += 1
     return bad
 

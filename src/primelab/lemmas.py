@@ -40,7 +40,7 @@ from . import constants
 from .constants import CONST_P_CUT, DEFAULT_P_CUT, EULER_GAMMA, primes_up_to
 from .singular import constant_C, singular_Sn
 from .tables import (
-    ArithTables,
+    TABLE_MAX,
     dyadic_blocks,
     prime_divisors,
     squarefree_kernel,
@@ -134,14 +134,14 @@ class LemmaReport:
             raise ValueError(f"scaled_error must be finite: {self.scaled_error}")
 
 
-def _check_ladder(x_ladder: Sequence[int], tables: ArithTables) -> tuple[int, ...]:
+def _check_ladder(x_ladder: Sequence[int]) -> tuple[int, ...]:
     ladder = tuple(int(x) for x in x_ladder)
     if not ladder or any(x < 1 for x in ladder):
         raise ValueError(f"x_ladder must contain integers >= 1: {x_ladder}")
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError(f"x_ladder must be strictly increasing: {x_ladder}")
-    if ladder[-1] > tables.n_max:
-        raise ValueError(f"x_max={ladder[-1]} exceeds tables n_max={tables.n_max}")
+    if ladder[-1] > TABLE_MAX:
+        raise ValueError(f"x_max={ladder[-1]} is beyond {TABLE_MAX}")
     return ladder
 
 
@@ -149,11 +149,7 @@ def _check_ladder(x_ladder: Sequence[int], tables: ArithTables) -> tuple[int, ..
 # shared sieved evaluator
 
 
-def multiplicative_values(
-    fvals: np.ndarray,
-    x: int,
-    tables: ArithTables | None = None,
-) -> np.ndarray:
+def multiplicative_values(fvals: np.ndarray, x: int) -> np.ndarray:
     """v[n] = mu^2(n) * prod_{p|n} fvals[p] for 0 <= n <= x (v[0]=0, v[1]=1).
 
     ``fvals`` is indexed by prime; entries at excluded primes should be 0.
@@ -161,17 +157,14 @@ def multiplicative_values(
     P = lpf(n) the largest prime factor, v[n] = v[n/P] * fvals[P] for
     squarefree n and 0.0 otherwise, where lpf(n) = max(spf(n), lpf(n/spf(n))).
     Keying on the largest prime multiplies the factors in ascending-prime
-    order, so v[n] is bit-for-bit the left-to-right product.  ``tables``
-    supplies spf and mu; without them tables up to x are built.
+    order, so v[n] is bit-for-bit the left-to-right product.  spf and mu
+    come from ``tables_for(x)``.
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     if fvals.shape[0] < x + 1:
         raise ValueError(f"fvals must cover indices up to {x}")
-    if tables is None:
-        tables = tables_for(x)
-    elif tables.n_max < x:
-        raise ValueError(f"tables n_max={tables.n_max} < x={x}")
+    tables = tables_for(x)
     spf, mu = tables.spf, tables.mu
     out = np.empty(x + 1, dtype=np.float64)
     out[0] = 0.0
@@ -220,7 +213,6 @@ def lemma1(
     pair: MonicPolyPair,
     k: int,
     x_ladder: Sequence[int],
-    tables: ArithTables,
     *,
     p_cut: int = CONST_P_CUT,
 ) -> LemmaReport:
@@ -234,7 +226,7 @@ def lemma1(
     """
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    ladder = _check_ladder(x_ladder, tables)
+    ladder = _check_ladder(x_ladder)
     x_max = ladder[-1]
     pair.ensure_nonvanishing(x_max)
 
@@ -247,7 +239,7 @@ def lemma1(
         if p <= x_max:
             fv[p] = 0.0
 
-    vals = multiplicative_values(fv, x_max, tables)
+    vals = multiplicative_values(fv, x_max)
     lhs = ladder_sums(vals, ladder)
 
     k1, s1 = constants.poly_pair_parts(pair.p1, pair.p2, p_cut)
@@ -278,10 +270,7 @@ def lemma1(
 # Lemma 2: bounded Moebius average
 
 
-def lemma2(
-    x_ladder: Sequence[int],
-    tables: ArithTables,
-) -> LemmaReport:
+def lemma2(x_ladder: Sequence[int]) -> LemmaReport:
     """Partial sums S(x) = sum_{n<=x} mu(n) phi_2(n) / (n phi(n)).
 
     The statement is |S(x)| <= C for all x, so main = 0 and the scaled
@@ -289,7 +278,7 @@ def lemma2(
     integer prefix and the successive ladder differences |S(x_{i+1})-S(x_i)|,
     which should shrink (the series converges).
     """
-    ladder = _check_ladder(x_ladder, tables)
+    ladder = _check_ladder(x_ladder)
     x_max = ladder[-1]
     ps = primes_up_to(x_max)
     psf = ps.astype(np.float64)
@@ -297,7 +286,7 @@ def lemma2(
     # mu(n) folded in: f(p) = -(p-2)/(p(p-1)); the p=2 factor is 0 since
     # phi_2(2) = 0, which the formula produces on its own.
     fv[ps] = -(psf - 2.0) / (psf * (psf - 1.0))
-    vals = multiplicative_values(fv, x_max, tables)
+    vals = multiplicative_values(fv, x_max)
     lhs = ladder_sums(vals, ladder)
     running = np.cumsum(vals)[1:]
     # max |S(t)| without an |S| temporary: at x = 1e7 that is 80 MB
@@ -334,7 +323,6 @@ def euler_P1(p_cut: int = DEFAULT_P_CUT) -> float:
 
 def lemma3(
     x_ladder: Sequence[int],
-    tables: ArithTables,
     *,
     p_cut: int = DEFAULT_P_CUT,
 ) -> LemmaReport:
@@ -345,7 +333,7 @@ def lemma3(
     dropped lower-order terms are D sqrt(x) log x + E sqrt(x) with
     constants the closed form does not provide).
     """
-    ladder = _check_ladder(x_ladder, tables)
+    ladder = _check_ladder(x_ladder)
     if ladder[0] < 2:
         raise ValueError("lemma3 normalization needs x >= 2 (log^2 x > 0)")
     x_max = ladder[-1]
@@ -354,7 +342,7 @@ def lemma3(
     rt = np.sqrt(psf)
     fv = np.zeros(x_max + 1, dtype=np.float64)
     fv[ps] = (3.0 * psf - 4.0) / ((psf - 1.0) * (rt - 1.0))
-    vals = multiplicative_values(fv, x_max, tables)
+    vals = multiplicative_values(fv, x_max)
     lhs = ladder_sums(vals, ladder)
     p1 = euler_P1(p_cut)
     main = tuple(p1 * math.sqrt(x) * math.log(x) ** 2 for x in ladder)
@@ -416,7 +404,6 @@ def lemma4(
     j: int,
     k: int,
     x_ladder: Sequence[int],
-    tables: ArithTables,
     *,
     p_cut: int = CONST_P_CUT,
 ) -> LemmaReport:
@@ -430,9 +417,9 @@ def lemma4(
         raise ValueError("j must be nonzero")
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    ladder = _check_ladder(x_ladder, tables)
+    ladder = _check_ladder(x_ladder)
     x_max = ladder[-1]
-    vals = multiplicative_values(_lemma4_fvals(j, k, x_max), x_max, tables)
+    vals = multiplicative_values(_lemma4_fvals(j, k, x_max), x_max)
     lhs = ladder_sums(vals, ladder)
     main_c = _lemma4_main(j, k, p_cut)
     main = tuple(main_c for _ in ladder)
@@ -467,7 +454,6 @@ def _sum_logp_p_pminus2(p_cut: int) -> float:
 def lemma4_log(
     j: int,
     x_ladder: Sequence[int],
-    tables: ArithTables,
     *,
     p_cut: int = CONST_P_CUT,
 ) -> LemmaReport:
@@ -481,9 +467,9 @@ def lemma4_log(
     """
     if j == 0:
         raise ValueError("j must be nonzero")
-    ladder = _check_ladder(x_ladder, tables)
+    ladder = _check_ladder(x_ladder)
     x_max = ladder[-1]
-    vals = multiplicative_values(_lemma4_fvals(j, 1, x_max), x_max, tables)
+    vals = multiplicative_values(_lemma4_fvals(j, 1, x_max), x_max)
     logn = np.zeros(x_max + 1, dtype=np.float64)
     logn[1:] = np.log(np.arange(1, x_max + 1, dtype=np.float64))
     lhs = tuple(-v for v in ladder_sums(vals, ladder, weight=logn))
@@ -584,7 +570,6 @@ def lemma5(
     J: int,
     k: int,
     x_ladder: Sequence[int],
-    tables: ArithTables,
     *,
     p_cut: int = DEFAULT_P_CUT,
 ) -> LemmaReport:
@@ -598,9 +583,9 @@ def lemma5(
         raise ValueError(f"J must be even and nonzero, got {J}")
     if k < 1 or J % k != 0:
         raise ValueError(f"k must be a positive divisor of J, got k={k}, J={J}")
-    ladder = _check_ladder(x_ladder, tables)
+    ladder = _check_ladder(x_ladder)
     x_max = ladder[-1]
-    vals = multiplicative_values(_lemma5_fvals(J, k, x_max), x_max, tables)
+    vals = multiplicative_values(_lemma5_fvals(J, k, x_max), x_max)
     lhs = ladder_sums(vals, ladder)
     main_c = _lemma5_main(J, k, p_cut)
     main = tuple(main_c for _ in ladder)

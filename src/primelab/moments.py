@@ -53,7 +53,7 @@ from .approximants import (
     script_L_float,
 )
 from .correlations import _pattern_sum
-from .tables import ArithTables
+from .tables import ArithTables, tables_for
 
 __all__ = [
     "MomentReport",
@@ -341,12 +341,8 @@ def _lam_windows(
 
 
 def _psi_windows(N: int, h: int, tables: ArithTables, start: int) -> np.ndarray:
-    """windows[i] = psi(start+i+h) - psi(start+i) from the compensated prefix."""
-    n_top = start + N - 1 + h
-    if n_top > tables.n_max:
-        raise ValueError(
-            f"need tables up to {n_top}, have n_max={tables.n_max}"
-        )
+    """windows[i] = psi(start+i+h) - psi(start+i) from the compensated prefix;
+    tables must reach start + N - 1 + h."""
     pp = tables.psi_prefix
     return pp[start + h : start + N + h] - pp[start : start + N]
 
@@ -456,7 +452,6 @@ def moment_psi(
     N: int,
     h: int,
     k: int,
-    tables: ArithTables,
     *,
     centered: bool = False,
     primed: bool = False,
@@ -471,7 +466,7 @@ def moment_psi(
     if N < 2 or h < 1 or k < 1:
         raise ValueError(f"need N >= 2, h >= 1, k >= 1, got N={N}, h={h}, k={k}")
     start = _start_index(N, primed)
-    win = _psi_windows(N, h, tables, start)
+    win = _psi_windows(N, h, tables_for(start + N - 1 + h), start)
     if centered:
         win = win - float(h)
     computed = float(np.sum(win**k))
@@ -501,7 +496,7 @@ def moment_psi(
 # first-moment identity
 
 
-def first_moment_identity(N: int, h: int, tables: ArithTables) -> FirstMomentReport:
+def first_moment_identity(N: int, h: int) -> FirstMomentReport:
     """Evaluate M_1(N, h, psi) three ways and certify their exact equality.
 
     Each route assigns an integer multiplicity c_q to every prime power q
@@ -514,8 +509,7 @@ def first_moment_identity(N: int, h: int, tables: ArithTables) -> FirstMomentRep
     """
     if not 1 <= h <= N:
         raise ValueError(f"need 1 <= h <= N, got h={h}, N={N}")
-    if N + h > tables.n_max:
-        raise ValueError(f"need tables up to {N + h}, have n_max={tables.n_max}")
+    tables = tables_for(N + h)
     pp = tables.psi_prefix
     lamv = tables.lam
 
@@ -569,7 +563,6 @@ def mixed_moment(
     h: int,
     R: int,
     k: int,
-    tables: ArithTables,
     *,
     primed: bool = False,
 ) -> MomentReport:
@@ -592,9 +585,8 @@ def mixed_moment(
     if N < 2 or h < 1:
         raise ValueError(f"need N >= 2 and h >= 1, got N={N}, h={h}")
     start = _start_index(N, primed)
-    n_top = start + N - 1 + h
-    if n_top > tables.n_max:
-        raise ValueError(f"need tables up to {n_top}, have n_max={tables.n_max}")
+    # fetched before the weights, which then read a prefix of the same build
+    tables = tables_for(start + N - 1 + h)
     weights = build_weights(R)
     lam_vals, U = _lam_windows(N, h, weights, start)
     V = _psi_windows(N, h, tables, start)
@@ -682,12 +674,11 @@ def omega_experiment(
     R: int,
     rho: float,
     C: float,
-    tables: ArithTables,
 ) -> OmegaExperiment:
     """Centered moments m1, m2, m3 over n in [N+1, 2N] with A = sqrt(h log N).
 
-    Requires A < h (the centering shifts must be smaller than the window),
-    and tables through 2N + h.  The direct sums and the power-sum
+    Requires A < h (the centering shifts must be smaller than the window);
+    reads Lambda through 2N + h.  The direct sums and the power-sum
     rearrangements are both computed; their residuals certify the identity
     at float precision (exactness is checked separately on rational data).
     """
@@ -699,9 +690,8 @@ def omega_experiment(
             f"precondition A < h violated: A = sqrt(h log N) = {A:.3f}, h = {h}"
         )
     start = N + 1
-    n_top = 2 * N + h
-    if n_top > tables.n_max:
-        raise ValueError(f"need tables up to {n_top}, have n_max={tables.n_max}")
+    # fetched before the weights, which then read a prefix of the same build
+    tables = tables_for(2 * N + h)
     weights = build_weights(R)
     _, U = _lam_windows(N, h, weights, start)
     V = _psi_windows(N, h, tables, start)

@@ -25,8 +25,9 @@ the same recurrence keyed on the largest prime factor.
 
 The stored arrays take 5 bytes per entry (4+1), so n_max = 10**7 costs
 ~50 MB; each derived array adds 8 bytes per entry once it is read, and is
-read-only.  ``build_tables`` refuses requests that cannot fit int32
-smallest-prime-factor storage.
+read-only.  ``psi_from_primes`` gives psi at one n, bit for bit the prefix
+entry, without deriving either array.  ``build_tables`` refuses n_max above
+TABLE_MAX, the limit of int32 smallest-prime-factor storage.
 
 ``tables_for`` is the one provider every caller goes through: it serves a
 request as a prefix of a cache file in PRIMELAB_CACHE_DIR or of the largest
@@ -94,6 +95,9 @@ class ArithTables:
 #: most entries one recurrence step handles; bounds its temporary arrays
 BLOCK_MAX = 1 << 18
 
+#: largest n_max the tables hold, since spf is stored as int32
+TABLE_MAX = 2**31 - 2
+
 
 def dyadic_blocks(n: int):
     """Yield half-open blocks [lo, hi) covering 2..n, in order, with hi <= 2*lo.
@@ -136,19 +140,42 @@ def _multiplicative(spf: np.ndarray, dtype, factor) -> np.ndarray:
     return out
 
 
-def _von_mangoldt(spf: np.ndarray) -> np.ndarray:
-    n = spf.size - 1
-    primes = np.flatnonzero(spf[2:] == np.arange(2, n + 1, dtype=np.int32)) + 2
-    lam = np.zeros(n + 1, dtype=np.float64)
-    lam[primes] = np.log(primes.astype(np.float64))
-    for p in primes[primes <= math.isqrt(n)]:
-        p = int(p)
+def _prime_powers(primes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(q, Lambda(q)) over the prime powers q <= n, q ascending, from the
+    ascending primes <= n: np.log on the primes, math.log for higher powers."""
+    higher_q, higher_log = [], []
+    for p in primes[primes <= math.isqrt(n)].tolist():
         lp = math.log(p)
         q = p * p
         while q <= n:
-            lam[q] = lp
+            higher_q.append(q)
+            higher_log.append(lp)
             q *= p
+    q = np.concatenate([primes, np.array(higher_q, dtype=np.int64)])
+    logs = np.concatenate([np.log(primes.astype(np.float64)), np.array(higher_log)])
+    order = np.argsort(q, kind="stable")
+    return q[order], logs[order]
+
+
+def _von_mangoldt(spf: np.ndarray) -> np.ndarray:
+    n = spf.size - 1
+    primes = np.flatnonzero(spf[2:] == np.arange(2, n + 1, dtype=np.int32)) + 2
+    q, logs = _prime_powers(primes, n)
+    lam = np.zeros(n + 1, dtype=np.float64)
+    lam[q] = logs
     return lam
+
+
+def psi_from_primes(primes: np.ndarray, n: int) -> float:
+    """psi(n) from the ascending primes <= n, bit for bit psi_prefix[n].
+
+    Lambda is summed over the prime powers in ascending order by one long
+    double cumsum (not np.sum, which sums pairwise) and rounded once, the
+    same additions as the compensated prefix makes; no n-entry array is
+    built.
+    """
+    _q, logs = _prime_powers(primes, n)
+    return float(np.cumsum(logs.astype(np.longdouble))[-1]) if logs.size else 0.0
 
 
 def _prefix_sums(lam: np.ndarray) -> np.ndarray:
@@ -178,8 +205,8 @@ def build_tables(n_max: int) -> ArithTables:
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
-    if n_max > 2**31 - 2:
-        raise ValueError(f"n_max={n_max} exceeds int32 spf capacity")
+    if n_max > TABLE_MAX:
+        raise ValueError(f"n_max={n_max} exceeds int32 spf capacity {TABLE_MAX}")
     spf = _smallest_prime_factors(n_max)
     mu = _multiplicative(spf, np.int8, lambda p, same: np.where(same, 0, -1))
     return ArithTables(n_max=n_max, spf=spf, mu=mu)

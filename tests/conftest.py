@@ -1,8 +1,7 @@
-"""Shared fixtures: arithmetic tables at three scales, built once per session.
+"""Shared fixture: arithmetic tables for the tests that read table arrays
+themselves, built once per session.  The library fetches its own tables.
 
-tables_small  n_max ~ 2*10^4   cheap; used by most unit tests
-tables_e6     n_max ~ 2*10^6   million-scale correlation / moment cells
-tables_e7     n_max = 10^7     the largest mean-value-lemma ladder rung
+tables_small  n_max ~ 2*10^4
 """
 
 from __future__ import annotations
@@ -12,20 +11,8 @@ import pytest
 from primelab import build_tables
 
 SMALL_N_MAX = 20_100
-E6_N_MAX = 2_000_030
-E7_N_MAX = 10_000_000
 
 
 @pytest.fixture(scope="session")
 def tables_small():
     return build_tables(SMALL_N_MAX)
-
-
-@pytest.fixture(scope="session")
-def tables_e6():
-    return build_tables(E6_N_MAX)
-
-
-@pytest.fixture(scope="session")
-def tables_e7():
-    return build_tables(E7_N_MAX)

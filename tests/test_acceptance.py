@@ -89,14 +89,14 @@ class TestAcceptance:
         assert gate_line("criterion 3: triple-kernel identity grid",
                          violations == 0, f"violations: {violations}")
 
-    def test_criterion_04_self_correlation_bound(self, tables_small):
+    def test_criterion_04_self_correlation_bound(self):
         """|sum lambda_R(n)^2 - N L_1(R)| <= (sum mu^2 sigma/phi)^2 in
         exact rational arithmetic at N=1e4, R in {10,50,100}."""
         N = 10**4
         ok = True
         gaps = []
         for R in (10, 50, 100):
-            res = s_k(N, ShiftPattern((0,), (2,)), R, tables_small, exact=True)
+            res = s_k(N, ShiftPattern((0,), (2,)), R, exact=True)
             gap = abs(res.exact_value - N * script_L(R))
             bound = sigma_phi_bound(R) ** 2
             ok &= gap <= bound
@@ -104,27 +104,27 @@ class TestAcceptance:
         assert gate_line("criterion 4: self-correlation exact bound", ok,
                          "gap/bound: " + ", ".join(f"{g:.3f}" for g in gaps))
 
-    def test_criterion_05_pair_correlation(self, tables_e6):
+    def test_criterion_05_pair_correlation(self):
         """S_2/(N S_2(j)) within 5% at N=1e6, R=N^0.25, j in {2,4,6}."""
         N = 10**6
         R = int(round(N ** 0.25))
         worst = 0.0
         for j in (2, 4, 6):
-            res = s_k(N, ShiftPattern((0, j), (1, 1)), R, tables_e6)
+            res = s_k(N, ShiftPattern((0, j), (1, 1)), R)
             worst = max(worst, abs(res.normalized_residual))
         assert gate_line("criterion 5: pair correlation vs prediction",
                          worst <= 0.05, f"worst |ratio-1|: {worst:.4f}")
 
-    def test_criterion_06_mixed_correlation(self, tables_e6):
+    def test_criterion_06_mixed_correlation(self):
         """Mixed S~_2 normalized residual <= 0.10 at N=1e6, R=N^0.3, j=2."""
         N = 10**6
         R = int(round(N ** 0.3))
-        res = s_tilde_k(N, ShiftPattern((0, 2), (1, 1)), R, tables_e6)
+        res = s_tilde_k(N, ShiftPattern((0, 2), (1, 1)), R)
         nr = abs(res.normalized_residual)
         assert gate_line("criterion 6: mixed correlation vs prediction",
                          nr <= 0.10, f"|ratio-1|: {nr:.4f}")
 
-    def test_criterion_07_triple_diagonal_constant(self, tables_e6):
+    def test_criterion_07_triple_diagonal_constant(self):
         """S_3(N,(0),(3))/(N log^2 R) should drift toward 3/4: the second
         rung must be closer than the first (passes), and within 0.15 at
         N=1e6 (fails at desk scale: the ratio is still ~1.9; reaching the
@@ -132,7 +132,7 @@ class TestAcceptance:
         ratios = []
         for N in (10**5, 10**6):
             R = int(round(N ** 0.2))
-            res = s_k(N, ShiftPattern((0,), (3,)), R, tables_e6)
+            res = s_k(N, ShiftPattern((0,), (3,)), R)
             ratios.append(res.computed / (N * math.log(R) ** 2))
         d1, d2 = (abs(r - 0.75) for r in ratios)
         closer = d2 < d1
@@ -167,22 +167,22 @@ class TestAcceptance:
         assert gate_line("criterion 9: U-transform averages R_1, R_2", ok,
                          f"R_1 all zero: {r1_ok}, R_2 rel: {rel:.5f}")
 
-    def test_criterion_10_hildebrand_ladder(self, tables_e6):
+    def test_criterion_10_hildebrand_ladder(self):
         """Scaled error |LHS - main| sqrt(x)/m(k) at x=1e6 no more than
         twice its x=1e4 value, for k in {1, 6, 30}."""
         ok = True
         pairs = []
         for k in (1, 6, 30):
-            rep = lemma1(HILDEBRAND_POLY_PAIR, k, (10**4, 10**6), tables_e6)
+            rep = lemma1(HILDEBRAND_POLY_PAIR, k, (10**4, 10**6))
             e4, e6 = (abs(v) for v in rep.scaled_error)
             ok &= e6 <= 2 * e4
             pairs.append(f"k={k}: {e4:.4f}->{e6:.4f}")
         assert gate_line("criterion 10: coprimality-restricted ladder", ok,
                          "; ".join(pairs))
 
-    def test_criterion_11_partial_sum_convergence(self, tables_e7):
+    def test_criterion_11_partial_sum_convergence(self):
         """|S(1e6) - S(1e7)| < |S(1e5) - S(1e6)| and sup |S| reported."""
-        rep = lemma2((10**5, 10**6, 10**7), tables_e7)
+        rep = lemma2((10**5, 10**6, 10**7))
         s5, s6, s7 = rep.lhs
         ok = abs(s6 - s7) < abs(s5 - s6)
         sup = dict(rep.extras)["sup_abs"]
@@ -190,20 +190,20 @@ class TestAcceptance:
                          f"|S6-S7|={abs(s6 - s7):.2e} < |S5-S6|="
                          f"{abs(s5 - s6):.2e}, sup|S|={sup}")
 
-    def test_criterion_12_two_scale_identities(self, tables_e6):
+    def test_criterion_12_two_scale_identities(self):
         """Direct and expanded centered second/third moments agree to 1e-9
         relative at N=1e5, h=50, R=1e3, (rho, C) = (0.3, -0.5)."""
-        exp = omega_experiment(10**5, 50, 10**3, 0.3, -0.5, tables_e6)
+        exp = omega_experiment(10**5, 50, 10**3, 0.3, -0.5)
         ok = (exp.identity_residual_2 <= 1e-9
               and exp.identity_residual_3 <= 1e-9)
         assert gate_line("criterion 12: two-scale expansion identities", ok,
                          f"rel residuals: {exp.identity_residual_2:.2e}, "
                          f"{exp.identity_residual_3:.2e}")
 
-    def test_criterion_13_twin_tuple_count(self, tables_e6):
+    def test_criterion_13_twin_tuple_count(self):
         """psi_(0,2)(1e6) / (S_2(2) 1e6) within [0.95, 1.05]."""
         N = 10**6
-        ratio = psi_tuple(N, (0, 2), tables_e6) / (singular_Sn(2, 2).value * N)
+        ratio = psi_tuple(N, (0, 2)) / (singular_Sn(2, 2).value * N)
         assert gate_line("criterion 13: twin-tuple observed density",
                          0.95 <= ratio <= 1.05, f"ratio: {ratio:.4f}")
 

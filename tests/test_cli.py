@@ -261,19 +261,19 @@ class TestCache:
 
 
 def test_correlate_negative_shifts(capsys):
-    """Negative shifts need tables only up to N; the cell reports s_k's value."""
-    from primelab import correlations, tables
+    """A pattern of negative shifts only runs; the cell reports s_k's value."""
+    from primelab import correlations
     code, out = run_main(
         ["correlate", "--n", "100", "--r", "5", "--pattern=-5:1,-3:1",
          "--format", "json"], capsys)
     assert code == 0
-    direct = correlations.s_k(100, correlations.ShiftPattern.parse("-5:1,-3:1"),
-                              5, tables.tables_for(100))
+    direct = correlations.s_k(100, correlations.ShiftPattern.parse("-5:1,-3:1"), 5)
     assert json.loads(out)["rows"][0]["computed"] == direct.computed
 
 
-def test_correlate_builds_tables_once(monkeypatch, capsys):
-    """Without a cache dir the CLI tables and the weights share one build."""
+def _table_builds(argv, monkeypatch, capsys) -> list[int]:
+    """The n_max of every table build one in-process run makes, starting
+    with no cache dir, no held build and no cached weights."""
     from primelab import approximants, tables
     monkeypatch.delenv(tables.CACHE_DIR_ENV, raising=False)
     monkeypatch.setattr(tables, "_held", None)
@@ -281,10 +281,23 @@ def test_correlate_builds_tables_once(monkeypatch, capsys):
     built = []
     real = tables.build_tables
     monkeypatch.setattr(tables, "build_tables", lambda n: built.append(n) or real(n))
-    code, _ = run_main(
-        ["correlate", "--n", "2000", "--r", "8", "--pattern", "0:1,2:1"], capsys)
+    code, _ = run_main(argv, capsys)
     assert code == 0
-    assert built == [2003]
+    return built
+
+
+def test_correlate_builds_tables_once(monkeypatch, capsys):
+    """Pure correlate reads no table at the N scale: without a cache dir it
+    builds only the R-sized tables of the weights."""
+    argv = ["correlate", "--n", "2000", "--r", "8", "--pattern", "0:1,2:1"]
+    assert _table_builds(argv, monkeypatch, capsys) == [8]
+
+
+def test_mixed_correlate_builds_tables_once(monkeypatch, capsys):
+    """Mixed correlate fetches the Lambda tables before the weights, so
+    without a cache dir one build serves both."""
+    argv = ["correlate", "--n", "2000", "--r", "8", "--pattern", "0:1,2:1", "--mixed"]
+    assert _table_builds(argv, monkeypatch, capsys) == [2002]
 
 
 class TestDeterminism:

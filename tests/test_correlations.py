@@ -33,6 +33,7 @@ from primelab.correlations import (
     triple_kernel_closed,
     triple_kernel_scan,
 )
+from primelab.tables import TABLE_MAX
 
 SEED = 20260814
 
@@ -65,7 +66,7 @@ class TestShiftPattern:
 
 
 class TestSk:
-    def test_exact_against_direct_oracle(self, tables_small):
+    def test_exact_against_direct_oracle(self):
         """S_k(N, j, a) = sum_n prod_i lambda_R(n + j_i)^{a_i}, Fractions."""
         rng = np.random.default_rng(SEED)
         for _ in range(6):
@@ -74,7 +75,7 @@ class TestSk:
             shifts = tuple(sorted({int(s) for s in rng.integers(0, 6, size=2)}))
             mults = tuple(int(m) for m in rng.integers(1, 3, size=len(shifts)))
             pattern = ShiftPattern(shifts, mults)
-            res = s_k(N, pattern, R, tables_small, exact=True)
+            res = s_k(N, pattern, R, exact=True)
             brute = Fraction(0)
             for n in range(1, N + 1):
                 term = Fraction(1)
@@ -84,21 +85,21 @@ class TestSk:
             assert res.exact_value == brute, (N, R, pattern)
             assert abs(res.computed - float(brute)) < 1e-9 * max(1.0, abs(float(brute)))
 
-    def test_primed_range_window(self, tables_small):
+    def test_primed_range_window(self):
         """primed_range sums over N < n <= 2N instead of n <= N."""
         N, R = 120, 8
         pattern = ShiftPattern.parse("0:1,2:1")
-        res = s_k(N, pattern, R, tables_small, exact=True, primed_range=True)
+        res = s_k(N, pattern, R, exact=True, primed_range=True)
         brute = Fraction(0)
         for n in range(N + 1, 2 * N + 1):
             brute += (lambda_R_direct(n, R) * lambda_R_direct(n + 2, R))
         assert res.exact_value == brute
 
-    def test_single_power_prediction_normalizes(self, tables_small):
+    def test_single_power_prediction_normalizes(self):
         """S_1(N, (0), (1)) = psi_R-ish sum ~ N: residual below 15%."""
         N = 10_000
         R = int(round(N ** 0.25))
-        res = s_k(N, ShiftPattern((0,), (1,)), R, tables_small)
+        res = s_k(N, ShiftPattern((0,), (1,)), R)
         assert abs(res.normalized_residual) < 0.15
 
     def test_prediction_constants(self):
@@ -112,8 +113,33 @@ class TestSk:
         assert t[(3,)] == 0.75
 
 
+class TestOversizeRange:
+    def test_refused_before_allocating(self, monkeypatch):
+        """A sum reading n beyond tables.TABLE_MAX is refused before any
+        lambda_R range or table is allocated."""
+        from primelab import approximants, correlations
+
+        def fail(*args, **kwargs):
+            pytest.fail("allocated for an oversize range")
+
+        monkeypatch.setattr(approximants, "lambda_R_range", fail)
+        monkeypatch.setattr(approximants, "lambda_R_range_exact", fail)
+        monkeypatch.setattr(correlations, "tables_for", fail)
+        pair = ShiftPattern((0, 2), (1, 1))
+        for call in (
+            lambda: s_k(3 * 10**9, pair, 10),
+            lambda: s_k(TABLE_MAX - 1, pair, 10),
+            lambda: s_k(TABLE_MAX // 2 + 1, ShiftPattern((0,), (1,)), 10, primed_range=True),
+            lambda: s_k(3 * 10**9, pair, 10, exact=True),
+            lambda: s_tilde_k(3 * 10**9, pair, 10),
+            lambda: psi_tuple(3 * 10**9, (0, 2)),
+        ):
+            with pytest.raises(ValueError, match="beyond"):
+                call()
+
+
 class TestSTildeK:
-    def test_against_direct_oracle(self, tables_small):
+    def test_against_direct_oracle(self):
         """S~_k keeps lambda_R on the leading shifts and the true von
         Mangoldt Lambda on the last shift."""
         rng = np.random.default_rng(SEED + 1)
@@ -123,7 +149,7 @@ class TestSTildeK:
             shifts = tuple(sorted({int(s) for s in rng.integers(0, 5, size=2)}))
             mults = (1,) * len(shifts)
             pattern = ShiftPattern(shifts, mults)
-            res = s_tilde_k(N, pattern, R, tables_small)
+            res = s_tilde_k(N, pattern, R)
             brute = 0.0
             for n in range(1, N + 1):
                 term = 1.0
@@ -137,13 +163,13 @@ class TestSTildeK:
         """S~_1(N, (j)) = psi(N + j) - psi(j)."""
         N = 4000
         for j in (0, 2, 9):
-            res = s_tilde_k(N, ShiftPattern((j,), (1,)), 10, tables_small)
+            res = s_tilde_k(N, ShiftPattern((j,), (1,)), 10)
             expected = tables_small.psi_prefix[N + j] - tables_small.psi_prefix[j]
             assert abs(res.computed - expected) < 1e-9
 
-    def test_last_multiplicity_must_be_one(self, tables_small):
+    def test_last_multiplicity_must_be_one(self):
         with pytest.raises(ValueError):
-            s_tilde_k(100, ShiftPattern((0, 2), (1, 2)), 8, tables_small)
+            s_tilde_k(100, ShiftPattern((0, 2), (1, 2)), 8)
 
 
 class TestS2Reduced:
@@ -222,10 +248,10 @@ class TestPsiTuple:
             shifts = tuple(sorted({int(s) for s in rng.integers(0, 8, size=2)}))
             brute = sum(float(np.prod([lam[n + j] for j in shifts]))
                         for n in range(1, N + 1))
-            assert abs(psi_tuple(N, shifts, tables_small) - brute) < 1e-9
+            assert abs(psi_tuple(N, shifts) - brute) < 1e-9
 
     def test_single_shift_is_psi(self, tables_small):
         """psi_(0)(N) = psi(N)."""
         N = 5000
-        got = psi_tuple(N, (0,), tables_small)
+        got = psi_tuple(N, (0,))
         assert abs(got - tables_small.psi_prefix[N]) < 1e-9

@@ -18,7 +18,6 @@ import sympy
 
 from primelab import (
     MonicPolyPair,
-    build_tables,
     constant_C,
     lemma1,
     lemma2,
@@ -73,7 +72,7 @@ def slice_sieve_mult_values(fvals: np.ndarray, x: int) -> np.ndarray:
 
 
 class TestMultiplicativeValues:
-    def test_matches_naive_oracle_exactly(self, tables_small):
+    def test_matches_naive_oracle_exactly(self):
         """The sieved evaluation is bit-for-bit equal to the per-n product
         (both multiply the same factors in ascending prime order)."""
         rng = np.random.default_rng(SEED)
@@ -82,16 +81,16 @@ class TestMultiplicativeValues:
             fvals = np.zeros(x + 1)
             primes = [p for p in sympy.primerange(2, x + 1)]
             fvals[primes] = rng.normal(size=len(primes))
-            got = multiplicative_values(fvals, x, tables=tables_small)
+            got = multiplicative_values(fvals, x)
             expected = naive_mult_values(fvals, x)
             assert np.array_equal(got, expected)
 
-    def test_byte_equal_to_slice_sieve(self, tables_small, monkeypatch):
+    def test_byte_equal_to_slice_sieve(self, monkeypatch):
         """Byte-for-byte equal to the slice-sieve evaluation, signed zeros
         included: factors may be negative, +0.0 or -0.0 (excluded primes).
-        Also with small recurrence blocks, and with tables built on demand."""
+        Also at smaller x and with small recurrence blocks."""
         rng = np.random.default_rng(SEED + 1)
-        x = tables_small.n_max
+        x = 20_100
         primes = np.array(list(sympy.primerange(2, x + 1)))
         for trial in range(4):
             fvals = np.zeros(x + 1)
@@ -100,13 +99,13 @@ class TestMultiplicativeValues:
             fvals[excluded] = -0.0 if trial % 2 else 0.0
             fvals[2] = -0.0  # as in Lemma 2, where -(p-2)/(p(p-1)) at p = 2
             want = slice_sieve_mult_values(fvals, x)
-            got = multiplicative_values(fvals, x, tables=tables_small)
+            got = multiplicative_values(fvals, x)
             assert got.tobytes() == want.tobytes()
             for top in (1, 2, 3, 1023, 1024, 1025):
                 got = multiplicative_values(fvals, top)
                 assert got.tobytes() == want[: top + 1].tobytes(), top
         monkeypatch.setattr(tables_mod, "BLOCK_MAX", 64)
-        got = multiplicative_values(fvals, x, tables=tables_small)
+        got = multiplicative_values(fvals, x)
         assert got.tobytes() == want.tobytes()
 
     def test_ladder_sums_prefixes(self):
@@ -119,6 +118,31 @@ class TestMultiplicativeValues:
         assert m_of(1) == 1.0
         assert abs(m_of(6) - (1 + 1 / math.sqrt(2)) * (1 + 1 / math.sqrt(3))) < 1e-15
         assert abs(m_of(6) - 2.69270526) < 1e-7
+
+
+class TestOversizeLadder:
+    def test_refused_before_allocating(self, monkeypatch):
+        """A top rung beyond tables.TABLE_MAX is refused before any prime
+        list or table is allocated."""
+        from primelab import constants, lemmas
+
+        def fail(*args, **kwargs):
+            pytest.fail("allocated for an oversize ladder")
+
+        for mod in (constants, lemmas):
+            monkeypatch.setattr(mod, "primes_up_to", fail)
+        monkeypatch.setattr(lemmas, "tables_for", fail)
+        ladder = (10, tables_mod.TABLE_MAX + 1)
+        for call in (
+            lambda: lemma1(HILDEBRAND_POLY_PAIR, 1, ladder),
+            lambda: lemma2(ladder),
+            lambda: lemma3(ladder),
+            lambda: lemma4(2, 1, ladder),
+            lambda: lemma4_log(2, ladder),
+            lambda: lemma5(6, 1, ladder),
+        ):
+            with pytest.raises(ValueError, match="beyond"):
+                call()
 
 
 class TestMonicPolyPair:
@@ -138,52 +162,52 @@ class TestMonicPolyPair:
 
 
 class TestLemma1:
-    def test_hildebrand_lhs_is_script_L(self, tables_small):
+    def test_hildebrand_lhs_is_script_L(self):
         """With P1 = 1, P2 = x - 1, k = 1 the LHS is the Hildebrand sum."""
-        rep = lemma1(HILDEBRAND_POLY_PAIR, 1, (100, 2000, 10_000), tables_small)
+        rep = lemma1(HILDEBRAND_POLY_PAIR, 1, (100, 2000, 10_000))
         for x, lhs in zip(rep.x_ladder, rep.lhs):
             assert abs(lhs - script_L_float(x)) < 1e-9, x
 
-    def test_hildebrand_main_shared(self, tables_small):
+    def test_hildebrand_main_shared(self):
         """The lemma's main term is bit-for-bit the dedicated Hildebrand
         main-term evaluation (same cached Euler-product parts)."""
-        rep = lemma1(HILDEBRAND_POLY_PAIR, 1, (1000, 10_000), tables_small)
+        rep = lemma1(HILDEBRAND_POLY_PAIR, 1, (1000, 10_000))
         for x, main in zip(rep.x_ladder, rep.main):
             assert main == hildebrand_main(float(x), 1), x
 
-    def test_scaled_errors_bounded(self, tables_small):
+    def test_scaled_errors_bounded(self):
         """(lhs - main) sqrt(x) / m(k) stays O(1) on the ladder."""
         for k in (1, 6, 30):
-            rep = lemma1(HILDEBRAND_POLY_PAIR, k, (1000, 10_000), tables_small)
+            rep = lemma1(HILDEBRAND_POLY_PAIR, k, (1000, 10_000))
             for sc in rep.scaled_error:
                 assert abs(sc) < 5.0, (k, rep.scaled_error)
 
-    def test_cubic_pair_runs(self, tables_small):
-        rep = lemma1(CUBIC_POLY_PAIR, 1, (1000, 10_000), tables_small)
+    def test_cubic_pair_runs(self):
+        rep = lemma1(CUBIC_POLY_PAIR, 1, (1000, 10_000))
         assert all(math.isfinite(v) for v in rep.lhs)
         assert all(math.isfinite(v) for v in rep.scaled_error)
 
-    def test_coprimality_drops_terms(self, tables_small):
+    def test_coprimality_drops_terms(self):
         """k = 6 kills every n sharing a factor with 6: lhs(k=6) < lhs(k=1)."""
-        r1 = lemma1(HILDEBRAND_POLY_PAIR, 1, (10_000,), tables_small)
-        r6 = lemma1(HILDEBRAND_POLY_PAIR, 6, (10_000,), tables_small)
+        r1 = lemma1(HILDEBRAND_POLY_PAIR, 1, (10_000,))
+        r6 = lemma1(HILDEBRAND_POLY_PAIR, 6, (10_000,))
         assert r6.lhs[0] < r1.lhs[0]
 
 
 class TestLemma2:
-    def test_anchors_and_sup(self, tables_small):
+    def test_anchors_and_sup(self):
         """S(1) = S(2) = 1 are the extreme prefix values; sup |S| = 1."""
-        rep = lemma2((1000, 10_000), tables_small)
+        rep = lemma2((1000, 10_000))
         extras = dict(rep.extras)
         assert extras["sup_abs"] == 1.0
 
-    def test_partial_sums_shrink(self, tables_small):
+    def test_partial_sums_shrink(self):
         """S(x) -> 0: |S| decreases along a decade-spaced ladder."""
-        rep = lemma2((100, 1000, 10_000), tables_small)
+        rep = lemma2((100, 1000, 10_000))
         mags = [abs(v) for v in rep.lhs]
         assert mags[2] < mags[1] < mags[0]
 
-    def test_weights_definition(self, tables_small):
+    def test_weights_definition(self):
         """S(x) = sum_{n <= x} mu^2(n) f(n), f(p) = -(p-2)/(p(p-1)), which
         auto-vanishes at p = 2; brute force at x = 200."""
         brute = 1.0  # n = 1 term
@@ -195,14 +219,14 @@ class TestLemma2:
             for p in fac:
                 term *= -(p - 2) / (p * (p - 1))
             brute += term
-        rep = lemma2((200,), tables_small)
+        rep = lemma2((200,))
         assert abs(rep.lhs[0] - brute) < 1e-12
 
 
 class TestLemma3:
-    def test_exact_small_anchor(self, tables_small):
+    def test_exact_small_anchor(self):
         """At x = 3 only n in {1, 2, 3} contribute; frozen exact value."""
-        rep = lemma3((3,), tables_small)
+        rep = lemma3((3,))
         assert abs(rep.lhs[0] - 9.243490634207287) < 1e-12
 
     def test_euler_product_constant(self):
@@ -210,11 +234,11 @@ class TestLemma3:
         frozen value at the default cut."""
         assert abs(euler_P1(10**6) - 0.7048964292158758) < 1e-12
 
-    def test_fit_predict_next_rung(self, tables_e6):
+    def test_fit_predict_next_rung(self):
         """The scaled sum L(x)/(sqrt(x) log^2 x) approaches P(1) like
         P1 (1 + D/log x + E/log^2 x): fitting D, E on rungs (1e4, 1e5)
         predicts the 1e6 ratio to a few parts in 1e3."""
-        rep = lemma3((10**4, 10**5, 10**6), tables_e6)
+        rep = lemma3((10**4, 10**5, 10**6))
         p1 = dict(rep.extras)["euler_P1"]
         ratios = [sc + p1 for sc in rep.scaled_error]
         logs = [math.log(x) for x in rep.x_ladder]
@@ -230,65 +254,65 @@ class TestLemma3:
 
 
 class TestLemma4:
-    def test_even_main_is_twin_series(self, tables_small):
+    def test_even_main_is_twin_series(self):
         """j = 2, k = 1: the main constant is S_2(2) = 2 C_2 up to the
         p_cut truncation of the dedicated evaluator."""
-        rep = lemma4(2, 1, (10_000,), tables_small)
+        rep = lemma4(2, 1, (10_000,))
         main_const = dict(rep.extras)["main_constant"]
         assert abs(main_const - singular_Sn(2, 2).value) < 1e-6
 
-    def test_vanishing_when_j_shares_k(self, tables_small):
+    def test_vanishing_when_j_shares_k(self):
         """gcd interplay: j = 3, k = 5 makes the main term vanish and the
         sum itself nearly zero."""
-        rep = lemma4(3, 5, (10_000,), tables_small)
+        rep = lemma4(3, 5, (10_000,))
         assert rep.main[0] == 0.0
         assert abs(rep.lhs[0]) < 1e-4
 
-    def test_scaled_errors_bounded(self, tables_small):
-        rep = lemma4(2, 1, (1000, 10_000), tables_small)
+    def test_scaled_errors_bounded(self):
+        rep = lemma4(2, 1, (1000, 10_000))
         for sc in rep.scaled_error:
             assert abs(sc) < 1.0
 
-    def test_log_variant_even(self, tables_e6):
+    def test_log_variant_even(self):
         """2 | j: lhs -> S_2(j) [sum_{p not | j} log p/(p(p-2))
         - sum_{p | j} log p / p]; observed agreement ~1e-7 at x = 1e6."""
-        rep = lemma4_log(2, (10**6,), tables_e6)
+        rep = lemma4_log(2, (10**6,))
         assert abs(rep.lhs[0] - rep.main[0]) < 1e-6
 
-    def test_log_variant_odd(self, tables_e6):
+    def test_log_variant_odd(self):
         """2 not | j: lhs -> S_2(2j) log 2 / 2."""
-        rep = lemma4_log(1, (10**6,), tables_e6)
+        rep = lemma4_log(1, (10**6,))
         assert abs(rep.lhs[0] - rep.main[0]) < 1e-6
         expected = singular_Sn(2, 2).value * math.log(2) / 2
         assert abs(rep.main[0] - expected) < 1e-12
 
 
 class TestLemma5:
-    def test_main_is_three_C3(self, tables_small):
+    def test_main_is_three_C3(self):
         """J = 6, k = 1: the main constant equals 3 C_3."""
-        rep = lemma5(6, 1, (10_000,), tables_small)
+        rep = lemma5(6, 1, (10_000,))
         main_const = dict(rep.extras)["main_constant"]
         assert abs(main_const - 3 * constant_C(3).value) < 1e-12
 
-    def test_converges_at_scale(self, tables_e6):
+    def test_converges_at_scale(self):
         """lhs approaches the main constant: relative gap < 1% at x = 1e6."""
-        rep = lemma5(6, 1, (10**6,), tables_e6)
+        rep = lemma5(6, 1, (10**6,))
         assert abs(rep.lhs[0] / rep.main[0] - 1) < 0.01
 
-    def test_zero_unless_3_divides_J_and_k_odd(self, tables_small):
+    def test_zero_unless_3_divides_J_and_k_odd(self):
         """Main term vanishes when 2 | k or 3 not | J."""
-        rep = lemma5(6, 2, (10_000,), tables_small)
+        rep = lemma5(6, 2, (10_000,))
         assert rep.main[0] == 0.0
-        rep = lemma5(2, 1, (10_000,), tables_small)
+        rep = lemma5(2, 1, (10_000,))
         assert rep.main[0] == 0.0
-        rep = lemma5(4, 1, (10_000,), tables_small)
+        rep = lemma5(4, 1, (10_000,))
         assert rep.main[0] == 0.0
 
-    def test_preconditions(self, tables_small):
+    def test_preconditions(self):
         with pytest.raises(ValueError):
-            lemma5(5, 1, (1000,), tables_small)  # J odd
+            lemma5(5, 1, (1000,))  # J odd
         with pytest.raises(ValueError):
-            lemma5(6, 4, (1000,), tables_small)  # k does not divide J
+            lemma5(6, 4, (1000,))  # k does not divide J
 
 
 class TestMultIdentity:

@@ -16,7 +16,6 @@ import pytest
 import sympy
 
 from primelab import (
-    build_tables,
     coupled_C,
     first_moment_identity,
     h_from_lambda,
@@ -100,13 +99,13 @@ class TestGroupingIdentity:
         via = expand_via_correlations(2000, 6, 15, 3)
         assert abs(direct.computed - via) < 1e-10 * abs(direct.computed)
 
-    def test_exact_path_stays_integer(self, tables_small):
+    def test_exact_path_stays_integer(self):
         """Exact mode never passes through floats: every lambda_R value is a
         Python int, and the exact sums are Fractions."""
         from primelab import ShiftPattern, build_weights, lambda_R_range_exact, s_k
         vals = lambda_R_range_exact(600, build_weights(12, exact=True))
         assert all(type(v) is int for v in vals)
-        res = s_k(500, ShiftPattern((0, 2), (2, 1)), 12, tables_small, exact=True)
+        res = s_k(500, ShiftPattern((0, 2), (2, 1)), 12, exact=True)
         assert type(res.exact_value) is Fraction
         rep = moment_psiR(500, 4, 12, 2, exact=True, expand=True)
         assert type(rep.computed) is Fraction
@@ -117,7 +116,7 @@ class TestGroupingIdentity:
         rep = moment_psiR(800, 4, 10, 2, exact=True, expand=True, primed=True)
         assert rep.computed == rep.via_correlations
 
-    def test_brute_force_window_sum(self, tables_small):
+    def test_brute_force_window_sum(self):
         """M_k = sum_{n <= N} (sum_{n < m <= n+h} lambda_R(m))^k by loops."""
         from primelab import build_weights, lambda_R_range
         N, h, R, k = 300, 5, 9, 2
@@ -129,11 +128,11 @@ class TestGroupingIdentity:
 
 
 class TestFirstMomentIdentity:
-    def test_routes_agree_exactly(self, tables_small):
+    def test_routes_agree_exactly(self):
         """Direct window sum, three-piece split, and psi-form evaluation
         agree at the level of integer log-coefficient vectors."""
         for N, h in ((2000, 30), (5000, 11), (9973, 100)):
-            rep = first_moment_identity(N, h, tables_small)
+            rep = first_moment_identity(N, h)
             assert rep.exact_equal_12, (N, h)
             assert rep.exact_equal_13, (N, h)
             assert rep.max_abs_diff < 1e-7
@@ -143,16 +142,16 @@ class TestFirstMomentIdentity:
         N, h = 400, 9
         lam = tables_small.lam
         brute = sum(float(lam[n + 1:n + h + 1].sum()) for n in range(1, N + 1))
-        rep = first_moment_identity(N, h, tables_small)
+        rep = first_moment_identity(N, h)
         assert abs(rep.direct - brute) < 1e-9
 
 
 class TestMomentPsi:
-    def test_first_moment_near_hN(self, tables_e6):
+    def test_first_moment_near_hN(self):
         """M_1 = sum of psi-windows ~ h N by the prime number theorem."""
         N = 10**6
         h = h_from_lambda(N, 1.0)
-        rep = moment_psi(N, h, 1, tables_e6)
+        rep = moment_psi(N, h, 1)
         assert abs(rep.computed / (h * N) - 1) < 0.02
 
     def test_gallagher_prediction_formula(self):
@@ -167,7 +166,7 @@ class TestMomentPsi:
         N, h, k = 600, 7, 2
         lam = tables_small.lam
         brute = sum(float(lam[n + 1:n + h + 1].sum()) ** k for n in range(1, N + 1))
-        rep = moment_psi(N, h, k, tables_small)
+        rep = moment_psi(N, h, k)
         assert abs(rep.computed - brute) < 1e-9
 
     def test_centered_moment_against_brute(self, tables_small):
@@ -175,7 +174,7 @@ class TestMomentPsi:
         lam = tables_small.lam
         brute = sum((float(lam[n + 1:n + h + 1].sum()) - h) ** k
                     for n in range(1, N + 1))
-        rep = moment_psi(N, h, k, tables_small, centered=True)
+        rep = moment_psi(N, h, k, centered=True)
         assert rep.centered
         assert abs(rep.computed - brute) < 1e-9
 
@@ -186,24 +185,24 @@ class TestMomentPsi:
         expected = 3 * N * (h * math.log(N / h)) ** 2
         assert abs(ms_prediction(N, h, 4) / expected - 1) < 1e-12
 
-    def test_gallagher_cell_desk_scale(self, tables_e6):
+    def test_gallagher_cell_desk_scale(self):
         """Second uncentered moment vs Gallagher at N = 2e6, lambda = 2.
 
         Observed residual ~ -0.13 at this cell (slow log convergence);
         frozen soft tolerance 0.25."""
         N = 2 * 10**6
         h = h_from_lambda(N, 2.0)
-        rep = moment_psi(N, h, 2, tables_e6)
+        rep = moment_psi(N, h, 2)
         assert rep.predicted is not None
         assert abs(rep.prediction_residual) < 0.25
 
-    def test_centered_cell_desk_scale(self, tables_e6):
+    def test_centered_cell_desk_scale(self):
         """Centered second moment vs (k-1)!! N (h log(N/h))^{k/2}.
 
         Observed residual ~ -0.22 at N = 2e6, lambda = 2; tolerance 0.35."""
         N = 2 * 10**6
         h = h_from_lambda(N, 2.0)
-        rep = moment_psi(N, h, 2, tables_e6, centered=True)
+        rep = moment_psi(N, h, 2, centered=True)
         assert abs(rep.prediction_residual) < 0.35
 
 
@@ -247,27 +246,27 @@ class TestMixedMoment:
             float(lamR[n + 1:n + h + 1].sum()) ** (k - 1)
             * float(lam[n + 1:n + h + 1].sum())
             for n in range(1, N + 1))
-        rep = mixed_moment(N, h, R, k, tables_small)
+        rep = mixed_moment(N, h, R, k)
         assert abs(rep.computed - brute) < 1e-9 * max(1.0, abs(brute))
 
-    def test_expansion_residual_small(self, tables_small):
+    def test_expansion_residual_small(self):
         """The mixed expansion drops an O(R N^eps) boundary piece, leaving
         a small reported (never asserted-zero) residual relative to the
         moment itself."""
         N, h, R = 10_000, 9, 40
         for k in (2, 3):
-            rep = mixed_moment(N, h, R, k, tables_small)
+            rep = mixed_moment(N, h, R, k)
             assert rep.via_correlations is not None
             assert abs(rep.expansion_residual) < 0.05 * abs(rep.computed), k
 
-    def test_prediction_cells_desk_scale(self, tables_e6):
+    def test_prediction_cells_desk_scale(self):
         """Mixed predictions (no 3/4 on the k = 3 diagonal): residuals
         observed ~ -0.15 at the frozen cells; tolerance 0.25."""
         N = 10**6
         R = int(round(N ** 0.25))
-        rep2 = mixed_moment(N, h_from_lambda(N, 1.0), R, 2, tables_e6)
+        rep2 = mixed_moment(N, h_from_lambda(N, 1.0), R, 2)
         assert abs(rep2.prediction_residual) < 0.25
-        rep3 = mixed_moment(N, h_from_lambda(N, 5.0), R, 3, tables_e6)
+        rep3 = mixed_moment(N, h_from_lambda(N, 5.0), R, 3)
         assert abs(rep3.prediction_residual) < 0.25
 
 
@@ -290,23 +289,23 @@ class TestOmegaExperiment:
             assert m2 == ref2
             assert m3 == ref3
 
-    def test_identity_residuals_small_cell(self, tables_small):
+    def test_identity_residuals_small_cell(self):
         """Both expansion identities hold to rounding (relative residuals)."""
         N, h, R = 8000, 35, 100
-        exp = omega_experiment(N, h, R, 0.3, -0.5, tables_small)
+        exp = omega_experiment(N, h, R, 0.3, -0.5)
         assert 0 <= exp.identity_residual_2 < 1e-9
         assert 0 <= exp.identity_residual_3 < 1e-9
 
-    def test_precondition_A_below_h(self, tables_small):
+    def test_precondition_A_below_h(self):
         """A = sqrt(h log N) must stay below h."""
         with pytest.raises(ValueError):
-            omega_experiment(8000, 5, 100, 0.3, -0.5, tables_small)
+            omega_experiment(8000, 5, 100, 0.3, -0.5)
 
-    def test_degenerate_offsets_vanish(self, tables_small):
+    def test_degenerate_offsets_vanish(self):
         """rho = C = 0 collapses both offsets to h: m2, m3 become the plain
         centered-window cross moments."""
         N, h, R = 8000, 40, 100
-        exp = omega_experiment(N, h, R, 0.0, 0.0, tables_small)
+        exp = omega_experiment(N, h, R, 0.0, 0.0)
         assert exp.A > 0
         assert math.isfinite(exp.m2) and math.isfinite(exp.m3)
 
@@ -319,22 +318,35 @@ class TestOmegaExperiment:
         with pytest.raises(ValueError):
             coupled_C(0.25, 0.12, 0.0)
 
-    def test_predicted_m3_sign_reported(self, tables_small):
+    def test_predicted_m3_sign_reported(self):
         """The prediction is attached and finite; its sign is reported,
         never asserted (the asymptotic regime is unreachable)."""
         N, h, R = 8000, 35, 100
-        exp = omega_experiment(N, h, R, 0.3, -0.5, tables_small)
+        exp = omega_experiment(N, h, R, 0.3, -0.5)
         assert math.isfinite(exp.predicted_m3)
+
+
+class TestTableFetches:
+    @pytest.mark.parametrize("call", [
+        lambda: mixed_moment(3000, 10, 20, 3),
+        lambda: first_moment_identity(3000, 10),
+        lambda: omega_experiment(8000, 35, 100, 0.3, -0.5),
+    ], ids=["mixed_moment", "first_moment_identity", "omega_experiment"])
+    def test_lambda_derived_once_per_call(self, monkeypatch, call):
+        """One table fetch serves both the Lambda and the psi reads."""
+        from primelab import tables
+        real = tables._von_mangoldt
+        calls = []
+        monkeypatch.setattr(tables, "_von_mangoldt",
+                            lambda spf: calls.append(spf.size) or real(spf))
+        call()
+        assert len(calls) == 1
 
 
 class TestMomentGuards:
     def test_bad_k_raises(self):
         with pytest.raises(ValueError):
             moment_psiR(100, 4, 8, 0)
-
-    def test_window_exceeding_tables_raises(self, tables_small):
-        with pytest.raises(ValueError):
-            moment_psi(tables_small.n_max, 50, 2, tables_small)
 
     def test_exact_requires_modest_R(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ anchors (pi(10^4), M(10^4), psi(10^4), ...).
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -134,6 +135,27 @@ class TestBuildTables:
         want = np.cumsum(tb.lam.astype(np.longdouble)).astype(np.float64)
         assert tb.psi_prefix.tobytes() == want.tobytes()
 
+    def test_psi_from_primes_matches_psi_prefix(self, monkeypatch):
+        """psi(n) summed over the prime powers alone is bit for bit
+        psi_prefix[n]: around the block boundaries of the prefix sum, and at
+        every n <= 3000 with blocks of 64 entries."""
+        b = tables_mod.BLOCK_MAX
+        tb = build_tables(3 * b + 7)
+        primes = np.flatnonzero(tb.spf[2:] == np.arange(2, tb.n_max + 1)) + 2
+
+        def psi(n):
+            return tables_mod.psi_from_primes(primes[primes <= n], n)
+
+        rng = np.random.default_rng(SEED)
+        ns = {0, 1, 2, 3, 4, b - 1, b, b + 1, 2 * b, 3 * b + 7}
+        ns |= {int(n) for n in rng.integers(5, 3 * b + 7, size=200)}
+        for n in sorted(ns):
+            assert psi(n) == tb.psi_prefix[n], n
+        monkeypatch.setattr(tables_mod, "BLOCK_MAX", 64)
+        small = build_tables(3000)
+        for n in range(3001):
+            assert psi(n) == small.psi_prefix[n], n
+
     def test_rejects_bad_n_max(self):
         import pytest
         with pytest.raises(ValueError):
@@ -251,6 +273,20 @@ class TestProvider:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "other.bin", "primelab_tables_3000.bin"]
         assert_same_tables(tables_mod.tables_for(1000), build_tables(1000))
+
+    def test_library_functions_take_no_tables(self):
+        """The computing modules fetch their own tables: no public function
+        of theirs has a parameter annotated ArithTables."""
+        from primelab import correlations, lemmas, moments
+        takers = [
+            f"{mod.__name__}.{name}({param.name})"
+            for mod in (correlations, moments, lemmas)
+            for name, fn in inspect.getmembers(mod, inspect.isfunction)
+            if fn.__module__ == mod.__name__ and not name.startswith("_")
+            for param in inspect.signature(fn).parameters.values()
+            if "ArithTables" in str(param.annotation)
+        ]
+        assert takers == []
 
     def test_file_removed_after_listing_is_looked_up_again(self, tmp_path, monkeypatch):
         """Another process may replace the file chosen between the listing
