@@ -242,6 +242,8 @@ def _cmd_sieve(args) -> int:
 
 def _cmd_lambda(args) -> int:
     R, n = args.r, args.n
+    if n > tables.TABLE_MAX:
+        raise ValueError(f"n={n} is beyond {tables.TABLE_MAX}")
     weights = approximants.build_weights(R, exact=args.exact)
     lam = approximants.lambda_R_range(n, weights)
     big = approximants.biglambda_R_range(n, R)

@@ -7,11 +7,13 @@ per-prime factors,
                                                          folded into f),
 
 so a single sieved evaluator (``multiplicative_values``) serves all five:
-it fills v[n] = mu^2(n) prod_{p|n} f(p) for n <= x from an array of
-per-prime factor values, with excluded primes (p | k) encoded as f(p) = 0.
-Each lemma then supplies its factor array, its closed-form main term
-(Euler products and prime log-sums truncated at a recorded p_cut), and the
-normalization under which the error is expected to stay bounded:
+it fills v[n] = mu^2(n) prod_{p|n} f(p) for n <= x from a factor function,
+which maps an array of primes to their factors f(p), with excluded primes
+(p | k) encoded as f(p) = 0.  Each lemma then supplies its factor function
+(``_factor``: one formula on the primes, with values overridden at the
+primes dividing j or k), its closed-form main term (Euler products and
+prime log-sums truncated at a recorded p_cut), and the normalization under
+which the error is expected to stay bounded:
 
   1.  sum_{(n,k)=1} mu^2(n) prod P1(p)/P2(p)
         = K1 * K_k * (log x + gamma + S1 + S_k) + O(m(k)/sqrt(x)),
@@ -41,6 +43,7 @@ from .constants import CONST_P_CUT, DEFAULT_P_CUT, EULER_GAMMA, primes_up_to
 from .singular import constant_C, singular_Sn
 from .tables import (
     TABLE_MAX,
+    cumsum_blocks,
     dyadic_blocks,
     prime_divisors,
     squarefree_kernel,
@@ -149,34 +152,57 @@ def _check_ladder(x_ladder: Sequence[int]) -> tuple[int, ...]:
 # shared sieved evaluator
 
 
-def multiplicative_values(fvals: np.ndarray, x: int) -> np.ndarray:
-    """v[n] = mu^2(n) * prod_{p|n} fvals[p] for 0 <= n <= x (v[0]=0, v[1]=1).
+#: a factor function: an int array of primes -> their float64 factors
+FactorFn = Callable[[np.ndarray], np.ndarray]
 
-    ``fvals`` is indexed by prime; entries at excluded primes should be 0.
-    The dyadic-block recurrence of ``tables`` fills v block by block: with
-    P = lpf(n) the largest prime factor, v[n] = v[n/P] * fvals[P] for
-    squarefree n and 0.0 otherwise, where lpf(n) = max(spf(n), lpf(n/spf(n))).
-    Keying on the largest prime multiplies the factors in ascending-prime
-    order, so v[n] is bit-for-bit the left-to-right product.  spf and mu
-    come from ``tables_for(x)``.
+
+def multiplicative_values(f: FactorFn, x: int) -> np.ndarray:
+    """v[n] = mu^2(n) * prod_{p|n} f(p) for 0 <= n <= x (v[0]=0, v[1]=1).
+
+    ``f`` maps an int32 array of primes to their float64 factors, element
+    by element; excluded primes should map to 0.  The dyadic-block
+    recurrence of ``tables`` fills v block by block: with P = lpf(n) the
+    largest prime factor, v[n] = v[n/P] * f(P) for squarefree n and 0.0
+    otherwise, where lpf(n) = max(spf(n), lpf(n/spf(n))).  f is evaluated
+    on each block's lpf array, so no x-entry factor array is built; it sees
+    every n of the block, p = 2 and non-squarefree n included, and must not
+    raise floating-point warnings there.  lpf is kept only up to x/2, the
+    largest n/spf(n) that is read.  Keying on the largest prime multiplies
+    the factors in ascending-prime order, so v[n] is bit-for-bit the
+    left-to-right product.  spf and mu come from ``tables_for(x)``.
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    if fvals.shape[0] < x + 1:
-        raise ValueError(f"fvals must cover indices up to {x}")
     tables = tables_for(x)
     spf, mu = tables.spf, tables.mu
     out = np.empty(x + 1, dtype=np.float64)
     out[0] = 0.0
     out[1] = 1.0
-    lpf = np.empty(x + 1, dtype=np.int32)
+    lpf = np.empty(max(x // 2, 1) + 1, dtype=np.int32)
     lpf[1] = 1
     for lo, hi in dyadic_blocks(x):
         k = np.arange(lo, hi, dtype=np.int32)
         big = np.maximum(lpf[k // spf[lo:hi]], spf[lo:hi])
-        lpf[lo:hi] = big
-        out[lo:hi] = np.where(mu[lo:hi] != 0, out[k // big] * fvals[big], 0.0)
+        kept = lpf[lo:hi]  # empty once lo > x/2
+        kept[:] = big[: kept.size]
+        out[lo:hi] = np.where(mu[lo:hi] != 0, out[k // big] * f(big), 0.0)
     return out
+
+
+def _factor(
+    generic: Callable[[np.ndarray], np.ndarray],
+    overrides: Sequence[tuple[int, float]] = (),
+) -> FactorFn:
+    """The factor function generic(p) on the primes as float64, with the
+    value v at each p of ``overrides`` instead (a later pair wins)."""
+
+    def f(ps: np.ndarray) -> np.ndarray:
+        out = generic(ps.astype(np.float64))
+        for p, v in overrides:
+            out[ps == p] = v
+        return out
+
+    return f
 
 
 def ladder_sums(
@@ -230,16 +256,12 @@ def lemma1(
     x_max = ladder[-1]
     pair.ensure_nonvanishing(x_max)
 
-    ps = primes_up_to(x_max).astype(np.float64)
-    v1 = constants.poly_eval_array(pair.p1, ps)
-    v2 = constants.poly_eval_array(pair.p2, ps)
-    fv = np.zeros(x_max + 1, dtype=np.float64)
-    fv[ps.astype(np.int64)] = v1 / v2
-    for p in prime_divisors(k):
-        if p <= x_max:
-            fv[p] = 0.0
-
-    vals = multiplicative_values(fv, x_max)
+    f = _factor(
+        lambda ps: constants.poly_eval_array(pair.p1, ps)
+        / constants.poly_eval_array(pair.p2, ps),
+        [(p, 0.0) for p in prime_divisors(k)],
+    )
+    vals = multiplicative_values(f, x_max)
     lhs = ladder_sums(vals, ladder)
 
     k1, s1 = constants.poly_pair_parts(pair.p1, pair.p2, p_cut)
@@ -280,17 +302,18 @@ def lemma2(x_ladder: Sequence[int]) -> LemmaReport:
     """
     ladder = _check_ladder(x_ladder)
     x_max = ladder[-1]
-    ps = primes_up_to(x_max)
-    psf = ps.astype(np.float64)
-    fv = np.zeros(x_max + 1, dtype=np.float64)
     # mu(n) folded in: f(p) = -(p-2)/(p(p-1)); the p=2 factor is 0 since
     # phi_2(2) = 0, which the formula produces on its own.
-    fv[ps] = -(psf - 2.0) / (psf * (psf - 1.0))
-    vals = multiplicative_values(fv, x_max)
+    f = _factor(lambda ps: -(ps - 2.0) / (ps * (ps - 1.0)))
+    vals = multiplicative_values(f, x_max)
     lhs = ladder_sums(vals, ladder)
-    running = np.cumsum(vals)[1:]
-    # max |S(t)| without an |S| temporary: at x = 1e7 that is 80 MB
-    sup_abs = float(max(running.max(), -running.min()))
+    # sup_{t >= 1} |S(t)| from a streamed running sum: the additions of
+    # np.cumsum(vals), without its x-entry output or an |S| temporary
+    top, bottom = -math.inf, math.inf
+    for _lo, _hi, run in cumsum_blocks(vals[1:], np.float64):
+        top = max(top, run.max())
+        bottom = min(bottom, run.min())
+    sup_abs = float(max(top, -bottom))
     extras = [("sup_abs", sup_abs)]
     for i, (a, b) in enumerate(zip(lhs, lhs[1:])):
         extras.append((f"cauchy_{i}", abs(b - a)))
@@ -337,12 +360,8 @@ def lemma3(
     if ladder[0] < 2:
         raise ValueError("lemma3 normalization needs x >= 2 (log^2 x > 0)")
     x_max = ladder[-1]
-    ps = primes_up_to(x_max)
-    psf = ps.astype(np.float64)
-    rt = np.sqrt(psf)
-    fv = np.zeros(x_max + 1, dtype=np.float64)
-    fv[ps] = (3.0 * psf - 4.0) / ((psf - 1.0) * (rt - 1.0))
-    vals = multiplicative_values(fv, x_max)
+    f = _factor(lambda ps: (3.0 * ps - 4.0) / ((ps - 1.0) * (np.sqrt(ps) - 1.0)))
+    vals = multiplicative_values(f, x_max)
     lhs = ladder_sums(vals, ladder)
     p1 = euler_P1(p_cut)
     main = tuple(p1 * math.sqrt(x) * math.log(x) ** 2 for x in ladder)
@@ -364,22 +383,16 @@ def lemma3(
 # Lemma 4: the C_2-limit sums and the log-weighted variant
 
 
-def _lemma4_fvals(j: int, k: int, x_max: int) -> np.ndarray:
+def _lemma4_factor(j: int, k: int) -> FactorFn:
     """Per-prime factors of mu(n) mu.phi((n,j)) / phi^2(n) with (n,k)=1:
 
     p | k -> 0 (excluded);  p | j -> +1/(p-1);  else -> -1/(p-1)^2.
     """
-    ps = primes_up_to(x_max)
-    psf = ps.astype(np.float64)
-    fv = np.zeros(x_max + 1, dtype=np.float64)
-    fv[ps] = -1.0 / (psf - 1.0) ** 2
-    for p in prime_divisors(j):
-        if p <= x_max:
-            fv[p] = 1.0 / (p - 1.0)
-    for p in prime_divisors(k):
-        if p <= x_max:
-            fv[p] = 0.0
-    return fv
+    return _factor(
+        lambda ps: -1.0 / (ps - 1.0) ** 2,
+        [(p, 1.0 / (p - 1.0)) for p in prime_divisors(j)]
+        + [(p, 0.0) for p in prime_divisors(k)],
+    )
 
 
 def _lemma4_main(j: int, k: int, p_cut: int) -> float:
@@ -419,7 +432,7 @@ def lemma4(
         raise ValueError(f"k must be a positive integer, got {k}")
     ladder = _check_ladder(x_ladder)
     x_max = ladder[-1]
-    vals = multiplicative_values(_lemma4_fvals(j, k, x_max), x_max)
+    vals = multiplicative_values(_lemma4_factor(j, k), x_max)
     lhs = ladder_sums(vals, ladder)
     main_c = _lemma4_main(j, k, p_cut)
     main = tuple(main_c for _ in ladder)
@@ -469,9 +482,12 @@ def lemma4_log(
         raise ValueError("j must be nonzero")
     ladder = _check_ladder(x_ladder)
     x_max = ladder[-1]
-    vals = multiplicative_values(_lemma4_fvals(j, 1, x_max), x_max)
-    logn = np.zeros(x_max + 1, dtype=np.float64)
-    logn[1:] = np.log(np.arange(1, x_max + 1, dtype=np.float64))
+    vals = multiplicative_values(_lemma4_factor(j, 1), x_max)
+    # log n in place in one array; log 1 = 0 stands in at n = 0
+    logn = np.arange(x_max + 1, dtype=np.float64)
+    logn[0] = 1.0
+    np.log(logn, out=logn)
+    logn[0] = 0.0
     lhs = tuple(-v for v in ladder_sums(vals, ladder, weight=logn))
 
     jp = prime_divisors(j)
@@ -511,7 +527,13 @@ def lemma4_log(
 # Lemma 5: the twisted divisor-weight sum
 
 
-def _lemma5_fvals(J: int, k: int, x_max: int) -> np.ndarray:
+def _lemma5_generic(ps: np.ndarray) -> np.ndarray:
+    # p = 2 divides by zero here; its factor is always overridden
+    with np.errstate(divide="ignore"):
+        return -2.0 / ((ps - 1.0) * (ps - 2.0))
+
+
+def _lemma5_factor(J: int, k: int) -> FactorFn:
     """Per-prime factors of the weight
 
         mu(n) d(n)/(phi(n) phi_2(n/(n,2))) (mu/d)((n,J)) (mu/phi)((n,k))
@@ -520,21 +542,12 @@ def _lemma5_fvals(J: int, k: int, x_max: int) -> np.ndarray:
     p=2 -> +1 if 2 not| k else -1;   p>2, p|k -> -1/(p-1)^2;
     p>2, p|J, p not| k -> +1/(p-1);  p>2, p not| J -> -2/((p-1)(p-2)).
     """
-    ps = primes_up_to(x_max)[1:]  # odd primes; p = 2 is set explicitly below
-    psf = ps.astype(np.float64)
-    fv = np.zeros(x_max + 1, dtype=np.float64)
-    fv[ps] = -2.0 / ((psf - 1.0) * (psf - 2.0))
-    Jp = prime_divisors(J)
-    kp = prime_divisors(k)
-    for p in Jp:
-        if 2 < p <= x_max:
-            fv[p] = 1.0 / (p - 1.0)
-    for p in kp:
-        if 2 < p <= x_max:
-            fv[p] = -1.0 / (p - 1.0) ** 2
-    if x_max >= 2:
-        fv[2] = 1.0 if k % 2 != 0 else -1.0
-    return fv
+    return _factor(
+        _lemma5_generic,
+        [(p, 1.0 / (p - 1.0)) for p in prime_divisors(J) if p > 2]
+        + [(p, -1.0 / (p - 1.0) ** 2) for p in prime_divisors(k) if p > 2]
+        + [(2, 1.0 if k % 2 != 0 else -1.0)],
+    )
 
 
 def _lemma5_main(J: int, k: int, p_cut: int) -> float:
@@ -573,7 +586,7 @@ def lemma5(
     *,
     p_cut: int = DEFAULT_P_CUT,
 ) -> LemmaReport:
-    """The twisted sum of ``_lemma5_fvals`` weights against its Euler product.
+    """The twisted sum of ``_lemma5_factor`` weights against its Euler product.
 
     Preconditions: J even and nonzero, k a positive divisor of J.  The
     error is O(x^{-1+eps}); the recorded scaled error multiplies by
@@ -585,7 +598,7 @@ def lemma5(
         raise ValueError(f"k must be a positive divisor of J, got k={k}, J={J}")
     ladder = _check_ladder(x_ladder)
     x_max = ladder[-1]
-    vals = multiplicative_values(_lemma5_fvals(J, k, x_max), x_max)
+    vals = multiplicative_values(_lemma5_factor(J, k), x_max)
     lhs = ladder_sums(vals, ladder)
     main_c = _lemma5_main(J, k, p_cut)
     main = tuple(main_c for _ in ladder)

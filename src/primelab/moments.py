@@ -53,7 +53,7 @@ from .approximants import (
     script_L_float,
 )
 from .correlations import _pattern_sum
-from .tables import ArithTables, tables_for
+from .tables import TABLE_MAX, ArithTables, tables_for
 
 __all__ = [
     "MomentReport",
@@ -315,9 +315,18 @@ def _mixed_prediction(N: int, h: int, R: int, k: int) -> float | None:
 # window machinery
 
 
-def _start_index(N: int, primed: bool) -> int:
-    """First summation index: 1, or N+1 for the dyadic range [N+1, 2N]."""
-    return N + 1 if primed else 1
+def _window_range(N: int, h: int, primed: bool) -> tuple[int, int]:
+    """(start, top): the first summation index, 1 or N+1 for the dyadic
+    range [N+1, 2N], and the largest n the windows read, start + N - 1 + h.
+
+    A top beyond TABLE_MAX is refused here, before any table, weights or
+    lambda_R range is allocated for it.
+    """
+    start = N + 1 if primed else 1
+    top = start + N - 1 + h
+    if top > TABLE_MAX:
+        raise ValueError(f"the windows read n up to {top}, beyond {TABLE_MAX}")
+    return start, top
 
 
 def _lam_windows(
@@ -370,7 +379,7 @@ def moment_psiR(
     """
     if N < 2 or h < 1 or k < 1:
         raise ValueError(f"need N >= 2, h >= 1, k >= 1, got N={N}, h={h}, k={k}")
-    start = _start_index(N, primed)
+    start, _top = _window_range(N, h, primed)
     weights = build_weights(R, exact=exact)
     _, win = _lam_windows(N, h, weights, start, exact)
     total = np.sum(win**k)
@@ -425,8 +434,7 @@ def expand_via_correlations(
     """
     if N < 1 or h < 1 or k < 1:
         raise ValueError(f"need N, h, k >= 1, got N={N}, h={h}, k={k}")
-    start = _start_index(N, primed)
-    n_top = start + N - 1 + h
+    start, n_top = _window_range(N, h, primed)
     weights = build_weights(R, exact=exact)
     if exact:
         vals = lambda_R_range_exact(n_top, weights)
@@ -465,8 +473,8 @@ def moment_psi(
     """
     if N < 2 or h < 1 or k < 1:
         raise ValueError(f"need N >= 2, h >= 1, k >= 1, got N={N}, h={h}, k={k}")
-    start = _start_index(N, primed)
-    win = _psi_windows(N, h, tables_for(start + N - 1 + h), start)
+    start, top = _window_range(N, h, primed)
+    win = _psi_windows(N, h, tables_for(top), start)
     if centered:
         win = win - float(h)
     computed = float(np.sum(win**k))
@@ -584,9 +592,9 @@ def mixed_moment(
         raise ValueError(f"mixed moments implemented for k in {{2, 3}}, got k={k}")
     if N < 2 or h < 1:
         raise ValueError(f"need N >= 2 and h >= 1, got N={N}, h={h}")
-    start = _start_index(N, primed)
+    start, top = _window_range(N, h, primed)
     # fetched before the weights, which then read a prefix of the same build
-    tables = tables_for(start + N - 1 + h)
+    tables = tables_for(top)
     weights = build_weights(R)
     lam_vals, U = _lam_windows(N, h, weights, start)
     V = _psi_windows(N, h, tables, start)
@@ -689,9 +697,9 @@ def omega_experiment(
         raise ValueError(
             f"precondition A < h violated: A = sqrt(h log N) = {A:.3f}, h = {h}"
         )
-    start = N + 1
+    start, top = _window_range(N, h, primed=True)
     # fetched before the weights, which then read a prefix of the same build
-    tables = tables_for(2 * N + h)
+    tables = tables_for(top)
     weights = build_weights(R)
     _, U = _lam_windows(N, h, weights, start)
     V = _psi_windows(N, h, tables, start)

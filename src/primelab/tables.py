@@ -21,7 +21,8 @@ and the block is one vectorised numpy step:
 
 ``dyadic_blocks`` yields the blocks, split further so that no step's
 temporaries exceed BLOCK_MAX entries; ``lemmas.multiplicative_values`` runs
-the same recurrence keyed on the largest prime factor.
+the same recurrence keyed on the largest prime factor.  ``cumsum_blocks``
+streams a running sum in blocks of the same size.
 
 The stored arrays take 5 bytes per entry (4+1), so n_max = 10**7 costs
 ~50 MB; each derived array adds 8 bytes per entry once it is read, and is
@@ -178,21 +179,32 @@ def psi_from_primes(primes: np.ndarray, n: int) -> float:
     return float(np.cumsum(logs.astype(np.longdouble))[-1]) if logs.size else 0.0
 
 
-def _prefix_sums(lam: np.ndarray) -> np.ndarray:
-    # compensated prefix: accumulate in extended precision and round each
-    # entry once; the running sum is carried from block to block (slot 0 of
-    # the buffer), so the additions are exactly those of one long cumsum
-    size = lam.size
-    psi = np.empty(size, dtype=np.float64)
-    buf = np.empty(min(size, BLOCK_MAX) + 1, dtype=np.longdouble)
+def cumsum_blocks(values: np.ndarray, dtype):
+    """Yield (lo, hi, s) over blocks of at most BLOCK_MAX entries, with s[i]
+    the running sum of values[: lo + i + 1] accumulated in dtype.
+
+    The running sum is carried from block to block in slot 0 of one buffer,
+    so the additions are exactly those of one long np.cumsum, without its
+    n-entry output; s is only valid until the next block is asked for.
+    """
+    size = values.size
+    buf = np.empty(min(size, BLOCK_MAX) + 1, dtype=dtype)
     buf[0] = 0
     for lo in range(0, size, BLOCK_MAX):
         hi = min(lo + BLOCK_MAX, size)
         acc = buf[: hi - lo + 1]
-        acc[1:] = lam[lo:hi]
+        acc[1:] = values[lo:hi]
         np.cumsum(acc, out=acc)
-        psi[lo:hi] = acc[1:]
+        yield lo, hi, acc[1:]
         buf[0] = acc[-1]
+
+
+def _prefix_sums(lam: np.ndarray) -> np.ndarray:
+    # compensated prefix: accumulate in extended precision and round each
+    # entry once
+    psi = np.empty(lam.size, dtype=np.float64)
+    for lo, hi, run in cumsum_blocks(lam, np.longdouble):
+        psi[lo:hi] = run
     return psi
 
 

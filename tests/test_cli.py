@@ -84,6 +84,24 @@ class TestExitCodes:
         assert cli.main(argv) == 3
         assert "trial-division bound" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["lambda", "--r", "10", "--n", "3e9"],
+        ["moments", "--n", "3e9", "--h", "10", "--r", "10"],
+    ], ids=["lambda", "moments"])
+    def test_oversize_lambda_range_returns_3(self, argv, monkeypatch, capsys):
+        """A lambda_R range beyond tables.TABLE_MAX is refused before it is
+        allocated."""
+        from primelab import approximants, moments
+
+        def fail(*args, **kwargs):
+            pytest.fail("allocated for an oversize range")
+
+        for mod in (approximants, moments):
+            monkeypatch.setattr(mod, "build_weights", fail)
+            monkeypatch.setattr(mod, "lambda_R_range", fail)
+        assert cli.main(argv) == 3
+        assert "beyond" in capsys.readouterr().err
+
     def test_success_returns_0(self, capsys):
         code, out = run_main(
             ["correlate", "--n", "2000", "--r", "8", "--pattern", "0:1,2:1"],

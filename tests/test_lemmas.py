@@ -10,11 +10,14 @@ desk-scale magnitudes.
 from __future__ import annotations
 
 import math
+import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from primelab import (
     MonicPolyPair,
@@ -29,11 +32,13 @@ from primelab import (
     script_L_float,
     singular_Sn,
 )
+from primelab import cli
 from primelab import tables as tables_mod
 from primelab.approximants import hildebrand_main
 from primelab.lemmas import (
     CUBIC_POLY_PAIR,
     HILDEBRAND_POLY_PAIR,
+    _lemma4_factor,
     euler_P1,
     ladder_sums,
     m_of,
@@ -81,7 +86,7 @@ class TestMultiplicativeValues:
             fvals = np.zeros(x + 1)
             primes = [p for p in sympy.primerange(2, x + 1)]
             fvals[primes] = rng.normal(size=len(primes))
-            got = multiplicative_values(fvals, x)
+            got = multiplicative_values(fvals.__getitem__, x)
             expected = naive_mult_values(fvals, x)
             assert np.array_equal(got, expected)
 
@@ -99,14 +104,89 @@ class TestMultiplicativeValues:
             fvals[excluded] = -0.0 if trial % 2 else 0.0
             fvals[2] = -0.0  # as in Lemma 2, where -(p-2)/(p(p-1)) at p = 2
             want = slice_sieve_mult_values(fvals, x)
-            got = multiplicative_values(fvals, x)
+            f = fvals.__getitem__
+            got = multiplicative_values(f, x)
             assert got.tobytes() == want.tobytes()
             for top in (1, 2, 3, 1023, 1024, 1025):
-                got = multiplicative_values(fvals, top)
+                got = multiplicative_values(f, top)
                 assert got.tobytes() == want[: top + 1].tobytes(), top
         monkeypatch.setattr(tables_mod, "BLOCK_MAX", 64)
-        got = multiplicative_values(fvals, x)
+        got = multiplicative_values(f, x)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block_max", [tables_mod.BLOCK_MAX, 64])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        x=st.integers(1, 5000),
+        seed=st.integers(0, 2**32 - 1),
+        excluded_share=st.floats(0.0, 0.5),
+        zero=st.sampled_from([0.0, -0.0]),
+    )
+    def test_property_left_to_right_product(
+        self, block_max, x, seed, excluded_share, zero
+    ):
+        """Bit for bit the pure-Python product 1.0 * f(p_1) * f(p_2) * ...
+        over the primes p_1 < p_2 < ... of squarefree n (0.0 otherwise), for
+        factors of either sign and excluded primes at +0.0 or -0.0."""
+        rng = np.random.default_rng(seed)
+        primes = list(sympy.primerange(2, x + 1))
+        factors = dict(zip(primes, rng.normal(size=len(primes)).tolist()))
+        for p in primes:
+            if rng.random() < excluded_share:
+                factors[p] = zero
+        fvals = np.zeros(x + 1)
+        fvals[primes] = [factors[p] for p in primes]
+        want = [0.0, 1.0]
+        for n in range(2, x + 1):
+            v, m, p = 1.0, n, 2
+            while m > 1:
+                if p * p > m:
+                    p = m
+                if m % p == 0:
+                    m //= p
+                    if m % p == 0:
+                        v = 0.0
+                        break
+                    v *= factors[p]
+                p += 1
+            want.append(v)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tables_mod, "BLOCK_MAX", block_max)
+            got = multiplicative_values(fvals.__getitem__, x)
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_lemma2_peak_memory(self):
+        """On tables the process already holds, lemma2's walk and its sup
+        of |S(t)| allocate about 10 bytes per entry (the values and half an
+        int32 lpf array) plus block temporaries: no x-entry factor array or
+        cumsum."""
+        x = 2_000_000
+        tables_mod.tables_for(x)
+        tracemalloc.start()
+        try:
+            lemma2((1000, x))
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * (x + 1) + 64 * tables_mod.BLOCK_MAX
+
+    @pytest.mark.parametrize("argv", [
+        ["--which", "1", "--params", "k=30"],
+        ["--which", "2"],
+        ["--which", "3"],
+        ["--which", "4", "--params", "j=6,k=35"],
+        ["--which", "4", "--params", "j=15,variant=log"],
+        ["--which", "5"],
+        ["--which", "5", "--params", "J=30,k=10"],
+    ])
+    def test_factor_functions_raise_no_warnings(self, argv, capsys):
+        """The factor functions see p = 2 and non-squarefree n too; none of
+        them divides by zero or warns there."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["lemma", "--ladder", "1e3,1e4", *argv]) == 0
+        capsys.readouterr()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_ladder_sums_prefixes(self):
         values = np.arange(11, dtype=np.float64)
@@ -278,6 +358,17 @@ class TestLemma4:
         - sum_{p | j} log p / p]; observed agreement ~1e-7 at x = 1e6."""
         rep = lemma4_log(2, (10**6,))
         assert abs(rep.lhs[0] - rep.main[0]) < 1e-6
+
+    def test_log_weights(self):
+        """The in-place log weights are np.log(n) for n >= 1 and 0 at n = 0,
+        bit for bit: the lhs is the dot product with those weights."""
+        x = 10_007
+        vals = multiplicative_values(_lemma4_factor(2, 1), x)
+        logn = np.zeros(x + 1)
+        logn[1:] = np.log(np.arange(1, x + 1, dtype=np.float64))
+        rep = lemma4_log(2, (1000, x))
+        assert rep.lhs == tuple(-float(np.dot(vals[: t + 1], logn[: t + 1]))
+                                for t in (1000, x))
 
     def test_log_variant_odd(self):
         """2 not | j: lhs -> S_2(2j) log 2 / 2."""

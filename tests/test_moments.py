@@ -351,3 +351,34 @@ class TestMomentGuards:
     def test_exact_requires_modest_R(self):
         with pytest.raises(ValueError):
             moment_psiR(100, 4, 5000, 2, exact=True)
+
+
+class TestOversizeWindows:
+    def test_refused_before_allocating(self, monkeypatch):
+        """Windows reading n beyond tables.TABLE_MAX are refused before any
+        weights, lambda_R range or table is allocated."""
+        from primelab import moments
+        from primelab.tables import TABLE_MAX
+
+        def fail(*args, **kwargs):
+            pytest.fail("allocated for an oversize window range")
+
+        for name in ("build_weights", "lambda_R_range", "lambda_R_range_exact",
+                     "tables_for"):
+            monkeypatch.setattr(moments, name, fail)
+        big = 3 * 10**9
+        for call in (
+            lambda: moment_psiR(big, 10, 10, 1),
+            lambda: moment_psiR(TABLE_MAX - 9, 10, 10, 1),
+            lambda: moment_psiR(TABLE_MAX // 2, 10, 10, 2, primed=True),
+            lambda: moment_psiR(big, 10, 10, 2, exact=True, expand=True),
+            lambda: expand_via_correlations(big, 10, 10, 2),
+            lambda: moment_psi(big, 10, 2),
+            lambda: mixed_moment(big, 10, 10, 2),
+            lambda: omega_experiment(big, 100, 10, 0.3, -0.5),
+        ):
+            with pytest.raises(ValueError, match="beyond"):
+                call()
+        # the largest window range still passes the check
+        with pytest.raises(pytest.fail.Exception):
+            moment_psiR(TABLE_MAX - 10, 10, 10, 1)

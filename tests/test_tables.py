@@ -135,6 +135,24 @@ class TestBuildTables:
         want = np.cumsum(tb.lam.astype(np.longdouble)).astype(np.float64)
         assert tb.psi_prefix.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_cumsum_blocks_is_one_cumsum(self, monkeypatch, dtype):
+        """The streamed running sums are np.cumsum's bits, for blocks of the
+        default size and of 64 entries, at sizes around a block boundary."""
+        rng = np.random.default_rng(SEED)
+        for block_max in (tables_mod.BLOCK_MAX, 64):
+            monkeypatch.setattr(tables_mod, "BLOCK_MAX", block_max)
+            for size in (1, 63, 64, 65, 1000, block_max + 1):
+                values = rng.normal(size=size)
+                want = np.cumsum(values.astype(dtype))
+                got = np.empty(size, dtype=dtype)
+                for lo, hi, run in tables_mod.cumsum_blocks(values, dtype):
+                    assert hi - lo <= block_max
+                    got[lo:hi] = run
+                # equal nonzero values are equal bits (long double's padding
+                # bytes are not part of the value)
+                assert np.array_equal(got, want), (block_max, size)
+
     def test_psi_from_primes_matches_psi_prefix(self, monkeypatch):
         """psi(n) summed over the prime powers alone is bit for bit
         psi_prefix[n]: around the block boundaries of the prefix sum, and at
