@@ -119,18 +119,23 @@ def check_nonvanishing(
     range makes the constants undefined.
     """
     ps = primes_up_to(p_cut).astype(np.float64)
-    if ps.size == 0:
+    for name, coeffs in (("P2", p2), ("P1+P2", poly_add(p1, p2))):
+        raise_at_zeros(name, coeffs, ps, poly_eval_array(coeffs, ps))
+
+
+def raise_at_zeros(
+    name: str, coeffs: tuple[int, ...], ps: np.ndarray, vals: np.ndarray
+) -> None:
+    """Raise ValueError if the polynomial ``name`` vanishes at a prime of ps.
+
+    vals is its float evaluation at ps; possible float zeros are re-checked
+    exactly before raising, the least such prime first.
+    """
+    if vals.all():
         return
-    v2 = poly_eval_array(p2, ps)
-    v12 = poly_eval_array(poly_add(p1, p2), ps)
-    # possible float zeros are re-checked exactly before raising
-    for name, vals, coeffs in (("P2", v2, p2), ("P1+P2", v12, poly_add(p1, p2))):
-        hits = np.flatnonzero(vals == 0.0)
-        for i in hits:
-            if poly_eval_int(coeffs, int(ps[i])) == 0:
-                raise ValueError(
-                    f"{name} vanishes at p={int(ps[i])}; constants undefined"
-                )
+    for p in np.unique(ps[vals == 0.0]).astype(np.int64).tolist():
+        if poly_eval_int(coeffs, p) == 0:
+            raise ValueError(f"{name} vanishes at p={p}; constants undefined")
 
 
 @lru_cache(maxsize=64)

@@ -77,9 +77,9 @@ __all__ = [
 class MonicPolyPair:
     """Monic integer polynomial pair (P1, P2) with deg P2 = 1 + deg P1.
 
-    Coefficients are ascending-degree tuples; P2(p) != 0 and
-    (P1 + P2)(p) != 0 are checked for all primes up to ``limit`` on demand
-    (these appear as denominators in the main-term constants).
+    Coefficients are ascending-degree tuples; ``lemma1`` checks P2(p) != 0
+    and (P1 + P2)(p) != 0 at every prime it reads (these appear as
+    denominators in the factors and the main-term constants).
     """
 
     p1: tuple[int, ...]
@@ -95,10 +95,6 @@ class MonicPolyPair:
             raise ValueError(
                 f"deg P2 must be 1 + deg P1, got {len(self.p2) - 1} and {len(self.p1) - 1}"
             )
-
-    def ensure_nonvanishing(self, limit: int) -> None:
-        """Raise ValueError if P2 or P1+P2 vanishes at a prime <= limit."""
-        constants.check_nonvanishing(self.p1, self.p2, limit)
 
 
 #: (P1, P2) = (1, X-1): the summand is mu^2(n)/phi(n).
@@ -254,17 +250,25 @@ def lemma1(
         raise ValueError(f"k must be a positive integer, got {k}")
     ladder = _check_ladder(x_ladder)
     x_max = ladder[-1]
-    pair.ensure_nonvanishing(x_max)
+    # the Euler-product parts check P2 and P1+P2 at the primes up to p_cut
+    k1, s1 = constants.poly_pair_parts(pair.p1, pair.p2, p_cut)
+    p12 = constants.poly_add(pair.p1, pair.p2)
 
-    f = _factor(
-        lambda ps: constants.poly_eval_array(pair.p1, ps)
-        / constants.poly_eval_array(pair.p2, ps),
-        [(p, 0.0) for p in prime_divisors(k)],
-    )
+    def ratio(ps: np.ndarray) -> np.ndarray:
+        # and the walk at the primes up to x_max: each prime p is the
+        # largest prime factor of p itself, so every one reaches this
+        v1 = constants.poly_eval_array(pair.p1, ps)
+        v2 = constants.poly_eval_array(pair.p2, ps)
+        constants.raise_at_zeros("P2", pair.p2, ps, v2)
+        # v1 + v2 is (P1+P2)(p), exact while the values stay below 2**53,
+        # as Horner's form of P1+P2 is
+        constants.raise_at_zeros("P1+P2", p12, ps, v1 + v2)
+        return v1 / v2
+
+    f = _factor(ratio, [(p, 0.0) for p in prime_divisors(k)])
     vals = multiplicative_values(f, x_max)
     lhs = ladder_sums(vals, ladder)
 
-    k1, s1 = constants.poly_pair_parts(pair.p1, pair.p2, p_cut)
     k2, s2 = constants.poly_pair_k_parts(pair.p1, pair.p2, prime_divisors(k))
     main = tuple(k1 * k2 * (math.log(x) + EULER_GAMMA + s1 + s2) for x in ladder)
 

@@ -53,7 +53,7 @@ from .approximants import (
     script_L_float,
 )
 from .correlations import _pattern_sum
-from .tables import TABLE_MAX, ArithTables, tables_for
+from .tables import TABLE_MAX, ArithTables, cumsum_blocks, tables_for
 
 __all__ = [
     "MomentReport",
@@ -334,23 +334,32 @@ def _lam_windows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(values, windows): lambda_R(0..start+N-1+h) and the N window sums.
 
-    windows[i] = sum_{j=1}^{h} lambda_R(start+i+j), read off one prefix sum:
-    long double for floats, so the h-fold sums carry no cancellation noise,
-    and Python ints scaled by D (object arrays) for exact weights.
+    windows[i] = sum_{j=1}^{h} lambda_R(start+i+j), the difference of two
+    running sums h apart, read block by block off ``cumsum_blocks`` with the
+    last h sums carried over: long double for floats, rounded once into the
+    float64 windows, so the h-fold sums carry no cancellation noise, and
+    Python ints scaled by D (object arrays) for exact weights.  No
+    n-entry running sum is built.
     """
     n_top = start + N - 1 + h
     if exact:
         vals = lambda_R_range_exact(n_top, weights)
-        pre = np.cumsum(vals)
+        win = np.empty(N, dtype=object)
     else:
         vals = lambda_R_range(n_top, weights)
-        pre = np.cumsum(vals.astype(np.longdouble))
-    win = pre[start + h : start + N + h] - pre[start : start + N]
-    return vals, win if exact else win.astype(np.float64)
+        win = np.empty(N, dtype=np.float64)
+    first = start + h  # the window ending at n covers (n - h, n]
+    for lo, hi, run in cumsum_blocks(vals, object if exact else np.longdouble, h):
+        a = max(lo, first) - lo
+        b = hi - lo
+        if a < b:
+            np.subtract(run[h + a : h + b], run[a:b], casting="same_kind",
+                        out=win[lo + a - first : hi - first])
+    return vals, win
 
 
 def _psi_windows(N: int, h: int, tables: ArithTables, start: int) -> np.ndarray:
-    """windows[i] = psi(start+i+h) - psi(start+i) from the compensated prefix;
+    """windows[i] = psi(start+i+h) - psi(start+i) from ``psi_prefix``;
     tables must reach start + N - 1 + h."""
     pp = tables.psi_prefix
     return pp[start + h : start + N + h] - pp[start : start + N]
@@ -381,8 +390,9 @@ def moment_psiR(
         raise ValueError(f"need N >= 2, h >= 1, k >= 1, got N={N}, h={h}, k={k}")
     start, _top = _window_range(N, h, primed)
     weights = build_weights(R, exact=exact)
-    _, win = _lam_windows(N, h, weights, start, exact)
-    total = np.sum(win**k)
+    win = _lam_windows(N, h, weights, start, exact)[1]
+    win **= k  # in place, the same bits as win**k
+    total = np.sum(win)
     computed = Fraction(total, weights.denominator**k) if exact else float(total)
     via: float | Fraction | None = None
     resid: float | Fraction | None = None
@@ -476,8 +486,9 @@ def moment_psi(
     start, top = _window_range(N, h, primed)
     win = _psi_windows(N, h, tables_for(top), start)
     if centered:
-        win = win - float(h)
-    computed = float(np.sum(win**k))
+        win -= float(h)
+    win **= k
+    computed = float(np.sum(win))
     predicted = (
         ms_prediction(N, h, k) if centered else
         (gallagher_prediction(N, h, k) if k <= 20 else None)
@@ -519,14 +530,22 @@ def first_moment_identity(N: int, h: int) -> FirstMomentReport:
         raise ValueError(f"need 1 <= h <= N, got h={h}, N={N}")
     tables = tables_for(N + h)
     pp = tables.psi_prefix
-    lamv = tables.lam
+    # q runs over the prime powers <= N + h: the support of Lambda
+    q, logs = tables.prime_powers
+
+    def lam_slice(lo: int, hi: int) -> np.ndarray:
+        """Lambda(lo..hi-1) as a dense float64 array."""
+        out = np.zeros(hi - lo, dtype=np.float64)
+        i, j = np.searchsorted(q, (lo, hi))
+        out[q[i:j] - lo] = logs[i:j]
+        return out
 
     direct = float(np.sum(pp[1 + h : N + 1 + h] - pp[1 : N + 1]))
 
-    piece1 = float(np.dot(np.arange(1, h, dtype=np.float64), lamv[2 : h + 1])) if h >= 2 else 0.0
+    piece1 = float(np.dot(np.arange(1, h, dtype=np.float64), lam_slice(2, h + 1))) if h >= 2 else 0.0
     piece2 = h * (float(pp[N]) - float(pp[h]))
     piece3 = float(
-        np.dot(np.arange(h, 0, -1, dtype=np.float64), lamv[N + 1 : N + h + 1])
+        np.dot(np.arange(h, 0, -1, dtype=np.float64), lam_slice(N + 1, N + h + 1))
     )
     three_piece = piece1 + piece2 + piece3
 
@@ -535,7 +554,6 @@ def first_moment_identity(N: int, h: int) -> FirstMomentReport:
     psi_form = float(pp[N + h]) - float(pp[N]) - float(pp[h]) - mid_lo + mid_hi
 
     # integer log-coefficient vectors over prime powers q <= N + h
-    q = np.nonzero(lamv[: N + h + 1])[0].astype(np.int64)
     c1 = np.zeros(q.shape, dtype=np.int64)
     for d in range(1, h + 1):
         c1 += ((q >= 1 + d) & (q <= N + d)).astype(np.int64)

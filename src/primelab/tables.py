@@ -7,9 +7,11 @@ For all n <= n_max the tables store
 
 and derive from spf, on first read,
 
-* ``phi``         Euler totient (int64),
-* ``lam``         von Mangoldt function (float64; log p at prime powers),
-* ``psi_prefix``  its compensated prefix sums, psi_prefix[x] = psi(x).
+* ``phi``           Euler totient (int64),
+* ``prime_powers``  the prime powers q <= n_max and Lambda(q) = log p,
+* ``lam``           von Mangoldt function (float64; log p at prime powers),
+* ``psi_prefix``    psi_prefix[x] = psi(x), one long-double running sum
+                    over the prime powers, rounded once per entry.
 
 A slice sieve over i <= sqrt(n_max) fills ``spf``.  mu and phi then come
 from a dyadic-block recurrence: for n in [2^i, 2^(i+1)) write p = spf(n) and
@@ -22,13 +24,16 @@ and the block is one vectorised numpy step:
 ``dyadic_blocks`` yields the blocks, split further so that no step's
 temporaries exceed BLOCK_MAX entries; ``lemmas.multiplicative_values`` runs
 the same recurrence keyed on the largest prime factor.  ``cumsum_blocks``
-streams a running sum in blocks of the same size.
+streams a running sum in blocks of the same size, carrying as many earlier
+sums as a window difference needs.
 
 The stored arrays take 5 bytes per entry (4+1), so n_max = 10**7 costs
-~50 MB; each derived array adds 8 bytes per entry once it is read, and is
-read-only.  ``psi_from_primes`` gives psi at one n, bit for bit the prefix
-entry, without deriving either array.  ``build_tables`` refuses n_max above
-TABLE_MAX, the limit of int32 smallest-prime-factor storage.
+~50 MB; phi, lam and psi_prefix each add 8 bytes per entry once read, and
+prime_powers 16 bytes per prime power (about 8% of the entries at 10**6);
+all are read-only.  psi_prefix is taken from prime_powers alone, so reading
+it derives no lam.  ``psi_from_primes`` gives psi at one n, bit for bit the
+prefix entry, without deriving any of them.  ``build_tables`` refuses n_max
+above TABLE_MAX, the limit of int32 smallest-prime-factor storage.
 
 ``tables_for`` is the one provider every caller goes through: it serves a
 request as a prefix of a cache file in PRIMELAB_CACHE_DIR or of the largest
@@ -79,14 +84,29 @@ class ArithTables:
         return _read_only(phi)
 
     @cached_property
+    def prime_powers(self) -> tuple[np.ndarray, np.ndarray]:
+        """(q, Lambda(q)) over the prime powers q <= n_max, q ascending."""
+        q, logs = _prime_powers(_primes(self.spf), self.n_max)
+        return _read_only(q), _read_only(logs)
+
+    @cached_property
     def lam(self) -> np.ndarray:
         """float64 von Mangoldt Lambda(n)."""
-        return _read_only(_von_mangoldt(self.spf))
+        return _read_only(_von_mangoldt(*self.prime_powers, self.n_max))
 
     @cached_property
     def psi_prefix(self) -> np.ndarray:
-        """float64, psi_prefix[x] = sum_{n<=x} Lambda(n)."""
-        return _read_only(_prefix_sums(self.lam))
+        """float64, psi_prefix[x] = sum_{n<=x} Lambda(n).
+
+        One long-double cumsum over Lambda at the prime powers, rounded to
+        float64 once and repeated over the gaps between them.  Lambda is
+        +0.0 off the prime powers and adding +0.0 never changes a sum, so
+        the bits are those of one long-double cumsum over all of lam.
+        """
+        q, logs = self.prime_powers
+        steps = np.zeros(q.size + 1, dtype=np.float64)
+        steps[1:] = np.cumsum(logs.astype(np.longdouble))
+        return _read_only(np.repeat(steps, np.diff(q, prepend=0, append=self.n_max + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +178,13 @@ def _prime_powers(primes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return q[order], logs[order]
 
 
-def _von_mangoldt(spf: np.ndarray) -> np.ndarray:
-    n = spf.size - 1
-    primes = np.flatnonzero(spf[2:] == np.arange(2, n + 1, dtype=np.int32)) + 2
-    q, logs = _prime_powers(primes, n)
+def _primes(spf: np.ndarray) -> np.ndarray:
+    """The ascending primes <= spf.size - 1: the n >= 2 with spf[n] = n."""
+    return np.flatnonzero(spf[2:] == np.arange(2, spf.size, dtype=np.int32)) + 2
+
+
+def _von_mangoldt(q: np.ndarray, logs: np.ndarray, n: int) -> np.ndarray:
+    """The dense float64 Lambda(0..n) from its values at the prime powers."""
     lam = np.zeros(n + 1, dtype=np.float64)
     lam[q] = logs
     return lam
@@ -172,45 +195,41 @@ def psi_from_primes(primes: np.ndarray, n: int) -> float:
 
     Lambda is summed over the prime powers in ascending order by one long
     double cumsum (not np.sum, which sums pairwise) and rounded once, the
-    same additions as the compensated prefix makes; no n-entry array is
-    built.
+    same additions as ``ArithTables.psi_prefix`` makes; no n-entry array
+    is built.
     """
     _q, logs = _prime_powers(primes, n)
     return float(np.cumsum(logs.astype(np.longdouble))[-1]) if logs.size else 0.0
 
 
-def cumsum_blocks(values: np.ndarray, dtype):
-    """Yield (lo, hi, s) over blocks of at most BLOCK_MAX entries, with s[i]
-    the running sum of values[: lo + i + 1] accumulated in dtype.
+def cumsum_blocks(values: np.ndarray, dtype, keep: int = 0):
+    """Yield (lo, hi, s) over blocks of at most BLOCK_MAX entries: s[keep + i]
+    is the running sum of values[: lo + i + 1] accumulated in dtype, and
+    s[:keep] holds the keep running sums before the block (0 before
+    values[0]), so s[keep:] - s[:-keep] are the block's keep-term windows.
 
-    The running sum is carried from block to block in slot 0 of one buffer,
-    so the additions are exactly those of one long np.cumsum, without its
-    n-entry output; s is only valid until the next block is asked for.
+    The running sums are carried from block to block in the head of one
+    buffer of min(size, BLOCK_MAX) + max(keep, 1) entries, so the additions
+    are exactly those of one long np.cumsum, without its n-entry output; s
+    is only valid until the next block is asked for.
     """
     size = values.size
-    buf = np.empty(min(size, BLOCK_MAX) + 1, dtype=dtype)
-    buf[0] = 0
+    head = max(keep, 1)
+    buf = np.empty(min(size, BLOCK_MAX) + head, dtype=dtype)
+    buf[:head] = 0
     for lo in range(0, size, BLOCK_MAX):
         hi = min(lo + BLOCK_MAX, size)
-        acc = buf[: hi - lo + 1]
-        acc[1:] = values[lo:hi]
-        np.cumsum(acc, out=acc)
-        yield lo, hi, acc[1:]
-        buf[0] = acc[-1]
-
-
-def _prefix_sums(lam: np.ndarray) -> np.ndarray:
-    # compensated prefix: accumulate in extended precision and round each
-    # entry once
-    psi = np.empty(lam.size, dtype=np.float64)
-    for lo, hi, run in cumsum_blocks(lam, np.longdouble):
-        psi[lo:hi] = run
-    return psi
+        acc = buf[: hi - lo + head]
+        acc[head:] = values[lo:hi]
+        run = acc[head - 1 :]
+        np.cumsum(run, out=run)
+        yield lo, hi, acc[head - keep :]
+        buf[:head] = acc[-head:]
 
 
 def build_tables(n_max: int) -> ArithTables:
-    """Sieve spf and mu up to n_max (inclusive); phi, lam and psi_prefix
-    follow on first read.
+    """Sieve spf and mu up to n_max (inclusive); phi, prime_powers, lam and
+    psi_prefix follow on first read.
 
     Requires n_max >= 2.  Memory is 5 bytes/entry; n_max beyond int32
     range is refused since spf is stored as int32.

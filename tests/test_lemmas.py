@@ -10,6 +10,7 @@ desk-scale magnitudes.
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -234,11 +235,14 @@ class TestMonicPolyPair:
 
     def test_nonvanishing_guard(self):
         """P2(p) = 0 at a small prime must be rejected."""
+        from primelab.constants import check_nonvanishing
         bad = MonicPolyPair((1,), (-2, 1))  # P2(x) = x - 2 vanishes at p = 2
         with pytest.raises(ValueError):
-            bad.ensure_nonvanishing(100)
-        HILDEBRAND_POLY_PAIR.ensure_nonvanishing(100)
-        CUBIC_POLY_PAIR.ensure_nonvanishing(100)
+            check_nonvanishing(bad.p1, bad.p2, 100)
+        with pytest.raises(ValueError):
+            lemma1(bad, 1, (100,))
+        for pair in (HILDEBRAND_POLY_PAIR, CUBIC_POLY_PAIR):
+            check_nonvanishing(pair.p1, pair.p2, 100)
 
 
 class TestLemma1:
@@ -266,6 +270,31 @@ class TestLemma1:
         rep = lemma1(CUBIC_POLY_PAIR, 1, (1000, 10_000))
         assert all(math.isfinite(v) for v in rep.lhs)
         assert all(math.isfinite(v) for v in rep.scaled_error)
+
+    @pytest.mark.parametrize("pair, message", [
+        (MonicPolyPair((1,), (-5, 1)), "P2 vanishes at p=5; constants undefined"),
+        (MonicPolyPair((1,), (-6, 1)), "P1+P2 vanishes at p=5; constants undefined"),
+    ], ids=["P2", "P1+P2"])
+    @pytest.mark.parametrize("p_cut", [3, 10**4])
+    def test_vanishing_pair_refused(self, monkeypatch, pair, message, p_cut):
+        """A pair vanishing at a prime is refused, with no prime sieve past
+        p_cut: below p_cut by the Euler-product parts, above it by the walk."""
+        from primelab import constants
+        limits = []
+        real = constants.primes_up_to
+        monkeypatch.setattr(constants, "primes_up_to",
+                            lambda n: limits.append(n) or real(n))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            lemma1(pair, 1, (100, 10_000), p_cut=p_cut)
+        assert max(limits, default=0) <= p_cut
+
+    def test_vanishing_pair_exits_3(self, capsys):
+        """The CLI maps the refusal to the precondition exit code."""
+        for extra in ([], ["--p-cut", "3"]):
+            code = cli.main(["lemma", "--which", "1", "--ladder", "1e2,1e3",
+                             "--params", "p1=1,p2=-5:1", *extra])
+            assert code == 3
+            assert "P2 vanishes at p=5" in capsys.readouterr().err
 
     def test_coprimality_drops_terms(self):
         """k = 6 kills every n sharing a factor with 6: lhs(k=6) < lhs(k=1)."""

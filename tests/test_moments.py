@@ -9,11 +9,13 @@ tolerances frozen from observed desk-scale behaviour.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from primelab import (
     coupled_C,
@@ -24,8 +26,11 @@ from primelab import (
     moment_psiR,
     omega_experiment,
 )
+from primelab import tables as tables_mod
+from primelab.approximants import build_weights, lambda_R_range, lambda_R_range_exact
 from primelab.moments import (
     _compositions,
+    _lam_windows,
     _multinomial,
     expand_via_correlations,
     gallagher_prediction,
@@ -333,14 +338,82 @@ class TestTableFetches:
         lambda: omega_experiment(8000, 35, 100, 0.3, -0.5),
     ], ids=["mixed_moment", "first_moment_identity", "omega_experiment"])
     def test_lambda_derived_once_per_call(self, monkeypatch, call):
-        """One table fetch serves both the Lambda and the psi reads."""
+        """One table fetch and one prime-power derivation serve both the
+        Lambda and the psi reads."""
         from primelab import tables
-        real = tables._von_mangoldt
+        real = tables._prime_powers
         calls = []
-        monkeypatch.setattr(tables, "_von_mangoldt",
-                            lambda spf: calls.append(spf.size) or real(spf))
+        monkeypatch.setattr(tables, "_prime_powers",
+                            lambda primes, n: calls.append(n) or real(primes, n))
         call()
         assert len(calls) == 1
+
+
+class TestStreamedWindows:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        N=st.integers(1, 400),
+        h=st.integers(1, 120),
+        R=st.integers(1, 40),
+        primed=st.booleans(),
+        exact=st.booleans(),
+        block_max=st.integers(1, 64),
+    )
+    def test_property_windows_equal_dense_cumsum(self, N, h, R, primed, exact, block_max):
+        """The block-streamed windows are those of one dense running sum: the
+        same float64 bytes as a long-double np.cumsum differenced and then
+        cast, and the same Python ints in exact mode; with blocks so small
+        that the windows span several blocks and h may exceed BLOCK_MAX."""
+        start = N + 1 if primed else 1
+        n_top = start + N - 1 + h
+        weights = build_weights(R, exact=exact)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tables_mod, "BLOCK_MAX", block_max)
+            vals, win = _lam_windows(N, h, weights, start, exact)
+        if exact:
+            pre = np.cumsum(lambda_R_range_exact(n_top, weights))
+            want = pre[start + h : start + N + h] - pre[start : start + N]
+            assert [int(v) for v in win] == [int(v) for v in want]
+            assert list(vals) == list(lambda_R_range_exact(n_top, weights))
+        else:
+            dense = lambda_R_range(n_top, weights)
+            pre = np.cumsum(dense.astype(np.longdouble))
+            want = (pre[start + h : start + N + h] - pre[start : start + N]).astype(np.float64)
+            assert win.dtype == np.float64
+            assert win.tobytes() == want.tobytes()
+            assert vals.tobytes() == dense.tobytes()
+
+    def test_moment_psiR_peak_memory(self, monkeypatch):
+        """On held tables, moment_psiR at N = 10**6 allocates under 36 bytes
+        per window entry: the float64 lambda_R range and windows and one
+        block buffer, with no n-entry long-double copy or running sum."""
+        monkeypatch.delenv(tables_mod.CACHE_DIR_ENV, raising=False)
+        N, h, R, k = 10**6, 14, 15, 3
+        tables_mod.tables_for(N + h)
+        build_weights(R)
+        tracemalloc.start()
+        try:
+            moment_psiR(N, h, R, k)
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 36 * N
+
+    @pytest.mark.parametrize("call", [
+        lambda: moment_psi(3000, 10, 2),
+        lambda: moment_psi(3000, 10, 3, centered=True, primed=True),
+        lambda: first_moment_identity(3000, 10),
+        lambda: omega_experiment(8000, 35, 100, 0.3, -0.5),
+    ], ids=["moment_psi", "moment_psi_centered", "first_moment_identity",
+            "omega_experiment"])
+    def test_psi_reads_derive_no_lambda_array(self, monkeypatch, call):
+        """psi and the first-moment pieces come from the prime powers alone;
+        the dense Lambda array is never derived for them."""
+        calls = []
+        monkeypatch.setattr(tables_mod, "_von_mangoldt",
+                            lambda *args: calls.append(args) or pytest.fail("dense Lambda"))
+        call()
+        assert calls == []
 
 
 class TestMomentGuards:

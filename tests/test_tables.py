@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from primelab import ArithTables, build_tables, load_tables, save_tables
 from primelab import tables as tables_mod
@@ -134,6 +135,40 @@ class TestBuildTables:
         tb = build_tables(2 * tables_mod.BLOCK_MAX + 3)
         want = np.cumsum(tb.lam.astype(np.longdouble)).astype(np.float64)
         assert tb.psi_prefix.tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.one_of(
+        st.integers(0, 30_000),
+        st.sampled_from(sorted(
+            p**e + d for p in sympy.primerange(2, 30_000) for e in range(1, 15)
+            if p**e <= 30_000 for d in (0, 1)
+        )),
+    ))
+    def test_property_psi_prefix_is_dense_cumsum(self, n):
+        """psi_prefix repeated over the gaps between prime powers is, at any
+        n_max (equal to or just above a prime power included), the bytes of
+        one long-double cumsum over the dense Lambda array, rounded."""
+        tb = tables_mod.tables_for(n)
+        lam = np.zeros(tb.n_max + 1)
+        lam[tb.prime_powers[0]] = tb.prime_powers[1]
+        assert lam.tobytes() == tb.lam.tobytes()
+        want = np.cumsum(lam.astype(np.longdouble)).astype(np.float64)
+        assert tb.psi_prefix.tobytes() == want.tobytes()
+        assert tb.psi_prefix.size == tb.n_max + 1 == max(n, 2) + 1
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("keep", [0, 1, 5, 100])
+    def test_cumsum_blocks_carries_keep_sums(self, monkeypatch, dtype, keep):
+        """With keep > 0 each block also carries the keep running sums before
+        it (0 before the start), so s[keep:] - s[:-keep] are windows of keep
+        terms, also when keep exceeds the block size."""
+        rng = np.random.default_rng(SEED)
+        monkeypatch.setattr(tables_mod, "BLOCK_MAX", 64)
+        values = rng.normal(size=1000)
+        want = np.concatenate([np.zeros(keep, dtype=dtype), np.cumsum(values.astype(dtype))])
+        for lo, hi, run in tables_mod.cumsum_blocks(values, dtype, keep):
+            assert run.size == keep + hi - lo
+            assert np.array_equal(run, want[lo : hi + keep]), (lo, keep)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     def test_cumsum_blocks_is_one_cumsum(self, monkeypatch, dtype):
