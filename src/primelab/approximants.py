@@ -32,7 +32,7 @@ import numpy as np
 
 from . import constants
 from .constants import CONST_P_CUT, EULER_GAMMA, HILDEBRAND_PAIR
-from .tables import ArithTables, prime_divisors, squarefree_divisors, tables_for
+from .tables import prime_divisors, squarefree_divisors, tables_for
 
 #: largest R for which the exact (common-denominator) weight mode is offered;
 #: D = lcm of totients grows exponentially with R
@@ -134,22 +134,22 @@ def lambda_R_direct(n: int, R: int) -> Fraction:
             continue
         g = math.gcd(r, n)
         inner = 1
-        for p in prime_divisors(g, tb):
+        for p in prime_divisors(g):
             inner *= 1 - p
         total += Fraction(inner, int(tb.phi[r]))
     return total
 
 
-def biglambda_R(n: int, R: int, tables: ArithTables | None = None) -> float:
+def biglambda_R(n: int, R: int) -> float:
     """biglambda_R(n) = sum_{d | n, d <= R} mu(d) log(R/d); 0 for n <= 0."""
     if R < 1:
         raise ValueError(f"R must be >= 1, got {R}")
     if n <= 0:
         return 0.0
-    ps = prime_divisors(n, tables)
+    ps = prime_divisors(n)
     logR = math.log(R)
     terms = []
-    for d in squarefree_divisors(n, tables):
+    for d in squarefree_divisors(n):
         if d > R:
             continue
         m = (-1) ** (sum(1 for p in ps if d % p == 0))
@@ -231,7 +231,7 @@ def sigma_phi_bound(R: int) -> Fraction:
         if tb.mu[r] == 0:
             continue
         sigma = 1
-        for p in prime_divisors(r, tb):
+        for p in prime_divisors(r):
             sigma *= p + 1
         acc += Fraction(sigma, int(tb.phi[r]))
     return acc

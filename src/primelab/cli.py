@@ -134,7 +134,10 @@ def _resolve_R(args, N: int) -> int:
     if getattr(args, "r", None) is not None:
         return args.r
     if getattr(args, "r_exp", None) is not None:
-        R = int(round(N ** args.r_exp))
+        try:
+            R = int(round(N ** args.r_exp))
+        except OverflowError as exc:  # N^theta or its rounding
+            raise ValueError(f"R = round(N^{args.r_exp}) overflows") from exc
         if R < 1:
             raise ValueError(f"R = round(N^{args.r_exp}) = {R} must be >= 1")
         return R
@@ -224,15 +227,16 @@ def _fail_identity(message: str) -> int:
 
 def _cmd_sieve(args) -> int:
     n = args.n_max
-    tb = tables.tables_for(n)
-    primes = np.flatnonzero(tb.spf[2 : n + 1] == np.arange(2, n + 1, dtype=np.int32)) + 2
+    tb = tables.tables_for(n)  # reaches 2 when n = 1
     mu = tb.mu[1:n + 1]
+    # psi(n) is the step at the last prime power <= n
+    psi = float(tb.psi_steps[np.searchsorted(tb.prime_powers[0], n, side="right")])
     config = {"command": "sieve", "n_max": n,
               "cache_dir": os.environ.get(tables.CACHE_DIR_ENV, "")}
     rows = [{
         "n_max": n,
-        "primes": primes.size,
-        "psi": tables.psi_from_primes(primes, n),
+        "primes": int(np.searchsorted(tb.primes, n, side="right")),
+        "psi": psi,
         "mertens": int(mu.sum()),
         "squarefree": int(np.count_nonzero(mu)),
     }]
@@ -321,35 +325,6 @@ def _cmd_correlate(args) -> int:
     return 0
 
 
-def _run_omega(args, N: int, h: int, R: int, lam: float | None) -> int:
-    if N < 2:  # before the coupled C divides by log N
-        raise ValueError(f"need N >= 2, got N={N}")
-    rho = args.rho
-    if args.c == "couple":
-        theta = math.log(R) / math.log(N)
-        alpha = math.log(h) / math.log(N)
-        C = moments.coupled_C(theta, alpha, rho)
-    else:
-        try:
-            C = float(args.c)
-        except ValueError as exc:
-            raise ValueError(f"--c must be a float or 'couple': {args.c!r}") from exc
-    exp = moments.omega_experiment(N, h, R, rho, C)
-    config = {
-        "command": "omega", "N": N, "h": h, "R": R,
-        "lambda_param": lam, "rho": rho, "C": C,
-    }
-    rows = [asdict(exp)]
-    _emit("omega", config, OMEGA_FIELDS, rows, args.format, args.output)
-    for label, res in (("second", exp.identity_residual_2),
-                       ("third", exp.identity_residual_3)):
-        if not (res <= OMEGA_IDENTITY_RTOL):
-            return _fail_identity(
-                f"omega {label}-moment expansion residual {res!r} exceeds "
-                f"{OMEGA_IDENTITY_RTOL}")
-    return 0
-
-
 def _cmd_moments(args) -> int:
     N = args.n
     h, lam = _resolve_h(args, N)
@@ -363,15 +338,6 @@ def _cmd_moments(args) -> int:
         if not (rep.exact_equal_12 and rep.exact_equal_13):
             return _fail_identity("first-moment routes disagree at integer level")
         return 0
-
-    if args.omega is not None:
-        kv = args.omega
-        if "rho" not in kv or "C" not in kv:
-            raise ValueError("--omega requires rho=...,C=... (C may be 'couple')")
-        args.rho = float(kv["rho"])
-        args.c = kv["C"]
-        R = _resolve_R(args, N)
-        return _run_omega(args, N, h, R, lam)
 
     k = args.k
     if args.psi:
@@ -412,7 +378,32 @@ def _cmd_omega(args) -> int:
     N = args.n
     h, lam = _resolve_h(args, N)
     R = _resolve_R(args, N)
-    return _run_omega(args, N, h, R, lam)
+    if N < 2:  # before the coupled C divides by log N
+        raise ValueError(f"need N >= 2, got N={N}")
+    rho = args.rho
+    if args.c == "couple":
+        theta = math.log(R) / math.log(N)
+        alpha = math.log(h) / math.log(N)
+        C = moments.coupled_C(theta, alpha, rho)
+    else:
+        try:
+            C = float(args.c)
+        except ValueError as exc:
+            raise ValueError(f"--c must be a float or 'couple': {args.c!r}") from exc
+    exp = moments.omega_experiment(N, h, R, rho, C)
+    config = {
+        "command": "omega", "N": N, "h": h, "R": R,
+        "lambda_param": lam, "rho": rho, "C": C,
+    }
+    rows = [asdict(exp)]
+    _emit("omega", config, OMEGA_FIELDS, rows, args.format, args.output)
+    for label, res in (("second", exp.identity_residual_2),
+                       ("third", exp.identity_residual_3)):
+        if not (res <= OMEGA_IDENTITY_RTOL):
+            return _fail_identity(
+                f"omega {label}-moment expansion residual {res!r} exceeds "
+                f"{OMEGA_IDENTITY_RTOL}")
+    return 0
 
 
 _LEMMA_PAIRS = {
@@ -429,12 +420,34 @@ def _parse_poly(text: str) -> tuple[int, ...]:
                          "(colon-separated integers, ascending)") from exc
 
 
+#: the --params keys each lemma reads; lemma 4 with variant=log reads j only
+_LEMMA_PARAMS = {
+    1: ("k", "pair", "p1", "p2"),
+    2: (),
+    3: (),
+    4: ("j", "k", "variant"),
+    5: ("J", "k"),
+}
+
+
 def _cmd_lemma(args) -> int:
     ladder = args.ladder
     params = args.params or {}
     which = args.which
     p_cut = args.p_cut
     kwargs = {} if p_cut is None else {"p_cut": p_cut}
+    log = which == 4 and params.get("variant") == "log"
+    allowed = ("j", "variant") if log else _LEMMA_PARAMS[which]
+    unknown = sorted(set(params) - set(allowed))
+    if unknown:
+        keys = (f"its --params keys are {', '.join(allowed)}" if allowed
+                else "it takes no --params")
+        raise ValueError(f"lemma {which}{' with variant=log' if log else ''} "
+                         f"reads no {', '.join(unknown)}; {keys}")
+    if "variant" in params and not log:
+        raise ValueError(f"variant must be 'log', got {params['variant']!r}")
+    if which == 2 and p_cut is not None:
+        raise ValueError("lemma 2 has no Euler product and takes no --p-cut")
 
     if which == 1:
         k = int(params.get("k", 1))
@@ -456,7 +469,7 @@ def _cmd_lemma(args) -> int:
         rep = lemmas.lemma3(ladder, **kwargs)
     elif which == 4:
         j = int(params.get("j", 2))
-        if params.get("variant") == "log":
+        if log:
             rep = lemmas.lemma4_log(j, ladder, **kwargs)
         else:
             k = int(params.get("k", 1))
@@ -511,6 +524,19 @@ def build_parser() -> argparse.ArgumentParser:
                             help="reserved; accepted but has no effect on output")
         return parent
 
+    def r_options(p: argparse.ArgumentParser) -> None:
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--r", type=parse_count, default=None,
+                           help="truncation level R")
+        group.add_argument("--r-exp", type=float, default=None,
+                           help="set R = round(N^theta)")
+
+    def h_options(p: argparse.ArgumentParser) -> None:
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--h", type=parse_count, default=None, help="window length")
+        group.add_argument("--lambda", dest="lambda_param", type=float, default=None,
+                           help="set h = round(lambda * log N)")
+
     p = sub.add_parser("sieve", parents=[common()],
                        help="build arithmetic tables and report summary stats")
     p.add_argument("--n-max", type=parse_count, required=True)
@@ -528,10 +554,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("singular", parents=[common()],
                        help="singular-series values via truncated Euler products")
-    p.add_argument("--pattern", type=parse_pattern, default=None,
-                   help="shift pattern 'h1:a1,h2:a2,...'")
-    p.add_argument("--sn", type=int, default=None, choices=(2, 3),
-                   help="evaluate the n-point series at a single shift --j")
+    kind = p.add_mutually_exclusive_group()
+    kind.add_argument("--pattern", type=parse_pattern, default=None,
+                      help="shift pattern 'h1:a1,h2:a2,...'")
+    kind.add_argument("--sn", type=int, default=None, choices=(2, 3),
+                      help="evaluate the n-point series at a single shift --j")
     p.add_argument("--j", type=int, default=None, help="shift for --sn")
     p.add_argument("--p-cut", type=parse_count, default=None,
                    help="Euler-product truncation prime (default 1e6)")
@@ -540,9 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("correlate", parents=[common()],
                        help="one correlation sum against its predicted main term")
     p.add_argument("--n", type=parse_count, required=True, help="range length N")
-    p.add_argument("--r", type=parse_count, default=None, help="truncation level R")
-    p.add_argument("--r-exp", type=float, default=None,
-                   help="set R = round(N^theta)")
+    r_options(p)
     p.add_argument("--pattern", type=parse_pattern, required=True,
                    help="shift pattern 'h1:a1,h2:a2,...'")
     p.add_argument("--mixed", action="store_true",
@@ -559,29 +584,23 @@ def build_parser() -> argparse.ArgumentParser:
                        help="window moments of psi_R / psi, mixed moments, identities")
     p.add_argument("--n", type=parse_count, required=True, help="range length N")
     p.add_argument("--k", type=int, default=1, help="moment order")
-    p.add_argument("--h", type=parse_count, default=None, help="window length")
-    p.add_argument("--lambda", dest="lambda_param", type=float, default=None,
-                   help="set h = round(lambda * log N)")
-    p.add_argument("--r", type=parse_count, default=None, help="truncation level R")
-    p.add_argument("--r-exp", type=float, default=None,
-                   help="set R = round(N^theta)")
-    p.add_argument("--psi", action="store_true",
-                   help="moment of psi increments instead of psi_R")
+    h_options(p)
+    r_options(p)
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--psi", action="store_true",
+                      help="moment of psi increments instead of psi_R")
+    mode.add_argument("--mixed", action="store_true",
+                      help="mixed moment psi_R^(k-1) * (psi increment)")
+    mode.add_argument("--first-moment", action="store_true",
+                      help="verify the three first-moment routes agree exactly")
     p.add_argument("--centered", action="store_true",
                    help="center the psi increments by h")
-    p.add_argument("--mixed", action="store_true",
-                   help="mixed moment psi_R^(k-1) * (psi increment)")
     p.add_argument("--exact", action="store_true",
                    help="exact rational arithmetic for the psi_R moment")
     p.add_argument("--expand", action="store_true",
                    help="re-derive the psi_R moment through correlation sums")
     p.add_argument("--primed", action="store_true",
                    help="sum over N < n <= 2N instead of 1 <= n <= N")
-    p.add_argument("--first-moment", action="store_true",
-                   help="verify the three first-moment routes agree exactly")
-    p.add_argument("--omega", type=parse_keyvals, default=None,
-                   metavar="rho=RHO,C=C",
-                   help="run the two-scale experiment (C may be 'couple')")
     p.set_defaults(func=_cmd_moments)
 
     p = sub.add_parser("lemma", parents=[common()],
@@ -591,8 +610,9 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="X1,X2,...", help="increasing evaluation points")
     p.add_argument("--params", type=parse_keyvals, default=None,
                    metavar="k=1,j=2,...",
-                   help="lemma-specific parameters (pair=hildebrand|cubic, "
-                        "p1/p2=colon-separated coefficients, variant=log, J, k, j)")
+                   help="lemma-specific parameters: lemma 1 k, pair=hildebrand|cubic "
+                        "or p1 and p2 (colon-separated coefficients); lemma 4 j, k, "
+                        "or j with variant=log; lemma 5 J, k; lemmas 2 and 3 none")
     p.add_argument("--p-cut", type=parse_count, default=None,
                    help="Euler-product truncation prime (lemma-specific default)")
     p.set_defaults(func=_cmd_lemma, format="json")
@@ -600,12 +620,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("omega", parents=[common()],
                        help="coupled two-scale experiment for the third moment")
     p.add_argument("--n", type=parse_count, required=True, help="range length N")
-    p.add_argument("--h", type=parse_count, default=None, help="window length")
-    p.add_argument("--lambda", dest="lambda_param", type=float, default=None,
-                   help="set h = round(lambda * log N)")
-    p.add_argument("--r", type=parse_count, default=None, help="truncation level R")
-    p.add_argument("--r-exp", type=float, default=None,
-                   help="set R = round(N^theta)")
+    h_options(p)
+    r_options(p)
     p.add_argument("--rho", type=float, required=True,
                    help="offset scale for the psi side")
     p.add_argument("--c", default="couple",

@@ -102,33 +102,17 @@ class ShiftPattern:
         return ",".join(f"{s}:{a}" for s, a in zip(self.shifts, self.multiplicities))
 
 
-@dataclass(frozen=True)
-class PredictionConstants:
-    """Main-term constants C_k(a) for multiplicity partitions with k <= 3."""
-
-    table: dict = None  # partition (sorted desc) -> constant
-
-    def __post_init__(self):
-        if self.table is None:
-            object.__setattr__(
-                self,
-                "table",
-                {
-                    (1,): 1.0,
-                    (2,): 1.0,
-                    (1, 1): 1.0,
-                    (3,): 0.75,
-                    (2, 1): 1.0,
-                    (1, 1, 1): 1.0,
-                },
-            )
-
-    def c_of(self, multiplicities: tuple[int, ...]) -> float | None:
-        key = tuple(sorted(multiplicities, reverse=True))
-        return self.table.get(key)
+def c_of(multiplicities: tuple[int, ...]) -> float | None:
+    """Main-term constant C_k(a) of a multiplicity pattern: None for k > 3,
+    3/4 for the pure cube a = (3), and 1 for every other pattern."""
+    if sum(multiplicities) > 3:
+        return None
+    return 0.75 if tuple(multiplicities) == (3,) else 1.0
 
 
-PREDICTION_CONSTANTS = PredictionConstants()
+def relative_residual(computed: float, predicted: float | None) -> float | None:
+    """computed / predicted - 1.0, or None without a nonzero prediction."""
+    return None if predicted in (None, 0.0) else computed / predicted - 1.0
 
 
 @dataclass(frozen=True)
@@ -265,7 +249,7 @@ def _result(
     """The CorrelationResult of one sum (a Fraction in exact mode), with its
     predicted main term where one is known."""
     k, r = pattern.k, pattern.r
-    c = 1.0 if mixed else PREDICTION_CONSTANTS.c_of(pattern.multiplicities)
+    c = 1.0 if mixed else c_of(pattern.multiplicities)
     predicted = None
     if c is not None:
         sing = sg.singular_vector(pattern.shifts, p_cut=p_cut).value
@@ -278,9 +262,7 @@ def _result(
         computed=computed,
         predicted_main=predicted,
         residual=None if predicted is None else computed - predicted,
-        normalized_residual=(
-            None if predicted in (None, 0.0) else computed / predicted - 1.0
-        ),
+        normalized_residual=relative_residual(computed, predicted),
         exact_value=value if isinstance(value, Fraction) else None,
         mixed=mixed,
         primed_range=primed_range,
@@ -342,8 +324,8 @@ def pair_kernel(r1: int, r2: int, j: int) -> int:
     _require_squarefree(r1, tb)
     _require_squarefree(r2, tb)
     total = 0
-    for d in squarefree_divisors(r1, tb):
-        for e in squarefree_divisors(r2, tb):
+    for d in squarefree_divisors(r1):
+        for e in squarefree_divisors(r2):
             g = math.gcd(d, e)
             if j % g == 0:
                 total += int(tb.mu[d]) * int(tb.mu[e]) * g
@@ -355,14 +337,16 @@ def pair_kernel_closed(r1: int, r2: int, j: int) -> int:
     tb = tables_for(max(r1, r2))
     _require_squarefree(r1, tb)
     _require_squarefree(r2, tb)
-    return _pair_kernel_closed(r1, r2, j, tb)
+    # (j, r1) = (j mod r1, r1), and j mod r1 fits an int64 whatever j is
+    return int(_pair_kernel_closed(r1, r2, np.int64(j % r1), tb))
 
 
-def _pair_kernel_closed(r1: int, r2: int, j: int, tb: ArithTables) -> int:
+def _pair_kernel_closed(r1: int, r2: int, j: np.ndarray, tb: ArithTables):
+    """The closed form elementwise over the int64 j, an array or a scalar."""
     if r1 != r2:
-        return 0
-    g = math.gcd(abs(j), r1)
-    return int(tb.mu[r1]) * int(tb.mu[g]) * int(tb.phi[g])
+        return np.zeros_like(j)
+    g = np.gcd(j, r1)
+    return int(tb.mu[r1]) * tb.mu[g].astype(np.int64) * tb.phi[g]
 
 
 def triple_kernel(a: int, j1: int, j2: int) -> int:
@@ -374,7 +358,7 @@ def triple_kernel(a: int, j1: int, j2: int) -> int:
 
 
 def _triple_kernel(a: int, j1: int, j2: int, tb: ArithTables) -> int:
-    divs = squarefree_divisors(a, tb)
+    divs = squarefree_divisors(a)
     dj = j1 - j2
     total = 0
     for d in divs:
@@ -401,13 +385,13 @@ def triple_kernel_closed(a: int, j1: int, j2: int) -> int:
     """
     tb = tables_for(a)
     _require_squarefree(a, tb)
-    return _triple_kernel_closed(a, j1, j2, tb)
+    return _triple_kernel_closed(a, j1, j2)
 
 
-def _triple_kernel_closed(a: int, j1: int, j2: int, tb: ArithTables) -> int:
+def _triple_kernel_closed(a: int, j1: int, j2: int) -> int:
     total = 1
     dj = j1 - j2
-    for p in prime_divisors(a, tb):
+    for p in prime_divisors(a):
         d1, d2, dd = j1 % p == 0, j2 % p == 0, dj % p == 0
         hits = int(d1) + int(d2) + int(dd)
         if hits == 3:
@@ -424,22 +408,27 @@ def _triple_kernel_closed(a: int, j1: int, j2: int, tb: ArithTables) -> int:
 def pair_kernel_scan(r_max: int, j_lo: int, j_hi: int) -> int:
     """Count grid violations of the pair-kernel identity over squarefree
     r1, r2 <= r_max and j in [j_lo, j_hi].  Returns 0 when the closed form
-    matches the brute sum everywhere."""
+    matches the brute sum everywhere.
+
+    The brute side stays the literal divisor sum: the divisors of each r
+    and their mu are listed once, and for each pair (r1, r2) the terms
+    mu(d) mu(e) (d,e) with (d,e) | j are summed for every j of the grid in
+    one matrix product.
+    """
     tb = tables_for(r_max)
-    sf = [r for r in range(1, r_max + 1) if tb.mu[r] != 0]
+    js = np.arange(j_lo, j_hi + 1, dtype=np.int64)
+    divs = {}
+    for r in range(1, r_max + 1):
+        if tb.mu[r] != 0:
+            d = np.array(squarefree_divisors(r), dtype=np.int64)
+            divs[r] = d, tb.mu[d].astype(np.int64)
     bad = 0
-    for r1 in sf:
-        d1 = np.array(squarefree_divisors(r1, tb), dtype=np.int64)
-        m1 = tb.mu[d1].astype(np.int64)
-        for r2 in sf:
-            d2 = np.array(squarefree_divisors(r2, tb), dtype=np.int64)
-            m2 = tb.mu[d2].astype(np.int64)
-            g = np.gcd.outer(d1, d2)
-            coef = np.outer(m1, m2) * g
-            for j in range(j_lo, j_hi + 1):
-                total = int(np.sum(coef[j % g == 0]))
-                if total != _pair_kernel_closed(r1, r2, j, tb):
-                    bad += 1
+    for r1, (d1, m1) in divs.items():
+        for r2, (d2, m2) in divs.items():
+            g = np.gcd.outer(d1, d2).ravel()
+            coef = np.outer(m1, m2).ravel() * g
+            brute = (js[:, None] % g == 0) @ coef
+            bad += int(np.count_nonzero(brute != _pair_kernel_closed(r1, r2, js, tb)))
     return bad
 
 
@@ -454,6 +443,6 @@ def triple_kernel_scan(a_max: int, j_abs: int) -> int:
             for j2 in range(-j_abs, j_abs + 1):
                 if j1 == j2:
                     continue
-                if _triple_kernel(a, j1, j2, tb) != _triple_kernel_closed(a, j1, j2, tb):
+                if _triple_kernel(a, j1, j2, tb) != _triple_kernel_closed(a, j1, j2):
                     bad += 1
     return bad

@@ -98,7 +98,7 @@ class MonicPolyPair:
 
 
 #: (P1, P2) = (1, X-1): the summand is mu^2(n)/phi(n).
-HILDEBRAND_POLY_PAIR = MonicPolyPair((1,), (-1, 1))
+HILDEBRAND_POLY_PAIR = MonicPolyPair(*constants.HILDEBRAND_PAIR)
 
 #: (P1, P2) = (X^2 - X - 1, (X-1)^3): the second closed-form special case.
 CUBIC_POLY_PAIR = MonicPolyPair((-1, -1, 1), (-1, 3, -3, 1))
@@ -125,10 +125,7 @@ class LemmaReport:
     extras: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.x_ladder:
-            raise ValueError("x_ladder must be nonempty")
-        if any(b <= a for a, b in zip(self.x_ladder, self.x_ladder[1:])):
-            raise ValueError(f"x_ladder must be strictly increasing: {self.x_ladder}")
+        # the ladder was checked by _check_ladder before any evaluation
         if not all(map(math.isfinite, self.scaled_error)):
             raise ValueError(f"scaled_error must be finite: {self.scaled_error}")
 

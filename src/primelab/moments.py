@@ -52,7 +52,7 @@ from .approximants import (
     lambda_R_range_exact,
     script_L_float,
 )
-from .correlations import _pattern_sum
+from .correlations import _pattern_sum, c_of, relative_residual
 from .tables import TABLE_MAX, ArithTables, cumsum_blocks, tables_for
 
 __all__ = [
@@ -222,9 +222,12 @@ def h_from_lambda(N: int, lam: float) -> int:
     """
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    return max(1, round(lam * math.log(N)))
+    scaled = lam * math.log(N)
+    if not math.isfinite(scaled):
+        raise ValueError(f"lambda * log N = {scaled} is not finite")
+    return max(1, round(scaled))
 
 
 def coupled_C(theta: float, alpha: float, rho: float) -> float:
@@ -270,11 +273,18 @@ def ms_prediction(N: int, h: int, k: int) -> float | None:
     return float(dfact * N * (h * math.log(N / h)) ** (k / 2))
 
 
-def _psiR_prediction(N: int, h: int, R: int, k: int) -> float | None:
-    """Main term for M_k(N, h, psi_R), k <= 3, with theta = log R / log N:
+def _window_prediction(
+    N: int, h: int, R: int, k: int, *, mixed: bool
+) -> float | None:
+    """Main term for M_k(N, h, psi_R), or for the mixed moment (k in {2, 3}),
+    with theta = log R / log N:
 
     k=1: lam;  k=2: theta*lam + lam^2;
-    k=3: (3/4) theta^2 lam + 3 theta lam^2 + lam^3,  all times N log^k N.
+    k=3: c theta^2 lam + 3 theta lam^2 + lam^3,  all times N log^k N.
+
+    c is the pure-cube constant c_of((3,)) = 3/4 for psi_R, and 1 for the
+    mixed moment, whose fully diagonal terms carry
+    lambda_R(p)^{k-1} Lambda(p) = L_1(R)^{k-1} log p at primes p > R.
     """
     logN = math.log(N)
     theta = math.log(R) / logN
@@ -284,28 +294,8 @@ def _psiR_prediction(N: int, h: int, R: int, k: int) -> float | None:
     elif k == 2:
         poly = theta * lam + lam**2
     elif k == 3:
-        poly = 0.75 * theta**2 * lam + 3 * theta * lam**2 + lam**3
-    else:
-        return None
-    return float(N * logN**k * poly)
-
-
-def _mixed_prediction(N: int, h: int, R: int, k: int) -> float | None:
-    """Main term for the mixed moment, k in {2, 3}:
-
-    k=2: (theta*lam + lam^2) N log^2 N;
-    k=3: (theta^2 lam + 3 theta lam^2 + lam^3) N log^3 N.
-
-    The pure-cube constant 3/4 does not appear: the fully diagonal terms
-    carry lambda_R(p)^{k-1} Lambda(p) = L_1(R)^{k-1} log p at primes p > R.
-    """
-    logN = math.log(N)
-    theta = math.log(R) / logN
-    lam = h / logN
-    if k == 2:
-        poly = theta * lam + lam**2
-    elif k == 3:
-        poly = theta**2 * lam + 3 * theta * lam**2 + lam**3
+        cube = 1.0 if mixed else c_of((3,))
+        poly = cube * theta**2 * lam + 3 * theta * lam**2 + lam**3
     else:
         return None
     return float(N * logN**k * poly)
@@ -401,10 +391,7 @@ def moment_psiR(
             N, h, R, k, exact=exact, primed=primed
         )
         resid = via - computed
-    predicted = _psiR_prediction(N, h, R, k)
-    pred_resid = (
-        float(computed) / predicted - 1.0 if predicted not in (None, 0.0) else None
-    )
+    predicted = _window_prediction(N, h, R, k, mixed=False)
     return MomentReport(
         kind="psi_R",
         k=k,
@@ -416,7 +403,7 @@ def moment_psiR(
         via_correlations=via,
         predicted=predicted,
         expansion_residual=resid,
-        prediction_residual=pred_resid,
+        prediction_residual=relative_residual(float(computed), predicted),
         primed=primed,
         exact=exact,
     )
@@ -493,9 +480,6 @@ def moment_psi(
         ms_prediction(N, h, k) if centered else
         (gallagher_prediction(N, h, k) if k <= 20 else None)
     )
-    pred_resid = (
-        computed / predicted - 1.0 if predicted not in (None, 0.0) else None
-    )
     return MomentReport(
         kind="psi",
         k=k,
@@ -505,7 +489,7 @@ def moment_psi(
         lambda_param=h / math.log(N),
         computed=computed,
         predicted=predicted,
-        prediction_residual=pred_resid,
+        prediction_residual=relative_residual(computed, predicted),
         centered=centered,
         primed=primed,
     )
@@ -649,7 +633,7 @@ def mixed_moment(
             + (direct - B - 2.0 * Cc + 2.0 * D)
         )
 
-    predicted = _mixed_prediction(N, h, R, k)
+    predicted = _window_prediction(N, h, R, k, mixed=True)
     return MomentReport(
         kind="mixed",
         k=k,
@@ -661,9 +645,7 @@ def mixed_moment(
         via_correlations=via,
         predicted=predicted,
         expansion_residual=via - direct,
-        prediction_residual=(
-            direct / predicted - 1.0 if predicted not in (None, 0.0) else None
-        ),
+        prediction_residual=relative_residual(direct, predicted),
         primed=primed,
     )
 
@@ -710,6 +692,8 @@ def omega_experiment(
     """
     if N < 2 or h < 1:
         raise ValueError(f"need N >= 2 and h >= 1, got N={N}, h={h}")
+    if not (math.isfinite(rho) and math.isfinite(C)):
+        raise ValueError(f"rho and C must be finite, got rho={rho}, C={C}")
     A = math.sqrt(h * math.log(N))
     if not A < h:
         raise ValueError(
@@ -726,9 +710,10 @@ def omega_experiment(
     b = h + rho * A
     X = U - a
     Y = V - b
-    m1 = float(np.sum(Y))
-    m2 = float(X @ Y)
-    m3 = float((X * X) @ Y)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below if not finite
+        m1 = float(np.sum(Y))
+        m2 = float(X @ Y)
+        m3 = float((X * X) @ Y)
 
     su = float(np.sum(U))
     sv = float(np.sum(V))
@@ -736,6 +721,8 @@ def omega_experiment(
     suv = float(U @ V)
     su2v = float((U * U) @ V)
     exp_m2, exp_m3 = omega_expansions(su, sv, su2, suv, su2v, a, b, N)
+    if not all(map(math.isfinite, (m1, m2, m3, exp_m2, exp_m3))):
+        raise ValueError(f"the centred sums overflow float64 at rho={rho}, C={C}")
 
     predicted_m3 = float(
         -N

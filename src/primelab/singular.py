@@ -191,18 +191,13 @@ def product_identity_check(
     lhs = singular_vector((0, j1, j2), p_cut=p_cut)
     g = math.gcd(j1, j2)
     m = j1 * j2 * (j2 - j1)
-    s2 = singular_two(g, p_cut=p_cut)
+    s2 = singular_Sn(2, g, p_cut=p_cut)
     s3 = singular_Sn(3, m, p_cut=p_cut)
     rhs = s2.value * s3.value
     tail = lhs.tail_bound + s2.tail_bound + s3.tail_bound
     return ProductIdentityReport(
         lhs=lhs.value, rhs=rhs, residual=abs(lhs.value - rhs), tail_bound=tail
     )
-
-
-def singular_two(j: int, p_cut: int = DEFAULT_P_CUT) -> SingularValue:
-    """S_2(j) = S_n(2, j): 2 C_2 prod_{p|j, p>2} (p-1)/(p-2) for even j != 0."""
-    return singular_Sn(2, j, p_cut=p_cut)
 
 
 # ---------------------------------------------------------------------------

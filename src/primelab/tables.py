@@ -8,10 +8,12 @@ For all n <= n_max the tables store
 and derive from spf, on first read,
 
 * ``phi``           Euler totient (int64),
+* ``primes``        the primes <= n_max, ascending,
 * ``prime_powers``  the prime powers q <= n_max and Lambda(q) = log p,
+* ``psi_steps``     psi at 0 and at each prime power: one long-double
+                    running sum over Lambda(q), rounded once per entry,
 * ``lam``           von Mangoldt function (float64; log p at prime powers),
-* ``psi_prefix``    psi_prefix[x] = psi(x), one long-double running sum
-                    over the prime powers, rounded once per entry.
+* ``psi_prefix``    psi_prefix[x] = psi(x), psi_steps repeated over the gaps.
 
 A slice sieve over i <= sqrt(n_max) fills ``spf``.  mu and phi then come
 from a dyadic-block recurrence: for n in [2^i, 2^(i+1)) write p = spf(n) and
@@ -29,11 +31,11 @@ sums as a window difference needs.
 
 The stored arrays take 5 bytes per entry (4+1), so n_max = 10**7 costs
 ~50 MB; phi, lam and psi_prefix each add 8 bytes per entry once read, and
-prime_powers 16 bytes per prime power (about 8% of the entries at 10**6);
-all are read-only.  psi_prefix is taken from prime_powers alone, so reading
-it derives no lam.  ``psi_from_primes`` gives psi at one n, bit for bit the
-prefix entry, without deriving any of them.  ``build_tables`` refuses n_max
-above TABLE_MAX, the limit of int32 smallest-prime-factor storage.
+primes, prime_powers and psi_steps 8 to 16 bytes per prime power (about 8%
+of the entries at 10**6); all are read-only.  psi_steps is taken from
+prime_powers alone, so psi at one n reads no n-entry array and psi_prefix
+derives no lam.  ``build_tables`` refuses n_max above TABLE_MAX, the limit
+of int32 smallest-prime-factor storage.
 
 ``tables_for`` is the one provider every caller goes through: it serves a
 request as a prefix of a cache file in PRIMELAB_CACHE_DIR or of the largest
@@ -84,10 +86,33 @@ class ArithTables:
         return _read_only(phi)
 
     @cached_property
+    def primes(self) -> np.ndarray:
+        """The ascending primes <= n_max: the n >= 2 with spf[n] = n."""
+        spf = self.spf
+        primes = np.flatnonzero(spf[2:] == np.arange(2, spf.size, dtype=np.int32))
+        primes += 2  # in place, so no freed copy is left under the cached array
+        return _read_only(primes)
+
+    @cached_property
     def prime_powers(self) -> tuple[np.ndarray, np.ndarray]:
         """(q, Lambda(q)) over the prime powers q <= n_max, q ascending."""
-        q, logs = _prime_powers(_primes(self.spf), self.n_max)
+        q, logs = _prime_powers(self.primes, self.n_max)
         return _read_only(q), _read_only(logs)
+
+    @cached_property
+    def psi_steps(self) -> np.ndarray:
+        """float64, psi_steps[i] = psi(q[i - 1]) over the prime powers q, and
+        psi_steps[0] = 0: psi(x) is psi_steps[number of prime powers <= x].
+
+        One long-double cumsum over Lambda(q) in ascending q (not np.sum,
+        which sums pairwise), rounded to float64 once.  Lambda is +0.0 off
+        the prime powers and adding +0.0 never changes a sum, so the bits
+        are those of one long-double cumsum over all of lam.
+        """
+        logs = self.prime_powers[1]
+        steps = np.zeros(logs.size + 1, dtype=np.float64)
+        steps[1:] = np.cumsum(logs, dtype=np.longdouble)
+        return _read_only(steps)
 
     @cached_property
     def lam(self) -> np.ndarray:
@@ -96,17 +121,10 @@ class ArithTables:
 
     @cached_property
     def psi_prefix(self) -> np.ndarray:
-        """float64, psi_prefix[x] = sum_{n<=x} Lambda(n).
-
-        One long-double cumsum over Lambda at the prime powers, rounded to
-        float64 once and repeated over the gaps between them.  Lambda is
-        +0.0 off the prime powers and adding +0.0 never changes a sum, so
-        the bits are those of one long-double cumsum over all of lam.
-        """
-        q, logs = self.prime_powers
-        steps = np.zeros(q.size + 1, dtype=np.float64)
-        steps[1:] = np.cumsum(logs.astype(np.longdouble))
-        return _read_only(np.repeat(steps, np.diff(q, prepend=0, append=self.n_max + 1)))
+        """float64, psi_prefix[x] = sum_{n<=x} Lambda(n): psi_steps
+        repeated over the gaps between the prime powers."""
+        gaps = np.diff(self.prime_powers[0], prepend=0, append=self.n_max + 1)
+        return _read_only(np.repeat(self.psi_steps, gaps))
 
 
 # ---------------------------------------------------------------------------
@@ -178,28 +196,11 @@ def _prime_powers(primes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return q[order], logs[order]
 
 
-def _primes(spf: np.ndarray) -> np.ndarray:
-    """The ascending primes <= spf.size - 1: the n >= 2 with spf[n] = n."""
-    return np.flatnonzero(spf[2:] == np.arange(2, spf.size, dtype=np.int32)) + 2
-
-
 def _von_mangoldt(q: np.ndarray, logs: np.ndarray, n: int) -> np.ndarray:
     """The dense float64 Lambda(0..n) from its values at the prime powers."""
     lam = np.zeros(n + 1, dtype=np.float64)
     lam[q] = logs
     return lam
-
-
-def psi_from_primes(primes: np.ndarray, n: int) -> float:
-    """psi(n) from the ascending primes <= n, bit for bit psi_prefix[n].
-
-    Lambda is summed over the prime powers in ascending order by one long
-    double cumsum (not np.sum, which sums pairwise) and rounded once, the
-    same additions as ``ArithTables.psi_prefix`` makes; no n-entry array
-    is built.
-    """
-    _q, logs = _prime_powers(primes, n)
-    return float(np.cumsum(logs.astype(np.longdouble))[-1]) if logs.size else 0.0
 
 
 def cumsum_blocks(values: np.ndarray, dtype, keep: int = 0):
@@ -228,8 +229,8 @@ def cumsum_blocks(values: np.ndarray, dtype, keep: int = 0):
 
 
 def build_tables(n_max: int) -> ArithTables:
-    """Sieve spf and mu up to n_max (inclusive); phi, prime_powers, lam and
-    psi_prefix follow on first read.
+    """Sieve spf and mu up to n_max (inclusive); the derived arrays follow
+    on first read.
 
     Requires n_max >= 2.  Memory is 5 bytes/entry; n_max beyond int32
     range is refused since spf is stored as int32.
@@ -378,30 +379,25 @@ def tables_for(n_max: int) -> ArithTables:
 # scalar number theory on top of the tables
 # ---------------------------------------------------------------------------
 
-#: largest n that is factored by trial division when the tables do not
-#: reach it; a prime just below the bound takes about 0.1 s
+#: largest n that factorize accepts; a prime just below the bound takes
+#: about 0.1 s of trial division
 FACTOR_MAX = 10**12
 
 
-def factorize(n: int, tables: ArithTables | None = None) -> list[tuple[int, int]]:
+def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization [(p, e), ...] of n >= 1 in ascending p ([] for n = 1).
 
-    Walks spf while the tables reach n; beyond them it trial-divides by 2
-    and the odd numbers up to isqrt(n), and refuses n > FACTOR_MAX.
+    Trial-divides by 2 and the odd numbers up to isqrt(n); refuses
+    n > FACTOR_MAX.
     """
     if n < 1:
         raise ValueError(f"factorization requires n >= 1, got {n}")
     if n > FACTOR_MAX:
-        raise ValueError(
-            f"n={n} lies beyond the tables and the trial-division bound {FACTOR_MAX}"
-        )
-    table_max = tables.n_max if tables is not None else 0
+        raise ValueError(f"n={n} lies beyond the trial-division bound {FACTOR_MAX}")
     out: list[tuple[int, int]] = []
     p = 2
     while n > 1:
-        if n <= table_max:
-            p = int(tables.spf[n])
-        elif p * p > n:
+        if p * p > n:
             p = n
         elif n % p:
             p += 1 if p == 2 else 2
@@ -414,22 +410,22 @@ def factorize(n: int, tables: ArithTables | None = None) -> list[tuple[int, int]
     return out
 
 
-def prime_divisors(n: int, tables: ArithTables | None = None) -> tuple[int, ...]:
+def prime_divisors(n: int) -> tuple[int, ...]:
     """Ascending distinct primes dividing n != 0; the sign of n is ignored."""
     if n == 0:
         raise ValueError("every prime divides 0")
-    return tuple(p for p, _e in factorize(abs(n), tables))
+    return tuple(p for p, _e in factorize(abs(n)))
 
 
-def squarefree_divisors(n: int, tables: ArithTables | None = None) -> list[int]:
+def squarefree_divisors(n: int) -> list[int]:
     """Ascending squarefree divisors of n != 0 (the divisors of its kernel)."""
     divs = [1]
-    for p in prime_divisors(n, tables):
+    for p in prime_divisors(n):
         divs += [d * p for d in divs]
     return sorted(divs)
 
 
-def phi2(n: int, tables: ArithTables | None = None) -> int:
+def phi2(n: int) -> int:
     """phi_2(n) = prod_{p | n} (p - 2) for squarefree n; phi_2(1) = 1.
 
     Raises ValueError off the squarefree domain.  Note phi_2(2) = 0.
@@ -437,18 +433,18 @@ def phi2(n: int, tables: ArithTables | None = None) -> int:
     if n < 1:
         raise ValueError(f"phi2 requires n >= 1, got {n}")
     out = 1
-    for p, e in factorize(n, tables):
+    for p, e in factorize(n):
         if e > 1:
             raise ValueError(f"phi2 domain is squarefree n; {n} is divisible by {p}^2")
         out *= p - 2
     return out
 
 
-def squarefree_kernel(j: int, tables: ArithTables | None = None) -> int:
+def squarefree_kernel(j: int) -> int:
     """j* = prod_{p | j} p for j != 0; the sign of j is ignored.
 
     Raises ValueError at j = 0 (every prime divides 0, so j* is undefined).
     """
     if j == 0:
         raise ValueError("squarefree kernel undefined at j = 0")
-    return math.prod(prime_divisors(j, tables))
+    return math.prod(prime_divisors(j))

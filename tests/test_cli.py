@@ -63,6 +63,21 @@ class TestExitCodes:
              "--rho", "0.3", "--c", "-0.5"], capsys)
         assert code == 3
 
+    @pytest.mark.parametrize("argv, message", [
+        (["omega", "--n", "1e4", "--h", "40", "--r", "16", "--rho", "0.3", "--c", "inf"],
+         "must be finite"),
+        (["omega", "--n", "1e4", "--h", "40", "--r", "16", "--rho", "nan"], "must be finite"),
+        (["omega", "--n", "1e4", "--h", "40", "--r", "16", "--rho", "0.3", "--c", "1e200"],
+         "overflow float64"),
+        (["correlate", "--n", "1e4", "--r-exp", "inf", "--pattern", "0:1"], "overflows"),
+        (["moments", "--n", "1e4", "--lambda", "inf", "--r", "16"], "not finite"),
+    ], ids=["C-inf", "rho-nan", "C-1e200", "r-exp-inf", "lambda-inf"])
+    def test_non_finite_inputs_return_3(self, argv, message, capsys):
+        """Infinite or overflowing values are precondition failures, not an
+        OverflowError or a NaN residual reported as a failed identity."""
+        assert cli.main(argv) == 3
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["moments", "--n", "1", "--h", "1", "--r", "2", "--k", "1"],
         ["omega", "--n", "1", "--h", "1", "--r", "2", "--rho", "0.3"],
@@ -178,12 +193,14 @@ class TestSubcommands:
         assert code == 0
         assert "# mode = psi_R" in out
 
-    def test_moments_omega_inline(self, capsys):
+    def test_omega_explicit_C(self, capsys):
+        """--c takes a float as well as 'couple', and echoes it as C."""
         code, out = run_main(
-            ["moments", "--n", "1e4", "--h", "40", "--r-exp", "0.3",
-             "--omega", "rho=0.3,C=-0.5"], capsys)
+            ["omega", "--n", "1e4", "--h", "40", "--r-exp", "0.3",
+             "--rho", "0.3", "--c", "-0.5"], capsys)
         assert code == 0
         assert "# command = omega" in out
+        assert "# C = -0.5" in out.splitlines()
 
     def test_omega_coupled_C(self, capsys):
         code, out = run_main(
@@ -210,6 +227,37 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out)["config"]["params"] == "j=2,variant=log"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--which", "4", "--params", "jj=7"],
+         "lemma 4 reads no jj; its --params keys are j, k, variant"),
+        (["--which", "2", "--params", "j=5"], "lemma 2 reads no j; it takes no --params"),
+        (["--which", "4", "--params", "j=2,k=3,variant=log"],
+         "lemma 4 with variant=log reads no k; its --params keys are j, variant"),
+        (["--which", "1", "--params", "J=6"],
+         "lemma 1 reads no J; its --params keys are k, pair, p1, p2"),
+        (["--which", "5", "--params", "j=2"], "lemma 5 reads no j; its --params keys are J, k"),
+        (["--which", "3", "--params", "variant=log"], "lemma 3 reads no variant"),
+        (["--which", "4", "--params", "variant=lin"], "variant must be 'log'"),
+        (["--which", "2", "--p-cut", "100"], "lemma 2 has no Euler product"),
+    ], ids=["4-jj", "2-j", "4log-k", "1-J", "5-j", "3-variant", "4-variant", "2-p-cut"])
+    def test_lemma_refuses_what_it_does_not_read(self, argv, message, capsys):
+        """A --params key (or --p-cut) the chosen lemma does not read is a
+        precondition failure naming the keys it does read, not echoed and
+        ignored."""
+        assert cli.main(["lemma", "--ladder", "1e3"] + argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize("which, params", [
+        ("1", "k=6,pair=cubic"), ("4", "j=6,k=5"), ("5", "J=6,k=3"),
+    ])
+    def test_lemma_reads_its_own_keys(self, which, params, capsys):
+        code, out = run_main(
+            ["lemma", "--which", which, "--ladder", "1e3", "--params", params], capsys)
+        assert code == 0
+        assert json.loads(out)["config"]["params"] == params
+
     def test_lemma_custom_polynomials(self, capsys):
         code, out = run_main(
             ["lemma", "--which", "1", "--ladder", "1e3",
@@ -220,6 +268,37 @@ class TestSubcommands:
         code, out = run_main(["singular", "--sn", "2", "--j", "6"], capsys)
         assert code == 0
         assert json.loads(out)["rows"][0]["finite_part"] == "4"
+
+
+@pytest.mark.parametrize("argv", [
+    ["correlate", "--n", "1e3", "--r", "10", "--r-exp", "0.5", "--pattern", "0:1"],
+    ["moments", "--n", "1e4", "--h", "10", "--r", "10", "--r-exp", "0.5", "--k", "1"],
+    ["moments", "--n", "1e4", "--h", "10", "--lambda", "1.0", "--r", "10"],
+    ["omega", "--n", "1e4", "--h", "40", "--r", "16", "--r-exp", "0.3", "--rho", "0.3"],
+    ["omega", "--n", "1e4", "--h", "40", "--lambda", "4", "--r", "16", "--rho", "0.3"],
+    ["moments", "--n", "1e4", "--h", "10", "--r", "10", "--psi", "--mixed"],
+    ["moments", "--n", "1e4", "--h", "10", "--mixed", "--first-moment"],
+    ["singular", "--pattern", "0:1,2:1", "--sn", "2", "--j", "6"],
+], ids=["correlate-r", "moments-r", "moments-h", "omega-r", "omega-h",
+        "moments-psi-mixed", "moments-mixed-first", "singular-pattern-sn"])
+def test_conflicting_options_exit_2(argv):
+    """Two options that set the same thing are an argument error (exit 2),
+    not silently resolved (a fresh interpreter, so an uncaught exception
+    would show its traceback)."""
+    proc = subprocess.run(CLI + argv, capture_output=True, timeout=300)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    assert proc.stdout == b""
+    assert "not allowed with argument" in err and "Traceback" not in err
+
+
+def test_moments_has_no_omega_option(capsys):
+    """The two-scale experiment runs through the omega subcommand only."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["moments", "--n", "1e4", "--h", "40", "--r", "16",
+                  "--omega", "rho=0.3,C=-0.5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --omega" in capsys.readouterr().err
 
 
 def test_cells_do_not_import_sympy():

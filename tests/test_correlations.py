@@ -25,7 +25,7 @@ from primelab import (
     script_L,
 )
 from primelab.correlations import (
-    PREDICTION_CONSTANTS,
+    c_of,
     pair_kernel,
     pair_kernel_closed,
     pair_kernel_scan,
@@ -104,13 +104,13 @@ class TestSk:
 
     def test_prediction_constants(self):
         """C_k(a) = 1 except the triple diagonal C_3((3)) = 3/4."""
-        t = PREDICTION_CONSTANTS.table
-        assert t[(1,)] == 1.0
-        assert t[(2,)] == 1.0
-        assert t[(1, 1)] == 1.0
-        assert t[(2, 1)] == 1.0
-        assert t[(1, 1, 1)] == 1.0
-        assert t[(3,)] == 0.75
+        assert c_of((1,)) == 1.0
+        assert c_of((2,)) == 1.0
+        assert c_of((1, 1)) == 1.0
+        assert c_of((2, 1)) == 1.0
+        assert c_of((1, 1, 1)) == 1.0
+        assert c_of((3,)) == 0.75
+        assert c_of((2, 2)) is None and c_of((1, 1, 1, 1)) is None  # k > 3
 
 
 class TestOversizeRange:
@@ -210,6 +210,20 @@ class TestKernels:
 
     def test_pair_scan_counts_no_violations(self):
         assert pair_kernel_scan(60, -6, 6) == 0
+
+    @pytest.mark.parametrize("wrong", [
+        lambda real, r1, r2, j, tb: real(r1, r1, j, tb),  # nonzero off the diagonal
+        lambda real, r1, r2, j, tb: -real(r1, r2, j, tb),  # sign flipped
+        lambda real, r1, r2, j, tb: real(r1, r2, j, tb) * tb.mu[np.gcd(j, r1)],  # mu((j,r))^2
+    ], ids=["off-diagonal", "sign", "mu-squared"])
+    def test_pair_scan_sees_a_wrong_closed_form(self, monkeypatch, wrong):
+        """The scan sums the divisors literally, so a wrong closed form is
+        counted as violations rather than compared with itself."""
+        from primelab import correlations
+        real = correlations._pair_kernel_closed
+        monkeypatch.setattr(correlations, "_pair_kernel_closed",
+                            lambda *args: wrong(real, *args))
+        assert pair_kernel_scan(30, -4, 4) > 0
 
     def test_triple_kernel_brute_matches_closed(self):
         rng = np.random.default_rng(SEED + 4)

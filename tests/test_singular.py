@@ -25,7 +25,6 @@ from primelab.singular import (
     R2_LINEAR_COEFF,
     big_R,
     product_identity_check,
-    singular_two,
     u_transform,
     weighted_S2_sum,
 )

@@ -62,6 +62,12 @@ class TestBuildTables:
             expected = min(sympy.factorint(n))
             assert tables_small.spf[n] == expected, (n, tables_small.spf[n], expected)
 
+    def test_primes(self, tables_small):
+        """The primes property lists exactly the primes <= n_max, ascending."""
+        n_max = tables_small.n_max
+        assert tables_small.primes.tolist() == list(sympy.primerange(2, n_max + 1))
+        assert not tables_small.primes.flags.writeable
+
     def test_mobius_against_factorization(self, tables_small):
         rng = np.random.default_rng(SEED + 1)
         assert tables_small.mu[1] == 1
@@ -188,16 +194,18 @@ class TestBuildTables:
                 # bytes are not part of the value)
                 assert np.array_equal(got, want), (block_max, size)
 
-    def test_psi_from_primes_matches_psi_prefix(self, monkeypatch):
-        """psi(n) summed over the prime powers alone is bit for bit
+    def test_psi_steps_match_psi_prefix(self, monkeypatch):
+        """psi(n) read off psi_steps at the last prime power <= n, on tables
+        up to max(n, 2) as ``sieve`` reads them, is bit for bit
         psi_prefix[n]: around the block boundaries of the prefix sum, and at
         every n <= 3000 with blocks of 64 entries."""
         b = tables_mod.BLOCK_MAX
         tb = build_tables(3 * b + 7)
-        primes = np.flatnonzero(tb.spf[2:] == np.arange(2, tb.n_max + 1)) + 2
 
         def psi(n):
-            return tables_mod.psi_from_primes(primes[primes <= n], n)
+            top = max(n, 2)
+            own = ArithTables(n_max=top, spf=tb.spf[: top + 1], mu=tb.mu[: top + 1])
+            return own.psi_steps[np.searchsorted(own.prime_powers[0], n, side="right")]
 
         rng = np.random.default_rng(SEED)
         ns = {0, 1, 2, 3, 4, b - 1, b, b + 1, 2 * b, 3 * b + 7}
@@ -328,18 +336,25 @@ class TestProvider:
         assert_same_tables(tables_mod.tables_for(1000), build_tables(1000))
 
     def test_library_functions_take_no_tables(self):
-        """The computing modules fetch their own tables: no public function
-        of theirs has a parameter annotated ArithTables."""
-        from primelab import correlations, lemmas, moments
+        """Every module fetches its own tables: no public function of any
+        primelab module has a parameter annotated ArithTables, except
+        save_tables, whose job is to write them."""
+        import importlib
+        import pkgutil
+
+        import primelab
+        modules = [importlib.import_module(f"primelab.{info.name}")
+                   for info in pkgutil.iter_modules(primelab.__path__)]
         takers = [
             f"{mod.__name__}.{name}({param.name})"
-            for mod in (correlations, moments, lemmas)
+            for mod in modules
             for name, fn in inspect.getmembers(mod, inspect.isfunction)
             if fn.__module__ == mod.__name__ and not name.startswith("_")
             for param in inspect.signature(fn).parameters.values()
             if "ArithTables" in str(param.annotation)
         ]
-        assert takers == []
+        assert len(modules) >= 9
+        assert takers == ["primelab.tables.save_tables(tables)"]
 
     def test_file_removed_after_listing_is_looked_up_again(self, tmp_path, monkeypatch):
         """Another process may replace the file chosen between the listing
@@ -361,7 +376,7 @@ class TestProvider:
 
 class TestFactorize:
     def test_against_sympy_factorint(self, tables_small):
-        """Ascending [(p, e)] equal to sympy's, on and past the tables."""
+        """Ascending [(p, e)] equal to sympy's, below and past 2*10^4."""
         rng = np.random.default_rng(SEED + 9)
         n_max = tables_small.n_max
         sample = [1, 2, 3, 4, n_max, n_max + 1]
@@ -371,25 +386,23 @@ class TestFactorize:
         sample += [int(n) for n in rng.integers(10**9, FACTOR_MAX + 1, size=20)]
         for n in sample:
             expected = sorted(sympy.factorint(n).items())
-            assert factorize(n, tables_small) == expected, n
             assert factorize(n) == expected, n
 
     def test_zero_and_negative_are_refused(self, tables_small):
         """sympy reports 0 as {0: 1}; 0 has no prime factorization."""
         for n in (0, -1, -6):
             with pytest.raises(ValueError):
-                factorize(n, tables_small)
+                factorize(n)
         with pytest.raises(ValueError):
             prime_divisors(0)
 
-    def test_bound_beyond_the_tables(self, tables_small):
+    def test_bound_beyond_the_tables(self):
         """Trial division stops at FACTOR_MAX; a prime just below it is
-        factored, anything larger is refused with or without tables."""
+        factored, anything larger is refused."""
         assert factorize(999_999_999_989) == [(999_999_999_989, 1)]
         assert factorize(FACTOR_MAX) == [(2, 12), (5, 12)]
-        for tb in (None, tables_small):
-            with pytest.raises(ValueError, match="trial-division bound"):
-                factorize(FACTOR_MAX + 1, tb)
+        with pytest.raises(ValueError, match="trial-division bound"):
+            factorize(FACTOR_MAX + 1)
 
     def test_prime_and_squarefree_divisors(self, tables_small):
         """Distinct primes of |n| and the squarefree divisors, both ascending."""
@@ -398,28 +411,28 @@ class TestFactorize:
             int(n) for n in rng.integers(2, 3 * tables_small.n_max, size=60)
         ]:
             fac = sympy.factorint(n)
-            assert prime_divisors(-n, tables_small) == tuple(sorted(fac)), n
+            assert prime_divisors(-n) == tuple(sorted(fac)), n
             expected = sorted(d for d in sympy.divisors(n)
                               if all(e == 1 for e in sympy.factorint(d).values()))
-            assert squarefree_divisors(n, tables_small) == expected, n
+            assert squarefree_divisors(n) == expected, n
 
 
 class TestHelpers:
-    def test_phi2_values(self, tables_small):
+    def test_phi2_values(self):
         """phi_2(p) = p - 2 on odd primes, phi_2(2) = 0, multiplicative."""
-        assert phi2(1, tables_small) == 1
-        assert phi2(2, tables_small) == 0
-        assert phi2(3, tables_small) == 1
-        assert phi2(5, tables_small) == 3
-        assert phi2(15, tables_small) == 1 * 3
-        assert phi2(105, tables_small) == 1 * 3 * 5
+        assert phi2(1) == 1
+        assert phi2(2) == 0
+        assert phi2(3) == 1
+        assert phi2(5) == 3
+        assert phi2(15) == 1 * 3
+        assert phi2(105) == 1 * 3 * 5
 
     def test_squarefree_kernel(self, tables_small):
         """j* is the product of distinct primes dividing j, sign ignored."""
         rng = np.random.default_rng(SEED + 6)
         for j in rng.integers(1, tables_small.n_max, size=N_TRIALS):
             j = int(j) * (1 if j % 2 else -1)
-            kern = squarefree_kernel(j, tables_small)
+            kern = squarefree_kernel(j)
             expected = 1
             for p in sympy.factorint(abs(j)):
                 expected *= p
