@@ -270,6 +270,8 @@ def _cmd_lambda(args) -> int:
 def _cmd_singular(args) -> int:
     p_cut = args.p_cut if args.p_cut is not None else singular.DEFAULT_P_CUT
     if args.pattern is not None:
+        if args.j is not None:
+            raise ValueError("--pattern carries its own shifts and reads no --j")
         shifts = args.pattern.shifts
         sv = singular.singular_vector(shifts, p_cut=p_cut)
         kind, label = "pattern", str(args.pattern)
@@ -325,7 +327,25 @@ def _cmd_correlate(args) -> int:
     return 0
 
 
+#: the options each moments mode reads besides --n and --h/--lambda
+_MOMENT_OPTIONS = {
+    "first_moment": (),
+    "psi": ("k", "centered", "primed"),
+    "mixed": ("k", "r", "r_exp", "primed"),
+    "psi_R": ("k", "r", "r_exp", "exact", "expand", "primed"),
+}
+
+
 def _cmd_moments(args) -> int:
+    mode = ("first_moment" if args.first_moment else "psi" if args.psi
+            else "mixed" if args.mixed else "psi_R")
+    # an unset option is None and an unset flag False; a given 0 is neither
+    unread = [f"--{name.replace('_', '-')}"
+              for name in ("k", "r", "r_exp", "centered", "exact", "expand", "primed")
+              if name not in _MOMENT_OPTIONS[mode]
+              and getattr(args, name) is not None and getattr(args, name) is not False]
+    if unread:
+        raise ValueError(f"moments mode {mode} reads no {', '.join(unread)}")
     N = args.n
     h, lam = _resolve_h(args, N)
 
@@ -339,7 +359,7 @@ def _cmd_moments(args) -> int:
             return _fail_identity("first-moment routes disagree at integer level")
         return 0
 
-    k = args.k
+    k = 1 if args.k is None else args.k
     if args.psi:
         rep = moments.moment_psi(N, h, k, centered=args.centered,
                                  primed=args.primed)
@@ -583,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moments", parents=[common()],
                        help="window moments of psi_R / psi, mixed moments, identities")
     p.add_argument("--n", type=parse_count, required=True, help="range length N")
-    p.add_argument("--k", type=int, default=1, help="moment order")
+    p.add_argument("--k", type=int, default=None, help="moment order (default 1)")
     h_options(p)
     r_options(p)
     mode = p.add_mutually_exclusive_group()

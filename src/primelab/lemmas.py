@@ -38,13 +38,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import constants
+from . import constants, tables as _tables
 from .constants import CONST_P_CUT, DEFAULT_P_CUT, EULER_GAMMA, primes_up_to
 from .singular import constant_C, singular_Sn
 from .tables import (
     TABLE_MAX,
     cumsum_blocks,
-    dyadic_blocks,
+    factor_blocks,
     prime_divisors,
     squarefree_kernel,
     tables_for,
@@ -162,23 +162,39 @@ def multiplicative_values(f: FactorFn, x: int) -> np.ndarray:
     raise floating-point warnings there.  lpf is kept only up to x/2, the
     largest n/spf(n) that is read.  Keying on the largest prime multiplies
     the factors in ascending-prime order, so v[n] is bit-for-bit the
-    left-to-right product.  spf and mu come from ``tables_for(x)``.
+    left-to-right product.  spf and mu come from ``tables_for(x)``.  The
+    array f is given is a buffer reused from block to block: f must not
+    keep or change it.
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     tables = tables_for(x)
-    spf, mu = tables.spf, tables.mu
+    mu = tables.mu
     out = np.empty(x + 1, dtype=np.float64)
     out[0] = 0.0
     out[1] = 1.0
     lpf = np.empty(max(x // 2, 1) + 1, dtype=np.int32)
     lpf[1] = 1
-    for lo, hi in dyadic_blocks(x):
-        k = np.arange(lo, hi, dtype=np.int32)
-        big = np.maximum(lpf[k // spf[lo:hi]], spf[lo:hi])
+    # block temporaries, allocated once: a fresh 1-2 MB array per block
+    # would be mapped, faulted in and unmapped again every time
+    size = min((x + 1) // 2, _tables.BLOCK_MAX)  # the largest block
+    index, big = np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int32)
+    value, squarefree = np.empty(size, dtype=np.float64), np.empty(size, dtype=bool)
+    for lo, hi, k, p in factor_blocks(tables.spf[: x + 1]):
+        n = hi - lo
+        m, b, v, sf = index[:n], big[:n], value[:n], squarefree[:n]
+        np.floor_divide(k, p, out=m)
+        np.take(lpf, m, out=b, mode="clip")
+        np.maximum(b, p, out=b)
         kept = lpf[lo:hi]  # empty once lo > x/2
-        kept[:] = big[: kept.size]
-        out[lo:hi] = np.where(mu[lo:hi] != 0, out[k // big] * f(big), 0.0)
+        kept[:] = b[: kept.size]
+        np.floor_divide(k, b, out=m)
+        np.take(out, m, out=v, mode="clip")
+        np.multiply(v, f(b), out=v)
+        np.not_equal(mu[lo:hi], 0, out=sf)
+        dst = out[lo:hi]
+        dst[:] = 0.0
+        np.copyto(dst, v, where=sf)
     return out
 
 

@@ -2,18 +2,24 @@
 
 For all n <= n_max the tables store
 
-* ``spf``       smallest prime factor (int32; spf[1] = 1),
+* ``spf``       smallest prime factor of a composite n, 0 at a prime
+                (uint16; spf[0] = 0, spf[1] = 1),
 * ``mu``        Moebius function (int8),
 
 and derive from spf, on first read,
 
 * ``phi``           Euler totient (int64),
-* ``primes``        the primes <= n_max, ascending,
+* ``primes``        the primes <= n_max, ascending: the n >= 2 with spf[n] = 0,
 * ``prime_powers``  the prime powers q <= n_max and Lambda(q) = log p,
 * ``psi_steps``     psi at 0 and at each prime power: one long-double
                     running sum over Lambda(q), rounded once per entry,
 * ``lam``           von Mangoldt function (float64; log p at prime powers),
 * ``psi_prefix``    psi_prefix[x] = psi(x), psi_steps repeated over the gaps.
+
+The least prime factor of a composite n <= TABLE_MAX is at most
+isqrt(TABLE_MAX) < 2**16, and at a prime it is n itself, which the index
+already gives: so spf fits in 16 bits, and ``factor_blocks`` decodes it
+(k where spf[k] = 0) a block at a time for the recurrences below.
 
 A slice sieve over i <= sqrt(n_max) fills ``spf``.  mu and phi then come
 from a dyadic-block recurrence: for n in [2^i, 2^(i+1)) write p = spf(n) and
@@ -29,21 +35,23 @@ the same recurrence keyed on the largest prime factor.  ``cumsum_blocks``
 streams a running sum in blocks of the same size, carrying as many earlier
 sums as a window difference needs.
 
-The stored arrays take 5 bytes per entry (4+1), so n_max = 10**7 costs
-~50 MB; phi, lam and psi_prefix each add 8 bytes per entry once read, and
+The stored arrays take 3 bytes per entry (2+1), so n_max = 10**7 costs
+~30 MB; phi, lam and psi_prefix each add 8 bytes per entry once read, and
 primes, prime_powers and psi_steps 8 to 16 bytes per prime power (about 8%
 of the entries at 10**6); all are read-only.  psi_steps is taken from
 prime_powers alone, so psi at one n reads no n-entry array and psi_prefix
 derives no lam.  ``build_tables`` refuses n_max above TABLE_MAX, the limit
-of int32 smallest-prime-factor storage.
+of the int32 arithmetic in the recurrences.
 
 ``tables_for`` is the one provider every caller goes through: it serves a
 request as a prefix of a cache file in PRIMELAB_CACHE_DIR or of the largest
 build the process holds, and builds only when neither reaches n_max; a
 build it saves replaces the smaller cache files it serves.  A cache file is
-a small versioned header followed by spf and mu, little-endian;
-``load_tables`` maps it read-only, so pages a command never touches are
-never read.
+a small versioned header, spf and mu, then a CRC32 of every block of
+_CHECK_ENTRIES entries of each array, all little-endian; ``load_tables``
+maps it read-only and checks the blocks that cover the requested prefix,
+once per file in a process, so pages a command never touches are never
+read and damaged bytes are never used.
 """
 
 from __future__ import annotations
@@ -56,11 +64,12 @@ import mmap
 import os
 import re
 import struct
+import zlib
 
 import numpy as np
 
 _MAGIC = b"PRLB"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 
 #: environment variable naming the directory for cached table files
 CACHE_DIR_ENV = "PRIMELAB_CACHE_DIR"
@@ -76,7 +85,7 @@ class ArithTables:
     """Container for the sieved arrays; index n is the integer n itself."""
 
     n_max: int
-    spf: np.ndarray  # int32  smallest prime factor, spf[0]=0, spf[1]=1
+    spf: np.ndarray  # uint16 least prime factor of a composite, 0 at a prime; spf[1]=1
     mu: np.ndarray  # int8   Moebius
 
     @cached_property
@@ -87,9 +96,8 @@ class ArithTables:
 
     @cached_property
     def primes(self) -> np.ndarray:
-        """The ascending primes <= n_max: the n >= 2 with spf[n] = n."""
-        spf = self.spf
-        primes = np.flatnonzero(spf[2:] == np.arange(2, spf.size, dtype=np.int32))
+        """The ascending primes <= n_max: the n >= 2 with spf[n] = 0."""
+        primes = np.flatnonzero(self.spf[2:] == 0)
         primes += 2  # in place, so no freed copy is left under the cached array
         return _read_only(primes)
 
@@ -134,7 +142,8 @@ class ArithTables:
 #: most entries one recurrence step handles; bounds its temporary arrays
 BLOCK_MAX = 1 << 18
 
-#: largest n_max the tables hold, since spf is stored as int32
+#: largest n_max the tables hold: the recurrences index with int32, and
+#: the least prime factor of a composite up to it is below 2**16 (uint16 spf)
 TABLE_MAX = 2**31 - 2
 
 
@@ -152,30 +161,50 @@ def dyadic_blocks(n: int):
 
 
 def _smallest_prime_factors(n: int) -> np.ndarray:
-    """int32 array with spf[k] the least prime dividing k (spf[0]=0, spf[1]=1)."""
-    spf = np.zeros(n + 1, dtype=np.int32)
+    """uint16 array with spf[k] the least prime dividing a composite k, 0 at
+    a prime (spf[0] = 0, spf[1] = 1); every such factor is <= isqrt(n)."""
+    spf = np.zeros(n + 1, dtype=np.uint16)
     spf[1] = 1
     for i in range(2, math.isqrt(n) + 1):
         if spf[i] == 0:
-            spf[i] = i
             sl = spf[i * i :: i]
             sl[sl == 0] = i
-    rest = np.flatnonzero(spf == 0)
-    rest = rest[rest >= 2]
-    spf[rest] = rest.astype(np.int32)
     return spf
+
+
+def factor_blocks(spf: np.ndarray):
+    """Yield (lo, hi, k, p) over dyadic_blocks(spf.size - 1): k holds
+    lo..hi-1 and p the least prime factor of each, both int32, p decoded
+    from spf (k itself where spf[k] = 0, at a prime).
+
+    k and p are views of buffers reused from block to block, so they are
+    only valid until the next block is asked for.
+    """
+    n = spf.size - 1
+    size = min((n + 1) // 2, BLOCK_MAX)  # the largest of dyadic_blocks(n)
+    ramp = np.arange(size, dtype=np.int32)
+    k_buf = np.empty(size, dtype=np.int32)
+    p_buf = np.empty(size, dtype=np.int32)
+    prime_buf = np.empty(size, dtype=bool)
+    for lo, hi in dyadic_blocks(n):
+        k, p, prime = k_buf[: hi - lo], p_buf[: hi - lo], prime_buf[: hi - lo]
+        np.add(ramp[: hi - lo], lo, out=k)
+        np.equal(spf[lo:hi], 0, out=prime)
+        np.copyto(p, spf[lo:hi])
+        np.copyto(p, k, where=prime)
+        yield lo, hi, k, p
 
 
 def _multiplicative(spf: np.ndarray, dtype, factor) -> np.ndarray:
     """f with f(0) = 0, f(1) = 1 and f(n) = f(m) * factor(p, spf(m) == p),
-    where p = spf(n) and m = n/p: the recurrence behind mu and phi."""
+    where p = spf(n) and m = n/p: the recurrence behind mu and phi.  spf(m)
+    is p where spf[m] = p or, at a prime m, where m = p."""
     n = spf.size - 1
     out = np.zeros(n + 1, dtype=dtype)
     out[1] = 1
-    for lo, hi in dyadic_blocks(n):
-        p = spf[lo:hi]
-        m = np.arange(lo, hi, dtype=np.int32) // p
-        out[lo:hi] = out[m] * factor(p, spf[m] == p)
+    for lo, hi, k, p in factor_blocks(spf):
+        m = k // p
+        out[lo:hi] = out[m] * factor(p, (spf[m] == p) | (m == p))
     return out
 
 
@@ -232,13 +261,13 @@ def build_tables(n_max: int) -> ArithTables:
     """Sieve spf and mu up to n_max (inclusive); the derived arrays follow
     on first read.
 
-    Requires n_max >= 2.  Memory is 5 bytes/entry; n_max beyond int32
-    range is refused since spf is stored as int32.
+    Requires n_max >= 2.  Memory is 3 bytes/entry (uint16 spf, int8 mu);
+    n_max above TABLE_MAX is refused.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     if n_max > TABLE_MAX:
-        raise ValueError(f"n_max={n_max} exceeds int32 spf capacity {TABLE_MAX}")
+        raise ValueError(f"n_max={n_max} exceeds the table bound {TABLE_MAX}")
     spf = _smallest_prime_factors(n_max)
     mu = _multiplicative(spf, np.int8, lambda p, same: np.where(same, 0, -1))
     return ArithTables(n_max=n_max, spf=spf, mu=mu)
@@ -249,15 +278,31 @@ def build_tables(n_max: int) -> ArithTables:
 # ---------------------------------------------------------------------------
 
 _ARRAY_SPEC = (
-    ("spf", "<i4"),
+    ("spf", "<u2"),
     ("mu", "<i1"),
 )
 _HEADER = struct.Struct("<4sHQ")  # magic, format version, n_max
 _ENTRY_BYTES = sum(np.dtype(dt).itemsize for _name, dt in _ARRAY_SPEC)
 
+#: entries per checksummed block of each array; part of the file format, so
+#: fixed when the module loads (BLOCK_MAX's value)
+_CHECK_ENTRIES = BLOCK_MAX
+_CRC = np.dtype("<u4")
+
+#: (device, inode, size, mtime) of each table file this process has mapped
+#: -> how many leading blocks of each array passed their checksum
+_checked: dict[tuple[int, int, int, int], int] = {}
+
+
+def _check_blocks(entries: int) -> int:
+    """The checksummed blocks that cover the first ``entries`` entries."""
+    return -(-entries // _CHECK_ENTRIES)
+
 
 def save_tables(tables: ArithTables, path: str | os.PathLike) -> None:
-    """Write tables to a little-endian binary file (magic, version, n_max, arrays).
+    """Write tables to a little-endian binary file: magic, version, n_max,
+    the arrays, then the CRC32 of each block of _CHECK_ENTRIES entries of
+    each array in turn.
 
     The bytes go to a temporary file in the same directory, which is renamed
     onto ``path`` only when complete: an interrupted or concurrent write never
@@ -268,9 +313,13 @@ def save_tables(tables: ArithTables, path: str | os.PathLike) -> None:
     try:
         with open(tmp, "wb") as fh:
             fh.write(_HEADER.pack(_MAGIC, _FORMAT_VERSION, tables.n_max))
+            crcs = []
             for name, dt in _ARRAY_SPEC:
-                arr = getattr(tables, name)
-                fh.write(np.ascontiguousarray(arr, dtype=dt).data)
+                arr = np.ascontiguousarray(getattr(tables, name), dtype=dt)
+                fh.write(arr.data)
+                crcs += [zlib.crc32(arr[lo : lo + _CHECK_ENTRIES])
+                         for lo in range(0, arr.size, _CHECK_ENTRIES)]
+            fh.write(np.array(crcs, dtype=_CRC).data)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -282,20 +331,28 @@ def load_tables(path: str | os.PathLike, n_max: int | None = None) -> ArithTable
     """Map a file written by save_tables read-only, as tables up to n_max.
 
     n_max defaults to the file's own and may not exceed it.  The magic, the
-    version and the exact file size are checked (ValueError otherwise); each
-    array is a read-only view of the first n_max + 1 entries of the mapping,
-    so pages no caller touches are never read.
+    version and the exact file size are checked, and so is the checksum of
+    every block that holds one of the first n_max + 1 entries of an array,
+    once per file in a process; any failure raises ValueError and no data
+    is used.  Each array is a read-only view of the first n_max + 1 entries
+    of the mapping, so pages beyond the checked blocks are never read.
     """
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
+        stat = os.fstat(fh.fileno())
+        size = stat.st_size
         if size < _HEADER.size:
             raise ValueError(f"truncated table file {os.fspath(path)!r}")
         magic, version, file_max = _HEADER.unpack(fh.read(_HEADER.size))
         if magic != _MAGIC:
             raise ValueError(f"not a primelab table file (magic {magic!r})")
         if version != _FORMAT_VERSION:
-            raise ValueError(f"unsupported table format version {version}")
-        expected = _HEADER.size + (file_max + 1) * _ENTRY_BYTES
+            raise ValueError(
+                f"unsupported table format version {version} in {os.fspath(path)!r} "
+                f"(this release reads version {_FORMAT_VERSION}); delete the file"
+            )
+        blocks = _check_blocks(file_max + 1)
+        expected = (_HEADER.size + (file_max + 1) * _ENTRY_BYTES
+                    + len(_ARRAY_SPEC) * blocks * _CRC.itemsize)
         if size != expected:
             raise ValueError(
                 f"table file {os.fspath(path)!r} has {size} bytes, "
@@ -305,11 +362,22 @@ def load_tables(path: str | os.PathLike, n_max: int | None = None) -> ArithTable
         if not 0 <= n_max <= file_max:
             raise ValueError(f"n_max={n_max} outside the file's range [0, {file_max}]")
         mapping = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    crcs = np.frombuffer(mapping, dtype=_CRC, offset=_HEADER.size + (file_max + 1) * _ENTRY_BYTES)
+    key = (stat.st_dev, stat.st_ino, size, stat.st_mtime_ns)
+    done, need = _checked.get(key, 0), _check_blocks(n_max + 1)
     arrays = {}
     offset = _HEADER.size
-    for name, dt in _ARRAY_SPEC:
-        arrays[name] = np.frombuffer(mapping, dtype=dt, count=n_max + 1, offset=offset)
-        offset += (file_max + 1) * arrays[name].itemsize
+    for (name, dt), sums in zip(_ARRAY_SPEC, crcs.reshape(len(_ARRAY_SPEC), blocks)):
+        full = np.frombuffer(mapping, dtype=dt, count=file_max + 1, offset=offset)
+        offset += full.nbytes
+        for b in range(done, need):
+            if zlib.crc32(full[b * _CHECK_ENTRIES : (b + 1) * _CHECK_ENTRIES]) != sums[b]:
+                raise ValueError(
+                    f"table file {os.fspath(path)!r} fails its checksum in {name} "
+                    f"block {b}; delete the file"
+                )
+        arrays[name] = full[: n_max + 1]
+    _checked[key] = max(done, need)
     return ArithTables(n_max=n_max, **arrays)
 
 

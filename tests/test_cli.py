@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from primelab import cli
@@ -344,6 +345,34 @@ class TestCache:
         assert cli.main(["sieve", "--n-max", "3000"]) == 3
         err = capsys.readouterr().err
         assert "precondition failed" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("stale", ["version-2", "mu-byte"])
+    def test_stale_or_corrupt_cache_file_returns_3(self, tmp_path, capsys, monkeypatch, stale):
+        """A format-2 file (int32 spf equal to n at a prime, then mu: 5 bytes
+        per entry) and a format-3 file with one mu byte flipped both exit 3,
+        print no row, and stay as they were."""
+        from primelab import tables
+        n = 10**5
+        path = tmp_path / f"primelab_tables_{n}.bin"
+        tb = tables.build_tables(n)
+        if stale == "version-2":
+            index = np.arange(n + 1, dtype=np.int32)
+            spf = np.where((tb.spf == 0) & (index >= 2), index, tb.spf).astype("<i4")
+            raw = b"PRLB" + (2).to_bytes(2, "little") + n.to_bytes(8, "little")
+            raw += spf.tobytes() + tb.mu.tobytes()
+        else:
+            tables.save_tables(tb, path)
+            raw = bytearray(path.read_bytes())
+            raw[14 + 2 * (n + 1) + 4321] ^= 1
+            raw = bytes(raw)
+        path.write_bytes(raw)
+        monkeypatch.setenv(tables.CACHE_DIR_ENV, str(tmp_path))
+        monkeypatch.setattr(tables, "_checked", {})
+        monkeypatch.setattr(tables, "_held", None)
+        code, out = run_main(["sieve", "--n-max", "1e5"], capsys)
+        assert code == 3 and out == ""
+        assert path.read_bytes() == raw
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_missing_cache_dir_returns_3(self, tmp_path):
         """A cache dir that does not exist is a precondition failure (a

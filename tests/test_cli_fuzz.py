@@ -1,6 +1,7 @@
 """Property test of the command line: any argv drawn from small menus of
 each subcommand's options, conflicting pairs and bad values included, ends
-in exit 0, 2 or 3 and never in an uncaught exception.
+in exit 0, 2 or 3 and never in an uncaught exception; an argv that gives an
+option its mode does not read never exits 0.
 
 The menus keep N <= 1e4 and R, h small, so that every cell is cheap; the
 tables go to a temporary PRIMELAB_CACHE_DIR.
@@ -78,6 +79,42 @@ MENUS = {
 }
 
 
+# mode flag (None: no flag given) -> the options that mode does not read
+UNREAD = {
+    "moments": {
+        "--first-moment": {"--k", "--r", "--r-exp", "--centered", "--exact",
+                           "--expand", "--primed"},
+        "--psi": {"--r", "--r-exp", "--exact", "--expand"},
+        "--mixed": {"--centered", "--exact", "--expand"},
+        None: {"--centered"},
+    },
+    "singular": {"--pattern": {"--j"}},
+}
+
+# the cases UNREAD names, each drawn from the menus above
+REFUSED = [
+    ["moments", "--n", "1e4", "--h", "10", "--r", "8", "--centered", "--k", "2"],
+    ["moments", "--n", "1e4", "--h", "10", "--psi", "--exact"],
+    ["moments", "--n", "1e4", "--h", "10", "--psi", "--expand"],
+    ["moments", "--n", "1e4", "--h", "10", "--psi", "--r", "8"],
+    ["moments", "--n", "1e4", "--h", "10", "--r", "8", "--mixed", "--exact"],
+    ["moments", "--n", "1e4", "--h", "10", "--r", "8", "--mixed", "--expand"],
+    ["moments", "--n", "1e4", "--h", "10", "--r", "8", "--mixed", "--centered"],
+    ["moments", "--n", "1e4", "--h", "10", "--first-moment", "--r", "8"],
+    ["moments", "--n", "1e4", "--h", "10", "--first-moment", "--r-exp", "0.25"],
+    ["moments", "--n", "1e4", "--h", "10", "--first-moment", "--k", "1"],
+    ["moments", "--n", "1e4", "--h", "10", "--first-moment", "--centered"],
+    ["moments", "--n", "1e4", "--h", "10", "--first-moment", "--primed"],
+    ["singular", "--pattern", "0:1,2:1", "--j", "6"],
+]
+
+
+def _gives_unread_option(argv: list[str]) -> bool:
+    rules = UNREAD.get(argv[0], {})
+    modes = [flag for flag in rules if flag in argv] or [None]
+    return any(set(argv) & rules.get(mode, set()) for mode in modes)
+
+
 # the options argparse requires: drawn in about seven runs of eight
 REQUIRED = {
     "sieve": {"--n-max"},
@@ -122,4 +159,16 @@ def _exit_code(argv: list[str]) -> int:
 @given(argv=argvs())
 def test_every_argv_exits_0_2_or_3(argv, tmp_path, monkeypatch):
     monkeypatch.setenv("PRIMELAB_CACHE_DIR", str(tmp_path))
-    assert _exit_code(argv) in (0, 2, 3), argv
+    allowed = (2, 3) if _gives_unread_option(argv) else (0, 2, 3)
+    assert _exit_code(argv) in allowed, argv
+
+
+def test_unread_options_are_refused(tmp_path, monkeypatch):
+    """Each option a mode does not read is refused, where it used to be
+    ignored with exit 0; without it the same cell runs."""
+    monkeypatch.setenv("PRIMELAB_CACHE_DIR", str(tmp_path))
+    for argv in REFUSED:
+        assert _gives_unread_option(argv), argv
+        assert _exit_code(argv) in (2, 3), argv
+    assert _exit_code(["moments", "--n", "1e4", "--h", "10", "--first-moment"]) == 0
+    assert _exit_code(["singular", "--pattern", "0:1,2:1", "--p-cut", "1000"]) == 0

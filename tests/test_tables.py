@@ -45,6 +45,11 @@ def naive_lambda(n: int) -> float:
     return 0.0
 
 
+def _flip(raw: bytes, at: int) -> bytes:
+    """raw with the lowest bit of byte ``at`` flipped."""
+    return raw[:at] + bytes([raw[at] ^ 1]) + raw[at + 1 :]
+
+
 def assert_same_tables(small: ArithTables, big: ArithTables) -> None:
     """Every array of ``small`` is byte-equal to the same prefix of ``big``."""
     n = small.n_max
@@ -55,12 +60,39 @@ def assert_same_tables(small: ArithTables, big: ArithTables) -> None:
 
 class TestBuildTables:
     def test_smallest_prime_factor(self, tables_small):
-        """spf[n] is the least prime dividing n; spf[p] = p exactly at primes."""
+        """spf[n] is the least prime dividing a composite n and 0 at a prime
+        n, stored as uint16 with spf[0] = 0 and spf[1] = 1."""
+        spf = tables_small.spf
+        assert spf.dtype == np.uint16 and spf[0] == 0 and spf[1] == 1
         rng = np.random.default_rng(SEED)
-        for n in rng.integers(2, tables_small.n_max, size=N_TRIALS):
-            n = int(n)
-            expected = min(sympy.factorint(n))
-            assert tables_small.spf[n] == expected, (n, tables_small.spf[n], expected)
+        sample = [int(n) for n in rng.integers(2, tables_small.n_max, size=N_TRIALS)]
+        sample += [2, 3, 4, 20011, 139 * 139, 2 * 10007, tables_small.n_max]
+        for n in sample:
+            expected = 0 if sympy.isprime(n) else min(sympy.factorint(n))
+            assert spf[n] == expected, (n, spf[n], expected)
+
+    def test_table_max_factors_fit_uint16(self):
+        """Every composite n <= TABLE_MAX has a prime factor <= isqrt(n),
+        which uint16 spf holds."""
+        assert math.isqrt(tables_mod.TABLE_MAX) < 2**16
+
+    def test_factor_blocks_decode_least_prime(self, monkeypatch):
+        """factor_blocks yields int32 k = lo..hi-1 and p = the least prime
+        factor of each k, primes included (p = k there), over the dyadic
+        blocks: blocks of at most 64 entries, and the default size."""
+        n = 5000
+        spf = build_tables(n).spf
+        want = [0, 0] + [min(sympy.factorint(k)) for k in range(2, n + 1)]
+        for block_max in (64, tables_mod.BLOCK_MAX):
+            monkeypatch.setattr(tables_mod, "BLOCK_MAX", block_max)
+            blocks = []
+            for lo, hi, k, p in tables_mod.factor_blocks(spf):
+                assert k.dtype == p.dtype == np.int32
+                assert k.tolist() == list(range(lo, hi))
+                assert p.tolist() == want[lo:hi], (block_max, lo)
+                blocks.append((lo, hi))
+            assert blocks == list(tables_mod.dyadic_blocks(n))
+            assert max(hi - lo for lo, hi in blocks) == min(block_max, 2048)
 
     def test_primes(self, tables_small):
         """The primes property lists exactly the primes <= n_max, ascending."""
@@ -110,8 +142,7 @@ class TestBuildTables:
     def test_known_anchors(self, tables_small):
         """pi(10^4) = 1229, M(10^4) = -23, Q(10^4) = 6083, psi(10^4) ~ 10013.4."""
         n = 10_000
-        values = np.arange(2, n + 1)
-        primes = int(np.count_nonzero(tables_small.spf[2:n + 1] == values))
+        primes = int(np.count_nonzero(tables_small.spf[2:n + 1] == 0))
         assert primes == 1229
         assert int(tables_small.mu[1:n + 1].sum()) == -23
         assert int(np.count_nonzero(tables_small.mu[1:n + 1])) == 6083
@@ -241,8 +272,9 @@ class TestSaveLoad:
             assert not getattr(back, name).flags.writeable, name
         for name in ("phi", "lam", "psi_prefix"):  # derived, also on a build
             assert not getattr(tb, name).flags.writeable, name
-        # the header, then spf (4 bytes) and mu (1 byte) per entry
-        assert path.stat().st_size == 14 + 5 * (3000 + 1)
+        # the header, spf (2 bytes) and mu (1 byte) per entry, then one
+        # 4-byte CRC32 per array, as 3001 entries make one checked block
+        assert path.stat().st_size == 14 + 3 * (3000 + 1) + 2 * 4
 
     def test_prefix_load(self, tmp_path):
         """load_tables(path, n) is byte-equal to build_tables(n) for n up to
@@ -259,15 +291,44 @@ class TestSaveLoad:
     @pytest.mark.parametrize("damage", [
         lambda raw: b"XXXX" + raw[4:],
         lambda raw: raw[:4] + (1).to_bytes(2, "little") + raw[6:],
+        lambda raw: raw[:4] + (2).to_bytes(2, "little") + raw[6:],
         lambda raw: raw[:-1],
         lambda raw: raw[:10],
         lambda raw: raw + b"\0",
-    ], ids=["magic", "version", "truncated", "short-header", "trailing"])
-    def test_damaged_file_is_refused(self, tmp_path, damage):
+        lambda raw: _flip(raw, 14 + 2 * 37),  # spf[37]
+        lambda raw: _flip(raw, 14 + 2 * 101 + 37),  # mu[37]
+        lambda raw: _flip(raw, len(raw) - 1),  # mu's CRC
+    ], ids=["magic", "version", "version-2", "truncated", "short-header",
+            "trailing", "spf-byte", "mu-byte", "crc-byte"])
+    def test_damaged_file_is_refused(self, tmp_path, monkeypatch, damage):
+        monkeypatch.setattr(tables_mod, "_checked", {})
         path = tmp_path / "primelab_tables_100.bin"
         save_tables(build_tables(100), path)
         path.write_bytes(damage(path.read_bytes()))
         with pytest.raises(ValueError):
+            load_tables(path)
+
+    def test_checksums_cover_the_mapped_prefix_once(self, tmp_path, monkeypatch):
+        """A load checks the blocks that hold the requested prefix of each
+        array, and a later load of the same file checks only blocks it has
+        not checked yet: damage past the prefix is found once a request
+        reaches it."""
+        monkeypatch.setattr(tables_mod, "_checked", {})
+        block = tables_mod._CHECK_ENTRIES
+        n = 2 * block + 5
+        path = tmp_path / f"primelab_tables_{n}.bin"
+        save_tables(build_tables(n), path)
+        path.write_bytes(_flip(path.read_bytes(), 14 + 2 * (n + 1) + 2 * block + 3))
+        crcs = []
+        real = tables_mod.zlib.crc32
+        monkeypatch.setattr(tables_mod.zlib, "crc32", lambda data: crcs.append(1) or real(data))
+        assert_same_tables(load_tables(path, 1000), build_tables(1000))
+        assert len(crcs) == 2  # block 0 of spf and of mu
+        load_tables(path, block - 1)
+        assert len(crcs) == 2
+        assert_same_tables(load_tables(path, block), build_tables(block))
+        assert len(crcs) == 4
+        with pytest.raises(ValueError, match="fails its checksum in mu block 2"):
             load_tables(path)
 
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
