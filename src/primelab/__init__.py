@@ -3,6 +3,8 @@
 The package evaluates, at desk scale and with exact-arithmetic cross-checks:
 
 * the truncated divisor-sum approximants lambda_R(n) and LambdaBig_R(n),
+  both as divisor weights (``build_weights``, ``biglambda_weights``) that
+  one range evaluator, ``lambda_R_range``, tabulates in float or exact form,
 * Hardy-Littlewood singular series and their level constants,
 * correlation sums of the approximants over shift patterns,
 * window moments of psi_R and of psi over short intervals, their exact
@@ -16,11 +18,10 @@ from __future__ import annotations
 from .tables import ArithTables, build_tables, load_tables, save_tables, tables_for
 from .approximants import (
     ApproximantWeights,
-    biglambda_R_range,
+    biglambda_weights,
     build_weights,
     lambda_R_direct,
     lambda_R_range,
-    lambda_R_range_exact,
     psi_R,
     script_L,
     script_L_float,
@@ -79,7 +80,7 @@ __all__ = [
     "ShiftPattern",
     "SingularValue",
     "__version__",
-    "biglambda_R_range",
+    "biglambda_weights",
     "build_tables",
     "build_weights",
     "constant_C",
@@ -89,7 +90,6 @@ __all__ = [
     "h_from_lambda",
     "lambda_R_direct",
     "lambda_R_range",
-    "lambda_R_range_exact",
     "lemma1",
     "lemma2",
     "lemma3",

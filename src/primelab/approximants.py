@@ -1,21 +1,22 @@
 """Truncated divisor-sum approximants to the von Mangoldt function.
 
-Two families, both parametrized by a level R >= 1:
+Two families, both parametrized by a level R >= 1 and both of the form
+sum_{d | n} y_d with weights y_d supported on squarefree d <= R (0 for n <= 0):
 
-* ``lambda_R(n) = sum_{r <= R} mu^2(r)/phi(r) * sum_{d | (r,n)} d*mu(d)``
-  (0 for n <= 0).  Collecting by d this is sum_{d | n} y_d with weights
-  ``y_d = d*mu(d) * sum_{r <= R, d | r} mu^2(r)/phi(r)``, supported on
-  squarefree d <= R, which is what the range/prefix evaluators use.
+* ``lambda_R(n) = sum_{r <= R} mu^2(r)/phi(r) * sum_{d | (r,n)} d*mu(d)``;
+  collecting by d gives ``y_d = d*mu(d) * sum_{r <= R, d | r} mu^2(r)/phi(r)``
+  (``build_weights``).
 
-* ``biglambda_R(n) = sum_{d | n, d <= R} mu(d) * log(R/d)`` (0 for n <= 0),
-  which equals log p at primes p <= R.
+* ``biglambda_R(n) = sum_{d | n, d <= R} mu(d) * log(R/d)``, which equals
+  log p at primes p <= R: ``y_d = mu(d) * (log R - log d)``
+  (``biglambda_weights``).
 
-Weights exist in a float64 form for large R and in an exact form where
-every y_d is an integer over one common denominator D = lcm of the phi(r)
-(Python ints, no overflow); the exact form powers the rational identity
-checks.  Both forms tabulate through one divisor scatter: float64 arrays
-for the float form, numpy object arrays of Python ints for the exact one,
-so exact values run through the same numpy code downstream.
+``ApproximantWeights`` holds either vector and ``lambda_R_range`` tabulates
+any of them, in the dtype of the weights.  The lambda_R weights also exist
+in an exact form, every y_d an integer over one common denominator
+D = lcm of the phi(r), as a numpy object array of Python ints (no
+overflow), so exact values run through the same numpy code downstream and
+power the rational identity checks.
 ``script_L(R, k) = sum_{r <= R, (r,k)=1} mu^2(r)/phi(r)`` comes
 with its truncated main term (via the shared constants machinery, so the
 value agrees bit-for-bit with the general lemma evaluator specialized to
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import constants
 from .constants import CONST_P_CUT, EULER_GAMMA, HILDEBRAND_PAIR
-from .tables import prime_divisors, squarefree_divisors, tables_for
+from .tables import ArithTables, _read_only, prime_divisors, tables_for
 
 #: largest R for which the exact (common-denominator) weight mode is offered;
 #: D = lcm of totients grows exponentially with R
@@ -41,30 +42,46 @@ EXACT_R_MAX = 2000
 
 @dataclass(frozen=True)
 class ApproximantWeights:
-    """Divisor weights y_d of lambda_R, d running over squarefree d <= R."""
+    """Divisor weights y_d of an approximant, d running over squarefree d <= R.
+
+    ``y`` is float64, or in exact mode (``denominator`` set) an object array
+    of Python ints with y_d = y[i] / denominator.  Both arrays are read-only:
+    the weights cache hands one object to every caller.
+    """
 
     R: int
     d_values: np.ndarray  # int64, ascending squarefree support
-    y_float: np.ndarray  # float64 weights
-    denominator: int | None = None  # D with y_d = y_int/D exactly (exact mode)
-    y_int: tuple[int, ...] | None = None
+    y: np.ndarray  # float64, or object ints over denominator
+    denominator: int | None = None  # D, exact mode only
+
+    def __post_init__(self) -> None:
+        _read_only(self.d_values)
+        _read_only(self.y)
 
     @property
     def exact(self) -> bool:
-        return self.y_int is not None
+        return self.denominator is not None
 
 
 _weights_cache: dict[tuple[int, bool], ApproximantWeights] = {}
 
 
+def _squarefree_support(R: int) -> tuple[ArithTables, np.ndarray, np.ndarray]:
+    """(tables, mu[0..R] as int64, the ascending squarefree d <= R as int64)."""
+    if R < 1:
+        raise ValueError(f"R must be >= 1, got {R}")
+    tb = tables_for(R)
+    mu = tb.mu[: R + 1].astype(np.int64)
+    sf = np.flatnonzero(mu != 0)
+    return tb, mu, sf[sf >= 1].astype(np.int64)
+
+
 def build_weights(R: int, exact: bool = False) -> ApproximantWeights:
     """Construct the divisor weights of lambda_R.
 
-    exact=True also stores integer-scaled weights over the common
-    denominator D = lcm{phi(r) : r <= R squarefree} (requires R <= 2000).
+    exact=True stores them instead as integers over the common denominator
+    D = lcm{phi(r) : r <= R squarefree} (requires R <= 2000).
     """
-    if R < 1:
-        raise ValueError(f"R must be >= 1, got {R}")
     if exact and R > EXACT_R_MAX:
         raise ValueError(
             f"exact weights limited to R <= {EXACT_R_MAX} "
@@ -75,38 +92,36 @@ def build_weights(R: int, exact: bool = False) -> ApproximantWeights:
     if hit is not None:
         return hit
 
-    tb = tables_for(R)
-    mu = tb.mu[: R + 1].astype(np.int64)
+    tb, mu, sf = _squarefree_support(R)
     phi = tb.phi[: R + 1]
-    sf = np.flatnonzero(mu != 0)
-    sf = sf[sf >= 1]
-
     # L_d = sum over multiples r of d (non-squarefree r contribute 0)
-    u = np.zeros(R + 1, dtype=np.float64)
-    u[sf] = 1.0 / phi[sf]
-    y_float = np.zeros(sf.size, dtype=np.float64)
-    for i, d in enumerate(sf):
-        d = int(d)
-        y_float[i] = d * mu[d] * math.fsum(u[d::d].tolist())
-
-    denominator = None
-    y_int = None
     if exact:
         denominator = math.lcm(*(int(phi[r]) for r in sf))
-        # the same sums over multiples, on D * mu^2(r)/phi(r) as Python ints
-        u_int = np.zeros(R + 1, dtype=object)
-        u_int[sf] = [denominator // int(phi[r]) for r in sf]
-        y_int = tuple(int(d) * int(mu[d]) * u_int[d::d].sum() for d in sf)
+        # on D * mu^2(r)/phi(r) as Python ints
+        u = np.zeros(R + 1, dtype=object)
+        u[sf] = [denominator // int(phi[r]) for r in sf]
+        y = np.array([int(d) * int(mu[d]) * u[d::d].sum() for d in sf], dtype=object)
+    else:
+        denominator = None
+        u = np.zeros(R + 1, dtype=np.float64)
+        u[sf] = 1.0 / phi[sf]
+        y = np.zeros(sf.size, dtype=np.float64)
+        for i, d in enumerate(sf):
+            d = int(d)
+            y[i] = d * mu[d] * math.fsum(u[d::d].tolist())
 
-    w = ApproximantWeights(
-        R=R,
-        d_values=sf.astype(np.int64),
-        y_float=y_float,
-        denominator=denominator,
-        y_int=y_int,
-    )
+    w = ApproximantWeights(R, sf, y, denominator)
     _weights_cache[key] = w
     return w
+
+
+def biglambda_weights(R: int) -> ApproximantWeights:
+    """The divisor weights y_d = mu(d) (log R - log d) of biglambda_R, float64."""
+    _tb, mu, sf = _squarefree_support(R)
+    logR = math.log(R)
+    y = np.array([int(mu[d]) * (logR - math.log(d)) for d in sf.tolist()],
+                 dtype=np.float64)
+    return ApproximantWeights(R, sf, y)
 
 
 # ---------------------------------------------------------------------------
@@ -140,80 +155,40 @@ def lambda_R_direct(n: int, R: int) -> Fraction:
     return total
 
 
-def biglambda_R(n: int, R: int) -> float:
-    """biglambda_R(n) = sum_{d | n, d <= R} mu(d) log(R/d); 0 for n <= 0."""
-    if R < 1:
-        raise ValueError(f"R must be >= 1, got {R}")
-    if n <= 0:
-        return 0.0
-    ps = prime_divisors(n)
-    logR = math.log(R)
-    terms = []
-    for d in squarefree_divisors(n):
-        if d > R:
-            continue
-        m = (-1) ** (sum(1 for p in ps if d % p == 0))
-        terms.append(m * (logR - math.log(d)))
-    return math.fsum(terms)
-
-
 # ---------------------------------------------------------------------------
 # range evaluators
 # ---------------------------------------------------------------------------
 
 
-def _divisor_scatter(n_hi: int, ds, ys, dtype) -> np.ndarray:
-    """Array out with out[n] = sum_{d | n} y_d for 0 <= n <= n_hi (out[0] = 0).
+def lambda_R_range(n_hi: int, weights: ApproximantWeights) -> np.ndarray:
+    """Array L with L[n] = sum_{d | n} y_d for 0 <= n <= n_hi (L[0] = 0), in
+    the dtype of ``weights.y``: float64 approximant values, or Python ints
+    D * lambda_R(n) for exact weights.
 
-    One slice update per d, in the order given, so float sums round the same
-    way on every call; dtype=object keeps Python ints exact.
+    One slice update per d, ascending, so float sums round the same way on
+    every call.
     """
     if n_hi < 0:
         raise ValueError(f"n_hi must be >= 0, got {n_hi}")
-    out = np.zeros(n_hi + 1, dtype=dtype)
-    for d, y in zip(ds, ys):
-        if d <= n_hi:
-            out[d::d] += y
+    out = np.zeros(n_hi + 1, dtype=weights.y.dtype)
+    for d, y in zip(weights.d_values.tolist(), weights.y.tolist()):
+        if d > n_hi:
+            break
+        out[d::d] += y
     return out
 
 
-def lambda_R_range(n_hi: int, weights: ApproximantWeights) -> np.ndarray:
-    """float64 array L with L[n] = lambda_R(n) for 0 <= n <= n_hi (L[0] = 0)."""
-    return _divisor_scatter(
-        n_hi, weights.d_values.tolist(), weights.y_float.tolist(), np.float64
-    )
-
-
-def lambda_R_range_exact(n_hi: int, weights: ApproximantWeights) -> np.ndarray:
-    """Object array V of Python ints with V[n] = D * lambda_R(n) for
-    0 <= n <= n_hi, D = weights.denominator."""
-    if not weights.exact:
-        raise ValueError("exact weights required; build with exact=True")
-    return _divisor_scatter(n_hi, weights.d_values.tolist(), weights.y_int, object)
-
-
-def biglambda_R_range(n_hi: int, R: int) -> np.ndarray:
-    """float64 array B with B[n] = biglambda_R(n) for 0 <= n <= n_hi."""
-    if R < 1:
-        raise ValueError(f"R must be >= 1, got {R}")
-    tb = tables_for(min(R, n_hi))
-    logR = math.log(R)
-    ds, ys = [], []
-    for d in range(1, min(R, n_hi) + 1):
-        if tb.mu[d] != 0:
-            ds.append(d)
-            ys.append(int(tb.mu[d]) * (logR - math.log(d)))
-    return _divisor_scatter(n_hi, ds, ys, np.float64)
-
-
 def psi_R(x: int, weights: ApproximantWeights) -> float:
-    """psi_R(x) = sum_{n <= x} lambda_R(n) = sum_d y_d * floor(x/d), compensated."""
+    """psi_R(x) = sum_{n <= x} sum_{d | n} y_d = sum_d y_d * floor(x/d),
+    compensated, on float weights."""
+    if weights.exact:
+        raise ValueError("psi_R takes float weights; build with exact=False")
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
     if x == 0:
         return 0.0
     counts = x // weights.d_values
-    return math.fsum((weights.y_float * counts).tolist())
+    return math.fsum((weights.y * counts).tolist())
 
 
 def sigma_phi_bound(R: int) -> Fraction:

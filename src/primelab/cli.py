@@ -248,15 +248,16 @@ def _cmd_lambda(args) -> int:
     R, n = args.r, args.n
     if n > tables.TABLE_MAX:
         raise ValueError(f"n={n} is beyond {tables.TABLE_MAX}")
-    weights = approximants.build_weights(R, exact=args.exact)
-    lam = approximants.lambda_R_range(n, weights)
-    big = approximants.biglambda_R_range(n, R)
+    # the exact weights first: they refuse a large R before any table is built
+    exact = approximants.build_weights(R, exact=True) if args.exact else None
+    lam = approximants.lambda_R_range(n, approximants.build_weights(R))
+    big = approximants.lambda_R_range(n, approximants.biglambda_weights(R))
     config = {"command": "lambda", "R": R, "n": n, "exact": args.exact}
-    if args.exact:
+    if exact is not None:
         # Hard identity: the float evaluation must agree with the exact
         # rational values scaled by the common denominator.
-        exact_ints = approximants.lambda_R_range_exact(n, weights)
-        D = weights.denominator
+        exact_ints = approximants.lambda_R_range(n, exact)
+        D = exact.denominator
         config["denominator"] = D
         exact_floats = np.array([num / D for num in exact_ints])
         if not np.allclose(lam[1:], exact_floats[1:], rtol=1e-10, atol=1e-10):

@@ -32,6 +32,8 @@ import math
 
 import numpy as np
 
+from .tables import _read_only
+
 # Pinned 16-digit literals (checked against math.log/mpmath in the tests).
 EULER_GAMMA = 0.5772156649015329
 LOG_2PI = 1.8378770664093453
@@ -45,7 +47,8 @@ _prime_cache: dict[str, np.ndarray] = {}
 
 
 def primes_up_to(n: int) -> np.ndarray:
-    """Return all primes <= n as an int64 array (cached, grow-only)."""
+    """Return all primes <= n as an int64 array (cached, grow-only; a
+    read-only view of the cache)."""
     if n < 2:
         return np.empty(0, dtype=np.int64)
     cached = _prime_cache.get("primes")
@@ -56,7 +59,7 @@ def primes_up_to(n: int) -> np.ndarray:
     for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    primes = np.flatnonzero(sieve).astype(np.int64)
+    primes = _read_only(np.flatnonzero(sieve).astype(np.int64))
     _prime_cache["primes"] = primes
     _prime_cache["limit"] = int(n)
     return primes

@@ -191,10 +191,7 @@ def s_k(
     if R < 1:
         raise ValueError(f"R must be >= 1, got {R}")
     weights = ap.build_weights(R, exact=exact)
-    if exact:
-        lam_arr = ap.lambda_R_range_exact(top, weights)
-    else:
-        lam_arr = ap.lambda_R_range(top, weights)
+    lam_arr = ap.lambda_R_range(top, weights)
     total = _pattern_sum(
         [lam_arr] * pattern.r, pattern.shifts, pattern.multiplicities, n_lo, n_hi
     )

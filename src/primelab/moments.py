@@ -49,7 +49,6 @@ from .approximants import (
     ApproximantWeights,
     build_weights,
     lambda_R_range,
-    lambda_R_range_exact,
     script_L_float,
 )
 from .correlations import _pattern_sum, c_of, relative_residual
@@ -320,7 +319,7 @@ def _window_range(N: int, h: int, primed: bool) -> tuple[int, int]:
 
 
 def _lam_windows(
-    N: int, h: int, weights: ApproximantWeights, start: int, exact: bool = False
+    N: int, h: int, weights: ApproximantWeights, start: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(values, windows): lambda_R(0..start+N-1+h) and the N window sums.
 
@@ -331,15 +330,10 @@ def _lam_windows(
     Python ints scaled by D (object arrays) for exact weights.  No
     n-entry running sum is built.
     """
-    n_top = start + N - 1 + h
-    if exact:
-        vals = lambda_R_range_exact(n_top, weights)
-        win = np.empty(N, dtype=object)
-    else:
-        vals = lambda_R_range(n_top, weights)
-        win = np.empty(N, dtype=np.float64)
+    vals = lambda_R_range(start + N - 1 + h, weights)
+    win = np.empty(N, dtype=vals.dtype)
     first = start + h  # the window ending at n covers (n - h, n]
-    for lo, hi, run in cumsum_blocks(vals, object if exact else np.longdouble, h):
+    for lo, hi, run in cumsum_blocks(vals, object if weights.exact else np.longdouble, h):
         a = max(lo, first) - lo
         b = hi - lo
         if a < b:
@@ -380,7 +374,7 @@ def moment_psiR(
         raise ValueError(f"need N >= 2, h >= 1, k >= 1, got N={N}, h={h}, k={k}")
     start, _top = _window_range(N, h, primed)
     weights = build_weights(R, exact=exact)
-    win = _lam_windows(N, h, weights, start, exact)[1]
+    win = _lam_windows(N, h, weights, start)[1]
     win **= k  # in place, the same bits as win**k
     total = np.sum(win)
     computed = Fraction(total, weights.denominator**k) if exact else float(total)
@@ -433,10 +427,7 @@ def expand_via_correlations(
         raise ValueError(f"need N, h, k >= 1, got N={N}, h={h}, k={k}")
     start, n_top = _window_range(N, h, primed)
     weights = build_weights(R, exact=exact)
-    if exact:
-        vals = lambda_R_range_exact(n_top, weights)
-    else:
-        vals = lambda_R_range(n_top, weights)
+    vals = lambda_R_range(n_top, weights)
     terms = []
     for r in range(1, k + 1):
         comps = list(_compositions(k, r))

@@ -210,19 +210,23 @@ def _multiplicative(spf: np.ndarray, dtype, factor) -> np.ndarray:
 
 def _prime_powers(primes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(q, Lambda(q)) over the prime powers q <= n, q ascending, from the
-    ascending primes <= n: np.log on the primes, math.log for higher powers."""
-    higher_q, higher_log = [], []
+    ascending primes <= n: np.log on the primes, math.log for higher powers.
+
+    The few higher powers (555 at n = 10^7) are sorted on their own and
+    inserted among the primes, so no array over all prime powers is sorted.
+    """
+    higher = []
     for p in primes[primes <= math.isqrt(n)].tolist():
         lp = math.log(p)
         q = p * p
         while q <= n:
-            higher_q.append(q)
-            higher_log.append(lp)
+            higher.append((q, lp))
             q *= p
-    q = np.concatenate([primes, np.array(higher_q, dtype=np.int64)])
-    logs = np.concatenate([np.log(primes.astype(np.float64)), np.array(higher_log)])
-    order = np.argsort(q, kind="stable")
-    return q[order], logs[order]
+    higher.sort()
+    higher_q = np.array([q for q, _ in higher], dtype=np.int64)
+    at = np.searchsorted(primes, higher_q)
+    logs = np.insert(np.log(primes.astype(np.float64)), at, [lp for _, lp in higher])
+    return np.insert(primes, at, higher_q), logs
 
 
 def _von_mangoldt(q: np.ndarray, logs: np.ndarray, n: int) -> np.ndarray:

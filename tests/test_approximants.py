@@ -1,6 +1,6 @@
 """Tests for the truncated divisor-sum approximants lambda_R and LambdaBig_R.
 
-The float range evaluators are checked against lambda_R_direct, an
+The range evaluator is checked against lambda_R_direct, an
 independent Fraction-arithmetic oracle that evaluates the defining double
 sum y_d = d mu(d) sum_{r <= R, d | r} mu^2(r)/phi(r) term by term.
 """
@@ -11,19 +11,20 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 import sympy
 
 from primelab import (
-    biglambda_R_range,
+    biglambda_weights,
     build_weights,
     lambda_R_direct,
     lambda_R_range,
-    lambda_R_range_exact,
     psi_R,
     script_L,
     script_L_float,
 )
-from primelab.approximants import biglambda_R, sigma_phi_bound
+from primelab.approximants import sigma_phi_bound
+from primelab.constants import primes_up_to
 
 SEED = 20260814
 N_TRIALS = 60
@@ -46,7 +47,7 @@ class TestWeights:
         """y_1 = L_1(R): the d = 1 weight is the full Hildebrand sum."""
         for R in (1, 2, 5, 10, 37):
             w = build_weights(R, exact=True)
-            assert Fraction(w.y_int[0], w.denominator) == brute_script_L(R)
+            assert Fraction(w.y[0], w.denominator) == brute_script_L(R)
 
     def test_weight_definition(self):
         """y_d = d mu(d) sum_{r <= R, d | r} mu^2(r)/phi(r) for every d <= R."""
@@ -62,14 +63,14 @@ class TestWeights:
                     continue
                 total += Fraction(1, int(sympy.totient(r)))
             expected = d * sympy.mobius(d) * total
-            assert Fraction(w.y_int[idx], w.denominator) == expected, d
+            assert Fraction(w.y[idx], w.denominator) == expected, d
 
     def test_floats_match_exact(self):
         rng = np.random.default_rng(SEED)
         for R in rng.integers(2, 120, size=12):
             w = build_weights(int(R), exact=True)
-            exact = np.array([num / w.denominator for num in w.y_int])
-            assert np.allclose(w.y_float, exact, rtol=1e-12, atol=1e-12)
+            exact = np.array([num / w.denominator for num in w.y])
+            assert np.allclose(build_weights(int(R)).y, exact, rtol=1e-12, atol=1e-12)
 
 
 class TestLambdaRange:
@@ -80,8 +81,8 @@ class TestLambdaRange:
             R = int(rng.integers(2, 30))
             n_hi = int(rng.integers(10, 400))
             w = build_weights(R, exact=True)
-            vals = lambda_R_range(n_hi, w)
-            exact = lambda_R_range_exact(n_hi, w)
+            vals = lambda_R_range(n_hi, build_weights(R))
+            exact = lambda_R_range(n_hi, w)
             n = int(rng.integers(1, n_hi + 1))
             direct = lambda_R_direct(n, R)
             assert Fraction(exact[n], w.denominator) == direct, (n, R)
@@ -112,7 +113,7 @@ class TestBigLambda:
     def test_equals_von_mangoldt_below_R(self):
         """For 2 <= n <= R the full Mobius sum collapses to Lambda(n)."""
         R = 50
-        vals = biglambda_R_range(R, R)
+        vals = lambda_R_range(R, biglambda_weights(R))
         for n in range(2, R + 1):
             fac = sympy.factorint(n)
             expected = math.log(min(fac)) if len(fac) == 1 else 0.0
@@ -121,20 +122,19 @@ class TestBigLambda:
     def test_value_at_one(self):
         """LambdaBig_R(1) = log R (only the d = 1 term survives)."""
         for R in (2, 10, 100):
-            vals = biglambda_R_range(1, R)
+            vals = lambda_R_range(1, biglambda_weights(R))
             assert abs(vals[1] - math.log(R)) < 1e-12
 
     def test_brute_force_definition(self):
         """LambdaBig_R(n) = sum_{d | n, d <= R} mu(d) log(R/d)."""
         rng = np.random.default_rng(SEED + 3)
         R = 20
-        vals = biglambda_R_range(2000, R)
+        vals = lambda_R_range(2000, biglambda_weights(R))
         for n in rng.integers(2, 2000, size=N_TRIALS):
             n = int(n)
             brute = sum(int(sympy.mobius(d)) * math.log(R / d)
                         for d in sympy.divisors(n) if d <= R)
             assert abs(vals[n] - brute) < 1e-9, n
-            assert abs(biglambda_R(n, R) - brute) < 1e-9, n
 
 
 class TestScriptL:
@@ -166,6 +166,42 @@ class TestPsiR:
         for n in range(1, 301):
             direct += lambda_R_direct(n, R)
         assert abs(psi_R(300, w) - float(direct)) < 1e-8
+
+    def test_partial_sum_of_either_approximant(self):
+        """psi_R(x) = sum_d y_d floor(x/d) is the compensated sum of the
+        range, for the lambda_R and the biglambda_R weights alike."""
+        for build in (build_weights, biglambda_weights):
+            for R, x in ((1, 10), (7, 500), (40, 2000), (300, 299)):
+                w = build(R)
+                total = math.fsum(lambda_R_range(x, w).tolist())
+                assert abs(psi_R(x, w) - total) < 1e-9 * max(1.0, abs(total)), (build, R, x)
+
+    def test_refuses_exact_weights(self):
+        """On exact weights the sum would come out D times psi_R."""
+        with pytest.raises(ValueError, match="float weights"):
+            psi_R(100, build_weights(10, exact=True))
+
+
+class TestReadOnly:
+    """The cached arrays handed to every caller refuse writes."""
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_weight_support(self, exact):
+        with pytest.raises(ValueError, match="read-only"):
+            build_weights(10, exact=exact).d_values[0] = 2
+
+    @pytest.mark.parametrize("build", [
+        build_weights, lambda R: build_weights(R, exact=True), biglambda_weights,
+    ], ids=["float", "exact", "biglambda"])
+    def test_weight_values(self, build):
+        with pytest.raises(ValueError, match="read-only"):
+            build(10).y[0] = 0
+
+    def test_primes_up_to(self):
+        primes_up_to(50)
+        for n in (50, 30):  # a fresh sieve, then a view of its cache
+            with pytest.raises(ValueError, match="read-only"):
+                primes_up_to(n)[0] = 1
 
 
 class TestSigmaPhiBound:

@@ -7,6 +7,7 @@ checks spawn real subprocesses so they cover the full stdout pipeline.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -424,6 +425,54 @@ def test_mixed_correlate_builds_tables_once(monkeypatch, capsys):
     without a cache dir one build serves both."""
     argv = ["correlate", "--n", "2000", "--r", "8", "--pattern", "0:1,2:1", "--mixed"]
     assert _table_builds(argv, monkeypatch, capsys) == [2002]
+
+
+class TestPinnedBytes:
+    """Exit code and stdout sha256 of the cells that tabulate an approximant
+    from its divisor weights: `lambda` in float, exact and json form and with
+    n < R, exact `correlate`, exact and float expanded `moments`, the mixed
+    moment and `omega`, and an exact R past the limit.  The digests were
+    recorded before the float and exact range routes were merged."""
+
+    CELLS = {
+        "lambda --r 1 --n 30":
+            (0, "cae4186bf7d3db444ecabffaf7f4b27cf75d045bd11db5448e71f2fd0198ad7f"),
+        "lambda --r 7 --n 200":
+            (0, "e97bec2f614493b938cd827e41995e3fb35ba32db800785e532bd3fbd748f8c9"),
+        "lambda --r 50 --n 2000":
+            (0, "5ac35a50be0d74dcc5f285ad1322c0d1fdb2aa9518affa01c38778d9837be028"),
+        "lambda --r 1000 --n 500":
+            (0, "2e11448a8598c6f3f74ff354fb65b00445828564f18877582784e7d9e9115dcf"),
+        "lambda --r 50 --n 300 --exact":
+            (0, "3bb3ddfffd61819861e84ce27dbb1a40b1b93c9c93593480c2659cadb4b2c6ba"),
+        "lambda --r 1000 --n 2000 --exact":
+            (0, "907940774f38e9c3edb0f5918e051c63280e454bfebac84383def754e4567008"),
+        "lambda --r 7 --n 100 --format json":
+            (0, "4e54a2fdaa123f5e8db761d7b5ebe5e9ada483ccf9788424d9ca93cb2a969ee6"),
+        "lambda --r 50 --n 20 --exact --format json":
+            (0, "cbbf69199e96cfbd2e4a44ddaec85bb2640fe10f54216c1b42a6d43d7c29728f"),
+        "correlate --n 1e4 --r 10 --pattern 0:3 --exact":
+            (0, "66a945828005b08891668a775146bb134d6d606b3d94281901c4f8e107ef91d1"),
+        "correlate --n 1e4 --r 10 --pattern 0:1,2:2 --exact --primed-range":
+            (0, "4db8edf9fdc9272f79cdadc9ae71beb522660b0ae444a513a151ddcf13a43935"),
+        "moments --n 2000 --h 5 --r 10 --k 3 --exact --expand":
+            (0, "5ea62d2ca5e3eeee6634fc354db24c192f1e600ab127e4bc54a5e59fa3ebcddc"),
+        "moments --n 2000 --h 5 --r 10 --k 3 --exact --expand --primed":
+            (0, "ab15b5247b1a2bfe93b611dec2b8af6438b906bd3a140e075d0972c80538336d"),
+        "moments --n 1e4 --h 8 --r 20 --k 2 --expand":
+            (0, "8d1f880d7b3a2aa39aeaa3ff71b1de6ea0b0029cb3b6ce9c0c1aa107a3649362"),
+        "moments --n 1e4 --h 8 --r 20 --k 2 --mixed":
+            (0, "52afc93a15abeca6c6e62e1b4bcacc502ed0b82f8dc31b49632faaf6b6e4083b"),
+        "omega --n 1e4 --h 30 --r 20 --rho 0.5":
+            (0, "a1576499d2220c9030bcdb98ee461dc3fe676aa95374974d5e753bdf43b4eff5"),
+        "lambda --r 3000 --n 10 --exact":
+            (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    }
+
+    @pytest.mark.parametrize("cell", list(CELLS))
+    def test_stdout_digest(self, cell, capsys):
+        code, out = run_main(cell.split(), capsys)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == self.CELLS[cell]
 
 
 class TestDeterminism:

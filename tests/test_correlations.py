@@ -123,7 +123,6 @@ class TestOversizeRange:
             pytest.fail("allocated for an oversize range")
 
         monkeypatch.setattr(approximants, "lambda_R_range", fail)
-        monkeypatch.setattr(approximants, "lambda_R_range_exact", fail)
         monkeypatch.setattr(correlations, "tables_for", fail)
         pair = ShiftPattern((0, 2), (1, 1))
         for call in (

@@ -27,7 +27,7 @@ from primelab import (
     omega_experiment,
 )
 from primelab import tables as tables_mod
-from primelab.approximants import build_weights, lambda_R_range, lambda_R_range_exact
+from primelab.approximants import build_weights, lambda_R_range
 from primelab.moments import (
     _compositions,
     _lam_windows,
@@ -107,8 +107,8 @@ class TestGroupingIdentity:
     def test_exact_path_stays_integer(self):
         """Exact mode never passes through floats: every lambda_R value is a
         Python int, and the exact sums are Fractions."""
-        from primelab import ShiftPattern, build_weights, lambda_R_range_exact, s_k
-        vals = lambda_R_range_exact(600, build_weights(12, exact=True))
+        from primelab import ShiftPattern, s_k
+        vals = lambda_R_range(600, build_weights(12, exact=True))
         assert all(type(v) is int for v in vals)
         res = s_k(500, ShiftPattern((0, 2), (2, 1)), 12, exact=True)
         assert type(res.exact_value) is Fraction
@@ -369,12 +369,12 @@ class TestStreamedWindows:
         weights = build_weights(R, exact=exact)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tables_mod, "BLOCK_MAX", block_max)
-            vals, win = _lam_windows(N, h, weights, start, exact)
+            vals, win = _lam_windows(N, h, weights, start)
         if exact:
-            pre = np.cumsum(lambda_R_range_exact(n_top, weights))
+            pre = np.cumsum(lambda_R_range(n_top, weights))
             want = pre[start + h : start + N + h] - pre[start : start + N]
             assert [int(v) for v in win] == [int(v) for v in want]
-            assert list(vals) == list(lambda_R_range_exact(n_top, weights))
+            assert list(vals) == list(lambda_R_range(n_top, weights))
         else:
             dense = lambda_R_range(n_top, weights)
             pre = np.cumsum(dense.astype(np.longdouble))
@@ -436,8 +436,7 @@ class TestOversizeWindows:
         def fail(*args, **kwargs):
             pytest.fail("allocated for an oversize window range")
 
-        for name in ("build_weights", "lambda_R_range", "lambda_R_range_exact",
-                     "tables_for"):
+        for name in ("build_weights", "lambda_R_range", "tables_for"):
             monkeypatch.setattr(moments, name, fail)
         big = 3 * 10**9
         for call in (

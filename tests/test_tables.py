@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from primelab import ArithTables, build_tables, load_tables, save_tables
 from primelab import tables as tables_mod
+from primelab.constants import primes_up_to
 from primelab.tables import (
     FACTOR_MAX,
     factorize,
@@ -192,6 +193,21 @@ class TestBuildTables:
         want = np.cumsum(lam.astype(np.longdouble)).astype(np.float64)
         assert tb.psi_prefix.tobytes() == want.tobytes()
         assert tb.psi_prefix.size == tb.n_max + 1 == max(n, 2) + 1
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 100, 10**5, 10**6 + 3])
+    def test_prime_powers_match_concatenate_and_argsort(self, n):
+        """Inserting the sorted higher powers among the primes gives the
+        bytes of concatenating all prime powers and sorting them."""
+        primes = primes_up_to(n)
+        higher = [(p**e, math.log(p)) for p in primes[primes <= math.isqrt(n)].tolist()
+                  for e in range(2, n.bit_length()) if p**e <= n]
+        q = np.concatenate([primes, np.array([q for q, _ in higher], dtype=np.int64)])
+        logs = np.concatenate([np.log(primes.astype(np.float64)),
+                               np.array([lp for _, lp in higher])])
+        order = np.argsort(q, kind="stable")
+        got_q, got_logs = tables_mod._prime_powers(primes, n)
+        assert got_q.dtype == q.dtype and got_q.tobytes() == q[order].tobytes()
+        assert got_logs.dtype == logs.dtype and got_logs.tobytes() == logs[order].tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     @pytest.mark.parametrize("keep", [0, 1, 5, 100])
