@@ -17,10 +17,9 @@ in an exact form, every y_d an integer over one common denominator
 D = lcm of the phi(r), as a numpy object array of Python ints (no
 overflow), so exact values run through the same numpy code downstream and
 power the rational identity checks.
-``script_L(R, k) = sum_{r <= R, (r,k)=1} mu^2(r)/phi(r)`` comes
-with its truncated main term (via the shared constants machinery, so the
-value agrees bit-for-bit with the general lemma evaluator specialized to
-the same polynomial pair).
+``script_L(R, k) = sum_{r <= R, (r,k)=1} mu^2(r)/phi(r)`` is the sum of
+Lemma 1 with the Hildebrand pair; its main term is
+``lemmas.lemma1(HILDEBRAND_POLY_PAIR, k, ...).main``.
 """
 
 from __future__ import annotations
@@ -31,8 +30,6 @@ import math
 
 import numpy as np
 
-from . import constants
-from .constants import CONST_P_CUT, EULER_GAMMA, HILDEBRAND_PAIR
 from .tables import ArithTables, _read_only, prime_divisors, tables_for
 
 #: largest R for which the exact (common-denominator) weight mode is offered;
@@ -213,7 +210,7 @@ def sigma_phi_bound(R: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# script-L sums and their truncated main term
+# script-L sums
 # ---------------------------------------------------------------------------
 
 
@@ -246,24 +243,3 @@ def script_L_float(R: int, k: int = 1) -> float:
     if abs(k) > 1:
         mask &= np.gcd(r, abs(k)) == 1
     return float(np.sum(1.0 / tb.phi[: R + 1][mask]))
-
-
-def hildebrand_main(x: float, k: int, p_cut: int = CONST_P_CUT) -> float:
-    """Truncated main term of script_L_k(x):
-
-        (phi(k*)/k*) * ( log x + gamma + sum_p log p/(p(p-1))
-                         + sum_{p | k} log p / p ),
-
-    with the prime sum truncated at p_cut (tail O(1/p_cut), recorded by the
-    callers).  Evaluated through the generic polynomial-pair machinery with
-    (P1, P2) = (1, X-1), so the shared constants agree bit-for-bit with the
-    general evaluator.
-    """
-    if x <= 1:
-        raise ValueError(f"x must be > 1, got {x}")
-    if k == 0:
-        raise ValueError("k must be nonzero")
-    k1, s1 = constants.poly_pair_parts(*HILDEBRAND_PAIR, p_cut)
-    k2, s2 = constants.poly_pair_k_parts(*HILDEBRAND_PAIR, prime_divisors(k))
-    return k1 * k2 * (math.log(x) + EULER_GAMMA + s1 + s2)
-

@@ -382,10 +382,7 @@ def _cmd_moments(args) -> int:
                   "exact": args.exact, "expand": args.expand,
                   "primed": args.primed}
 
-    row = asdict(rep)
-    if lam is not None and row.get("lambda_param") is None:
-        row["lambda_param"] = lam
-    _emit("moments", config, MOMENT_FIELDS, [row], args.format, args.output)
+    _emit("moments", config, MOMENT_FIELDS, [asdict(rep)], args.format, args.output)
 
     if args.exact and args.expand and rep.expansion_residual is not None:
         if rep.expansion_residual != 0:

@@ -1,11 +1,12 @@
-"""Shared numerical constants and prime-indexed constant machinery.
+"""Pinned literals, the prime list and the Lemma 1 pair machinery.
 
-This is the single home for every irrational constant the package uses:
+This module holds:
 
-* pinned literals for Euler's gamma and log(2*pi);
-* a cached prime table (numpy sieve, grow-only);
-* evaluators for Euler products and prime-log sums attached to a pair of
-  monic integer polynomials (P1, P2) with deg P2 = deg P1 + 1:
+* pinned literals for Euler's gamma and log(2*pi), and the default
+  Euler-product cutoffs;
+* a cached prime list (numpy sieve, grow-only);
+* evaluators for the Euler products and prime-log sums of Lemma 1, attached
+  to a pair of monic integer polynomials (P1, P2) with deg P2 = deg P1 + 1:
 
       K1(P1, P2)    = prod_p ( 1 + ((p-1)*P1(p) - P2(p)) / (p*P2(p)) )
       S1(P1, P2)    = sum_p  (P2(p) - (p-2)*P1(p)) * log p / ((p-1)*(P1(p)+P2(p)))
@@ -19,9 +20,6 @@ the leading-term cancellations that make these factors O(1/p^2) happen
 exactly and the floating evaluation never subtracts nearly-equal large
 numbers.  Products are accumulated as exp(sum(log1p(...))) with numpy's
 pairwise summation, which is deterministic for a fixed input array.
-
-Every module that needs one of these constants calls into this file, so
-cross-module agreement is bit-for-bit, not merely within tolerance.
 """
 
 from __future__ import annotations
@@ -187,9 +185,3 @@ def poly_pair_k_parts(
         k2 *= Fraction(b, a + b)
         s2 += a * math.log(p) / (a + b)
     return float(k2), s2
-
-
-#: the pair (P1, P2) = (1, X-1); with it K1 = 1 exactly and S1 equals the
-#: classic sum_p log(p)/(p(p-1)) that appears in the main term of
-#: sum_{n<=x,(n,k)=1} mu^2(n)/phi(n).
-HILDEBRAND_PAIR: tuple[tuple[int, ...], tuple[int, ...]] = ((1,), (-1, 1))

@@ -12,8 +12,9 @@ which maps an array of primes to their factors f(p), with excluded primes
 (p | k) encoded as f(p) = 0.  Each lemma then supplies its factor function
 (``_factor``: one formula on the primes, with values overridden at the
 primes dividing j or k), its closed-form main term (Euler products and
-prime log-sums truncated at a recorded p_cut), and the normalization under
-which the error is expected to stay bounded:
+prime log-sums truncated at a recorded p_cut; for Lemmas 4 and 5 the
+product prod_p (1 + f(p)) of the same factor function, ``_euler_limit``),
+and the normalization under which the error is expected to stay bounded:
 
   1.  sum_{(n,k)=1} mu^2(n) prod P1(p)/P2(p)
         = K1 * K_k * (log x + gamma + S1 + S_k) + O(m(k)/sqrt(x)),
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import constants, tables as _tables
 from .constants import CONST_P_CUT, DEFAULT_P_CUT, EULER_GAMMA, primes_up_to
-from .singular import constant_C, singular_Sn
+from .singular import singular_Sn
 from .tables import (
     TABLE_MAX,
     cumsum_blocks,
@@ -97,8 +98,9 @@ class MonicPolyPair:
             )
 
 
-#: (P1, P2) = (1, X-1): the summand is mu^2(n)/phi(n).
-HILDEBRAND_POLY_PAIR = MonicPolyPair(*constants.HILDEBRAND_PAIR)
+#: (P1, P2) = (1, X-1): the summand is mu^2(n)/phi(n), so the sum is
+#: script_L_k(x); K1 = 1 exactly and S1 = sum_p log(p)/(p(p-1)).
+HILDEBRAND_POLY_PAIR = MonicPolyPair((1,), (-1, 1))
 
 #: (P1, P2) = (X^2 - X - 1, (X-1)^3): the second closed-form special case.
 CUBIC_POLY_PAIR = MonicPolyPair((-1, -1, 1), (-1, 3, -3, 1))
@@ -212,6 +214,29 @@ def _factor(
         return out
 
     return f
+
+
+def _euler_limit(f: FactorFn, p_cut: int, special: Sequence[int]) -> float:
+    """prod (1 + f(p)) over the primes p <= p_cut and the primes of the
+    integers in ``special`` above p_cut: the limit of sum mu^2(n) prod f(p),
+    truncated at p_cut.  The factors must be >= 0; a zero factor (f(p) = -1
+    exactly) gives exactly 0.0, with no log of it taken.
+    """
+    extra = sorted({p for m in special for p in prime_divisors(m) if p > p_cut})
+    ps = primes_up_to(p_cut)
+    if extra:
+        ps = np.concatenate([ps, np.array(extra, dtype=np.int64)])
+    terms = f(ps)
+    if (terms == -1.0).any():
+        return 0.0
+    return float(np.exp(np.sum(np.log1p(terms))))
+
+
+def _kernel_parts(m: int) -> tuple[int, int, int]:
+    """(m*, d(m*), phi(m*)) for m != 0: the squarefree kernel of m, its
+    divisor count 2^omega(m) and its totient."""
+    ps = prime_divisors(m)
+    return math.prod(ps), 2 ** len(ps), math.prod(p - 1 for p in ps)
 
 
 def ladder_sums(
@@ -412,24 +437,6 @@ def _lemma4_factor(j: int, k: int) -> FactorFn:
     )
 
 
-def _lemma4_main(j: int, k: int, p_cut: int) -> float:
-    """{1 - [2 not| k] mu((2,j))} C_2 prod_{p|k, p>2} (p-1)^2/(p(p-2))
-    prod_{p|j, p not| k, p>2} (p-1)/(p-2)."""
-    jp = prime_divisors(j)
-    kp = prime_divisors(k)
-    mu_2j = -1 if 2 in jp else 1  # mu((2, j))
-    brace = 1.0 - (0.0 if 2 in kp else float(mu_2j))
-    c2 = constant_C(2, p_cut).value
-    corr = Fraction(1)
-    for p in kp:
-        if p > 2:
-            corr *= Fraction((p - 1) ** 2, p * (p - 2))
-    for p in jp:
-        if p > 2 and p not in kp:
-            corr *= Fraction(p - 1, p - 2)
-    return brace * c2 * float(corr)
-
-
 def lemma4(
     j: int,
     k: int,
@@ -437,9 +444,13 @@ def lemma4(
     *,
     p_cut: int = CONST_P_CUT,
 ) -> LemmaReport:
-    """sum_{n<=x, (n,k)=1} mu(n) mu.phi((n,j)) / phi^2(n) -> closed constant.
+    """sum_{n<=x, (n,k)=1} mu(n) mu.phi((n,j)) / phi^2(n) -> closed constant
 
-    The error is O(d(j') j' / (x phi(j'))) with j' = j*/(j*, k), so the
+        prod_p (1 + f(p)) = {1 - [2 not| k] mu((2,j))} C_2
+            prod_{p|k, p>2} (p-1)^2/(p(p-2)) prod_{p|j, p not| k, p>2} (p-1)/(p-2),
+
+    f the factors of ``_lemma4_factor``, over p <= p_cut and the primes of
+    j and k above it.  The error is O(d(j') j' / (x phi(j'))) with j' = j*/(j*, k), so the
     scaled error (lhs - main) * x * phi(j') / (j' d(j')) should stay
     bounded along the ladder.
     """
@@ -449,18 +460,13 @@ def lemma4(
         raise ValueError(f"k must be a positive integer, got {k}")
     ladder = _check_ladder(x_ladder)
     x_max = ladder[-1]
-    vals = multiplicative_values(_lemma4_factor(j, k), x_max)
-    lhs = ladder_sums(vals, ladder)
-    main_c = _lemma4_main(j, k, p_cut)
+    f = _lemma4_factor(j, k)
+    lhs = ladder_sums(multiplicative_values(f, x_max), ladder)
+    main_c = _euler_limit(f, p_cut, (j, k))
     main = tuple(main_c for _ in ladder)
 
     j_star = squarefree_kernel(j)
-    j_prime = j_star // math.gcd(j_star, k)
-    jp_primes = prime_divisors(j_prime)
-    d_jp = 2 ** len(jp_primes)
-    phi_jp = 1
-    for p in jp_primes:
-        phi_jp *= p - 1
+    j_prime, d_jp, phi_jp = _kernel_parts(j_star // math.gcd(j_star, k))
     scaled = tuple(
         (l - main_c) * x * phi_jp / (j_prime * d_jp) for l, x in zip(lhs, ladder)
     )
@@ -493,7 +499,10 @@ def lemma4_log(
         2 not| j:  S_2(2j) * (log 2)/2.
 
     The error is O(j* d(j*) log 2x / (phi(j*) x)); the scaled error divides
-    it out and should stay bounded.
+    it out and should stay bounded.  p_cut truncates the prime sum only:
+    S_2 is truncated at DEFAULT_P_CUT whatever p_cut is (at 10**7, S_2(2)
+    would move by 6.2e-8 relative, past the 1e-9 to which the benchmark's
+    oracle holds this cell).
     """
     if j == 0:
         raise ValueError("j must be nonzero")
@@ -520,11 +529,7 @@ def lemma4_log(
         main_c = singular_Sn(2, 2 * j).value * (math.log(2.0) / 2.0)
     main = tuple(main_c for _ in ladder)
 
-    j_star = squarefree_kernel(j)
-    d_js = 2 ** len(jp)
-    phi_js = 1
-    for p in jp:
-        phi_js *= p - 1
+    j_star, d_js, phi_js = _kernel_parts(j)
     scaled = tuple(
         (l - main_c) * x * phi_js / (j_star * d_js * math.log(2.0 * x))
         for l, x in zip(lhs, ladder)
@@ -567,35 +572,6 @@ def _lemma5_factor(J: int, k: int) -> FactorFn:
     )
 
 
-def _lemma5_main(J: int, k: int, p_cut: int) -> float:
-    """2 [2 not| k] prod_{p not| J}(1 - 2/((p-1)(p-2)))
-    prod_{p|J, p>2, p not| k}(1 + 1/(p-1)) prod_{p|k, p>2}(1 - 1/(p-1)^2).
-
-    Evaluated over p <= p_cut; an exactly-zero factor (p=3 when 3 does not
-    divide J) short-circuits to 0.0.
-    """
-    if k % 2 == 0:
-        return 0.0
-    Jp = set(prime_divisors(J))
-    kp = set(prime_divisors(k))
-    if 3 not in Jp:
-        return 0.0  # the p=3 generic factor 1 - 2/((p-1)(p-2)) vanishes
-    ps = primes_up_to(p_cut)[1:]  # odd primes; p = 2 contributes the leading 2
-    psf = ps.astype(np.float64)
-    factors = 1.0 - 2.0 / ((psf - 1.0) * (psf - 2.0))
-    out = 2.0
-    corr = Fraction(1)
-    for p in sorted(Jp | kp):
-        if p <= 2 or p > p_cut:
-            continue
-        factors[int(np.searchsorted(ps, p))] = 1.0
-        if p in kp:
-            corr *= Fraction((p - 1) ** 2 - 1, (p - 1) ** 2)
-        else:
-            corr *= Fraction(p, p - 1)
-    return out * float(np.exp(np.sum(np.log(factors)))) * float(corr)
-
-
 def lemma5(
     J: int,
     k: int,
@@ -603,8 +579,13 @@ def lemma5(
     *,
     p_cut: int = DEFAULT_P_CUT,
 ) -> LemmaReport:
-    """The twisted sum of ``_lemma5_factor`` weights against its Euler product.
+    """The twisted sum of ``_lemma5_factor`` weights against its Euler product
 
+        prod_p (1 + f(p)) = 2 [2 not| k] prod_{p not| J} (1 - 2/((p-1)(p-2)))
+            prod_{p|J, p>2, p not| k} (1 + 1/(p-1)) prod_{p|k, p>2} (1 - 1/(p-1)^2),
+
+    over p <= p_cut and the primes of J and k above it; it is 0 when 2 | k
+    or 3 not| J.
     Preconditions: J even and nonzero, k a positive divisor of J.  The
     error is O(x^{-1+eps}); the recorded scaled error multiplies by
     x^{0.9} (eps = 0.1) and should stay bounded.
@@ -615,9 +596,9 @@ def lemma5(
         raise ValueError(f"k must be a positive divisor of J, got k={k}, J={J}")
     ladder = _check_ladder(x_ladder)
     x_max = ladder[-1]
-    vals = multiplicative_values(_lemma5_factor(J, k), x_max)
-    lhs = ladder_sums(vals, ladder)
-    main_c = _lemma5_main(J, k, p_cut)
+    f = _lemma5_factor(J, k)
+    lhs = ladder_sums(multiplicative_values(f, x_max), ladder)
+    main_c = _euler_limit(f, p_cut, (J, k))
     main = tuple(main_c for _ in ladder)
     scaled = tuple((l - main_c) * x**0.9 for l, x in zip(lhs, ladder))
     return LemmaReport(

@@ -497,21 +497,6 @@ def squarefree_divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-def phi2(n: int) -> int:
-    """phi_2(n) = prod_{p | n} (p - 2) for squarefree n; phi_2(1) = 1.
-
-    Raises ValueError off the squarefree domain.  Note phi_2(2) = 0.
-    """
-    if n < 1:
-        raise ValueError(f"phi2 requires n >= 1, got {n}")
-    out = 1
-    for p, e in factorize(n):
-        if e > 1:
-            raise ValueError(f"phi2 domain is squarefree n; {n} is divisible by {p}^2")
-        out *= p - 2
-    return out
-
-
 def squarefree_kernel(j: int) -> int:
     """j* = prod_{p | j} p for j != 0; the sign of j is ignored.
 

@@ -35,10 +35,10 @@ from primelab import (
 )
 from primelab import cli
 from primelab import tables as tables_mod
-from primelab.approximants import hildebrand_main
 from primelab.lemmas import (
     CUBIC_POLY_PAIR,
     HILDEBRAND_POLY_PAIR,
+    _kernel_parts,
     _lemma4_factor,
     euler_P1,
     ladder_sums,
@@ -179,6 +179,7 @@ class TestMultiplicativeValues:
         ["--which", "4", "--params", "j=15,variant=log"],
         ["--which", "5"],
         ["--which", "5", "--params", "J=30,k=10"],
+        ["--which", "4", "--params", "j=3,k=5"],
     ])
     def test_factor_functions_raise_no_warnings(self, argv, capsys):
         """The factor functions see p = 2 and non-squarefree n too; none of
@@ -199,6 +200,13 @@ class TestMultiplicativeValues:
         assert m_of(1) == 1.0
         assert abs(m_of(6) - (1 + 1 / math.sqrt(2)) * (1 + 1 / math.sqrt(3))) < 1e-15
         assert abs(m_of(6) - 2.69270526) < 1e-7
+
+    def test_kernel_parts(self):
+        """(m*, d(m*), phi(m*)), the sign of m ignored."""
+        for m in (1, 2, -12, 30, 97, 360, -1001, 2 * 10007):
+            star = math.prod(sympy.primefactors(m))
+            assert _kernel_parts(m) == (
+                star, sympy.divisor_count(star), sympy.totient(star)), m
 
 
 class TestOversizeLadder:
@@ -251,13 +259,6 @@ class TestLemma1:
         rep = lemma1(HILDEBRAND_POLY_PAIR, 1, (100, 2000, 10_000))
         for x, lhs in zip(rep.x_ladder, rep.lhs):
             assert abs(lhs - script_L_float(x)) < 1e-9, x
-
-    def test_hildebrand_main_shared(self):
-        """The lemma's main term is bit-for-bit the dedicated Hildebrand
-        main-term evaluation (same cached Euler-product parts)."""
-        rep = lemma1(HILDEBRAND_POLY_PAIR, 1, (1000, 10_000))
-        for x, main in zip(rep.x_ladder, rep.main):
-            assert main == hildebrand_main(float(x), 1), x
 
     def test_scaled_errors_bounded(self):
         """(lhs - main) sqrt(x) / m(k) stays O(1) on the ladder."""
@@ -420,19 +421,108 @@ class TestLemma5:
         assert abs(rep.lhs[0] / rep.main[0] - 1) < 0.01
 
     def test_zero_unless_3_divides_J_and_k_odd(self):
-        """Main term vanishes when 2 | k or 3 not | J."""
-        rep = lemma5(6, 2, (10_000,))
-        assert rep.main[0] == 0.0
-        rep = lemma5(2, 1, (10_000,))
-        assert rep.main[0] == 0.0
-        rep = lemma5(4, 1, (10_000,))
-        assert rep.main[0] == 0.0
+        """Main term vanishes when 2 | k or 3 not | J: a factor 1 + f(p) is
+        0, and the constant is 0.0 exactly, with no log of 0 taken."""
+        for J, k, p_cut in ((6, 2, None), (2, 1, None), (4, 1, None), (30, 10, None),
+                            (10, 5, None), (4 * 10007, 10007, 10**4)):
+            kwargs = {} if p_cut is None else {"p_cut": p_cut}
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rep = lemma5(J, k, (10_000,), **kwargs)
+            assert rep.main[0] == 0.0, (J, k)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
             lemma5(5, 1, (1000,))  # J odd
         with pytest.raises(ValueError):
             lemma5(6, 4, (1000,))  # k does not divide J
+
+
+def lemma4_reference(j: int, k: int, p_cut: int) -> float:
+    """Lemma 4's constant in closed form,
+
+        {1 - [2 not| k] mu((2,j))} C_2 prod_{p|k, p>2} (p-1)^2/(p(p-2))
+            prod_{p|j, p not| k, p>2} (p-1)/(p-2),
+
+    with C_2 over the odd primes <= p_cut and the primes of j and k above
+    it, the set the lemma's Euler product runs over."""
+    jp, kp = sympy.primefactors(j), sympy.primefactors(k)
+    brace = 1 - (0 if 2 in kp else -1 if 2 in jp else 1)
+    corr = Fraction(1)
+    for p in set(jp) | set(kp):
+        if p > p_cut:
+            corr *= 1 - Fraction(1, (p - 1) ** 2)  # C_2's factor at p
+    for p in kp:
+        if p > 2:
+            corr *= Fraction((p - 1) ** 2, p * (p - 2))
+    for p in jp:
+        if p > 2 and p not in kp:
+            corr *= Fraction(p - 1, p - 2)
+    return brace * constant_C(2, p_cut).value * float(corr)
+
+
+def lemma5_reference(J: int, k: int, p_cut: int) -> float:
+    """Lemma 5's constant in closed form,
+
+        2 [2 not| k] prod_{p not| J} (1 - 2/((p-1)(p-2)))
+            prod_{p|J, p>2, p not| k} (1 + 1/(p-1)) prod_{p|k, p>2} (1 - 1/(p-1)^2),
+
+    over the primes <= p_cut and the primes of J and k above it."""
+    Jp, kp = set(sympy.primefactors(J)), set(sympy.primefactors(k))
+    if k % 2 == 0 or 3 not in Jp:
+        return 0.0
+    ps = np.array([p for p in sympy.primerange(3, p_cut + 1) if p not in Jp | kp],
+                  dtype=np.float64)
+    generic = float(np.prod(1.0 - 2.0 / ((ps - 1.0) * (ps - 2.0))))
+    corr = Fraction(1)
+    for p in Jp | kp:
+        if p in kp and p > 2:
+            corr *= 1 - Fraction(1, (p - 1) ** 2)
+        elif p > 2:
+            corr *= 1 + Fraction(1, p - 1)
+    return 2.0 * generic * float(corr)
+
+
+class TestMainConstants:
+    """Lemmas 4 and 5 take their constants from the Euler product of their
+    own factor functions; these check it against the closed forms."""
+
+    P_CUT = 10**4
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 4, -6, 6, 12, 15, 30, -35, 210,
+                                   10007, 2 * 10007, -6 * 20011])
+    def test_lemma4_matches_closed_form(self, j):
+        """Equal within 1e-12; 0.0 exactly when j and k are both odd."""
+        for k in (1, 2, 3, 5, 7, 30, 10007):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rep = lemma4(j, k, (10,), p_cut=self.P_CUT)
+            main = dict(rep.extras)["main_constant"]
+            expected = lemma4_reference(j, k, self.P_CUT)
+            if j % 2 != 0 and k % 2 != 0:
+                assert main == 0.0 == expected, k
+            else:
+                assert abs(main / expected - 1) < 1e-12, (k, main, expected)
+
+    @pytest.mark.parametrize("J, k", [
+        (6, 1), (6, 3), (-6, 1), (12, 1), (30, 5), (30, 15), (66, 11),
+        (210, 7), (210, 105), (606, 1), (606, 101), (6 * 10007, 10007),
+        (-6 * 10007, 3 * 10007), (2 * 3 * 20011, 1),
+    ])
+    def test_lemma5_matches_closed_form(self, J, k):
+        rep = lemma5(J, k, (10,), p_cut=self.P_CUT)
+        expected = lemma5_reference(J, k, self.P_CUT)
+        assert expected != 0.0
+        assert abs(rep.main[0] / expected - 1) < 1e-12, (rep.main[0], expected)
+
+    def test_lemma5_keeps_the_primes_of_J_above_p_cut(self):
+        """101 | 606 lies above p_cut = 100; its factor 1 + 1/100 stays in
+        the product, as it does for Lemma 4 and the singular series."""
+        rep = lemma5(606, 1, (10**4,), p_cut=100)
+        expected = lemma5_reference(606, 1, 100)
+        assert abs(rep.main[0] / expected - 1) < 1e-12
+        without = lemma5(6, 1, (10**4,), p_cut=100).main[0]
+        assert abs(rep.main[0] / without - 101 / 100) < 1e-12
 
 
 class TestMultIdentity:

@@ -21,7 +21,6 @@ from primelab.constants import primes_up_to
 from primelab.tables import (
     FACTOR_MAX,
     factorize,
-    phi2,
     prime_divisors,
     squarefree_divisors,
     squarefree_kernel,
@@ -495,15 +494,6 @@ class TestFactorize:
 
 
 class TestHelpers:
-    def test_phi2_values(self):
-        """phi_2(p) = p - 2 on odd primes, phi_2(2) = 0, multiplicative."""
-        assert phi2(1) == 1
-        assert phi2(2) == 0
-        assert phi2(3) == 1
-        assert phi2(5) == 3
-        assert phi2(15) == 1 * 3
-        assert phi2(105) == 1 * 3 * 5
-
     def test_squarefree_kernel(self, tables_small):
         """j* is the product of distinct primes dividing j, sign ignored."""
         rng = np.random.default_rng(SEED + 6)
