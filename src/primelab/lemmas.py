@@ -12,9 +12,10 @@ which maps an array of primes to their factors f(p), with excluded primes
 (p | k) encoded as f(p) = 0.  Each lemma then supplies its factor function
 (``_factor``: one formula on the primes, with values overridden at the
 primes dividing j or k), its closed-form main term (Euler products and
-prime log-sums truncated at a recorded p_cut; for Lemmas 4 and 5 the
-product prod_p (1 + f(p)) of the same factor function, ``_euler_limit``),
-and the normalization under which the error is expected to stay bounded:
+prime log-sums truncated at a recorded p_cut; for Lemma 1 built from the
+same f = P1/P2 its walk reads, for Lemmas 4 and 5 the product
+prod_p (1 + f(p)) of the same factor function, ``_euler_limit``), and the
+normalization under which the error is expected to stay bounded:
 
   1.  sum_{(n,k)=1} mu^2(n) prod P1(p)/P2(p)
         = K1 * K_k * (log x + gamma + S1 + S_k) + O(m(k)/sqrt(x)),
@@ -39,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import constants, tables as _tables
+from . import tables as _tables
 from .constants import CONST_P_CUT, DEFAULT_P_CUT, EULER_GAMMA, primes_up_to
 from .singular import singular_Sn
 from .tables import (
@@ -98,8 +99,55 @@ class MonicPolyPair:
             )
 
 
+# integer polynomial helpers (coefficient tuples, low degree first)
+
+
+def poly_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    n = max(len(a), len(b))
+    out = [0] * n
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] += c
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def poly_eval_int(coeffs: tuple[int, ...], x: int) -> int:
+    """Exact integer Horner evaluation."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def poly_eval_array(coeffs: tuple[int, ...], xs: np.ndarray) -> np.ndarray:
+    """Horner evaluation over a float64 array."""
+    acc = np.zeros_like(xs, dtype=np.float64)
+    for c in reversed(coeffs):
+        acc *= xs
+        acc += float(c)
+    return acc
+
+
+def raise_at_zeros(
+    name: str, coeffs: tuple[int, ...], ps: np.ndarray, vals: np.ndarray
+) -> None:
+    """Raise ValueError if the polynomial ``name`` vanishes at a prime of ps.
+
+    vals is its float evaluation at ps; possible float zeros are re-checked
+    exactly before raising, the least such prime first.
+    """
+    if vals.all():
+        return
+    for p in np.unique(ps[vals == 0.0]).astype(np.int64).tolist():
+        if poly_eval_int(coeffs, p) == 0:
+            raise ValueError(f"{name} vanishes at p={p}; constants undefined")
+
+
 #: (P1, P2) = (1, X-1): the summand is mu^2(n)/phi(n), so the sum is
-#: script_L_k(x); K1 = 1 exactly and S1 = sum_p log(p)/(p(p-1)).
+#: script_L_k(x); K1 = 1 and S1 = sum_p log(p)/(p(p-1)).
 HILDEBRAND_POLY_PAIR = MonicPolyPair((1,), (-1, 1))
 
 #: (P1, P2) = (X^2 - X - 1, (X-1)^3): the second closed-form special case.
@@ -280,34 +328,48 @@ def lemma1(
 
         K1 * K_k * (log x + gamma + S1 + S_k),
 
-    where K1, S1 are the pair's global Euler product and prime log-sum
-    (truncated at p_cut) and K_k, S_k the finite corrections over p | k.
+    with f = P1/P2, the factor function the walk reads,
+
+        K1  = prod_{p <= p_cut} (1 - 1/p) (1 + f(p)),
+        S1  = sum_{p <= p_cut} (1/(p-1) - f(p)/(1 + f(p))) log p,
+        K_k = prod_{p|k} 1/(1 + f(p)),
+        S_k = sum_{p|k} f(p)/(1 + f(p)) log p.
+
+    K1 is accumulated as exp of the pairwise sum of log1p(-1/p) + log1p(f).
+    f refuses a prime where P2 or P1 + P2 vanishes, so a pair that does is
+    refused at the primes up to p_cut, up to x_max and of k.
     The scaled error (lhs - main) * sqrt(x) / m(k) should stay bounded.
     """
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     ladder = _check_ladder(x_ladder)
     x_max = ladder[-1]
-    # the Euler-product parts check P2 and P1+P2 at the primes up to p_cut
-    k1, s1 = constants.poly_pair_parts(pair.p1, pair.p2, p_cut)
-    p12 = constants.poly_add(pair.p1, pair.p2)
+    p12 = poly_add(pair.p1, pair.p2)
 
     def ratio(ps: np.ndarray) -> np.ndarray:
-        # and the walk at the primes up to x_max: each prime p is the
-        # largest prime factor of p itself, so every one reaches this
-        v1 = constants.poly_eval_array(pair.p1, ps)
-        v2 = constants.poly_eval_array(pair.p2, ps)
-        constants.raise_at_zeros("P2", pair.p2, ps, v2)
+        v1 = poly_eval_array(pair.p1, ps)
+        v2 = poly_eval_array(pair.p2, ps)
+        raise_at_zeros("P2", pair.p2, ps, v2)
         # v1 + v2 is (P1+P2)(p), exact while the values stay below 2**53,
         # as Horner's form of P1+P2 is
-        constants.raise_at_zeros("P1+P2", p12, ps, v1 + v2)
+        raise_at_zeros("P1+P2", p12, ps, v1 + v2)
         return v1 / v2
 
-    f = _factor(ratio, [(p, 0.0) for p in prime_divisors(k)])
+    ps = primes_up_to(p_cut).astype(np.float64)
+    fp = ratio(ps)
+    k1 = float(np.exp(np.sum(np.log1p(-1.0 / ps) + np.log1p(fp))))
+    s1 = float(np.sum((1.0 / (ps - 1.0) - fp / (1.0 + fp)) * np.log(ps)))
+    k_primes = prime_divisors(k)
+    pk = np.array(k_primes, dtype=np.float64)
+    fk = ratio(pk)
+    k2 = float(np.prod(1.0 / (1.0 + fk)))
+    s2 = float(np.sum(fk / (1.0 + fk) * np.log(pk)))
+
+    # every prime p <= x_max is the largest prime factor of p itself, so
+    # the walk evaluates f, and its checks, at each of them
+    f = _factor(ratio, [(p, 0.0) for p in k_primes])
     vals = multiplicative_values(f, x_max)
     lhs = ladder_sums(vals, ladder)
-
-    k2, s2 = constants.poly_pair_k_parts(pair.p1, pair.p2, prime_divisors(k))
     main = tuple(k1 * k2 * (math.log(x) + EULER_GAMMA + s1 + s2) for x in ladder)
 
     mk = m_of(k)

@@ -204,6 +204,23 @@ class TestReadOnly:
                 primes_up_to(n)[0] = 1
 
 
+class TestPrimesUpTo:
+    def test_refused_beyond_table_max(self, monkeypatch):
+        """A sieve beyond tables.TABLE_MAX is refused before it is allocated."""
+        from primelab.tables import TABLE_MAX
+
+        real = np.ones
+
+        def ones(shape, *args, **kwargs):
+            if np.prod(shape) > 10**6:
+                pytest.fail("allocated an oversize sieve")
+            return real(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "ones", ones)
+        with pytest.raises(ValueError, match="beyond"):
+            primes_up_to(TABLE_MAX + 1)
+
+
 class TestSigmaPhiBound:
     def test_brute_force(self):
         """The bound constant is (sum_{r <= R} mu^2(r) sigma(r)/phi(r))^2's root."""

@@ -119,6 +119,20 @@ class TestExitCodes:
         assert cli.main(argv) == 3
         assert "beyond" in capsys.readouterr().err
 
+    def test_oversize_p_cut_returns_3(self, monkeypatch, capsys):
+        """A --p-cut beyond tables.TABLE_MAX is refused before the prime
+        sieve is allocated, instead of asking numpy for about 1 TB."""
+        real = np.ones
+
+        def ones(shape, *args, **kwargs):
+            if np.prod(shape) > 10**6:
+                pytest.fail("allocated an oversize sieve")
+            return real(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "ones", ones)
+        assert cli.main(["singular", "--pattern", "0:1,2:1", "--p-cut", "1e12"]) == 3
+        assert "beyond" in capsys.readouterr().err
+
     def test_success_returns_0(self, capsys):
         code, out = run_main(
             ["correlate", "--n", "2000", "--r", "8", "--pattern", "0:1,2:1"],

@@ -243,14 +243,13 @@ class TestMonicPolyPair:
 
     def test_nonvanishing_guard(self):
         """P2(p) = 0 at a small prime must be rejected."""
-        from primelab.constants import check_nonvanishing
         bad = MonicPolyPair((1,), (-2, 1))  # P2(x) = x - 2 vanishes at p = 2
-        with pytest.raises(ValueError):
-            check_nonvanishing(bad.p1, bad.p2, 100)
+        with pytest.raises(ValueError, match="P2 vanishes at p=2"):
+            lemma1(bad, 1, (100,), p_cut=100)
         with pytest.raises(ValueError):
             lemma1(bad, 1, (100,))
         for pair in (HILDEBRAND_POLY_PAIR, CUBIC_POLY_PAIR):
-            check_nonvanishing(pair.p1, pair.p2, 100)
+            lemma1(pair, 1, (100,), p_cut=100)
 
 
 class TestLemma1:
@@ -280,14 +279,26 @@ class TestLemma1:
     def test_vanishing_pair_refused(self, monkeypatch, pair, message, p_cut):
         """A pair vanishing at a prime is refused, with no prime sieve past
         p_cut: below p_cut by the Euler-product parts, above it by the walk."""
-        from primelab import constants
+        from primelab import lemmas
         limits = []
-        real = constants.primes_up_to
-        monkeypatch.setattr(constants, "primes_up_to",
+        real = lemmas.primes_up_to
+        monkeypatch.setattr(lemmas, "primes_up_to",
                             lambda n: limits.append(n) or real(n))
         with pytest.raises(ValueError, match=re.escape(message)):
             lemma1(pair, 1, (100, 10_000), p_cut=p_cut)
-        assert max(limits, default=0) <= p_cut
+        assert limits and max(limits) <= p_cut
+
+    @pytest.mark.parametrize("p2, message", [
+        ("-101:1", "P2 vanishes at p=101"),
+        ("-102:1", "P1+P2 vanishes at p=101"),
+    ], ids=["P2", "P1+P2"])
+    def test_vanishing_at_prime_of_k_exits_3(self, p2, message, capsys):
+        """A zero at a prime of k above both p_cut and the top rung is
+        refused by the K_k and S_k constants, which read f there."""
+        code = cli.main(["lemma", "--which", "1", "--ladder", "50",
+                         "--params", f"p1=1,p2={p2},k=101", "--p-cut", "100"])
+        assert code == 3
+        assert message in capsys.readouterr().err
 
     def test_vanishing_pair_exits_3(self, capsys):
         """The CLI maps the refusal to the precondition exit code."""
@@ -296,6 +307,40 @@ class TestLemma1:
                              "--params", "p1=1,p2=-5:1", *extra])
             assert code == 3
             assert "P2 vanishes at p=5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pair", [
+        HILDEBRAND_POLY_PAIR,
+        CUBIC_POLY_PAIR,
+        MonicPolyPair((3, 1), (5, -2, 1)),
+        MonicPolyPair((1, 2, 1), (7, 0, 0, 1)),
+    ], ids=["hildebrand", "cubic", "X+3", "X^2+2X+1"])
+    def test_constants_match_fraction_references(self, pair):
+        """K1, K_k, S1 and S_k at p_cut = 1e3 against references built from
+        exact Fractions of f = P1/P2: each product is rounded once, and each
+        sum is the fsum of its rounded rational coefficients times log p.
+        k has primes below p_cut and one (1009) above it."""
+        p_cut, k = 10**3, 2 * 3 * 5 * 7 * 1009
+
+        def f(p):
+            value = lambda coeffs: sum(c * p**i for i, c in enumerate(coeffs))
+            return Fraction(value(pair.p1), value(pair.p2))
+
+        k1, s1 = Fraction(1), []
+        for p in sympy.primerange(2, p_cut + 1):
+            fp = f(p)
+            k1 *= (1 - Fraction(1, p)) * (1 + fp)
+            s1.append(float(Fraction(1, p - 1) - fp / (1 + fp)) * math.log(p))
+        kk, sk = Fraction(1), []
+        for p in sympy.primefactors(k):
+            fp = f(p)
+            kk /= 1 + fp
+            sk.append(float(fp / (1 + fp)) * math.log(p))
+
+        got = dict(lemma1(pair, k, (100,), p_cut=p_cut).extras)
+        assert abs(got["K1"] / float(k1) - 1) <= 1e-14
+        assert abs(got["K_k"] / float(kk) - 1) <= 1e-14
+        assert abs(got["S1"] - math.fsum(s1)) <= 1e-14
+        assert abs(got["S_k"] - math.fsum(sk)) <= 1e-14
 
     def test_coprimality_drops_terms(self):
         """k = 6 kills every n sharing a factor with 6: lhs(k=6) < lhs(k=1)."""

@@ -93,6 +93,20 @@ class TestGroupingIdentity:
                 assert rep.computed == rep.via_correlations, (k, h)
                 assert rep.expansion_residual == 0
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        N=st.integers(2, 300),
+        h=st.integers(1, 6),
+        R=st.integers(1, 40),
+        k=st.integers(1, 3),
+        primed=st.booleans(),
+    )
+    def test_property_exact_residual_zero(self, N, h, R, k, primed):
+        """The grouping identity holds with no tolerance on random cells."""
+        rep = moment_psiR(N, h, R, k, exact=True, expand=True, primed=primed)
+        assert rep.expansion_residual == 0
+        assert rep.computed == rep.via_correlations
+
     def test_float_matches_exact(self):
         rep_f = moment_psiR(1500, 4, 12, 2, expand=True)
         rep_e = moment_psiR(1500, 4, 12, 2, exact=True)
@@ -141,6 +155,15 @@ class TestFirstMomentIdentity:
             assert rep.exact_equal_12, (N, h)
             assert rep.exact_equal_13, (N, h)
             assert rep.max_abs_diff < 1e-7
+
+    @settings(max_examples=40, deadline=None)
+    @given(cell=st.integers(1, 5000).flatmap(
+        lambda N: st.tuples(st.just(N), st.integers(1, min(N, 60)))))
+    def test_property_routes_agree_exactly(self, cell):
+        """The three routes have equal integer multiplicity vectors on
+        random (N, h) with 1 <= h <= min(N, 60)."""
+        rep = first_moment_identity(*cell)
+        assert rep.exact_equal_12 and rep.exact_equal_13, cell
 
     def test_direct_value_brute(self, tables_small):
         """The shared value equals a literal double loop over the window."""
