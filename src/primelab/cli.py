@@ -273,8 +273,10 @@ def _cmd_singular(args) -> int:
     if args.pattern is not None:
         if args.j is not None:
             raise ValueError("--pattern carries its own shifts and reads no --j")
-        shifts = args.pattern.shifts
-        sv = singular.singular_vector(shifts, p_cut=p_cut)
+        if any(a != 1 for a in args.pattern.multiplicities):
+            raise ValueError(f"singular --pattern reads distinct shifts only, so every "
+                             f"multiplicity must be 1, got {args.pattern}")
+        sv = singular.singular_vector(args.pattern.shifts, p_cut=p_cut)
         kind, label = "pattern", str(args.pattern)
     elif args.sn is not None and args.j is not None:
         sv = singular.singular_Sn(args.sn, args.j, p_cut=p_cut)

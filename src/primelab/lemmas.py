@@ -464,10 +464,9 @@ def lemma3(
     if ladder[0] < 2:
         raise ValueError("lemma3 normalization needs x >= 2 (log^2 x > 0)")
     x_max = ladder[-1]
-    f = _factor(lambda ps: (3.0 * ps - 4.0) / ((ps - 1.0) * (np.sqrt(ps) - 1.0)))
-    vals = multiplicative_values(f, x_max)
-    lhs = ladder_sums(vals, ladder)
     p1 = euler_P1(p_cut)
+    f = _factor(lambda ps: (3.0 * ps - 4.0) / ((ps - 1.0) * (np.sqrt(ps) - 1.0)))
+    lhs = ladder_sums(multiplicative_values(f, x_max), ladder)
     main = tuple(p1 * math.sqrt(x) * math.log(x) ** 2 for x in ladder)
     scaled = tuple(
         l / (math.sqrt(x) * math.log(x) ** 2) - p1 for l, x in zip(lhs, ladder)
@@ -523,8 +522,8 @@ def lemma4(
     ladder = _check_ladder(x_ladder)
     x_max = ladder[-1]
     f = _lemma4_factor(j, k)
-    lhs = ladder_sums(multiplicative_values(f, x_max), ladder)
     main_c = _euler_limit(f, p_cut, (j, k))
+    lhs = ladder_sums(multiplicative_values(f, x_max), ladder)
     main = tuple(main_c for _ in ladder)
 
     j_star = squarefree_kernel(j)
@@ -570,14 +569,6 @@ def lemma4_log(
         raise ValueError("j must be nonzero")
     ladder = _check_ladder(x_ladder)
     x_max = ladder[-1]
-    vals = multiplicative_values(_lemma4_factor(j, 1), x_max)
-    # log n in place in one array; log 1 = 0 stands in at n = 0
-    logn = np.arange(x_max + 1, dtype=np.float64)
-    logn[0] = 1.0
-    np.log(logn, out=logn)
-    logn[0] = 0.0
-    lhs = tuple(-v for v in ladder_sums(vals, ladder, weight=logn))
-
     jp = prime_divisors(j)
     if j % 2 == 0:
         s2j = singular_Sn(2, j).value
@@ -590,6 +581,14 @@ def lemma4_log(
     else:
         main_c = singular_Sn(2, 2 * j).value * (math.log(2.0) / 2.0)
     main = tuple(main_c for _ in ladder)
+
+    vals = multiplicative_values(_lemma4_factor(j, 1), x_max)
+    # log n in place in one array; log 1 = 0 stands in at n = 0
+    logn = np.arange(x_max + 1, dtype=np.float64)
+    logn[0] = 1.0
+    np.log(logn, out=logn)
+    logn[0] = 0.0
+    lhs = tuple(-v for v in ladder_sums(vals, ladder, weight=logn))
 
     j_star, d_js, phi_js = _kernel_parts(j)
     scaled = tuple(
@@ -659,8 +658,8 @@ def lemma5(
     ladder = _check_ladder(x_ladder)
     x_max = ladder[-1]
     f = _lemma5_factor(J, k)
-    lhs = ladder_sums(multiplicative_values(f, x_max), ladder)
     main_c = _euler_limit(f, p_cut, (J, k))
+    lhs = ladder_sums(multiplicative_values(f, x_max), ladder)
     main = tuple(main_c for _ in ladder)
     scaled = tuple((l - main_c) * x**0.9 for l, x in zip(lhs, ladder))
     return LemmaReport(

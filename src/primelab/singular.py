@@ -14,19 +14,24 @@ factors as
 
     S((0, j1, j2)) = S_2(gcd(j1,j2)) * S_3(j1*j2*(j2-j1)),
 
-where S_3(m) = 3*C_3 * prod_{p | m, p >= 5} (p-2)/(p-3) when 3 | m (else 0)
-and C_3 = prod_{p >= 5} (1 - 2/((p-1)(p-2))).
+where C_3 = prod_{p >= 5} (1 - 2/((p-1)(p-2))) and S_3(m) = 3*C_3 *
+prod_{p | m, p >= 5} (p-2)/(p-3) when 6 | m, which covers every
+m = j1*j2*(j2-j1) with 3 | m (one of j1, j2, j2-j1 is even).  For odd m with
+3 | m, singular_Sn(3, m) carries (3/2)*C_3 instead, and it is 0 when 3 does
+not divide m.
 
 Values are returned as a float together with the exact rational part over
 the "special" primes (p <= r or p dividing a pairwise difference), the
 Euler-product cutoff p_cut, and a rigorous relative tail bound
 r(r+1)/p_cut for the discarded primes.
 
-Averages: the inclusion-exclusion transform U(j), the remainder sums
-R_r(h) = sum over distinct ordered tuples of U, the weighted average
-sum_{j<h} (h-j) S_2(j) with its asymptotic main term, and the plain
-tuple average sum over distinct ordered tuples of S (~ h^r).  R_1(h) = 0
-identically; R_2(h) = -h log h + (2 - gamma - log 2pi) h + smaller.
+Averages: the inclusion-exclusion transform U(j) and the remainder sums
+R_r(h) = sum over distinct ordered r-tuples from [1, h] of U, r <= 3, are
+the one scan.  R_1(h) = 0 identically; R_2(h) = -h log h + (2 - gamma -
+log 2pi) h + smaller.  Since S(J) = sum_{K subset J} U(K), the plain tuple
+average of S (~ h^r) is a binomial sum of the R_s, and the weighted average
+sum_{j<h} (h-j) S_2(j), with its asymptotic main term, is half of it at
+r = 2.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from .tables import prime_divisors
 #: linear coefficient in R_2(h) ~ -h log h + A h
 R2_LINEAR_COEFF = 2.0 - EULER_GAMMA - LOG_2PI
 
-#: guard for the O(h^2) pair-difference scans at r = 3
+#: guard for the O(h^2) scan of R_3
 R3_H_MAX = 10**4
 
 
@@ -70,6 +75,11 @@ def constant_C(n: int, p_cut: int = DEFAULT_P_CUT) -> SingularValue:
     Only n = 2 (twin-prime constant) and n = 3 are supported; requires
     p_cut >= 5 so that the excluded primes lie below the cutoff.  The tail
     bound 2(n-1)/p_cut covers |log| of the discarded factors.
+
+    The factor at p > n is g_n(p)/g_{n-1}(p), with g_r the generic factor
+    of an r-tuple, so C_n = g_{n-1}(n) B_n / B_{n-1} with B_r the generic
+    Euler product that ``singular_vector`` reads (B_1 = 1 exactly: each of
+    its factors is).
     """
     if n not in (2, 3):
         raise ValueError(f"constant_C supports n in {{2, 3}}, got {n}")
@@ -83,12 +93,8 @@ def constant_C(n: int, p_cut: int = DEFAULT_P_CUT) -> SingularValue:
     )
 
 
-@lru_cache(maxsize=32)
 def _constant_C_value(n: int, p_cut: int) -> float:
-    ps = primes_up_to(p_cut).astype(np.float64)
-    ps = ps[ps > n]  # excludes p in {n-1, n} (for n=2 also p=2=n)
-    x = -(n - 1.0) / ((ps - 1.0) * (ps - n + 1.0))
-    return float(np.exp(np.sum(np.log1p(x))))
+    return _generic_factor(n - 1, n) * _generic_base(n, p_cut) / _generic_base(n - 1, p_cut)
 
 
 @lru_cache(maxsize=64)
@@ -201,37 +207,29 @@ def product_identity_check(
 
 
 # ---------------------------------------------------------------------------
-# range sieve for S_2 and the h_3 multiplier table
+# range sieve of the local factors H_n
 # ---------------------------------------------------------------------------
+
+
+def _local_factor_range(n: int, out: np.ndarray) -> np.ndarray:
+    """Multiply out[m] by H_n(m) = prod_{p | m, p > n} (p-n+1)/(p-n) for
+    1 <= m < out.size, in place; out[0] is left as it is."""
+    ps = primes_up_to(out.size - 1)
+    for p in ps[ps > n].tolist():
+        out[p::p] *= (p - n + 1.0) / (p - n)
+    return out
 
 
 def singular_S2_range(h: int, p_cut: int = DEFAULT_P_CUT) -> np.ndarray:
     """float64 array S with S[j] = S_2(j) for 1 <= j <= h (S[0] = 0).
 
-    Even entries start at 2*C_2 and odd primes p <= h multiply their
-    multiples by (p-1)/(p-2); odd entries are identically zero.
+    Even entries are 2*C_2 * H_2(j); odd entries are identically zero.
     """
     if h < 1:
         raise ValueError(f"h must be >= 1, got {h}")
-    c2 = _constant_C_value(2, p_cut)
     out = np.zeros(h + 1, dtype=np.float64)
-    if h >= 2:
-        out[2::2] = 2.0 * c2
-    ps = primes_up_to(h)
-    ps = ps[ps > 2]
-    for p in ps.tolist():
-        out[p::p] *= (p - 1.0) / (p - 2.0)
-    return out
-
-
-def _h3_range(h: int) -> np.ndarray:
-    """h3[m] = prod_{p | m, p >= 5} (p-2)/(p-3) for 0 <= m <= h (h3[0] = 1)."""
-    out = np.ones(h + 1, dtype=np.float64)
-    ps = primes_up_to(h)
-    ps = ps[ps >= 5]
-    for p in ps.tolist():
-        out[p::p] *= (p - 2.0) / (p - 3.0)
-    return out
+    out[2::2] = 2.0 * _constant_C_value(2, p_cut)
+    return _local_factor_range(2, out)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +257,8 @@ def u_transform(
 
 
 def weighted_S2_sum(h: int, p_cut: int = DEFAULT_P_CUT) -> WeightedS2:
-    """sum_{j=1}^{h-1} (h - j) S_2(j), with its asymptotic main term
+    """sum_{j=1}^{h-1} (h - j) S_2(j) = gallagher_sum(2, h) / 2, with its
+    asymptotic main term
 
         h^2/2 - (h log h)/2 + ((1 - gamma - log 2pi)/2) h.
 
@@ -267,89 +266,70 @@ def weighted_S2_sum(h: int, p_cut: int = DEFAULT_P_CUT) -> WeightedS2:
     """
     if h < 2:
         raise ValueError(f"h must be >= 2, got {h}")
-    s2 = singular_S2_range(h - 1, p_cut=p_cut)
-    j = np.arange(h, dtype=np.float64)
-    value = float(np.sum((h - j[: h]) * s2[: h]))
     main = h * h / 2.0 - h * math.log(h) / 2.0 + (1.0 - EULER_GAMMA - LOG_2PI) / 2.0 * h
-    return WeightedS2(value=value, main=main)
-
-
-def _pair_difference_sum(h: int, p_cut: int, subtract_lower: bool) -> float:
-    """sum over ordered pairs (a, b) of distinct nonzero differences in
-    (-h, h) of cnt(a, b) * W(a, b), where cnt counts the translates fitting
-    in [1, h], and W is S((0,a,b)) (subtract_lower=False) or U((0,a,b))
-    (subtract_lower=True, i.e. with the pair/singleton terms removed).
-
-    This is the three-tuple average over [1, h]^3 collected by difference
-    pattern; with r = 3 every ordered distinct triple (j1, j2, j3)
-    contributes through (a, b) = (j2 - j1, j3 - j1).
-    """
-    threec3 = 3.0 * _constant_C_value(3, p_cut)
-    # |a - b| reaches 2(h-1), so the index tables extend that far
-    s2 = singular_S2_range(2 * h, p_cut=p_cut)
-    h3 = _h3_range(2 * h)
-    total = 0.0
-    vals = np.arange(-(h - 1), h, dtype=np.int64)
-    babs = np.abs(vals)
-    chunk = max(1, 2**22 // (2 * h))
-    for start in range(0, vals.size, chunk):
-        a = vals[start : start + chunk]
-        aa = np.abs(a)
-        g = np.gcd.outer(aa, babs)
-        d = np.abs(a[:, None] - vals[None, :])
-        hi = np.maximum(np.maximum(a[:, None], vals[None, :]), 0)
-        lo = np.minimum(np.minimum(a[:, None], vals[None, :]), 0)
-        cnt = np.maximum(h - (hi - lo), 0).astype(np.float64)
-        ok = (a[:, None] != 0) & (vals[None, :] != 0) & (a[:, None] != vals[None, :])
-        div3 = (a[:, None] % 3 == 0) | (vals[None, :] % 3 == 0) | (d % 3 == 0)
-        f = np.where(
-            div3, s2[g] * threec3 * h3[aa][:, None] * h3[babs][None, :] * h3[d] / h3[g] ** 2, 0.0
-        )
-        w = f - s2[aa][:, None] - s2[babs][None, :] - s2[d] + 2.0 if subtract_lower else f
-        total += float(np.sum(np.where(ok, cnt * w, 0.0)))
-    return total
+    return WeightedS2(value=gallagher_sum(2, h, p_cut) / 2.0, main=main)
 
 
 def big_R(r: int, h: int, p_cut: int = DEFAULT_P_CUT) -> float:
     """R_r(h) = sum over distinct ordered r-tuples from [1, h] of U(tuple).
 
     R_1(h) = 0 identically.  R_2(h) = 2 sum_{j<h} (h-j)(S_2(j) - 1) =
-    -h log h + (2 - gamma - log 2pi) h + O(h^(1/2+eps)).  r = 3 runs an
-    O(h^2) pair-difference scan and is guarded at h <= 10**4; its size is
-    conjecturally O(h^(3/2 - 1/21 + eps)).
+    -h log h + (2 - gamma - log 2pi) h + O(h^(1/2+eps)).
+
+    R_3 scans each set x < y < z once by its differences 0 < a < b < h,
+    a = y - x and b = z - x: the h - b sets with these differences share
+
+        U((0, a, b)) = S_2(gcd(a, b)) S_3(ab(b-a)) - S_2(a) - S_2(b) - S_2(b-a) + 2,
+
+    and each set counts 3! times, so R_3 = 6 sum (h-b) U((0, a, b)), one
+    numpy row of b per a.  U is summed rather than S, as R_3 is
+    conjecturally O(h^(3/2 - 1/21 + eps)) against the h^3 of the S sum.
+    The scan is O(h^2) and guarded at h <= R3_H_MAX.
     """
     if h < 2:
         raise ValueError(f"h must be >= 2, got {h}")
     if r == 1:
         return 0.0  # U of a singleton is exactly 0
+    if r not in (2, 3):
+        raise ValueError(f"big_R supports r <= 3, got {r}")
+    if r == 3 and h > R3_H_MAX:
+        raise ValueError(f"r=3 remainder sum guarded at h <= {R3_H_MAX}")
+    s2 = singular_S2_range(h - 1, p_cut=p_cut)
     if r == 2:
-        s2 = singular_S2_range(h - 1, p_cut=p_cut)
         j = np.arange(1, h, dtype=np.float64)
         return float(2.0 * np.sum((h - j) * (s2[1:h] - 1.0)))
-    if r == 3:
-        if h > R3_H_MAX:
-            raise ValueError(f"r=3 remainder sum guarded at h <= {R3_H_MAX}")
-        return _pair_difference_sum(h, p_cut, subtract_lower=True)
-    raise ValueError(f"big_R supports r <= 3, got {r}")
+    h3 = _local_factor_range(3, np.ones(h, dtype=np.float64))
+    threec3 = 3.0 * _constant_C_value(3, p_cut)
+    total = 0.0
+    for a in range(1, h - 1):
+        b = np.arange(a + 1, h)
+        d = b - a
+        g = np.gcd(a, b)
+        # the primes of g divide a, b and b - a, so H_3(ab(b-a)) counts them
+        # three times; 3 | ab(b-a) implies 6 | ab(b-a), hence the 3 C_3
+        s = np.where(
+            a * b * d % 3 == 0, s2[g] * threec3 * h3[a] * h3[b] * h3[d] / h3[g] ** 2, 0.0
+        )
+        u = s - s2[a] - s2[b] - s2[d] + 2.0
+        total += float(np.dot(h - b, u))
+    return 6.0 * total
 
 
 def gallagher_sum(r: int, h: int, p_cut: int = DEFAULT_P_CUT) -> float:
     """sum over distinct ordered r-tuples from [1, h] of S(tuple) (~ h^r).
 
+    S(J) = sum_{K subset J} U(K), and an s-set lies in C(r, s) s! (h-s)!/(h-r)!
+    of the ordered r-tuples, so this is
+
+        sum_{s <= min(r, h)} C(r, s) (h-s)!/(h-r)! R_s(h),  R_0 = 1, R_1 = 0.
+
     r = 1 returns exactly h (each singleton contributes exactly 1).
     """
     if h < 1:
         raise ValueError(f"h must be >= 1, got {h}")
-    if r == 1:
-        return float(h)
-    if h < 2:
-        return 0.0
-    if r == 2:
-        s2 = singular_S2_range(h - 1, p_cut=p_cut)
-        j = np.arange(1, h, dtype=np.float64)
-        return float(2.0 * np.sum((h - j) * s2[1:h]))
-    if r == 3:
-        if h > R3_H_MAX:
-            raise ValueError(f"r=3 tuple average guarded at h <= {R3_H_MAX}")
-        return _pair_difference_sum(h, p_cut, subtract_lower=False)
-    raise ValueError(f"gallagher_sum supports r <= 3, got {r}")
+    if r not in (1, 2, 3):
+        raise ValueError(f"gallagher_sum supports r in {{1, 2, 3}}, got {r}")
+    total = float(math.perm(h, r))
+    for s in range(2, min(r, h) + 1):
+        total += math.comb(r, s) * math.perm(h - s, r - s) * big_R(s, h, p_cut)
+    return total

@@ -133,6 +133,15 @@ class TestExitCodes:
         assert cli.main(["singular", "--pattern", "0:1,2:1", "--p-cut", "1e12"]) == 3
         assert "beyond" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pattern", ["0:3,2:2", "0:2", "0:1,2:2"])
+    def test_singular_pattern_multiplicity_returns_3(self, pattern, capsys):
+        """The singular series reads distinct shifts only, so a pattern with a
+        multiplicity other than 1 is refused instead of being read as its
+        shifts."""
+        assert cli.main(["singular", "--pattern", pattern]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "multiplicity must be 1" in captured.err
+
     def test_success_returns_0(self, capsys):
         code, out = run_main(
             ["correlate", "--n", "2000", "--r", "8", "--pattern", "0:1,2:1"],

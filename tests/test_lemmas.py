@@ -233,6 +233,28 @@ class TestOversizeLadder:
             with pytest.raises(ValueError, match="beyond"):
                 call()
 
+    def test_oversize_p_cut_refused_before_the_walk(self, monkeypatch):
+        """Each lemma evaluates its Euler-product constant before its walk,
+        so a p_cut beyond tables.TABLE_MAX is refused by the prime sieve
+        before the ladder is summed."""
+        from primelab import lemmas
+
+        def fail(*args, **kwargs):
+            pytest.fail("walked the ladder for an oversize p_cut")
+
+        monkeypatch.setattr(lemmas, "multiplicative_values", fail)
+        ladder = (1000, 10_000)
+        p_cut = tables_mod.TABLE_MAX + 1
+        for call in (
+            lambda: lemma1(HILDEBRAND_POLY_PAIR, 1, ladder, p_cut=p_cut),
+            lambda: lemma3(ladder, p_cut=p_cut),
+            lambda: lemma4(2, 1, ladder, p_cut=p_cut),
+            lambda: lemma4_log(2, ladder, p_cut=p_cut),
+            lambda: lemma5(6, 1, ladder, p_cut=p_cut),
+        ):
+            with pytest.raises(ValueError, match="prime sieve .* is beyond"):
+                call()
+
 
 class TestMonicPolyPair:
     def test_validates_monic(self):

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
+import tracemalloc
 
 import numpy as np
+import pytest
 import sympy
 
 from primelab import (
@@ -23,6 +25,7 @@ from primelab import (
 )
 from primelab.singular import (
     R2_LINEAR_COEFF,
+    R3_H_MAX,
     big_R,
     product_identity_check,
     u_transform,
@@ -162,8 +165,9 @@ class TestSingularSn:
 
     def test_range_matches_pointwise(self):
         vals = singular_S2_range(64)
-        for j in (2, 4, 6, 30, 64):
-            assert abs(vals[j] - singular_Sn(2, j).value) < 1e-12
+        assert vals[0] == 0.0
+        for j in range(1, 65):
+            assert abs(vals[j] - singular_Sn(2, j).value) < 1e-12, j
         assert vals[1] == 0.0 and vals[3] == 0.0
 
     def test_product_identity(self):
@@ -253,3 +257,38 @@ class TestAverages:
         for h in (100, 400):
             ratio = gallagher_sum(2, h) / h**2
             assert 0.7 < ratio < 1.05, (h, ratio)
+
+
+class TestTripleAverages:
+    @pytest.mark.parametrize("h", [3, 4, 8, 10])
+    def test_r3_against_brute_sums(self, h):
+        """gallagher_sum(3, h) and big_R(3, h) against the direct sums of S
+        and U over the distinct ordered triples from [1, h].  Every triple in
+        [1, 6] covers a full residue class mod 2 or 3, so the S sum is 0
+        there and is compared with an absolute tolerance."""
+        triples = list(permutations(range(1, h + 1), 3))
+        s_brute = math.fsum(singular_vector(t).value for t in triples)
+        u_brute = math.fsum(u_transform(t) for t in triples)
+        assert gallagher_sum(3, h) == pytest.approx(s_brute, rel=1e-9, abs=1e-9)
+        assert big_R(3, h) == pytest.approx(u_brute, rel=1e-9, abs=1e-9)
+        if h <= 6:
+            assert s_brute == 0.0
+
+    def test_r3_guard(self):
+        """h past R3_H_MAX is refused by both averages."""
+        for fn in (big_R, gallagher_sum):
+            with pytest.raises(ValueError, match="guarded"):
+                fn(3, R3_H_MAX + 1)
+
+    def test_r3_scan_peak_memory(self):
+        """The r = 3 scan holds O(h) numbers at a time, not an h x h grid:
+        its tracemalloc peak at h = 2000 stays under 1 MB once the prime
+        list and the Euler products are warm."""
+        big_R(3, 50)
+        tracemalloc.start()
+        try:
+            big_R(3, 2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
