@@ -468,6 +468,9 @@ def _cmd_lemma(args) -> int:
         raise ValueError(f"variant must be 'log', got {params['variant']!r}")
     if which == 2 and p_cut is not None:
         raise ValueError("lemma 2 has no Euler product and takes no --p-cut")
+    if log and int(params.get("j", 2)) % 2 and p_cut is not None:
+        raise ValueError("lemma 4 with variant=log and odd j has no prime sum "
+                         "(its limit is S_2(2j) log(2)/2) and takes no --p-cut")
 
     if which == 1:
         k = int(params.get("k", 1))

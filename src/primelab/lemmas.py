@@ -6,10 +6,13 @@ per-prime factors,
     LHS(x) = sum_{n<=x} mu^2(n) prod_{p|n} f(p)        (Moebius signs are
                                                          folded into f),
 
-so a single sieved evaluator (``multiplicative_values``) serves all five:
-it fills v[n] = mu^2(n) prod_{p|n} f(p) for n <= x from a factor function,
-which maps an array of primes to their factors f(p), with excluded primes
-(p | k) encoded as f(p) = 0.  Each lemma then supplies its factor function
+so a single sieved walk (``_walk``) serves all five: it gives
+v[n] = mu^2(n) prod_{p|n} f(p) for n <= x from a factor function, which
+maps an array of primes to their factors f(p), with excluded primes
+(p | k) encoded as f(p) = 0.  ``multiplicative_values`` keeps all of v;
+the lemmas that need only the sums up to each rung keep v only up to x/2
+and take those sums during the walk (``_LadderWalk``), bit for bit as
+np.sum would.  Each lemma then supplies its factor function
 (``_factor``: one formula on the primes, with values overridden at the
 primes dividing j or k), its closed-form main term (Euler products and
 prime log-sums truncated at a recorded p_cut; for Lemma 1 built from the
@@ -33,9 +36,10 @@ normalization under which the error is expected to stay bounded:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,6 +50,7 @@ from .singular import singular_Sn
 from .tables import (
     TABLE_MAX,
     cumsum_blocks,
+    dyadic_blocks,
     factor_blocks,
     prime_divisors,
     squarefree_kernel,
@@ -199,6 +204,46 @@ def _check_ladder(x_ladder: Sequence[int]) -> tuple[int, ...]:
 FactorFn = Callable[[np.ndarray], np.ndarray]
 
 
+def _walk(f: FactorFn, x: int, store: np.ndarray):
+    """Yield (lo, hi, v) over the blocks [lo, hi) of ``dyadic_blocks(x)``, in
+    order, with v[i] = mu^2(n) * prod_{p|n} f(p) at n = lo + i.
+
+    The value at each n < store.size is also kept in store[n], with
+    store[0] = 0.0 and store[1] = 1.0 (n = 0, 1 lie in no block).  store,
+    like the int32 lpf array, must reach x/2, the largest n/P the
+    recurrence reads back.  v is a view of a buffer reused from block to block,
+    valid until the next block is asked for.  The recurrence is the one
+    ``multiplicative_values`` describes.
+    """
+    tables = tables_for(x)
+    mu = tables.mu
+    store[0] = 0.0
+    store[1] = 1.0
+    lpf = np.empty(max(x // 2, 1) + 1, dtype=np.int32)
+    lpf[1] = 1
+    # block temporaries, allocated once: a fresh 1-2 MB array per block
+    # would be mapped, faulted in and unmapped again every time
+    size = min((x + 1) // 2, _tables.BLOCK_MAX)  # the largest block
+    index, big = np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int32)
+    value, zero = np.empty(size, dtype=np.float64), np.empty(size, dtype=bool)
+    for lo, hi, k, p in factor_blocks(tables.spf[: x + 1]):
+        n = hi - lo
+        m, b, v, z = index[:n], big[:n], value[:n], zero[:n]
+        np.floor_divide(k, p, out=m)
+        np.take(lpf, m, out=b, mode="clip")
+        np.maximum(b, p, out=b)
+        kept = lpf[lo:hi]  # empty once lo > x/2
+        kept[:] = b[: kept.size]
+        np.floor_divide(k, b, out=m)
+        np.take(store, m, out=v, mode="clip")
+        np.multiply(v, f(b), out=v)
+        np.equal(mu[lo:hi], 0, out=z)
+        np.copyto(v, 0.0, where=z)
+        kept = store[lo:hi]  # empty once lo >= store.size
+        kept[:] = v[: kept.size]
+        yield lo, hi, v
+
+
 def multiplicative_values(f: FactorFn, x: int) -> np.ndarray:
     """v[n] = mu^2(n) * prod_{p|n} f(p) for 0 <= n <= x (v[0]=0, v[1]=1).
 
@@ -209,43 +254,110 @@ def multiplicative_values(f: FactorFn, x: int) -> np.ndarray:
     otherwise, where lpf(n) = max(spf(n), lpf(n/spf(n))).  f is evaluated
     on each block's lpf array, so no x-entry factor array is built; it sees
     every n of the block, p = 2 and non-squarefree n included, and must not
-    raise floating-point warnings there.  lpf is kept only up to x/2, the
-    largest n/spf(n) that is read.  Keying on the largest prime multiplies
-    the factors in ascending-prime order, so v[n] is bit-for-bit the
-    left-to-right product.  spf and mu come from ``tables_for(x)``.  The
+    raise floating-point warnings there.  Keying on the largest prime
+    multiplies the factors in ascending-prime order, so v[n] is bit-for-bit
+    the left-to-right product.  spf and mu come from ``tables_for(x)``.  The
     array f is given is a buffer reused from block to block: f must not
     keep or change it.
+
+    This is the walk of ``_walk`` with the x+1 output as its store.  The
+    lemmas that only need prefix sums walk with v and lpf kept only up to
+    x/2, the part the recurrence reads back (``_LadderWalk``).
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    tables = tables_for(x)
-    mu = tables.mu
     out = np.empty(x + 1, dtype=np.float64)
-    out[0] = 0.0
-    out[1] = 1.0
-    lpf = np.empty(max(x // 2, 1) + 1, dtype=np.int32)
-    lpf[1] = 1
-    # block temporaries, allocated once: a fresh 1-2 MB array per block
-    # would be mapped, faulted in and unmapped again every time
-    size = min((x + 1) // 2, _tables.BLOCK_MAX)  # the largest block
-    index, big = np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int32)
-    value, squarefree = np.empty(size, dtype=np.float64), np.empty(size, dtype=bool)
-    for lo, hi, k, p in factor_blocks(tables.spf[: x + 1]):
-        n = hi - lo
-        m, b, v, sf = index[:n], big[:n], value[:n], squarefree[:n]
-        np.floor_divide(k, p, out=m)
-        np.take(lpf, m, out=b, mode="clip")
-        np.maximum(b, p, out=b)
-        kept = lpf[lo:hi]  # empty once lo > x/2
-        kept[:] = b[: kept.size]
-        np.floor_divide(k, b, out=m)
-        np.take(out, m, out=v, mode="clip")
-        np.multiply(v, f(b), out=v)
-        np.not_equal(mu[lo:hi], 0, out=sf)
-        dst = out[lo:hi]
-        dst[:] = 0.0
-        np.copyto(dst, v, where=sf)
+    for _block in _walk(f, x, out):
+        pass
     return out
+
+
+#: numpy sums a float64 run of at most this many entries unsplit
+#: (PW_BLOCKSIZE of its pairwise summation)
+_PAIRWISE_LEAF = 128
+
+
+def _pairwise_split(a: int, b: int) -> int:
+    """Where numpy's pairwise summation splits [a, b) of more than
+    _PAIRWISE_LEAF entries: after n2 = n//2 - (n//2) % 8 of its n entries."""
+    n2 = (b - a) // 2
+    return a + n2 - n2 % 8
+
+
+class _LadderWalk:
+    """The walk of f up to the top rung x with v kept only for n <= x/2,
+    taking np.sum(v[: r + 1]) for each rung r on the way, bit for bit.
+
+    Iterating it yields the walk's blocks (lo, hi, v); once they are
+    exhausted, ``sums`` holds the rung sums.  np.sum of a float64 run is
+    0.0 plus numpy's pairwise sum: a node [a, b) of more than 128 entries
+    is the sum of its two nodes either side of ``_pairwise_split``, and one
+    of at most 128 entries is added unsplit.  So np.sum of a node's entries
+    is that node's sum, and each rung's tree is cut, along the edges of the
+    blocks above x/2, into whole nodes: one that lies in the kept prefix is
+    summed from it after the walk, one inside a single block as that block
+    passes, and one of at most 128 entries across an edge from a copy of
+    its entries.  The node sums are then added up the tree as numpy adds
+    them.
+    """
+
+    def __init__(self, f: FactorFn, ladder: tuple[int, ...]):
+        self.f, self.ladder, self.x = f, ladder, ladder[-1]
+        self.store = np.empty(max(self.x // 2, 1) + 1, dtype=np.float64)
+        # the lo of each block not kept whole; the first lies at or below
+        # store.size, as its block holds n = store.size
+        self.cuts = [lo for lo, hi in dyadic_blocks(self.x) if hi > self.store.size]
+        self.at: dict[int, set[tuple[int, int]]] = {}  # block lo -> nodes it holds
+        self.copies: dict[tuple[int, int], np.ndarray] = {}
+        self.node_sums: dict[tuple[int, int], float] = {}
+        for r in ladder:
+            self._plan(0, r + 1)
+
+    def _plan(self, a: int, b: int) -> None:
+        if b <= self.store.size:
+            return  # summed from the store after the walk
+        i, j = bisect_right(self.cuts, a), bisect_left(self.cuts, b)
+        if i < j and b - a > _PAIRWISE_LEAF:  # cuts[i:j] split [a, b)
+            mid = _pairwise_split(a, b)
+            self._plan(a, mid)
+            self._plan(mid, b)
+            return
+        if i < j:
+            self.copies[a, b] = np.empty(b - a, dtype=np.float64)
+        for lo in self.cuts[max(i - 1, 0) : j]:  # the blocks [a, b) meets
+            self.at.setdefault(lo, set()).add((a, b))
+
+    def __iter__(self):
+        for lo, hi, v in _walk(self.f, self.x, self.store):
+            for a, b in self.at.get(lo, ()):
+                if lo <= a and b <= hi:
+                    self.node_sums[a, b] = float(np.sum(v[a - lo : b - lo]))
+                else:
+                    s, e = max(a, lo), min(b, hi)
+                    self.copies[a, b][s - a : e - a] = v[s - lo : e - lo]
+            yield lo, hi, v
+        kept = self.store.size
+        for (a, b), buf in self.copies.items():
+            buf[: max(kept - a, 0)] = self.store[a:kept]
+            self.node_sums[a, b] = float(np.sum(buf))
+        self.sums = tuple(0.0 + self._value(0, r + 1) for r in self.ladder)
+
+    def _value(self, a: int, b: int) -> float:
+        if b <= self.store.size:
+            return float(np.sum(self.store[a:b]))
+        if (a, b) in self.node_sums:
+            return self.node_sums[a, b]
+        mid = _pairwise_split(a, b)
+        return self._value(a, mid) + self._value(mid, b)
+
+
+def _rung_sums(f: FactorFn, ladder: tuple[int, ...]) -> tuple[float, ...]:
+    """ladder_sums(multiplicative_values(f, x), ladder), bit for bit, from
+    one ``_LadderWalk`` with x the top rung."""
+    walk = _LadderWalk(f, ladder)
+    for _block in walk:
+        pass
+    return walk.sums
 
 
 def _factor(
@@ -343,7 +455,6 @@ def lemma1(
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     ladder = _check_ladder(x_ladder)
-    x_max = ladder[-1]
     p12 = poly_add(pair.p1, pair.p2)
 
     def ratio(ps: np.ndarray) -> np.ndarray:
@@ -368,8 +479,7 @@ def lemma1(
     # every prime p <= x_max is the largest prime factor of p itself, so
     # the walk evaluates f, and its checks, at each of them
     f = _factor(ratio, [(p, 0.0) for p in k_primes])
-    vals = multiplicative_values(f, x_max)
-    lhs = ladder_sums(vals, ladder)
+    lhs = _rung_sums(f, ladder)
     main = tuple(k1 * k2 * (math.log(x) + EULER_GAMMA + s1 + s2) for x in ladder)
 
     mk = m_of(k)
@@ -403,20 +513,25 @@ def lemma2(x_ladder: Sequence[int]) -> LemmaReport:
     error is S(x) itself.  Extras carry sup_{t <= x_max} |S(t)| over every
     integer prefix and the successive ladder differences |S(x_{i+1})-S(x_i)|,
     which should shrink (the series converges).
+
+    One walk (``_LadderWalk``) gives both, holding the values and the
+    largest prime factors only up to x_max/2: S at each rung is np.sum of
+    the values, bit for bit, in numpy's pairwise order, and the sup is
+    taken over one running sum streamed through ``cumsum_blocks``, the
+    additions of np.cumsum(values[1:]) without its x-entry output or an
+    |S| temporary.
     """
     ladder = _check_ladder(x_ladder)
-    x_max = ladder[-1]
     # mu(n) folded in: f(p) = -(p-2)/(p(p-1)); the p=2 factor is 0 since
     # phi_2(2) = 0, which the formula produces on its own.
     f = _factor(lambda ps: -(ps - 2.0) / (ps * (ps - 1.0)))
-    vals = multiplicative_values(f, x_max)
-    lhs = ladder_sums(vals, ladder)
-    # sup_{t >= 1} |S(t)| from a streamed running sum: the additions of
-    # np.cumsum(vals), without its x-entry output or an |S| temporary
+    walk = _LadderWalk(f, ladder)
     top, bottom = -math.inf, math.inf
-    for _lo, _hi, run in cumsum_blocks(vals[1:], np.float64):
+    blocks = chain([np.ones(1)], (v for _lo, _hi, v in walk))  # v[1] = 1, then n >= 2
+    for _lo, _hi, run in cumsum_blocks(blocks, np.float64):
         top = max(top, run.max())
         bottom = min(bottom, run.min())
+    lhs = walk.sums
     sup_abs = float(max(top, -bottom))
     extras = [("sup_abs", sup_abs)]
     for i, (a, b) in enumerate(zip(lhs, lhs[1:])):
@@ -463,10 +578,9 @@ def lemma3(
     ladder = _check_ladder(x_ladder)
     if ladder[0] < 2:
         raise ValueError("lemma3 normalization needs x >= 2 (log^2 x > 0)")
-    x_max = ladder[-1]
     p1 = euler_P1(p_cut)
     f = _factor(lambda ps: (3.0 * ps - 4.0) / ((ps - 1.0) * (np.sqrt(ps) - 1.0)))
-    lhs = ladder_sums(multiplicative_values(f, x_max), ladder)
+    lhs = _rung_sums(f, ladder)
     main = tuple(p1 * math.sqrt(x) * math.log(x) ** 2 for x in ladder)
     scaled = tuple(
         l / (math.sqrt(x) * math.log(x) ** 2) - p1 for l, x in zip(lhs, ladder)
@@ -520,10 +634,9 @@ def lemma4(
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     ladder = _check_ladder(x_ladder)
-    x_max = ladder[-1]
     f = _lemma4_factor(j, k)
     main_c = _euler_limit(f, p_cut, (j, k))
-    lhs = ladder_sums(multiplicative_values(f, x_max), ladder)
+    lhs = _rung_sums(f, ladder)
     main = tuple(main_c for _ in ladder)
 
     j_star = squarefree_kernel(j)
@@ -656,10 +769,9 @@ def lemma5(
     if k < 1 or J % k != 0:
         raise ValueError(f"k must be a positive divisor of J, got k={k}, J={J}")
     ladder = _check_ladder(x_ladder)
-    x_max = ladder[-1]
     f = _lemma5_factor(J, k)
     main_c = _euler_limit(f, p_cut, (J, k))
-    lhs = ladder_sums(multiplicative_values(f, x_max), ladder)
+    lhs = _rung_sums(f, ladder)
     main = tuple(main_c for _ in ladder)
     scaled = tuple((l - main_c) * x**0.9 for l, x in zip(lhs, ladder))
     return LemmaReport(

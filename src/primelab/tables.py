@@ -30,10 +30,13 @@ and the block is one vectorised numpy step:
 * otherwise:   mu = -mu(m), phi = phi(m) (p-1).
 
 ``dyadic_blocks`` yields the blocks, split further so that no step's
-temporaries exceed BLOCK_MAX entries; ``lemmas.multiplicative_values`` runs
-the same recurrence keyed on the largest prime factor.  ``cumsum_blocks``
-streams a running sum in blocks of the same size, carrying as many earlier
-sums as a window difference needs.
+temporaries exceed BLOCK_MAX entries.  The lemmas' walk runs the same
+recurrence keyed on the largest prime factor P, block by block; it reads
+back only n/P <= x/2, so a walk that needs only prefix sums keeps its
+values and its lpf array only for n <= x/2 and takes its rung sums as the
+blocks above pass, in numpy's pairwise order (``lemmas._LadderWalk``).
+``cumsum_blocks`` streams a running sum over an array or over such blocks,
+carrying as many earlier sums as a window difference needs.
 
 The stored arrays take 3 bytes per entry (2+1), so n_max = 10**7 costs
 ~30 MB; phi, lam and psi_prefix each add 8 bytes per entry once read, and
@@ -236,29 +239,35 @@ def _von_mangoldt(q: np.ndarray, logs: np.ndarray, n: int) -> np.ndarray:
     return lam
 
 
-def cumsum_blocks(values: np.ndarray, dtype, keep: int = 0):
-    """Yield (lo, hi, s) over blocks of at most BLOCK_MAX entries: s[keep + i]
-    is the running sum of values[: lo + i + 1] accumulated in dtype, and
-    s[:keep] holds the keep running sums before the block (0 before
-    values[0]), so s[keep:] - s[:-keep] are the block's keep-term windows.
+def cumsum_blocks(values, dtype, keep: int = 0):
+    """Yield (lo, hi, s) over the blocks of ``values``, read in turn as one
+    array: the slices of BLOCK_MAX entries of an array, or the arrays of an
+    iterable, each of at most BLOCK_MAX entries (a walk's blocks, say).
+    s[keep + i] is the running sum of the entries before index lo + i + 1,
+    accumulated in dtype, and s[:keep] holds the keep running sums before
+    the block (0 before the first entry), so s[keep:] - s[:-keep] are the
+    block's keep-term windows.
 
     The running sums are carried from block to block in the head of one
-    buffer of min(size, BLOCK_MAX) + max(keep, 1) entries, so the additions
-    are exactly those of one long np.cumsum, without its n-entry output; s
-    is only valid until the next block is asked for.
+    buffer of BLOCK_MAX + max(keep, 1) entries, so the additions are exactly
+    those of one long np.cumsum, without its n-entry output; s is only
+    valid until the next block is asked for.
     """
-    size = values.size
+    if isinstance(values, np.ndarray):
+        values = [values[lo : lo + BLOCK_MAX] for lo in range(0, values.size, BLOCK_MAX)]
     head = max(keep, 1)
-    buf = np.empty(min(size, BLOCK_MAX) + head, dtype=dtype)
+    buf = np.empty(BLOCK_MAX + head, dtype=dtype)
     buf[:head] = 0
-    for lo in range(0, size, BLOCK_MAX):
-        hi = min(lo + BLOCK_MAX, size)
+    lo = 0
+    for block in values:
+        hi = lo + block.size
         acc = buf[: hi - lo + head]
-        acc[head:] = values[lo:hi]
+        acc[head:] = block
         run = acc[head - 1 :]
         np.cumsum(run, out=run)
         yield lo, hi, acc[head - keep :]
         buf[:head] = acc[-head:]
+        lo = hi
 
 
 def build_tables(n_max: int) -> ArithTables:

@@ -264,7 +264,10 @@ class TestSubcommands:
         (["--which", "3", "--params", "variant=log"], "lemma 3 reads no variant"),
         (["--which", "4", "--params", "variant=lin"], "variant must be 'log'"),
         (["--which", "2", "--p-cut", "100"], "lemma 2 has no Euler product"),
-    ], ids=["4-jj", "2-j", "4log-k", "1-J", "5-j", "3-variant", "4-variant", "2-p-cut"])
+        (["--which", "4", "--params", "j=3,variant=log", "--p-cut", "3e9"],
+         "lemma 4 with variant=log and odd j has no prime sum"),
+    ], ids=["4-jj", "2-j", "4log-k", "1-J", "5-j", "3-variant", "4-variant", "2-p-cut",
+            "4log-odd-j-p-cut"])
     def test_lemma_refuses_what_it_does_not_read(self, argv, message, capsys):
         """A --params key (or --p-cut) the chosen lemma does not read is a
         precondition failure naming the keys it does read, not echoed and
@@ -273,6 +276,19 @@ class TestSubcommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    def test_lemma4_log_even_j_reads_p_cut(self, capsys):
+        """With an even j the log-weighted limit has a prime sum, so --p-cut
+        is read and moves the main constant, where an odd j refuses it."""
+        argv = ["lemma", "--which", "4", "--ladder", "1e3", "--params", "j=2,variant=log"]
+        code, out = run_main(argv + ["--p-cut", "1e5"], capsys)
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert config["p_cut"] == 100_000 and config["lemma_p_cut"] == "100000"
+        code, default = run_main(argv, capsys)
+        assert code == 0
+        assert (json.loads(default)["config"]["extra_main_constant"]
+                != config["extra_main_constant"])
 
     @pytest.mark.parametrize("which, params", [
         ("1", "k=6,pair=cubic"), ("4", "j=6,k=5"), ("5", "J=6,k=3"),

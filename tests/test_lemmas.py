@@ -40,6 +40,7 @@ from primelab.lemmas import (
     HILDEBRAND_POLY_PAIR,
     _kernel_parts,
     _lemma4_factor,
+    _rung_sums,
     euler_P1,
     ladder_sums,
     m_of,
@@ -171,6 +172,91 @@ class TestMultiplicativeValues:
             tracemalloc.stop()
         assert peak <= 10 * (x + 1) + 64 * tables_mod.BLOCK_MAX
 
+    def test_lemma2_memory_slope(self):
+        """On tables the process already holds, lemma2's allocations grow by
+        at most 7 bytes per entry between x = 10**6 and 4 * 10**6: its
+        values and its int32 lpf array are both kept only up to x/2 (6
+        bytes per entry), where a full value array made it 10."""
+        xs = (1_000_000, 4_000_000)
+        tables_mod.tables_for(xs[-1])
+        peaks = []
+        for x in xs:
+            tracemalloc.start()
+            try:
+                lemma2((10, x))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / (xs[1] - xs[0]) <= 7
+
+    @pytest.mark.parametrize("block_max", [tables_mod.BLOCK_MAX, 64])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        x=st.one_of(st.integers(1, 300), st.integers(1, 30_000)),
+        seed=st.integers(0, 2**32 - 1),
+        picks=st.lists(st.integers(0, 2**31), max_size=8),
+    )
+    def test_property_rung_sums_are_np_sum(self, block_max, x, seed, picks):
+        """The rung sums taken during the walk, which keeps the values only
+        up to x/2, are np.sum(values[: r + 1]) byte for byte, for rungs at
+        x//2 and x//2 + 1, on block edges and either side of them, and at
+        random; small x gives rungs of under 8 and of at most 128 entries
+        across an edge.  This holds while numpy's pairwise summation keeps
+        its rule (split after n//2 - (n//2) % 8 entries, leaves of at most
+        128)."""
+        rng = np.random.default_rng(seed)
+        fvals = rng.normal(size=x + 1)
+        fvals[rng.random(x + 1) < 0.2] = -0.0
+        f = fvals.__getitem__
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tables_mod, "BLOCK_MAX", block_max)
+            edges = [lo for lo, _hi in tables_mod.dyadic_blocks(x)] or [2]
+            rungs = {x, x // 2, x // 2 + 1}
+            for pick in picks:
+                edge = edges[pick % len(edges)]
+                rungs |= {edge - 1, edge, edge + 1, 1 + pick % x}
+            ladder = tuple(sorted(r for r in rungs if 1 <= r <= x))
+            got = _rung_sums(f, ladder)
+            values = multiplicative_values(f, x)
+        want = [np.sum(values[: r + 1]) for r in ladder]
+        assert np.array(got).tobytes() == np.array(want).tobytes(), ladder
+
+    @pytest.mark.parametrize("block_max", [tables_mod.BLOCK_MAX, 64])
+    @pytest.mark.parametrize("call", [
+        lambda ladder: lemma1(HILDEBRAND_POLY_PAIR, 6, ladder, p_cut=10**4),
+        lambda ladder: lemma1(CUBIC_POLY_PAIR, 1, ladder, p_cut=10**4),
+        lemma2,
+        lambda ladder: lemma3(ladder, p_cut=10**4),
+        lambda ladder: lemma4(6, 35, ladder, p_cut=10**4),
+        lambda ladder: lemma5(30, 10, ladder, p_cut=10**4),
+    ], ids=["1-hildebrand", "1-cubic", "2", "3", "4", "5"])
+    def test_reports_match_the_full_array(self, monkeypatch, call, block_max):
+        """Each lemma's lhs is bit for bit ladder_sums of the full value
+        array of the factor function its walk reads, and Lemma 2's sup_abs
+        and cauchy_i are max |np.cumsum(values[1:])| and the rung
+        differences of those sums."""
+        from primelab import lemmas
+
+        walked = []
+        real = lemmas._walk
+
+        def spy(f, x, store):
+            walked.append(f)
+            return real(f, x, store)
+
+        monkeypatch.setattr(lemmas, "_walk", spy)
+        monkeypatch.setattr(tables_mod, "BLOCK_MAX", block_max)
+        ladder = (10, 128, 129, 1000, 10_001, 20_000)
+        rep = call(ladder)
+        values = multiplicative_values(walked[0], ladder[-1])
+        want = ladder_sums(values, ladder)
+        assert np.array(rep.lhs).tobytes() == np.array(want).tobytes()
+        if rep.which == 2:
+            extras = dict(rep.extras)
+            assert extras["sup_abs"] == np.max(np.abs(np.cumsum(values[1:])))
+            for i, (a, b) in enumerate(zip(want, want[1:])):
+                assert extras[f"cauchy_{i}"] == abs(b - a)
+
     @pytest.mark.parametrize("argv", [
         ["--which", "1", "--params", "k=30"],
         ["--which", "2"],
@@ -242,7 +328,7 @@ class TestOversizeLadder:
         def fail(*args, **kwargs):
             pytest.fail("walked the ladder for an oversize p_cut")
 
-        monkeypatch.setattr(lemmas, "multiplicative_values", fail)
+        monkeypatch.setattr(lemmas, "_walk", fail)
         ladder = (1000, 10_000)
         p_cut = tables_mod.TABLE_MAX + 1
         for call in (
