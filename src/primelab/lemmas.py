@@ -214,6 +214,11 @@ def _walk(f: FactorFn, x: int, store: np.ndarray):
     recurrence reads back.  v is a view of a buffer reused from block to block,
     valid until the next block is asked for.  The recurrence is the one
     ``multiplicative_values`` describes.
+
+    spf and mu are read only at [lo, hi), block after block, never behind:
+    once a block is done, the walk drops the file pages behind it
+    (``ArithTables.release``), so on a mapped cache file it holds only the
+    pages around its current block rather than all it has passed.
     """
     tables = tables_for(x)
     mu = tables.mu
@@ -241,6 +246,7 @@ def _walk(f: FactorFn, x: int, store: np.ndarray):
         np.copyto(v, 0.0, where=z)
         kept = store[lo:hi]  # empty once lo >= store.size
         kept[:] = v[: kept.size]
+        tables.release(lo, hi)
         yield lo, hi, v
 
 

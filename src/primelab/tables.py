@@ -30,7 +30,7 @@ and the block is one vectorised numpy step:
 * otherwise:   mu = -mu(m), phi = phi(m) (p-1).
 
 ``dyadic_blocks`` yields the blocks, split further so that no step's
-temporaries exceed BLOCK_MAX entries.  The lemmas' walk runs the same
+temporaries exceed BLOCK_MAX = 2**16 entries.  The lemmas' walk runs the same
 recurrence keyed on the largest prime factor P, block by block; it reads
 back only n/P <= x/2, so a walk that needs only prefix sums keeps its
 values and its lpf array only for n <= x/2 and takes its rung sums as the
@@ -51,10 +51,16 @@ request as a prefix of a cache file in PRIMELAB_CACHE_DIR or of the largest
 build the process holds, and builds only when neither reaches n_max; a
 build it saves replaces the smaller cache files it serves.  A cache file is
 a small versioned header, spf and mu, then a CRC32 of every block of
-_CHECK_ENTRIES entries of each array, all little-endian; ``load_tables``
-maps it read-only and checks the blocks that cover the requested prefix,
-once per file in a process, so pages a command never touches are never
-read and damaged bytes are never used.
+_CHECK_ENTRIES = 2**18 entries of each array, all little-endian; that
+block is part of the file format and does not follow BLOCK_MAX.
+``load_tables`` maps the file read-only and checks the blocks that cover
+the requested prefix, once per file in a process, reading them with
+``os.preadv`` into one reused buffer rather than through the mapping: the
+mapping then holds only the pages a command reads, pages it never touches
+are never loaded, and damaged bytes are never used.  A reader that passes
+through the tables once, as the lemmas' walk does, drops the pages behind
+it (``ArithTables.release``), so a walk over a mapped file holds only the
+pages around its current block, not all it has passed.
 """
 
 from __future__ import annotations
@@ -115,14 +121,17 @@ class ArithTables:
         """float64, psi_steps[i] = psi(q[i - 1]) over the prime powers q, and
         psi_steps[0] = 0: psi(x) is psi_steps[number of prime powers <= x].
 
-        One long-double cumsum over Lambda(q) in ascending q (not np.sum,
-        which sums pairwise), rounded to float64 once.  Lambda is +0.0 off
-        the prime powers and adding +0.0 never changes a sum, so the bits
-        are those of one long-double cumsum over all of lam.
+        One long-double running sum over Lambda(q) in ascending q (not
+        np.sum, which sums pairwise), taken block by block through
+        ``cumsum_blocks`` and rounded to float64 once per entry: the
+        additions of one np.cumsum, without its long-double output.  Lambda
+        is +0.0 off the prime powers and adding +0.0 never changes a sum, so
+        the bits are those of one long-double cumsum over all of lam.
         """
         logs = self.prime_powers[1]
         steps = np.zeros(logs.size + 1, dtype=np.float64)
-        steps[1:] = np.cumsum(logs, dtype=np.longdouble)
+        for lo, hi, run in cumsum_blocks(logs, np.longdouble):
+            steps[lo + 1 : hi + 1] = run
         return _read_only(steps)
 
     @cached_property
@@ -137,13 +146,32 @@ class ArithTables:
         gaps = np.diff(self.prime_powers[0], prepend=0, append=self.n_max + 1)
         return _read_only(np.repeat(self.psi_steps, gaps))
 
+    def release(self, lo: int, hi: int) -> None:
+        """Drop the mapped file pages of spf and mu from the one that holds
+        entry lo up to, not including, the one that holds entry hi: for a
+        reader that has passed them and will not read them again.  A later
+        read maps them in from the file once more; tables in memory are
+        left as they are."""
+        for arr in (self.spf, self.mu):
+            view = arr
+            while isinstance(view, np.ndarray):
+                view = view.base
+            if not (isinstance(view, memoryview) and isinstance(view.obj, mmap.mmap)
+                    and hasattr(mmap, "MADV_DONTNEED")):
+                return
+            at = arr.ctypes.data - np.frombuffer(view, np.uint8).ctypes.data
+            start, end = ((at + i * arr.itemsize) // mmap.PAGESIZE * mmap.PAGESIZE
+                          for i in (lo, hi))
+            if end > start:
+                view.obj.madvise(mmap.MADV_DONTNEED, start, end - start)
+
 
 # ---------------------------------------------------------------------------
 # sieve: spf by slices, then the dyadic-block recurrence
 # ---------------------------------------------------------------------------
 
 #: most entries one recurrence step handles; bounds its temporary arrays
-BLOCK_MAX = 1 << 18
+BLOCK_MAX = 1 << 16
 
 #: largest n_max the tables hold: the recurrences index with int32, and
 #: the least prime factor of a composite up to it is below 2**16 (uint16 spf)
@@ -297,9 +325,9 @@ _ARRAY_SPEC = (
 _HEADER = struct.Struct("<4sHQ")  # magic, format version, n_max
 _ENTRY_BYTES = sum(np.dtype(dt).itemsize for _name, dt in _ARRAY_SPEC)
 
-#: entries per checksummed block of each array; part of the file format, so
-#: fixed when the module loads (BLOCK_MAX's value)
-_CHECK_ENTRIES = BLOCK_MAX
+#: entries per checksummed block of each array: part of cache format 3, so
+#: fixed, whatever BLOCK_MAX is
+_CHECK_ENTRIES = 1 << 18
 _CRC = np.dtype("<u4")
 
 #: (device, inode, size, mtime) of each table file this process has mapped
@@ -347,11 +375,14 @@ def load_tables(path: str | os.PathLike, n_max: int | None = None) -> ArithTable
     version and the exact file size are checked, and so is the checksum of
     every block that holds one of the first n_max + 1 entries of an array,
     once per file in a process; any failure raises ValueError and no data
-    is used.  Each array is a read-only view of the first n_max + 1 entries
-    of the mapping, so pages beyond the checked blocks are never read.
+    is used.  The blocks are read for the check with ``os.preadv`` from the
+    file the mapping was made from, into one reused buffer, not through the
+    mapping: each array is a read-only view of the first n_max + 1 entries
+    of the mapping, which holds no page until a command reads it.
     """
     with open(path, "rb") as fh:
-        stat = os.fstat(fh.fileno())
+        fd = fh.fileno()
+        stat = os.fstat(fd)
         size = stat.st_size
         if size < _HEADER.size:
             raise ValueError(f"truncated table file {os.fspath(path)!r}")
@@ -374,24 +405,41 @@ def load_tables(path: str | os.PathLike, n_max: int | None = None) -> ArithTable
         n_max = file_max if n_max is None else n_max
         if not 0 <= n_max <= file_max:
             raise ValueError(f"n_max={n_max} outside the file's range [0, {file_max}]")
-        mapping = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    crcs = np.frombuffer(mapping, dtype=_CRC, offset=_HEADER.size + (file_max + 1) * _ENTRY_BYTES)
-    key = (stat.st_dev, stat.st_ino, size, stat.st_mtime_ns)
-    done, need = _checked.get(key, 0), _check_blocks(n_max + 1)
+        mapping = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+        key = (stat.st_dev, stat.st_ino, size, stat.st_mtime_ns)
+        done, need = _checked.get(key, 0), _check_blocks(n_max + 1)
+        if need > done:
+            _check_crcs(fd, os.fspath(path), file_max, done, need)
+            _checked[key] = need
     arrays = {}
     offset = _HEADER.size
-    for (name, dt), sums in zip(_ARRAY_SPEC, crcs.reshape(len(_ARRAY_SPEC), blocks)):
-        full = np.frombuffer(mapping, dtype=dt, count=file_max + 1, offset=offset)
-        offset += full.nbytes
+    for name, dt in _ARRAY_SPEC:
+        arrays[name] = np.frombuffer(mapping, dtype=dt, count=n_max + 1, offset=offset)
+        offset += (file_max + 1) * arrays[name].itemsize
+    return ArithTables(n_max=n_max, **arrays)
+
+
+def _check_crcs(fd: int, path: str, file_max: int, done: int, need: int) -> None:
+    """Check the CRC32 of blocks done..need-1 of each array of the table
+    file open at fd, read with ``os.preadv`` into one block-sized buffer."""
+    blocks = _check_blocks(file_max + 1)
+    raw = os.pread(fd, len(_ARRAY_SPEC) * blocks * _CRC.itemsize,
+                   _HEADER.size + (file_max + 1) * _ENTRY_BYTES)
+    crcs = np.frombuffer(raw, dtype=_CRC).reshape(len(_ARRAY_SPEC), blocks)
+    widths = [np.dtype(dt).itemsize for _name, dt in _ARRAY_SPEC]
+    buf = memoryview(bytearray(min(_CHECK_ENTRIES, file_max + 1) * max(widths)))
+    offset = _HEADER.size
+    for (name, _dt), width, sums in zip(_ARRAY_SPEC, widths, crcs):
         for b in range(done, need):
-            if zlib.crc32(full[b * _CHECK_ENTRIES : (b + 1) * _CHECK_ENTRIES]) != sums[b]:
+            lo = b * _CHECK_ENTRIES
+            data = buf[: (min(lo + _CHECK_ENTRIES, file_max + 1) - lo) * width]
+            if os.preadv(fd, [data], offset + lo * width) != data.nbytes \
+                    or zlib.crc32(data) != sums[b]:
                 raise ValueError(
-                    f"table file {os.fspath(path)!r} fails its checksum in {name} "
+                    f"table file {path!r} fails its checksum in {name} "
                     f"block {b}; delete the file"
                 )
-        arrays[name] = full[: n_max + 1]
-    _checked[key] = max(done, need)
-    return ArithTables(n_max=n_max, **arrays)
+        offset += (file_max + 1) * width
 
 
 # ---------------------------------------------------------------------------

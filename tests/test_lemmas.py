@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from primelab import (
     MonicPolyPair,
+    build_tables,
     constant_C,
     lemma1,
     lemma2,
@@ -30,6 +31,7 @@ from primelab import (
     lemma4_log,
     lemma5,
     multiplicative_values,
+    save_tables,
     script_L_float,
     singular_Sn,
 )
@@ -48,6 +50,10 @@ from primelab.lemmas import (
 )
 
 SEED = 20260814
+
+#: a BLOCK_MAX that splits no block of the walks below (x <= 30_000), as
+#: the default does not either; the other case, 64, splits them all
+UNSPLIT = 1 << 18
 
 
 def naive_mult_values(fvals: np.ndarray, x: int) -> np.ndarray:
@@ -116,7 +122,7 @@ class TestMultiplicativeValues:
         got = multiplicative_values(f, x)
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("block_max", [tables_mod.BLOCK_MAX, 64])
+    @pytest.mark.parametrize("block_max", [UNSPLIT, 64])
     @settings(max_examples=40, deadline=None)
     @given(
         x=st.integers(1, 5000),
@@ -189,7 +195,7 @@ class TestMultiplicativeValues:
                 tracemalloc.stop()
         assert (peaks[1] - peaks[0]) / (xs[1] - xs[0]) <= 7
 
-    @pytest.mark.parametrize("block_max", [tables_mod.BLOCK_MAX, 64])
+    @pytest.mark.parametrize("block_max", [UNSPLIT, 64])
     @settings(max_examples=40, deadline=None)
     @given(
         x=st.one_of(st.integers(1, 300), st.integers(1, 30_000)),
@@ -221,7 +227,7 @@ class TestMultiplicativeValues:
         want = [np.sum(values[: r + 1]) for r in ladder]
         assert np.array(got).tobytes() == np.array(want).tobytes(), ladder
 
-    @pytest.mark.parametrize("block_max", [tables_mod.BLOCK_MAX, 64])
+    @pytest.mark.parametrize("block_max", [UNSPLIT, 64])
     @pytest.mark.parametrize("call", [
         lambda ladder: lemma1(HILDEBRAND_POLY_PAIR, 6, ladder, p_cut=10**4),
         lambda ladder: lemma1(CUBIC_POLY_PAIR, 1, ladder, p_cut=10**4),
@@ -484,6 +490,33 @@ class TestLemma2:
             brute += term
         rep = lemma2((200,))
         assert abs(rep.lhs[0] - brute) < 1e-12
+
+    def test_walk_drops_the_file_pages_it_has_passed(
+        self, tmp_path, monkeypatch, mapped_rss
+    ):
+        """On a mapped cache file the walk holds at most a few blocks of it
+        when done, and the pages it dropped read back as the built tables;
+        the sums are those of in-memory tables, where nothing is dropped."""
+        x = 2_000_000
+        built = build_tables(x)
+        path = tmp_path / f"primelab_tables_{x}.bin"
+        save_tables(built, path)
+        monkeypatch.delenv(tables_mod.CACHE_DIR_ENV, raising=False)
+        monkeypatch.setattr(tables_mod, "_held", built)
+        want = lemma2((1000, x))
+        mapped = []
+        real = tables_mod.load_tables
+        monkeypatch.setattr(tables_mod, "load_tables",
+                            lambda *args: mapped.append(real(*args)) or mapped[-1])
+        monkeypatch.setenv(tables_mod.CACHE_DIR_ENV, str(tmp_path))
+        got = lemma2((1000, x))
+        assert len(mapped) == 1  # held here, so its mapping outlives the walk
+        assert mapped_rss(path) <= 2 * 3 * tables_mod.BLOCK_MAX
+        assert mapped[0].spf.tobytes() == built.spf.tobytes()
+        assert mapped[0].mu.tobytes() == built.mu.tobytes()
+        assert mapped_rss(path) >= 3 * x
+        assert np.array(got.lhs).tobytes() == np.array(want.lhs).tobytes()
+        assert got.extras == want.extras
 
 
 class TestLemma3:

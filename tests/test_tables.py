@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import mmap
 
 import numpy as np
 import pytest
@@ -263,6 +264,19 @@ class TestBuildTables:
         for n in range(3001):
             assert psi(n) == small.psi_prefix[n], n
 
+    @pytest.mark.parametrize("block_max", [tables_mod.BLOCK_MAX, 64])
+    def test_psi_steps_are_one_long_double_cumsum(self, monkeypatch, block_max):
+        """psi_steps, summed block by block, is np.cumsum of Lambda over the
+        prime powers in long double, rounded once to float64, byte for
+        byte, over more prime powers than one block holds."""
+        tb = build_tables(1_000_000)
+        logs = tb.prime_powers[1]
+        assert logs.size > tables_mod.BLOCK_MAX
+        monkeypatch.setattr(tables_mod, "BLOCK_MAX", block_max)
+        want = np.cumsum(logs, dtype=np.longdouble).astype(np.float64)
+        assert tb.psi_steps[0] == 0.0
+        assert tb.psi_steps[1:].tobytes() == want.tobytes()
+
     def test_rejects_bad_n_max(self):
         import pytest
         with pytest.raises(ValueError):
@@ -345,6 +359,40 @@ class TestSaveLoad:
         assert len(crcs) == 4
         with pytest.raises(ValueError, match="fails its checksum in mu block 2"):
             load_tables(path)
+
+    def test_checked_load_leaves_the_mapping_unread(self, tmp_path, monkeypatch,
+                                                     mapped_rss):
+        """The checksum pass reads the file, not the mapping: after a
+        checked load of a file of several check blocks, its mapping holds a
+        few pages at most, and reading an array maps that array in."""
+        monkeypatch.setattr(tables_mod, "_checked", {})
+        n = 2 * tables_mod._CHECK_ENTRIES + 5
+        path = tmp_path / f"primelab_tables_{n}.bin"
+        save_tables(build_tables(n), path)
+        tb = load_tables(path)
+        assert list(tables_mod._checked.values()) == [3]  # every block checked
+        assert mapped_rss(path) <= 4 * mmap.PAGESIZE
+        np.count_nonzero(tb.spf)  # read spf through the mapping
+        assert mapped_rss(path) >= tb.spf.nbytes
+
+    def test_check_blocks_do_not_follow_block_max(self, tmp_path, monkeypatch):
+        """The check block is fixed at 2**18 entries, part of the file
+        format: a file saved with BLOCK_MAX at 64 carries ceil((n+1)/2**18)
+        CRCs per array and loads at the default block size."""
+        n = 2**18 + 5
+        tb = build_tables(n)
+        path = tmp_path / f"primelab_tables_{n}.bin"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tables_mod, "BLOCK_MAX", 64)
+            save_tables(tb, path)
+        assert tables_mod.BLOCK_MAX != 64
+        monkeypatch.setattr(tables_mod, "_checked", {})
+        crcs = -(-(n + 1) // 2**18)
+        assert crcs == 2
+        assert path.stat().st_size == 14 + 3 * (n + 1) + 2 * 4 * crcs
+        back = load_tables(path)
+        assert back.spf.tobytes() == tb.spf.tobytes()
+        assert back.mu.tobytes() == tb.mu.tobytes()
 
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
         """A write that fails part-way leaves neither the target nor a temp
