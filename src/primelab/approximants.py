@@ -230,16 +230,12 @@ def script_L(R: int, k: int = 1) -> Fraction:
     return acc
 
 
-def script_L_float(R: int, k: int = 1) -> float:
-    """float script_L_k(R) for large R (array evaluation)."""
+def script_L_float(R: int) -> float:
+    """float script_L(R) = sum_{r <= R} mu^2(r)/phi(r), the k = 1 case of
+    ``script_L``, for large R (array evaluation)."""
     if R < 1:
         raise ValueError(f"R must be >= 1, got {R}")
-    if k == 0:
-        raise ValueError("k must be nonzero")
     tb = tables_for(R)
-    r = np.arange(R + 1, dtype=np.int64)
     mask = tb.mu[: R + 1] != 0
     mask[0] = False
-    if abs(k) > 1:
-        mask &= np.gcd(r, abs(k)) == 1
     return float(np.sum(1.0 / tb.phi[: R + 1][mask]))

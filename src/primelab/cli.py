@@ -37,7 +37,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from dataclasses import asdict
@@ -173,18 +172,12 @@ def _fmt(value) -> str:
 
 
 def _json_safe(value):
-    if value is None or isinstance(value, (bool, int, str)):
+    """One config or row value as JSON: scalars as they are, numpy scalars
+    as Python ones, anything else (a Fraction) as its str."""
+    if value is None or isinstance(value, (bool, int, float, str)):
         return value
-    if isinstance(value, float):
-        return value
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, np.generic):
         return _json_safe(value.item())
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
     return str(value)
 
 
@@ -231,8 +224,7 @@ def _cmd_sieve(args) -> int:
     mu = tb.mu[1:n + 1]
     # psi(n) is the step at the last prime power <= n
     psi = float(tb.psi_steps[np.searchsorted(tb.prime_powers[0], n, side="right")])
-    config = {"command": "sieve", "n_max": n,
-              "cache_dir": os.environ.get(tables.CACHE_DIR_ENV, "")}
+    config = {"command": "sieve", "n_max": n}
     rows = [{
         "n_max": n,
         "primes": int(np.searchsorted(tb.primes, n, side="right")),
@@ -477,6 +469,8 @@ def _cmd_lemma(args) -> int:
         if "p1" in params or "p2" in params:
             if not ("p1" in params and "p2" in params):
                 raise ValueError("provide both p1 and p2 coefficient lists")
+            if "pair" in params:
+                raise ValueError("lemma 1 reads either pair or p1 and p2, not both")
             pair = lemmas.MonicPolyPair(_parse_poly(params["p1"]),
                                         _parse_poly(params["p2"]))
         else:

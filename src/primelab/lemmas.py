@@ -39,7 +39,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, zip_longest
 from typing import Callable, Sequence
 
 import numpy as np
@@ -64,7 +64,6 @@ __all__ = [
     "CUBIC_POLY_PAIR",
     "m_of",
     "multiplicative_values",
-    "ladder_sums",
     "lemma1",
     "lemma2",
     "lemma3",
@@ -105,18 +104,6 @@ class MonicPolyPair:
 
 
 # integer polynomial helpers (coefficient tuples, low degree first)
-
-
-def poly_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return tuple(out)
 
 
 def poly_eval_int(coeffs: tuple[int, ...], x: int) -> int:
@@ -358,8 +345,8 @@ class _LadderWalk:
 
 
 def _rung_sums(f: FactorFn, ladder: tuple[int, ...]) -> tuple[float, ...]:
-    """ladder_sums(multiplicative_values(f, x), ladder), bit for bit, from
-    one ``_LadderWalk`` with x the top rung."""
+    """np.sum(multiplicative_values(f, x)[: r + 1]) for each rung r of the
+    ladder, bit for bit, from one ``_LadderWalk`` with x the top rung."""
     walk = _LadderWalk(f, ladder)
     for _block in walk:
         pass
@@ -405,22 +392,6 @@ def _kernel_parts(m: int) -> tuple[int, int, int]:
     return math.prod(ps), 2 ** len(ps), math.prod(p - 1 for p in ps)
 
 
-def ladder_sums(
-    values: np.ndarray,
-    x_ladder: Sequence[int],
-    weight: np.ndarray | None = None,
-) -> tuple[float, ...]:
-    """(sum_{n<=x} values[n] * weight[n]) for each ladder rung."""
-    out = []
-    for x in x_ladder:
-        seg = values[: x + 1]
-        if weight is not None:
-            out.append(float(np.dot(seg, weight[: x + 1])))
-        else:
-            out.append(float(np.sum(seg)))
-    return tuple(out)
-
-
 def m_of(k: int) -> float:
     """m(k) = sum_{d|k} mu^2(d)/sqrt(d) = prod_{p | k} (1 + 1/sqrt(p)), k != 0."""
     if k == 0:
@@ -461,7 +432,8 @@ def lemma1(
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     ladder = _check_ladder(x_ladder)
-    p12 = poly_add(pair.p1, pair.p2)
+    # P2 is one degree above P1 and monic, so P1 + P2 keeps its top coefficient
+    p12 = tuple(a + b for a, b in zip_longest(pair.p1, pair.p2, fillvalue=0))
 
     def ratio(ps: np.ndarray) -> np.ndarray:
         v1 = poly_eval_array(pair.p1, ps)
@@ -707,7 +679,7 @@ def lemma4_log(
     logn[0] = 1.0
     np.log(logn, out=logn)
     logn[0] = 0.0
-    lhs = tuple(-v for v in ladder_sums(vals, ladder, weight=logn))
+    lhs = tuple(-float(np.dot(vals[: x + 1], logn[: x + 1])) for x in ladder)
 
     j_star, d_js, phi_js = _kernel_parts(j)
     scaled = tuple(

@@ -592,7 +592,7 @@ def mixed_moment(
     lam_vals, U = _lam_windows(N, h, weights, start)
     V = _psi_windows(N, h, tables, start)
     lamv = tables.lam
-    L1 = script_L_float(R, 1)
+    L1 = script_L_float(R)
 
     lam_wins = [lam_vals[start + j : start + N + j] for j in range(1, h + 1)]
     von_wins = [lamv[start + j : start + N + j] for j in range(1, h + 1)]

@@ -54,12 +54,12 @@ a small versioned header, spf and mu, then a CRC32 of every block of
 _CHECK_ENTRIES = 2**18 entries of each array, all little-endian; that
 block is part of the file format and does not follow BLOCK_MAX.
 ``load_tables`` maps the file read-only and checks the blocks that cover
-the requested prefix, once per file in a process, reading them with
-``os.preadv`` into one reused buffer rather than through the mapping: the
-mapping then holds only the pages a command reads, pages it never touches
-are never loaded, and damaged bytes are never used.  A reader that passes
-through the tables once, as the lemmas' walk does, drops the pages behind
-it (``ArithTables.release``), so a walk over a mapped file holds only the
+the requested prefix on every load, reading them with ``os.preadv`` into
+one reused buffer rather than through the mapping: the mapping then holds
+only the pages a command reads, pages it never touches are never loaded,
+and damaged bytes are never used.  A reader that passes through the tables
+once, as the lemmas' walk does, drops the pages behind it
+(``ArithTables.release``), so a walk over a mapped file holds only the
 pages around its current block, not all it has passed.
 """
 
@@ -330,10 +330,6 @@ _ENTRY_BYTES = sum(np.dtype(dt).itemsize for _name, dt in _ARRAY_SPEC)
 _CHECK_ENTRIES = 1 << 18
 _CRC = np.dtype("<u4")
 
-#: (device, inode, size, mtime) of each table file this process has mapped
-#: -> how many leading blocks of each array passed their checksum
-_checked: dict[tuple[int, int, int, int], int] = {}
-
 
 def _check_blocks(entries: int) -> int:
     """The checksummed blocks that cover the first ``entries`` entries."""
@@ -374,16 +370,15 @@ def load_tables(path: str | os.PathLike, n_max: int | None = None) -> ArithTable
     n_max defaults to the file's own and may not exceed it.  The magic, the
     version and the exact file size are checked, and so is the checksum of
     every block that holds one of the first n_max + 1 entries of an array,
-    once per file in a process; any failure raises ValueError and no data
-    is used.  The blocks are read for the check with ``os.preadv`` from the
-    file the mapping was made from, into one reused buffer, not through the
-    mapping: each array is a read-only view of the first n_max + 1 entries
-    of the mapping, which holds no page until a command reads it.
+    on every load; any failure raises ValueError and no data is used.  The
+    blocks are read for the check with ``os.preadv`` from the file the
+    mapping was made from, into one reused buffer, not through the mapping:
+    each array is a read-only view of the first n_max + 1 entries of the
+    mapping, which holds no page until a command reads it.
     """
     with open(path, "rb") as fh:
         fd = fh.fileno()
-        stat = os.fstat(fd)
-        size = stat.st_size
+        size = os.fstat(fd).st_size
         if size < _HEADER.size:
             raise ValueError(f"truncated table file {os.fspath(path)!r}")
         magic, version, file_max = _HEADER.unpack(fh.read(_HEADER.size))
@@ -406,11 +401,7 @@ def load_tables(path: str | os.PathLike, n_max: int | None = None) -> ArithTable
         if not 0 <= n_max <= file_max:
             raise ValueError(f"n_max={n_max} outside the file's range [0, {file_max}]")
         mapping = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
-        key = (stat.st_dev, stat.st_ino, size, stat.st_mtime_ns)
-        done, need = _checked.get(key, 0), _check_blocks(n_max + 1)
-        if need > done:
-            _check_crcs(fd, os.fspath(path), file_max, done, need)
-            _checked[key] = need
+        _check_crcs(fd, os.fspath(path), file_max, _check_blocks(n_max + 1))
     arrays = {}
     offset = _HEADER.size
     for name, dt in _ARRAY_SPEC:
@@ -419,9 +410,10 @@ def load_tables(path: str | os.PathLike, n_max: int | None = None) -> ArithTable
     return ArithTables(n_max=n_max, **arrays)
 
 
-def _check_crcs(fd: int, path: str, file_max: int, done: int, need: int) -> None:
-    """Check the CRC32 of blocks done..need-1 of each array of the table
-    file open at fd, read with ``os.preadv`` into one block-sized buffer."""
+def _check_crcs(fd: int, path: str, file_max: int, need: int) -> None:
+    """Check the CRC32 of the first ``need`` blocks of each array of the
+    table file open at fd, read with ``os.preadv`` into one block-sized
+    buffer."""
     blocks = _check_blocks(file_max + 1)
     raw = os.pread(fd, len(_ARRAY_SPEC) * blocks * _CRC.itemsize,
                    _HEADER.size + (file_max + 1) * _ENTRY_BYTES)
@@ -430,7 +422,7 @@ def _check_crcs(fd: int, path: str, file_max: int, done: int, need: int) -> None
     buf = memoryview(bytearray(min(_CHECK_ENTRIES, file_max + 1) * max(widths)))
     offset = _HEADER.size
     for (name, _dt), width, sums in zip(_ARRAY_SPEC, widths, crcs):
-        for b in range(done, need):
+        for b in range(need):
             lo = b * _CHECK_ENTRIES
             data = buf[: (min(lo + _CHECK_ENTRIES, file_max + 1) - lo) * width]
             if os.preadv(fd, [data], offset + lo * width) != data.nbytes \

@@ -266,8 +266,10 @@ class TestSubcommands:
         (["--which", "2", "--p-cut", "100"], "lemma 2 has no Euler product"),
         (["--which", "4", "--params", "j=3,variant=log", "--p-cut", "3e9"],
          "lemma 4 with variant=log and odd j has no prime sum"),
+        (["--which", "1", "--params", "pair=cubic,p1=1,p2=-1:1"],
+         "lemma 1 reads either pair or p1 and p2, not both"),
     ], ids=["4-jj", "2-j", "4log-k", "1-J", "5-j", "3-variant", "4-variant", "2-p-cut",
-            "4log-odd-j-p-cut"])
+            "4log-odd-j-p-cut", "1-pair-and-p1-p2"])
     def test_lemma_refuses_what_it_does_not_read(self, argv, message, capsys):
         """A --params key (or --p-cut) the chosen lemma does not read is a
         precondition failure naming the keys it does read, not echoed and
@@ -372,8 +374,21 @@ class TestCache:
         assert cached, "expected a cache file to be written"
         code2, out2 = run_main(["sieve", "--n-max", "3000"], capsys)
         assert code1 == code2 == 0
-        # cache_dir is echoed, so bytes match between build and load paths
-        assert out1 == out2
+        assert out1 == out2  # the build and the load print the same bytes
+
+    def test_sieve_stdout_does_not_depend_on_the_cache_dir(self, tmp_path, capsys,
+                                                          monkeypatch):
+        """The cache directory is a run-dependent value, so it is not
+        echoed: two cache dirs give the same stdout."""
+        from primelab.tables import CACHE_DIR_ENV
+        outs = []
+        for name in ("a", "cache_dir_b"):
+            (tmp_path / name).mkdir()
+            monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / name))
+            code, out = run_main(["sieve", "--n-max", "3000"], capsys)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
 
     def test_damaged_cache_file_returns_3(self, tmp_path, capsys, monkeypatch):
         """A truncated cache file is refused with exit 3, not read or traced."""
@@ -407,7 +422,6 @@ class TestCache:
             raw = bytes(raw)
         path.write_bytes(raw)
         monkeypatch.setenv(tables.CACHE_DIR_ENV, str(tmp_path))
-        monkeypatch.setattr(tables, "_checked", {})
         monkeypatch.setattr(tables, "_held", None)
         code, out = run_main(["sieve", "--n-max", "1e5"], capsys)
         assert code == 3 and out == ""

@@ -46,11 +46,13 @@ def von_mangoldt(n: int) -> float:
 
 class TestShiftPattern:
     def test_parse_roundtrip(self):
-        p = ShiftPattern.parse("0:1,2:1")
-        assert str(p) == "0:1,2:1"
-        assert p.shifts == (0, 2)
-        assert p.multiplicities == (1, 1)
-        assert p.k == 2 and p.r == 2
+        """Bare shifts take multiplicity 1 and print in the full form."""
+        for text in ("0:1,2:1", "0,2"):
+            p = ShiftPattern.parse(text)
+            assert str(p) == "0:1,2:1"
+            assert p.shifts == (0, 2)
+            assert p.multiplicities == (1, 1)
+            assert p.k == 2 and p.r == 2
 
     def test_total_multiplicity(self):
         p = ShiftPattern.parse("0:2,3:1")

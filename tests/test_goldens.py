@@ -4,8 +4,8 @@
 and ``perfbench/oracle.py`` compares a cell's stdout with them: integers and
 fractions byte for byte, floats to a per-column tolerance, residuals against
 their gates.  Running the canonical (seed-0) pass of each workload, and the
-other variants of the window-sum cells, through that oracle checks the CLI's
-numbers with no second copy of the rules.
+other variants of the window-sum and lemma cells, through that oracle
+checks the CLI's numbers with no second copy of the rules.
 """
 
 from __future__ import annotations
@@ -53,12 +53,13 @@ def test_seed0_cells_match_the_oracle(tmp_path, monkeypatch):
 
 
 def test_moments_variants_match_the_oracle(tmp_path, monkeypatch):
-    """The `moments` variants of cells_1e6_warm that seed 0 does not run
-    (another lambda for psi_R, another h for the psi windows and the first
-    moment) exit 0 with the expected rows."""
+    """The `moments` and `lemma` variants of cells_1e6_warm that seed 0
+    does not run (another lambda for psi_R, another h for the psi windows
+    and the first moment, j = 4 and 6 for the log-weighted Lemma 4) exit 0
+    with the expected rows."""
     warm = _workloads(monkeypatch)["cells_1e6_warm"]
     seed0 = warm.pick(0)
     cells = [argv for argv in warm.variants()
-             if argv[0] == "moments" and argv not in seed0]
-    assert len(cells) == 3
+             if argv[0] in ("moments", "lemma") and argv not in seed0]
+    assert len(cells) == 5
     assert _oracle_problems(cells, tmp_path, monkeypatch) == []

@@ -37,6 +37,7 @@ from primelab import (
 )
 from primelab import cli
 from primelab import tables as tables_mod
+from primelab.constants import primes_up_to
 from primelab.lemmas import (
     CUBIC_POLY_PAIR,
     HILDEBRAND_POLY_PAIR,
@@ -44,7 +45,6 @@ from primelab.lemmas import (
     _lemma4_factor,
     _rung_sums,
     euler_P1,
-    ladder_sums,
     m_of,
     mult_identity_check,
 )
@@ -237,10 +237,10 @@ class TestMultiplicativeValues:
         lambda ladder: lemma5(30, 10, ladder, p_cut=10**4),
     ], ids=["1-hildebrand", "1-cubic", "2", "3", "4", "5"])
     def test_reports_match_the_full_array(self, monkeypatch, call, block_max):
-        """Each lemma's lhs is bit for bit ladder_sums of the full value
-        array of the factor function its walk reads, and Lemma 2's sup_abs
-        and cauchy_i are max |np.cumsum(values[1:])| and the rung
-        differences of those sums."""
+        """Each lemma's lhs is bit for bit np.sum of each rung's prefix of
+        the full value array of the factor function its walk reads, and
+        Lemma 2's sup_abs and cauchy_i are max |np.cumsum(values[1:])| and
+        the rung differences of those sums."""
         from primelab import lemmas
 
         walked = []
@@ -255,7 +255,7 @@ class TestMultiplicativeValues:
         ladder = (10, 128, 129, 1000, 10_001, 20_000)
         rep = call(ladder)
         values = multiplicative_values(walked[0], ladder[-1])
-        want = ladder_sums(values, ladder)
+        want = [float(np.sum(values[: x + 1])) for x in ladder]
         assert np.array(rep.lhs).tobytes() == np.array(want).tobytes()
         if rep.which == 2:
             extras = dict(rep.extras)
@@ -281,11 +281,6 @@ class TestMultiplicativeValues:
             assert cli.main(["lemma", "--ladder", "1e3,1e4", *argv]) == 0
         capsys.readouterr()
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-
-    def test_ladder_sums_prefixes(self):
-        values = np.arange(11, dtype=np.float64)
-        sums = ladder_sums(values, (3, 7, 10))
-        assert sums == (6.0, 28.0, 55.0)
 
     def test_m_of(self):
         """m(k) = prod_{p | k} (1 + 1/sqrt(p)); m(6) = 2.6927..."""
@@ -571,9 +566,11 @@ class TestLemma4:
 
     def test_log_variant_even(self):
         """2 | j: lhs -> S_2(j) [sum_{p not | j} log p/(p(p-2))
-        - sum_{p | j} log p / p]; observed agreement ~1e-7 at x = 1e6."""
-        rep = lemma4_log(2, (10**6,))
-        assert abs(rep.lhs[0] - rep.main[0]) < 1e-6
+        - sum_{p | j} log p / p]; at j = 6 the first sum drops p = 3 too.
+        Observed agreement ~1e-7 (j = 2) and ~3e-7 (j = 6) at x = 1e6."""
+        for j in (2, 6):
+            rep = lemma4_log(j, (10**6,))
+            assert abs(rep.lhs[0] - rep.main[0]) < 1e-6, j
 
     def test_log_weights(self):
         """The in-place log weights are np.log(n) for n >= 1 and 0 at n = 0,
@@ -700,6 +697,21 @@ class TestMainConstants:
         expected = lemma5_reference(J, k, self.P_CUT)
         assert expected != 0.0
         assert abs(rep.main[0] / expected - 1) < 1e-12, (rep.main[0], expected)
+
+    @pytest.mark.parametrize("j", [6, 30])
+    def test_lemma4_log_matches_closed_form(self, j):
+        """Even j with odd primes: S_2(j) [sum_{p not | j} log p/(p(p-2))
+        - sum_{p | j} log p/p], the first sum over the odd primes up to
+        p_cut, equal within 1e-12."""
+        rep = lemma4_log(j, (10,), p_cut=self.P_CUT)
+        jp = sympy.primefactors(j)
+        bracket = (math.fsum(math.log(p) / (p * (p - 2))
+                             for p in map(int, primes_up_to(self.P_CUT))
+                             if p not in jp)
+                   - math.fsum(math.log(p) / p for p in jp))
+        expected = singular_Sn(2, j).value * bracket
+        main = dict(rep.extras)["main_constant"]
+        assert abs(main / expected - 1) < 1e-12, (main, expected)
 
     def test_lemma5_keeps_the_primes_of_J_above_p_cut(self):
         """101 | 606 lies above p_cut = 100; its factor 1 + 1/100 stays in

@@ -329,8 +329,7 @@ class TestSaveLoad:
         lambda raw: _flip(raw, len(raw) - 1),  # mu's CRC
     ], ids=["magic", "version", "version-2", "truncated", "short-header",
             "trailing", "spf-byte", "mu-byte", "crc-byte"])
-    def test_damaged_file_is_refused(self, tmp_path, monkeypatch, damage):
-        monkeypatch.setattr(tables_mod, "_checked", {})
+    def test_damaged_file_is_refused(self, tmp_path, damage):
         path = tmp_path / "primelab_tables_100.bin"
         save_tables(build_tables(100), path)
         path.write_bytes(damage(path.read_bytes()))
@@ -338,11 +337,10 @@ class TestSaveLoad:
             load_tables(path)
 
     def test_checksums_cover_the_mapped_prefix_once(self, tmp_path, monkeypatch):
-        """A load checks the blocks that hold the requested prefix of each
-        array, and a later load of the same file checks only blocks it has
-        not checked yet: damage past the prefix is found once a request
+        """Every load checks each block that holds the requested prefix of
+        each array once, a repeated load of the same prefix included, and
+        no block beyond it: damage past the prefix is found once a request
         reaches it."""
-        monkeypatch.setattr(tables_mod, "_checked", {})
         block = tables_mod._CHECK_ENTRIES
         n = 2 * block + 5
         path = tmp_path / f"primelab_tables_{n}.bin"
@@ -353,10 +351,12 @@ class TestSaveLoad:
         monkeypatch.setattr(tables_mod.zlib, "crc32", lambda data: crcs.append(1) or real(data))
         assert_same_tables(load_tables(path, 1000), build_tables(1000))
         assert len(crcs) == 2  # block 0 of spf and of mu
+        load_tables(path, 1000)
+        assert len(crcs) == 4  # the same two blocks, checked again
         load_tables(path, block - 1)
-        assert len(crcs) == 2
+        assert len(crcs) == 6
         assert_same_tables(load_tables(path, block), build_tables(block))
-        assert len(crcs) == 4
+        assert len(crcs) == 10  # blocks 0 and 1 of each array
         with pytest.raises(ValueError, match="fails its checksum in mu block 2"):
             load_tables(path)
 
@@ -365,17 +365,19 @@ class TestSaveLoad:
         """The checksum pass reads the file, not the mapping: after a
         checked load of a file of several check blocks, its mapping holds a
         few pages at most, and reading an array maps that array in."""
-        monkeypatch.setattr(tables_mod, "_checked", {})
         n = 2 * tables_mod._CHECK_ENTRIES + 5
         path = tmp_path / f"primelab_tables_{n}.bin"
         save_tables(build_tables(n), path)
+        crcs = []
+        real = tables_mod.zlib.crc32
+        monkeypatch.setattr(tables_mod.zlib, "crc32", lambda data: crcs.append(1) or real(data))
         tb = load_tables(path)
-        assert list(tables_mod._checked.values()) == [3]  # every block checked
+        assert len(crcs) == 6  # every block of spf and of mu checked
         assert mapped_rss(path) <= 4 * mmap.PAGESIZE
         np.count_nonzero(tb.spf)  # read spf through the mapping
         assert mapped_rss(path) >= tb.spf.nbytes
 
-    def test_check_blocks_do_not_follow_block_max(self, tmp_path, monkeypatch):
+    def test_check_blocks_do_not_follow_block_max(self, tmp_path):
         """The check block is fixed at 2**18 entries, part of the file
         format: a file saved with BLOCK_MAX at 64 carries ceil((n+1)/2**18)
         CRCs per array and loads at the default block size."""
@@ -386,7 +388,6 @@ class TestSaveLoad:
             mp.setattr(tables_mod, "BLOCK_MAX", 64)
             save_tables(tb, path)
         assert tables_mod.BLOCK_MAX != 64
-        monkeypatch.setattr(tables_mod, "_checked", {})
         crcs = -(-(n + 1) // 2**18)
         assert crcs == 2
         assert path.stat().st_size == 14 + 3 * (n + 1) + 2 * 4 * crcs
