@@ -221,16 +221,25 @@ def _fail_identity(message: str) -> int:
 def _cmd_sieve(args) -> int:
     n = args.n_max
     tb = tables.tables_for(n)  # reaches 2 when n = 1
-    mu = tb.mu[1:n + 1]
-    # psi(n) is the step at the last prime power <= n
-    psi = float(tb.psi_steps[np.searchsorted(tb.prime_powers[0], n, side="right")])
+    # one pass over the blocks, dropping the pages of each once it is read:
+    # psi(n) is the last long-double running sum of Lambda over the prime
+    # powers, the additions of psi_steps
+    primes = mertens = squarefree = 0
+    psi = np.zeros(1, dtype=np.longdouble)
+    for lo, hi, _q, logs in tables.prime_power_blocks(tb.spf[: n + 1]):
+        mu = tb.mu[max(lo, 1) : hi]
+        primes += int(np.count_nonzero(tb.spf[max(lo, 2) : hi] == 0))
+        mertens += int(mu.sum())
+        squarefree += int(np.count_nonzero(mu))
+        psi = np.cumsum(np.concatenate((psi[-1:], logs)))
+        tb.release(lo, hi)
     config = {"command": "sieve", "n_max": n}
     rows = [{
         "n_max": n,
-        "primes": int(np.searchsorted(tb.primes, n, side="right")),
-        "psi": psi,
-        "mertens": int(mu.sum()),
-        "squarefree": int(np.count_nonzero(mu)),
+        "primes": primes,
+        "psi": float(psi[-1]),
+        "mertens": mertens,
+        "squarefree": squarefree,
     }]
     _emit("sieve", config, SIEVE_FIELDS, rows, args.format, args.output)
     return 0

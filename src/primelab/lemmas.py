@@ -10,9 +10,10 @@ so a single sieved walk (``_walk``) serves all five: it gives
 v[n] = mu^2(n) prod_{p|n} f(p) for n <= x from a factor function, which
 maps an array of primes to their factors f(p), with excluded primes
 (p | k) encoded as f(p) = 0.  ``multiplicative_values`` keeps all of v;
-the lemmas that need only the sums up to each rung keep v only up to x/2
-and take those sums during the walk (``_LadderWalk``), bit for bit as
-np.sum would.  Each lemma then supplies its factor function
+the lemmas that need only the sums up to each rung keep v densely only up
+to BLOCK_MAX and above it only where the recurrence reads it back, and
+take those sums during the walk (``_LadderWalk``), bit for bit as np.sum
+would.  Each lemma then supplies its factor function
 (``_factor``: one formula on the primes, with values overridden at the
 primes dividing j or k), its closed-form main term (Euler products and
 prime log-sums truncated at a recorded p_cut; for Lemma 1 built from the
@@ -196,11 +197,19 @@ def _walk(f: FactorFn, x: int, store: np.ndarray):
     order, with v[i] = mu^2(n) * prod_{p|n} f(p) at n = lo + i.
 
     The value at each n < store.size is also kept in store[n], with
-    store[0] = 0.0 and store[1] = 1.0 (n = 0, 1 lie in no block).  store,
-    like the int32 lpf array, must reach x/2, the largest n/P the
-    recurrence reads back.  v is a view of a buffer reused from block to block,
-    valid until the next block is asked for.  The recurrence is the one
-    ``multiplicative_values`` describes.
+    store[0] = 0.0 and store[1] = 1.0 (n = 0, 1 lie in no block).  The
+    recurrence reads back v at m = n/P(n) for squarefree n only, and such
+    an m is squarefree with m * P(m) < n <= x.  Above store.size the walk
+    therefore keeps, in a tier of its own sorted by n, only the squarefree
+    n with n * P(n) <= x: at x = 10**7, 2,869 values above a store of
+    BLOCK_MAX + 1 entries, the largest 510510.
+    The blocks ascend and each m lies below its block, so the tier is
+    appended to in order and is read only where it is finished.  The int32
+    lpf array is kept at the odd n <= x/2 only, as m is odd for squarefree
+    n.  store may be as short as 2 entries or reach x; v is a view of a
+    buffer reused from block to block, valid until the next block is asked
+    for, and the exhausted walk returns the tier, (n, v).  The recurrence
+    is the one ``multiplicative_values`` describes.
 
     spf and mu are read only at [lo, hi), block after block, never behind:
     once a block is done, the walk drops the file pages behind it
@@ -211,8 +220,12 @@ def _walk(f: FactorFn, x: int, store: np.ndarray):
     mu = tables.mu
     store[0] = 0.0
     store[1] = 1.0
-    lpf = np.empty(max(x // 2, 1) + 1, dtype=np.int32)
-    lpf[1] = 1
+    # lpf[i] is lpf(2i + 1), and lpf(1) = 1; an even m (of a non-squarefree
+    # n, whose value is masked) reads the entry of m + 1, and an entry read
+    # before it is written holds 1, which max(., p) turns into p: f is
+    # given only primes
+    lpf = np.ones(x // 4 + 1, dtype=np.int32)
+    tier_n, tier_v = np.empty(0, dtype=np.int32), np.empty(0, dtype=np.float64)
     # block temporaries, allocated once: a fresh 1-2 MB array per block
     # would be mapped, faulted in and unmapped again every time
     size = min((x + 1) // 2, _tables.BLOCK_MAX)  # the largest block
@@ -222,19 +235,34 @@ def _walk(f: FactorFn, x: int, store: np.ndarray):
         n = hi - lo
         m, b, v, z = index[:n], big[:n], value[:n], zero[:n]
         np.floor_divide(k, p, out=m)
+        np.right_shift(m, 1, out=m)
         np.take(lpf, m, out=b, mode="clip")
         np.maximum(b, p, out=b)
-        kept = lpf[lo:hi]  # empty once lo > x/2
-        kept[:] = b[: kept.size]
+        kept = lpf[lo // 2 : hi // 2]  # the block's odd n; empty past x/2
+        kept[:] = b[1 - lo % 2 :: 2][: kept.size]
         np.floor_divide(k, b, out=m)
         np.take(store, m, out=v, mode="clip")
+        if tier_n.size:
+            # m >= store.size needs P <= (hi - 1) / store.size: few entries
+            at = np.flatnonzero(b <= (hi - 1) // store.size)
+            at = at[m[at] >= store.size]
+            found = np.searchsorted(tier_n, m[at])
+            v[at] = tier_v[np.minimum(found, tier_n.size - 1)]
         np.multiply(v, f(b), out=v)
         np.equal(mu[lo:hi], 0, out=z)
         np.copyto(v, 0.0, where=z)
         kept = store[lo:hi]  # empty once lo >= store.size
         kept[:] = v[: kept.size]
+        if hi > store.size:
+            # n * P(n) <= x needs P <= x / lo: few entries
+            at = np.flatnonzero(b <= x // lo)
+            at = at[(k[at] >= store.size) & ~z[at]
+                    & (k[at].astype(np.int64) * b[at] <= x)]
+            tier_n = np.concatenate((tier_n, k[at]))
+            tier_v = np.concatenate((tier_v, v[at]))
         tables.release(lo, hi)
         yield lo, hi, v
+    return tier_n, tier_v
 
 
 def multiplicative_values(f: FactorFn, x: int) -> np.ndarray:
@@ -253,9 +281,10 @@ def multiplicative_values(f: FactorFn, x: int) -> np.ndarray:
     array f is given is a buffer reused from block to block: f must not
     keep or change it.
 
-    This is the walk of ``_walk`` with the x+1 output as its store.  The
-    lemmas that only need prefix sums walk with v and lpf kept only up to
-    x/2, the part the recurrence reads back (``_LadderWalk``).
+    This is the walk of ``_walk`` with the x+1 output as its store, so its
+    sparse tier stays empty.  The lemmas that only need prefix sums walk
+    with a store of min(x/2, BLOCK_MAX) + 1 entries and keep above it only
+    the values the recurrence reads back (``_LadderWalk``).
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
@@ -278,8 +307,9 @@ def _pairwise_split(a: int, b: int) -> int:
 
 
 class _LadderWalk:
-    """The walk of f up to the top rung x with v kept only for n <= x/2,
-    taking np.sum(v[: r + 1]) for each rung r on the way, bit for bit.
+    """The walk of f up to the top rung x with v stored densely only for
+    n <= min(x/2, BLOCK_MAX), taking np.sum(v[: r + 1]) for each rung r on
+    the way, bit for bit.
 
     Iterating it yields the walk's blocks (lo, hi, v); once they are
     exhausted, ``sums`` holds the rung sums.  np.sum of a float64 run is
@@ -287,16 +317,17 @@ class _LadderWalk:
     is the sum of its two nodes either side of ``_pairwise_split``, and one
     of at most 128 entries is added unsplit.  So np.sum of a node's entries
     is that node's sum, and each rung's tree is cut, along the edges of the
-    blocks above x/2, into whole nodes: one that lies in the kept prefix is
+    blocks above the store, into whole nodes: one that lies in the store is
     summed from it after the walk, one inside a single block as that block
     passes, and one of at most 128 entries across an edge from a copy of
     its entries.  The node sums are then added up the tree as numpy adds
-    them.
+    them.  The shorter the store, the more nodes are summed as blocks pass.
     """
 
     def __init__(self, f: FactorFn, ladder: tuple[int, ...]):
         self.f, self.ladder, self.x = f, ladder, ladder[-1]
-        self.store = np.empty(max(self.x // 2, 1) + 1, dtype=np.float64)
+        self.store = np.empty(min(max(self.x // 2, 1), _tables.BLOCK_MAX) + 1,
+                              dtype=np.float64)
         # the lo of each block not kept whole; the first lies at or below
         # store.size, as its block holds n = store.size
         self.cuts = [lo for lo, hi in dyadic_blocks(self.x) if hi > self.store.size]
@@ -492,12 +523,13 @@ def lemma2(x_ladder: Sequence[int]) -> LemmaReport:
     integer prefix and the successive ladder differences |S(x_{i+1})-S(x_i)|,
     which should shrink (the series converges).
 
-    One walk (``_LadderWalk``) gives both, holding the values and the
-    largest prime factors only up to x_max/2: S at each rung is np.sum of
-    the values, bit for bit, in numpy's pairwise order, and the sup is
-    taken over one running sum streamed through ``cumsum_blocks``, the
-    additions of np.cumsum(values[1:]) without its x-entry output or an
-    |S| temporary.
+    One walk (``_LadderWalk``) gives both, holding the values densely only
+    up to BLOCK_MAX and above it only the few it reads back, and the
+    largest prime factors only at the odd n <= x_max/2, about 1 byte per
+    entry: S at each rung is np.sum of the values, bit for bit, in numpy's
+    pairwise order, and the sup is taken over one running sum streamed
+    through ``cumsum_blocks``, the additions of np.cumsum(values[1:])
+    without its x-entry output or an |S| temporary.
     """
     ladder = _check_ladder(x_ladder)
     # mu(n) folded in: f(p) = -(p-2)/(p(p-1)); the p=2 factor is 0 since

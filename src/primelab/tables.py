@@ -32,19 +32,27 @@ and the block is one vectorised numpy step:
 ``dyadic_blocks`` yields the blocks, split further so that no step's
 temporaries exceed BLOCK_MAX = 2**16 entries.  The lemmas' walk runs the same
 recurrence keyed on the largest prime factor P, block by block; it reads
-back only n/P <= x/2, so a walk that needs only prefix sums keeps its
-values and its lpf array only for n <= x/2 and takes its rung sums as the
-blocks above pass, in numpy's pairwise order (``lemmas._LadderWalk``).
-``cumsum_blocks`` streams a running sum over an array or over such blocks,
-carrying as many earlier sums as a window difference needs.
+back v only at m = n/P for squarefree n, and such an m has m * P(m) < x.
+So a walk that needs only prefix sums keeps its values densely only up to
+BLOCK_MAX and, above that, only at the squarefree n with n * P(n) <= x
+(2,869 values at x = 10**7, none above 10**6), its lpf array only at the
+odd n <= x/2, and takes its rung sums as the blocks pass, in numpy's
+pairwise order (``lemmas._LadderWalk``).  ``cumsum_blocks`` streams a
+running sum over an array or over such blocks, carrying as many earlier
+sums as a window difference needs.
+
+``prime_power_blocks`` yields the prime powers and their Lambda block by
+block, BLOCK_MAX entries of spf at a time, with the few higher powers
+merged in; ``prime_powers`` joins its blocks, and ``sieve`` streams them
+with mu in one pass, so it builds no array over n or over the primes.
 
 The stored arrays take 3 bytes per entry (2+1), so n_max = 10**7 costs
 ~30 MB; phi, lam and psi_prefix each add 8 bytes per entry once read, and
 primes, prime_powers and psi_steps 8 to 16 bytes per prime power (about 8%
 of the entries at 10**6); all are read-only.  psi_steps is taken from
-prime_powers alone, so psi at one n reads no n-entry array and psi_prefix
-derives no lam.  ``build_tables`` refuses n_max above TABLE_MAX, the limit
-of the int32 arithmetic in the recurrences.
+prime_powers alone, so psi_prefix derives no lam.  ``build_tables``
+refuses n_max above TABLE_MAX, the limit of the int32 arithmetic in the
+recurrences.
 
 ``tables_for`` is the one provider every caller goes through: it serves a
 request as a prefix of a cache file in PRIMELAB_CACHE_DIR or of the largest
@@ -58,8 +66,8 @@ the requested prefix on every load, reading them with ``os.preadv`` into
 one reused buffer rather than through the mapping: the mapping then holds
 only the pages a command reads, pages it never touches are never loaded,
 and damaged bytes are never used.  A reader that passes through the tables
-once, as the lemmas' walk does, drops the pages behind it
-(``ArithTables.release``), so a walk over a mapped file holds only the
+once, as the lemmas' walk and ``sieve`` do, drops the pages behind it
+(``ArithTables.release``), so a pass over a mapped file holds only the
 pages around its current block, not all it has passed.
 """
 
@@ -112,9 +120,10 @@ class ArithTables:
 
     @cached_property
     def prime_powers(self) -> tuple[np.ndarray, np.ndarray]:
-        """(q, Lambda(q)) over the prime powers q <= n_max, q ascending."""
-        q, logs = _prime_powers(self.primes, self.n_max)
-        return _read_only(q), _read_only(logs)
+        """(q, Lambda(q)) over the prime powers q <= n_max, q ascending: the
+        blocks of ``prime_power_blocks`` joined."""
+        blocks = [(q, logs) for _lo, _hi, q, logs in prime_power_blocks(self.spf)]
+        return tuple(_read_only(np.concatenate(parts)) for parts in zip(*blocks))
 
     @cached_property
     def psi_steps(self) -> np.ndarray:
@@ -239,15 +248,20 @@ def _multiplicative(spf: np.ndarray, dtype, factor) -> np.ndarray:
     return out
 
 
-def _prime_powers(primes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(q, Lambda(q)) over the prime powers q <= n, q ascending, from the
-    ascending primes <= n: np.log on the primes, math.log for higher powers.
+def prime_power_blocks(spf: np.ndarray):
+    """Yield (lo, hi, q, logs) over the blocks [lo, hi) of BLOCK_MAX entries
+    covering 0..n, n = spf.size - 1, in order: q the ascending prime powers
+    in the block (int64) and logs = Lambda(q), np.log at the primes and
+    math.log of p at the higher powers p^e.
 
-    The few higher powers (555 at n = 10^7) are sorted on their own and
-    inserted among the primes, so no array over all prime powers is sorted.
+    The primes come from the block of spf (the n >= 2 where spf[n] = 0) and
+    the few higher powers (555 at n = 10^7), sorted on their own, are
+    inserted among them, so no array over all n or all prime powers is
+    built or sorted.  Every block holds at most hi - lo prime powers.
     """
+    n = spf.size - 1
     higher = []
-    for p in primes[primes <= math.isqrt(n)].tolist():
+    for p in (np.flatnonzero(spf[2 : math.isqrt(n) + 1] == 0) + 2).tolist():
         lp = math.log(p)
         q = p * p
         while q <= n:
@@ -255,9 +269,16 @@ def _prime_powers(primes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
             q *= p
     higher.sort()
     higher_q = np.array([q for q, _ in higher], dtype=np.int64)
-    at = np.searchsorted(primes, higher_q)
-    logs = np.insert(np.log(primes.astype(np.float64)), at, [lp for _, lp in higher])
-    return np.insert(primes, at, higher_q), logs
+    higher_logs = np.array([lp for _, lp in higher], dtype=np.float64)
+    for lo in range(0, n + 1, BLOCK_MAX):
+        hi = min(lo + BLOCK_MAX, n + 1)
+        start = max(lo, 2)
+        primes = np.flatnonzero(spf[start:hi] == 0)
+        primes += start
+        a, b = np.searchsorted(higher_q, (lo, hi))
+        at = np.searchsorted(primes, higher_q[a:b])
+        logs = np.insert(np.log(primes.astype(np.float64)), at, higher_logs[a:b])
+        yield lo, hi, np.insert(primes, at, higher_q[a:b]), logs
 
 
 def _von_mangoldt(q: np.ndarray, logs: np.ndarray, n: int) -> np.ndarray:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -365,6 +366,45 @@ def test_cells_do_not_import_sympy():
     assert json.loads(proc.stdout) == [[0, 0, 0], False]
 
 
+class TestStreamedSieve:
+    @pytest.mark.parametrize("block_max", [None, 64])
+    def test_row_is_the_whole_array_reference(self, monkeypatch, capsys, block_max):
+        """The counts `sieve` streams block by block are those read off
+        whole arrays: the primes <= n, psi(n) as one long-double cumsum of
+        the dense Lambda, rounded, and the sum and the nonzero count of
+        mu[1..n]; at n on, just below and just above the block edges, and
+        at every n up to 3 blocks of 64 entries."""
+        from primelab import tables
+        monkeypatch.delenv(tables.CACHE_DIR_ENV, raising=False)
+        if block_max is not None:
+            monkeypatch.setattr(tables, "BLOCK_MAX", block_max)
+        b = tables.BLOCK_MAX
+        top = 3 * b + 7
+        tb = tables.build_tables(top)
+        lam = np.zeros(top + 1)
+        lam[tb.primes] = np.log(tb.primes.astype(np.float64))
+        for p in tb.primes[tb.primes * tb.primes <= top].tolist():
+            q = p * p
+            while q <= top:
+                lam[q] = math.log(p)
+                q *= p
+        psi = np.cumsum(lam.astype(np.longdouble)).astype(np.float64)
+        ns = {1, 2, 3, top} | {e + d for e in (b, 2 * b, 3 * b) for d in (-1, 0, 1)}
+        if b == 64:
+            ns |= set(range(1, top + 1))
+        for n in sorted(ns):
+            code, out = run_main(["sieve", "--n-max", str(n), "--format", "json"], capsys)
+            mu = tb.mu[1 : n + 1]
+            assert code == 0
+            assert json.loads(out)["rows"] == [{
+                "n_max": n,
+                "primes": int(np.searchsorted(tb.primes, n, side="right")),
+                "psi": float(psi[n]),
+                "mertens": int(mu.sum()),
+                "squarefree": int(np.count_nonzero(mu)),
+            }], n
+
+
 class TestCache:
     def test_sieve_cache_roundtrip(self, tmp_path, capsys, monkeypatch):
         from primelab.tables import CACHE_DIR_ENV
@@ -389,6 +429,30 @@ class TestCache:
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]
+
+    def test_sieve_drops_the_file_pages_it_has_passed(self, tmp_path, capsys,
+                                                      monkeypatch, mapped_rss):
+        """On a mapped cache file `sieve` holds at most a few blocks of it
+        when done, and prints the row of in-memory tables, where nothing
+        is dropped."""
+        from primelab import tables
+        n = 2_000_000
+        built = tables.build_tables(n)
+        path = tmp_path / f"primelab_tables_{n}.bin"
+        tables.save_tables(built, path)
+        monkeypatch.delenv(tables.CACHE_DIR_ENV, raising=False)
+        monkeypatch.setattr(tables, "_held", built)
+        want = run_main(["sieve", "--n-max", str(n)], capsys)
+        mapped = []
+        real = tables.load_tables
+        monkeypatch.setattr(tables, "load_tables",
+                            lambda *args: mapped.append(real(*args)) or mapped[-1])
+        monkeypatch.setenv(tables.CACHE_DIR_ENV, str(tmp_path))
+        assert run_main(["sieve", "--n-max", str(n)], capsys) == want
+        assert len(mapped) == 1  # held here, so its mapping outlives the command
+        assert mapped_rss(path) <= 2 * 3 * tables.BLOCK_MAX
+        assert mapped[0].spf.tobytes() == built.spf.tobytes()
+        assert mapped_rss(path) >= 2 * n
 
     def test_damaged_cache_file_returns_3(self, tmp_path, capsys, monkeypatch):
         """A truncated cache file is refused with exit 3, not read or traced."""
@@ -484,8 +548,11 @@ class TestPinnedBytes:
     """Exit code and stdout sha256 of the cells that tabulate an approximant
     from its divisor weights: `lambda` in float, exact and json form and with
     n < R, exact `correlate`, exact and float expanded `moments`, the mixed
-    moment and `omega`, and an exact R past the limit.  The digests were
-    recorded before the float and exact range routes were merged."""
+    moment and `omega`, and an exact R past the limit; and `sieve` and the
+    lemma walks at and around the block edges.  The digests were recorded
+    before the float and exact range routes were merged, and those of
+    `sieve` and `lemma` before `sieve` streamed its counts and the walk
+    kept only the values it reads back."""
 
     CELLS = {
         "lambda --r 1 --n 30":
@@ -520,6 +587,34 @@ class TestPinnedBytes:
             (0, "a1576499d2220c9030bcdb98ee461dc3fe676aa95374974d5e753bdf43b4eff5"),
         "lambda --r 3000 --n 10 --exact":
             (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "sieve --n-max 1":
+            (0, "fa7aec7326092c165c914669785313545733c28096c4c7266f79354786a72a65"),
+        "sieve --n-max 2":
+            (0, "28927729d636bc5c238afd68ba789e8f9b86f7975702fc039409769fdd192f86"),
+        "sieve --n-max 3000":
+            (0, "7c6007a510e5084bd2dc0cc46efac6f8df95b6b5a768067541a5b50f230075bb"),
+        "sieve --n-max 65536":
+            (0, "09d5c92ee5d2ad375099902972e454e4eb4b5d088f913f8d2b40d0c4b8473d81"),
+        "sieve --n-max 65537":
+            (0, "6337e8fb02c822fa30deadd9953b491847fc83c247da3517669cc1f668a054ec"),
+        "sieve --n-max 1e6":
+            (0, "31ba9629a219dc4329e2c796ea8e9f4daf223a01bee0b1c31508af02fbcd3930"),
+        "sieve --n-max 65537 --format json":
+            (0, "eaa36f670ba499c2f18e7d87e9e46fa1c256645a8321e1eb7e8c4ddb058477b5"),
+        "lemma --which 2 --ladder 1,2,3,7,100,65536,65537,131073":
+            (0, "b8fd2ae274ba228db15e546385ccfb7c950241327ca1d8f2c9f76ee6f38624ad"),
+        "lemma --which 1 --ladder 1,10,1e3,7e4,2e5 --params k=6 --p-cut 1e5":
+            (0, "7fd9894ca6e52d5f5af1ee1e4c89583c3be1824c40bd83073d84157f0b9b0bab"),
+        "lemma --which 1 --ladder 1e3,1.5e6 --params pair=cubic,k=10 --p-cut 1e5":
+            (0, "ab0043fddb2296aa173dbc5ea1d3b4e0ef538a3740c73010e44e2a6a50c8432e"),
+        "lemma --which 3 --ladder 2,10,1e3,2e5 --p-cut 1e5":
+            (0, "b02f51b7ede8e04e2b9550930b0e4587e3adfe549a7fb40cd4778582259e4c8a"),
+        "lemma --which 4 --ladder 1,10,1e3,2e5 --params j=6,k=5 --p-cut 1e5":
+            (0, "33636b444a9a9d9d357b1e96e20c5b9553a780717dfcddb2ea452408e5bf7738"),
+        "lemma --which 4 --ladder 1,10,1e3,2e5 --params j=4,variant=log --p-cut 1e5":
+            (0, "5ad5f5e7e06d115b1f45fe00f760f293d0ac3efd02cdeb746df934e6904ea80d"),
+        "lemma --which 5 --ladder 1,10,1e3,2e5 --params J=30,k=3 --p-cut 1e5":
+            (0, "4805fdd4c68a3d6bf5ce78c166980372060952f240ce46382158417b1c9ee383"),
     }
 
     @pytest.mark.parametrize("cell", list(CELLS))

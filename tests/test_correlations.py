@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from primelab import (
     ShiftPattern,
@@ -36,6 +37,11 @@ from primelab.correlations import (
 from primelab.tables import TABLE_MAX
 
 SEED = 20260814
+
+#: squarefree integers of up to five primes, 2310 = 2*3*5*7*11 among them
+SQUAREFREE = st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23]),
+                      unique=True, max_size=5).map(math.prod)
+SHIFTS = st.integers(-40, 40)
 
 
 def von_mangoldt(n: int) -> float:
@@ -209,6 +215,17 @@ class TestKernels:
             j = int(rng.integers(-12, 13))
             assert pair_kernel(r1, r2, j) == pair_kernel_closed(r1, r2, j), (r1, r2, j)
 
+    @settings(max_examples=60, deadline=None)
+    @given(r1=SQUAREFREE, r2=SQUAREFREE, same=st.booleans(), j=SHIFTS)
+    @example(r1=2310, r2=1, same=True, j=0)
+    @example(r1=2310, r2=1, same=True, j=-30)
+    @example(r1=2310, r2=210, same=False, j=21)
+    def test_property_pair_kernel_closed_is_the_divisor_sum(self, r1, r2, same, j):
+        """mu(r) mu((j,r)) phi((j,r)) on the diagonal r1 = r2 = r and 0 off
+        it are the literal divisor sum, for r of up to five primes."""
+        r2 = r1 if same else r2
+        assert pair_kernel(r1, r2, j) == pair_kernel_closed(r1, r2, j)
+
     def test_pair_scan_counts_no_violations(self):
         assert pair_kernel_scan(60, -6, 6) == 0
 
@@ -237,6 +254,18 @@ class TestKernels:
             if j1 == j2:
                 continue
             assert triple_kernel(a, j1, j2) == triple_kernel_closed(a, j1, j2), (a, j1, j2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=SQUAREFREE, j1=SHIFTS, j2=SHIFTS, equal=st.booleans())
+    @example(a=2310, j1=0, j2=0, equal=True)
+    @example(a=2310, j1=35, j2=35, equal=True)
+    @example(a=2310, j1=6, j2=-4, equal=False)
+    def test_property_triple_kernel_closed_is_the_divisor_sum(self, a, j1, j2, equal):
+        """The product over p | a of the closed factors is the literal sum
+        over d, e, f | a, for a of up to five primes and shifts in
+        [-40, 40], j1 = j2 included (then p | j1 - j2 always)."""
+        j2 = j1 if equal else j2
+        assert triple_kernel(a, j1, j2) == triple_kernel_closed(a, j1, j2)
 
     def test_triple_scan_counts_no_violations(self):
         assert triple_kernel_scan(40, 4) == 0

@@ -165,9 +165,10 @@ class TestMultiplicativeValues:
 
     def test_lemma2_peak_memory(self):
         """On tables the process already holds, lemma2's walk and its sup
-        of |S(t)| allocate about 10 bytes per entry (the values and half an
-        int32 lpf array) plus block temporaries: no x-entry factor array or
-        cumsum."""
+        of |S(t)| allocate at most 10 bytes per entry plus block
+        temporaries: no x-entry factor array or cumsum.  The walk now keeps
+        about 1 byte per entry (an int32 lpf at the odd n <= x/2), so the
+        bound is loose; ``test_lemma2_allocation_slope`` holds it to 2."""
         x = 2_000_000
         tables_mod.tables_for(x)
         tracemalloc.start()
@@ -180,9 +181,10 @@ class TestMultiplicativeValues:
 
     def test_lemma2_memory_slope(self):
         """On tables the process already holds, lemma2's allocations grow by
-        at most 7 bytes per entry between x = 10**6 and 4 * 10**6: its
-        values and its int32 lpf array are both kept only up to x/2 (6
-        bytes per entry), where a full value array made it 10."""
+        at most 7 bytes per entry between x = 10**6 and 4 * 10**6, where a
+        full value array made it 10.  The bound dates from values and lpf
+        kept densely up to x/2 (6 bytes per entry);
+        ``test_lemma2_allocation_slope`` holds the present walk to 2."""
         xs = (1_000_000, 4_000_000)
         tables_mod.tables_for(xs[-1])
         peaks = []
@@ -194,6 +196,62 @@ class TestMultiplicativeValues:
             finally:
                 tracemalloc.stop()
         assert (peaks[1] - peaks[0]) / (xs[1] - xs[0]) <= 7
+
+    def test_lemma2_allocation_slope(self):
+        """On tables the process already holds, lemma2's allocations grow by
+        at most 2 bytes per entry between x = 10**6 and 4 * 10**6: above
+        BLOCK_MAX its values are kept only where the recurrence reads them
+        back, and its int32 lpf array only at the odd n <= x/2 (1 byte per
+        entry)."""
+        xs = (1_000_000, 4_000_000)
+        tables_mod.tables_for(xs[-1])
+        peaks = []
+        for x in xs:
+            tracemalloc.start()
+            try:
+                lemma2((10, x))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / (xs[1] - xs[0]) <= 2
+
+    @pytest.mark.parametrize("x", [10**5, 10**6])
+    def test_walk_keeps_only_what_it_reads_back(self, x):
+        """Above its store the walk keeps exactly the squarefree n with
+        n * P(n) <= x, P the largest prime factor, each with its value; and
+        its blocks are those of the full value array, for stores from 2
+        entries up to the ``_LadderWalk`` size and x/2 + 1.  P and the
+        squarefree n come from a brute sieve, not from the tables."""
+        from primelab import lemmas
+
+        rng = np.random.default_rng(SEED)
+        fvals = rng.normal(size=x + 1)
+        f = fvals.__getitem__
+        big_p = np.zeros(x + 1, dtype=np.int64)
+        squarefree = np.ones(x + 1, dtype=bool)
+        squarefree[0] = False
+        for p in primes_up_to(x).tolist():
+            big_p[p::p] = p  # ascending p, so the largest prime is written last
+            squarefree[p * p :: p * p] = False
+        n = np.arange(x + 1)
+        full = multiplicative_values(f, x)
+        sizes = {2, 65, 4097, min(x // 2, tables_mod.BLOCK_MAX) + 1, x // 2 + 1}
+        for size in sorted(sizes):
+            store = np.empty(size, dtype=np.float64)
+            walk = lemmas._walk(f, x, store)
+            got = np.zeros(x + 1)
+            while True:
+                try:
+                    lo, hi, v = next(walk)
+                except StopIteration as stop:
+                    tier_n, tier_v = stop.value
+                    break
+                got[lo:hi] = v
+            got[:size] = store
+            want_n = n[(n >= size) & squarefree & (n * big_p <= x)]
+            assert tier_n.tolist() == want_n.tolist(), size
+            assert tier_v.tobytes() == full[want_n].tobytes(), size
+            assert got.tobytes() == full.tobytes(), size
 
     @pytest.mark.parametrize("block_max", [UNSPLIT, 64])
     @settings(max_examples=40, deadline=None)

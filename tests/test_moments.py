@@ -364,10 +364,10 @@ class TestTableFetches:
         """One table fetch and one prime-power derivation serve both the
         Lambda and the psi reads."""
         from primelab import tables
-        real = tables._prime_powers
+        real = tables.prime_power_blocks
         calls = []
-        monkeypatch.setattr(tables, "_prime_powers",
-                            lambda primes, n: calls.append(n) or real(primes, n))
+        monkeypatch.setattr(tables, "prime_power_blocks",
+                            lambda spf: calls.append(spf.size) or real(spf))
         call()
         assert len(calls) == 1
 

@@ -196,8 +196,9 @@ class TestBuildTables:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 100, 10**5, 10**6 + 3])
     def test_prime_powers_match_concatenate_and_argsort(self, n):
-        """Inserting the sorted higher powers among the primes gives the
-        bytes of concatenating all prime powers and sorting them."""
+        """Inserting the sorted higher powers among the primes of each block
+        of ``prime_power_blocks`` and joining the blocks gives the bytes of
+        concatenating all prime powers and sorting them."""
         primes = primes_up_to(n)
         higher = [(p**e, math.log(p)) for p in primes[primes <= math.isqrt(n)].tolist()
                   for e in range(2, n.bit_length()) if p**e <= n]
@@ -205,7 +206,9 @@ class TestBuildTables:
         logs = np.concatenate([np.log(primes.astype(np.float64)),
                                np.array([lp for _, lp in higher])])
         order = np.argsort(q, kind="stable")
-        got_q, got_logs = tables_mod._prime_powers(primes, n)
+        blocks = list(tables_mod.prime_power_blocks(build_tables(n).spf))
+        got_q = np.concatenate([q for _lo, _hi, q, _logs in blocks])
+        got_logs = np.concatenate([logs for _lo, _hi, _q, logs in blocks])
         assert got_q.dtype == q.dtype and got_q.tobytes() == q[order].tobytes()
         assert got_logs.dtype == logs.dtype and got_logs.tobytes() == logs[order].tobytes()
 
