@@ -9,7 +9,6 @@ For all n <= n_max the tables store
 and derive from spf, on first read,
 
 * ``phi``           Euler totient (int64),
-* ``primes``        the primes <= n_max, ascending: the n >= 2 with spf[n] = 0,
 * ``prime_powers``  the prime powers q <= n_max and Lambda(q) = log p,
 * ``psi_steps``     psi at 0 and at each prime power: one long-double
                     running sum over Lambda(q), rounded once per entry,
@@ -21,13 +20,18 @@ isqrt(TABLE_MAX) < 2**16, and at a prime it is n itself, which the index
 already gives: so spf fits in 16 bits, and ``factor_blocks`` decodes it
 (k where spf[k] = 0) a block at a time for the recurrences below.
 
-A slice sieve over i <= sqrt(n_max) fills ``spf``.  mu and phi then come
-from a dyadic-block recurrence: for n in [2^i, 2^(i+1)) write p = spf(n) and
+One segmented sieve makes spf and mu (``sieve_segments``): segments of
+SIEVE_SEGMENT = 2**18 entries, one check block of the cache file, sieved in
+turn by the primes p <= isqrt(n_max) of a small local sieve.  In a segment
+[lo, hi) every p with p^2 < hi writes spf = p at its multiples >= p^2, the
+largest p first so the least prime factor stays; negates mu at its
+multiples and zeroes it at those of p^2; and multiplies an int32 prod of
+the sieving primes by p.  A k < hi has at most one prime factor left out
+of prod, so mu is negated once more where prod != k.  phi comes from a
+dyadic-block recurrence: for n in [2^i, 2^(i+1)) write p = spf(n) and
 m = n/p.  Then m < 2^i, so every n of the block reads only finished entries
-and the block is one vectorised numpy step:
-
-* p = spf(m):  mu = 0,      phi = phi(m) p,
-* otherwise:   mu = -mu(m), phi = phi(m) (p-1).
+and the block is one vectorised numpy step, phi = phi(m) p where
+p = spf(m) and phi(m) (p-1) otherwise.
 
 ``dyadic_blocks`` yields the blocks, split further so that no step's
 temporaries exceed BLOCK_MAX = 2**16 entries.  The lemmas' walk runs the same
@@ -48,16 +52,21 @@ with mu in one pass, so it builds no array over n or over the primes.
 
 The stored arrays take 3 bytes per entry (2+1), so n_max = 10**7 costs
 ~30 MB; phi, lam and psi_prefix each add 8 bytes per entry once read, and
-primes, prime_powers and psi_steps 8 to 16 bytes per prime power (about 8%
-of the entries at 10**6); all are read-only.  psi_steps is taken from
-prime_powers alone, so psi_prefix derives no lam.  ``build_tables``
-refuses n_max above TABLE_MAX, the limit of the int32 arithmetic in the
-recurrences.
+prime_powers and psi_steps 8 to 16 bytes per prime power (about 8% of the
+entries at 10**6); all are read-only.  psi_steps is taken from
+prime_powers alone, so psi_prefix derives no lam.  A build in memory holds
+the 3 bytes per entry and one segment's buffers (about 3 MB at 2**18
+entries); a build into a file (``build_tables`` with a path) writes each
+segment where it belongs in the file as it is sieved and then maps the
+file, so it holds only the segment's buffers, whatever n_max.
+``build_tables`` refuses n_max above TABLE_MAX, the limit of the int32
+arithmetic in the sieve and the recurrences.
 
 ``tables_for`` is the one provider every caller goes through: it serves a
 request as a prefix of a cache file in PRIMELAB_CACHE_DIR or of the largest
-build the process holds, and builds only when neither reaches n_max; a
-build it saves replaces the smaller cache files it serves.  A cache file is
+build the process holds, and builds only when neither reaches n_max, into a
+cache file when a cache dir is set; the file it writes replaces the smaller
+cache files it serves.  A cache file is
 a small versioned header, spf and mu, then a CRC32 of every block of
 _CHECK_ENTRIES = 2**18 entries of each array, all little-endian; that
 block is part of the file format and does not follow BLOCK_MAX.
@@ -107,16 +116,17 @@ class ArithTables:
 
     @cached_property
     def phi(self) -> np.ndarray:
-        """int64 totient, phi[0] = 0."""
-        phi = _multiplicative(self.spf, np.int64, lambda p, same: np.where(same, p, p - 1))
+        """int64 totient, phi[0] = 0: phi(n) = phi(m) p if p = spf(m) and
+        phi(m) (p-1) otherwise, where p = spf(n) and m = n/p, one dyadic
+        block at a time.  spf(m) is p where spf[m] = p or, at a prime m,
+        where m = p."""
+        spf = self.spf
+        phi = np.zeros(self.n_max + 1, dtype=np.int64)
+        phi[1] = 1
+        for lo, hi, k, p in factor_blocks(spf):
+            m = k // p
+            phi[lo:hi] = phi[m] * np.where((spf[m] == p) | (m == p), p, p - 1)
         return _read_only(phi)
-
-    @cached_property
-    def primes(self) -> np.ndarray:
-        """The ascending primes <= n_max: the n >= 2 with spf[n] = 0."""
-        primes = np.flatnonzero(self.spf[2:] == 0)
-        primes += 2  # in place, so no freed copy is left under the cached array
-        return _read_only(primes)
 
     @cached_property
     def prime_powers(self) -> tuple[np.ndarray, np.ndarray]:
@@ -176,14 +186,19 @@ class ArithTables:
 
 
 # ---------------------------------------------------------------------------
-# sieve: spf by slices, then the dyadic-block recurrence
+# sieve: spf and mu by segments; the dyadic blocks of the recurrences
 # ---------------------------------------------------------------------------
 
 #: most entries one recurrence step handles; bounds its temporary arrays
 BLOCK_MAX = 1 << 16
 
-#: largest n_max the tables hold: the recurrences index with int32, and
-#: the least prime factor of a composite up to it is below 2**16 (uint16 spf)
+#: entries per segment of the sieve: one check block of the table file, so a
+#: build that writes its segments as they come closes one CRC per segment
+SIEVE_SEGMENT = 1 << 18
+
+#: largest n_max the tables hold: the sieve and the recurrences index with
+#: int32, and the least prime factor of a composite up to it is below 2**16
+#: (uint16 spf)
 TABLE_MAX = 2**31 - 2
 
 
@@ -200,16 +215,60 @@ def dyadic_blocks(n: int):
         lo = hi
 
 
-def _smallest_prime_factors(n: int) -> np.ndarray:
-    """uint16 array with spf[k] the least prime dividing a composite k, 0 at
-    a prime (spf[0] = 0, spf[1] = 1); every such factor is <= isqrt(n)."""
-    spf = np.zeros(n + 1, dtype=np.uint16)
-    spf[1] = 1
-    for i in range(2, math.isqrt(n) + 1):
-        if spf[i] == 0:
-            sl = spf[i * i :: i]
-            sl[sl == 0] = i
-    return spf
+def _base_primes(n: int) -> list[int]:
+    """The primes up to isqrt(n), ascending: a plain sieve of Eratosthenes
+    over at most isqrt(TABLE_MAX) + 1 = 46341 entries."""
+    top = math.isqrt(n)
+    is_prime = np.ones(top + 1, dtype=bool)
+    is_prime[:2] = False
+    for i in range(2, math.isqrt(top) + 1):
+        if is_prime[i]:
+            is_prime[i * i :: i] = False
+    return np.flatnonzero(is_prime).tolist()
+
+
+def sieve_segments(n: int):
+    """Yield (lo, hi, spf, mu) over the segments [lo, hi) of SIEVE_SEGMENT
+    entries covering 0..n, in order: spf (uint16) and mu (int8) of lo..hi-1,
+    as the tables store them.
+
+    For each prime p with p^2 < hi, spf is set to p at the multiples >= p^2
+    (largest p first, so the least prime factor is written last), mu is
+    negated at the multiples of p and zeroed at those of p^2, and an int32
+    prod is multiplied by p at the multiples of p.  Every prime factor of a
+    k < hi but at most one is then in prod, so a squarefree k with
+    prod != k has one prime factor more, and mu is negated there.
+
+    spf and mu are views of buffers reused from segment to segment, so
+    they are only valid until the next segment is asked for.
+    """
+    primes = _base_primes(n)
+    size = min(SIEVE_SEGMENT, n + 1)
+    ramp = np.arange(size, dtype=np.int32)
+    spf_buf = np.empty(size, dtype=np.uint16)
+    mu_buf = np.empty(size, dtype=np.int8)
+    prod_buf = np.empty(size, dtype=np.int32)
+    k_buf = np.empty(size, dtype=np.int32)
+    for lo in range(0, n + 1, SIEVE_SEGMENT):
+        hi = min(lo + SIEVE_SEGMENT, n + 1)
+        spf, mu, prod, k = (buf[: hi - lo] for buf in (spf_buf, mu_buf, prod_buf, k_buf))
+        spf.fill(0)
+        mu.fill(1)
+        prod.fill(1)
+        for p in reversed(primes):
+            if p * p >= hi:
+                continue
+            first = -lo % p  # offset of the first multiple of p at or above lo
+            spf[max(p * p - lo, first) :: p] = p
+            np.negative(mu[first::p], out=mu[first::p])
+            np.multiply(prod[first::p], p, out=prod[first::p])
+            mu[-lo % (p * p) :: p * p] = 0
+        np.add(ramp[: hi - lo], lo, out=k)
+        np.negative(mu, out=mu, where=prod != k)
+        if lo == 0:  # k = 0, a multiple of every p, and k = 1
+            spf[1] = 1
+            mu[:2] = (0, 1)
+        yield lo, hi, spf, mu
 
 
 def factor_blocks(spf: np.ndarray):
@@ -233,19 +292,6 @@ def factor_blocks(spf: np.ndarray):
         np.copyto(p, spf[lo:hi])
         np.copyto(p, k, where=prime)
         yield lo, hi, k, p
-
-
-def _multiplicative(spf: np.ndarray, dtype, factor) -> np.ndarray:
-    """f with f(0) = 0, f(1) = 1 and f(n) = f(m) * factor(p, spf(m) == p),
-    where p = spf(n) and m = n/p: the recurrence behind mu and phi.  spf(m)
-    is p where spf[m] = p or, at a prime m, where m = p."""
-    n = spf.size - 1
-    out = np.zeros(n + 1, dtype=dtype)
-    out[1] = 1
-    for lo, hi, k, p in factor_blocks(spf):
-        m = k // p
-        out[lo:hi] = out[m] * factor(p, (spf[m] == p) | (m == p))
-    return out
 
 
 def prime_power_blocks(spf: np.ndarray):
@@ -319,19 +365,28 @@ def cumsum_blocks(values, dtype, keep: int = 0):
         lo = hi
 
 
-def build_tables(n_max: int) -> ArithTables:
+def build_tables(n_max: int, path: str | os.PathLike | None = None) -> ArithTables:
     """Sieve spf and mu up to n_max (inclusive); the derived arrays follow
     on first read.
 
-    Requires n_max >= 2.  Memory is 3 bytes/entry (uint16 spf, int8 mu);
-    n_max above TABLE_MAX is refused.
+    Without a path the segments of ``sieve_segments`` fill arrays in
+    memory, 3 bytes/entry (uint16 spf, int8 mu).  With one, each segment is
+    written to a table file at path as it is sieved, and the file is mapped
+    (``load_tables``): the build holds one segment, not the tables.
+    Requires n_max >= 2; n_max above TABLE_MAX is refused.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     if n_max > TABLE_MAX:
         raise ValueError(f"n_max={n_max} exceeds the table bound {TABLE_MAX}")
-    spf = _smallest_prime_factors(n_max)
-    mu = _multiplicative(spf, np.int8, lambda p, same: np.where(same, 0, -1))
+    if path is not None:
+        _write_tables(path, n_max, sieve_segments(n_max))
+        return load_tables(path)
+    spf = np.empty(n_max + 1, dtype=np.uint16)
+    mu = np.empty(n_max + 1, dtype=np.int8)
+    for lo, hi, spf_seg, mu_seg in sieve_segments(n_max):
+        spf[lo:hi] = spf_seg
+        mu[lo:hi] = mu_seg
     return ArithTables(n_max=n_max, spf=spf, mu=mu)
 
 
@@ -360,7 +415,22 @@ def _check_blocks(entries: int) -> int:
 def save_tables(tables: ArithTables, path: str | os.PathLike) -> None:
     """Write tables to a little-endian binary file: magic, version, n_max,
     the arrays, then the CRC32 of each block of _CHECK_ENTRIES entries of
-    each array in turn.
+    each array in turn."""
+    def blocks():
+        spf, mu = (np.ascontiguousarray(getattr(tables, name), dtype=dt)
+                   for name, dt in _ARRAY_SPEC)
+        for lo in range(0, tables.n_max + 1, _CHECK_ENTRIES):
+            hi = min(lo + _CHECK_ENTRIES, tables.n_max + 1)
+            yield lo, hi, spf[lo:hi], mu[lo:hi]
+
+    _write_tables(path, tables.n_max, blocks())
+
+
+def _write_tables(path: str | os.PathLike, n_max: int, blocks) -> None:
+    """Write the table file of ``save_tables`` from blocks (lo, hi, spf, mu)
+    that cover 0..n_max in order: each block's arrays are written at their
+    offsets as it comes, and its CRC32 is carried into the check blocks it
+    overlaps, so no more than one block is held.
 
     The bytes go to a temporary file in the same directory, which is renamed
     onto ``path`` only when complete: an interrupted or concurrent write never
@@ -368,15 +438,22 @@ def save_tables(tables: ArithTables, path: str | os.PathLike) -> None:
     """
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
+    crcs = [[0] * _check_blocks(n_max + 1) for _spec in _ARRAY_SPEC]
     try:
         with open(tmp, "wb") as fh:
-            fh.write(_HEADER.pack(_MAGIC, _FORMAT_VERSION, tables.n_max))
-            crcs = []
-            for name, dt in _ARRAY_SPEC:
-                arr = np.ascontiguousarray(getattr(tables, name), dtype=dt)
-                fh.write(arr.data)
-                crcs += [zlib.crc32(arr[lo : lo + _CHECK_ENTRIES])
-                         for lo in range(0, arr.size, _CHECK_ENTRIES)]
+            fh.write(_HEADER.pack(_MAGIC, _FORMAT_VERSION, n_max))
+            for lo, hi, *arrays in blocks:
+                offset = _HEADER.size
+                for (_name, dt), arr, sums in zip(_ARRAY_SPEC, arrays, crcs):
+                    data = np.ascontiguousarray(arr, dtype=dt)
+                    fh.seek(offset + lo * data.itemsize)
+                    fh.write(data.data)
+                    for start in range(lo - lo % _CHECK_ENTRIES, hi, _CHECK_ENTRIES):
+                        b = start // _CHECK_ENTRIES
+                        piece = data[max(start, lo) - lo : min(start + _CHECK_ENTRIES, hi) - lo]
+                        sums[b] = zlib.crc32(piece, sums[b])
+                    offset += (n_max + 1) * data.itemsize
+            fh.seek(_HEADER.size + (n_max + 1) * _ENTRY_BYTES)
             fh.write(np.array(crcs, dtype=_CRC).data)
         os.replace(tmp, path)
     except BaseException:
@@ -480,13 +557,16 @@ def tables_for(n_max: int) -> ArithTables:
 
     If PRIMELAB_CACHE_DIR names a directory holding some
     ``primelab_tables_<m>.bin`` with m >= n_max, the largest such file is
-    mapped read-only (``load_tables``).  Otherwise the result is a prefix of
-    the largest build this process holds, built first if none reaches n_max;
-    with a cache dir set, that build is saved there, so the next request in
-    any process finds a file, and the smaller files it now serves are
-    removed: the dir ends with one file, the largest request's, whatever
-    order the requests came in.  A cache dir that is not an existing
-    directory raises ValueError; it is never created.
+    mapped read-only (``load_tables``).  Otherwise, with a cache dir set,
+    the largest build this process holds is saved there if it reaches
+    n_max, and if it does not, the tables are sieved straight into a file
+    there (``build_tables`` with a path) and mapped; either way the next
+    request in any process finds a file, and the smaller files it now
+    serves are removed: the dir ends with one file, the largest request's,
+    whatever order the requests came in.  Without a cache dir the result is
+    a prefix of the largest build this process holds, built first if none
+    reaches n_max.  A cache dir that is not an existing directory raises
+    ValueError; it is never created.
     """
     global _held
     n_max = max(n_max, 2)
@@ -503,18 +583,28 @@ def tables_for(n_max: int) -> ArithTables:
                 return load_tables(files[max(served)], n_max)
             except FileNotFoundError:
                 continue  # a larger file replaced it since the listing
-    if _held is None or _held.n_max < n_max:
-        _held = build_tables(n_max)
+    if cache_dir and (_held is None or _held.n_max < n_max):
+        top, tables = n_max, build_tables(n_max, _cache_path(cache_dir, n_max))
+    else:
+        if _held is None or _held.n_max < n_max:
+            _held = build_tables(n_max)
+        top = _held.n_max
+        if cache_dir:
+            save_tables(_held, _cache_path(cache_dir, top))
+        tables = ArithTables(
+            n_max=n_max,
+            **{name: getattr(_held, name)[: n_max + 1] for name, _dt in _ARRAY_SPEC},
+        )
     if cache_dir:
-        save_tables(_held, os.path.join(cache_dir, f"primelab_tables_{_held.n_max}.bin"))
         for m, path in _cache_files(cache_dir).items():
-            if m < _held.n_max:
+            if m < top:
                 with contextlib.suppress(FileNotFoundError):
                     os.remove(path)
-    return ArithTables(
-        n_max=n_max,
-        **{name: getattr(_held, name)[: n_max + 1] for name, _dt in _ARRAY_SPEC},
-    )
+    return tables
+
+
+def _cache_path(cache_dir: str, n_max: int) -> str:
+    return os.path.join(cache_dir, f"primelab_tables_{n_max}.bin")
 
 
 # ---------------------------------------------------------------------------

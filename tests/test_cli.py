@@ -381,9 +381,10 @@ class TestStreamedSieve:
         b = tables.BLOCK_MAX
         top = 3 * b + 7
         tb = tables.build_tables(top)
+        primes = np.flatnonzero(tb.spf[2:] == 0) + 2
         lam = np.zeros(top + 1)
-        lam[tb.primes] = np.log(tb.primes.astype(np.float64))
-        for p in tb.primes[tb.primes * tb.primes <= top].tolist():
+        lam[primes] = np.log(primes.astype(np.float64))
+        for p in primes[primes * primes <= top].tolist():
             q = p * p
             while q <= top:
                 lam[q] = math.log(p)
@@ -398,7 +399,7 @@ class TestStreamedSieve:
             assert code == 0
             assert json.loads(out)["rows"] == [{
                 "n_max": n,
-                "primes": int(np.searchsorted(tb.primes, n, side="right")),
+                "primes": int(np.searchsorted(primes, n, side="right")),
                 "psi": float(psi[n]),
                 "mertens": int(mu.sum()),
                 "squarefree": int(np.count_nonzero(mu)),
@@ -552,7 +553,8 @@ class TestPinnedBytes:
     lemma walks at and around the block edges.  The digests were recorded
     before the float and exact range routes were merged, and those of
     `sieve` and `lemma` before `sieve` streamed its counts and the walk
-    kept only the values it reads back."""
+    kept only the values it reads back; those around the 2**18-entry check
+    block, before the tables were sieved segment by segment."""
 
     CELLS = {
         "lambda --r 1 --n 30":
@@ -601,6 +603,16 @@ class TestPinnedBytes:
             (0, "31ba9629a219dc4329e2c796ea8e9f4daf223a01bee0b1c31508af02fbcd3930"),
         "sieve --n-max 65537 --format json":
             (0, "eaa36f670ba499c2f18e7d87e9e46fa1c256645a8321e1eb7e8c4ddb058477b5"),
+        "sieve --n-max 262143":
+            (0, "ff7e264ba6a5f1320e9165b19bb21b32b0d126ea99389d32819a02038cecf3b6"),
+        "sieve --n-max 262144":
+            (0, "ae5aa3ddc3541e8ee1a01d304ce1917277a3dd9f072b5676889facc7097ca9c1"),
+        "sieve --n-max 262145":
+            (0, "3a560bb75f59f104df39757b931b6431fe06416ec3fc12f72b49a0966902b12c"),
+        "sieve --n-max 524289":
+            (0, "52dc07358c62305a1c917207561aba8ada7d79371af4ef1df5170b1f3d88bacb"),
+        "lemma --which 2 --ladder 100,262145":
+            (0, "35b905f05363bf664a888bafec37bac6bc56500eb2308fac7a556b7b7d020b66"),
         "lemma --which 2 --ladder 1,2,3,7,100,65536,65537,131073":
             (0, "b8fd2ae274ba228db15e546385ccfb7c950241327ca1d8f2c9f76ee6f38624ad"),
         "lemma --which 1 --ladder 1,10,1e3,7e4,2e5 --params k=6 --p-cut 1e5":

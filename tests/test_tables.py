@@ -10,6 +10,7 @@ from __future__ import annotations
 import inspect
 import math
 import mmap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,41 @@ class TestBuildTables:
         which uint16 spf holds."""
         assert math.isqrt(tables_mod.TABLE_MAX) < 2**16
 
+    @pytest.mark.parametrize("segment", [7, 64, None])
+    def test_segmented_sieve_is_trial_division(self, monkeypatch, segment):
+        """spf and mu from segments of 7, 64 and the default 2**18 entries
+        are, at every n <= 5000, the least prime factor (0 at a prime) and
+        the Moebius function read off ``factorize``; and every build up to
+        99 entries is a prefix of the build to 5000."""
+        if segment is not None:
+            monkeypatch.setattr(tables_mod, "SIEVE_SEGMENT", segment)
+        n = 5000
+        tb = build_tables(n)
+        assert tb.spf.dtype == np.uint16 and tb.mu.dtype == np.int8
+        assert (tb.spf[0], tb.spf[1], tb.mu[0], tb.mu[1]) == (0, 1, 0, 1)
+        for k in range(2, n + 1):
+            fac = factorize(k)
+            spf = 0 if fac == [(k, 1)] else fac[0][0]
+            mu = 0 if any(e > 1 for _p, e in fac) else (-1) ** len(fac)
+            assert (tb.spf[k], tb.mu[k]) == (spf, mu), (segment, k)
+        for m in range(2, 100):
+            small = build_tables(m)
+            assert small.spf.tobytes() == tb.spf[: m + 1].tobytes(), (segment, m)
+            assert small.mu.tobytes() == tb.mu[: m + 1].tobytes(), (segment, m)
+
+    @pytest.mark.parametrize("segment, n", [
+        (7, 20_000), (64, 200_000), (64, 2**18 + 1), (1000, 2**18 + 1)])
+    def test_segment_size_does_not_change_tables(self, monkeypatch, segment, n):
+        """Lowered segment sizes, a power of two and not, give the bytes of
+        the default size: at 2*10**5 and across the 2**18 edge (segments of
+        7 cost one numpy step per base prime every 7 entries, so they are
+        checked lower down)."""
+        want = build_tables(n)
+        monkeypatch.setattr(tables_mod, "SIEVE_SEGMENT", segment)
+        got = build_tables(n)
+        assert got.spf.tobytes() == want.spf.tobytes()
+        assert got.mu.tobytes() == want.mu.tobytes()
+
     def test_factor_blocks_decode_least_prime(self, monkeypatch):
         """factor_blocks yields int32 k = lo..hi-1 and p = the least prime
         factor of each k, primes included (p = k there), over the dyadic
@@ -96,10 +132,10 @@ class TestBuildTables:
             assert max(hi - lo for lo, hi in blocks) == min(block_max, 2048)
 
     def test_primes(self, tables_small):
-        """The primes property lists exactly the primes <= n_max, ascending."""
+        """The n >= 2 with spf[n] = 0 are exactly the primes <= n_max."""
         n_max = tables_small.n_max
-        assert tables_small.primes.tolist() == list(sympy.primerange(2, n_max + 1))
-        assert not tables_small.primes.flags.writeable
+        primes = np.flatnonzero(tables_small.spf[2:] == 0) + 2
+        assert primes.tolist() == list(sympy.primerange(2, n_max + 1))
 
     def test_mobius_against_factorization(self, tables_small):
         rng = np.random.default_rng(SEED + 1)
@@ -398,6 +434,39 @@ class TestSaveLoad:
         assert back.spf.tobytes() == tb.spf.tobytes()
         assert back.mu.tobytes() == tb.mu.tobytes()
 
+    @pytest.mark.parametrize("segment", [None, 1000])
+    def test_path_build_writes_the_saved_bytes(self, tmp_path, monkeypatch, segment):
+        """build_tables(n, path) writes, segment by segment, the bytes that
+        save_tables writes from the whole arrays, around the check-block
+        edges (also from segments of 1000 entries, which straddle them), and
+        returns the file mapped read-only."""
+        if segment is not None:
+            monkeypatch.setattr(tables_mod, "SIEVE_SEGMENT", segment)
+        block = tables_mod._CHECK_ENTRIES
+        for n in (2, 3, 4, block - 1, block, block + 1, 2 * block + 1):
+            saved, built = tmp_path / f"saved_{n}.bin", tmp_path / f"built_{n}.bin"
+            save_tables(build_tables(n), saved)
+            tb = build_tables(n, built)
+            assert built.read_bytes() == saved.read_bytes(), n
+            assert tb.n_max == n and not tb.spf.flags.writeable
+            assert_same_tables(tb, load_tables(saved))
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_path_build_memory_does_not_grow_with_n(self, tmp_path):
+        """A build into a file holds one segment, not the tables: its traced
+        allocations grow by at most 0.1 byte per entry between 10**6 and
+        4 * 10**6 entries, where an in-memory build takes 3."""
+        ns = (1_000_000, 4_000_000)
+        peaks = []
+        for n in ns:
+            tracemalloc.start()
+            try:
+                build_tables(n, tmp_path / f"primelab_tables_{n}.bin")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / (ns[1] - ns[0]) <= 0.1
+
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
         """A write that fails part-way leaves neither the target nor a temp
         file, and the partial bytes are never visible at the target."""
@@ -462,6 +531,47 @@ class TestProvider:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "other.bin", "primelab_tables_3000.bin"]
         assert_same_tables(tables_mod.tables_for(1000), build_tables(1000))
+
+    def test_cache_dir_build_is_the_mapped_file(self, tmp_path, monkeypatch, mapped_rss):
+        """With a cache dir and no file that serves the request, the tables
+        are sieved into the file and mapped from it; the process holds no
+        build of its own, and the smaller file is removed."""
+        save_tables(build_tables(1000), tmp_path / "primelab_tables_1000.bin")
+        monkeypatch.setenv(tables_mod.CACHE_DIR_ENV, str(tmp_path))
+        tb = tables_mod.tables_for(3000)
+        assert tables_mod._held is None
+        assert [p.name for p in tmp_path.iterdir()] == ["primelab_tables_3000.bin"]
+        assert not tb.spf.flags.writeable and not tb.mu.flags.writeable
+        np.count_nonzero(tb.spf)  # read spf through the mapping
+        assert mapped_rss(tmp_path / "primelab_tables_3000.bin") >= tb.spf.nbytes
+        assert_same_tables(tb, build_tables(3000))
+
+    def test_failed_build_keeps_the_smaller_file(self, tmp_path, monkeypatch):
+        """A build into the cache dir that raises part-way leaves neither its
+        file nor a temp file, and the smaller file it would have replaced
+        stays and still serves."""
+        small = tmp_path / "primelab_tables_1000.bin"
+        save_tables(build_tables(1000), small)
+        before, want = small.read_bytes(), build_tables(500)
+        monkeypatch.setenv(tables_mod.CACHE_DIR_ENV, str(tmp_path))
+        real = tables_mod.sieve_segments
+        written = []
+
+        def fail_after_one(n):
+            for segment in real(n):
+                if written:
+                    raise OSError("disk full")
+                written.append(segment[0])
+                yield segment
+
+        monkeypatch.setattr(tables_mod, "sieve_segments", fail_after_one)
+        n = 2 * tables_mod.SIEVE_SEGMENT + 1
+        with pytest.raises(OSError, match="disk full"):
+            tables_mod.tables_for(n)
+        assert written == [0]
+        assert [p.name for p in tmp_path.iterdir()] == ["primelab_tables_1000.bin"]
+        assert small.read_bytes() == before
+        assert_same_tables(tables_mod.tables_for(500), want)
 
     def test_library_functions_take_no_tables(self):
         """Every module fetches its own tables: no public function of any
