@@ -15,6 +15,18 @@ The package evaluates, at desk scale and with exact-arithmetic cross-checks:
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread, set before the first import of numpy loads OpenBLAS, and
+# set whatever the environment says.  The pool OpenBLAS starts otherwise
+# spins a worker for about 0.12 s of CPU in every process, which is a
+# quarter of a short CLI cell's CPU time.  And np.dot / 1-D @ split sums of
+# more than 10**4 entries across its threads, so the float bits on stdout
+# (lemma 4's log variant, the omega moments) would depend on the CPU count
+# or on an inherited OPENBLAS_NUM_THREADS.  A host program that imported
+# numpy before primelab keeps the pool it already started.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .tables import ArithTables, build_tables, load_tables, save_tables, tables_for
 from .approximants import (
     ApproximantWeights,

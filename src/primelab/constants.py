@@ -2,7 +2,8 @@
 
 This module holds:
 
-* pinned literals for Euler's gamma and log(2*pi);
+* pinned literals for Euler's gamma, log(2*pi) and one prime sum at the
+  default cutoff;
 * the default truncations ``DEFAULT_P_CUT`` and ``CONST_P_CUT`` of the
   Euler products and prime sums, whose tails the callers record;
 * ``primes_up_to``, a cached prime list (numpy sieve, grow-only) bounded
@@ -25,6 +26,10 @@ LOG_2PI = 1.8378770664093453
 DEFAULT_P_CUT = 10**6
 #: default truncation for the universal prime-indexed constant sums
 CONST_P_CUT = 10**7
+#: sum over the odd primes p <= CONST_P_CUT of log p / (p (p - 2)), the bits
+#: of ``lemmas._sum_logp_p_pminus2``'s sieve sum (equal in the tests), so
+#: that the default log variant of Lemma 4 sieves no primes to 10**7
+LOGP_P_PMINUS2_SUM = 0.6340925259523582
 
 _prime_cache: dict[str, np.ndarray] = {}
 

@@ -46,7 +46,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import tables as _tables
-from .constants import CONST_P_CUT, DEFAULT_P_CUT, EULER_GAMMA, primes_up_to
+from .constants import (
+    CONST_P_CUT,
+    DEFAULT_P_CUT,
+    EULER_GAMMA,
+    LOGP_P_PMINUS2_SUM,
+    primes_up_to,
+)
 from .singular import singular_Sn
 from .tables import (
     TABLE_MAX,
@@ -666,7 +672,10 @@ def lemma4(
 
 
 def _sum_logp_p_pminus2(p_cut: int) -> float:
-    """sum over odd primes p <= p_cut of log p / (p (p-2)); tail O(log p_cut / p_cut)."""
+    """sum over odd primes p <= p_cut of log p / (p (p-2)); tail O(log p_cut / p_cut).
+    At the default CONST_P_CUT it is the pinned literal of the same bits."""
+    if p_cut == CONST_P_CUT:
+        return LOGP_P_PMINUS2_SUM
     ps = primes_up_to(p_cut).astype(np.float64)[1:]  # drop p = 2
     return float(np.sum(np.log(ps) / (ps * (ps - 2.0))))
 

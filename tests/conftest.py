@@ -13,6 +13,7 @@ import os
 
 import pytest
 
+# before any test module loads numpy, so that its BLAS has one thread
 from primelab import build_tables
 
 SMALL_N_MAX = 20_100

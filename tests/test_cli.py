@@ -554,7 +554,10 @@ class TestPinnedBytes:
     before the float and exact range routes were merged, and those of
     `sieve` and `lemma` before `sieve` streamed its counts and the walk
     kept only the values it reads back; those around the 2**18-entry check
-    block, before the tables were sieved segment by segment."""
+    block, before the tables were sieved segment by segment.  The lemma-4
+    log cell's digest holds the bits of a one-thread BLAS dot product, the
+    only count `import primelab` allows (the conftest imports primelab
+    before anything loads numpy)."""
 
     CELLS = {
         "lambda --r 1 --n 30":
@@ -624,7 +627,7 @@ class TestPinnedBytes:
         "lemma --which 4 --ladder 1,10,1e3,2e5 --params j=6,k=5 --p-cut 1e5":
             (0, "33636b444a9a9d9d357b1e96e20c5b9553a780717dfcddb2ea452408e5bf7738"),
         "lemma --which 4 --ladder 1,10,1e3,2e5 --params j=4,variant=log --p-cut 1e5":
-            (0, "5ad5f5e7e06d115b1f45fe00f760f293d0ac3efd02cdeb746df934e6904ea80d"),
+            (0, "1d796c130969f880f1e96def6234f26bf10eea0a6d6a35863a2c6e01126f6fc6"),
         "lemma --which 5 --ladder 1,10,1e3,2e5 --params J=30,k=3 --p-cut 1e5":
             (0, "4805fdd4c68a3d6bf5ce78c166980372060952f240ce46382158417b1c9ee383"),
     }
@@ -662,3 +665,33 @@ class TestDeterminism:
             assert proc.returncode == 0, proc.stderr.decode()
             runs.append(proc.stdout)
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("cell", [
+        "lemma --which 4 --ladder 1e4,1e5 --params j=6,variant=log",
+        "omega --n 1e5 --h 50 --r 1e3 --rho 0.3 --c couple",
+    ], ids=["lemma-log", "omega"])
+    def test_bit_identical_across_blas_threads(self, cell):
+        """Exit code and stdout do not depend on an inherited
+        OPENBLAS_NUM_THREADS: these cells' np.dot and 1-D @ sums run over
+        more than 10**4 entries, which a pool of BLAS threads would split."""
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        runs = set()
+        for threads in (None, "1", "2"):
+            run_env = env if threads is None else dict(env, OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(CLI + cell.split(), capture_output=True,
+                                  env=run_env, timeout=300)
+            runs.add((proc.returncode, proc.stdout))
+        assert len(runs) == 1, [code for code, _ in runs]
+
+
+def test_import_starts_no_blas_pool():
+    """`import primelab` leaves the process with one thread, even with a
+    two-thread BLAS asked for by the environment."""
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import os, primelab; print(len(os.listdir('/proc/self/task')))"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="2"), check=True)
+    assert proc.stdout.strip() == "1"

@@ -641,6 +641,26 @@ class TestLemma4:
         assert rep.lhs == tuple(-float(np.dot(vals[: t + 1], logn[: t + 1]))
                                 for t in (1000, x))
 
+    def test_pinned_prime_sum_is_the_sieve_sum(self, monkeypatch):
+        """The literal that stands in for the prime sum at the default
+        CONST_P_CUT has the bits of the sieve sum, with zero tolerance, and
+        the default log variant sieves no primes past DEFAULT_P_CUT."""
+        from primelab import constants, lemmas
+
+        sieve = lemmas.primes_up_to
+
+        def capped(n):
+            assert n <= constants.DEFAULT_P_CUT, n
+            return sieve(n)
+
+        monkeypatch.setattr(lemmas, "primes_up_to", capped)
+        rep = lemma4_log(2, (10,))
+        assert dict(rep.params)["p_cut"] == str(constants.CONST_P_CUT)
+        monkeypatch.undo()
+        monkeypatch.setattr(lemmas, "CONST_P_CUT", None)  # always sieve
+        sieved = lemmas._sum_logp_p_pminus2(constants.CONST_P_CUT)
+        assert sieved == constants.LOGP_P_PMINUS2_SUM
+
     def test_log_variant_odd(self):
         """2 not | j: lhs -> S_2(2j) log 2 / 2."""
         rep = lemma4_log(1, (10**6,))

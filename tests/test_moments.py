@@ -39,8 +39,6 @@ from primelab.moments import (
     stirling2,
 )
 
-SEED = 20260814
-
 
 class TestCombinatorics:
     def test_stirling_second_kind(self):
@@ -299,23 +297,25 @@ class TestMixedMoment:
 
 
 class TestOmegaExperiment:
-    def test_expansion_identity_exact_on_fractions(self):
-        """The binomial rearrangements behind m2 and m3 hold exactly for
-        arbitrary rational inputs (pure algebra, no number theory)."""
-        rng = np.random.default_rng(SEED)
-        for _ in range(30):
-            vals = [Fraction(int(x), int(y))
-                    for x, y in zip(rng.integers(-50, 50, size=7),
-                                    rng.integers(1, 20, size=7))]
-            su, sv, su2, suv, su2v, a, b = vals
-            n_terms = int(rng.integers(1, 100))
-            m2, m3 = omega_expansions(su, sv, su2, suv, su2v, a, b, n_terms)
-            # Reference: expand (U - a)(V - b) = UV - bU - aV + ab directly.
-            ref2 = suv - b * su - a * sv + a * b * n_terms
-            ref3 = (su2v - b * su2 - 2 * a * suv + 2 * a * b * su
-                    + a * a * sv - a * a * b * n_terms)
-            assert m2 == ref2
-            assert m3 == ref3
+    @settings(max_examples=100, deadline=None)
+    @given(
+        uv=st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
+                    min_size=1, max_size=12),
+        a=st.fractions(max_denominator=20),
+        b=st.fractions(max_denominator=20),
+    )
+    def test_expansion_identity_exact_on_fractions(self, uv, a, b):
+        """The binomial rearrangements of m2 and m3, fed the power sums of
+        integer arrays U and V, equal sum (U-a)(V-b) and sum (U-a)^2 (V-b)
+        summed term by term in Fractions, for rational a and b."""
+        su = sum(u for u, _ in uv)
+        sv = sum(v for _, v in uv)
+        su2 = sum(u * u for u, _ in uv)
+        suv = sum(u * v for u, v in uv)
+        su2v = sum(u * u * v for u, v in uv)
+        m2, m3 = omega_expansions(su, sv, su2, suv, su2v, a, b, len(uv))
+        assert m2 == sum((u - a) * (v - b) for u, v in uv)
+        assert m3 == sum((u - a) ** 2 * (v - b) for u, v in uv)
 
     def test_identity_residuals_small_cell(self):
         """Both expansion identities hold to rounding (relative residuals)."""
