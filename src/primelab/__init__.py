@@ -4,7 +4,8 @@ The package evaluates, at desk scale and with exact-arithmetic cross-checks:
 
 * the truncated divisor-sum approximants lambda_R(n) and LambdaBig_R(n),
   both as divisor weights (``build_weights``, ``biglambda_weights``) that
-  one range evaluator, ``lambda_R_range``, tabulates in float or exact form,
+  one block kernel, ``approximants.lambda_R_block``, tabulates in float or
+  exact form over any range of n (``lambda_R_range`` from n = 0),
 * Hardy-Littlewood singular series and their level constants,
 * correlation sums of the approximants over shift patterns,
 * window moments of psi_R and of psi over short intervals, their exact

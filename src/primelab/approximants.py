@@ -11,8 +11,9 @@ sum_{d | n} y_d with weights y_d supported on squarefree d <= R (0 for n <= 0):
   log p at primes p <= R: ``y_d = mu(d) * (log R - log d)``
   (``biglambda_weights``).
 
-``ApproximantWeights`` holds either vector and ``lambda_R_range`` tabulates
-any of them, in the dtype of the weights.  The lambda_R weights also exist
+``ApproximantWeights`` holds either vector and ``lambda_R_block`` tabulates
+any of them over a range of n, in the dtype of the weights
+(``lambda_R_range`` from n = 0).  The lambda_R weights also exist
 in an exact form, every y_d an integer over one common denominator
 D = lcm of the phi(r), as a numpy object array of Python ints (no
 overflow), so exact values run through the same numpy code downstream and
@@ -160,18 +161,27 @@ def lambda_R_direct(n: int, R: int) -> Fraction:
 def lambda_R_range(n_hi: int, weights: ApproximantWeights) -> np.ndarray:
     """Array L with L[n] = sum_{d | n} y_d for 0 <= n <= n_hi (L[0] = 0), in
     the dtype of ``weights.y``: float64 approximant values, or Python ints
-    D * lambda_R(n) for exact weights.
-
-    One slice update per d, ascending, so float sums round the same way on
-    every call.
-    """
+    D * lambda_R(n) for exact weights.  ``lambda_R_block`` over the whole
+    range."""
     if n_hi < 0:
         raise ValueError(f"n_hi must be >= 0, got {n_hi}")
-    out = np.zeros(n_hi + 1, dtype=weights.y.dtype)
+    return lambda_R_block(0, n_hi + 1, weights)
+
+
+def lambda_R_block(lo: int, hi: int, weights: ApproximantWeights) -> np.ndarray:
+    """L[i] = sum_{d | n} y_d at n = lo + i for lo <= n < hi, and 0 at
+    n <= 0, in the dtype of ``weights.y``.
+
+    One slice update per d, ascending, from 0: every n gets the same
+    additions in the same order whatever block holds it, so a range taken
+    block by block has the bits of one taken whole.
+    """
+    out = np.zeros(hi - lo, dtype=weights.y.dtype)
+    first = max(lo, 1)  # the first n > 0; the multiples of d from it on
     for d, y in zip(weights.d_values.tolist(), weights.y.tolist()):
-        if d > n_hi:
+        if d >= hi:
             break
-        out[d::d] += y
+        out[first - lo + (-first) % d :: d] += y
     return out
 
 

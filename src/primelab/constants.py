@@ -6,17 +6,15 @@ This module holds:
   default cutoff;
 * the default truncations ``DEFAULT_P_CUT`` and ``CONST_P_CUT`` of the
   Euler products and prime sums, whose tails the callers record;
-* ``primes_up_to``, a cached prime list (numpy sieve, grow-only) bounded
-  by ``tables.TABLE_MAX``.
+* ``primes_up_to``, a cached prime list (the sieve of
+  ``tables.eratosthenes``, grow-only) bounded by ``tables.TABLE_MAX``.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .tables import TABLE_MAX, _read_only
+from .tables import TABLE_MAX, _read_only, eratosthenes
 
 # Pinned 16-digit literals (checked against math.log/mpmath in the tests).
 EULER_GAMMA = 0.5772156649015329
@@ -45,12 +43,7 @@ def primes_up_to(n: int) -> np.ndarray:
     cached = _prime_cache.get("primes")
     if cached is not None and _prime_cache["limit"] >= n:
         return cached[: np.searchsorted(cached, n, side="right")]
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    primes = _read_only(np.flatnonzero(sieve).astype(np.int64))
+    primes = _read_only(eratosthenes(n))
     _prime_cache["primes"] = primes
     _prime_cache["limit"] = int(n)
     return primes

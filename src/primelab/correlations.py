@@ -46,11 +46,15 @@ import numpy as np
 
 from . import approximants as ap
 from . import singular as sg
+from . import tables as _tables
 from .constants import DEFAULT_P_CUT
 from .tables import (
     TABLE_MAX,
     ArithTables,
+    PairwiseSum,
+    higher_prime_powers,
     prime_divisors,
+    prime_powers_between,
     squarefree_divisors,
     tables_for,
 )
@@ -129,19 +133,6 @@ class CorrelationResult:
     primed_range: bool = False
 
 
-def _window(arr: np.ndarray, j: int, n_lo: int, n_hi: int) -> np.ndarray:
-    """Values arr[n + j] for n = n_lo..n_hi, taking index <= 0 as 0."""
-    count = n_hi - n_lo + 1
-    lo = n_lo + j
-    if lo >= 1:
-        return arr[lo : n_hi + j + 1]
-    out = np.zeros(count, dtype=arr.dtype)
-    first_n = 1 - j  # smallest n with n + j >= 1
-    if first_n <= n_hi:
-        out[first_n - n_lo :] = arr[1 : n_hi + j + 1]
-    return out
-
-
 def _check_range(N: int, pattern: ShiftPattern, primed: bool) -> tuple[int, int, int]:
     """(n_lo, n_hi, top): the range of n and the largest index n + j read."""
     if N < 1:
@@ -156,19 +147,62 @@ def _check_range(N: int, pattern: ShiftPattern, primed: bool) -> tuple[int, int,
     return n_lo, n_hi, top
 
 
-def _pattern_sum(arrays, shifts, mults, n_lo: int, n_hi: int):
-    """sum_{n=n_lo}^{n_hi} prod_i arrays[i][n + shifts[i]] ** mults[i].
+def _pattern_sum(sources, shifts, mults, n_lo: int, n_hi: int):
+    """sum_{n=n_lo}^{n_hi} prod_i f_i(n + shifts[i]) ** mults[i], taken
+    BLOCK_MAX values of n at a time.
 
-    Indices <= 0 read as 0.  Float arrays give a numpy float; object arrays
-    of Python ints give an exact Python int.  The factors multiply in the
-    order given, so a float sum rounds the same way on every call.
+    sources[i](lo, hi) gives f_i(lo..hi-1), 0 at arguments <= 0, as
+    float64 or as an object array of Python ints; a source given for
+    several factors is asked once per block, for the arguments all of them
+    read.  The factors multiply in the order given, so the products have
+    the same bits on every call, and their float sum is np.sum's over all
+    of them, bit for bit, through one ``PairwiseSum``: no array over the
+    values of n is built.  Exact ints give an exact Python int.
     """
-    # ** returns a new array, so the in-place products never write into arrays[0]
-    acc = _window(arrays[0], shifts[0], n_lo, n_hi) ** mults[0]
-    for arr, j, a in zip(arrays[1:], shifts[1:], mults[1:]):
-        w = _window(arr, j, n_lo, n_hi)
-        acc *= w if a == 1 else w**a
-    return np.sum(acc)
+    reads: dict = {}
+    for f, j in zip(sources, shifts):
+        lo, hi = reads.get(f, (j, j))
+        reads[f] = (min(lo, j), max(hi, j))
+    acc = PairwiseSum(n_hi - n_lo + 1)
+    step = _tables.BLOCK_MAX
+    for a in range(n_lo, n_hi + 1, step):
+        b = min(a + step, n_hi + 1)
+        vals = {f: f(a + lo, b + hi) for f, (lo, hi) in reads.items()}
+        prod = None
+        for f, j, m in zip(sources, shifts, mults):
+            at = j - reads[f][0]
+            w = vals[f][at : at + b - a]
+            if prod is None:
+                prod = w**m  # a new array, so the in-place products write into no source
+            else:
+                prod *= w if m == 1 else w**m
+        acc.add(prod)
+    return acc.total
+
+
+def _lambda_R_source(weights: ap.ApproximantWeights):
+    """lambda_R of the weights over [lo, hi), for ``_pattern_sum``."""
+    return lambda lo, hi: ap.lambda_R_block(lo, hi, weights)
+
+
+def _von_mangoldt_source(top: int):
+    """Lambda over [lo, hi), hi <= top + 1, 0 at n <= 1, for
+    ``_pattern_sum``: from the prime powers in the range
+    (``tables.prime_powers_between``) of ``tables_for(top)``.  The table
+    pages behind hi are dropped once read (``ArithTables.release``), so a
+    reader of ascending ranges holds only the pages around its current
+    one."""
+    tables = tables_for(top)
+    higher = higher_prime_powers(tables.spf)
+
+    def values(lo: int, hi: int) -> np.ndarray:
+        out = np.zeros(hi - lo, dtype=np.float64)
+        q, logs = prime_powers_between(tables.spf, lo, hi, higher)
+        out[q - lo] = logs
+        tables.release(max(lo, 0), hi)
+        return out
+
+    return values
 
 
 def s_k(
@@ -191,10 +225,8 @@ def s_k(
     if R < 1:
         raise ValueError(f"R must be >= 1, got {R}")
     weights = ap.build_weights(R, exact=exact)
-    lam_arr = ap.lambda_R_range(top, weights)
-    total = _pattern_sum(
-        [lam_arr] * pattern.r, pattern.shifts, pattern.multiplicities, n_lo, n_hi
-    )
+    total = _pattern_sum([_lambda_R_source(weights)] * pattern.r,
+                         pattern.shifts, pattern.multiplicities, n_lo, n_hi)
     if exact:
         total = Fraction(total, weights.denominator**pattern.k)
     return _result(
@@ -223,11 +255,10 @@ def s_tilde_k(
         raise ValueError(f"R must be >= 1, got {R}")
 
     # fetched before the weights, which then read a prefix of the same build
-    arrays = [tables_for(top).lam]
+    sources = [_von_mangoldt_source(top)]
     if pattern.r > 1:
-        lam_arr = ap.lambda_R_range(top, ap.build_weights(R))
-        arrays = [lam_arr] * (pattern.r - 1) + arrays
-    total = _pattern_sum(arrays, pattern.shifts, pattern.multiplicities, n_lo, n_hi)
+        sources = [_lambda_R_source(ap.build_weights(R))] * (pattern.r - 1) + sources
+    total = _pattern_sum(sources, pattern.shifts, pattern.multiplicities, n_lo, n_hi)
     return _result(
         N, pattern, R, total, mixed=True, primed_range=primed_range, p_cut=p_cut
     )
@@ -270,10 +301,8 @@ def psi_tuple(N: int, shifts: tuple[int, ...]) -> float:
     """psi_j(N) = sum_{n <= N} prod_i Lambda(n + j_i) over distinct shifts."""
     pattern = ShiftPattern(tuple(shifts), (1,) * len(shifts))
     _n_lo, _n_hi, top = _check_range(N, pattern, primed=False)
-    lam = tables_for(top).lam
-    return float(
-        _pattern_sum([lam] * pattern.r, pattern.shifts, pattern.multiplicities, 1, N)
-    )
+    sources = [_von_mangoldt_source(top)] * pattern.r
+    return float(_pattern_sum(sources, pattern.shifts, pattern.multiplicities, 1, N))
 
 
 # ---------------------------------------------------------------------------

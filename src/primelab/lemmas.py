@@ -37,7 +37,6 @@ normalization under which the error is expected to stay bounded:
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, zip_longest
@@ -56,8 +55,8 @@ from .constants import (
 from .singular import singular_Sn
 from .tables import (
     TABLE_MAX,
+    PairwiseSum,
     cumsum_blocks,
-    dyadic_blocks,
     factor_blocks,
     prime_divisors,
     squarefree_kernel,
@@ -300,85 +299,29 @@ def multiplicative_values(f: FactorFn, x: int) -> np.ndarray:
     return out
 
 
-#: numpy sums a float64 run of at most this many entries unsplit
-#: (PW_BLOCKSIZE of its pairwise summation)
-_PAIRWISE_LEAF = 128
-
-
-def _pairwise_split(a: int, b: int) -> int:
-    """Where numpy's pairwise summation splits [a, b) of more than
-    _PAIRWISE_LEAF entries: after n2 = n//2 - (n//2) % 8 of its n entries."""
-    n2 = (b - a) // 2
-    return a + n2 - n2 % 8
-
-
 class _LadderWalk:
     """The walk of f up to the top rung x with v stored densely only for
     n <= min(x/2, BLOCK_MAX), taking np.sum(v[: r + 1]) for each rung r on
-    the way, bit for bit.
+    the way, bit for bit: one ``tables.PairwiseSum`` of r + 1 entries per
+    rung, all fed the one pass of blocks.
 
-    Iterating it yields the walk's blocks (lo, hi, v); once they are
-    exhausted, ``sums`` holds the rung sums.  np.sum of a float64 run is
-    0.0 plus numpy's pairwise sum: a node [a, b) of more than 128 entries
-    is the sum of its two nodes either side of ``_pairwise_split``, and one
-    of at most 128 entries is added unsplit.  So np.sum of a node's entries
-    is that node's sum, and each rung's tree is cut, along the edges of the
-    blocks above the store, into whole nodes: one that lies in the store is
-    summed from it after the walk, one inside a single block as that block
-    passes, and one of at most 128 entries across an edge from a copy of
-    its entries.  The node sums are then added up the tree as numpy adds
-    them.  The shorter the store, the more nodes are summed as blocks pass.
+    Iterating it yields (0, 2, [v[0], v[1]]) = (0, 2, [0.0, 1.0]) and then
+    the walk's blocks (lo, hi, v); once they are exhausted, ``sums`` holds
+    the rung sums.
     """
 
     def __init__(self, f: FactorFn, ladder: tuple[int, ...]):
-        self.f, self.ladder, self.x = f, ladder, ladder[-1]
-        self.store = np.empty(min(max(self.x // 2, 1), _tables.BLOCK_MAX) + 1,
-                              dtype=np.float64)
-        # the lo of each block not kept whole; the first lies at or below
-        # store.size, as its block holds n = store.size
-        self.cuts = [lo for lo, hi in dyadic_blocks(self.x) if hi > self.store.size]
-        self.at: dict[int, set[tuple[int, int]]] = {}  # block lo -> nodes it holds
-        self.copies: dict[tuple[int, int], np.ndarray] = {}
-        self.node_sums: dict[tuple[int, int], float] = {}
-        for r in ladder:
-            self._plan(0, r + 1)
-
-    def _plan(self, a: int, b: int) -> None:
-        if b <= self.store.size:
-            return  # summed from the store after the walk
-        i, j = bisect_right(self.cuts, a), bisect_left(self.cuts, b)
-        if i < j and b - a > _PAIRWISE_LEAF:  # cuts[i:j] split [a, b)
-            mid = _pairwise_split(a, b)
-            self._plan(a, mid)
-            self._plan(mid, b)
-            return
-        if i < j:
-            self.copies[a, b] = np.empty(b - a, dtype=np.float64)
-        for lo in self.cuts[max(i - 1, 0) : j]:  # the blocks [a, b) meets
-            self.at.setdefault(lo, set()).add((a, b))
+        self.f, self.ladder = f, ladder
 
     def __iter__(self):
-        for lo, hi, v in _walk(self.f, self.x, self.store):
-            for a, b in self.at.get(lo, ()):
-                if lo <= a and b <= hi:
-                    self.node_sums[a, b] = float(np.sum(v[a - lo : b - lo]))
-                else:
-                    s, e = max(a, lo), min(b, hi)
-                    self.copies[a, b][s - a : e - a] = v[s - lo : e - lo]
+        x = self.ladder[-1]
+        store = np.empty(min(max(x // 2, 1), _tables.BLOCK_MAX) + 1, dtype=np.float64)
+        rungs = [PairwiseSum(r + 1) for r in self.ladder]
+        for lo, hi, v in chain([(0, 2, np.array([0.0, 1.0]))], _walk(self.f, x, store)):
+            for rung in rungs:
+                rung.add(v)
             yield lo, hi, v
-        kept = self.store.size
-        for (a, b), buf in self.copies.items():
-            buf[: max(kept - a, 0)] = self.store[a:kept]
-            self.node_sums[a, b] = float(np.sum(buf))
-        self.sums = tuple(0.0 + self._value(0, r + 1) for r in self.ladder)
-
-    def _value(self, a: int, b: int) -> float:
-        if b <= self.store.size:
-            return float(np.sum(self.store[a:b]))
-        if (a, b) in self.node_sums:
-            return self.node_sums[a, b]
-        mid = _pairwise_split(a, b)
-        return self._value(a, mid) + self._value(mid, b)
+        self.sums = tuple(rung.total for rung in rungs)
 
 
 def _rung_sums(f: FactorFn, ladder: tuple[int, ...]) -> tuple[float, ...]:
@@ -543,7 +486,7 @@ def lemma2(x_ladder: Sequence[int]) -> LemmaReport:
     f = _factor(lambda ps: -(ps - 2.0) / (ps * (ps - 1.0)))
     walk = _LadderWalk(f, ladder)
     top, bottom = -math.inf, math.inf
-    blocks = chain([np.ones(1)], (v for _lo, _hi, v in walk))  # v[1] = 1, then n >= 2
+    blocks = (v[1:] if lo == 0 else v for lo, _hi, v in walk)  # from n = 1
     for _lo, _hi, run in cumsum_blocks(blocks, np.float64):
         top = max(top, run.max())
         bottom = min(bottom, run.min())

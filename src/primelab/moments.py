@@ -45,14 +45,22 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import tables as _tables
 from .approximants import (
     ApproximantWeights,
     build_weights,
+    lambda_R_block,
     lambda_R_range,
     script_L_float,
 )
 from .correlations import _pattern_sum, c_of, relative_residual
-from .tables import TABLE_MAX, ArithTables, cumsum_blocks, tables_for
+from .tables import (
+    TABLE_MAX,
+    ArithTables,
+    PairwiseSum,
+    cumsum_blocks,
+    tables_for,
+)
 
 __all__ = [
     "MomentReport",
@@ -318,35 +326,114 @@ def _window_range(N: int, h: int, primed: bool) -> tuple[int, int]:
     return start, top
 
 
-def _lam_windows(
-    N: int, h: int, weights: ApproximantWeights, start: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(values, windows): lambda_R(0..start+N-1+h) and the N window sums.
+def _window_span(lo: int, hi: int, h: int, start: int, N: int) -> tuple[int, int]:
+    """(a, b): the n in [start, start + N) whose windows (n, n + h] end in
+    the block [lo, hi) of running sums."""
+    return max(lo - h, start), min(hi - h, start + N)
 
-    windows[i] = sum_{j=1}^{h} lambda_R(start+i+j), the difference of two
-    running sums h apart, read block by block off ``cumsum_blocks`` with the
+
+def _lam_windows(N: int, h: int, weights: ApproximantWeights, start: int):
+    """Yield (a, b, w) over consecutive blocks [a, b) of the n in
+    [start, start + N), in order: w[i] = sum_{j=1}^{h} lambda_R(a+i+j).
+
+    The windows are the differences of two running sums h apart over
+    lambda_R(0), lambda_R(1), ..., whose values come BLOCK_MAX at a time
+    (``lambda_R_block``) and are summed through ``cumsum_blocks`` with the
     last h sums carried over: long double for floats, rounded once into the
     float64 windows, so the h-fold sums carry no cancellation noise, and
-    Python ints scaled by D (object arrays) for exact weights.  No
-    n-entry running sum is built.
+    Python ints scaled by D (object arrays) for exact weights.  No array
+    over the n is built; w is valid until the next block is asked for.
     """
-    vals = lambda_R_range(start + N - 1 + h, weights)
-    win = np.empty(N, dtype=vals.dtype)
-    first = start + h  # the window ending at n covers (n - h, n]
-    for lo, hi, run in cumsum_blocks(vals, object if weights.exact else np.longdouble, h):
-        a = max(lo, first) - lo
-        b = hi - lo
+    top = start + N - 1 + h
+    step = _tables.BLOCK_MAX
+    values = (lambda_R_block(lo, min(lo + step, top + 1), weights)
+              for lo in range(0, top + 1, step))
+    out = np.empty(min(step, N), dtype=weights.y.dtype)
+    for lo, hi, run in cumsum_blocks(values, object if weights.exact else np.longdouble, h):
+        a, b = _window_span(lo, hi, h, start, N)
         if a < b:
-            np.subtract(run[h + a : h + b], run[a:b], casting="same_kind",
-                        out=win[lo + a - first : hi - first])
-    return vals, win
+            i = a - lo + h  # run[h + i] is the running sum to n + h, run[i] to n
+            w = out[: b - a]
+            np.subtract(run[h + i : h + i + b - a], run[i : i + b - a], casting="same_kind", out=w)
+            yield a, b, w
 
 
-def _psi_windows(N: int, h: int, tables: ArithTables, start: int) -> np.ndarray:
-    """windows[i] = psi(start+i+h) - psi(start+i) from ``psi_prefix``;
-    tables must reach start + N - 1 + h."""
-    pp = tables.psi_prefix
-    return pp[start + h : start + N + h] - pp[start : start + N]
+def _psi_blocks(tables: ArithTables, top: int, keep: int):
+    """Yield (lo, hi, q, logs, psi) over the blocks [lo, hi) of
+    ``tables.prime_power_blocks`` covering 0..top, in order: q the prime
+    powers in the block and logs = Lambda(q), psi[keep + i] = psi(lo + i)
+    and psi[:keep] the keep values before the block (0 before 0).
+
+    psi is ``ArithTables.psi_prefix`` a block at a time: one long-double
+    running sum of Lambda over the prime powers alone, through
+    ``cumsum_blocks``, rounded once per prime power to float64 and repeated
+    over the gaps between them.  One pass of prime powers serves the
+    Lambda and the psi reads, and the table pages behind each block are
+    dropped once it is read.  psi is valid until the next block is asked
+    for.
+    """
+    current = []  # the block whose logs cumsum_blocks last took
+
+    def log_blocks():
+        for block in _tables.prime_power_blocks(tables.spf[: top + 1]):
+            current[:] = [block]
+            yield block[3]
+            tables.release(*block[:2])
+
+    buf = np.zeros(_tables.BLOCK_MAX + keep, dtype=np.float64)
+    last = 0.0  # psi at the prime powers before the block
+    for _a, _b, run in cumsum_blocks(log_blocks(), np.longdouble):
+        lo, hi, q, logs = current[0]
+        steps = np.concatenate(([last], run.astype(np.float64)))
+        psi = buf[: keep + hi - lo]
+        psi[keep:] = np.repeat(steps, np.diff(q, prepend=lo, append=hi))
+        last = steps[-1]
+        yield lo, hi, q, logs, psi
+        buf[:keep] = psi[psi.size - keep :]
+
+
+def _psi_window(lo: int, hi: int, psi: np.ndarray, h: int, start: int, N: int):
+    """(a, b, w): the n in [start, start + N) whose windows end in the
+    block [lo, hi) of ``_psi_blocks`` (keep = h), and w[i] = psi(a+i+h) -
+    psi(a+i) for them, the bits of psi_prefix[n + h] - psi_prefix[n]."""
+    a, b = _window_span(lo, hi, h, start, N)
+    i = a - lo + h
+    return a, b, psi[h + i : h + i + max(b - a, 0)] - psi[i : i + max(b - a, 0)]
+
+
+def _psi_windows(N: int, h: int, tables: ArithTables, start: int):
+    """Yield (a, b, w) over consecutive blocks [a, b) of the n in
+    [start, start + N), in order: w[i] = psi(a+i+h) - psi(a+i)
+    (``_psi_window``); tables must reach start + N - 1 + h.  No array over
+    the n is built."""
+    for lo, hi, _q, _logs, psi in _psi_blocks(tables, start + N - 1 + h, h):
+        a, b, w = _psi_window(lo, hi, psi, h, start, N)
+        if a < b:
+            yield a, b, w
+
+
+def _copy_overlap(dst: np.ndarray, at: int, src: np.ndarray, lo: int) -> None:
+    """dst[i] holds the value at at + i and src[i] the value at lo + i:
+    copy src into dst where the two ranges meet."""
+    s, e = max(at, lo), min(at + dst.size, lo + src.size)
+    if s < e:
+        dst[s - at : e - at] = src[s - lo : e - lo]
+
+
+def _scatter_lambda(dst: np.ndarray, at: int, q: np.ndarray, logs: np.ndarray) -> None:
+    """dst[i] holds Lambda(at + i), 0 until set: set it at the prime powers
+    q of a block, with logs = Lambda(q), that fall in its range."""
+    i, j = np.searchsorted(q, (at, at + dst.size))
+    dst[q[i:j] - at] = logs[i:j]
+
+
+def _dense_windows(windows, N: int, start: int) -> np.ndarray:
+    """The N windows of a window generator as one float64 array, for the
+    sums that BLAS dot products take whole."""
+    out = np.empty(N, dtype=np.float64)
+    for a, b, w in windows:
+        out[a - start : b - start] = w
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -374,9 +461,11 @@ def moment_psiR(
         raise ValueError(f"need N >= 2, h >= 1, k >= 1, got N={N}, h={h}, k={k}")
     start, _top = _window_range(N, h, primed)
     weights = build_weights(R, exact=exact)
-    win = _lam_windows(N, h, weights, start)[1]
-    win **= k  # in place, the same bits as win**k
-    total = np.sum(win)
+    acc = PairwiseSum(N)
+    for _a, _b, w in _lam_windows(N, h, weights, start):
+        w **= k  # in place, the same bits as w**k
+        acc.add(w)
+    total = acc.total
     computed = Fraction(total, weights.denominator**k) if exact else float(total)
     via: float | Fraction | None = None
     resid: float | Fraction | None = None
@@ -428,12 +517,16 @@ def expand_via_correlations(
     start, n_top = _window_range(N, h, primed)
     weights = build_weights(R, exact=exact)
     vals = lambda_R_range(n_top, weights)
+
+    def dense(lo: int, hi: int) -> np.ndarray:
+        return vals[lo:hi]  # lo >= start + 1 >= 2
+
     terms = []
     for r in range(1, k + 1):
         comps = list(_compositions(k, r))
         for js in combinations(range(1, h + 1), r):
             for a in comps:
-                sk = _pattern_sum([vals] * r, js, a, start, start + N - 1)
+                sk = _pattern_sum([dense] * r, js, a, start, start + N - 1)
                 terms.append(_multinomial(k, a) * sk)
     if exact:
         return Fraction(sum(terms), weights.denominator**k)
@@ -462,11 +555,13 @@ def moment_psi(
     if N < 2 or h < 1 or k < 1:
         raise ValueError(f"need N >= 2, h >= 1, k >= 1, got N={N}, h={h}, k={k}")
     start, top = _window_range(N, h, primed)
-    win = _psi_windows(N, h, tables_for(top), start)
-    if centered:
-        win -= float(h)
-    win **= k
-    computed = float(np.sum(win))
+    acc = PairwiseSum(N)
+    for _a, _b, w in _psi_windows(N, h, tables_for(top), start):
+        if centered:
+            w -= float(h)
+        w **= k
+        acc.add(w)
+    computed = acc.total
     predicted = (
         ms_prediction(N, h, k) if centered else
         (gallagher_prediction(N, h, k) if k <= 20 else None)
@@ -504,42 +599,43 @@ def first_moment_identity(N: int, h: int) -> FirstMomentReport:
     if not 1 <= h <= N:
         raise ValueError(f"need 1 <= h <= N, got h={h}, N={N}")
     tables = tables_for(N + h)
-    pp = tables.psi_prefix
-    # q runs over the prime powers <= N + h: the support of Lambda
-    q, logs = tables.prime_powers
+    # one pass over Lambda and psi(0..N+h): the windows summed as they
+    # come; psi kept at 0..h and N..N+h, and Lambda at 2..h and N+1..N+h;
+    # and the integer log-coefficient vectors of the three routes compared
+    # on each block's prime powers q
+    acc = PairwiseSum(N)
+    low, high = np.empty(h + 1), np.empty(h + 1)  # psi(0..h), psi(N..N+h)
+    lam_low, lam_high = np.zeros(max(h - 1, 0)), np.zeros(h)  # Lambda(2..h), (N+1..N+h)
+    equal_12 = equal_13 = True
+    for lo, hi, q, logs, psi in _psi_blocks(tables, N + h, h):
+        _copy_overlap(low, 0, psi[h:], lo)
+        _copy_overlap(high, N, psi[h:], lo)
+        _scatter_lambda(lam_low, 2, q, logs)
+        _scatter_lambda(lam_high, N + 1, q, logs)
+        acc.add(_psi_window(lo, hi, psi, h, 1, N)[2])
+        c1 = np.zeros(q.shape, dtype=np.int64)
+        for d in range(1, h + 1):
+            c1 += ((q >= 1 + d) & (q <= N + d)).astype(np.int64)
+        c2 = np.where(q <= h, q - 1, np.where(q <= N, h, N + h - q + 1)).astype(np.int64)
+        c3 = (
+            np.ones(q.shape, dtype=np.int64)
+            - (q <= N).astype(np.int64)
+            - (q <= h).astype(np.int64)
+            - np.maximum(h - 1 - np.maximum(q, 2) + 1, 0)
+            + np.maximum(N + h - 1 - np.maximum(q, N) + 1, 0)
+        )
+        equal_12 &= bool(np.array_equal(c1, c2))
+        equal_13 &= bool(np.array_equal(c1, c3))
 
-    def lam_slice(lo: int, hi: int) -> np.ndarray:
-        """Lambda(lo..hi-1) as a dense float64 array."""
-        out = np.zeros(hi - lo, dtype=np.float64)
-        i, j = np.searchsorted(q, (lo, hi))
-        out[q[i:j] - lo] = logs[i:j]
-        return out
-
-    direct = float(np.sum(pp[1 + h : N + 1 + h] - pp[1 : N + 1]))
-
-    piece1 = float(np.dot(np.arange(1, h, dtype=np.float64), lam_slice(2, h + 1))) if h >= 2 else 0.0
-    piece2 = h * (float(pp[N]) - float(pp[h]))
-    piece3 = float(
-        np.dot(np.arange(h, 0, -1, dtype=np.float64), lam_slice(N + 1, N + h + 1))
-    )
+    direct = acc.total
+    piece1 = float(np.dot(np.arange(1, h, dtype=np.float64), lam_low)) if h >= 2 else 0.0
+    piece2 = h * (float(high[0]) - float(low[h]))
+    piece3 = float(np.dot(np.arange(h, 0, -1, dtype=np.float64), lam_high))
     three_piece = piece1 + piece2 + piece3
 
-    mid_lo = float(np.sum(pp[2:h])) if h >= 3 else 0.0  # sum_{i=2}^{h-1} psi(i)
-    mid_hi = float(np.sum(pp[N : N + h]))  # sum_{i=N}^{N+h-1} psi(i)
-    psi_form = float(pp[N + h]) - float(pp[N]) - float(pp[h]) - mid_lo + mid_hi
-
-    # integer log-coefficient vectors over prime powers q <= N + h
-    c1 = np.zeros(q.shape, dtype=np.int64)
-    for d in range(1, h + 1):
-        c1 += ((q >= 1 + d) & (q <= N + d)).astype(np.int64)
-    c2 = np.where(q <= h, q - 1, np.where(q <= N, h, N + h - q + 1)).astype(np.int64)
-    c3 = (
-        np.ones(q.shape, dtype=np.int64)
-        - (q <= N).astype(np.int64)
-        - (q <= h).astype(np.int64)
-        - np.maximum(h - 1 - np.maximum(q, 2) + 1, 0)
-        + np.maximum(N + h - 1 - np.maximum(q, N) + 1, 0)
-    )
+    mid_lo = float(np.sum(low[2:h])) if h >= 3 else 0.0  # sum_{i=2}^{h-1} psi(i)
+    mid_hi = float(np.sum(high[:h]))  # sum_{i=N}^{N+h-1} psi(i)
+    psi_form = float(high[h]) - float(high[0]) - float(low[h]) - mid_lo + mid_hi
 
     vals = [direct, three_piece, psi_form]
     max_diff = max(abs(a - b) for a in vals for b in vals)
@@ -549,8 +645,8 @@ def first_moment_identity(N: int, h: int) -> FirstMomentReport:
         direct=direct,
         three_piece=three_piece,
         psi_form=psi_form,
-        exact_equal_12=bool(np.array_equal(c1, c2)),
-        exact_equal_13=bool(np.array_equal(c1, c3)),
+        exact_equal_12=equal_12,
+        exact_equal_13=equal_13,
         max_abs_diff=max_diff,
     )
 
@@ -589,13 +685,21 @@ def mixed_moment(
     # fetched before the weights, which then read a prefix of the same build
     tables = tables_for(top)
     weights = build_weights(R)
-    lam_vals, U = _lam_windows(N, h, weights, start)
-    V = _psi_windows(N, h, tables, start)
-    lamv = tables.lam
+    U = _dense_windows(_lam_windows(N, h, weights, start), N, start)
+    # psi windows, and lambda_R and Lambda at start + 1 .. top, the n + j
+    # the windows read, Lambda from the pass that gives psi
+    V = np.empty(N, dtype=np.float64)
+    lamv = np.zeros(top - start, dtype=np.float64)
+    for lo, hi, q, logs, psi in _psi_blocks(tables, top, h):
+        _scatter_lambda(lamv, start + 1, q, logs)
+        a, b, w = _psi_window(lo, hi, psi, h, start, N)
+        if a < b:
+            V[a - start : b - start] = w
+    lam_vals = lambda_R_block(start + 1, top + 1, weights)
     L1 = script_L_float(R)
 
-    lam_wins = [lam_vals[start + j : start + N + j] for j in range(1, h + 1)]
-    von_wins = [lamv[start + j : start + N + j] for j in range(1, h + 1)]
+    lam_wins = [lam_vals[j - 1 : N + j - 1] for j in range(1, h + 1)]
+    von_wins = [lamv[j - 1 : N + j - 1] for j in range(1, h + 1)]
 
     T1 = float(np.sum(V))
     UVs = float(U @ V)
@@ -694,8 +798,8 @@ def omega_experiment(
     # fetched before the weights, which then read a prefix of the same build
     tables = tables_for(top)
     weights = build_weights(R)
-    _, U = _lam_windows(N, h, weights, start)
-    V = _psi_windows(N, h, tables, start)
+    U = _dense_windows(_lam_windows(N, h, weights, start), N, start)
+    V = _dense_windows(_psi_windows(N, h, tables, start), N, start)
 
     a = h + C * A
     b = h + rho * A

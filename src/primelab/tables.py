@@ -22,7 +22,8 @@ already gives: so spf fits in 16 bits, and ``factor_blocks`` decodes it
 
 One segmented sieve makes spf and mu (``sieve_segments``): segments of
 SIEVE_SEGMENT = 2**18 entries, one check block of the cache file, sieved in
-turn by the primes p <= isqrt(n_max) of a small local sieve.  In a segment
+turn by the primes p <= isqrt(n_max) of ``eratosthenes``, the one plain
+sieve of Eratosthenes, which ``constants.primes_up_to`` caches too.  In a segment
 [lo, hi) every p with p^2 < hi writes spf = p at its multiples >= p^2, the
 largest p first so the least prime factor stays; negates mu at its
 multiples and zeroes it at those of p^2; and multiplies an int32 prod of
@@ -40,21 +41,30 @@ back v only at m = n/P for squarefree n, and such an m has m * P(m) < x.
 So a walk that needs only prefix sums keeps its values densely only up to
 BLOCK_MAX and, above that, only at the squarefree n with n * P(n) <= x
 (2,869 values at x = 10**7, none above 10**6), its lpf array only at the
-odd n <= x/2, and takes its rung sums as the blocks pass, in numpy's
-pairwise order (``lemmas._LadderWalk``).  ``cumsum_blocks`` streams a
-running sum over an array or over such blocks, carrying as many earlier
-sums as a window difference needs.
+odd n <= x/2, and takes its rung sums as the blocks pass
+(``lemmas._LadderWalk``).  ``cumsum_blocks`` streams a running sum over an
+array or over such blocks, carrying as many earlier sums as a window
+difference needs.  ``PairwiseSum`` is the one sum over streamed blocks:
+fed them in order, it returns np.sum of all their entries bit for bit, in
+numpy's pairwise order, holding O(log n) partial sums; it serves the lemma
+rungs and every sum over n of ``correlations`` and ``moments``.
 
 ``prime_power_blocks`` yields the prime powers and their Lambda block by
 block, BLOCK_MAX entries of spf at a time, with the few higher powers
-merged in; ``prime_powers`` joins its blocks, and ``sieve`` streams them
-with mu in one pass, so it builds no array over n or over the primes.
+(``higher_prime_powers``) merged in, and ``prime_powers_between`` those of
+any one range; ``prime_powers`` joins the blocks, and ``sieve`` streams
+them with mu in one pass, so it builds no array over n or over the primes.
 
 The stored arrays take 3 bytes per entry (2+1), so n_max = 10**7 costs
-~30 MB; phi, lam and psi_prefix each add 8 bytes per entry once read, and
-prime_powers and psi_steps 8 to 16 bytes per prime power (about 8% of the
-entries at 10**6); all are read-only.  psi_steps is taken from
-prime_powers alone, so psi_prefix derives no lam.  A build in memory holds
+~30 MB.  phi adds 8 bytes per entry once read; the commands read it only
+up to R, for the lambda_R weights.  lam and psi_prefix would add 8 bytes
+per entry, and prime_powers and psi_steps 8 to 16 bytes per prime power
+(about 8% of the entries at 10**6), but no command reads them: the sums
+over n take Lambda and psi a block at a time from ``prime_power_blocks``
+and ``prime_powers_between`` and hold O(BLOCK_MAX) entries whatever n.
+They stay, read-only, as the references the tests compare those sums
+with; psi_steps is taken from prime_powers alone, so psi_prefix derives
+no lam.  A build in memory holds
 the 3 bytes per entry and one segment's buffers (about 3 MB at 2**18
 entries); a build into a file (``build_tables`` with a path) writes each
 segment where it belongs in the file as it is sieved and then maps the
@@ -75,9 +85,9 @@ the requested prefix on every load, reading them with ``os.preadv`` into
 one reused buffer rather than through the mapping: the mapping then holds
 only the pages a command reads, pages it never touches are never loaded,
 and damaged bytes are never used.  A reader that passes through the tables
-once, as the lemmas' walk and ``sieve`` do, drops the pages behind it
-(``ArithTables.release``), so a pass over a mapped file holds only the
-pages around its current block, not all it has passed.
+once, as the lemmas' walk, ``sieve`` and the sums over n do, drops the
+pages behind it (``ArithTables.release``), so a pass over a mapped file
+holds only the pages around its current block, not all it has passed.
 """
 
 from __future__ import annotations
@@ -215,16 +225,17 @@ def dyadic_blocks(n: int):
         lo = hi
 
 
-def _base_primes(n: int) -> list[int]:
-    """The primes up to isqrt(n), ascending: a plain sieve of Eratosthenes
-    over at most isqrt(TABLE_MAX) + 1 = 46341 entries."""
-    top = math.isqrt(n)
+def eratosthenes(top: int) -> np.ndarray:
+    """The primes up to top, ascending, as int64: a plain sieve of
+    Eratosthenes over top + 1 bytes.  The segmented sieve takes its
+    sieving primes from it, and ``constants.primes_up_to`` its cached
+    prime list."""
     is_prime = np.ones(top + 1, dtype=bool)
     is_prime[:2] = False
     for i in range(2, math.isqrt(top) + 1):
         if is_prime[i]:
             is_prime[i * i :: i] = False
-    return np.flatnonzero(is_prime).tolist()
+    return np.flatnonzero(is_prime).astype(np.int64, copy=False)
 
 
 def sieve_segments(n: int):
@@ -242,7 +253,7 @@ def sieve_segments(n: int):
     spf and mu are views of buffers reused from segment to segment, so
     they are only valid until the next segment is asked for.
     """
-    primes = _base_primes(n)
+    primes = eratosthenes(math.isqrt(n)).tolist()
     size = min(SIEVE_SEGMENT, n + 1)
     ramp = np.arange(size, dtype=np.int32)
     spf_buf = np.empty(size, dtype=np.uint16)
@@ -298,13 +309,22 @@ def prime_power_blocks(spf: np.ndarray):
     """Yield (lo, hi, q, logs) over the blocks [lo, hi) of BLOCK_MAX entries
     covering 0..n, n = spf.size - 1, in order: q the ascending prime powers
     in the block (int64) and logs = Lambda(q), np.log at the primes and
-    math.log of p at the higher powers p^e.
+    math.log of p at the higher powers p^e (``prime_powers_between``).
 
-    The primes come from the block of spf (the n >= 2 where spf[n] = 0) and
-    the few higher powers (555 at n = 10^7), sorted on their own, are
-    inserted among them, so no array over all n or all prime powers is
-    built or sorted.  Every block holds at most hi - lo prime powers.
+    No array over all n or all prime powers is built or sorted.  Every
+    block holds at most hi - lo prime powers.
     """
+    n = spf.size - 1
+    higher = higher_prime_powers(spf)
+    for lo in range(0, n + 1, BLOCK_MAX):
+        hi = min(lo + BLOCK_MAX, n + 1)
+        yield (lo, hi, *prime_powers_between(spf, lo, hi, higher))
+
+
+def higher_prime_powers(spf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(q, logs) over the prime powers q = p^e <= spf.size - 1 with e >= 2,
+    q ascending (int64), and logs = math.log(p): 555 of them at 10^7, read
+    off the primes up to the square root."""
     n = spf.size - 1
     higher = []
     for p in (np.flatnonzero(spf[2 : math.isqrt(n) + 1] == 0) + 2).tolist():
@@ -314,17 +334,23 @@ def prime_power_blocks(spf: np.ndarray):
             higher.append((q, lp))
             q *= p
     higher.sort()
-    higher_q = np.array([q for q, _ in higher], dtype=np.int64)
-    higher_logs = np.array([lp for _, lp in higher], dtype=np.float64)
-    for lo in range(0, n + 1, BLOCK_MAX):
-        hi = min(lo + BLOCK_MAX, n + 1)
-        start = max(lo, 2)
-        primes = np.flatnonzero(spf[start:hi] == 0)
-        primes += start
-        a, b = np.searchsorted(higher_q, (lo, hi))
-        at = np.searchsorted(primes, higher_q[a:b])
-        logs = np.insert(np.log(primes.astype(np.float64)), at, higher_logs[a:b])
-        yield lo, hi, np.insert(primes, at, higher_q[a:b]), logs
+    return (np.array([q for q, _ in higher], dtype=np.int64),
+            np.array([lp for _, lp in higher], dtype=np.float64))
+
+
+def prime_powers_between(spf: np.ndarray, lo: int, hi: int, higher) -> tuple[np.ndarray, np.ndarray]:
+    """(q, logs) over the prime powers lo <= q < hi, ascending: the primes
+    from spf[lo:hi] (the n >= 2 where spf[n] = 0), with np.log of each, and
+    the ``higher_prime_powers`` of spf in the range inserted among them.
+    Reads spf only at [max(lo, 2), hi); lo may be negative."""
+    higher_q, higher_logs = higher
+    start = max(lo, 2)
+    primes = np.flatnonzero(spf[start : max(hi, start)] == 0)
+    primes += start
+    a, b = np.searchsorted(higher_q, (lo, hi))
+    at = np.searchsorted(primes, higher_q[a:b])
+    logs = np.insert(np.log(primes.astype(np.float64)), at, higher_logs[a:b])
+    return np.insert(primes, at, higher_q[a:b]), logs
 
 
 def _von_mangoldt(q: np.ndarray, logs: np.ndarray, n: int) -> np.ndarray:
@@ -363,6 +389,83 @@ def cumsum_blocks(values, dtype, keep: int = 0):
         yield lo, hi, acc[head - keep :]
         buf[:head] = acc[-head:]
         lo = hi
+
+
+#: numpy sums a float64 run of at most this many entries unsplit
+#: (PW_BLOCKSIZE of its pairwise summation)
+_PAIRWISE_LEAF = 128
+
+
+class PairwiseSum:
+    """np.sum of n float64 entries fed in order, block by block, bit for bit.
+
+    np.sum of a float64 run is 0.0 plus numpy's pairwise sum: a node [a, b)
+    of more than 128 entries is the sum of its two nodes either side of
+    a + m - m % 8, m = (b - a) // 2, and a node of at most 128 entries is
+    added unsplit.  So np.sum of a node's entries is that node's sum (up to
+    the sign of a zero, which no later addition but 0.0 + 0.0 can see).
+    Each block cuts the tree along its edges into whole nodes: a node
+    inside the block is summed as the block passes, and a node of at most
+    128 entries across an edge from a copy of its entries once its last
+    entry has come.  The node sums are added up the tree as numpy adds
+    them, and a finished node's sum is kept only until its sibling's is
+    known, so the accumulator holds O(log n) sums and one 128-entry copy,
+    whatever n and the block sizes.
+
+    ``add`` takes the next entries; those past the n-th are ignored, so one
+    pass of blocks can feed sums of different lengths.  ``total`` is the
+    sum once all n entries have come (0.0 for n = 0).  The blocks need not
+    outlive the call: a reused buffer may be passed.  Object blocks of
+    Python ints, as exact modes make, are summed exactly, in any order,
+    and ``total`` is then their Python int sum, np.sum's too.
+    """
+
+    def __init__(self, n: int):
+        self.n, self.fed = n, 0
+        self._done: dict[tuple[int, int], float] = {}  # left nodes awaiting a sibling
+        self._leaf = np.empty(min(n, _PAIRWISE_LEAF), dtype=np.float64)
+        self._total = 0.0 if n == 0 else None
+
+    def add(self, block: np.ndarray) -> None:
+        lo = self.fed
+        block = block[: self.n - lo]
+        if not block.size:
+            return
+        self.fed += block.size
+        if block.dtype == object:
+            self._total = np.sum(block) + (self._total or 0)
+            return
+        root = self._node(0, self.n, block, lo)
+        if root is not None:
+            self._total = 0.0 + root
+
+    @property
+    def total(self):
+        if self.fed < self.n:
+            raise ValueError(f"{self.fed} of {self.n} entries summed")
+        return self._total
+
+    def _node(self, a: int, b: int, block: np.ndarray, lo: int) -> float | None:
+        """The sum of node [a, b), which the block [lo, lo + block.size)
+        meets, if its last entry has now come; None otherwise."""
+        hi = lo + block.size
+        if lo <= a and b <= hi:
+            return float(np.sum(block[a - lo : b - lo]))
+        if b - a <= _PAIRWISE_LEAF:
+            s, e = max(a, lo), min(b, hi)
+            self._leaf[s - a : e - a] = block[s - lo : e - lo]
+            return float(np.sum(self._leaf[: b - a])) if b <= hi else None
+        m = (b - a) // 2
+        mid = a + m - m % 8
+        left = self._done.pop((a, mid), None)
+        if left is None:
+            left = self._node(a, mid, block, lo)
+        right = None if left is None or mid >= hi else self._node(mid, b, block, lo)
+        if right is None:
+            if left is not None:
+                self._done[a, mid] = left
+            return None
+        return left + right
 
 
 def build_tables(n_max: int, path: str | os.PathLike | None = None) -> ArithTables:

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from primelab import (
     biglambda_weights,
@@ -23,7 +24,7 @@ from primelab import (
     script_L,
     script_L_float,
 )
-from primelab.approximants import sigma_phi_bound
+from primelab.approximants import lambda_R_block, sigma_phi_bound
 from primelab.constants import primes_up_to
 
 SEED = 20260814
@@ -107,6 +108,43 @@ class TestLambdaRange:
             for p in sympy.factorint(n):
                 kernel *= p
             assert lambda_R_direct(n, R) == lambda_R_direct(kernel, R), (n, R)
+
+
+class TestLambdaRBlock:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        R=st.integers(1, 60),
+        kind=st.sampled_from(["float", "exact", "biglambda"]),
+        lo=st.integers(-50, 300),
+        sizes=st.lists(st.integers(1, 90), min_size=1, max_size=8),
+    )
+    def test_property_blocks_are_one_scatter(self, R, kind, lo, sizes):
+        """lambda_R over consecutive ragged blocks, from a lo that may be
+        negative, has the bytes (the Python ints in exact mode) of one
+        ascending-d scatter over the whole range from n = 0, the values of
+        the n <= 0 being 0, and ``lambda_R_range`` is that scatter."""
+        weights = (biglambda_weights(R) if kind == "biglambda"
+                   else build_weights(R, exact=kind == "exact"))
+        hi = lo + sum(sizes)
+        ref = np.zeros(max(hi, 1), dtype=weights.y.dtype)
+        for d, y in zip(weights.d_values.tolist(), weights.y.tolist()):
+            ref[d::d] += y
+        want = np.zeros(hi - lo, dtype=ref.dtype)
+        first = max(lo, 0)
+        if first < hi:
+            want[first - lo :] = ref[first:hi]
+        got, at = [], lo
+        for size in sizes:
+            got.append(lambda_R_block(at, at + size, weights))
+            at += size
+        got = np.concatenate(got)
+        assert got.dtype == ref.dtype
+        assert list(got) == list(want) if kind == "exact" else got.tobytes() == want.tobytes()
+        whole = lambda_R_range(hi - 1, weights) if hi >= 1 else None
+        if whole is not None:
+            assert whole.dtype == ref.dtype and list(whole) == list(ref[:hi])
+            if kind != "exact":
+                assert whole.tobytes() == ref[:hi].tobytes()
 
 
 class TestBigLambda:
@@ -219,6 +257,24 @@ class TestPrimesUpTo:
         monkeypatch.setattr(np, "ones", ones)
         with pytest.raises(ValueError, match="beyond"):
             primes_up_to(TABLE_MAX + 1)
+
+    def test_lists_match_sympy_fresh_and_cached(self, monkeypatch):
+        """The prime list is sympy's, as int64, from a fresh sieve, from a
+        grown one and as a prefix of the cache; and the segmented table
+        sieve's primes come from the same sieve of Eratosthenes."""
+        from primelab import constants
+        from primelab import tables as tables_mod
+
+        monkeypatch.setattr(constants, "_prime_cache", {})
+        for n in (0, 1, 2, 3, 4, 97, 1000, 65537, 30, 2):
+            got = primes_up_to(n)
+            assert got.dtype == np.int64
+            assert got.tolist() == list(sympy.primerange(2, n + 1)), n
+        seen = []
+        real = tables_mod.eratosthenes
+        monkeypatch.setattr(tables_mod, "eratosthenes", lambda top: seen.append(top) or real(top))
+        tables_mod.build_tables(10_000)
+        assert seen == [100]
 
 
 class TestSigmaPhiBound:

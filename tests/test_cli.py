@@ -557,7 +557,12 @@ class TestPinnedBytes:
     block, before the tables were sieved segment by segment.  The lemma-4
     log cell's digest holds the bits of a one-thread BLAS dot product, the
     only count `import primelab` allows (the conftest imports primelab
-    before anything loads numpy)."""
+    before anything loads numpy).  The cells at N = 2e5, more than three
+    blocks of 2**16 values of n, were recorded while `correlate` and
+    `moments` still summed whole N-entry arrays: a negative shift on
+    lambda_R and on Lambda, the mixed primed range, psi moments centred,
+    uncentred and primed, the first moment, float and exact psi_R moments,
+    the mixed moment and `omega`, and an exact correlation."""
 
     CELLS = {
         "lambda --r 1 --n 30":
@@ -630,6 +635,32 @@ class TestPinnedBytes:
             (0, "1d796c130969f880f1e96def6234f26bf10eea0a6d6a35863a2c6e01126f6fc6"),
         "lemma --which 5 --ladder 1,10,1e3,2e5 --params J=30,k=3 --p-cut 1e5":
             (0, "4805fdd4c68a3d6bf5ce78c166980372060952f240ce46382158417b1c9ee383"),
+        "correlate --n 2e5 --r 30 --pattern 0:1,-3:2":
+            (0, "c9993c1ba18daf73571fa670bed33009ed75cfe438fe8c7c0bcc31a7b9d79209"),
+        "correlate --n 2e5 --r 30 --pattern 0:1,2:1 --mixed --primed-range":
+            (0, "681fe282017b147abe9be2ca35486167629ae411ea5d0577841e80ae67cf3596"),
+        "correlate --n 2e5 --r 30 --pattern 0:1,-5:1 --mixed":
+            (0, "b329831f059d57c0a5a3ac0fa1beaebf77cb7879f54301d235eceb3def697d05"),
+        "moments --psi --centered --n 2e5 --h 15 --k 3":
+            (0, "5d13b4252e98fbccdcb8595e072cf3a4badfc9fff5c6f3eb87d1d7b42b160287"),
+        "moments --psi --n 2e5 --h 15 --k 2":
+            (0, "9909fe23c6e905691267844f4b1787080d7e2f4ef84a690bf2c1c5db62986660"),
+        "moments --psi --centered --primed --n 2e5 --h 15 --k 4":
+            (0, "05a26ac5baff32f7738862045107e1de10847faaac2b6f700466f4e7ced5bd46"),
+        "moments --first-moment --n 2e5 --h 15":
+            (0, "c83e0932fc7abd417150d5991ecaec73acf540cce45f1419863b4183cce5e195"),
+        "moments --n 2e5 --h 12 --r 30 --k 3":
+            (0, "07c1122239c95898fde2fc2dcaf369a044954cafa79fb1a4fa9ec7f9813bd2a5"),
+        "moments --n 2e5 --h 12 --r 30 --k 3 --primed":
+            (0, "c21d9f6f8bf66d717031418fda939813bd38afb173e3d55ab6a8668f4896ace0"),
+        "moments --n 2e5 --h 4 --r 10 --k 2 --exact":
+            (0, "0f9ef97984079ecad776d93ccec2c11eccdd3f6d9f43d2a275d0d2c16d15d52a"),
+        "moments --n 2e5 --h 8 --r 20 --k 3 --mixed":
+            (0, "4f849693589e06c1c890ecfd940bbe6b74a7e166d7547d5ca621f4bbfa563b11"),
+        "omega --n 2e5 --h 40 --r 30 --rho 0.5":
+            (0, "b38e1c7797457cd622a37533de3ddc5dee5d66138e63bad75d00794115bcfcaf"),
+        "correlate --n 2e5 --r 10 --pattern 0:1,-2:2 --exact":
+            (0, "31c7cbbd29512560c9b955e22b18043421832aafeba4a22b8b0fd38c9c8c76a1"),
     }
 
     @pytest.mark.parametrize("cell", list(CELLS))

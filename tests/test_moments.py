@@ -18,6 +18,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from primelab import (
+    ShiftPattern,
     coupled_C,
     first_moment_identity,
     h_from_lambda,
@@ -25,6 +26,8 @@ from primelab import (
     moment_psi,
     moment_psiR,
     omega_experiment,
+    s_k,
+    s_tilde_k,
 )
 from primelab import tables as tables_mod
 from primelab.approximants import build_weights, lambda_R_range
@@ -386,25 +389,30 @@ class TestStreamedWindows:
         """The block-streamed windows are those of one dense running sum: the
         same float64 bytes as a long-double np.cumsum differenced and then
         cast, and the same Python ints in exact mode; with blocks so small
-        that the windows span several blocks and h may exceed BLOCK_MAX."""
+        that the windows span several blocks and h may exceed BLOCK_MAX.
+        The blocks of n come in order and cover [start, start + N) once.
+        (``TestLambdaRBlock`` checks the lambda_R blocks they are summed
+        from.)"""
         start = N + 1 if primed else 1
         n_top = start + N - 1 + h
         weights = build_weights(R, exact=exact)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tables_mod, "BLOCK_MAX", block_max)
-            vals, win = _lam_windows(N, h, weights, start)
+            blocks = [(a, b, w.copy()) for a, b, w in _lam_windows(N, h, weights, start)]
+        edges = [start] + [b for _a, b, _w in blocks]
+        assert [a for a, _b, _w in blocks] == edges[:-1] and edges[-1] == start + N
+        assert all(w.size == b - a for a, b, w in blocks)
+        win = np.concatenate([w for _a, _b, w in blocks])
         if exact:
             pre = np.cumsum(lambda_R_range(n_top, weights))
             want = pre[start + h : start + N + h] - pre[start : start + N]
             assert [int(v) for v in win] == [int(v) for v in want]
-            assert list(vals) == list(lambda_R_range(n_top, weights))
         else:
             dense = lambda_R_range(n_top, weights)
             pre = np.cumsum(dense.astype(np.longdouble))
             want = (pre[start + h : start + N + h] - pre[start : start + N]).astype(np.float64)
             assert win.dtype == np.float64
             assert win.tobytes() == want.tobytes()
-            assert vals.tobytes() == dense.tobytes()
 
     def test_moment_psiR_peak_memory(self, monkeypatch):
         """On held tables, moment_psiR at N = 10**6 allocates under 36 bytes
@@ -437,6 +445,120 @@ class TestStreamedWindows:
                             lambda *args: calls.append(args) or pytest.fail("dense Lambda"))
         call()
         assert calls == []
+
+
+def dense_pattern_sum(arrays, shifts, mults, n_lo, n_hi):
+    """np.sum over n_lo..n_hi of prod_i arrays[i][n + shifts[i]] ** mults[i]
+    on whole arrays, indices <= 0 read as 0: the N-entry reference."""
+    n = np.arange(n_lo, n_hi + 1)
+    acc = None
+    for arr, j, a in zip(arrays, shifts, mults):
+        w = np.zeros(n.size, dtype=arr.dtype)
+        w[n + j >= 1] = arr[(n + j)[n + j >= 1]]
+        acc = w**a if acc is None else acc * (w if a == 1 else w**a)
+    return np.sum(acc)
+
+
+class TestStreamedRoutes:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        N=st.integers(2, 700),
+        shifts=st.lists(st.integers(-25, 25), min_size=1, max_size=3, unique=True),
+        mults=st.lists(st.integers(1, 2), min_size=3, max_size=3),
+        R=st.integers(1, 40),
+        primed=st.booleans(),
+        block_max=st.sampled_from([1, 3, 64, 1 << 16]),
+    )
+    def test_property_correlations_equal_whole_arrays(self, N, shifts, mults, R, primed, block_max):
+        """s_k and s_tilde_k, summed BLOCK_MAX values of n at a time, are
+        np.sum over the whole arrays of lambda_R and Lambda byte for byte,
+        negative shifts included; the mixed sum's Lambda factor is the last."""
+        shifts = [j for j in shifts if abs(j) <= N] or [0]
+        mults = tuple(mults[: len(shifts)])
+        pure = ShiftPattern(tuple(shifts), mults)
+        mixed = ShiftPattern(tuple(shifts), mults[:-1] + (1,))
+        n_lo, n_hi = (N + 1, 2 * N) if primed else (1, N)
+        top = n_hi + max(max(shifts), 0)
+        lam_r = lambda_R_range(top, build_weights(R))
+        lam = tables_mod.tables_for(top).lam
+        want_pure = dense_pattern_sum([lam_r] * len(shifts), shifts, mults, n_lo, n_hi)
+        want_mixed = dense_pattern_sum([lam_r] * (len(shifts) - 1) + [lam], shifts,
+                                       mixed.multiplicities, n_lo, n_hi)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tables_mod, "BLOCK_MAX", block_max)
+            got_pure = s_k(N, pure, R, primed_range=primed, p_cut=100).computed
+            got_mixed = s_tilde_k(N, mixed, R, primed_range=primed, p_cut=100).computed
+        assert np.float64(got_pure).tobytes() == want_pure.tobytes()
+        assert np.float64(got_mixed).tobytes() == want_mixed.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        N=st.integers(2, 700),
+        h=st.integers(1, 40),
+        k=st.integers(1, 4),
+        R=st.integers(1, 40),
+        primed=st.booleans(),
+        centered=st.booleans(),
+        block_max=st.sampled_from([1, 3, 64, 1 << 16]),
+    )
+    def test_property_moments_equal_whole_arrays(self, N, h, k, R, primed, centered, block_max):
+        """moment_psiR, moment_psi and first_moment_identity, streamed
+        BLOCK_MAX entries at a time, equal their N-entry forms byte for
+        byte: np.sum of the k-th powers of the windows of one long-double
+        cumsum of lambda_R, and of psi_prefix (centred or not), and the
+        first moment's three routes read off psi_prefix and Lambda."""
+        start = N + 1 if primed else 1
+        top = start + N - 1 + h
+        pre = np.cumsum(lambda_R_range(top, build_weights(R)).astype(np.longdouble))
+        lam_win = (pre[start + h : start + N + h] - pre[start : start + N]).astype(np.float64)
+        tb = tables_mod.tables_for(top)
+        pp = tb.psi_prefix
+        psi_win = pp[start + h : start + N + h] - pp[start : start + N]
+        if centered:
+            psi_win -= float(h)
+        hh = min(h, N)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tables_mod, "BLOCK_MAX", block_max)
+            got_r = moment_psiR(N, h, R, k, primed=primed).computed
+            got_psi = moment_psi(N, h, k, centered=centered, primed=primed).computed
+            first = first_moment_identity(N, hh)
+        assert np.float64(got_r).tobytes() == np.sum(lam_win**k).tobytes()
+        assert np.float64(got_psi).tobytes() == np.sum(psi_win**k).tobytes()
+        direct = float(np.sum(pp[1 + hh : N + 1 + hh] - pp[1 : N + 1]))
+        piece1 = float(np.dot(np.arange(1, hh, dtype=np.float64), tb.lam[2 : hh + 1])) if hh >= 2 else 0.0
+        piece3 = float(np.dot(np.arange(hh, 0, -1, dtype=np.float64), tb.lam[N + 1 : N + hh + 1]))
+        mid_lo = float(np.sum(pp[2:hh])) if hh >= 3 else 0.0
+        psi_form = (float(pp[N + hh]) - float(pp[N]) - float(pp[hh]) - mid_lo
+                    + float(np.sum(pp[N : N + hh])))
+        assert (first.direct, first.three_piece, first.psi_form) == (
+            direct, piece1 + hh * (float(pp[N]) - float(pp[hh])) + piece3, psi_form)
+        assert first.exact_equal_12 and first.exact_equal_13
+
+
+class TestStreamedMemory:
+    @pytest.mark.parametrize("call", [
+        lambda: s_k(10**6, ShiftPattern((0, 2), (1, 1)), 32),
+        lambda: s_tilde_k(5 * 10**5, ShiftPattern((0, 2), (1, 1)), 1000, primed_range=True),
+        lambda: moment_psiR(10**6, 14, 16, 3),
+        lambda: moment_psi(10**6, 20, 3, centered=True),
+        lambda: first_moment_identity(10**6, 20),
+    ], ids=["s_k", "s_tilde_k", "moment_psiR", "moment_psi", "first_moment_identity"])
+    def test_heap_peak_is_below_one_n_entry_array(self, monkeypatch, call):
+        """At N = 10**6, on tables and weights the process already holds,
+        each route's heap peak stays under 4 MiB, half of one N-entry
+        float64 array: it holds O(BLOCK_MAX) entries, not O(N).  The route
+        runs once untraced first, so that the weights and the singular
+        series' primes are cached."""
+        monkeypatch.delenv(tables_mod.CACHE_DIR_ENV, raising=False)
+        tables_mod.tables_for(2 * 10**6 + 2)
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestMomentGuards:

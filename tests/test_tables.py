@@ -22,6 +22,7 @@ from primelab import tables as tables_mod
 from primelab.constants import primes_up_to
 from primelab.tables import (
     FACTOR_MAX,
+    PairwiseSum,
     factorize,
     prime_divisors,
     squarefree_divisors,
@@ -666,3 +667,93 @@ class TestHelpers:
             for p in sympy.factorint(abs(j)):
                 expected *= p
             assert kern == expected, j
+
+
+#: the block size the pairwise-sum lengths are drawn around
+BLOCK = tables_mod.BLOCK_MAX
+
+#: lengths up to 5 BLOCK_MAX: single leaves (n <= 128), n = 8m +- 1, the
+#: block size +- 1 and its multiples +- 1, and any
+PAIRWISE_LENGTHS = st.one_of(
+    st.integers(1, 128),
+    st.builds(lambda m, d: max(8 * m + d, 1), st.integers(0, 5 * BLOCK // 8), st.sampled_from([-1, 1])),
+    st.builds(lambda k, d: k * BLOCK + d, st.integers(1, 4), st.sampled_from([-1, 0, 1])),
+    st.integers(1, 5 * BLOCK),
+)
+
+
+def _entries(n: int, seed: int) -> np.ndarray:
+    """Floats of mixed scales and signs, with runs of +0.0 and -0.0."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)
+    x[rng.random(n) < 0.1] = 0.0
+    x[rng.random(n) < 0.1] = -0.0
+    if seed % 5 == 0:
+        x[:] = -0.0
+    return x
+
+
+def _ragged(n: int, cuts: list[int]) -> list[tuple[int, int]]:
+    """The blocks [lo, hi) that the cut points (taken mod n + 1) split 0..n into."""
+    edges = sorted({0, n, *(c % (n + 1) for c in cuts)})
+    return list(zip(edges, edges[1:]))
+
+
+class TestPairwiseSum:
+    @settings(max_examples=80, deadline=None)
+    @given(n=PAIRWISE_LENGTHS, seed=st.integers(0, 2**32 - 1),
+           cuts=st.lists(st.integers(0, 2**31), max_size=12))
+    def test_property_equals_np_sum_on_ragged_blocks(self, n, seed, cuts):
+        """Fed in ragged blocks, some of one entry and some across many
+        nodes, the sum is np.sum's byte for byte; total refuses to answer
+        before the last entry, and blocks past it change nothing."""
+        x = _entries(n, seed)
+        acc = PairwiseSum(n)
+        for lo, hi in _ragged(n, cuts):
+            with pytest.raises(ValueError):
+                acc.total
+            acc.add(x[lo:hi].copy())
+        acc.add(np.ones(3))
+        assert np.float64(acc.total).tobytes() == np.sum(x).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=PAIRWISE_LENGTHS, seed=st.integers(0, 2**32 - 1),
+           size=st.sampled_from([1, 7, 8, 9, 127, 128, 129, 1000, BLOCK - 1, BLOCK, BLOCK + 1]))
+    def test_property_equals_np_sum_on_equal_blocks(self, n, seed, size):
+        """Blocks of one size, the last shorter, as the streamed routes
+        feed them; one entry at a time only up to 3000 entries."""
+        n = min(n, 3000) if size == 1 else n
+        x = _entries(n, seed)
+        acc = PairwiseSum(n)
+        buf = np.empty(size)
+        for lo in range(0, n, size):
+            block = buf[: min(size, n - lo)]
+            block[:] = x[lo : lo + size]  # one reused buffer
+            acc.add(block)
+        assert np.float64(acc.total).tobytes() == np.sum(x).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=PAIRWISE_LENGTHS, seed=st.integers(0, 2**32 - 1),
+           picks=st.lists(st.integers(0, 2**31), min_size=1, max_size=6),
+           cuts=st.lists(st.integers(0, 2**31), max_size=12))
+    def test_property_one_pass_feeds_sums_of_several_lengths(self, n, seed, picks, cuts):
+        """Sums of different lengths fed one pass of blocks, as the lemma
+        rungs are: each is np.sum of its prefix, byte for byte."""
+        x = _entries(n, seed)
+        lengths = sorted({1 + pick % n for pick in picks} | {n})
+        sums = [PairwiseSum(m) for m in lengths]
+        for lo, hi in _ragged(n, cuts):
+            for acc in sums:
+                acc.add(x[lo:hi])
+        got = np.array([acc.total for acc in sums])
+        want = np.array([np.sum(x[:m]) for m in lengths])
+        assert got.tobytes() == want.tobytes(), lengths
+
+    def test_exact_ints_and_empty(self):
+        """Object blocks of Python ints sum exactly, and an empty sum is 0.0."""
+        big = [3**80, -(3**80), 7, 2**70]
+        acc = PairwiseSum(len(big))
+        acc.add(np.array(big[:1], dtype=object))
+        acc.add(np.array(big[1:], dtype=object))
+        assert acc.total == sum(big) and isinstance(acc.total, int)
+        assert PairwiseSum(0).total == 0.0
