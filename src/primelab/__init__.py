@@ -16,6 +16,7 @@ The package evaluates, at desk scale and with exact-arithmetic cross-checks:
 
 from __future__ import annotations
 
+import importlib
 import os
 
 # One BLAS thread, set before the first import of numpy loads OpenBLAS, and
@@ -28,103 +29,77 @@ import os
 # numpy before primelab keeps the pool it already started.
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from .tables import ArithTables, build_tables, load_tables, save_tables, tables_for
-from .approximants import (
-    ApproximantWeights,
-    biglambda_weights,
-    build_weights,
-    lambda_R_direct,
-    lambda_R_range,
-    psi_R,
-    script_L,
-    script_L_float,
-)
-from .singular import (
-    SingularValue,
-    constant_C,
-    gallagher_sum,
-    singular_S2_range,
-    singular_Sn,
-    singular_vector,
-)
-from .correlations import (
-    CorrelationResult,
-    ShiftPattern,
-    psi_tuple,
-    s2_reduced,
-    s_k,
-    s_tilde_k,
-)
-from .moments import (
-    FirstMomentReport,
-    MomentReport,
-    OmegaExperiment,
-    coupled_C,
-    first_moment_identity,
-    h_from_lambda,
-    mixed_moment,
-    moment_psi,
-    moment_psiR,
-    omega_experiment,
-)
-from .lemmas import (
-    LemmaReport,
-    MonicPolyPair,
-    lemma1,
-    lemma2,
-    lemma3,
-    lemma4,
-    lemma4_log,
-    lemma5,
-    multiplicative_values,
-)
+# The public names by home module.  Each module, and numpy with it, is
+# imported on first access to one of its names (PEP 562), so a CLI process
+# loads only what its subcommand runs, and `--help` loads none of them.
+_EXPORTS = {
+    "tables": ("ArithTables", "build_tables", "load_tables", "save_tables", "tables_for"),
+    "approximants": (
+        "ApproximantWeights",
+        "biglambda_weights",
+        "build_weights",
+        "lambda_R_direct",
+        "lambda_R_range",
+        "psi_R",
+        "script_L",
+        "script_L_float",
+    ),
+    "singular": (
+        "ShiftPattern",
+        "SingularValue",
+        "constant_C",
+        "gallagher_sum",
+        "singular_S2_range",
+        "singular_Sn",
+        "singular_vector",
+    ),
+    "correlations": (
+        "CorrelationResult",
+        "psi_tuple",
+        "s2_reduced",
+        "s_k",
+        "s_tilde_k",
+    ),
+    "moments": (
+        "FirstMomentReport",
+        "MomentReport",
+        "OmegaExperiment",
+        "coupled_C",
+        "first_moment_identity",
+        "h_from_lambda",
+        "mixed_moment",
+        "moment_psi",
+        "moment_psiR",
+        "omega_experiment",
+    ),
+    "lemmas": (
+        "LemmaReport",
+        "MonicPolyPair",
+        "lemma1",
+        "lemma2",
+        "lemma3",
+        "lemma4",
+        "lemma4_log",
+        "lemma5",
+        "multiplicative_values",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ApproximantWeights",
-    "ArithTables",
-    "CorrelationResult",
-    "FirstMomentReport",
-    "LemmaReport",
-    "MomentReport",
-    "MonicPolyPair",
-    "OmegaExperiment",
-    "ShiftPattern",
-    "SingularValue",
-    "__version__",
-    "biglambda_weights",
-    "build_tables",
-    "build_weights",
-    "constant_C",
-    "coupled_C",
-    "first_moment_identity",
-    "gallagher_sum",
-    "h_from_lambda",
-    "lambda_R_direct",
-    "lambda_R_range",
-    "lemma1",
-    "lemma2",
-    "lemma3",
-    "lemma4",
-    "lemma4_log",
-    "lemma5",
-    "load_tables",
-    "mixed_moment",
-    "moment_psi",
-    "moment_psiR",
-    "multiplicative_values",
-    "omega_experiment",
-    "psi_R",
-    "psi_tuple",
-    "s2_reduced",
-    "s_k",
-    "s_tilde_k",
-    "save_tables",
-    "script_L",
-    "script_L_float",
-    "singular_S2_range",
-    "singular_Sn",
-    "singular_vector",
-    "tables_for",
-]
+__all__ = sorted(["__version__", *_HOME])
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # a submodule by its name, as `primelab.tables`
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -41,9 +41,9 @@ import sys
 from fractions import Fraction
 from dataclasses import asdict
 
-import numpy as np
-
-from . import approximants, correlations, lemmas, moments, singular, tables
+# numpy and the library modules are imported by the subcommand that runs
+# them, so `--help` and a usage error load neither, and each cell loads only
+# the modules of its own subcommand.
 
 SCHEMA_VERSION = 2
 
@@ -103,9 +103,11 @@ def parse_ladder(text: str) -> tuple[int, ...]:
     return rungs
 
 
-def parse_pattern(text: str) -> correlations.ShiftPattern:
+def parse_pattern(text: str):
+    """Parse a shift pattern 'h1:a1,h2:a2,...' into a singular.ShiftPattern."""
+    from .singular import ShiftPattern
     try:
-        return correlations.ShiftPattern.parse(text)
+        return ShiftPattern.parse(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
@@ -148,13 +150,20 @@ def _resolve_h(args, N: int) -> tuple[int, float | None]:
     if getattr(args, "h", None) is not None:
         return args.h, None
     if getattr(args, "lambda_param", None) is not None:
-        return moments.h_from_lambda(N, args.lambda_param), args.lambda_param
+        from .moments import h_from_lambda
+        return h_from_lambda(N, args.lambda_param), args.lambda_param
     raise ValueError("one of --h / --lambda is required")
 
 
 # ----------------------------------------------------------------------------
 # deterministic output
 # ----------------------------------------------------------------------------
+
+def _numpy_scalar(value) -> bool:
+    """Whether value is a numpy scalar; none exists before numpy is loaded."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(value, np.generic)
+
 
 def _fmt(value) -> str:
     """Render one CSV cell deterministically (floats via repr, None empty)."""
@@ -166,7 +175,7 @@ def _fmt(value) -> str:
         return repr(value)
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, np.generic):
+    if _numpy_scalar(value):
         return _fmt(value.item())
     return str(value)
 
@@ -176,7 +185,7 @@ def _json_safe(value):
     as Python ones, anything else (a Fraction) as its str."""
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
-    if isinstance(value, np.generic):
+    if _numpy_scalar(value):
         return _json_safe(value.item())
     return str(value)
 
@@ -219,6 +228,10 @@ def _fail_identity(message: str) -> int:
 # ----------------------------------------------------------------------------
 
 def _cmd_sieve(args) -> int:
+    import numpy as np
+
+    from . import tables
+
     n = args.n_max
     tb = tables.tables_for(n)  # reaches 2 when n = 1
     # one pass over the blocks, dropping the pages of each once it is read:
@@ -246,6 +259,10 @@ def _cmd_sieve(args) -> int:
 
 
 def _cmd_lambda(args) -> int:
+    import numpy as np
+
+    from . import approximants, tables
+
     R, n = args.r, args.n
     if n > tables.TABLE_MAX:
         raise ValueError(f"n={n} is beyond {tables.TABLE_MAX}")
@@ -270,6 +287,8 @@ def _cmd_lambda(args) -> int:
 
 
 def _cmd_singular(args) -> int:
+    from . import singular
+
     p_cut = args.p_cut if args.p_cut is not None else singular.DEFAULT_P_CUT
     if args.pattern is not None:
         if args.j is not None:
@@ -298,24 +317,27 @@ def _cmd_singular(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
+    from . import correlations
+
     N = args.n
     R = _resolve_R(args, N)
     pattern = args.pattern
+    p_cut = args.p_cut if args.p_cut is not None else correlations.DEFAULT_P_CUT
     if args.mixed:
         if args.exact:
             raise ValueError("--exact is not available for mixed correlations")
         res = correlations.s_tilde_k(N, pattern, R,
                                      primed_range=args.primed_range,
-                                     p_cut=args.p_cut)
+                                     p_cut=p_cut)
     else:
         res = correlations.s_k(N, pattern, R, exact=args.exact,
                                primed_range=args.primed_range,
-                               p_cut=args.p_cut)
+                               p_cut=p_cut)
     config = {
         "command": "correlate", "N": N, "R": R,
         "r_exp": args.r_exp, "pattern": str(pattern),
         "mixed": args.mixed, "primed_range": args.primed_range,
-        "exact": args.exact, "p_cut": args.p_cut,
+        "exact": args.exact, "p_cut": p_cut,
     }
     rows = [{
         "N": N, "R": R, "pattern": str(pattern),
@@ -341,6 +363,8 @@ _MOMENT_OPTIONS = {
 
 
 def _cmd_moments(args) -> int:
+    from . import moments
+
     mode = ("first_moment" if args.first_moment else "psi" if args.psi
             else "mixed" if args.mixed else "psi_R")
     # an unset option is None and an unset flag False; a given 0 is neither
@@ -396,6 +420,8 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_omega(args) -> int:
+    from . import moments
+
     N = args.n
     h, lam = _resolve_h(args, N)
     R = _resolve_R(args, N)
@@ -427,12 +453,6 @@ def _cmd_omega(args) -> int:
     return 0
 
 
-_LEMMA_PAIRS = {
-    "hildebrand": lemmas.HILDEBRAND_POLY_PAIR,
-    "cubic": lemmas.CUBIC_POLY_PAIR,
-}
-
-
 def _parse_poly(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(":"))
@@ -452,6 +472,8 @@ _LEMMA_PARAMS = {
 
 
 def _cmd_lemma(args) -> int:
+    from . import lemmas
+
     ladder = args.ladder
     params = args.params or {}
     which = args.which
@@ -483,11 +505,13 @@ def _cmd_lemma(args) -> int:
             pair = lemmas.MonicPolyPair(_parse_poly(params["p1"]),
                                         _parse_poly(params["p2"]))
         else:
+            presets = {"hildebrand": lemmas.HILDEBRAND_POLY_PAIR,
+                       "cubic": lemmas.CUBIC_POLY_PAIR}
             name = params.get("pair", "hildebrand")
-            if name not in _LEMMA_PAIRS:
+            if name not in presets:
                 raise ValueError(f"unknown pair preset {name!r}; "
-                                 f"choose from {sorted(_LEMMA_PAIRS)}")
-            pair = _LEMMA_PAIRS[name]
+                                 f"choose from {sorted(presets)}")
+            pair = presets[name]
         rep = lemmas.lemma1(pair, k, ladder, **kwargs)
     elif which == 2:
         rep = lemmas.lemma2(ladder)
@@ -602,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sum over N < n <= 2N instead of 1 <= n <= N")
     p.add_argument("--exact", action="store_true",
                    help="also compute the exact rational value")
-    p.add_argument("--p-cut", type=parse_count, default=singular.DEFAULT_P_CUT,
+    p.add_argument("--p-cut", type=parse_count, default=None,
                    help="Euler-product truncation prime for the prediction")
     p.set_defaults(func=_cmd_correlate)
 

@@ -64,6 +64,52 @@ class SingularValue:
     tail_bound: float  # relative bound on the discarded Euler tail
 
 
+@dataclass(frozen=True)
+class ShiftPattern:
+    """Distinct integer shifts with positive multiplicities."""
+
+    shifts: tuple[int, ...]
+    multiplicities: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.shifts) != len(self.multiplicities):
+            raise ValueError("shifts and multiplicities must have equal length")
+        if len(self.shifts) == 0:
+            raise ValueError("pattern must contain at least one shift")
+        if len(set(self.shifts)) != len(self.shifts):
+            raise ValueError(f"shifts must be distinct, got {self.shifts}")
+        if any(a < 1 for a in self.multiplicities):
+            raise ValueError("multiplicities must be >= 1")
+
+    @property
+    def r(self) -> int:
+        return len(self.shifts)
+
+    @property
+    def k(self) -> int:
+        return sum(self.multiplicities)
+
+    @classmethod
+    def parse(cls, text: str) -> "ShiftPattern":
+        """Parse 'shift:mult,shift:mult,...'; a bare 'shift' means mult 1."""
+        shifts, mults = [], []
+        for piece in text.split(","):
+            piece = piece.strip()
+            if not piece:
+                continue
+            if ":" in piece:
+                s, m = piece.split(":", 1)
+                shifts.append(int(s))
+                mults.append(int(m))
+            else:
+                shifts.append(int(piece))
+                mults.append(1)
+        return cls(tuple(shifts), tuple(mults))
+
+    def __str__(self) -> str:
+        return ",".join(f"{s}:{a}" for s, a in zip(self.shifts, self.multiplicities))
+
+
 class WeightedS2(NamedTuple):
     value: float
     main: float

@@ -716,13 +716,62 @@ class TestDeterminism:
 
 
 def test_import_starts_no_blas_pool():
-    """`import primelab` leaves the process with one thread, even with a
-    two-thread BLAS asked for by the environment."""
+    """Loading numpy through primelab leaves the process with one thread,
+    even with a two-thread BLAS asked for by the environment."""
     if not os.path.isdir("/proc/self/task"):
         pytest.skip("no /proc/self/task")
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import os, primelab; print(len(os.listdir('/proc/self/task')))"],
+         "import os, sys; from primelab import s_k; "
+         "print('numpy' in sys.modules, len(os.listdir('/proc/self/task')))"],
         capture_output=True, text=True, timeout=60,
         env=dict(os.environ, OPENBLAS_NUM_THREADS="2"), check=True)
-    assert proc.stdout.strip() == "1"
+    assert proc.stdout.split() == ["True", "1"]
+
+
+_LIBRARY = {"numpy", *(f"primelab.{name}" for name in (
+    "approximants", "constants", "correlations", "lemmas", "moments", "singular",
+    "tables"))}
+
+
+def _loaded_by(argv: list[str]) -> tuple[int, set[str]]:
+    """Exit code of cli.main(argv) in a fresh interpreter, and which of numpy
+    and the library modules it left in sys.modules."""
+    code = ("import json, sys\n"
+            "from primelab.cli import main\n"
+            "try:\n    rc = main(sys.argv[1:])\n"
+            "except SystemExit as exc:\n    rc = exc.code\n"
+            "print(json.dumps([rc, sorted(sys.modules)]), file=sys.stderr)")
+    env = {k: v for k, v in os.environ.items() if k != "PRIMELAB_CACHE_DIR"}
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, timeout=120, env=env)
+    rc, modules = json.loads(proc.stderr.strip().splitlines()[-1])
+    return rc, set(modules) & _LIBRARY
+
+
+class TestImportsPerCommand:
+    """Each subcommand imports the modules it runs and no others, so the
+    start-up of a CLI process does not grow with the library."""
+
+    @pytest.mark.parametrize("argv, want_rc", [
+        (["--help"], 0),
+        (["sieve", "--n-max", "abc"], 2),
+        (["correlate", "--n", "1e3", "--r", "5"], 2),
+    ], ids=["help", "bad-count", "missing-pattern"])
+    def test_help_and_usage_errors_load_no_library(self, argv, want_rc):
+        assert _loaded_by(argv) == (want_rc, set())
+
+    def test_sieve_loads_tables_only(self):
+        assert _loaded_by(["sieve", "--n-max", "1e4"]) == (0, {"numpy", "primelab.tables"})
+
+    def test_lemma_loads_no_correlation_modules(self):
+        rc, loaded = _loaded_by(["lemma", "--which", "2", "--ladder", "10,100"])
+        assert rc == 0 and "primelab.lemmas" in loaded
+        assert not loaded & {"primelab.approximants", "primelab.correlations",
+                             "primelab.moments"}
+
+    def test_singular_pattern_loads_no_moments_or_lemmas(self):
+        rc, loaded = _loaded_by(["singular", "--pattern", "0:1,2:1"])
+        assert rc == 0
+        assert loaded == {"numpy", "primelab.constants", "primelab.singular",
+                          "primelab.tables"}
