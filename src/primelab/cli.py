@@ -27,7 +27,9 @@ Exit codes
 1  a hard-asserted identity failed (exact expansion mismatch, identity
    residual above tolerance, first-moment route disagreement)
 2  argument-parsing error (argparse default)
-3  precondition violation (ValueError raised by the library)
+3  precondition violation (ValueError raised by the library, a result
+   beyond float64 included), or an OSError, such as an --output path in a
+   missing directory or naming a directory
 """
 
 from __future__ import annotations
@@ -234,23 +236,18 @@ def _cmd_sieve(args) -> int:
 
     n = args.n_max
     tb = tables.tables_for(n)  # reaches 2 when n = 1
-    # one pass over the blocks, dropping the pages of each once it is read:
-    # psi(n) is the last long-double running sum of Lambda over the prime
-    # powers, the additions of psi_steps
+    # one pass over the blocks; psi(n) is the last step of the last one
     primes = mertens = squarefree = 0
-    psi = np.zeros(1, dtype=np.longdouble)
-    for lo, hi, _q, logs in tables.prime_power_blocks(tb.spf[: n + 1]):
+    for lo, hi, _q, _logs, steps in tb.psi_step_blocks(n):
         mu = tb.mu[max(lo, 1) : hi]
         primes += int(np.count_nonzero(tb.spf[max(lo, 2) : hi] == 0))
         mertens += int(mu.sum())
         squarefree += int(np.count_nonzero(mu))
-        psi = np.cumsum(np.concatenate((psi[-1:], logs)))
-        tb.release(lo, hi)
     config = {"command": "sieve", "n_max": n}
     rows = [{
         "n_max": n,
         "primes": primes,
-        "psi": float(psi[-1]),
+        "psi": float(steps[-1]),
         "mertens": mertens,
         "squarefree": squarefree,
     }]
@@ -687,7 +684,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 3
 

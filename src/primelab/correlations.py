@@ -53,9 +53,7 @@ from .tables import (
     TABLE_MAX,
     ArithTables,
     PairwiseSum,
-    higher_prime_powers,
     prime_divisors,
-    prime_powers_between,
     squarefree_divisors,
     tables_for,
 )
@@ -67,6 +65,19 @@ def c_of(multiplicities: tuple[int, ...]) -> float | None:
     if sum(multiplicities) > 3:
         return None
     return 0.75 if tuple(multiplicities) == (3,) else 1.0
+
+
+def finite_float(value, what: str) -> float:
+    """float(value), refused with ValueError where it is not finite: a sum
+    past the float64 range reads inf or nan, and the float of an exact
+    Fraction past it raises OverflowError."""
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise ValueError(f"{what} overflows float64")
+    return out
 
 
 def relative_residual(computed: float, predicted: float | None) -> float | None:
@@ -140,26 +151,6 @@ def _lambda_R_source(weights: ap.ApproximantWeights):
     return lambda lo, hi: ap.lambda_R_block(lo, hi, weights)
 
 
-def _von_mangoldt_source(top: int):
-    """Lambda over [lo, hi), hi <= top + 1, 0 at n <= 1, for
-    ``_pattern_sum``: from the prime powers in the range
-    (``tables.prime_powers_between``) of ``tables_for(top)``.  The table
-    pages behind hi are dropped once read (``ArithTables.release``), so a
-    reader of ascending ranges holds only the pages around its current
-    one."""
-    tables = tables_for(top)
-    higher = higher_prime_powers(tables.spf)
-
-    def values(lo: int, hi: int) -> np.ndarray:
-        out = np.zeros(hi - lo, dtype=np.float64)
-        q, logs = prime_powers_between(tables.spf, lo, hi, higher)
-        out[q - lo] = logs
-        tables.release(max(lo, 0), hi)
-        return out
-
-    return values
-
-
 def s_k(
     N: int,
     pattern: ShiftPattern,
@@ -210,7 +201,7 @@ def s_tilde_k(
         raise ValueError(f"R must be >= 1, got {R}")
 
     # fetched before the weights, which then read a prefix of the same build
-    sources = [_von_mangoldt_source(top)]
+    sources = [tables_for(top).von_mangoldt]
     if pattern.r > 1:
         sources = [_lambda_R_source(ap.build_weights(R))] * (pattern.r - 1) + sources
     total = _pattern_sum(sources, pattern.shifts, pattern.multiplicities, n_lo, n_hi)
@@ -237,7 +228,7 @@ def _result(
     if c is not None:
         sing = sg.singular_vector(pattern.shifts, p_cut=p_cut).value
         predicted = c * sing * N * math.log(R) ** (k - r)
-    computed = float(value)
+    computed = finite_float(value, f"the sum S_{k}")
     return CorrelationResult(
         pattern=pattern,
         N=N,
@@ -256,7 +247,7 @@ def psi_tuple(N: int, shifts: tuple[int, ...]) -> float:
     """psi_j(N) = sum_{n <= N} prod_i Lambda(n + j_i) over distinct shifts."""
     pattern = ShiftPattern(tuple(shifts), (1,) * len(shifts))
     _n_lo, _n_hi, top = _check_range(N, pattern, primed=False)
-    sources = [_von_mangoldt_source(top)] * pattern.r
+    sources = [tables_for(top).von_mangoldt] * pattern.r
     return float(_pattern_sum(sources, pattern.shifts, pattern.multiplicities, 1, N))
 
 

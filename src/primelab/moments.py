@@ -53,7 +53,7 @@ from .approximants import (
     lambda_R_range,
     script_L_float,
 )
-from .correlations import _pattern_sum, c_of, relative_residual
+from .correlations import _pattern_sum, c_of, finite_float, relative_residual
 from .tables import (
     TABLE_MAX,
     ArithTables,
@@ -359,35 +359,18 @@ def _lam_windows(N: int, h: int, weights: ApproximantWeights, start: int):
 
 
 def _psi_blocks(tables: ArithTables, top: int, keep: int):
-    """Yield (lo, hi, q, logs, psi) over the blocks [lo, hi) of
-    ``tables.prime_power_blocks`` covering 0..top, in order: q the prime
-    powers in the block and logs = Lambda(q), psi[keep + i] = psi(lo + i)
-    and psi[:keep] the keep values before the block (0 before 0).
-
-    psi is ``ArithTables.psi_prefix`` a block at a time: one long-double
-    running sum of Lambda over the prime powers alone, through
-    ``cumsum_blocks``, rounded once per prime power to float64 and repeated
-    over the gaps between them.  One pass of prime powers serves the
-    Lambda and the psi reads, and the table pages behind each block are
-    dropped once it is read.  psi is valid until the next block is asked
-    for.
+    """Yield (lo, hi, q, logs, psi) over the blocks of
+    ``ArithTables.psi_step_blocks(top)``, in order: q the prime powers in
+    the block and logs = Lambda(q), psi[keep + i] = psi(lo + i) and
+    psi[:keep] the keep values before the block (0 before 0).  psi is
+    ``ArithTables.psi_prefix`` a block at a time, the steps repeated over
+    the gaps between the prime powers, and is valid until the next block
+    is asked for.
     """
-    current = []  # the block whose logs cumsum_blocks last took
-
-    def log_blocks():
-        for block in _tables.prime_power_blocks(tables.spf[: top + 1]):
-            current[:] = [block]
-            yield block[3]
-            tables.release(*block[:2])
-
     buf = np.zeros(_tables.BLOCK_MAX + keep, dtype=np.float64)
-    last = 0.0  # psi at the prime powers before the block
-    for _a, _b, run in cumsum_blocks(log_blocks(), np.longdouble):
-        lo, hi, q, logs = current[0]
-        steps = np.concatenate(([last], run.astype(np.float64)))
+    for lo, hi, q, logs, steps in tables.psi_step_blocks(top):
         psi = buf[: keep + hi - lo]
         psi[keep:] = np.repeat(steps, np.diff(q, prepend=lo, append=hi))
-        last = steps[-1]
         yield lo, hi, q, logs, psi
         buf[:keep] = psi[psi.size - keep :]
 
@@ -467,6 +450,7 @@ def moment_psiR(
         acc.add(w)
     total = acc.total
     computed = Fraction(total, weights.denominator**k) if exact else float(total)
+    value = finite_float(computed, f"M_{k}")
     via: float | Fraction | None = None
     resid: float | Fraction | None = None
     if expand:
@@ -486,7 +470,7 @@ def moment_psiR(
         via_correlations=via,
         predicted=predicted,
         expansion_residual=resid,
-        prediction_residual=relative_residual(float(computed), predicted),
+        prediction_residual=relative_residual(value, predicted),
         primed=primed,
         exact=exact,
     )
@@ -561,7 +545,7 @@ def moment_psi(
             w -= float(h)
         w **= k
         acc.add(w)
-    computed = acc.total
+    computed = finite_float(acc.total, f"M_{k}")
     predicted = (
         ms_prediction(N, h, k) if centered else
         (gallagher_prediction(N, h, k) if k <= 20 else None)

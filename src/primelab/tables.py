@@ -51,21 +51,22 @@ rungs and every sum over n of ``correlations`` and ``moments``.
 
 ``prime_power_blocks`` yields the prime powers and their Lambda block by
 block, BLOCK_MAX entries of spf at a time, with the few higher powers
-(``higher_prime_powers``) merged in, and ``prime_powers_between`` those of
-any one range; ``prime_powers`` joins the blocks, and ``sieve`` streams
-them with mu in one pass, so it builds no array over n or over the primes.
+merged in; ``prime_powers`` joins the blocks.  Two readers of
+``ArithTables`` hand Lambda and psi out by block, and every command reads
+them through these alone: ``von_mangoldt(lo, hi)`` gives Lambda over any
+one range, and ``psi_step_blocks(top)`` gives each block's prime powers
+with psi at each of them, the entries of psi_steps, which ``sieve`` reads
+beside mu and the psi moments repeat over the gaps.
 
 The stored arrays take 3 bytes per entry (2+1), so n_max = 10**7 costs
 ~30 MB.  phi adds 8 bytes per entry once read; the commands read it only
 up to R, for the lambda_R weights.  lam and psi_prefix would add 8 bytes
 per entry, and prime_powers and psi_steps 8 to 16 bytes per prime power
-(about 8% of the entries at 10**6), but no command reads them: the sums
-over n take Lambda and psi a block at a time from ``prime_power_blocks``
-and ``prime_powers_between`` and hold O(BLOCK_MAX) entries whatever n.
-They stay, read-only, as the references the tests compare those sums
-with; psi_steps is taken from prime_powers alone, so psi_prefix derives
-no lam.  A build in memory holds
-the 3 bytes per entry and one segment's buffers (about 3 MB at 2**18
+(about 8% of the entries at 10**6), but no command reads them: the two
+readers hold O(BLOCK_MAX) entries whatever n.  They stay, read-only, as
+the references the tests compare those readers with; psi_steps is taken
+from prime_powers alone, so psi_prefix derives no lam.  A build in memory
+holds the 3 bytes per entry and one segment's buffers (about 3 MB at 2**18
 entries); a build into a file (``build_tables`` with a path) writes each
 segment where it belongs in the file as it is sieved and then maps the
 file, so it holds only the segment's buffers, whatever n_max.
@@ -85,9 +86,10 @@ the requested prefix on every load, reading them with ``os.preadv`` into
 one reused buffer rather than through the mapping: the mapping then holds
 only the pages a command reads, pages it never touches are never loaded,
 and damaged bytes are never used.  A reader that passes through the tables
-once, as the lemmas' walk, ``sieve`` and the sums over n do, drops the
-pages behind it (``ArithTables.release``), so a pass over a mapped file
-holds only the pages around its current block, not all it has passed.
+once drops the pages behind it (``ArithTables.release``), so a pass over a
+mapped file holds only the pages around its current block, not all it has
+passed: the two readers above do so for every command, and the lemmas'
+walk, which reads spf through ``factor_blocks``, for itself.
 """
 
 from __future__ import annotations
@@ -174,6 +176,41 @@ class ArithTables:
         repeated over the gaps between the prime powers."""
         gaps = np.diff(self.prime_powers[0], prepend=0, append=self.n_max + 1)
         return _read_only(np.repeat(self.psi_steps, gaps))
+
+    @cached_property
+    def _higher_powers(self) -> tuple[np.ndarray, np.ndarray]:
+        """The prime powers p^e <= n_max with e >= 2 and their log p."""
+        return _higher_prime_powers(self.spf)
+
+    def von_mangoldt(self, lo: int, hi: int) -> np.ndarray:
+        """float64 Lambda(lo..hi-1), hi <= n_max + 1, 0 at n <= 1: lo may
+        be negative.  The values come from the prime powers in the range
+        alone, so no dense lam is derived, and the table pages behind hi
+        are dropped once read (``release``): a reader of ascending ranges
+        holds only the pages around its current one."""
+        out = np.zeros(hi - lo, dtype=np.float64)
+        q, logs = _prime_powers_between(self.spf, lo, hi, self._higher_powers)
+        out[q - lo] = logs
+        self.release(max(lo, 0), hi)
+        return out
+
+    def psi_step_blocks(self, top: int):
+        """Yield (lo, hi, q, logs, steps) over the blocks [lo, hi) of
+        ``prime_power_blocks`` covering 0..top, top <= n_max, in order: q
+        the prime powers in the block, logs = Lambda(q), steps[0] psi before
+        the block and steps[1 + i] = psi(q[i]), so psi(x) for x in [lo, hi)
+        is steps[number of q <= x].
+
+        These are the entries of ``psi_steps``, bit for bit: one
+        long-double running sum over the logs, carried unrounded from block
+        to block and rounded to float64 once per entry.  The table pages of
+        a block are dropped when the next block is asked for.
+        """
+        run = np.zeros(1, dtype=np.longdouble)
+        for lo, hi, q, logs in prime_power_blocks(self.spf[: top + 1]):
+            run = np.cumsum(np.concatenate((run[-1:], logs)))
+            yield lo, hi, q, logs, run.astype(np.float64)
+            self.release(lo, hi)
 
     def release(self, lo: int, hi: int) -> None:
         """Drop the mapped file pages of spf and mu from the one that holds
@@ -309,19 +346,19 @@ def prime_power_blocks(spf: np.ndarray):
     """Yield (lo, hi, q, logs) over the blocks [lo, hi) of BLOCK_MAX entries
     covering 0..n, n = spf.size - 1, in order: q the ascending prime powers
     in the block (int64) and logs = Lambda(q), np.log at the primes and
-    math.log of p at the higher powers p^e (``prime_powers_between``).
+    math.log of p at the higher powers p^e (``_prime_powers_between``).
 
     No array over all n or all prime powers is built or sorted.  Every
     block holds at most hi - lo prime powers.
     """
     n = spf.size - 1
-    higher = higher_prime_powers(spf)
+    higher = _higher_prime_powers(spf)
     for lo in range(0, n + 1, BLOCK_MAX):
         hi = min(lo + BLOCK_MAX, n + 1)
-        yield (lo, hi, *prime_powers_between(spf, lo, hi, higher))
+        yield (lo, hi, *_prime_powers_between(spf, lo, hi, higher))
 
 
-def higher_prime_powers(spf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _higher_prime_powers(spf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(q, logs) over the prime powers q = p^e <= spf.size - 1 with e >= 2,
     q ascending (int64), and logs = math.log(p): 555 of them at 10^7, read
     off the primes up to the square root."""
@@ -338,11 +375,11 @@ def higher_prime_powers(spf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.array([lp for _, lp in higher], dtype=np.float64))
 
 
-def prime_powers_between(spf: np.ndarray, lo: int, hi: int, higher) -> tuple[np.ndarray, np.ndarray]:
+def _prime_powers_between(spf: np.ndarray, lo: int, hi: int, higher) -> tuple[np.ndarray, np.ndarray]:
     """(q, logs) over the prime powers lo <= q < hi, ascending: the primes
     from spf[lo:hi] (the n >= 2 where spf[n] = 0), with np.log of each, and
-    the ``higher_prime_powers`` of spf in the range inserted among them.
-    Reads spf only at [max(lo, 2), hi); lo may be negative."""
+    the higher powers of ``_higher_prime_powers`` in the range inserted
+    among them.  Reads spf only at [max(lo, 2), hi); lo may be negative."""
     higher_q, higher_logs = higher
     start = max(lo, 2)
     primes = np.flatnonzero(spf[start : max(hi, start)] == 0)

@@ -82,6 +82,34 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
+        ["moments", "--psi", "--n", "100", "--h", "3", "--k", "500"],
+        ["moments", "--psi", "--centered", "--n", "1e4", "--h", "30", "--k", "401"],
+        ["correlate", "--n", "100", "--r", "50", "--pattern", "0:600"],
+        ["moments", "--n", "100", "--h", "30", "--r", "50", "--k", "300", "--exact"],
+        ["correlate", "--n", "100", "--r", "50", "--pattern", "0:600", "--exact"],
+    ], ids=["psi-inf", "psi-centered-nan", "correlate-inf", "psiR-exact", "correlate-exact"])
+    def test_result_beyond_float64_returns_3(self, argv, capsys):
+        """A sum past the float64 range is refused where its float is
+        formed, instead of printing inf or nan with exit 0, or raising
+        OverflowError from the float of an exact value (exit 1)."""
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "overflows float64" in captured.err
+
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unwritable_output_returns_3(self, where, tmp_path):
+        """An --output path in a missing directory, or naming a directory,
+        is a one-line precondition failure (a fresh interpreter, so an
+        uncaught exception would show its traceback)."""
+        path = tmp_path / "missing" / "out.csv" if where == "missing" else tmp_path
+        proc = subprocess.run(CLI + ["sieve", "--n-max", "100", "--output", str(path)],
+                              capture_output=True, timeout=300)
+        err = proc.stderr.decode()
+        assert proc.returncode == 3, err
+        assert err.startswith("precondition failed: ") and err.count("\n") == 1
+        assert proc.stdout == b""
+
+    @pytest.mark.parametrize("argv", [
         ["moments", "--n", "1", "--h", "1", "--r", "2", "--k", "1"],
         ["omega", "--n", "1", "--h", "1", "--r", "2", "--rho", "0.3"],
     ], ids=["moments", "omega"])

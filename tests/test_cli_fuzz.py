@@ -1,7 +1,8 @@
 """Property test of the command line: any argv drawn from small menus of
 each subcommand's options, conflicting pairs and bad values included, ends
 in exit 0, 2 or 3 and never in an uncaught exception; an argv that gives an
-option its mode does not read never exits 0.
+option its mode does not read never exits 0, and one that exits 0 prints
+no inf or nan in its rows.
 
 The menus keep N <= 1e4 and R, h small, so that every cell is cheap; the
 tables go to a temporary PRIMELAB_CACHE_DIR.
@@ -10,7 +11,10 @@ tables go to a temporary PRIMELAB_CACHE_DIR.
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
+import json
+import math
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -36,7 +40,8 @@ MENUS = {
         "--n": ("1", "100", "1e4"),
         "--r": ("1", "8", "16"),
         "--r-exp": ("0.25", "0.5", "-1", "nan", "inf", "50"),
-        "--pattern": ("0:1,2:1", "0:3", "-5:1,-3:1", "0:1,2:2", "0:1,200:1", "0:0"),
+        "--pattern": ("0:1,2:1", "0:3", "-5:1,-3:1", "0:1,2:2", "0:1,200:1", "0:0",
+                      "0:600"),
         "--mixed": None,
         "--primed-range": None,
         "--exact": None,
@@ -143,15 +148,35 @@ def argvs(draw):
     return argv
 
 
-def _exit_code(argv: list[str]) -> int:
-    """cli.main's exit code, argparse's SystemExit included; any other
-    exception propagates and fails the test with its traceback."""
+def _run(argv: list[str]) -> tuple[int, str]:
+    """cli.main's exit code, argparse's SystemExit included, and its stdout;
+    any other exception propagates and fails the test with its traceback."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            return cli.main(argv)
+            code = cli.main(argv)
         except SystemExit as exc:
-            return exc.code
+            code = exc.code
+    return code, out.getvalue()
+
+
+def _exit_code(argv: list[str]) -> int:
+    return _run(argv)[0]
+
+
+def _row_values(out: str) -> list:
+    """The values of the data rows of a CSV or JSON output."""
+    if out.startswith("{"):
+        return [v for row in json.loads(out)["rows"] for v in row.values()]
+    lines = [line for line in out.splitlines() if not line.startswith("#")]
+    return [field for row in list(csv.reader(lines))[1:] for field in row]
+
+
+def _is_non_finite(value) -> bool:
+    try:
+        return not math.isfinite(float(value))
+    except (TypeError, ValueError):
+        return False
 
 
 @settings(max_examples=60, deadline=None,
@@ -160,7 +185,10 @@ def _exit_code(argv: list[str]) -> int:
 def test_every_argv_exits_0_2_or_3(argv, tmp_path, monkeypatch):
     monkeypatch.setenv("PRIMELAB_CACHE_DIR", str(tmp_path))
     allowed = (2, 3) if _gives_unread_option(argv) else (0, 2, 3)
-    assert _exit_code(argv) in allowed, argv
+    code, out = _run(argv)
+    assert code in allowed, argv
+    if code == 0:
+        assert not any(map(_is_non_finite, _row_values(out))), argv
 
 
 def test_unread_options_are_refused(tmp_path, monkeypatch):

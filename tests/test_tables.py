@@ -323,6 +323,105 @@ class TestBuildTables:
             build_tables(0)
 
 
+B = tables_mod.BLOCK_MAX
+READER_N_MAX = 3 * B + 5
+
+
+@pytest.fixture(scope="module")
+def reader_tables():
+    return build_tables(READER_N_MAX)
+
+
+class TestBlockReaders:
+    """``ArithTables.psi_step_blocks`` and ``von_mangoldt``, the two readers
+    every command takes Lambda and psi from, against the whole-array
+    references psi_steps and lam."""
+
+    @staticmethod
+    def _check_steps(tb: ArithTables, top: int, ref: ArithTables) -> None:
+        """The blocks cover 0..top in order, their prime powers and logs
+        joined are ref's up to top, their steps[1:] joined are the same
+        prefix of ref.psi_steps, and each steps[0] is the step before."""
+        blocks = [(lo, hi, q.copy(), logs.copy(), steps.copy())
+                  for lo, hi, q, logs, steps in tb.psi_step_blocks(top)]
+        edges = [0] + [hi for _lo, hi, *_rest in blocks]
+        assert [lo for lo, *_rest in blocks] == edges[:-1] and edges[-1] == top + 1
+        q_ref, logs_ref = ref.prime_powers
+        count = int(np.searchsorted(q_ref, top, side="right"))
+        q, logs = (np.concatenate([b[i] for b in blocks]) for i in (2, 3))
+        assert q.tobytes() == q_ref[:count].tobytes()
+        assert logs.tobytes() == logs_ref[:count].tobytes()
+        steps = np.concatenate([b[4][1:] for b in blocks])
+        assert steps.dtype == np.float64
+        assert steps.tobytes() == ref.psi_steps[1 : count + 1].tobytes()
+        before = np.array([0.0] + [b[4][-1] for b in blocks[:-1]])
+        assert np.array([b[4][0] for b in blocks]).tobytes() == before.tobytes()
+        assert all(b[4].size == b[2].size + 1 for b in blocks)
+
+    @pytest.mark.parametrize("top", [1, 2, B - 1, B, B + 1, 3 * B + 5])
+    def test_psi_step_blocks_are_psi_steps(self, reader_tables, top):
+        self._check_steps(reader_tables, top, reader_tables)
+
+    def test_psi_step_blocks_on_small_blocks(self, monkeypatch):
+        monkeypatch.setattr(tables_mod, "BLOCK_MAX", 64)
+        tb = build_tables(3000)
+        for top in (1, 2, 63, 64, 65, 127, 128, 129, 1000, 3000):
+            self._check_steps(tb, top, tb)
+
+    @pytest.mark.parametrize("lo, hi", [
+        (-5, 1), (-5, 10), (0, 1), (0, 40), (1, 2), (1, 50), (2, 3), (2, 1000),
+        (B - 3, B + 3),             # a block edge, at the prime power 2^16
+        (59040, 59060),             # 3^10 = 59049
+        (59040, 59049), (59049, 59050),
+        (2 * B - 7, 2 * B + 7),     # 2^17
+        (16770, 16820),             # 7^5 = 16807, 2^14 = 16384 below
+        (0, READER_N_MAX + 1),
+    ])
+    @pytest.mark.parametrize("where", ["memory", "mapped"])
+    def test_von_mangoldt_is_lam(self, reader_tables, tmp_path, lo, hi, where):
+        """Lambda over [lo, hi) is lam's, 0 at n <= 1, whether the tables
+        are in memory or mapped from a file whose pages it then drops."""
+        tb = reader_tables
+        if where == "mapped":
+            path = tmp_path / "tables.bin"
+            save_tables(reader_tables, path)
+            tb = load_tables(path)
+        want = np.zeros(hi - lo)
+        want[max(-lo, 0) :] = reader_tables.lam[max(lo, 0) : hi]
+        got = tb.von_mangoldt(lo, hi)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        assert tb.von_mangoldt(lo, hi).tobytes() == want.tobytes()  # read again
+
+    def test_only_the_readers_and_the_walk_release_pages(self):
+        """Outside tables.py only lemmas._walk drops table pages (it reads spf
+        through factor_blocks, which also serves phi, so it stays its own),
+        and no module but tables.py names the prime-power helpers: Lambda
+        and psi are read through the two readers alone."""
+        import ast
+        import pathlib
+        import re
+
+        import primelab
+        helpers = re.compile(r"\b_?(prime_power_blocks|prime_powers_between"
+                             r"|higher_prime_powers)\b")
+        releases, named = [], []
+        for path in sorted(pathlib.Path(primelab.__file__).parent.glob("*.py")):
+            if path.name == "tables.py":
+                continue
+            text = path.read_text()
+            named += [path.name] if helpers.search(text) else []
+            for fn in ast.walk(ast.parse(text)):
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    releases += [
+                        f"{path.stem}.{fn.name}" for node in ast.walk(fn)
+                        if isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "release"
+                    ]
+        assert releases == ["lemmas._walk"]
+        assert named == []
+
+
 class TestSaveLoad:
     def test_roundtrip(self, tmp_path):
         tb = build_tables(3000)
