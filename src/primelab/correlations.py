@@ -135,14 +135,16 @@ def _pattern_sum(sources, shifts, mults, n_lo: int, n_hi: int):
         b = min(a + step, n_hi + 1)
         vals = {f: f(a + lo, b + hi) for f, (lo, hi) in reads.items()}
         prod = None
-        for f, j, m in zip(sources, shifts, mults):
-            at = j - reads[f][0]
-            w = vals[f][at : at + b - a]
-            if prod is None:
-                prod = w**m  # a new array, so the in-place products write into no source
-            else:
-                prod *= w if m == 1 else w**m
-        acc.add(prod)
+        # an overflow leaves inf or nan in the sum, with no warning printed
+        with np.errstate(over="ignore", invalid="ignore"):
+            for f, j, m in zip(sources, shifts, mults):
+                at = j - reads[f][0]
+                w = vals[f][at : at + b - a]
+                if prod is None:
+                    prod = w**m  # a new array, so the in-place products write into no source
+                else:
+                    prod *= w if m == 1 else w**m
+            acc.add(prod)
     return acc.total
 
 
@@ -248,7 +250,8 @@ def psi_tuple(N: int, shifts: tuple[int, ...]) -> float:
     pattern = ShiftPattern(tuple(shifts), (1,) * len(shifts))
     _n_lo, _n_hi, top = _check_range(N, pattern, primed=False)
     sources = [tables_for(top).von_mangoldt] * pattern.r
-    return float(_pattern_sum(sources, pattern.shifts, pattern.multiplicities, 1, N))
+    total = _pattern_sum(sources, pattern.shifts, pattern.multiplicities, 1, N)
+    return finite_float(total, f"psi_j({N})")
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,13 @@ per-prime factors,
 so a single sieved walk (``_walk``) serves all five: it gives
 v[n] = mu^2(n) prod_{p|n} f(p) for n <= x from a factor function, which
 maps an array of primes to their factors f(p), with excluded primes
-(p | k) encoded as f(p) = 0.  ``multiplicative_values`` keeps all of v;
-the lemmas that need only the sums up to each rung keep v densely only up
-to BLOCK_MAX and above it only where the recurrence reads it back, and
-take those sums during the walk (``_LadderWalk``), bit for bit as np.sum
-would.  Each lemma then supplies its factor function
+(p | k) encoded as f(p) = 0.  The walk is a segmented sieve over mu,
+BLOCK_MAX values at a time: the primes up to isqrt(x) multiply their
+factors in at their multiples, and the one larger prime a squarefree n may
+have comes last.  ``multiplicative_values`` keeps all of v; the lemmas
+that need only the sums up to each rung take them block by block as the
+walk passes (``_LadderWalk``), bit for bit as np.sum would, and keep no
+array over n.  Each lemma then supplies its factor function
 (``_factor``: one formula on the primes, with values overridden at the
 primes dividing j or k), its closed-form main term (Euler products and
 prime log-sums truncated at a recorded p_cut; for Lemma 1 built from the
@@ -39,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, zip_longest
+from itertools import combinations, zip_longest
 from typing import Callable, Sequence
 
 import numpy as np
@@ -57,7 +59,6 @@ from .tables import (
     TABLE_MAX,
     PairwiseSum,
     cumsum_blocks,
-    factor_blocks,
     prime_divisors,
     squarefree_kernel,
     tables_for,
@@ -197,99 +198,87 @@ def _check_ladder(x_ladder: Sequence[int]) -> tuple[int, ...]:
 FactorFn = Callable[[np.ndarray], np.ndarray]
 
 
-def _walk(f: FactorFn, x: int, store: np.ndarray):
-    """Yield (lo, hi, v) over the blocks [lo, hi) of ``dyadic_blocks(x)``, in
-    order, with v[i] = mu^2(n) * prod_{p|n} f(p) at n = lo + i.
+def _walk(f: FactorFn, x: int, out: np.ndarray | None = None):
+    """Yield (lo, hi, v) over the blocks [lo, hi) of BLOCK_MAX entries
+    covering 0..x, in order, with v[i] = mu^2(n) * prod_{p|n} f(p) at
+    n = lo + i: a segmented sieve of the values.
 
-    The value at each n < store.size is also kept in store[n], with
-    store[0] = 0.0 and store[1] = 1.0 (n = 0, 1 lie in no block).  The
-    recurrence reads back v at m = n/P(n) for squarefree n only, and such
-    an m is squarefree with m * P(m) < n <= x.  Above store.size the walk
-    therefore keeps, in a tier of its own sorted by n, only the squarefree
-    n with n * P(n) <= x: at x = 10**7, 2,869 values above a store of
-    BLOCK_MAX + 1 entries, the largest 510510.
-    The blocks ascend and each m lies below its block, so the tier is
-    appended to in order and is read only where it is finished.  The int32
-    lpf array is kept at the odd n <= x/2 only, as m is odd for squarefree
-    n.  store may be as short as 2 entries or reach x; v is a view of a
-    buffer reused from block to block, valid until the next block is asked
-    for, and the exhausted walk returns the tier, (n, v).  The recurrence
-    is the one ``multiplicative_values`` describes.
+    In a block v starts at 1.0, and each prime p <= isqrt(x), in ascending
+    order, multiplies f(p) into v at its multiples and p into an int32
+    prod.  A squarefree n then has at most one prime factor q > isqrt(x)
+    left out of prod, q = n / prod, and f(q) is multiplied in last where
+    q > 1; v is 0.0 where mu = 0.  So v[n] is the left-to-right product
+    (((1.0 f(p_1)) f(p_2)) ...) f(q) over the primes p_1 < p_2 < ... < q
+    of n, bit for bit.  The primes p <= isqrt(BLOCK_MAX), with many
+    multiples in a block, take strided slices; the larger ones one
+    np.multiply.at over all their multiples in it, ordered by prime and
+    then by position, so each n still meets its primes in ascending order.
 
-    spf and mu are read only at [lo, hi), block after block, never behind:
-    once a block is done, the walk drops the file pages behind it
-    (``ArithTables.release``), so on a mapped cache file it holds only the
-    pages around its current block rather than all it has passed.
+    f is called once on the int32 sieving primes and then, block by block,
+    on the q of the squarefree n: it sees every prime <= x and nothing
+    else.  v is out[lo:hi] when an (x + 1)-entry out is given, and
+    otherwise a view of a buffer reused from block to block, valid until
+    the next block is asked for.  Of the tables only mu is read, at
+    [lo, hi), block after block: once a block is done the walk drops the
+    file pages behind it (``ArithTables.release``), so on a mapped cache
+    file it holds only the pages around its current block.
     """
     tables = tables_for(x)
-    mu = tables.mu
-    store[0] = 0.0
-    store[1] = 1.0
-    # lpf[i] is lpf(2i + 1), and lpf(1) = 1; an even m (of a non-squarefree
-    # n, whose value is masked) reads the entry of m + 1, and an entry read
-    # before it is written holds 1, which max(., p) turns into p: f is
-    # given only primes
-    lpf = np.ones(x // 4 + 1, dtype=np.int32)
-    tier_n, tier_v = np.empty(0, dtype=np.int32), np.empty(0, dtype=np.float64)
-    # block temporaries, allocated once: a fresh 1-2 MB array per block
-    # would be mapped, faulted in and unmapped again every time
-    size = min((x + 1) // 2, _tables.BLOCK_MAX)  # the largest block
-    index, big = np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int32)
-    value, zero = np.empty(size, dtype=np.float64), np.empty(size, dtype=bool)
-    for lo, hi, k, p in factor_blocks(tables.spf[: x + 1]):
-        n = hi - lo
-        m, b, v, z = index[:n], big[:n], value[:n], zero[:n]
-        np.floor_divide(k, p, out=m)
-        np.right_shift(m, 1, out=m)
-        np.take(lpf, m, out=b, mode="clip")
-        np.maximum(b, p, out=b)
-        kept = lpf[lo // 2 : hi // 2]  # the block's odd n; empty past x/2
-        kept[:] = b[1 - lo % 2 :: 2][: kept.size]
-        np.floor_divide(k, b, out=m)
-        np.take(store, m, out=v, mode="clip")
-        if tier_n.size:
-            # m >= store.size needs P <= (hi - 1) / store.size: few entries
-            at = np.flatnonzero(b <= (hi - 1) // store.size)
-            at = at[m[at] >= store.size]
-            found = np.searchsorted(tier_n, m[at])
-            v[at] = tier_v[np.minimum(found, tier_n.size - 1)]
-        np.multiply(v, f(b), out=v)
-        np.equal(mu[lo:hi], 0, out=z)
-        np.copyto(v, 0.0, where=z)
-        kept = store[lo:hi]  # empty once lo >= store.size
-        kept[:] = v[: kept.size]
-        if hi > store.size:
-            # n * P(n) <= x needs P <= x / lo: few entries
-            at = np.flatnonzero(b <= x // lo)
-            at = at[(k[at] >= store.size) & ~z[at]
-                    & (k[at].astype(np.int64) * b[at] <= x)]
-            tier_n = np.concatenate((tier_n, k[at]))
-            tier_v = np.concatenate((tier_v, v[at]))
+    block = _tables.BLOCK_MAX
+    primes = _tables.eratosthenes(math.isqrt(x)).astype(np.int32)
+    factors = f(primes)
+    split = int(np.searchsorted(primes, math.isqrt(block), side="right"))
+    small = list(zip(primes[:split].tolist(), factors[:split]))
+    big, big_f = primes[split:], factors[split:]
+    # block temporaries, allocated once: a fresh array per block would be
+    # mapped, faulted in and unmapped again every time
+    size = min(x + 1, block)
+    ramp = np.arange(size, dtype=np.int32)
+    value = np.empty(size, dtype=np.float64) if out is None else None
+    prod_buf, q_buf = np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int32)
+    zero_buf = np.empty(size, dtype=bool)
+    for lo in range(0, x + 1, block):
+        hi = min(lo + block, x + 1)
+        v = out[lo:hi] if value is None else value[: hi - lo]
+        prod, q, zero = prod_buf[: hi - lo], q_buf[: hi - lo], zero_buf[: hi - lo]
+        v.fill(1.0)
+        prod.fill(1)
+        # multiples from n = 1 on: n = 0, which every p divides, is masked,
+        # and prod then divides n, so the int32 products cannot overflow
+        start = max(lo, 1)
+        for p, fp in small:
+            every = slice(start - lo + -start % p, None, p)
+            np.multiply(v[every], fp, out=v[every])
+            np.multiply(prod[every], p, out=prod[every])
+        first = start - lo + -start % big
+        counts = np.maximum((hi - lo - 1 - first) // big + 1, 0)
+        steps = np.repeat(big, counts)
+        at = np.arange(steps.size, dtype=np.intp)
+        at -= np.repeat(np.cumsum(counts) - counts, counts)  # i-th multiple
+        at *= steps
+        at += np.repeat(first, counts)
+        np.multiply.at(v, at, np.repeat(big_f, counts))
+        np.multiply.at(prod, at, steps)
+        np.equal(tables.mu[lo:hi], 0, out=zero)
+        np.add(ramp[: hi - lo], lo, out=q)
+        np.floor_divide(q, prod, out=q)
+        at = np.flatnonzero((q > 1) & ~zero)
+        v[at] *= f(q[at])
+        np.copyto(v, 0.0, where=zero)
         tables.release(lo, hi)
         yield lo, hi, v
-    return tier_n, tier_v
 
 
 def multiplicative_values(f: FactorFn, x: int) -> np.ndarray:
     """v[n] = mu^2(n) * prod_{p|n} f(p) for 0 <= n <= x (v[0]=0, v[1]=1).
 
     ``f`` maps an int32 array of primes to their float64 factors, element
-    by element; excluded primes should map to 0.  The dyadic-block
-    recurrence of ``tables`` fills v block by block: with P = lpf(n) the
-    largest prime factor, v[n] = v[n/P] * f(P) for squarefree n and 0.0
-    otherwise, where lpf(n) = max(spf(n), lpf(n/spf(n))).  f is evaluated
-    on each block's lpf array, so no x-entry factor array is built; it sees
-    every n of the block, p = 2 and non-squarefree n included, and must not
-    raise floating-point warnings there.  Keying on the largest prime
-    multiplies the factors in ascending-prime order, so v[n] is bit-for-bit
-    the left-to-right product.  spf and mu come from ``tables_for(x)``.  The
-    array f is given is a buffer reused from block to block: f must not
-    keep or change it.
-
-    This is the walk of ``_walk`` with the x+1 output as its store, so its
-    sparse tier stays empty.  The lemmas that only need prefix sums walk
-    with a store of min(x/2, BLOCK_MAX) + 1 entries and keep above it only
-    the values the recurrence reads back (``_LadderWalk``).
+    by element; excluded primes should map to 0.  f sees only primes, every
+    prime <= x at least once, and must not raise floating-point warnings
+    there.  The sieve of ``_walk`` fills v in place, block by block, so
+    v[n] is bit for bit the left-to-right product over the primes of n in
+    ascending order.  The lemmas that only need prefix sums take them from
+    the same walk (``_LadderWalk``) and keep no x-entry array.
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
@@ -300,24 +289,20 @@ def multiplicative_values(f: FactorFn, x: int) -> np.ndarray:
 
 
 class _LadderWalk:
-    """The walk of f up to the top rung x with v stored densely only for
-    n <= min(x/2, BLOCK_MAX), taking np.sum(v[: r + 1]) for each rung r on
-    the way, bit for bit: one ``tables.PairwiseSum`` of r + 1 entries per
-    rung, all fed the one pass of blocks.
+    """The walk of f up to the top rung x, taking np.sum(v[: r + 1]) for
+    each rung r on the way, bit for bit: one ``tables.PairwiseSum`` of
+    r + 1 entries per rung, all fed the one pass of blocks.
 
-    Iterating it yields (0, 2, [v[0], v[1]]) = (0, 2, [0.0, 1.0]) and then
-    the walk's blocks (lo, hi, v); once they are exhausted, ``sums`` holds
-    the rung sums.
+    Iterating it yields the walk's blocks (lo, hi, v), from n = 0; once
+    they are exhausted, ``sums`` holds the rung sums.
     """
 
     def __init__(self, f: FactorFn, ladder: tuple[int, ...]):
         self.f, self.ladder = f, ladder
 
     def __iter__(self):
-        x = self.ladder[-1]
-        store = np.empty(min(max(x // 2, 1), _tables.BLOCK_MAX) + 1, dtype=np.float64)
         rungs = [PairwiseSum(r + 1) for r in self.ladder]
-        for lo, hi, v in chain([(0, 2, np.array([0.0, 1.0]))], _walk(self.f, x, store)):
+        for lo, hi, v in _walk(self.f, self.ladder[-1]):
             for rung in rungs:
                 rung.add(v)
             yield lo, hi, v
@@ -434,8 +419,7 @@ def lemma1(
     k2 = float(np.prod(1.0 / (1.0 + fk)))
     s2 = float(np.sum(fk / (1.0 + fk) * np.log(pk)))
 
-    # every prime p <= x_max is the largest prime factor of p itself, so
-    # the walk evaluates f, and its checks, at each of them
+    # the walk evaluates f, and its checks, at every prime p <= x_max
     f = _factor(ratio, [(p, 0.0) for p in k_primes])
     lhs = _rung_sums(f, ladder)
     main = tuple(k1 * k2 * (math.log(x) + EULER_GAMMA + s1 + s2) for x in ladder)
@@ -472,13 +456,11 @@ def lemma2(x_ladder: Sequence[int]) -> LemmaReport:
     integer prefix and the successive ladder differences |S(x_{i+1})-S(x_i)|,
     which should shrink (the series converges).
 
-    One walk (``_LadderWalk``) gives both, holding the values densely only
-    up to BLOCK_MAX and above it only the few it reads back, and the
-    largest prime factors only at the odd n <= x_max/2, about 1 byte per
-    entry: S at each rung is np.sum of the values, bit for bit, in numpy's
-    pairwise order, and the sup is taken over one running sum streamed
-    through ``cumsum_blocks``, the additions of np.cumsum(values[1:])
-    without its x-entry output or an |S| temporary.
+    One walk (``_LadderWalk``) gives both, sieving BLOCK_MAX values at a
+    time and keeping none of them: S at each rung is np.sum of the values,
+    bit for bit, in numpy's pairwise order, and the sup is taken over one
+    running sum streamed through ``cumsum_blocks``, the additions of
+    np.cumsum(values[1:]) without its x-entry output or an |S| temporary.
     """
     ladder = _check_ladder(x_ladder)
     # mu(n) folded in: f(p) = -(p-2)/(p(p-1)); the p=2 factor is 0 since

@@ -446,8 +446,9 @@ def moment_psiR(
     weights = build_weights(R, exact=exact)
     acc = PairwiseSum(N)
     for _a, _b, w in _lam_windows(N, h, weights, start):
-        w **= k  # in place, the same bits as w**k
-        acc.add(w)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below if not finite
+            w **= k  # in place, the same bits as w**k
+            acc.add(w)
     total = acc.total
     computed = Fraction(total, weights.denominator**k) if exact else float(total)
     value = finite_float(computed, f"M_{k}")
@@ -487,8 +488,11 @@ def expand_via_correlations(
 ) -> float | Fraction:
     """The grouping rearrangement of M_k(N, h, psi_R):
 
-    sum_{r=1}^{k} sum_{1<=j_1<...<j_r<=h} sum_{compositions a of k}
+    sum_{r=1}^{min(k, h)} sum_{1<=j_1<...<j_r<=h} sum_{compositions a of k}
         k!/(a_1!...a_r!) * sum_n prod_i lambda_R(n+j_i)^{a_i} .
+
+    No r > h has a shift tuple, so the compositions into r parts are listed
+    only for r <= h.
 
     Every term is a shifted correlation sum S_k(N, j, a), taken by the
     pattern-sum kernel of ``correlations.s_k`` on floats or on exact ints
@@ -506,7 +510,7 @@ def expand_via_correlations(
         return vals[lo:hi]  # lo >= start + 1 >= 2
 
     terms = []
-    for r in range(1, k + 1):
+    for r in range(1, min(k, h) + 1):
         comps = list(_compositions(k, r))
         for js in combinations(range(1, h + 1), r):
             for a in comps:
@@ -543,8 +547,9 @@ def moment_psi(
     for _a, _b, w in _psi_windows(N, h, tables_for(top), start):
         if centered:
             w -= float(h)
-        w **= k
-        acc.add(w)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below if not finite
+            w **= k
+            acc.add(w)
     computed = finite_float(acc.total, f"M_{k}")
     predicted = (
         ms_prediction(N, h, k) if centered else

@@ -18,7 +18,7 @@ and derive from spf, on first read,
 The least prime factor of a composite n <= TABLE_MAX is at most
 isqrt(TABLE_MAX) < 2**16, and at a prime it is n itself, which the index
 already gives: so spf fits in 16 bits, and ``factor_blocks`` decodes it
-(k where spf[k] = 0) a block at a time for the recurrences below.
+(k where spf[k] = 0) a block at a time for the recurrence of phi below.
 
 One segmented sieve makes spf and mu (``sieve_segments``): segments of
 SIEVE_SEGMENT = 2**18 entries, one check block of the cache file, sieved in
@@ -35,13 +35,12 @@ and the block is one vectorised numpy step, phi = phi(m) p where
 p = spf(m) and phi(m) (p-1) otherwise.
 
 ``dyadic_blocks`` yields the blocks, split further so that no step's
-temporaries exceed BLOCK_MAX = 2**16 entries.  The lemmas' walk runs the same
-recurrence keyed on the largest prime factor P, block by block; it reads
-back v only at m = n/P for squarefree n, and such an m has m * P(m) < x.
-So a walk that needs only prefix sums keeps its values densely only up to
-BLOCK_MAX and, above that, only at the squarefree n with n * P(n) <= x
-(2,869 values at x = 10**7, none above 10**6), its lpf array only at the
-odd n <= x/2, and takes its rung sums as the blocks pass
+temporaries exceed BLOCK_MAX = 2**16 entries.  The lemmas' walk is the
+segmented sieve again, run over mu in blocks of BLOCK_MAX values: the
+primes up to isqrt(x) multiply their factors into a block at their
+multiples, and the one larger prime a squarefree n may have comes last
+(``lemmas._walk``).  It reads no spf and keeps no array over n, and a
+walk that needs only prefix sums takes them as the blocks pass
 (``lemmas._LadderWalk``).  ``cumsum_blocks`` streams a running sum over an
 array or over such blocks, carrying as many earlier sums as a window
 difference needs.  ``PairwiseSum`` is the one sum over streamed blocks:
@@ -89,7 +88,7 @@ and damaged bytes are never used.  A reader that passes through the tables
 once drops the pages behind it (``ArithTables.release``), so a pass over a
 mapped file holds only the pages around its current block, not all it has
 passed: the two readers above do so for every command, and the lemmas'
-walk, which reads spf through ``factor_blocks``, for itself.
+walk, which reads mu alone, for itself.
 """
 
 from __future__ import annotations

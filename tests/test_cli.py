@@ -96,6 +96,21 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "overflows float64" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--psi", "--n", "100", "--h", "3", "--k", "500"],
+        ["moments", "--psi", "--centered", "--n", "1e4", "--h", "30", "--k", "401"],
+        ["correlate", "--n", "100", "--r", "50", "--pattern", "0:600"],
+    ], ids=["psi-inf", "psi-centered-nan", "correlate-inf"])
+    def test_float_overflow_is_one_stderr_line(self, argv):
+        """The float overflow refusals print the one precondition line on
+        stderr, with no numpy RuntimeWarning before it (a fresh
+        interpreter, so warnings print as a user sees them)."""
+        proc = subprocess.run(CLI + argv, capture_output=True, timeout=300)
+        err = proc.stderr.decode()
+        assert proc.returncode == 3, err
+        assert err.startswith("precondition failed: ") and err.count("\n") == 1, err
+        assert "overflows float64" in err and proc.stdout == b""
+
     @pytest.mark.parametrize("where", ["missing", "directory"])
     def test_unwritable_output_returns_3(self, where, tmp_path):
         """An --output path in a missing directory, or naming a directory,

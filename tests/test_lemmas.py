@@ -167,8 +167,8 @@ class TestMultiplicativeValues:
         """On tables the process already holds, lemma2's walk and its sup
         of |S(t)| allocate at most 10 bytes per entry plus block
         temporaries: no x-entry factor array or cumsum.  The walk now keeps
-        about 1 byte per entry (an int32 lpf at the odd n <= x/2), so the
-        bound is loose; ``test_lemma2_allocation_slope`` holds it to 2."""
+        no array over n at all, so the bound is loose;
+        ``test_lemma2_allocation_slope`` holds its growth to 0.1."""
         x = 2_000_000
         tables_mod.tables_for(x)
         tracemalloc.start()
@@ -182,9 +182,10 @@ class TestMultiplicativeValues:
     def test_lemma2_memory_slope(self):
         """On tables the process already holds, lemma2's allocations grow by
         at most 7 bytes per entry between x = 10**6 and 4 * 10**6, where a
-        full value array made it 10.  The bound dates from values and lpf
-        kept densely up to x/2 (6 bytes per entry);
-        ``test_lemma2_allocation_slope`` holds the present walk to 2."""
+        full value array made it 10.  The bound dates from values and an
+        int32 largest-prime-factor array kept densely up to x/2 (6 bytes
+        per entry); ``test_lemma2_allocation_slope`` holds the present walk
+        to 0.1."""
         xs = (1_000_000, 4_000_000)
         tables_mod.tables_for(xs[-1])
         peaks = []
@@ -199,10 +200,10 @@ class TestMultiplicativeValues:
 
     def test_lemma2_allocation_slope(self):
         """On tables the process already holds, lemma2's allocations grow by
-        at most 2 bytes per entry between x = 10**6 and 4 * 10**6: above
-        BLOCK_MAX its values are kept only where the recurrence reads them
-        back, and its int32 lpf array only at the odd n <= x/2 (1 byte per
-        entry)."""
+        at most 0.1 byte per entry between x = 10**6 and 4 * 10**6: the
+        walk sieves each block of BLOCK_MAX values on its own and keeps
+        none of them, so only its list of sieving primes (isqrt(x) of them)
+        and the few multiples of the larger ones in a block grow with x."""
         xs = (1_000_000, 4_000_000)
         tables_mod.tables_for(xs[-1])
         peaks = []
@@ -213,45 +214,76 @@ class TestMultiplicativeValues:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert (peaks[1] - peaks[0]) / (xs[1] - xs[0]) <= 2
+        assert (peaks[1] - peaks[0]) / (xs[1] - xs[0]) <= 0.1
 
-    @pytest.mark.parametrize("x", [10**5, 10**6])
-    def test_walk_keeps_only_what_it_reads_back(self, x):
-        """Above its store the walk keeps exactly the squarefree n with
-        n * P(n) <= x, P the largest prime factor, each with its value; and
-        its blocks are those of the full value array, for stores from 2
-        entries up to the ``_LadderWalk`` size and x/2 + 1.  P and the
-        squarefree n come from a brute sieve, not from the tables."""
+    @pytest.mark.parametrize("block_max", [UNSPLIT, 64])
+    def test_walk_blocks_equal_the_slice_sieve(self, monkeypatch, block_max):
+        """The walk's blocks, joined, are the slice-sieve values byte for
+        byte, at x on either side of the square of a sieving prime and of
+        block edges.  With BLOCK_MAX = 64 the primes up to 7 take strided
+        slices and the larger ones np.multiply.at; with UNSPLIT the split
+        is at 512, so 521**2 +- 1 reaches the second phase there too."""
         from primelab import lemmas
 
-        rng = np.random.default_rng(SEED)
-        fvals = rng.normal(size=x + 1)
-        f = fvals.__getitem__
-        big_p = np.zeros(x + 1, dtype=np.int64)
-        squarefree = np.ones(x + 1, dtype=bool)
-        squarefree[0] = False
-        for p in primes_up_to(x).tolist():
-            big_p[p::p] = p  # ascending p, so the largest prime is written last
-            squarefree[p * p :: p * p] = False
-        n = np.arange(x + 1)
-        full = multiplicative_values(f, x)
-        sizes = {2, 65, 4097, min(x // 2, tables_mod.BLOCK_MAX) + 1, x // 2 + 1}
-        for size in sorted(sizes):
-            store = np.empty(size, dtype=np.float64)
-            walk = lemmas._walk(f, x, store)
-            got = np.zeros(x + 1)
-            while True:
-                try:
-                    lo, hi, v = next(walk)
-                except StopIteration as stop:
-                    tier_n, tier_v = stop.value
-                    break
-                got[lo:hi] = v
-            got[:size] = store
-            want_n = n[(n >= size) & squarefree & (n * big_p <= x)]
-            assert tier_n.tolist() == want_n.tolist(), size
-            assert tier_v.tobytes() == full[want_n].tobytes(), size
-            assert got.tobytes() == full.tobytes(), size
+        monkeypatch.setattr(tables_mod, "BLOCK_MAX", block_max)
+        xs = {p * p + d for p in (2, 7, 11, 13, 521) for d in (-1, 0, 1)}
+        xs |= {m * block_max + d for m in (1, 2) for d in (-1, 0, 1)}
+        rng = np.random.default_rng(SEED + 2)
+        top = max(xs)
+        fvals = rng.normal(size=top + 1)
+        fvals[rng.random(top + 1) < 0.2] = -0.0
+        want = slice_sieve_mult_values(fvals, top)
+        for x in sorted(xs):
+            edges, blocks = [0], []
+            for lo, hi, v in lemmas._walk(fvals.__getitem__, x):
+                assert lo == edges[-1] and 0 < hi - lo <= block_max, (x, lo, hi)
+                edges.append(hi)
+                blocks.append(v.copy())
+            assert edges[-1] == x + 1, x
+            got = np.concatenate(blocks)
+            assert got.tobytes() == want[: x + 1].tobytes(), x
+
+    @pytest.mark.parametrize("block_max", [UNSPLIT, 64])
+    def test_factor_function_sees_every_prime_and_only_primes(
+        self, monkeypatch, block_max
+    ):
+        """A spy factor function receives only primes <= x, and every prime
+        <= x at least once, on both sides of squares and block edges."""
+        from primelab import lemmas
+
+        monkeypatch.setattr(tables_mod, "BLOCK_MAX", block_max)
+        for x in (1, 2, 3, 48, 49, 50, 127, 128, 129, 20_000):
+            seen = []
+
+            def spy(ps):
+                seen.append(np.asarray(ps).copy())
+                return np.ones(len(ps))
+
+            for _block in lemmas._walk(spy, x):
+                pass
+            got = np.concatenate(seen).astype(np.int64)
+            assert set(got.tolist()) == set(sympy.primerange(2, x + 1)), x
+
+    def test_walk_reads_no_spf_page(self, tmp_path, monkeypatch, mapped_rss):
+        """lemmas does not import factor_blocks, and on a mapped cache file
+        a walk that drops no page maps in mu and no page of spf: its
+        resident bytes there are about x + 1 (mu), not 3 (x + 1)."""
+        from primelab import lemmas
+
+        assert not hasattr(lemmas, "factor_blocks")
+        x = 2_000_000
+        path = tmp_path / f"primelab_tables_{x}.bin"
+        save_tables(build_tables(x), path)
+        mapped = []
+        real = tables_mod.load_tables
+        monkeypatch.setattr(tables_mod, "load_tables",
+                            lambda *args: mapped.append(real(*args)) or mapped[-1])
+        monkeypatch.setenv(tables_mod.CACHE_DIR_ENV, str(tmp_path))
+        monkeypatch.setattr(tables_mod.ArithTables, "release", lambda *args: None)
+        for _block in lemmas._walk(_lemma4_factor(2, 1), x):
+            pass
+        assert len(mapped) == 1  # held here, so its mapping outlives the walk
+        assert x <= mapped_rss(path) <= x + 2 * 3 * tables_mod.BLOCK_MAX
 
     @pytest.mark.parametrize("block_max", [UNSPLIT, 64])
     @settings(max_examples=40, deadline=None)
@@ -304,9 +336,9 @@ class TestMultiplicativeValues:
         walked = []
         real = lemmas._walk
 
-        def spy(f, x, store):
+        def spy(f, x, *args):
             walked.append(f)
-            return real(f, x, store)
+            return real(f, x, *args)
 
         monkeypatch.setattr(lemmas, "_walk", spy)
         monkeypatch.setattr(tables_mod, "BLOCK_MAX", block_max)
@@ -332,7 +364,7 @@ class TestMultiplicativeValues:
         ["--which", "4", "--params", "j=3,k=5"],
     ])
     def test_factor_functions_raise_no_warnings(self, argv, capsys):
-        """The factor functions see p = 2 and non-squarefree n too; none of
+        """The factor functions see only primes, p = 2 among them; none of
         them divides by zero or warns there."""
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -119,6 +119,25 @@ class TestGroupingIdentity:
         via = expand_via_correlations(2000, 6, 15, 3)
         assert abs(direct.computed - via) < 1e-10 * abs(direct.computed)
 
+    def test_compositions_listed_only_up_to_h(self, monkeypatch):
+        """The expansion lists compositions into r parts only for r <= h,
+        as no r > h has a shift tuple; its value is unchanged: k = 6 over
+        h = 3 equals the direct moment exactly."""
+        from primelab import moments
+
+        asked = []
+        real = moments._compositions
+
+        def spy(total, parts):
+            if total == 6:  # the recursion asks for smaller totals
+                asked.append(parts)
+            return real(total, parts)
+
+        monkeypatch.setattr(moments, "_compositions", spy)
+        via = expand_via_correlations(300, 3, 10, 6, exact=True)
+        assert asked == [1, 2, 3]
+        assert via == moment_psiR(300, 3, 10, 6, exact=True).computed
+
     def test_exact_path_stays_integer(self):
         """Exact mode never passes through floats: every lambda_R value is a
         Python int, and the exact sums are Fractions."""

@@ -393,8 +393,8 @@ class TestBlockReaders:
         assert tb.von_mangoldt(lo, hi).tobytes() == want.tobytes()  # read again
 
     def test_only_the_readers_and_the_walk_release_pages(self):
-        """Outside tables.py only lemmas._walk drops table pages (it reads spf
-        through factor_blocks, which also serves phi, so it stays its own),
+        """Outside tables.py only lemmas._walk drops table pages (it sieves
+        its values from mu alone, block by block, so it is its own reader),
         and no module but tables.py names the prime-power helpers: Lambda
         and psi are read through the two readers alone."""
         import ast
