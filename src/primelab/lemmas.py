@@ -9,13 +9,14 @@ per-prime factors,
 so a single sieved walk (``_walk``) serves all five: it gives
 v[n] = mu^2(n) prod_{p|n} f(p) for n <= x from a factor function, which
 maps an array of primes to their factors f(p), with excluded primes
-(p | k) encoded as f(p) = 0.  The walk is a segmented sieve over mu,
-BLOCK_MAX values at a time: the primes up to isqrt(x) multiply their
-factors in at their multiples, and the one larger prime a squarefree n may
-have comes last.  ``multiplicative_values`` keeps all of v; the lemmas
-that need only the sums up to each rung take them block by block as the
-walk passes (``_LadderWalk``), bit for bit as np.sum would, and keep no
-array over n.  Each lemma then supplies its factor function
+(p | k) encoded as f(p) = 0.  The walk is a segmented sieve of its own,
+BLOCK_MAX values at a time, and reads no table: the primes up to isqrt(x)
+multiply their factors in at their multiples and mark the multiples of
+their squares, the n that are not squarefree, and the one larger prime a
+squarefree n may have comes last.  ``multiplicative_values`` keeps all of
+v; the lemmas that need only the sums up to each rung take them block by
+block as the walk passes (``_LadderWalk``), bit for bit as np.sum would,
+and keep no array over n.  Each lemma then supplies its factor function
 (``_factor``: one formula on the primes, with values overridden at the
 primes dividing j or k), its closed-form main term (Euler products and
 prime log-sums truncated at a recorded p_cut; for Lemma 1 built from the
@@ -61,7 +62,6 @@ from .tables import (
     cumsum_blocks,
     prime_divisors,
     squarefree_kernel,
-    tables_for,
 )
 
 __all__ = [
@@ -198,51 +198,49 @@ def _check_ladder(x_ladder: Sequence[int]) -> tuple[int, ...]:
 FactorFn = Callable[[np.ndarray], np.ndarray]
 
 
-def _walk(f: FactorFn, x: int, out: np.ndarray | None = None):
+def _walk(f: FactorFn, x: int):
     """Yield (lo, hi, v) over the blocks [lo, hi) of BLOCK_MAX entries
     covering 0..x, in order, with v[i] = mu^2(n) * prod_{p|n} f(p) at
     n = lo + i: a segmented sieve of the values.
 
     In a block v starts at 1.0, and each prime p <= isqrt(x), in ascending
     order, multiplies f(p) into v at its multiples and p into an int32
-    prod.  A squarefree n then has at most one prime factor q > isqrt(x)
-    left out of prod, q = n / prod, and f(q) is multiplied in last where
-    q > 1; v is 0.0 where mu = 0.  So v[n] is the left-to-right product
+    prod, and marks its multiples of p^2, which are not squarefree.  A
+    squarefree n then has at most one prime factor q > isqrt(x) left out of
+    prod, q = n / prod, and f(q) is multiplied in last where q > 1; v is
+    0.0 at the marked n and at n = 0.  So v[n] is the left-to-right product
     (((1.0 f(p_1)) f(p_2)) ...) f(q) over the primes p_1 < p_2 < ... < q
     of n, bit for bit.  The primes p <= isqrt(BLOCK_MAX), with many
     multiples in a block, take strided slices; the larger ones one
     np.multiply.at over all their multiples in it, ordered by prime and
-    then by position, so each n still meets its primes in ascending order.
+    then by position, so each n still meets its primes in ascending order,
+    and one step for their multiples of p^2, at most one each per block.
 
     f is called once on the int32 sieving primes and then, block by block,
     on the q of the squarefree n: it sees every prime <= x and nothing
-    else.  v is out[lo:hi] when an (x + 1)-entry out is given, and
-    otherwise a view of a buffer reused from block to block, valid until
-    the next block is asked for.  Of the tables only mu is read, at
-    [lo, hi), block after block: once a block is done the walk drops the
-    file pages behind it (``ArithTables.release``), so on a mapped cache
-    file it holds only the pages around its current block.
+    else.  v is a view of a buffer reused from block to block, valid until
+    the next block is asked for.  The walk reads no table.
     """
-    tables = tables_for(x)
     block = _tables.BLOCK_MAX
     primes = _tables.eratosthenes(math.isqrt(x)).astype(np.int32)
     factors = f(primes)
     split = int(np.searchsorted(primes, math.isqrt(block), side="right"))
     small = list(zip(primes[:split].tolist(), factors[:split]))
     big, big_f = primes[split:], factors[split:]
+    big_square = big.astype(np.intp) ** 2  # each > BLOCK_MAX
     # block temporaries, allocated once: a fresh array per block would be
     # mapped, faulted in and unmapped again every time
     size = min(x + 1, block)
-    ramp = np.arange(size, dtype=np.int32)
-    value = np.empty(size, dtype=np.float64) if out is None else None
-    prod_buf, q_buf = np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int32)
+    value = np.empty(size, dtype=np.float64)
+    prod_buf = np.empty(size, dtype=np.int32)
     zero_buf = np.empty(size, dtype=bool)
     for lo in range(0, x + 1, block):
         hi = min(lo + block, x + 1)
-        v = out[lo:hi] if value is None else value[: hi - lo]
-        prod, q, zero = prod_buf[: hi - lo], q_buf[: hi - lo], zero_buf[: hi - lo]
+        v, prod, zero = value[: hi - lo], prod_buf[: hi - lo], zero_buf[: hi - lo]
         v.fill(1.0)
         prod.fill(1)
+        zero.fill(False)
+        zero[0] = lo == 0  # n = 0
         # multiples from n = 1 on: n = 0, which every p divides, is masked,
         # and prod then divides n, so the int32 products cannot overflow
         start = max(lo, 1)
@@ -250,6 +248,7 @@ def _walk(f: FactorFn, x: int, out: np.ndarray | None = None):
             every = slice(start - lo + -start % p, None, p)
             np.multiply(v[every], fp, out=v[every])
             np.multiply(prod[every], p, out=prod[every])
+            zero[-lo % (p * p) :: p * p] = True
         first = start - lo + -start % big
         counts = np.maximum((hi - lo - 1 - first) // big + 1, 0)
         steps = np.repeat(big, counts)
@@ -259,13 +258,14 @@ def _walk(f: FactorFn, x: int, out: np.ndarray | None = None):
         at += np.repeat(first, counts)
         np.multiply.at(v, at, np.repeat(big_f, counts))
         np.multiply.at(prod, at, steps)
-        np.equal(tables.mu[lo:hi], 0, out=zero)
-        np.add(ramp[: hi - lo], lo, out=q)
-        np.floor_divide(q, prod, out=q)
+        at = -lo % big_square
+        zero[at[at < hi - lo]] = True
+        # q = n // prod in prod's buffer; the n are made afresh each block,
+        # so no buffer of them is held beside v while f(q) runs
+        q = np.floor_divide(np.arange(lo, hi, dtype=np.int32), prod, out=prod)
         at = np.flatnonzero((q > 1) & ~zero)
         v[at] *= f(q[at])
         np.copyto(v, 0.0, where=zero)
-        tables.release(lo, hi)
         yield lo, hi, v
 
 
@@ -275,16 +275,16 @@ def multiplicative_values(f: FactorFn, x: int) -> np.ndarray:
     ``f`` maps an int32 array of primes to their float64 factors, element
     by element; excluded primes should map to 0.  f sees only primes, every
     prime <= x at least once, and must not raise floating-point warnings
-    there.  The sieve of ``_walk`` fills v in place, block by block, so
-    v[n] is bit for bit the left-to-right product over the primes of n in
-    ascending order.  The lemmas that only need prefix sums take them from
-    the same walk (``_LadderWalk``) and keep no x-entry array.
+    there.  v is the blocks of ``_walk`` joined, so v[n] is bit for bit
+    the left-to-right product over the primes of n in ascending order.
+    The lemmas that only need prefix sums take them from the same walk
+    (``_LadderWalk``) and keep no x-entry array.
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     out = np.empty(x + 1, dtype=np.float64)
-    for _block in _walk(f, x, out):
-        pass
+    for lo, hi, v in _walk(f, x):
+        out[lo:hi] = v
     return out
 
 

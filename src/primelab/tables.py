@@ -35,13 +35,13 @@ and the block is one vectorised numpy step, phi = phi(m) p where
 p = spf(m) and phi(m) (p-1) otherwise.
 
 ``dyadic_blocks`` yields the blocks, split further so that no step's
-temporaries exceed BLOCK_MAX = 2**16 entries.  The lemmas' walk is the
-segmented sieve again, run over mu in blocks of BLOCK_MAX values: the
-primes up to isqrt(x) multiply their factors into a block at their
-multiples, and the one larger prime a squarefree n may have comes last
-(``lemmas._walk``).  It reads no spf and keeps no array over n, and a
-walk that needs only prefix sums takes them as the blocks pass
-(``lemmas._LadderWalk``).  ``cumsum_blocks`` streams a running sum over an
+temporaries exceed BLOCK_MAX = 2**16 entries.  The lemmas' walk is a
+segmented sieve of its own, in blocks of BLOCK_MAX values: the primes up
+to isqrt(x) from ``eratosthenes`` multiply their factors into a block at
+their multiples and mark their multiples of p^2, and the one larger prime
+a squarefree n may have comes last (``lemmas._walk``).  It reads no table
+and keeps no array over n, and a walk that needs only prefix sums takes
+them as the blocks pass (``lemmas._LadderWalk``).  ``cumsum_blocks`` streams a running sum over an
 array or over such blocks, carrying as many earlier sums as a window
 difference needs.  ``PairwiseSum`` is the one sum over streamed blocks:
 fed them in order, it returns np.sum of all their entries bit for bit, in
@@ -87,8 +87,7 @@ only the pages a command reads, pages it never touches are never loaded,
 and damaged bytes are never used.  A reader that passes through the tables
 once drops the pages behind it (``ArithTables.release``), so a pass over a
 mapped file holds only the pages around its current block, not all it has
-passed: the two readers above do so for every command, and the lemmas'
-walk, which reads mu alone, for itself.
+passed: the two readers above do so for every command.
 """
 
 from __future__ import annotations

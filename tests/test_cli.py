@@ -536,6 +536,16 @@ class TestCache:
         assert path.read_bytes() == raw
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
+    def test_lemma_leaves_the_cache_dir_empty(self, tmp_path, capsys, monkeypatch):
+        """`lemma` sieves its own values and reads no table, so it writes
+        no cache file, even with no tables held."""
+        from primelab import tables
+        monkeypatch.setenv(tables.CACHE_DIR_ENV, str(tmp_path))
+        monkeypatch.setattr(tables, "_held", None)
+        code, _out = run_main(["lemma", "--which", "2", "--ladder", "1e3,1e5"], capsys)
+        assert code == 0
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_cache_dir_returns_3(self, tmp_path):
         """A cache dir that does not exist is a precondition failure (a
         fresh interpreter, so an uncaught exception would show its traceback)."""

@@ -22,7 +22,6 @@ from hypothesis import given, settings, strategies as st
 
 from primelab import (
     MonicPolyPair,
-    build_tables,
     constant_C,
     lemma1,
     lemma2,
@@ -31,7 +30,6 @@ from primelab import (
     lemma4_log,
     lemma5,
     multiplicative_values,
-    save_tables,
     script_L_float,
     singular_Sn,
 )
@@ -164,13 +162,11 @@ class TestMultiplicativeValues:
         assert got.tobytes() == np.array(want).tobytes()
 
     def test_lemma2_peak_memory(self):
-        """On tables the process already holds, lemma2's walk and its sup
-        of |S(t)| allocate at most 10 bytes per entry plus block
-        temporaries: no x-entry factor array or cumsum.  The walk now keeps
-        no array over n at all, so the bound is loose;
-        ``test_lemma2_allocation_slope`` holds its growth to 0.1."""
+        """lemma2's walk and its sup of |S(t)| allocate at most 10 bytes
+        per entry plus block temporaries: no x-entry factor array or
+        cumsum.  The walk keeps no array over n at all, so the bound is
+        loose; ``test_lemma2_allocation_slope`` holds its growth to 0.1."""
         x = 2_000_000
-        tables_mod.tables_for(x)
         tracemalloc.start()
         try:
             lemma2((1000, x))
@@ -180,14 +176,12 @@ class TestMultiplicativeValues:
         assert peak <= 10 * (x + 1) + 64 * tables_mod.BLOCK_MAX
 
     def test_lemma2_memory_slope(self):
-        """On tables the process already holds, lemma2's allocations grow by
-        at most 7 bytes per entry between x = 10**6 and 4 * 10**6, where a
-        full value array made it 10.  The bound dates from values and an
-        int32 largest-prime-factor array kept densely up to x/2 (6 bytes
-        per entry); ``test_lemma2_allocation_slope`` holds the present walk
-        to 0.1."""
+        """lemma2's allocations grow by at most 7 bytes per entry between
+        x = 10**6 and 4 * 10**6, where a full value array made it 10.  The
+        bound dates from values and an int32 largest-prime-factor array
+        kept densely up to x/2 (6 bytes per entry);
+        ``test_lemma2_allocation_slope`` holds the present walk to 0.1."""
         xs = (1_000_000, 4_000_000)
-        tables_mod.tables_for(xs[-1])
         peaks = []
         for x in xs:
             tracemalloc.start()
@@ -199,13 +193,12 @@ class TestMultiplicativeValues:
         assert (peaks[1] - peaks[0]) / (xs[1] - xs[0]) <= 7
 
     def test_lemma2_allocation_slope(self):
-        """On tables the process already holds, lemma2's allocations grow by
-        at most 0.1 byte per entry between x = 10**6 and 4 * 10**6: the
-        walk sieves each block of BLOCK_MAX values on its own and keeps
-        none of them, so only its list of sieving primes (isqrt(x) of them)
-        and the few multiples of the larger ones in a block grow with x."""
+        """lemma2's allocations grow by at most 0.1 byte per entry between
+        x = 10**6 and 4 * 10**6: the walk sieves each block of BLOCK_MAX
+        values on its own, reads no table and keeps none of the values, so
+        only its list of sieving primes (isqrt(x) of them) and the few
+        multiples of the larger ones in a block grow with x."""
         xs = (1_000_000, 4_000_000)
-        tables_mod.tables_for(xs[-1])
         peaks = []
         for x in xs:
             tracemalloc.start()
@@ -264,26 +257,27 @@ class TestMultiplicativeValues:
             got = np.concatenate(seen).astype(np.int64)
             assert set(got.tolist()) == set(sympy.primerange(2, x + 1)), x
 
-    def test_walk_reads_no_spf_page(self, tmp_path, monkeypatch, mapped_rss):
-        """lemmas does not import factor_blocks, and on a mapped cache file
-        a walk that drops no page maps in mu and no page of spf: its
-        resident bytes there are about x + 1 (mu), not 3 (x + 1)."""
-        from primelab import lemmas
+    def test_walk_reads_no_tables(self, monkeypatch):
+        """The walk marks the n that are not squarefree itself: with the
+        table provider and both its sources failing, and no tables held,
+        every lemma still runs."""
 
-        assert not hasattr(lemmas, "factor_blocks")
-        x = 2_000_000
-        path = tmp_path / f"primelab_tables_{x}.bin"
-        save_tables(build_tables(x), path)
-        mapped = []
-        real = tables_mod.load_tables
-        monkeypatch.setattr(tables_mod, "load_tables",
-                            lambda *args: mapped.append(real(*args)) or mapped[-1])
-        monkeypatch.setenv(tables_mod.CACHE_DIR_ENV, str(tmp_path))
-        monkeypatch.setattr(tables_mod.ArithTables, "release", lambda *args: None)
-        for _block in lemmas._walk(_lemma4_factor(2, 1), x):
-            pass
-        assert len(mapped) == 1  # held here, so its mapping outlives the walk
-        assert x <= mapped_rss(path) <= x + 2 * 3 * tables_mod.BLOCK_MAX
+        def fail(*args, **kwargs):
+            pytest.fail("a lemma asked for tables")
+
+        monkeypatch.setattr(tables_mod, "_held", None)
+        for name in ("tables_for", "load_tables", "build_tables"):
+            monkeypatch.setattr(tables_mod, name, fail)
+        ladder = (10, 1000, 20_000)
+        for call in (
+            lambda: lemma1(HILDEBRAND_POLY_PAIR, 6, ladder, p_cut=10**4),
+            lambda: lemma2(ladder),
+            lambda: lemma3(ladder, p_cut=10**4),
+            lambda: lemma4(6, 35, ladder, p_cut=10**4),
+            lambda: lemma4_log(2, ladder, p_cut=10**4),
+            lambda: lemma5(30, 10, ladder, p_cut=10**4),
+        ):
+            assert call().x_ladder == ladder
 
     @pytest.mark.parametrize("block_max", [UNSPLIT, 64])
     @settings(max_examples=40, deadline=None)
@@ -336,9 +330,9 @@ class TestMultiplicativeValues:
         walked = []
         real = lemmas._walk
 
-        def spy(f, x, *args):
+        def spy(f, x):
             walked.append(f)
-            return real(f, x, *args)
+            return real(f, x)
 
         monkeypatch.setattr(lemmas, "_walk", spy)
         monkeypatch.setattr(tables_mod, "BLOCK_MAX", block_max)
@@ -389,7 +383,7 @@ class TestMultiplicativeValues:
 class TestOversizeLadder:
     def test_refused_before_allocating(self, monkeypatch):
         """A top rung beyond tables.TABLE_MAX is refused before any prime
-        list or table is allocated."""
+        list, sieve or table is allocated."""
         from primelab import constants, lemmas
 
         def fail(*args, **kwargs):
@@ -397,7 +391,8 @@ class TestOversizeLadder:
 
         for mod in (constants, lemmas):
             monkeypatch.setattr(mod, "primes_up_to", fail)
-        monkeypatch.setattr(lemmas, "tables_for", fail)
+        for name in ("eratosthenes", "tables_for"):
+            monkeypatch.setattr(tables_mod, name, fail)
         ladder = (10, tables_mod.TABLE_MAX + 1)
         for call in (
             lambda: lemma1(HILDEBRAND_POLY_PAIR, 1, ladder),
@@ -575,33 +570,6 @@ class TestLemma2:
             brute += term
         rep = lemma2((200,))
         assert abs(rep.lhs[0] - brute) < 1e-12
-
-    def test_walk_drops_the_file_pages_it_has_passed(
-        self, tmp_path, monkeypatch, mapped_rss
-    ):
-        """On a mapped cache file the walk holds at most a few blocks of it
-        when done, and the pages it dropped read back as the built tables;
-        the sums are those of in-memory tables, where nothing is dropped."""
-        x = 2_000_000
-        built = build_tables(x)
-        path = tmp_path / f"primelab_tables_{x}.bin"
-        save_tables(built, path)
-        monkeypatch.delenv(tables_mod.CACHE_DIR_ENV, raising=False)
-        monkeypatch.setattr(tables_mod, "_held", built)
-        want = lemma2((1000, x))
-        mapped = []
-        real = tables_mod.load_tables
-        monkeypatch.setattr(tables_mod, "load_tables",
-                            lambda *args: mapped.append(real(*args)) or mapped[-1])
-        monkeypatch.setenv(tables_mod.CACHE_DIR_ENV, str(tmp_path))
-        got = lemma2((1000, x))
-        assert len(mapped) == 1  # held here, so its mapping outlives the walk
-        assert mapped_rss(path) <= 2 * 3 * tables_mod.BLOCK_MAX
-        assert mapped[0].spf.tobytes() == built.spf.tobytes()
-        assert mapped[0].mu.tobytes() == built.mu.tobytes()
-        assert mapped_rss(path) >= 3 * x
-        assert np.array(got.lhs).tobytes() == np.array(want.lhs).tobytes()
-        assert got.extras == want.extras
 
 
 class TestLemma3:

@@ -392,11 +392,10 @@ class TestBlockReaders:
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
         assert tb.von_mangoldt(lo, hi).tobytes() == want.tobytes()  # read again
 
-    def test_only_the_readers_and_the_walk_release_pages(self):
-        """Outside tables.py only lemmas._walk drops table pages (it sieves
-        its values from mu alone, block by block, so it is its own reader),
-        and no module but tables.py names the prime-power helpers: Lambda
-        and psi are read through the two readers alone."""
+    def test_only_the_readers_release_pages(self):
+        """No module but tables.py drops table pages (the lemmas' walk
+        reads no table) or names the prime-power helpers: Lambda and psi
+        are read through the two readers alone."""
         import ast
         import pathlib
         import re
@@ -418,7 +417,7 @@ class TestBlockReaders:
                         and isinstance(node.func, ast.Attribute)
                         and node.func.attr == "release"
                     ]
-        assert releases == ["lemmas._walk"]
+        assert releases == []
         assert named == []
 
 
