@@ -17,9 +17,11 @@ Output contract (determinism)
 * JSON: a single object with "schema_version", "command", "config" and "rows",
   serialized with sorted keys and a trailing newline.
 * No timestamps, hostnames, or other run-dependent values are ever emitted.
-* --threads is accepted (reserved for future parallel kernels) but is
-  deliberately *excluded* from the config echo so that output bytes are
-  identical for any thread count.
+* --threads is accepted and ignored: no kernel uses threads.  It stays
+  because the determinism checks pass it (acceptance criterion 14,
+  test_bit_identical_across_threads, test_threads_never_echoed and the CLI
+  fuzz menu), and it is *excluded* from the config echo so that output
+  bytes are identical for any value.
 
 Exit codes
 ----------

@@ -202,7 +202,7 @@ def s_tilde_k(
     if pattern.r > 1 and R < 1:
         raise ValueError(f"R must be >= 1, got {R}")
 
-    # fetched before the weights, which then read a prefix of the same build
+    # fetched before the weights, so a fresh cache dir gets one file
     sources = [tables_for(top).von_mangoldt]
     if pattern.r > 1:
         sources = [_lambda_R_source(ap.build_weights(R))] * (pattern.r - 1) + sources

@@ -72,13 +72,14 @@ file, so it holds only the segment's buffers, whatever n_max.
 ``build_tables`` refuses n_max above TABLE_MAX, the limit of the int32
 arithmetic in the sieve and the recurrences.
 
-``tables_for`` is the one provider every caller goes through: it serves a
-request as a prefix of a cache file in PRIMELAB_CACHE_DIR or of the largest
-build the process holds, and builds only when neither reaches n_max, into a
-cache file when a cache dir is set; the file it writes replaces the smaller
-cache files it serves.  A cache file is
-a small versioned header, spf and mu, then a CRC32 of every block of
-_CHECK_ENTRIES = 2**18 entries of each array, all little-endian; that
+``tables_for`` is the one provider every caller goes through, and it does
+one of three things: it maps a prefix of the largest cache file in
+PRIMELAB_CACHE_DIR that reaches n_max; with a cache dir but no such file it
+sieves into a new file there, which replaces the smaller files; with no
+cache dir it sieves afresh in memory.  The process keeps no build, so
+repeated requests in one process are what the cache dir is for.  A cache
+file is a small versioned header, spf and mu, then a CRC32 of every block
+of _CHECK_ENTRIES = 2**18 entries of each array, all little-endian; that
 block is part of the file format and does not follow BLOCK_MAX.
 ``load_tables`` maps the file read-only and checks the blocks that cover
 the requested prefix on every load, reading them with ``os.preadv`` into
@@ -676,9 +677,6 @@ def _check_crcs(fd: int, path: str, file_max: int, need: int) -> None:
 
 _CACHE_FILE = re.compile(r"primelab_tables_(\d+)\.bin")
 
-#: the largest build this process has made; smaller requests get its prefix
-_held: ArithTables | None = None
-
 
 def _cache_files(cache_dir: str) -> dict[int, str]:
     """The table files in cache_dir, keyed on their n_max."""
@@ -695,49 +693,35 @@ def tables_for(n_max: int) -> ArithTables:
 
     If PRIMELAB_CACHE_DIR names a directory holding some
     ``primelab_tables_<m>.bin`` with m >= n_max, the largest such file is
-    mapped read-only (``load_tables``).  Otherwise, with a cache dir set,
-    the largest build this process holds is saved there if it reaches
-    n_max, and if it does not, the tables are sieved straight into a file
-    there (``build_tables`` with a path) and mapped; either way the next
-    request in any process finds a file, and the smaller files it now
-    serves are removed: the dir ends with one file, the largest request's,
-    whatever order the requests came in.  Without a cache dir the result is
-    a prefix of the largest build this process holds, built first if none
-    reaches n_max.  A cache dir that is not an existing directory raises
-    ValueError; it is never created.
+    mapped read-only (``load_tables``).  With a cache dir but no such file,
+    the tables are sieved straight into a file there (``build_tables`` with
+    a path) and mapped, and the smaller files it now serves are removed: the
+    dir ends with one file, the largest request's, whatever order the
+    requests came in.  Without a cache dir the tables are sieved afresh in
+    memory (``build_tables``); the process keeps no build between calls, so
+    a cache dir is what serves repeated requests.  A cache dir that is not
+    an existing directory raises ValueError; it is never created.
     """
-    global _held
     n_max = max(n_max, 2)
     cache_dir = os.environ.get(CACHE_DIR_ENV)
-    if cache_dir:
-        if not os.path.isdir(cache_dir):
-            raise ValueError(f"{CACHE_DIR_ENV}={cache_dir!r} is not a directory")
-        while True:
-            files = _cache_files(cache_dir)
-            served = [m for m in files if m >= n_max]
-            if not served:
-                break
-            try:
-                return load_tables(files[max(served)], n_max)
-            except FileNotFoundError:
-                continue  # a larger file replaced it since the listing
-    if cache_dir and (_held is None or _held.n_max < n_max):
-        top, tables = n_max, build_tables(n_max, _cache_path(cache_dir, n_max))
-    else:
-        if _held is None or _held.n_max < n_max:
-            _held = build_tables(n_max)
-        top = _held.n_max
-        if cache_dir:
-            save_tables(_held, _cache_path(cache_dir, top))
-        tables = ArithTables(
-            n_max=n_max,
-            **{name: getattr(_held, name)[: n_max + 1] for name, _dt in _ARRAY_SPEC},
-        )
-    if cache_dir:
-        for m, path in _cache_files(cache_dir).items():
-            if m < top:
-                with contextlib.suppress(FileNotFoundError):
-                    os.remove(path)
+    if not cache_dir:
+        return build_tables(n_max)
+    if not os.path.isdir(cache_dir):
+        raise ValueError(f"{CACHE_DIR_ENV}={cache_dir!r} is not a directory")
+    while True:
+        files = _cache_files(cache_dir)
+        served = [m for m in files if m >= n_max]
+        if not served:
+            break
+        try:
+            return load_tables(files[max(served)], n_max)
+        except FileNotFoundError:
+            continue  # a larger file replaced it since the listing
+    tables = build_tables(n_max, _cache_path(cache_dir, n_max))
+    for m, path in _cache_files(cache_dir).items():
+        if m < n_max:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
     return tables
 
 

@@ -481,12 +481,11 @@ class TestCache:
         is dropped."""
         from primelab import tables
         n = 2_000_000
+        monkeypatch.delenv(tables.CACHE_DIR_ENV, raising=False)
+        want = run_main(["sieve", "--n-max", str(n)], capsys)
         built = tables.build_tables(n)
         path = tmp_path / f"primelab_tables_{n}.bin"
         tables.save_tables(built, path)
-        monkeypatch.delenv(tables.CACHE_DIR_ENV, raising=False)
-        monkeypatch.setattr(tables, "_held", built)
-        want = run_main(["sieve", "--n-max", str(n)], capsys)
         mapped = []
         real = tables.load_tables
         monkeypatch.setattr(tables, "load_tables",
@@ -530,7 +529,6 @@ class TestCache:
             raw = bytes(raw)
         path.write_bytes(raw)
         monkeypatch.setenv(tables.CACHE_DIR_ENV, str(tmp_path))
-        monkeypatch.setattr(tables, "_held", None)
         code, out = run_main(["sieve", "--n-max", "1e5"], capsys)
         assert code == 3 and out == ""
         assert path.read_bytes() == raw
@@ -538,10 +536,9 @@ class TestCache:
 
     def test_lemma_leaves_the_cache_dir_empty(self, tmp_path, capsys, monkeypatch):
         """`lemma` sieves its own values and reads no table, so it writes
-        no cache file, even with no tables held."""
+        no cache file."""
         from primelab import tables
         monkeypatch.setenv(tables.CACHE_DIR_ENV, str(tmp_path))
-        monkeypatch.setattr(tables, "_held", None)
         code, _out = run_main(["lemma", "--which", "2", "--ladder", "1e3,1e5"], capsys)
         assert code == 0
         assert list(tmp_path.iterdir()) == []
@@ -570,11 +567,10 @@ def test_correlate_negative_shifts(capsys):
 
 
 def _table_builds(argv, monkeypatch, capsys) -> list[int]:
-    """The n_max of every table build one in-process run makes, starting
-    with no cache dir, no held build and no cached weights."""
+    """The n_max of every table build one in-process run makes, with no
+    cache dir and no cached weights."""
     from primelab import approximants, tables
     monkeypatch.delenv(tables.CACHE_DIR_ENV, raising=False)
-    monkeypatch.setattr(tables, "_held", None)
     monkeypatch.setattr(approximants, "_weights_cache", {})
     built = []
     real = tables.build_tables
@@ -591,11 +587,12 @@ def test_correlate_builds_tables_once(monkeypatch, capsys):
     assert _table_builds(argv, monkeypatch, capsys) == [8]
 
 
-def test_mixed_correlate_builds_tables_once(monkeypatch, capsys):
-    """Mixed correlate fetches the Lambda tables before the weights, so
-    without a cache dir one build serves both."""
+def test_mixed_correlate_builds_the_range_then_the_weights(monkeypatch, capsys):
+    """Without a cache dir each request sieves afresh: mixed correlate
+    builds the Lambda tables of its range, then the R-sized tables of its
+    weights."""
     argv = ["correlate", "--n", "2000", "--r", "8", "--pattern", "0:1,2:1", "--mixed"]
-    assert _table_builds(argv, monkeypatch, capsys) == [2002]
+    assert _table_builds(argv, monkeypatch, capsys) == [2002, 8]
 
 
 class TestPinnedBytes:

@@ -259,13 +259,12 @@ class TestMultiplicativeValues:
 
     def test_walk_reads_no_tables(self, monkeypatch):
         """The walk marks the n that are not squarefree itself: with the
-        table provider and both its sources failing, and no tables held,
-        every lemma still runs."""
+        table provider and both its sources failing, every lemma still
+        runs."""
 
         def fail(*args, **kwargs):
             pytest.fail("a lemma asked for tables")
 
-        monkeypatch.setattr(tables_mod, "_held", None)
         for name in ("tables_for", "load_tables", "build_tables"):
             monkeypatch.setattr(tables_mod, name, fail)
         ladder = (10, 1000, 20_000)

@@ -434,12 +434,12 @@ class TestStreamedWindows:
             assert win.tobytes() == want.tobytes()
 
     def test_moment_psiR_peak_memory(self, monkeypatch):
-        """On held tables, moment_psiR at N = 10**6 allocates under 36 bytes
-        per window entry: the float64 lambda_R range and windows and one
-        block buffer, with no n-entry long-double copy or running sum."""
+        """With its weights cached, moment_psiR at N = 10**6 allocates under
+        36 bytes per window entry: the float64 lambda_R range and windows
+        and one block buffer, with no n-entry long-double copy or running
+        sum.  It reads no table at the N scale."""
         monkeypatch.delenv(tables_mod.CACHE_DIR_ENV, raising=False)
         N, h, R, k = 10**6, 14, 15, 3
-        tables_mod.tables_for(N + h)
         build_weights(R)
         tracemalloc.start()
         try:
@@ -555,6 +555,15 @@ class TestStreamedRoutes:
 
 
 class TestStreamedMemory:
+    @pytest.fixture(scope="class")
+    def cache_dir(self, tmp_path_factory):
+        """A cache dir holding the table file of 2*10**6 + 2 entries, which
+        reaches every route's range."""
+        path = tmp_path_factory.mktemp("cache")
+        n = 2 * 10**6 + 2
+        tables_mod.build_tables(n, path / f"primelab_tables_{n}.bin")
+        return path
+
     @pytest.mark.parametrize("call", [
         lambda: s_k(10**6, ShiftPattern((0, 2), (1, 1)), 32),
         lambda: s_tilde_k(5 * 10**5, ShiftPattern((0, 2), (1, 1)), 1000, primed_range=True),
@@ -562,14 +571,14 @@ class TestStreamedMemory:
         lambda: moment_psi(10**6, 20, 3, centered=True),
         lambda: first_moment_identity(10**6, 20),
     ], ids=["s_k", "s_tilde_k", "moment_psiR", "moment_psi", "first_moment_identity"])
-    def test_heap_peak_is_below_one_n_entry_array(self, monkeypatch, call):
-        """At N = 10**6, on tables and weights the process already holds,
-        each route's heap peak stays under 4 MiB, half of one N-entry
-        float64 array: it holds O(BLOCK_MAX) entries, not O(N).  The route
-        runs once untraced first, so that the weights and the singular
-        series' primes are cached."""
-        monkeypatch.delenv(tables_mod.CACHE_DIR_ENV, raising=False)
-        tables_mod.tables_for(2 * 10**6 + 2)
+    def test_heap_peak_is_below_one_n_entry_array(self, monkeypatch, cache_dir, call):
+        """At N = 10**6, on a cache file that serves every table request
+        and weights the process already holds, each route's heap peak stays
+        under 4 MiB, half of one N-entry float64 array: it holds
+        O(BLOCK_MAX) entries, not O(N).  The route runs once untraced
+        first, so that the weights and the singular series' primes are
+        cached."""
+        monkeypatch.setenv(tables_mod.CACHE_DIR_ENV, str(cache_dir))
         call()
         tracemalloc.start()
         try:

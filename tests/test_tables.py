@@ -7,6 +7,7 @@ anchors (pi(10^4), M(10^4), psi(10^4), ...).
 
 from __future__ import annotations
 
+import gc
 import inspect
 import math
 import mmap
@@ -588,10 +589,6 @@ class TestSaveLoad:
 
 
 class TestProvider:
-    @pytest.fixture(autouse=True)
-    def no_held_build(self, monkeypatch):
-        monkeypatch.setattr(tables_mod, "_held", None)
-
     def test_larger_cache_file_serves_smaller_request(self, tmp_path, monkeypatch):
         """A cached file with a larger n_max serves every smaller request
         byte-identically, and nothing new is written."""
@@ -603,20 +600,22 @@ class TestProvider:
             assert_same_tables(tb, build_tables(n))
         assert [p.name for p in tmp_path.iterdir()] == ["primelab_tables_5000.bin"]
 
-    def test_held_build_serves_and_fills_the_cache(self, tmp_path, monkeypatch):
-        """One build serves smaller requests; a cache dir with no file that
-        reaches the request gets the held build written to it."""
+    def test_no_build_outlives_its_result(self, monkeypatch):
+        """Without a cache dir each request sieves afresh and the process
+        keeps no build: once the result of tables_for(10**6) is dropped,
+        under 1 MiB of the 2.9 MiB it took stays on the heap."""
         monkeypatch.delenv(tables_mod.CACHE_DIR_ENV, raising=False)
-        built = []
-        real = tables_mod.build_tables
-        monkeypatch.setattr(tables_mod, "build_tables",
-                            lambda n: built.append(n) or real(n))
-        big = tables_mod.tables_for(4000)
-        assert_same_tables(tables_mod.tables_for(1), big)
-        monkeypatch.setenv(tables_mod.CACHE_DIR_ENV, str(tmp_path))
-        assert_same_tables(tables_mod.tables_for(3000), big)
-        assert built == [4000]
-        assert [p.name for p in tmp_path.iterdir()] == ["primelab_tables_4000.bin"]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            tb = tables_mod.tables_for(10**6)
+            assert tb.spf.nbytes + tb.mu.nbytes > 2 * 2**20
+            del tb
+            gc.collect()
+            left, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert left < 2**20
 
     @pytest.mark.parametrize("order", [(1000, 3000, 2000), (3000, 1000, 2000)])
     def test_cache_keeps_one_file_whatever_the_order(self, tmp_path, monkeypatch, order):
@@ -626,19 +625,17 @@ class TestProvider:
         (tmp_path / "other.bin").write_bytes(b"kept")
         for n in order:
             tables_mod.tables_for(n)
-            monkeypatch.setattr(tables_mod, "_held", None)  # a new process
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "other.bin", "primelab_tables_3000.bin"]
         assert_same_tables(tables_mod.tables_for(1000), build_tables(1000))
 
     def test_cache_dir_build_is_the_mapped_file(self, tmp_path, monkeypatch, mapped_rss):
         """With a cache dir and no file that serves the request, the tables
-        are sieved into the file and mapped from it; the process holds no
-        build of its own, and the smaller file is removed."""
+        are sieved into the file and mapped from it, and the smaller file is
+        removed."""
         save_tables(build_tables(1000), tmp_path / "primelab_tables_1000.bin")
         monkeypatch.setenv(tables_mod.CACHE_DIR_ENV, str(tmp_path))
         tb = tables_mod.tables_for(3000)
-        assert tables_mod._held is None
         assert [p.name for p in tmp_path.iterdir()] == ["primelab_tables_3000.bin"]
         assert not tb.spf.flags.writeable and not tb.mu.flags.writeable
         np.count_nonzero(tb.spf)  # read spf through the mapping
