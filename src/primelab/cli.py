@@ -239,12 +239,11 @@ def _cmd_sieve(args) -> int:
     n = args.n_max
     tb = tables.tables_for(n)  # reaches 2 when n = 1
     # one pass over the blocks; psi(n) is the last step of the last one
-    primes = mertens = squarefree = 0
-    for lo, hi, _q, _logs, steps in tb.psi_step_blocks(n):
-        mu = tb.mu[max(lo, 1) : hi]
+    primes = 0
+    for lo, hi, _q, steps in tb.psi_step_blocks(n):
         primes += int(np.count_nonzero(tb.spf[max(lo, 2) : hi] == 0))
-        mertens += int(mu.sum())
-        squarefree += int(np.count_nonzero(mu))
+    # from mu up to n^(2/3), a prefix of the same tables
+    mertens, squarefree = tables.mertens_squarefree(n)
     config = {"command": "sieve", "n_max": n}
     rows = [{
         "n_max": n,
@@ -570,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
         parent.add_argument("--output", default=None, metavar="PATH",
                             help="write to PATH instead of stdout")
         parent.add_argument("--threads", type=parse_count, default=1,
-                            help="reserved; accepted but has no effect on output")
+                            help="accepted and ignored: no kernel uses threads")
         return parent
 
     def r_options(p: argparse.ArgumentParser) -> None:

@@ -367,7 +367,7 @@ def _psi_blocks(tables: ArithTables, top: int, keep: int):
     powers, and is valid until the next block is asked for.
     """
     buf = np.zeros(_tables.BLOCK_MAX + keep, dtype=np.float64)
-    for lo, hi, q, _logs, steps in tables.psi_step_blocks(top):
+    for lo, hi, q, steps in tables.psi_step_blocks(top):
         psi = buf[: keep + hi - lo]
         psi[keep:] = np.repeat(steps, np.diff(q, prepend=lo, append=hi))
         yield lo, hi, q, psi

@@ -1,13 +1,13 @@
-"""Sieved arithmetic tables: spf and mu stored; phi, Lambda and psi derived.
+"""Sieved arithmetic tables: spf stored; mu, phi, Lambda and psi derived.
 
 For all n <= n_max the tables store
 
 * ``spf``       smallest prime factor of a composite n, 0 at a prime
                 (uint16; spf[0] = 0, spf[1] = 1),
-* ``mu``        Moebius function (int8),
 
-and derive from spf, on first read,
+and derive from it, on first read,
 
+* ``mu``            Moebius function (int8),
 * ``phi``           Euler totient (int64),
 * ``prime_powers``  the prime powers q <= n_max and Lambda(q) = log p,
 * ``psi_steps``     psi at 0 and at each prime power: one long-double
@@ -18,21 +18,22 @@ and derive from spf, on first read,
 The least prime factor of a composite n <= TABLE_MAX is at most
 isqrt(TABLE_MAX) < 2**16, and at a prime it is n itself, which the index
 already gives: so spf fits in 16 bits, and ``factor_blocks`` decodes it
-(k where spf[k] = 0) a block at a time for the recurrence of phi below.
+(k where spf[k] = 0) a block at a time for the recurrences of mu and phi
+below.
 
-One segmented sieve makes spf and mu (``sieve_segments``): segments of
+One segmented sieve makes spf (``sieve_segments``): segments of
 SIEVE_SEGMENT = 2**18 entries, one check block of the cache file, sieved in
 turn by the primes p <= isqrt(n_max) of ``eratosthenes``, the one plain
-sieve of Eratosthenes, which ``constants.primes_up_to`` caches too.  In a segment
-[lo, hi) every p with p^2 < hi writes spf = p at its multiples >= p^2, the
-largest p first so the least prime factor stays; negates mu at its
-multiples and zeroes it at those of p^2; and multiplies an int32 prod of
-the sieving primes by p.  A k < hi has at most one prime factor left out
-of prod, so mu is negated once more where prod != k.  phi comes from a
-dyadic-block recurrence: for n in [2^i, 2^(i+1)) write p = spf(n) and
-m = n/p.  Then m < 2^i, so every n of the block reads only finished entries
-and the block is one vectorised numpy step, phi = phi(m) p where
-p = spf(m) and phi(m) (p-1) otherwise.
+sieve of Eratosthenes, which ``constants.primes_up_to`` caches too.  In a
+segment [lo, hi) every p with p^2 < hi writes spf = p at its multiples
+>= p^2, the largest p first so the least prime factor stays.  mu and phi
+come from a dyadic-block recurrence: for n in [2^i, 2^(i+1)) write
+p = spf(n) and m = n/p.  Then m < 2^i, so every n of the block reads only
+finished entries and the block is one vectorised numpy step: mu = 0 and
+phi = phi(m) p where p = spf(m), and mu = -mu(m) and phi = phi(m) (p-1)
+otherwise.  The commands read mu only up to R, for the lambda_R weights,
+and up to n^(2/3) for ``sieve``'s Mertens and squarefree counts
+(``mertens_squarefree``).
 
 ``dyadic_blocks`` yields the blocks, split further so that no step's
 temporaries exceed BLOCK_MAX = 2**16 entries.  The lemmas' walk is a
@@ -55,22 +56,21 @@ merged in; ``prime_powers`` joins the blocks.  Two readers of
 them through these alone: ``von_mangoldt(lo, hi)`` gives Lambda over any
 one range, and ``psi_step_blocks(top)`` gives each block's prime powers
 with psi at each of them, the entries of psi_steps, which ``sieve`` reads
-beside mu and the psi moments repeat over the gaps.
+and the psi moments repeat over the gaps.
 
-The stored arrays take 3 bytes per entry (2+1), so n_max = 10**7 costs
-~30 MB.  phi adds 8 bytes per entry once read; the commands read it only
-up to R, for the lambda_R weights.  lam and psi_prefix would add 8 bytes
-per entry, and prime_powers and psi_steps 8 to 16 bytes per prime power
-(about 8% of the entries at 10**6), but no command reads them: the two
-readers hold O(BLOCK_MAX) entries whatever n.  They stay, read-only, as
-the references the tests compare those readers with; psi_steps is taken
-from prime_powers alone, so psi_prefix derives no lam.  A build in memory
-holds the 3 bytes per entry and one segment's buffers (about 3 MB at 2**18
-entries); a build into a file (``build_tables`` with a path) writes each
-segment where it belongs in the file as it is sieved and then maps the
-file, so it holds only the segment's buffers, whatever n_max.
+The stored array takes 2 bytes per entry, so n_max = 10**7 costs ~20 MB.
+mu adds 1 byte and phi 8 bytes per entry once read.  lam and psi_prefix
+would add 8 bytes per entry, and prime_powers and psi_steps 8 to 16 bytes
+per prime power (about 8% of the entries at 10**6), but no command reads
+them: the two readers hold O(BLOCK_MAX) entries whatever n.  They stay,
+read-only, as the references the tests compare those readers with;
+psi_steps is taken from prime_powers alone, so psi_prefix derives no lam.
+A build in memory holds the 2 bytes per entry and one segment's buffer
+(512 KiB at 2**18 entries); a build into a file (``build_tables`` with a
+path) writes each segment where it belongs in the file as it is sieved and
+then maps the file, so it holds only the segment's buffer, whatever n_max.
 ``build_tables`` refuses n_max above TABLE_MAX, the limit of the int32
-arithmetic in the sieve and the recurrences.
+arithmetic in the recurrences.
 
 ``tables_for`` is the one provider every caller goes through, and it does
 one of three things: it maps a prefix of the largest cache file in
@@ -78,9 +78,9 @@ PRIMELAB_CACHE_DIR that reaches n_max; with a cache dir but no such file it
 sieves into a new file there, which replaces the smaller files; with no
 cache dir it sieves afresh in memory.  The process keeps no build, so
 repeated requests in one process are what the cache dir is for.  A cache
-file is a small versioned header, spf and mu, then a CRC32 of every block
-of _CHECK_ENTRIES = 2**18 entries of each array, all little-endian; that
-block is part of the file format and does not follow BLOCK_MAX.
+file is a small versioned header, spf, then a CRC32 of every block of
+_CHECK_ENTRIES = 2**18 entries, all little-endian; that block is part of
+the file format and does not follow BLOCK_MAX.
 ``load_tables`` maps the file read-only and checks the blocks that cover
 the requested prefix on every load, reading them with ``os.preadv`` into
 one reused buffer rather than through the mapping: the mapping then holds
@@ -106,7 +106,7 @@ import zlib
 import numpy as np
 
 _MAGIC = b"PRLB"
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 
 #: environment variable naming the directory for cached table files
 CACHE_DIR_ENV = "PRIMELAB_CACHE_DIR"
@@ -119,24 +119,31 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ArithTables:
-    """Container for the sieved arrays; index n is the integer n itself."""
+    """Container for the sieved array; index n is the integer n itself."""
 
     n_max: int
     spf: np.ndarray  # uint16 least prime factor of a composite, 0 at a prime; spf[1]=1
-    mu: np.ndarray  # int8   Moebius
+
+    @cached_property
+    def mu(self) -> np.ndarray:
+        """int8 Moebius, mu[0] = 0: mu(n) = 0 if p divides m and -mu(m)
+        otherwise, where p = spf(n) and m = n/p, one dyadic block at a time
+        (``_cofactor_blocks``)."""
+        mu = np.zeros(self.n_max + 1, dtype=np.int8)
+        mu[1] = 1
+        for lo, hi, _p, m, again in _cofactor_blocks(self.spf):
+            mu[lo:hi] = np.where(again, 0, -mu[m])
+        return _read_only(mu)
 
     @cached_property
     def phi(self) -> np.ndarray:
-        """int64 totient, phi[0] = 0: phi(n) = phi(m) p if p = spf(m) and
+        """int64 totient, phi[0] = 0: phi(n) = phi(m) p if p divides m and
         phi(m) (p-1) otherwise, where p = spf(n) and m = n/p, one dyadic
-        block at a time.  spf(m) is p where spf[m] = p or, at a prime m,
-        where m = p."""
-        spf = self.spf
+        block at a time (``_cofactor_blocks``)."""
         phi = np.zeros(self.n_max + 1, dtype=np.int64)
         phi[1] = 1
-        for lo, hi, k, p in factor_blocks(spf):
-            m = k // p
-            phi[lo:hi] = phi[m] * np.where((spf[m] == p) | (m == p), p, p - 1)
+        for lo, hi, p, m, again in _cofactor_blocks(self.spf):
+            phi[lo:hi] = phi[m] * np.where(again, p, p - 1)
         return _read_only(phi)
 
     @cached_property
@@ -184,55 +191,55 @@ class ArithTables:
     def von_mangoldt(self, lo: int, hi: int) -> np.ndarray:
         """float64 Lambda(lo..hi-1), hi <= n_max + 1, 0 at n <= 1: lo may
         be negative.  The values come from the prime powers in the range
-        alone, so no dense lam is derived, and the table pages behind hi
+        alone, so no dense lam is derived, and the table pages below hi
         are dropped once read (``release``): a reader of ascending ranges
         holds only the pages around its current one."""
         out = np.zeros(hi - lo, dtype=np.float64)
         q, logs = _prime_powers_between(self.spf, lo, hi, self._higher_powers)
         out[q - lo] = logs
-        self.release(max(lo, 0), hi)
+        self.release(hi)
         return out
 
     def psi_step_blocks(self, top: int):
-        """Yield (lo, hi, q, logs, steps) over the blocks [lo, hi) of
+        """Yield (lo, hi, q, steps) over the blocks [lo, hi) of
         ``prime_power_blocks`` covering 0..top, top <= n_max, in order: q
-        the prime powers in the block, logs = Lambda(q), steps[0] psi before
-        the block and steps[1 + i] = psi(q[i]), so psi(x) for x in [lo, hi)
-        is steps[number of q <= x].
+        the prime powers in the block, steps[0] psi before the block and
+        steps[1 + i] = psi(q[i]), so psi(x) for x in [lo, hi) is
+        steps[number of q <= x].
 
         These are the entries of ``psi_steps``, bit for bit: one
         long-double running sum over the logs, carried unrounded from block
-        to block and rounded to float64 once per entry.  The table pages of
-        a block are dropped when the next block is asked for.
+        to block and rounded to float64 once per entry.  The table pages up
+        to a block's end are dropped when the next block is asked for.
         """
         run = np.zeros(1, dtype=np.longdouble)
         for lo, hi, q, logs in prime_power_blocks(self.spf[: top + 1]):
             run = np.cumsum(np.concatenate((run[-1:], logs)))
-            yield lo, hi, q, logs, run.astype(np.float64)
-            self.release(lo, hi)
+            yield lo, hi, q, run.astype(np.float64)
+            self.release(hi)
 
-    def release(self, lo: int, hi: int) -> None:
-        """Drop the mapped file pages of spf and mu from the one that holds
-        entry lo up to, not including, the one that holds entry hi: for a
-        reader that has passed them and will not read them again.  A later
-        read maps them in from the file once more; tables in memory are
-        left as they are."""
-        for arr in (self.spf, self.mu):
-            view = arr
-            while isinstance(view, np.ndarray):
-                view = view.base
-            if not (isinstance(view, memoryview) and isinstance(view.obj, mmap.mmap)
-                    and hasattr(mmap, "MADV_DONTNEED")):
-                return
-            at = arr.ctypes.data - np.frombuffer(view, np.uint8).ctypes.data
-            start, end = ((at + i * arr.itemsize) // mmap.PAGESIZE * mmap.PAGESIZE
-                          for i in (lo, hi))
-            if end > start:
-                view.obj.madvise(mmap.MADV_DONTNEED, start, end - start)
+    def release(self, hi: int) -> None:
+        """Drop the mapped file pages of spf up to, not including, the one
+        that holds entry hi: for a reader that has passed them and will not
+        read them again.  All of them, not only the last block's: a read
+        fault may map a whole page-cache folio, pages below the read
+        included, and those would stay mapped.  A later read maps them in
+        from the file once more; tables in memory, and the derived arrays,
+        are left as they are."""
+        view = self.spf
+        while isinstance(view, np.ndarray):
+            view = view.base
+        if not (isinstance(view, memoryview) and isinstance(view.obj, mmap.mmap)
+                and hasattr(mmap, "MADV_DONTNEED")):
+            return
+        at = self.spf.ctypes.data - np.frombuffer(view, np.uint8).ctypes.data
+        end = (at + hi * self.spf.itemsize) // mmap.PAGESIZE * mmap.PAGESIZE
+        if end > 0:
+            view.obj.madvise(mmap.MADV_DONTNEED, 0, end)
 
 
 # ---------------------------------------------------------------------------
-# sieve: spf and mu by segments; the dyadic blocks of the recurrences
+# sieve: spf by segments; the dyadic blocks of the recurrences
 # ---------------------------------------------------------------------------
 
 #: most entries one recurrence step handles; bounds its temporary arrays
@@ -242,8 +249,8 @@ BLOCK_MAX = 1 << 16
 #: build that writes its segments as they come closes one CRC per segment
 SIEVE_SEGMENT = 1 << 18
 
-#: largest n_max the tables hold: the sieve and the recurrences index with
-#: int32, and the least prime factor of a composite up to it is below 2**16
+#: largest n_max the tables hold: the recurrences index with int32, and
+#: the least prime factor of a composite up to it is below 2**16
 #: (uint16 spf)
 TABLE_MAX = 2**31 - 2
 
@@ -275,47 +282,27 @@ def eratosthenes(top: int) -> np.ndarray:
 
 
 def sieve_segments(n: int):
-    """Yield (lo, hi, spf, mu) over the segments [lo, hi) of SIEVE_SEGMENT
-    entries covering 0..n, in order: spf (uint16) and mu (int8) of lo..hi-1,
-    as the tables store them.
+    """Yield (lo, hi, spf) over the segments [lo, hi) of SIEVE_SEGMENT
+    entries covering 0..n, in order: spf (uint16) of lo..hi-1, as the
+    tables store it.
 
-    For each prime p with p^2 < hi, spf is set to p at the multiples >= p^2
-    (largest p first, so the least prime factor is written last), mu is
-    negated at the multiples of p and zeroed at those of p^2, and an int32
-    prod is multiplied by p at the multiples of p.  Every prime factor of a
-    k < hi but at most one is then in prod, so a squarefree k with
-    prod != k has one prime factor more, and mu is negated there.
-
-    spf and mu are views of buffers reused from segment to segment, so
-    they are only valid until the next segment is asked for.
+    For each prime p with p^2 < hi, spf is set to p at the multiples >= p^2,
+    largest p first, so the least prime factor is written last.  spf is a
+    view of a buffer reused from segment to segment, so it is only valid
+    until the next segment is asked for.
     """
     primes = eratosthenes(math.isqrt(n)).tolist()
-    size = min(SIEVE_SEGMENT, n + 1)
-    ramp = np.arange(size, dtype=np.int32)
-    spf_buf = np.empty(size, dtype=np.uint16)
-    mu_buf = np.empty(size, dtype=np.int8)
-    prod_buf = np.empty(size, dtype=np.int32)
-    k_buf = np.empty(size, dtype=np.int32)
+    buf = np.empty(min(SIEVE_SEGMENT, n + 1), dtype=np.uint16)
     for lo in range(0, n + 1, SIEVE_SEGMENT):
         hi = min(lo + SIEVE_SEGMENT, n + 1)
-        spf, mu, prod, k = (buf[: hi - lo] for buf in (spf_buf, mu_buf, prod_buf, k_buf))
+        spf = buf[: hi - lo]
         spf.fill(0)
-        mu.fill(1)
-        prod.fill(1)
         for p in reversed(primes):
-            if p * p >= hi:
-                continue
-            first = -lo % p  # offset of the first multiple of p at or above lo
-            spf[max(p * p - lo, first) :: p] = p
-            np.negative(mu[first::p], out=mu[first::p])
-            np.multiply(prod[first::p], p, out=prod[first::p])
-            mu[-lo % (p * p) :: p * p] = 0
-        np.add(ramp[: hi - lo], lo, out=k)
-        np.negative(mu, out=mu, where=prod != k)
-        if lo == 0:  # k = 0, a multiple of every p, and k = 1
+            if p * p < hi:
+                spf[max(p * p - lo, -lo % p) :: p] = p
+        if lo == 0:
             spf[1] = 1
-            mu[:2] = (0, 1)
-        yield lo, hi, spf, mu
+        yield lo, hi, spf
 
 
 def factor_blocks(spf: np.ndarray):
@@ -339,6 +326,16 @@ def factor_blocks(spf: np.ndarray):
         np.copyto(p, spf[lo:hi])
         np.copyto(p, k, where=prime)
         yield lo, hi, k, p
+
+
+def _cofactor_blocks(spf: np.ndarray):
+    """Yield (lo, hi, p, m, again) over ``factor_blocks(spf)``: p the least
+    prime factor of each k in [lo, hi), m = k/p and again = (p divides m),
+    which holds where spf[m] = p or, at a prime m, where m = p.  Every m is
+    below lo, so a recurrence from m to k reads only finished entries."""
+    for lo, hi, k, p in factor_blocks(spf):
+        m = k // p
+        yield lo, hi, p, m, (spf[m] == p) | (m == p)
 
 
 def prime_power_blocks(spf: np.ndarray):
@@ -505,13 +502,13 @@ class PairwiseSum:
 
 
 def build_tables(n_max: int, path: str | os.PathLike | None = None) -> ArithTables:
-    """Sieve spf and mu up to n_max (inclusive); the derived arrays follow
-    on first read.
+    """Sieve spf up to n_max (inclusive); the derived arrays, mu among
+    them, follow on first read.
 
-    Without a path the segments of ``sieve_segments`` fill arrays in
-    memory, 3 bytes/entry (uint16 spf, int8 mu).  With one, each segment is
-    written to a table file at path as it is sieved, and the file is mapped
-    (``load_tables``): the build holds one segment, not the tables.
+    Without a path the segments of ``sieve_segments`` fill an array in
+    memory, 2 bytes/entry (uint16 spf).  With one, each segment is written
+    to a table file at path as it is sieved, and the file is mapped
+    (``load_tables``): the build holds one segment, not the table.
     Requires n_max >= 2; n_max above TABLE_MAX is refused.
     """
     if n_max < 2:
@@ -522,11 +519,9 @@ def build_tables(n_max: int, path: str | os.PathLike | None = None) -> ArithTabl
         _write_tables(path, n_max, sieve_segments(n_max))
         return load_tables(path)
     spf = np.empty(n_max + 1, dtype=np.uint16)
-    mu = np.empty(n_max + 1, dtype=np.int8)
-    for lo, hi, spf_seg, mu_seg in sieve_segments(n_max):
-        spf[lo:hi] = spf_seg
-        mu[lo:hi] = mu_seg
-    return ArithTables(n_max=n_max, spf=spf, mu=mu)
+    for lo, hi, segment in sieve_segments(n_max):
+        spf[lo:hi] = segment
+    return ArithTables(n_max=n_max, spf=spf)
 
 
 # ---------------------------------------------------------------------------
@@ -535,12 +530,11 @@ def build_tables(n_max: int, path: str | os.PathLike | None = None) -> ArithTabl
 
 _ARRAY_SPEC = (
     ("spf", "<u2"),
-    ("mu", "<i1"),
 )
 _HEADER = struct.Struct("<4sHQ")  # magic, format version, n_max
 _ENTRY_BYTES = sum(np.dtype(dt).itemsize for _name, dt in _ARRAY_SPEC)
 
-#: entries per checksummed block of each array: part of cache format 3, so
+#: entries per checksummed block of each array: part of the cache format, so
 #: fixed, whatever BLOCK_MAX is
 _CHECK_ENTRIES = 1 << 18
 _CRC = np.dtype("<u4")
@@ -556,17 +550,17 @@ def save_tables(tables: ArithTables, path: str | os.PathLike) -> None:
     the arrays, then the CRC32 of each block of _CHECK_ENTRIES entries of
     each array in turn."""
     def blocks():
-        spf, mu = (np.ascontiguousarray(getattr(tables, name), dtype=dt)
-                   for name, dt in _ARRAY_SPEC)
+        arrays = [np.ascontiguousarray(getattr(tables, name), dtype=dt)
+                  for name, dt in _ARRAY_SPEC]
         for lo in range(0, tables.n_max + 1, _CHECK_ENTRIES):
             hi = min(lo + _CHECK_ENTRIES, tables.n_max + 1)
-            yield lo, hi, spf[lo:hi], mu[lo:hi]
+            yield lo, hi, *(arr[lo:hi] for arr in arrays)
 
     _write_tables(path, tables.n_max, blocks())
 
 
 def _write_tables(path: str | os.PathLike, n_max: int, blocks) -> None:
-    """Write the table file of ``save_tables`` from blocks (lo, hi, spf, mu)
+    """Write the table file of ``save_tables`` from blocks (lo, hi, spf)
     that cover 0..n_max in order: each block's arrays are written at their
     offsets as it comes, and its CRC32 is carried into the check blocks it
     overlaps, so no more than one block is held.
@@ -732,6 +726,41 @@ def _cache_path(cache_dir: str, n_max: int) -> str:
 # ---------------------------------------------------------------------------
 # scalar number theory on top of the tables
 # ---------------------------------------------------------------------------
+
+def mertens_squarefree(n: int) -> tuple[int, int]:
+    """(M(n), Q(n)) for 0 <= n <= TABLE_MAX, exactly: the Mertens function
+    M(n) = sum_{k<=n} mu(k) and the count Q(n) of squarefree k in 1..n,
+    from mu up to u = floor(n^(2/3)) alone, a prefix of ``tables_for(u)``.
+
+    Q(n) = sum_{d<=sqrt(n)} mu(d) floor(n/d^2), and sqrt(n) <= u.  M is a
+    running sum of mu up to u; above u it takes the values M(n//k), k from
+    n//(u + 1) down to 1, by M(x) = 1 - sum_{2<=d<=x} M(x//d) (as in
+    Deleglise and Rivat, "Computing the summation of the Moebius
+    function"): with r = isqrt(x), the d <= r read M(n//(kd)), from this
+    list where kd <= n//(u + 1) and from the running sum otherwise, and the
+    d > r fall on the values v = x//d <= x//(r + 1) <= r, each M(v) counted
+    for its x//v - x//(v + 1) values of d (x//r > x//(r + 1), so no d <= r
+    falls on such a v).
+    """
+    u = round(n ** (2 / 3))
+    u += (u + 1) ** 3 <= n * n
+    u -= u**3 > n * n
+    mu = tables_for(u).mu[: u + 1]
+    d = np.arange(1, math.isqrt(n) + 1, dtype=np.int64)
+    squarefree = int(np.dot(mu[1 : d.size + 1].astype(np.int64), n // (d * d)))
+    small = np.cumsum(mu, dtype=np.int64)
+    top = n // (u + 1)
+    big = np.zeros(top + 1, dtype=np.int64)  # big[k] = M(n // k)
+    for k in range(top, 0, -1):
+        x, r = n // k, math.isqrt(n // k)
+        split = min(r, top // k)
+        d = np.arange(split + 1, r + 1, dtype=np.int64)
+        v = np.arange(1, x // (r + 1) + 1, dtype=np.int64)
+        counts = x // v - x // (v + 1)
+        big[k] = 1 - (big[2 * k : split * k + 1 : k].sum() + small[x // d].sum()
+                      + np.dot(small[v], counts))
+    return int(big[1] if top else small[n]), squarefree
+
 
 #: largest n that factorize accepts; a prime just below the bound takes
 #: about 0.1 s of trial division

@@ -478,7 +478,8 @@ class TestCache:
                                                       monkeypatch, mapped_rss):
         """On a mapped cache file `sieve` holds at most a few blocks of it
         when done, and prints the row of in-memory tables, where nothing
-        is dropped."""
+        is dropped.  It maps the file twice: for the n tables, and for the
+        prefix up to n^(2/3) that its Mertens and squarefree counts read."""
         from primelab import tables
         n = 2_000_000
         monkeypatch.delenv(tables.CACHE_DIR_ENV, raising=False)
@@ -492,7 +493,8 @@ class TestCache:
                             lambda *args: mapped.append(real(*args)) or mapped[-1])
         monkeypatch.setenv(tables.CACHE_DIR_ENV, str(tmp_path))
         assert run_main(["sieve", "--n-max", str(n)], capsys) == want
-        assert len(mapped) == 1  # held here, so its mapping outlives the command
+        # held here, so the mappings outlive the command
+        assert [tb.n_max for tb in mapped] == [n, round(n ** (2 / 3))]
         assert mapped_rss(path) <= 2 * 3 * tables.BLOCK_MAX
         assert mapped[0].spf.tobytes() == built.spf.tobytes()
         assert mapped_rss(path) >= 2 * n
@@ -508,11 +510,14 @@ class TestCache:
         err = capsys.readouterr().err
         assert "precondition failed" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("stale", ["version-2", "mu-byte"])
+    @pytest.mark.parametrize("stale", ["version-2", "version-3", "spf-byte"])
     def test_stale_or_corrupt_cache_file_returns_3(self, tmp_path, capsys, monkeypatch, stale):
         """A format-2 file (int32 spf equal to n at a prime, then mu: 5 bytes
-        per entry) and a format-3 file with one mu byte flipped both exit 3,
-        print no row, and stay as they were."""
+        per entry), a format-3 file (uint16 spf, then int8 mu, then a CRC32
+        of each 2**18-entry block of each) and a format-4 file with one spf
+        byte flipped all exit 3, print no row, and stay as they were."""
+        import zlib
+
         from primelab import tables
         n = 10**5
         path = tmp_path / f"primelab_tables_{n}.bin"
@@ -522,10 +527,15 @@ class TestCache:
             spf = np.where((tb.spf == 0) & (index >= 2), index, tb.spf).astype("<i4")
             raw = b"PRLB" + (2).to_bytes(2, "little") + n.to_bytes(8, "little")
             raw += spf.tobytes() + tb.mu.tobytes()
+        elif stale == "version-3":
+            arrays = [tb.spf.astype("<u2").tobytes(), tb.mu.astype("<i1").tobytes()]
+            raw = b"PRLB" + (3).to_bytes(2, "little") + n.to_bytes(8, "little")
+            raw += b"".join(arrays)
+            raw += np.array([zlib.crc32(a) for a in arrays], dtype="<u4").tobytes()
         else:
             tables.save_tables(tb, path)
             raw = bytearray(path.read_bytes())
-            raw[14 + 2 * (n + 1) + 4321] ^= 1
+            raw[14 + 2 * 4321] ^= 1
             raw = bytes(raw)
         path.write_bytes(raw)
         monkeypatch.setenv(tables.CACHE_DIR_ENV, str(tmp_path))

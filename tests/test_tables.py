@@ -49,6 +49,31 @@ def naive_lambda(n: int) -> float:
     return 0.0
 
 
+def sieved_mu(n: int) -> np.ndarray:
+    """The int8 Moebius function of 0..n as the segmented sieve made it
+    when the tables stored it, one segment of SIEVE_SEGMENT entries at a
+    time: each prime p <= isqrt(n) with p^2 < hi negates mu at its
+    multiples in [lo, hi), zeroes it at those of p^2 and multiplies an
+    int32 prod by p there; a k < hi has at most one prime factor left out
+    of prod, so mu is negated once more where prod != k."""
+    primes = tables_mod.eratosthenes(math.isqrt(n)).tolist()
+    mu = np.ones(n + 1, dtype=np.int8)
+    for lo in range(0, n + 1, tables_mod.SIEVE_SEGMENT):
+        hi = min(lo + tables_mod.SIEVE_SEGMENT, n + 1)
+        seg = mu[lo:hi]
+        prod = np.ones(hi - lo, dtype=np.int32)
+        for p in reversed(primes):
+            if p * p >= hi:
+                continue
+            first = -lo % p
+            np.negative(seg[first::p], out=seg[first::p])
+            np.multiply(prod[first::p], p, out=prod[first::p])
+            seg[-lo % (p * p) :: p * p] = 0
+        np.negative(seg, out=seg, where=prod != np.arange(lo, hi, dtype=np.int32))
+    mu[:2] = (0, 1)
+    return mu
+
+
 def _flip(raw: bytes, at: int) -> bytes:
     """raw with the lowest bit of byte ``at`` flipped."""
     return raw[:at] + bytes([raw[at] ^ 1]) + raw[at + 1 :]
@@ -145,6 +170,17 @@ class TestBuildTables:
         for n in rng.integers(2, tables_small.n_max, size=N_TRIALS):
             n = int(n)
             assert tables_small.mu[n] == naive_mu(n), n
+
+    @pytest.mark.parametrize("n", [2**18 - 1, 2**18, 2**18 + 1, 3 * 2**18 + 5])
+    @pytest.mark.parametrize("where", ["memory", "mapped"])
+    def test_derived_mu_is_the_sieved_mu(self, tmp_path, n, where):
+        """mu derived from spf by the dyadic recurrence is, byte for byte,
+        the mu the segmented sieve made when the tables stored it: around
+        the segment edge and past three segments, in memory and from a
+        mapped file."""
+        tb = build_tables(n) if where == "memory" else build_tables(n, tmp_path / "t.bin")
+        assert tb.mu.dtype == np.int8 and not tb.mu.flags.writeable
+        assert tb.mu.tobytes() == sieved_mu(n).tobytes()
 
     def test_totient_against_sympy(self, tables_small):
         rng = np.random.default_rng(SEED + 2)
@@ -292,7 +328,7 @@ class TestBuildTables:
 
         def psi(n):
             top = max(n, 2)
-            own = ArithTables(n_max=top, spf=tb.spf[: top + 1], mu=tb.mu[: top + 1])
+            own = ArithTables(n_max=top, spf=tb.spf[: top + 1])
             return own.psi_steps[np.searchsorted(own.prime_powers[0], n, side="right")]
 
         rng = np.random.default_rng(SEED)
@@ -340,24 +376,23 @@ class TestBlockReaders:
 
     @staticmethod
     def _check_steps(tb: ArithTables, top: int, ref: ArithTables) -> None:
-        """The blocks cover 0..top in order, their prime powers and logs
-        joined are ref's up to top, their steps[1:] joined are the same
-        prefix of ref.psi_steps, and each steps[0] is the step before."""
-        blocks = [(lo, hi, q.copy(), logs.copy(), steps.copy())
-                  for lo, hi, q, logs, steps in tb.psi_step_blocks(top)]
+        """The blocks cover 0..top in order, their prime powers joined are
+        ref's up to top, their steps[1:] joined are the same prefix of
+        ref.psi_steps, and each steps[0] is the step before."""
+        blocks = [(lo, hi, q.copy(), steps.copy())
+                  for lo, hi, q, steps in tb.psi_step_blocks(top)]
         edges = [0] + [hi for _lo, hi, *_rest in blocks]
         assert [lo for lo, *_rest in blocks] == edges[:-1] and edges[-1] == top + 1
-        q_ref, logs_ref = ref.prime_powers
+        q_ref = ref.prime_powers[0]
         count = int(np.searchsorted(q_ref, top, side="right"))
-        q, logs = (np.concatenate([b[i] for b in blocks]) for i in (2, 3))
+        q = np.concatenate([b[2] for b in blocks])
         assert q.tobytes() == q_ref[:count].tobytes()
-        assert logs.tobytes() == logs_ref[:count].tobytes()
-        steps = np.concatenate([b[4][1:] for b in blocks])
+        steps = np.concatenate([b[3][1:] for b in blocks])
         assert steps.dtype == np.float64
         assert steps.tobytes() == ref.psi_steps[1 : count + 1].tobytes()
-        before = np.array([0.0] + [b[4][-1] for b in blocks[:-1]])
-        assert np.array([b[4][0] for b in blocks]).tobytes() == before.tobytes()
-        assert all(b[4].size == b[2].size + 1 for b in blocks)
+        before = np.array([0.0] + [b[3][-1] for b in blocks[:-1]])
+        assert np.array([b[3][0] for b in blocks]).tobytes() == before.tobytes()
+        assert all(b[3].size == b[2].size + 1 for b in blocks)
 
     @pytest.mark.parametrize("top", [1, 2, B - 1, B, B + 1, 3 * B + 5])
     def test_psi_step_blocks_are_psi_steps(self, reader_tables, top):
@@ -393,6 +428,23 @@ class TestBlockReaders:
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
         assert tb.von_mangoldt(lo, hi).tobytes() == want.tobytes()  # read again
 
+    def test_readers_drop_every_page_below_their_range(self, reader_tables, tmp_path,
+                                                       mapped_rss):
+        """A read fault may map a whole page-cache folio, pages below the
+        range read included, so both readers drop every mapped page below
+        the end of what they read, not only their own range's: with all of
+        spf mapped in first, a short read near the end leaves a few pages."""
+        path = tmp_path / "tables.bin"
+        save_tables(reader_tables, path)
+        tb = load_tables(path)
+        top = tb.n_max
+        for read in (lambda: tb.von_mangoldt(top - 100, top + 1),
+                     lambda: list(tb.psi_step_blocks(top))):
+            np.count_nonzero(tb.spf)  # map every page of spf in
+            assert mapped_rss(path) >= tb.spf.nbytes
+            read()
+            assert mapped_rss(path) <= 4 * mmap.PAGESIZE
+
     def test_only_the_readers_release_pages(self):
         """No module but tables.py drops table pages (the lemmas' walk
         reads no table) or names the prime-power helpers: Lambda and psi
@@ -422,6 +474,77 @@ class TestBlockReaders:
         assert named == []
 
 
+class TestMertensSquarefree:
+    """``mertens_squarefree(n)``, (M(n), Q(n)) from mu up to n^(2/3)."""
+
+    def test_powers_of_ten(self, monkeypatch):
+        """M(10^k) (OEIS A084237) and Q(10^k) (OEIS A071172), k = 0..9."""
+        monkeypatch.delenv(tables_mod.CACHE_DIR_ENV, raising=False)
+        mertens = [1, -1, 1, 2, -23, -48, 212, 1037, 1928, -222]
+        squarefree = [1, 7, 61, 608, 6083, 60794, 607926, 6079291, 60792694, 607927124]
+        for k in range(10):
+            assert tables_mod.mertens_squarefree(10**k) == (mertens[k], squarefree[k]), k
+
+    def test_every_n_to_3000_is_the_brute_sum(self, monkeypatch):
+        """At every n <= 3000 the pair is the running sum and the nonzero
+        count of mu read off ``factorize``."""
+        monkeypatch.delenv(tables_mod.CACHE_DIR_ENV, raising=False)
+        m = q = 0
+        assert tables_mod.mertens_squarefree(0) == (0, 0)
+        for n in range(1, 3001):
+            fac = factorize(n)
+            mu = 0 if any(e > 1 for _p, e in fac) else (-1) ** len(fac)
+            m, q = m + mu, q + (mu != 0)
+            assert tables_mod.mertens_squarefree(n) == (m, q), n
+
+    def test_edges_are_the_sieved_sums(self, monkeypatch):
+        """Against the running sums of the sieved mu up to 3 * 2**18 + 5: at
+        u = floor(n^(2/3)) and u +- 1 for several n, where floor(n^(2/3))
+        steps, at squares and cubes and one either side, at 2**18 +- 1, and
+        at a random sample; each n reads mu up to floor(n^(2/3)) alone."""
+        monkeypatch.delenv(tables_mod.CACHE_DIR_ENV, raising=False)
+        top = 3 * 2**18 + 5
+        mu = sieved_mu(top)
+        mertens = np.cumsum(mu, dtype=np.int64)
+        squarefree = np.cumsum(mu != 0, dtype=np.int64)
+        ns = {2**18 - 1, 2**18, 2**18 + 1, top}
+        for n0 in (10**3, 10**5, 2**18, 10**6, top):
+            u = round(n0 ** (2 / 3))
+            ns |= {u - 1, u, u + 1}
+        for u in (10, 100, 1000, 5000, 8000):
+            step = math.isqrt(u**3)  # floor(n^(2/3)) reaches u at step or step + 1
+            ns |= {step - 1, step, step + 1, step + 2}
+        for m in (2, 3, 10, 31, 64, 91):
+            ns |= {m**e + d for e in (2, 3) for d in (-1, 0, 1) if 0 <= m**e + d <= top}
+        rng = np.random.default_rng(SEED)
+        ns |= {int(n) for n in rng.integers(0, top + 1, size=100)}
+        seen = []
+        real = tables_mod.tables_for
+        monkeypatch.setattr(tables_mod, "tables_for", lambda k: seen.append(k) or real(k))
+        for n in sorted(ns):
+            assert tables_mod.mertens_squarefree(n) == (mertens[n], squarefree[n]), n
+            u = seen.pop()
+            assert u**3 <= n * n < (u + 1) ** 3, n
+        assert seen == []
+
+    def test_sieve_derives_mu_only_up_to_n_two_thirds(self, tmp_path, monkeypatch, capsys):
+        """`sieve --n-max 1e6` derives mu over no more than 10**4 + 1
+        entries, with and without a cache dir: never over the 10**6 tables."""
+        from primelab import cli
+        derived = []
+        real = ArithTables.mu.func
+        monkeypatch.setattr(ArithTables, "mu", property(
+            lambda tb: derived.append(tb.n_max + 1) or real(tb)))
+        for cache in (None, tmp_path):
+            if cache is None:
+                monkeypatch.delenv(tables_mod.CACHE_DIR_ENV, raising=False)
+            else:
+                monkeypatch.setenv(tables_mod.CACHE_DIR_ENV, str(cache))
+            assert cli.main(["sieve", "--n-max", "1e6"]) == 0
+            assert "1000000,78498,999586.597495633,212,607926" in capsys.readouterr().out
+        assert derived and max(derived) <= 10**4 + 1
+
+
 class TestSaveLoad:
     def test_roundtrip(self, tmp_path):
         tb = build_tables(3000)
@@ -440,9 +563,9 @@ class TestSaveLoad:
             assert not getattr(back, name).flags.writeable, name
         for name in ("phi", "lam", "psi_prefix"):  # derived, also on a build
             assert not getattr(tb, name).flags.writeable, name
-        # the header, spf (2 bytes) and mu (1 byte) per entry, then one
-        # 4-byte CRC32 per array, as 3001 entries make one checked block
-        assert path.stat().st_size == 14 + 3 * (3000 + 1) + 2 * 4
+        # the header, spf (2 bytes per entry), then one 4-byte CRC32, as
+        # 3001 entries make one checked block
+        assert path.stat().st_size == 14 + 2 * (3000 + 1) + 4
 
     def test_prefix_load(self, tmp_path):
         """load_tables(path, n) is byte-equal to build_tables(n) for n up to
@@ -460,14 +583,15 @@ class TestSaveLoad:
         lambda raw: b"XXXX" + raw[4:],
         lambda raw: raw[:4] + (1).to_bytes(2, "little") + raw[6:],
         lambda raw: raw[:4] + (2).to_bytes(2, "little") + raw[6:],
+        lambda raw: raw[:4] + (3).to_bytes(2, "little") + raw[6:],
         lambda raw: raw[:-1],
         lambda raw: raw[:10],
         lambda raw: raw + b"\0",
         lambda raw: _flip(raw, 14 + 2 * 37),  # spf[37]
-        lambda raw: _flip(raw, 14 + 2 * 101 + 37),  # mu[37]
-        lambda raw: _flip(raw, len(raw) - 1),  # mu's CRC
-    ], ids=["magic", "version", "version-2", "truncated", "short-header",
-            "trailing", "spf-byte", "mu-byte", "crc-byte"])
+        lambda raw: _flip(raw, 14 + 2 * 101 - 1),  # the high byte of spf[100]
+        lambda raw: _flip(raw, len(raw) - 1),  # spf's CRC
+    ], ids=["magic", "version", "version-2", "version-3", "truncated",
+            "short-header", "trailing", "spf-byte", "spf-last-byte", "crc-byte"])
     def test_damaged_file_is_refused(self, tmp_path, damage):
         path = tmp_path / "primelab_tables_100.bin"
         save_tables(build_tables(100), path)
@@ -484,19 +608,19 @@ class TestSaveLoad:
         n = 2 * block + 5
         path = tmp_path / f"primelab_tables_{n}.bin"
         save_tables(build_tables(n), path)
-        path.write_bytes(_flip(path.read_bytes(), 14 + 2 * (n + 1) + 2 * block + 3))
+        path.write_bytes(_flip(path.read_bytes(), 14 + 2 * (2 * block) + 3))
         crcs = []
         real = tables_mod.zlib.crc32
         monkeypatch.setattr(tables_mod.zlib, "crc32", lambda data: crcs.append(1) or real(data))
         assert_same_tables(load_tables(path, 1000), build_tables(1000))
-        assert len(crcs) == 2  # block 0 of spf and of mu
+        assert len(crcs) == 1  # block 0 of spf
         load_tables(path, 1000)
-        assert len(crcs) == 4  # the same two blocks, checked again
+        assert len(crcs) == 2  # the same block, checked again
         load_tables(path, block - 1)
-        assert len(crcs) == 6
+        assert len(crcs) == 3
         assert_same_tables(load_tables(path, block), build_tables(block))
-        assert len(crcs) == 10  # blocks 0 and 1 of each array
-        with pytest.raises(ValueError, match="fails its checksum in mu block 2"):
+        assert len(crcs) == 5  # blocks 0 and 1 of spf
+        with pytest.raises(ValueError, match="fails its checksum in spf block 2"):
             load_tables(path)
 
     def test_checked_load_leaves_the_mapping_unread(self, tmp_path, monkeypatch,
@@ -511,7 +635,7 @@ class TestSaveLoad:
         real = tables_mod.zlib.crc32
         monkeypatch.setattr(tables_mod.zlib, "crc32", lambda data: crcs.append(1) or real(data))
         tb = load_tables(path)
-        assert len(crcs) == 6  # every block of spf and of mu checked
+        assert len(crcs) == 3  # every block of spf checked
         assert mapped_rss(path) <= 4 * mmap.PAGESIZE
         np.count_nonzero(tb.spf)  # read spf through the mapping
         assert mapped_rss(path) >= tb.spf.nbytes
@@ -519,7 +643,7 @@ class TestSaveLoad:
     def test_check_blocks_do_not_follow_block_max(self, tmp_path):
         """The check block is fixed at 2**18 entries, part of the file
         format: a file saved with BLOCK_MAX at 64 carries ceil((n+1)/2**18)
-        CRCs per array and loads at the default block size."""
+        CRCs and loads at the default block size."""
         n = 2**18 + 5
         tb = build_tables(n)
         path = tmp_path / f"primelab_tables_{n}.bin"
@@ -529,7 +653,7 @@ class TestSaveLoad:
         assert tables_mod.BLOCK_MAX != 64
         crcs = -(-(n + 1) // 2**18)
         assert crcs == 2
-        assert path.stat().st_size == 14 + 3 * (n + 1) + 2 * 4 * crcs
+        assert path.stat().st_size == 14 + 2 * (n + 1) + 4 * crcs
         back = load_tables(path)
         assert back.spf.tobytes() == tb.spf.tobytes()
         assert back.mu.tobytes() == tb.mu.tobytes()
@@ -555,7 +679,7 @@ class TestSaveLoad:
     def test_path_build_memory_does_not_grow_with_n(self, tmp_path):
         """A build into a file holds one segment, not the tables: its traced
         allocations grow by at most 0.1 byte per entry between 10**6 and
-        4 * 10**6 entries, where an in-memory build takes 3."""
+        4 * 10**6 entries, where an in-memory build takes 2."""
         ns = (1_000_000, 4_000_000)
         peaks = []
         for n in ns:
@@ -575,13 +699,13 @@ class TestSaveLoad:
         real = np.ascontiguousarray
         seen_at_failure = []
 
-        def fail_at_mu(arr, dtype=None):  # mu is the last array written
-            if arr is tb.mu:
+        def fail_at_spf(arr, dtype=None):  # once the header is written
+            if arr is tb.spf:
                 seen_at_failure.append(path.exists())
                 raise OSError("disk full")
             return real(arr, dtype=dtype)
 
-        monkeypatch.setattr(tables_mod.np, "ascontiguousarray", fail_at_mu)
+        monkeypatch.setattr(tables_mod.np, "ascontiguousarray", fail_at_spf)
         with pytest.raises(OSError, match="disk full"):
             save_tables(tb, path)
         assert seen_at_failure == [False]
