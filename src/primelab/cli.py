@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-sieve       build (and optionally cache) the arithmetic tables, report summary stats
+sieve       stream the primes up to n_max, report pi, psi, Mertens and squarefree counts
 lambda      tabulate the truncated divisor-sum weights lambda_R(n) and LambdaBig_R(n)
 singular    evaluate singular-series constants / values as truncated Euler products
 correlate   evaluate one correlation sum S_k (or mixed S~_k) against its prediction
@@ -232,17 +232,15 @@ def _fail_identity(message: str) -> int:
 # ----------------------------------------------------------------------------
 
 def _cmd_sieve(args) -> int:
-    import numpy as np
-
     from . import tables
 
     n = args.n_max
-    tb = tables.tables_for(n)  # reaches 2 when n = 1
-    # one pass over the blocks; psi(n) is the last step of the last one
+    # one pass over the streamed sieve, which keeps no table; psi(n) is the
+    # last step of the last block
     primes = 0
-    for lo, hi, _q, steps in tb.psi_step_blocks(n):
-        primes += int(np.count_nonzero(tb.spf[max(lo, 2) : hi] == 0))
-    # from mu up to n^(2/3), a prefix of the same tables
+    for _lo, _hi, block_primes, _q, steps in tables.psi_blocks(n):
+        primes += block_primes.size
+    # from mu up to n^(2/3), sieved apart in memory
     mertens, squarefree = tables.mertens_squarefree(n)
     config = {"command": "sieve", "n_max": n}
     rows = [{
@@ -586,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="set h = round(lambda * log N)")
 
     p = sub.add_parser("sieve", parents=[common()],
-                       help="build arithmetic tables and report summary stats")
+                       help="sieve the primes up to n_max and report summary stats")
     p.add_argument("--n-max", type=parse_count, required=True)
     p.set_defaults(func=_cmd_sieve)
 

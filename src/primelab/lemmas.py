@@ -53,7 +53,6 @@ from .constants import (
     DEFAULT_P_CUT,
     EULER_GAMMA,
     LOGP_P_PMINUS2_SUM,
-    primes_up_to,
 )
 from .singular import singular_Sn
 from .tables import (
@@ -334,20 +333,53 @@ def _factor(
     return f
 
 
+def _prime_sums(
+    terms: Callable[[np.ndarray], tuple[np.ndarray, ...]],
+    p_cut: int,
+    extra: Sequence[int] = (),
+    odd: bool = False,
+) -> tuple[float, ...]:
+    """np.sum of each float64 array of terms(ps), bit for bit, where ps is
+    the primes up to p_cut (the odd ones alone if odd) followed by those of
+    extra, as one float64 array; terms maps primes to arrays of their
+    length.
+
+    The primes are read from ``tables.prime_blocks(p_cut)`` twice: a pass
+    that counts them, then one that feeds each sum's ``PairwiseSum`` a
+    block at a time.  So no array over all the primes is held, and a
+    p_cut beyond TABLE_MAX is refused before anything is sieved.
+    """
+    def primes():
+        for _lo, _hi, ps in _tables.prime_blocks(p_cut):
+            yield ps[ps != 2] if odd else ps
+        yield np.array(extra, dtype=np.int64)
+
+    count = sum(ps.size for ps in primes())
+    sums: list[PairwiseSum] = []
+    for ps in primes():
+        parts = terms(ps.astype(np.float64))
+        sums = sums or [PairwiseSum(count) for _part in parts]
+        for total, part in zip(sums, parts):
+            total.add(part)
+    return tuple(total.total for total in sums)
+
+
 def _euler_limit(f: FactorFn, p_cut: int, special: Sequence[int]) -> float:
     """prod (1 + f(p)) over the primes p <= p_cut and the primes of the
-    integers in ``special`` above p_cut: the limit of sum mu^2(n) prod f(p),
-    truncated at p_cut.  The factors must be >= 0; a zero factor (f(p) = -1
-    exactly) gives exactly 0.0, with no log of it taken.
+    integers in ``special`` above p_cut, fed last: the limit of
+    sum mu^2(n) prod f(p), truncated at p_cut, as exp of the sum of
+    log1p(f(p)) (``_prime_sums``).  The factors must be >= 0; a zero
+    factor (f(p) = -1 exactly) adds log 0 = -inf to the sum, so the
+    product is exactly 0.0.
     """
+    def log_factors(ps: np.ndarray) -> tuple[np.ndarray]:
+        terms = f(ps)
+        with np.errstate(divide="ignore"):
+            return (np.log1p(terms),)
+
     extra = sorted({p for m in special for p in prime_divisors(m) if p > p_cut})
-    ps = primes_up_to(p_cut)
-    if extra:
-        ps = np.concatenate([ps, np.array(extra, dtype=np.int64)])
-    terms = f(ps)
-    if (terms == -1.0).any():
-        return 0.0
-    return float(np.exp(np.sum(np.log1p(terms))))
+    (logs,) = _prime_sums(log_factors, p_cut, extra)
+    return float(np.exp(logs))
 
 
 def _kernel_parts(m: int) -> tuple[int, int, int]:
@@ -409,10 +441,13 @@ def lemma1(
         raise_at_zeros("P1+P2", p12, ps, v1 + v2)
         return v1 / v2
 
-    ps = primes_up_to(p_cut).astype(np.float64)
-    fp = ratio(ps)
-    k1 = float(np.exp(np.sum(np.log1p(-1.0 / ps) + np.log1p(fp))))
-    s1 = float(np.sum((1.0 / (ps - 1.0) - fp / (1.0 + fp)) * np.log(ps)))
+    def parts(ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        fp = ratio(ps)
+        return (np.log1p(-1.0 / ps) + np.log1p(fp),
+                (1.0 / (ps - 1.0) - fp / (1.0 + fp)) * np.log(ps))
+
+    log_k1, s1 = _prime_sums(parts, p_cut)
+    k1 = float(np.exp(log_k1))
     k_primes = prime_divisors(k)
     pk = np.array(k_primes, dtype=np.float64)
     fk = ratio(pk)
@@ -497,11 +532,13 @@ def euler_P1(p_cut: int = DEFAULT_P_CUT) -> float:
     The factors are 1 + 3 p^{-3/2} + O(p^-2), so the truncation tail is
     about sum_{p > p_cut} 3 p^{-3/2} ~ 6 / (sqrt(p_cut) log p_cut).
     """
-    ps = primes_up_to(p_cut).astype(np.float64)
-    rt = np.sqrt(ps)
-    c = (3.0 * ps - 4.0) * rt / ((ps - 1.0) * (rt - 1.0))
-    bracket = (1.0 + c / ps) * (1.0 - 1.0 / ps) ** 3
-    return float(np.exp(np.sum(np.log(bracket))))
+    def log_bracket(ps: np.ndarray) -> tuple[np.ndarray]:
+        rt = np.sqrt(ps)
+        c = (3.0 * ps - 4.0) * rt / ((ps - 1.0) * (rt - 1.0))
+        return (np.log((1.0 + c / ps) * (1.0 - 1.0 / ps) ** 3),)
+
+    (logs,) = _prime_sums(log_bracket, p_cut)
+    return float(np.exp(logs))
 
 
 def lemma3(
@@ -601,8 +638,8 @@ def _sum_logp_p_pminus2(p_cut: int) -> float:
     At the default CONST_P_CUT it is the pinned literal of the same bits."""
     if p_cut == CONST_P_CUT:
         return LOGP_P_PMINUS2_SUM
-    ps = primes_up_to(p_cut).astype(np.float64)[1:]  # drop p = 2
-    return float(np.sum(np.log(ps) / (ps * (ps - 2.0))))
+    (total,) = _prime_sums(lambda ps: (np.log(ps) / (ps * (ps - 2.0)),), p_cut, odd=True)
+    return total
 
 
 def lemma4_log(

@@ -26,9 +26,11 @@ SIEVE_SEGMENT = 2**18 entries, one check block of the cache file, sieved in
 turn by the primes p <= isqrt(n_max) of ``eratosthenes``, the one plain
 sieve of Eratosthenes, which ``constants.primes_up_to`` caches too.  In a
 segment [lo, hi) every p with p^2 < hi writes spf = p at its multiples
->= p^2, the largest p first so the least prime factor stays.  mu and phi
-come from a dyadic-block recurrence: for n in [2^i, 2^(i+1)) write
-p = spf(n) and m = n/p.  Then m < 2^i, so every n of the block reads only
+>= p^2, the largest p first so the least prime factor stays.  The same
+segments, read as they come and never stored, are the one prime stream
+(``prime_blocks``): the primes of each block of BLOCK_MAX entries, with
+one segment held whatever n.  mu and phi come from a dyadic-block
+recurrence: for n in [2^i, 2^(i+1)) write p = spf(n) and m = n/p.  Then m < 2^i, so every n of the block reads only
 finished entries and the block is one vectorised numpy step: mu = 0 and
 phi = phi(m) p where p = spf(m), and mu = -mu(m) and phi = phi(m) (p-1)
 otherwise.  The commands read mu only up to R, for the lambda_R weights,
@@ -49,14 +51,15 @@ fed them in order, it returns np.sum of all their entries bit for bit, in
 numpy's pairwise order, holding O(log n) partial sums; it serves the lemma
 rungs and every sum over n of ``correlations`` and ``moments``.
 
-``prime_power_blocks`` yields the prime powers and their Lambda block by
-block, BLOCK_MAX entries of spf at a time, with the few higher powers
-merged in; ``prime_powers`` joins the blocks.  Two readers of
-``ArithTables`` hand Lambda and psi out by block, and every command reads
-them through these alone: ``von_mangoldt(lo, hi)`` gives Lambda over any
-one range, and ``psi_step_blocks(top)`` gives each block's prime powers
-with psi at each of them, the entries of psi_steps, which ``sieve`` reads
-and the psi moments repeat over the gaps.
+``psi_blocks`` is the one route to psi: each block's primes, its prime
+powers and psi at each of them.  Fed the prime stream it is what ``sieve``
+reads, so ``sieve`` keeps no table and neither reads nor writes the cache;
+the lemmas' Euler products read the same stream.  Two readers of
+``ArithTables`` hand Lambda and psi out by block, and every command that
+reads tables reads them through these alone: ``von_mangoldt(lo, hi)``
+gives Lambda over any one range, and ``psi_step_blocks(top)`` is
+``psi_blocks`` fed the table's own spf, which the psi moments repeat over
+the gaps.
 
 The stored array takes 2 bytes per entry, so n_max = 10**7 costs ~20 MB.
 mu adds 1 byte and phi 8 bytes per entry once read.  lam and psi_prefix
@@ -72,8 +75,8 @@ then maps the file, so it holds only the segment's buffer, whatever n_max.
 ``build_tables`` refuses n_max above TABLE_MAX, the limit of the int32
 arithmetic in the recurrences.
 
-``tables_for`` is the one provider every caller goes through, and it does
-one of three things: it maps a prefix of the largest cache file in
+``tables_for`` is the one provider every table reader goes through, and it
+does one of three things: it maps a prefix of the largest cache file in
 PRIMELAB_CACHE_DIR that reaches n_max; with a cache dir but no such file it
 sieves into a new file there, which replaces the smaller files; with no
 cache dir it sieves afresh in memory.  The process keeps no build, so
@@ -148,9 +151,10 @@ class ArithTables:
 
     @cached_property
     def prime_powers(self) -> tuple[np.ndarray, np.ndarray]:
-        """(q, Lambda(q)) over the prime powers q <= n_max, q ascending: the
-        blocks of ``prime_power_blocks`` joined."""
-        blocks = [(q, logs) for _lo, _hi, q, logs in prime_power_blocks(self.spf)]
+        """(q, Lambda(q)) over the prime powers q <= n_max, q ascending: those
+        of each block of spf (``_prime_powers_between``) joined."""
+        blocks = [_prime_powers_between(primes, lo, hi, self._higher_powers)
+                  for lo, hi, primes in _prime_blocks([(0, self.n_max + 1, self.spf)])]
         return tuple(_read_only(np.concatenate(parts)) for parts in zip(*blocks))
 
     @cached_property
@@ -163,7 +167,8 @@ class ArithTables:
         ``cumsum_blocks`` and rounded to float64 once per entry: the
         additions of one np.cumsum, without its long-double output.  Lambda
         is +0.0 off the prime powers and adding +0.0 never changes a sum, so
-        the bits are those of one long-double cumsum over all of lam.
+        the bits are those of one long-double cumsum over all of lam.  The
+        reference the tests hold ``psi_blocks`` to.
         """
         logs = self.prime_powers[1]
         steps = np.zeros(logs.size + 1, dtype=np.float64)
@@ -186,7 +191,7 @@ class ArithTables:
     @cached_property
     def _higher_powers(self) -> tuple[np.ndarray, np.ndarray]:
         """The prime powers p^e <= n_max with e >= 2 and their log p."""
-        return _higher_prime_powers(self.spf)
+        return _higher_prime_powers(self.n_max)
 
     def von_mangoldt(self, lo: int, hi: int) -> np.ndarray:
         """float64 Lambda(lo..hi-1), hi <= n_max + 1, 0 at n <= 1: lo may
@@ -195,27 +200,24 @@ class ArithTables:
         are dropped once read (``release``): a reader of ascending ranges
         holds only the pages around its current one."""
         out = np.zeros(hi - lo, dtype=np.float64)
-        q, logs = _prime_powers_between(self.spf, lo, hi, self._higher_powers)
+        start = max(lo, 0)
+        primes = _primes_in(self.spf[start : max(hi, start)], start)
+        q, logs = _prime_powers_between(primes, lo, hi, self._higher_powers)
         out[q - lo] = logs
         self.release(hi)
         return out
 
     def psi_step_blocks(self, top: int):
-        """Yield (lo, hi, q, steps) over the blocks [lo, hi) of
-        ``prime_power_blocks`` covering 0..top, top <= n_max, in order: q
-        the prime powers in the block, steps[0] psi before the block and
-        steps[1 + i] = psi(q[i]), so psi(x) for x in [lo, hi) is
-        steps[number of q <= x].
-
-        These are the entries of ``psi_steps``, bit for bit: one
-        long-double running sum over the logs, carried unrounded from block
-        to block and rounded to float64 once per entry.  The table pages up
-        to a block's end are dropped when the next block is asked for.
+        """Yield (lo, hi, q, steps) over the blocks [lo, hi) of BLOCK_MAX
+        entries covering 0..top, top <= n_max, in order: the blocks of
+        ``psi_blocks`` fed the primes of this table's spf, read a block at a
+        time, so the steps are those the streamed sieve gives, bit for bit.
+        The table pages up to a block's end are dropped when the next block
+        is asked for.
         """
-        run = np.zeros(1, dtype=np.longdouble)
-        for lo, hi, q, logs in prime_power_blocks(self.spf[: top + 1]):
-            run = np.cumsum(np.concatenate((run[-1:], logs)))
-            yield lo, hi, q, run.astype(np.float64)
+        blocks = _prime_blocks([(0, top + 1, self.spf)])
+        for lo, hi, _primes, q, steps in psi_blocks(top, blocks):
+            yield lo, hi, q, steps
             self.release(hi)
 
     def release(self, hi: int) -> None:
@@ -301,7 +303,7 @@ def sieve_segments(n: int):
             if p * p < hi:
                 spf[max(p * p - lo, -lo % p) :: p] = p
         if lo == 0:
-            spf[1] = 1
+            spf[1:2] = 1  # spf[1] = 1 where n >= 1
         yield lo, hi, spf
 
 
@@ -338,29 +340,70 @@ def _cofactor_blocks(spf: np.ndarray):
         yield lo, hi, p, m, (spf[m] == p) | (m == p)
 
 
-def prime_power_blocks(spf: np.ndarray):
-    """Yield (lo, hi, q, logs) over the blocks [lo, hi) of BLOCK_MAX entries
-    covering 0..n, n = spf.size - 1, in order: q the ascending prime powers
-    in the block (int64) and logs = Lambda(q), np.log at the primes and
-    math.log of p at the higher powers p^e (``_prime_powers_between``).
-
-    No array over all n or all prime powers is built or sorted.  Every
-    block holds at most hi - lo prime powers.
+def prime_blocks(n: int):
+    """Yield (lo, hi, primes) over blocks [lo, hi) of at most BLOCK_MAX
+    entries covering 0..n, n >= 0, in order: primes the ascending primes
+    in the block (int64), read off the segments of ``sieve_segments(n)``.
+    The one prime stream: it holds one segment and one block's primes, no
+    list of all the primes up to n.  n above TABLE_MAX raises ValueError
+    here, before anything is sieved.
     """
-    n = spf.size - 1
-    higher = _higher_prime_powers(spf)
-    for lo in range(0, n + 1, BLOCK_MAX):
-        hi = min(lo + BLOCK_MAX, n + 1)
-        yield (lo, hi, *_prime_powers_between(spf, lo, hi, higher))
+    if n > TABLE_MAX:
+        raise ValueError(f"a prime sieve to {n} is beyond {TABLE_MAX}")
+    return _prime_blocks(sieve_segments(n))
 
 
-def _higher_prime_powers(spf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(q, logs) over the prime powers q = p^e <= spf.size - 1 with e >= 2,
-    q ascending (int64), and logs = math.log(p): 555 of them at 10^7, read
-    off the primes up to the square root."""
-    n = spf.size - 1
+def _prime_blocks(segments):
+    """Yield (lo, hi, primes) over the segments (start, end, spf) of spf
+    entries start..end-1, each cut into blocks of BLOCK_MAX entries, and
+    read a block at a time: the n >= 2 in [lo, hi) where spf[n] = 0."""
+    for start, end, spf in segments:
+        for lo in range(start, end, BLOCK_MAX):
+            hi = min(lo + BLOCK_MAX, end)
+            yield lo, hi, _primes_in(spf[lo - start : hi - start], lo)
+
+
+def _primes_in(spf: np.ndarray, lo: int) -> np.ndarray:
+    """The primes among lo..lo + spf.size - 1, lo >= 0, ascending (int64),
+    from spf, the entries of those n: the n >= 2 where it is 0."""
+    skip = max(2 - lo, 0)
+    primes = np.flatnonzero(spf[skip:] == 0)
+    primes += lo + skip
+    return primes
+
+
+def psi_blocks(n: int, blocks=None):
+    """Yield (lo, hi, primes, q, steps) over the blocks [lo, hi) of primes
+    (lo, hi, primes) that cover 0..n in order: q the prime powers in the
+    block, ascending (int64), steps[0] psi before the block and
+    steps[1 + i] = psi(q[i]), so psi(x) for x in [lo, hi) is
+    steps[number of q <= x].
+
+    The blocks are by default the stream of ``prime_blocks(n)``, which
+    keeps no table, and for ``ArithTables.psi_step_blocks`` those of the
+    table's own spf.  Lambda is np.log at the primes and math.log of p at
+    the higher powers p^e (``_prime_powers_between``), and psi is one
+    long-double running sum over it in ascending q, carried unrounded from
+    block to block and rounded to float64 once per entry: the additions of
+    one long-double np.cumsum over all of Lambda, whatever the blocks.
+    """
+    if blocks is None:
+        blocks = prime_blocks(n)
+    higher = _higher_prime_powers(n)
+    run = np.zeros(1, dtype=np.longdouble)
+    for lo, hi, primes in blocks:
+        q, logs = _prime_powers_between(primes, lo, hi, higher)
+        run = np.concatenate((run[-1:], logs))
+        np.cumsum(run, out=run)
+        yield lo, hi, primes, q, run.astype(np.float64)
+
+
+def _higher_prime_powers(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(q, logs) over the prime powers q = p^e <= n with e >= 2, q ascending
+    (int64), and logs = math.log(p): 555 of them at 10^7, from the primes
+    up to the square root (``eratosthenes``)."""
     higher = []
-    for p in (np.flatnonzero(spf[2 : math.isqrt(n) + 1] == 0) + 2).tolist():
+    for p in eratosthenes(math.isqrt(n)).tolist():
         lp = math.log(p)
         q = p * p
         while q <= n:
@@ -371,19 +414,20 @@ def _higher_prime_powers(spf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.array([lp for _, lp in higher], dtype=np.float64))
 
 
-def _prime_powers_between(spf: np.ndarray, lo: int, hi: int, higher) -> tuple[np.ndarray, np.ndarray]:
+def _prime_powers_between(primes: np.ndarray, lo: int, hi: int, higher) -> tuple[np.ndarray, np.ndarray]:
     """(q, logs) over the prime powers lo <= q < hi, ascending: the primes
-    from spf[lo:hi] (the n >= 2 where spf[n] = 0), with np.log of each, and
-    the higher powers of ``_higher_prime_powers`` in the range inserted
-    among them.  Reads spf only at [max(lo, 2), hi); lo may be negative."""
+    in [lo, hi), ascending (int64), with np.log of each, and the higher
+    powers of ``_higher_prime_powers`` in the range inserted among them.
+    lo may be negative.  Where the range holds no higher power, q is
+    primes itself."""
     higher_q, higher_logs = higher
-    start = max(lo, 2)
-    primes = np.flatnonzero(spf[start : max(hi, start)] == 0)
-    primes += start
+    logs = primes.astype(np.float64)
+    np.log(logs, out=logs)
     a, b = np.searchsorted(higher_q, (lo, hi))
+    if a == b:
+        return primes, logs
     at = np.searchsorted(primes, higher_q[a:b])
-    logs = np.insert(np.log(primes.astype(np.float64)), at, higher_logs[a:b])
-    return np.insert(primes, at, higher_q[a:b]), logs
+    return np.insert(primes, at, higher_q[a:b]), np.insert(logs, at, higher_logs[a:b])
 
 
 def _von_mangoldt(q: np.ndarray, logs: np.ndarray, n: int) -> np.ndarray:
@@ -730,7 +774,8 @@ def _cache_path(cache_dir: str, n_max: int) -> str:
 def mertens_squarefree(n: int) -> tuple[int, int]:
     """(M(n), Q(n)) for 0 <= n <= TABLE_MAX, exactly: the Mertens function
     M(n) = sum_{k<=n} mu(k) and the count Q(n) of squarefree k in 1..n,
-    from mu up to u = floor(n^(2/3)) alone, a prefix of ``tables_for(u)``.
+    from mu up to u = floor(n^(2/3)) alone, of tables built in memory
+    (``build_tables``): no cache file is read or written.
 
     Q(n) = sum_{d<=sqrt(n)} mu(d) floor(n/d^2), and sqrt(n) <= u.  M is a
     running sum of mu up to u; above u it takes the values M(n//k), k from
@@ -745,7 +790,7 @@ def mertens_squarefree(n: int) -> tuple[int, int]:
     u = round(n ** (2 / 3))
     u += (u + 1) ** 3 <= n * n
     u -= u**3 > n * n
-    mu = tables_for(u).mu[: u + 1]
+    mu = build_tables(max(u, 2)).mu[: u + 1]
     d = np.arange(1, math.isqrt(n) + 1, dtype=np.int64)
     squarefree = int(np.dot(mu[1 : d.size + 1].astype(np.int64), n // (d * d)))
     small = np.cumsum(mu, dtype=np.int64)

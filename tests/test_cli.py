@@ -177,6 +177,20 @@ class TestExitCodes:
         assert cli.main(["singular", "--pattern", "0:1,2:1", "--p-cut", "1e12"]) == 3
         assert "beyond" in capsys.readouterr().err
 
+    def test_oversize_sieve_returns_3(self, monkeypatch, capsys):
+        """`sieve` beyond tables.TABLE_MAX is refused before anything is
+        allocated: no segment is sieved, no sieving prime is listed and no
+        table is built."""
+        from primelab import tables
+
+        def fail(*args, **kwargs):
+            pytest.fail("allocated for an oversize sieve")
+
+        for name in ("sieve_segments", "eratosthenes", "build_tables", "tables_for"):
+            monkeypatch.setattr(tables, name, fail)
+        assert cli.main(["sieve", "--n-max", str(tables.TABLE_MAX + 1)]) == 3
+        assert "beyond" in capsys.readouterr().err
+
     @pytest.mark.parametrize("pattern", ["0:3,2:2", "0:2", "0:1,2:2"])
     def test_singular_pattern_multiplicity_returns_3(self, pattern, capsys):
         """The singular series reads distinct shifts only, so a pattern with a
@@ -449,19 +463,48 @@ class TestStreamedSieve:
             }], n
 
 
+    def test_sieve_holds_no_table(self, monkeypatch, capsys):
+        """`sieve --n-max 4e6` with no cache dir holds one segment of the
+        sieve (2 bytes per entry) and less than 1 MiB besides, as traced by
+        tracemalloc: not the 8 MB of spf over all n.  A first run loads what
+        the command imports lazily, so the traced run holds the command's
+        own arrays alone."""
+        import tracemalloc
+
+        from primelab import tables
+        monkeypatch.delenv(tables.CACHE_DIR_ENV, raising=False)
+        argv = ["sieve", "--n-max", "4e6"]
+        assert run_main(argv, capsys)[0] == 0
+        tracemalloc.start()
+        try:
+            code, out = run_main(argv, capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and out.endswith("4000000,283146,3999490.85679657,192,2431736\n")
+        assert peak < 2 * tables.SIEVE_SEGMENT + 2**20, peak
+
+
 class TestCache:
-    def test_sieve_cache_roundtrip(self, tmp_path, capsys, monkeypatch):
+    """The cache dir through a command that still reads tables: the first
+    moment of psi, which takes them from ``tables_for`` and reads them
+    through ``psi_step_blocks`` and ``von_mangoldt``.  `sieve` and `lemma`
+    stream their primes and read no table."""
+
+    N, H = 3000, 20
+    CELL = ["moments", "--first-moment", "--n", str(N), "--h", str(H)]
+
+    def test_cache_roundtrip(self, tmp_path, capsys, monkeypatch):
         from primelab.tables import CACHE_DIR_ENV
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
-        code1, out1 = run_main(["sieve", "--n-max", "3000"], capsys)
+        code1, out1 = run_main(self.CELL, capsys)
         cached = list(tmp_path.iterdir())
         assert cached, "expected a cache file to be written"
-        code2, out2 = run_main(["sieve", "--n-max", "3000"], capsys)
+        code2, out2 = run_main(self.CELL, capsys)
         assert code1 == code2 == 0
         assert out1 == out2  # the build and the load print the same bytes
 
-    def test_sieve_stdout_does_not_depend_on_the_cache_dir(self, tmp_path, capsys,
-                                                          monkeypatch):
+    def test_stdout_does_not_depend_on_the_cache_dir(self, tmp_path, capsys, monkeypatch):
         """The cache directory is a run-dependent value, so it is not
         echoed: two cache dirs give the same stdout."""
         from primelab.tables import CACHE_DIR_ENV
@@ -469,32 +512,33 @@ class TestCache:
         for name in ("a", "cache_dir_b"):
             (tmp_path / name).mkdir()
             monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / name))
-            code, out = run_main(["sieve", "--n-max", "3000"], capsys)
+            code, out = run_main(self.CELL, capsys)
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]
 
-    def test_sieve_drops_the_file_pages_it_has_passed(self, tmp_path, capsys,
-                                                      monkeypatch, mapped_rss):
-        """On a mapped cache file `sieve` holds at most a few blocks of it
-        when done, and prints the row of in-memory tables, where nothing
-        is dropped.  It maps the file twice: for the n tables, and for the
-        prefix up to n^(2/3) that its Mertens and squarefree counts read."""
+    def test_drops_the_file_pages_it_has_passed(self, tmp_path, capsys, monkeypatch,
+                                                mapped_rss):
+        """On a mapped cache file the first moment holds at most a few
+        blocks of it when done, and prints the row of in-memory tables,
+        where nothing is dropped.  It maps the file once, for the tables
+        up to N + h."""
         from primelab import tables
-        n = 2_000_000
+        n, h = 2_000_000, 20
+        cell = ["moments", "--first-moment", "--n", str(n), "--h", str(h)]
         monkeypatch.delenv(tables.CACHE_DIR_ENV, raising=False)
-        want = run_main(["sieve", "--n-max", str(n)], capsys)
-        built = tables.build_tables(n)
-        path = tmp_path / f"primelab_tables_{n}.bin"
+        want = run_main(cell, capsys)
+        built = tables.build_tables(n + h)
+        path = tmp_path / f"primelab_tables_{n + h}.bin"
         tables.save_tables(built, path)
         mapped = []
         real = tables.load_tables
         monkeypatch.setattr(tables, "load_tables",
                             lambda *args: mapped.append(real(*args)) or mapped[-1])
         monkeypatch.setenv(tables.CACHE_DIR_ENV, str(tmp_path))
-        assert run_main(["sieve", "--n-max", str(n)], capsys) == want
+        assert run_main(cell, capsys) == want
         # held here, so the mappings outlive the command
-        assert [tb.n_max for tb in mapped] == [n, round(n ** (2 / 3))]
+        assert [tb.n_max for tb in mapped] == [n + h]
         assert mapped_rss(path) <= 2 * 3 * tables.BLOCK_MAX
         assert mapped[0].spf.tobytes() == built.spf.tobytes()
         assert mapped_rss(path) >= 2 * n
@@ -502,11 +546,11 @@ class TestCache:
     def test_damaged_cache_file_returns_3(self, tmp_path, capsys, monkeypatch):
         """A truncated cache file is refused with exit 3, not read or traced."""
         from primelab import tables
-        path = tmp_path / "primelab_tables_3000.bin"
-        tables.save_tables(tables.build_tables(3000), path)
+        path = tmp_path / f"primelab_tables_{self.N + self.H}.bin"
+        tables.save_tables(tables.build_tables(self.N + self.H), path)
         path.write_bytes(path.read_bytes()[:-8])
         monkeypatch.setenv(tables.CACHE_DIR_ENV, str(tmp_path))
-        assert cli.main(["sieve", "--n-max", "3000"]) == 3
+        assert cli.main(self.CELL) == 3
         err = capsys.readouterr().err
         assert "precondition failed" in err and "Traceback" not in err
 
@@ -539,7 +583,7 @@ class TestCache:
             raw = bytes(raw)
         path.write_bytes(raw)
         monkeypatch.setenv(tables.CACHE_DIR_ENV, str(tmp_path))
-        code, out = run_main(["sieve", "--n-max", "1e5"], capsys)
+        code, out = run_main(self.CELL, capsys)
         assert code == 3 and out == ""
         assert path.read_bytes() == raw
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
@@ -553,13 +597,42 @@ class TestCache:
         assert code == 0
         assert list(tmp_path.iterdir()) == []
 
+    def test_sieve_leaves_the_cache_dir_empty(self, tmp_path, capsys, monkeypatch):
+        """`sieve` streams its primes and reads no table, so it writes no
+        cache file."""
+        from primelab import tables
+        monkeypatch.setenv(tables.CACHE_DIR_ENV, str(tmp_path))
+        code, _out = run_main(["sieve", "--n-max", "1e5"], capsys)
+        assert code == 0
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("cache", ["damaged-file", "regular-file"])
+    def test_sieve_reads_no_cache_dir(self, tmp_path, capsys, monkeypatch, cache):
+        """`sieve` prints the same row, with exit 0, whether the cache dir
+        holds a damaged table file that would serve it or names a regular
+        file: it never looks there."""
+        from primelab import tables
+        argv = ["sieve", "--n-max", "3000"]
+        monkeypatch.delenv(tables.CACHE_DIR_ENV, raising=False)
+        want = run_main(argv, capsys)
+        if cache == "damaged-file":
+            path = tmp_path / "primelab_tables_3000.bin"
+            tables.save_tables(tables.build_tables(3000), path)
+            path.write_bytes(path.read_bytes()[:-8])
+            monkeypatch.setenv(tables.CACHE_DIR_ENV, str(tmp_path))
+        else:
+            path = tmp_path / "not_a_dir"
+            path.write_text("")
+            monkeypatch.setenv(tables.CACHE_DIR_ENV, str(path))
+        assert want[0] == 0
+        assert run_main(argv, capsys) == want
+
     def test_missing_cache_dir_returns_3(self, tmp_path):
         """A cache dir that does not exist is a precondition failure (a
         fresh interpreter, so an uncaught exception would show its traceback)."""
         from primelab.tables import CACHE_DIR_ENV
         env = dict(os.environ, **{CACHE_DIR_ENV: str(tmp_path / "missing")})
-        proc = subprocess.run(CLI + ["sieve", "--n-max", "100"],
-                              capture_output=True, env=env, timeout=300)
+        proc = subprocess.run(CLI + self.CELL, capture_output=True, env=env, timeout=300)
         err = proc.stderr.decode()
         assert proc.returncode == 3, err
         assert "precondition failed" in err and "Traceback" not in err
@@ -622,7 +695,10 @@ class TestPinnedBytes:
     `moments` still summed whole N-entry arrays: a negative shift on
     lambda_R and on Lambda, the mixed primed range, psi moments centred,
     uncentred and primed, the first moment, float and exact psi_R moments,
-    the mixed moment and `omega`, and an exact correlation."""
+    the mixed moment and `omega`, and an exact correlation.  The lemma cells
+    at p_cut = 2**18 - 1, 2**18, 2**18 + 1 and 10**6 were recorded while
+    the Euler products and prime sums took all primes up to p_cut as one
+    array, before they read them a sieve segment at a time."""
 
     CELLS = {
         "lambda --r 1 --n 30":
@@ -721,6 +797,54 @@ class TestPinnedBytes:
             (0, "b38e1c7797457cd622a37533de3ddc5dee5d66138e63bad75d00794115bcfcaf"),
         "correlate --n 2e5 --r 10 --pattern 0:1,-2:2 --exact":
             (0, "31c7cbbd29512560c9b955e22b18043421832aafeba4a22b8b0fd38c9c8c76a1"),
+        "lemma --which 1 --ladder 10,1e3 --p-cut 262143":
+            (0, "1d0f7ed2023d6d31cbee40a691410d8de17bca41f52ce465abc512047bd4bca9"),
+        "lemma --which 1 --ladder 10,1e3 --params pair=cubic --p-cut 262143":
+            (0, "fa9f2ea85e5d0101a4410c70a98f41c4082f3425d1f951867739a4f6e4f8377f"),
+        "lemma --which 3 --ladder 10,1e3 --p-cut 262143":
+            (0, "4afa5a66203a7f317ec10f9a0f62e66cc45ba501d2edd5c45cb96aa40e9bd972"),
+        "lemma --which 4 --ladder 10,1e3 --params j=6,k=35 --p-cut 262143":
+            (0, "4841716b769e2b06d71797891d90e9142f4db771cdc2a46b11066c4fc42bcd61"),
+        "lemma --which 4 --ladder 10,1e3 --params j=6,variant=log --p-cut 262143":
+            (0, "8757a27308c08d8cedfea98932501c962c0e4ce10f73177cfad53dc999b528b5"),
+        "lemma --which 5 --ladder 10,1e3 --p-cut 262143":
+            (0, "1c01c77acbe3cce5266e5045d9ca084ca47521be9116fe8a1c539454b832c1ad"),
+        "lemma --which 1 --ladder 10,1e3 --p-cut 262144":
+            (0, "2ecd87f3e843597b363cf3b57208250038fe4a70cea90c6f193a88f5a64fe333"),
+        "lemma --which 1 --ladder 10,1e3 --params pair=cubic --p-cut 262144":
+            (0, "8d49108f52c2ee4ffb373a2f2440b7881417b753e30843b5b3b582e12134942e"),
+        "lemma --which 3 --ladder 10,1e3 --p-cut 262144":
+            (0, "24a38f04f5fc21ead8cf01e8d05c1909d9f695491563a17d3f0025c70595ae1b"),
+        "lemma --which 4 --ladder 10,1e3 --params j=6,k=35 --p-cut 262144":
+            (0, "c12116eb23e0ab288b5f100b200cbe2848e2a12a62709d133248be2569960f83"),
+        "lemma --which 4 --ladder 10,1e3 --params j=6,variant=log --p-cut 262144":
+            (0, "433e333dd3d73693862b5e69071fc918bd6a95516802d6cc6af0abb5a38ca3de"),
+        "lemma --which 5 --ladder 10,1e3 --p-cut 262144":
+            (0, "421d540583f271644bf0fe65153983b1e7356f735085c2927418253f0cc1ad68"),
+        "lemma --which 1 --ladder 10,1e3 --p-cut 262145":
+            (0, "357ff5bbcce0533ee5997230f0d9f93087a26302d1a1d1efeaa95171d544597c"),
+        "lemma --which 1 --ladder 10,1e3 --params pair=cubic --p-cut 262145":
+            (0, "fda55b084ad55e3559781e3cdd1a5b51e3b92b68919b13126f9dcd241e12c2e2"),
+        "lemma --which 3 --ladder 10,1e3 --p-cut 262145":
+            (0, "0887404e6e0258900a35fef379788cfb358987045aa2b4fa0b95ee8d4f87918e"),
+        "lemma --which 4 --ladder 10,1e3 --params j=6,k=35 --p-cut 262145":
+            (0, "823dacfdaa10948de6ce1b7e6e68449b17543d3bc657bdbd0503d303c35ddf3b"),
+        "lemma --which 4 --ladder 10,1e3 --params j=6,variant=log --p-cut 262145":
+            (0, "5dd8f36deb42ba323261b1d111ca1ae26f77d5f093f573bee15988b882f90654"),
+        "lemma --which 5 --ladder 10,1e3 --p-cut 262145":
+            (0, "8ad8988b327d9fe11bd267f2b861af5b846206071efcf5907cdd52ace84fd4d5"),
+        "lemma --which 1 --ladder 10,1e3 --p-cut 1e6":
+            (0, "273a24e8155c000014f3a8e998088d1d965faed4842b212fb54bce076ddab38a"),
+        "lemma --which 1 --ladder 10,1e3 --params pair=cubic --p-cut 1e6":
+            (0, "eda857098714f53a808bc98c866ee5e0bc06a7c8efec468aad49cd8820f24273"),
+        "lemma --which 3 --ladder 10,1e3 --p-cut 1e6":
+            (0, "3b61ba1d74290bdac272cb03c924135ddd42faeb024c31dcda7313ce504f243b"),
+        "lemma --which 4 --ladder 10,1e3 --params j=6,k=35 --p-cut 1e6":
+            (0, "54c22f474f78fb22dc1c06843c3ad5badf6c0a68f1974e0b91674f1891390dcf"),
+        "lemma --which 4 --ladder 10,1e3 --params j=6,variant=log --p-cut 1e6":
+            (0, "720b7a54cb1308a5c24aff9fca37838d2ab940a3f517681155c0cc454eef474a"),
+        "lemma --which 5 --ladder 10,1e3 --p-cut 1e6":
+            (0, "127fa049d87e5dc9e5813c01898c50e208f3ca70c476016e1e6105105357ab9a"),
     }
 
     @pytest.mark.parametrize("cell", list(CELLS))

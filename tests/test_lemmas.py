@@ -382,15 +382,14 @@ class TestMultiplicativeValues:
 class TestOversizeLadder:
     def test_refused_before_allocating(self, monkeypatch):
         """A top rung beyond tables.TABLE_MAX is refused before any prime
-        list, sieve or table is allocated."""
-        from primelab import constants, lemmas
+        list, sieve, prime stream or table is allocated."""
+        from primelab import constants
 
         def fail(*args, **kwargs):
             pytest.fail("allocated for an oversize ladder")
 
-        for mod in (constants, lemmas):
-            monkeypatch.setattr(mod, "primes_up_to", fail)
-        for name in ("eratosthenes", "tables_for"):
+        monkeypatch.setattr(constants, "primes_up_to", fail)
+        for name in ("eratosthenes", "sieve_segments", "prime_blocks", "tables_for"):
             monkeypatch.setattr(tables_mod, name, fail)
         ladder = (10, tables_mod.TABLE_MAX + 1)
         for call in (
@@ -470,12 +469,11 @@ class TestLemma1:
     ], ids=["P2", "P1+P2"])
     @pytest.mark.parametrize("p_cut", [3, 10**4])
     def test_vanishing_pair_refused(self, monkeypatch, pair, message, p_cut):
-        """A pair vanishing at a prime is refused, with no prime sieve past
+        """A pair vanishing at a prime is refused, with no prime stream past
         p_cut: below p_cut by the Euler-product parts, above it by the walk."""
-        from primelab import lemmas
         limits = []
-        real = lemmas.primes_up_to
-        monkeypatch.setattr(lemmas, "primes_up_to",
+        real = tables_mod.prime_blocks
+        monkeypatch.setattr(tables_mod, "prime_blocks",
                             lambda n: limits.append(n) or real(n))
         with pytest.raises(ValueError, match=re.escape(message)):
             lemma1(pair, 1, (100, 10_000), p_cut=p_cut)
@@ -643,16 +641,16 @@ class TestLemma4:
     def test_pinned_prime_sum_is_the_sieve_sum(self, monkeypatch):
         """The literal that stands in for the prime sum at the default
         CONST_P_CUT has the bits of the sieve sum, with zero tolerance, and
-        the default log variant sieves no primes past DEFAULT_P_CUT."""
+        the default log variant streams no primes past DEFAULT_P_CUT."""
         from primelab import constants, lemmas
 
-        sieve = lemmas.primes_up_to
+        stream = tables_mod.prime_blocks
 
         def capped(n):
             assert n <= constants.DEFAULT_P_CUT, n
-            return sieve(n)
+            return stream(n)
 
-        monkeypatch.setattr(lemmas, "primes_up_to", capped)
+        monkeypatch.setattr(tables_mod, "prime_blocks", capped)
         rep = lemma4_log(2, (10,))
         assert dict(rep.params)["p_cut"] == str(constants.CONST_P_CUT)
         monkeypatch.undo()
@@ -682,7 +680,7 @@ class TestLemma5:
 
     def test_zero_unless_3_divides_J_and_k_odd(self):
         """Main term vanishes when 2 | k or 3 not | J: a factor 1 + f(p) is
-        0, and the constant is 0.0 exactly, with no log of 0 taken."""
+        0, and the constant is 0.0 exactly, with no warning raised."""
         for J, k, p_cut in ((6, 2, None), (2, 1, None), (4, 1, None), (30, 10, None),
                             (10, 5, None), (4 * 10007, 10007, 10**4)):
             kwargs = {} if p_cut is None else {"p_cut": p_cut}
@@ -789,6 +787,19 @@ class TestMainConstants:
         expected = singular_Sn(2, j).value * bracket
         main = dict(rep.extras)["main_constant"]
         assert abs(main / expected - 1) < 1e-12, (main, expected)
+
+    def test_zero_factor_at_a_special_prime(self):
+        """A prime of ``special`` above p_cut enters the product after the
+        streamed primes: with 1 + f = 2 there the product doubles, and with
+        1 + f = 0 it is 0.0 exactly, with no warning raised."""
+        from primelab.lemmas import _euler_limit, _factor
+        base = _euler_limit(_factor(lambda ps: 1.0 / ps**2), 100, ())
+        for value, want in ((1.0, 2 * base), (-1.0, 0.0)):
+            f = _factor(lambda ps: 1.0 / ps**2, [(10007, value)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _euler_limit(f, 100, (3 * 10007,))
+            assert got == pytest.approx(want, rel=1e-15, abs=0.0), value
 
     def test_lemma5_keeps_the_primes_of_J_above_p_cut(self):
         """101 | 606 lies above p_cut = 100; its factor 1 + 1/100 stays in

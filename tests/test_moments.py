@@ -383,13 +383,13 @@ class TestTableFetches:
         lambda: omega_experiment(8000, 35, 100, 0.3, -0.5),
     ], ids=["mixed_moment", "first_moment_identity", "omega_experiment"])
     def test_lambda_derived_once_per_call(self, monkeypatch, call):
-        """One table fetch and one prime-power derivation serve both the
-        Lambda and the psi reads."""
+        """One table fetch and one pass of psi over its prime powers serve
+        both the Lambda and the psi reads."""
         from primelab import tables
-        real = tables.prime_power_blocks
+        real = tables.psi_blocks
         calls = []
-        monkeypatch.setattr(tables, "prime_power_blocks",
-                            lambda spf: calls.append(spf.size) or real(spf))
+        monkeypatch.setattr(tables, "psi_blocks",
+                            lambda n, blocks: calls.append(n) or real(n, blocks))
         call()
         assert len(calls) == 1
 

@@ -271,8 +271,9 @@ class TestBuildTables:
     @pytest.mark.parametrize("n", [2, 3, 4, 100, 10**5, 10**6 + 3])
     def test_prime_powers_match_concatenate_and_argsort(self, n):
         """Inserting the sorted higher powers among the primes of each block
-        of ``prime_power_blocks`` and joining the blocks gives the bytes of
-        concatenating all prime powers and sorting them."""
+        of spf and joining the blocks (``ArithTables.prime_powers``) gives
+        the bytes of concatenating all prime powers and sorting them, and so
+        does joining the q of the streamed ``psi_blocks(n)``."""
         primes = primes_up_to(n)
         higher = [(p**e, math.log(p)) for p in primes[primes <= math.isqrt(n)].tolist()
                   for e in range(2, n.bit_length()) if p**e <= n]
@@ -280,11 +281,11 @@ class TestBuildTables:
         logs = np.concatenate([np.log(primes.astype(np.float64)),
                                np.array([lp for _, lp in higher])])
         order = np.argsort(q, kind="stable")
-        blocks = list(tables_mod.prime_power_blocks(build_tables(n).spf))
-        got_q = np.concatenate([q for _lo, _hi, q, _logs in blocks])
-        got_logs = np.concatenate([logs for _lo, _hi, _q, logs in blocks])
+        got_q, got_logs = build_tables(n).prime_powers
         assert got_q.dtype == q.dtype and got_q.tobytes() == q[order].tobytes()
         assert got_logs.dtype == logs.dtype and got_logs.tobytes() == logs[order].tobytes()
+        streamed = np.concatenate([q for _lo, _hi, _p, q, _s in tables_mod.psi_blocks(n)])
+        assert streamed.dtype == q.dtype and streamed.tobytes() == q[order].tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     @pytest.mark.parametrize("keep", [0, 1, 5, 100])
@@ -404,6 +405,53 @@ class TestBlockReaders:
         for top in (1, 2, 63, 64, 65, 127, 128, 129, 1000, 3000):
             self._check_steps(tb, top, tb)
 
+    @staticmethod
+    def _joined(blocks, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """q and steps of psi blocks (lo, hi, q, steps) joined, steps[0]
+        of the first block in front, once the blocks are checked to cover
+        0..n in order, each of at most BLOCK_MAX entries."""
+        blocks = [(lo, hi, q.copy(), steps.copy()) for lo, hi, q, steps in blocks]
+        edges = [0] + [hi for _lo, hi, _q, _steps in blocks]
+        assert [lo for lo, *_rest in blocks] == edges[:-1] and edges[-1] == n + 1
+        assert all(hi - lo <= tables_mod.BLOCK_MAX for lo, hi, *_rest in blocks)
+        return (np.concatenate([q for *_edges, q, _steps in blocks]),
+                np.concatenate([blocks[0][3][:1]] + [s[1:] for *_rest, s in blocks]))
+
+    def _check_stream(self, n: int, want_q: np.ndarray, want_steps: np.ndarray) -> None:
+        """The streamed ``psi_blocks(n)`` gives the q and steps of
+        ``psi_step_blocks(n)`` over the tables, byte for byte, and the
+        primes up to n: psi has one route, whether the primes come from the
+        sieve's segments or from a table's spf."""
+        primes = []
+
+        def stream():
+            for lo, hi, block_primes, q, steps in tables_mod.psi_blocks(n):
+                primes.append(block_primes.copy())
+                yield lo, hi, q, steps
+
+        for got, want in zip(self._joined(stream(), n), (want_q, want_steps)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), n
+        assert np.concatenate(primes).tobytes() == primes_up_to(n).tobytes(), n
+
+    @pytest.mark.parametrize("n", [1, 2, 3, B - 1, B + 1, 2**18 - 1, 2**18, 2**18 + 1,
+                                   3 * 2**18 + 5])
+    def test_streamed_psi_blocks_are_the_tables(self, n):
+        tb = build_tables(max(n, 2))
+        self._check_stream(n, *self._joined(tb.psi_step_blocks(n), n))
+
+    def test_streamed_psi_blocks_on_small_segments(self, monkeypatch):
+        """Segments of 96 entries cut into blocks of 64, so that a block
+        may end inside a segment or at its end, at every n <= 3000.  The
+        blocks of the tables to n are, joined, a prefix of those of the
+        tables to 3000 (``_check_steps`` above), so each n is held to
+        that prefix."""
+        monkeypatch.setattr(tables_mod, "BLOCK_MAX", 64)
+        monkeypatch.setattr(tables_mod, "SIEVE_SEGMENT", 96)
+        q, steps = self._joined(build_tables(3000).psi_step_blocks(3000), 3000)
+        for n in range(1, 3001):
+            count = int(np.searchsorted(q, n, side="right"))
+            self._check_stream(n, q[:count], steps[: count + 1])
+
     @pytest.mark.parametrize("lo, hi", [
         (-5, 1), (-5, 10), (0, 1), (0, 40), (1, 2), (1, 50), (2, 3), (2, 1000),
         (B - 3, B + 3),             # a block edge, at the prime power 2^16
@@ -501,7 +549,8 @@ class TestMertensSquarefree:
         """Against the running sums of the sieved mu up to 3 * 2**18 + 5: at
         u = floor(n^(2/3)) and u +- 1 for several n, where floor(n^(2/3))
         steps, at squares and cubes and one either side, at 2**18 +- 1, and
-        at a random sample; each n reads mu up to floor(n^(2/3)) alone."""
+        at a random sample; each n reads mu up to floor(n^(2/3)) alone, of
+        tables it builds in memory."""
         monkeypatch.delenv(tables_mod.CACHE_DIR_ENV, raising=False)
         top = 3 * 2**18 + 5
         mu = sieved_mu(top)
@@ -519,8 +568,8 @@ class TestMertensSquarefree:
         rng = np.random.default_rng(SEED)
         ns |= {int(n) for n in rng.integers(0, top + 1, size=100)}
         seen = []
-        real = tables_mod.tables_for
-        monkeypatch.setattr(tables_mod, "tables_for", lambda k: seen.append(k) or real(k))
+        real = tables_mod.build_tables
+        monkeypatch.setattr(tables_mod, "build_tables", lambda k: seen.append(k) or real(k))
         for n in sorted(ns):
             assert tables_mod.mertens_squarefree(n) == (mertens[n], squarefree[n]), n
             u = seen.pop()
