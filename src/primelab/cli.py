@@ -238,7 +238,7 @@ def _cmd_sieve(args) -> int:
     # one pass over the streamed sieve, which keeps no table; psi(n) is the
     # last step of the last block
     primes = 0
-    for _lo, _hi, block_primes, _q, steps in tables.psi_blocks(n):
+    for _lo, _hi, block_primes, _q, _logs, steps in tables.psi_blocks(n):
         primes += block_primes.size
     # from mu up to n^(2/3), sieved apart in memory
     mertens, squarefree = tables.mertens_squarefree(n)

@@ -196,14 +196,13 @@ def s_tilde_k(
     for j >= 0 (window of the prefix sums), which is N + O(|j| log N)
     under the usual error terms.
     """
-    n_lo, n_hi, top = _check_range(N, pattern, primed_range)
+    n_lo, n_hi, _top = _check_range(N, pattern, primed_range)
     if pattern.multiplicities[-1] != 1:
         raise ValueError("mixed pattern requires multiplicity 1 on the last shift")
     if pattern.r > 1 and R < 1:
         raise ValueError(f"R must be >= 1, got {R}")
 
-    # fetched before the weights, so a fresh cache dir gets one file
-    sources = [tables_for(top).von_mangoldt]
+    sources = [_tables.von_mangoldt]
     if pattern.r > 1:
         sources = [_lambda_R_source(ap.build_weights(R))] * (pattern.r - 1) + sources
     total = _pattern_sum(sources, pattern.shifts, pattern.multiplicities, n_lo, n_hi)
@@ -248,8 +247,8 @@ def _result(
 def psi_tuple(N: int, shifts: tuple[int, ...]) -> float:
     """psi_j(N) = sum_{n <= N} prod_i Lambda(n + j_i) over distinct shifts."""
     pattern = ShiftPattern(tuple(shifts), (1,) * len(shifts))
-    _n_lo, _n_hi, top = _check_range(N, pattern, primed=False)
-    sources = [tables_for(top).von_mangoldt] * pattern.r
+    _check_range(N, pattern, primed=False)
+    sources = [_tables.von_mangoldt] * pattern.r
     total = _pattern_sum(sources, pattern.shifts, pattern.multiplicities, 1, N)
     return finite_float(total, f"psi_j({N})")
 

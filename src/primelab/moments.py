@@ -54,13 +54,7 @@ from .approximants import (
     script_L_float,
 )
 from .correlations import _pattern_sum, c_of, finite_float, relative_residual
-from .tables import (
-    TABLE_MAX,
-    ArithTables,
-    PairwiseSum,
-    cumsum_blocks,
-    tables_for,
-)
+from .tables import TABLE_MAX, PairwiseSum, cumsum_blocks
 
 __all__ = [
     "MomentReport",
@@ -358,19 +352,19 @@ def _lam_windows(N: int, h: int, weights: ApproximantWeights, start: int):
             yield a, b, w
 
 
-def _psi_blocks(tables: ArithTables, top: int, keep: int):
-    """Yield (lo, hi, q, psi) over the blocks of
-    ``ArithTables.psi_step_blocks(top)``, in order: q the prime powers in
-    the block, psi[keep + i] = psi(lo + i) and psi[:keep] the keep values
-    before the block (0 before 0).  psi is ``ArithTables.psi_prefix`` a
-    block at a time, the steps repeated over the gaps between the prime
+def _psi_blocks(top: int, keep: int):
+    """Yield (lo, hi, q, logs, psi) over the blocks of
+    ``tables.psi_blocks(top)``, in order: q the prime powers in the block,
+    logs = Lambda(q), psi[keep + i] = psi(lo + i) and psi[:keep] the keep
+    values before the block (0 before 0).  psi is ``ArithTables.psi_prefix``
+    a block at a time, the steps repeated over the gaps between the prime
     powers, and is valid until the next block is asked for.
     """
     buf = np.zeros(_tables.BLOCK_MAX + keep, dtype=np.float64)
-    for lo, hi, q, steps in tables.psi_step_blocks(top):
+    for lo, hi, _primes, q, logs, steps in _tables.psi_blocks(top):
         psi = buf[: keep + hi - lo]
         psi[keep:] = np.repeat(steps, np.diff(q, prepend=lo, append=hi))
-        yield lo, hi, q, psi
+        yield lo, hi, q, logs, psi
         buf[:keep] = psi[psi.size - keep :]
 
 
@@ -383,12 +377,11 @@ def _psi_window(lo: int, hi: int, psi: np.ndarray, h: int, start: int, N: int):
     return a, b, psi[h + i : h + i + max(b - a, 0)] - psi[i : i + max(b - a, 0)]
 
 
-def _psi_windows(N: int, h: int, tables: ArithTables, start: int):
+def _psi_windows(N: int, h: int, start: int):
     """Yield (a, b, w) over consecutive blocks [a, b) of the n in
     [start, start + N), in order: w[i] = psi(a+i+h) - psi(a+i)
-    (``_psi_window``); tables must reach start + N - 1 + h.  No array over
-    the n is built."""
-    for lo, hi, _q, psi in _psi_blocks(tables, start + N - 1 + h, h):
+    (``_psi_window``).  No array over the n is built."""
+    for lo, hi, _q, _logs, psi in _psi_blocks(start + N - 1 + h, h):
         a, b, w = _psi_window(lo, hi, psi, h, start, N)
         if a < b:
             yield a, b, w
@@ -400,6 +393,13 @@ def _copy_overlap(dst: np.ndarray, at: int, src: np.ndarray, lo: int) -> None:
     s, e = max(at, lo), min(at + dst.size, lo + src.size)
     if s < e:
         dst[s - at : e - at] = src[s - lo : e - lo]
+
+
+def _place(dst: np.ndarray, at: int, q: np.ndarray, values: np.ndarray) -> None:
+    """dst[i] holds the value at at + i: set it to values[j] where q[j]
+    falls in dst's range."""
+    inside = (q >= at) & (q < at + dst.size)
+    dst[q[inside] - at] = values[inside]
 
 
 def _dense_windows(windows, N: int, start: int) -> np.ndarray:
@@ -534,9 +534,9 @@ def moment_psi(
     """
     if N < 2 or h < 1 or k < 1:
         raise ValueError(f"need N >= 2, h >= 1, k >= 1, got N={N}, h={h}, k={k}")
-    start, top = _window_range(N, h, primed)
+    start, _top = _window_range(N, h, primed)
     acc = PairwiseSum(N)
-    for _a, _b, w in _psi_windows(N, h, tables_for(top), start):
+    for _a, _b, w in _psi_windows(N, h, start):
         if centered:
             w -= float(h)
         with np.errstate(over="ignore", invalid="ignore"):  # refused below if not finite
@@ -579,16 +579,20 @@ def first_moment_identity(N: int, h: int) -> FirstMomentReport:
     """
     if not 1 <= h <= N:
         raise ValueError(f"need 1 <= h <= N, got h={h}, N={N}")
-    tables = tables_for(N + h)
+    _start, top = _window_range(N, h, primed=False)  # top = N + h
     # one pass over psi(0..N+h): the windows summed as they come; psi kept
-    # at 0..h and N..N+h; and the integer log-coefficient vectors of the
-    # three routes compared on each block's prime powers q
+    # at 0..h and N..N+h, and Lambda at 2..h and N+1..N+h; and the integer
+    # log-coefficient vectors of the three routes compared on each block's
+    # prime powers q
     acc = PairwiseSum(N)
     low, high = np.empty(h + 1), np.empty(h + 1)  # psi(0..h), psi(N..N+h)
+    lam_low, lam_high = np.zeros(h - 1), np.zeros(h)  # Lambda(2..h), Lambda(N+1..N+h)
     equal_12 = equal_13 = True
-    for lo, hi, q, psi in _psi_blocks(tables, N + h, h):
+    for lo, hi, q, logs, psi in _psi_blocks(top, h):
         _copy_overlap(low, 0, psi[h:], lo)
         _copy_overlap(high, N, psi[h:], lo)
+        _place(lam_low, 2, q, logs)
+        _place(lam_high, N + 1, q, logs)
         acc.add(_psi_window(lo, hi, psi, h, 1, N)[2])
         c1 = np.zeros(q.shape, dtype=np.int64)
         for d in range(1, h + 1):
@@ -605,8 +609,6 @@ def first_moment_identity(N: int, h: int) -> FirstMomentReport:
         equal_13 &= bool(np.array_equal(c1, c3))
 
     direct = acc.total
-    lam_low = tables.von_mangoldt(2, h + 1)  # Lambda(2..h)
-    lam_high = tables.von_mangoldt(N + 1, N + h + 1)  # Lambda(N+1..N+h)
     piece1 = float(np.dot(np.arange(1, h, dtype=np.float64), lam_low)) if h >= 2 else 0.0
     piece2 = h * (float(high[0]) - float(low[h]))
     piece3 = float(np.dot(np.arange(h, 0, -1, dtype=np.float64), lam_high))
@@ -661,13 +663,11 @@ def mixed_moment(
     if N < 2 or h < 1:
         raise ValueError(f"need N >= 2 and h >= 1, got N={N}, h={h}")
     start, top = _window_range(N, h, primed)
-    # fetched before the weights, so a fresh cache dir gets one file
-    tables = tables_for(top)
     weights = build_weights(R)
     U = _dense_windows(_lam_windows(N, h, weights, start), N, start)
-    V = _dense_windows(_psi_windows(N, h, tables, start), N, start)
+    V = _dense_windows(_psi_windows(N, h, start), N, start)
     # lambda_R and Lambda at start + 1 .. top, the n + j the windows read
-    lamv = tables.von_mangoldt(start + 1, top + 1)
+    lamv = _tables.von_mangoldt(start + 1, top + 1)
     lam_vals = lambda_R_block(start + 1, top + 1, weights)
     L1 = script_L_float(R)
 
@@ -767,12 +767,10 @@ def omega_experiment(
         raise ValueError(
             f"precondition A < h violated: A = sqrt(h log N) = {A:.3f}, h = {h}"
         )
-    start, top = _window_range(N, h, primed=True)
-    # fetched before the weights, so a fresh cache dir gets one file
-    tables = tables_for(top)
+    start, _top = _window_range(N, h, primed=True)
     weights = build_weights(R)
     U = _dense_windows(_lam_windows(N, h, weights, start), N, start)
-    V = _dense_windows(_psi_windows(N, h, tables, start), N, start)
+    V = _dense_windows(_psi_windows(N, h, start), N, start)
 
     a = h + C * A
     b = h + rho * A

@@ -52,22 +52,21 @@ numpy's pairwise order, holding O(log n) partial sums; it serves the lemma
 rungs and every sum over n of ``correlations`` and ``moments``.
 
 ``psi_blocks`` is the one route to psi: each block's primes, its prime
-powers and psi at each of them.  Fed the prime stream it is what ``sieve``
-reads, so ``sieve`` keeps no table and neither reads nor writes the cache;
-the lemmas' Euler products read the same stream.  Two readers of
-``ArithTables`` hand Lambda and psi out by block, and every command that
-reads tables reads them through these alone: ``von_mangoldt(lo, hi)``
-gives Lambda over any one range, and ``psi_step_blocks(top)`` is
-``psi_blocks`` fed the table's own spf, which the psi moments repeat over
-the gaps.
+powers, Lambda at them and psi at each of them, read off the prime stream,
+so no command reads psi from a table.  ``sieve`` and the psi moments read
+it, and the lemmas' Euler products read the same stream.
+``von_mangoldt(lo, hi)`` gives Lambda over any one range, with the same
+bits: it sieves that range alone, from its own start, so the mixed
+correlations and moments read no table at the N scale either.
 
 The stored array takes 2 bytes per entry, so n_max = 10**7 costs ~20 MB.
-mu adds 1 byte and phi 8 bytes per entry once read.  lam and psi_prefix
-would add 8 bytes per entry, and prime_powers and psi_steps 8 to 16 bytes
-per prime power (about 8% of the entries at 10**6), but no command reads
-them: the two readers hold O(BLOCK_MAX) entries whatever n.  They stay,
-read-only, as the references the tests compare those readers with;
-psi_steps is taken from prime_powers alone, so psi_prefix derives no lam.
+mu adds 1 byte and phi 8 bytes per entry once read; the commands read
+them only up to R and up to n^(2/3).  lam and psi_prefix would add 8 bytes
+per entry, and prime_powers and psi_steps 8 to 16 bytes per prime power
+(about 8% of the entries at 10**6), but no command reads them: the streams
+hold O(SIEVE_SEGMENT) entries whatever n.  They stay, read-only, as the
+references the tests compare those streams with; psi_steps is taken from
+prime_powers alone, so psi_prefix derives no lam.
 A build in memory holds the 2 bytes per entry and one segment's buffer
 (512 KiB at 2**18 entries); a build into a file (``build_tables`` with a
 path) writes each segment where it belongs in the file as it is sieved and
@@ -75,23 +74,21 @@ then maps the file, so it holds only the segment's buffer, whatever n_max.
 ``build_tables`` refuses n_max above TABLE_MAX, the limit of the int32
 arithmetic in the recurrences.
 
-``tables_for`` is the one provider every table reader goes through, and it
-does one of three things: it maps a prefix of the largest cache file in
-PRIMELAB_CACHE_DIR that reaches n_max; with a cache dir but no such file it
-sieves into a new file there, which replaces the smaller files; with no
-cache dir it sieves afresh in memory.  The process keeps no build, so
-repeated requests in one process are what the cache dir is for.  A cache
-file is a small versioned header, spf, then a CRC32 of every block of
-_CHECK_ENTRIES = 2**18 entries, all little-endian; that block is part of
-the file format and does not follow BLOCK_MAX.
+``tables_for`` is the one provider every table reader goes through, and
+the commands read tables only up to R, for the lambda_R weights and the
+exact kernels.  It does one of three things: it maps a prefix of the
+largest cache file in PRIMELAB_CACHE_DIR that reaches n_max; with a cache
+dir but no such file it sieves into a new file there, which replaces the
+smaller files; with no cache dir it sieves afresh in memory.  The process
+keeps no build, so repeated requests in one process are what the cache dir
+is for.  A cache file is a small versioned header, spf, then a CRC32 of
+every block of _CHECK_ENTRIES = 2**18 entries, all little-endian; that
+block is part of the file format and does not follow BLOCK_MAX.
 ``load_tables`` maps the file read-only and checks the blocks that cover
 the requested prefix on every load, reading them with ``os.preadv`` into
 one reused buffer rather than through the mapping: the mapping then holds
 only the pages a command reads, pages it never touches are never loaded,
-and damaged bytes are never used.  A reader that passes through the tables
-once drops the pages behind it (``ArithTables.release``), so a pass over a
-mapped file holds only the pages around its current block, not all it has
-passed: the two readers above do so for every command.
+and damaged bytes are never used.
 """
 
 from __future__ import annotations
@@ -153,7 +150,8 @@ class ArithTables:
     def prime_powers(self) -> tuple[np.ndarray, np.ndarray]:
         """(q, Lambda(q)) over the prime powers q <= n_max, q ascending: those
         of each block of spf (``_prime_powers_between``) joined."""
-        blocks = [_prime_powers_between(primes, lo, hi, self._higher_powers)
+        higher = _higher_prime_powers(0, self.n_max + 1)
+        blocks = [_prime_powers_between(primes, lo, hi, higher)
                   for lo, hi, primes in _prime_blocks([(0, self.n_max + 1, self.spf)])]
         return tuple(_read_only(np.concatenate(parts)) for parts in zip(*blocks))
 
@@ -187,57 +185,6 @@ class ArithTables:
         repeated over the gaps between the prime powers."""
         gaps = np.diff(self.prime_powers[0], prepend=0, append=self.n_max + 1)
         return _read_only(np.repeat(self.psi_steps, gaps))
-
-    @cached_property
-    def _higher_powers(self) -> tuple[np.ndarray, np.ndarray]:
-        """The prime powers p^e <= n_max with e >= 2 and their log p."""
-        return _higher_prime_powers(self.n_max)
-
-    def von_mangoldt(self, lo: int, hi: int) -> np.ndarray:
-        """float64 Lambda(lo..hi-1), hi <= n_max + 1, 0 at n <= 1: lo may
-        be negative.  The values come from the prime powers in the range
-        alone, so no dense lam is derived, and the table pages below hi
-        are dropped once read (``release``): a reader of ascending ranges
-        holds only the pages around its current one."""
-        out = np.zeros(hi - lo, dtype=np.float64)
-        start = max(lo, 0)
-        primes = _primes_in(self.spf[start : max(hi, start)], start)
-        q, logs = _prime_powers_between(primes, lo, hi, self._higher_powers)
-        out[q - lo] = logs
-        self.release(hi)
-        return out
-
-    def psi_step_blocks(self, top: int):
-        """Yield (lo, hi, q, steps) over the blocks [lo, hi) of BLOCK_MAX
-        entries covering 0..top, top <= n_max, in order: the blocks of
-        ``psi_blocks`` fed the primes of this table's spf, read a block at a
-        time, so the steps are those the streamed sieve gives, bit for bit.
-        The table pages up to a block's end are dropped when the next block
-        is asked for.
-        """
-        blocks = _prime_blocks([(0, top + 1, self.spf)])
-        for lo, hi, _primes, q, steps in psi_blocks(top, blocks):
-            yield lo, hi, q, steps
-            self.release(hi)
-
-    def release(self, hi: int) -> None:
-        """Drop the mapped file pages of spf up to, not including, the one
-        that holds entry hi: for a reader that has passed them and will not
-        read them again.  All of them, not only the last block's: a read
-        fault may map a whole page-cache folio, pages below the read
-        included, and those would stay mapped.  A later read maps them in
-        from the file once more; tables in memory, and the derived arrays,
-        are left as they are."""
-        view = self.spf
-        while isinstance(view, np.ndarray):
-            view = view.base
-        if not (isinstance(view, memoryview) and isinstance(view.obj, mmap.mmap)
-                and hasattr(mmap, "MADV_DONTNEED")):
-            return
-        at = self.spf.ctypes.data - np.frombuffer(view, np.uint8).ctypes.data
-        end = (at + hi * self.spf.itemsize) // mmap.PAGESIZE * mmap.PAGESIZE
-        if end > 0:
-            view.obj.madvise(mmap.MADV_DONTNEED, 0, end)
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +230,12 @@ def eratosthenes(top: int) -> np.ndarray:
     return np.flatnonzero(is_prime).astype(np.int64, copy=False)
 
 
-def sieve_segments(n: int):
+def sieve_segments(n: int, start: int = 0):
     """Yield (lo, hi, spf) over the segments [lo, hi) of SIEVE_SEGMENT
-    entries covering 0..n, in order: spf (uint16) of lo..hi-1, as the
-    tables store it.
+    entries covering start..n, 0 <= start, in order: spf (uint16) of
+    lo..hi-1, as the tables store it.  Only that range is sieved, so a
+    range high up costs its own entries and the primes up to isqrt(n),
+    not the prefix below it.
 
     For each prime p with p^2 < hi, spf is set to p at the multiples >= p^2,
     largest p first, so the least prime factor is written last.  spf is a
@@ -294,16 +243,16 @@ def sieve_segments(n: int):
     until the next segment is asked for.
     """
     primes = eratosthenes(math.isqrt(n)).tolist()
-    buf = np.empty(min(SIEVE_SEGMENT, n + 1), dtype=np.uint16)
-    for lo in range(0, n + 1, SIEVE_SEGMENT):
+    buf = np.empty(min(SIEVE_SEGMENT, max(n + 1 - start, 0)), dtype=np.uint16)
+    for lo in range(start, n + 1, SIEVE_SEGMENT):
         hi = min(lo + SIEVE_SEGMENT, n + 1)
         spf = buf[: hi - lo]
         spf.fill(0)
         for p in reversed(primes):
             if p * p < hi:
                 spf[max(p * p - lo, -lo % p) :: p] = p
-        if lo == 0:
-            spf[1:2] = 1  # spf[1] = 1 where n >= 1
+        if lo <= 1 < hi:
+            spf[1 - lo] = 1
         yield lo, hi, spf
 
 
@@ -348,9 +297,14 @@ def prime_blocks(n: int):
     list of all the primes up to n.  n above TABLE_MAX raises ValueError
     here, before anything is sieved.
     """
+    _check_sieve_bound(n)
+    return _prime_blocks(sieve_segments(n))
+
+
+def _check_sieve_bound(n: int) -> None:
+    """Refuse a sieve to n above TABLE_MAX, before anything is sieved."""
     if n > TABLE_MAX:
         raise ValueError(f"a prime sieve to {n} is beyond {TABLE_MAX}")
-    return _prime_blocks(sieve_segments(n))
 
 
 def _prime_blocks(segments):
@@ -372,42 +326,60 @@ def _primes_in(spf: np.ndarray, lo: int) -> np.ndarray:
     return primes
 
 
-def psi_blocks(n: int, blocks=None):
-    """Yield (lo, hi, primes, q, steps) over the blocks [lo, hi) of primes
-    (lo, hi, primes) that cover 0..n in order: q the prime powers in the
-    block, ascending (int64), steps[0] psi before the block and
-    steps[1 + i] = psi(q[i]), so psi(x) for x in [lo, hi) is
-    steps[number of q <= x].
+def psi_blocks(n: int):
+    """Yield (lo, hi, primes, q, logs, steps) over the blocks [lo, hi) of
+    ``prime_blocks(n)``, which keeps no table, covering 0..n in order: q
+    the prime powers in the block, ascending (int64), logs = Lambda(q),
+    steps[0] psi before the block and steps[1 + i] = psi(q[i]), so psi(x)
+    for x in [lo, hi) is steps[number of q <= x].
 
-    The blocks are by default the stream of ``prime_blocks(n)``, which
-    keeps no table, and for ``ArithTables.psi_step_blocks`` those of the
-    table's own spf.  Lambda is np.log at the primes and math.log of p at
-    the higher powers p^e (``_prime_powers_between``), and psi is one
-    long-double running sum over it in ascending q, carried unrounded from
-    block to block and rounded to float64 once per entry: the additions of
-    one long-double np.cumsum over all of Lambda, whatever the blocks.
+    Lambda is np.log at the primes and math.log of p at the higher powers
+    p^e (``_prime_powers_between``), and psi is one long-double running sum
+    over it in ascending q, carried unrounded from block to block and
+    rounded to float64 once per entry: the additions of one long-double
+    np.cumsum over all of Lambda, whatever the blocks.
     """
-    if blocks is None:
-        blocks = prime_blocks(n)
-    higher = _higher_prime_powers(n)
+    blocks = prime_blocks(n)
+    higher = _higher_prime_powers(0, n + 1)
     run = np.zeros(1, dtype=np.longdouble)
     for lo, hi, primes in blocks:
         q, logs = _prime_powers_between(primes, lo, hi, higher)
         run = np.concatenate((run[-1:], logs))
         np.cumsum(run, out=run)
-        yield lo, hi, primes, q, run.astype(np.float64)
+        yield lo, hi, primes, q, logs, run.astype(np.float64)
 
 
-def _higher_prime_powers(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(q, logs) over the prime powers q = p^e <= n with e >= 2, q ascending
-    (int64), and logs = math.log(p): 555 of them at 10^7, from the primes
-    up to the square root (``eratosthenes``)."""
+def von_mangoldt(lo: int, hi: int) -> np.ndarray:
+    """float64 Lambda(lo..hi-1), 0 at n <= 1: lo may be negative.  The
+    range [max(lo, 0), hi) alone is sieved (``sieve_segments`` from its
+    start, with the primes up to isqrt(hi - 1)) and read a segment at a
+    time, so a range high up costs its own entries, and no table is read.
+    The values are those of ``psi_blocks``: the prime powers of the range
+    and their logs (``_prime_powers_between``), so the bits are lam[lo:hi].
+    hi - 1 above TABLE_MAX raises ValueError before anything is sieved.
+    """
+    _check_sieve_bound(hi - 1)
+    out = np.zeros(hi - lo, dtype=np.float64)
+    start = max(lo, 0)
+    if hi <= start:
+        return out
+    higher = _higher_prime_powers(start, hi)
+    for a, b, spf in sieve_segments(hi - 1, start):
+        q, logs = _prime_powers_between(_primes_in(spf, a), a, b, higher)
+        out[q - lo] = logs
+    return out
+
+
+def _higher_prime_powers(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(q, logs) over the prime powers lo <= q = p^e < hi with e >= 2, q
+    ascending (int64), and logs = math.log(p): 555 of them below 10^7,
+    from the primes up to isqrt(hi - 1) (``eratosthenes``)."""
     higher = []
-    for p in eratosthenes(math.isqrt(n)).tolist():
-        lp = math.log(p)
+    for p in eratosthenes(math.isqrt(max(hi - 1, 0))).tolist():
         q = p * p
-        while q <= n:
-            higher.append((q, lp))
+        while q < hi:
+            if q >= lo:
+                higher.append((q, math.log(p)))
             q *= p
     higher.sort()
     return (np.array([q for q, _ in higher], dtype=np.int64),
@@ -417,7 +389,7 @@ def _higher_prime_powers(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _prime_powers_between(primes: np.ndarray, lo: int, hi: int, higher) -> tuple[np.ndarray, np.ndarray]:
     """(q, logs) over the prime powers lo <= q < hi, ascending: the primes
     in [lo, hi), ascending (int64), with np.log of each, and the higher
-    powers of ``_higher_prime_powers`` in the range inserted among them.
+    powers of ``_higher_prime_powers`` in the range placed among them.
     lo may be negative.  Where the range holds no higher power, q is
     primes itself."""
     higher_q, higher_logs = higher
@@ -426,8 +398,16 @@ def _prime_powers_between(primes: np.ndarray, lo: int, hi: int, higher) -> tuple
     a, b = np.searchsorted(higher_q, (lo, hi))
     if a == b:
         return primes, logs
+    # where each higher power goes in the joined arrays; the primes fill the rest
     at = np.searchsorted(primes, higher_q[a:b])
-    return np.insert(primes, at, higher_q[a:b]), np.insert(logs, at, higher_logs[a:b])
+    at += np.arange(b - a)
+    rest = np.ones(primes.size + b - a, dtype=bool)
+    rest[at] = False
+    q = np.empty(rest.size, dtype=np.int64)
+    q[at], q[rest] = higher_q[a:b], primes
+    joined = np.empty(rest.size, dtype=np.float64)
+    joined[at], joined[rest] = higher_logs[a:b], logs
+    return q, joined
 
 
 def _von_mangoldt(q: np.ndarray, logs: np.ndarray, n: int) -> np.ndarray:

@@ -191,6 +191,29 @@ class TestExitCodes:
         assert cli.main(["sieve", "--n-max", str(tables.TABLE_MAX + 1)]) == 3
         assert "beyond" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--psi", "--n", "2147483647", "--h", "1"],
+        ["moments", "--first-moment", "--n", "2147483647", "--h", "1"],
+        ["correlate", "--n", "2147483646", "--r", "10", "--pattern", "0:1,2:1", "--mixed"],
+        ["correlate", "--n", "1073741824", "--r", "10", "--pattern=-2:1,0:1", "--mixed",
+         "--primed-range"],
+    ], ids=["psi", "first-moment", "mixed", "mixed-primed"])
+    def test_oversize_psi_and_lambda_ranges_return_3(self, argv, monkeypatch, capsys):
+        """psi and Lambda ranges beyond tables.TABLE_MAX are refused before
+        anything is sieved: no segment, no sieving prime, no table, no
+        weights."""
+        from primelab import approximants, tables
+
+        def fail(*args, **kwargs):
+            pytest.fail("sieved for an oversize range")
+
+        for name in ("sieve_segments", "eratosthenes", "prime_blocks", "build_tables",
+                     "tables_for"):
+            monkeypatch.setattr(tables, name, fail)
+        monkeypatch.setattr(approximants, "build_weights", fail)
+        assert cli.main(argv) == 3
+        assert "beyond" in capsys.readouterr().err
+
     @pytest.mark.parametrize("pattern", ["0:3,2:2", "0:2", "0:1,2:2"])
     def test_singular_pattern_multiplicity_returns_3(self, pattern, capsys):
         """The singular series reads distinct shifts only, so a pattern with a
@@ -486,20 +509,20 @@ class TestStreamedSieve:
 
 
 class TestCache:
-    """The cache dir through a command that still reads tables: the first
-    moment of psi, which takes them from ``tables_for`` and reads them
-    through ``psi_step_blocks`` and ``von_mangoldt``.  `sieve` and `lemma`
-    stream their primes and read no table."""
+    """The cache dir through a command that still reads tables: `lambda`,
+    whose lambda_R and biglambda_R weights take mu and phi up to R from
+    ``tables_for``.  No command reads a table above R: `sieve`, `lemma`
+    and the psi and Lambda reads of `moments`, `correlate` and `omega`
+    stream their primes from the sieve."""
 
-    N, H = 3000, 20
-    CELL = ["moments", "--first-moment", "--n", str(N), "--h", str(H)]
+    R = 3000
+    CELL = ["lambda", "--r", str(R), "--n", "100"]
 
     def test_cache_roundtrip(self, tmp_path, capsys, monkeypatch):
         from primelab.tables import CACHE_DIR_ENV
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
         code1, out1 = run_main(self.CELL, capsys)
-        cached = list(tmp_path.iterdir())
-        assert cached, "expected a cache file to be written"
+        assert [p.name for p in tmp_path.iterdir()] == [f"primelab_tables_{self.R}.bin"]
         code2, out2 = run_main(self.CELL, capsys)
         assert code1 == code2 == 0
         assert out1 == out2  # the build and the load print the same bytes
@@ -517,37 +540,11 @@ class TestCache:
             outs.append(out)
         assert outs[0] == outs[1]
 
-    def test_drops_the_file_pages_it_has_passed(self, tmp_path, capsys, monkeypatch,
-                                                mapped_rss):
-        """On a mapped cache file the first moment holds at most a few
-        blocks of it when done, and prints the row of in-memory tables,
-        where nothing is dropped.  It maps the file once, for the tables
-        up to N + h."""
-        from primelab import tables
-        n, h = 2_000_000, 20
-        cell = ["moments", "--first-moment", "--n", str(n), "--h", str(h)]
-        monkeypatch.delenv(tables.CACHE_DIR_ENV, raising=False)
-        want = run_main(cell, capsys)
-        built = tables.build_tables(n + h)
-        path = tmp_path / f"primelab_tables_{n + h}.bin"
-        tables.save_tables(built, path)
-        mapped = []
-        real = tables.load_tables
-        monkeypatch.setattr(tables, "load_tables",
-                            lambda *args: mapped.append(real(*args)) or mapped[-1])
-        monkeypatch.setenv(tables.CACHE_DIR_ENV, str(tmp_path))
-        assert run_main(cell, capsys) == want
-        # held here, so the mappings outlive the command
-        assert [tb.n_max for tb in mapped] == [n + h]
-        assert mapped_rss(path) <= 2 * 3 * tables.BLOCK_MAX
-        assert mapped[0].spf.tobytes() == built.spf.tobytes()
-        assert mapped_rss(path) >= 2 * n
-
     def test_damaged_cache_file_returns_3(self, tmp_path, capsys, monkeypatch):
         """A truncated cache file is refused with exit 3, not read or traced."""
         from primelab import tables
-        path = tmp_path / f"primelab_tables_{self.N + self.H}.bin"
-        tables.save_tables(tables.build_tables(self.N + self.H), path)
+        path = tmp_path / f"primelab_tables_{self.R}.bin"
+        tables.save_tables(tables.build_tables(self.R), path)
         path.write_bytes(path.read_bytes()[:-8])
         monkeypatch.setenv(tables.CACHE_DIR_ENV, str(tmp_path))
         assert cli.main(self.CELL) == 3
@@ -605,6 +602,50 @@ class TestCache:
         code, _out = run_main(["sieve", "--n-max", "1e5"], capsys)
         assert code == 0
         assert list(tmp_path.iterdir()) == []
+
+    PSI_CELLS = {
+        "psi": ["moments", "--psi", "--n", "3000", "--h", "20", "--k", "3"],
+        "first-moment": ["moments", "--first-moment", "--n", "3000", "--h", "20"],
+    }
+
+    @pytest.mark.parametrize("cell", list(PSI_CELLS))
+    def test_psi_moments_leave_the_cache_dir_empty(self, tmp_path, capsys, monkeypatch,
+                                                   cell):
+        """The psi moments and the first moment stream psi and Lambda from
+        the sieve and read no table, so they write no cache file."""
+        from primelab import tables
+        monkeypatch.setenv(tables.CACHE_DIR_ENV, str(tmp_path))
+        code, _out = run_main(self.PSI_CELLS[cell], capsys)
+        assert code == 0
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("cell", list(PSI_CELLS))
+    def test_psi_moments_read_no_cache_dir(self, tmp_path, capsys, monkeypatch, cell):
+        """The psi moments print the same row, with exit 0, when the cache
+        dir names a regular file: they never look there."""
+        from primelab import tables
+        argv = self.PSI_CELLS[cell]
+        monkeypatch.delenv(tables.CACHE_DIR_ENV, raising=False)
+        want = run_main(argv, capsys)
+        path = tmp_path / "not_a_dir"
+        path.write_text("")
+        monkeypatch.setenv(tables.CACHE_DIR_ENV, str(path))
+        assert want[0] == 0
+        assert run_main(argv, capsys) == want
+
+    def test_lambda_readers_write_only_the_weights_file(self, tmp_path, monkeypatch):
+        """psi_tuple writes no cache file, and the mixed correlation and
+        moment and `omega` write only the R-sized file of their weights."""
+        from primelab import approximants, correlations, moments, tables
+        monkeypatch.setattr(approximants, "_weights_cache", {})
+        monkeypatch.setenv(tables.CACHE_DIR_ENV, str(tmp_path))
+        correlations.psi_tuple(3000, (0, 2))
+        assert list(tmp_path.iterdir()) == []
+        pattern = correlations.ShiftPattern((0, 2), (1, 1))
+        correlations.s_tilde_k(3000, pattern, 8, primed_range=True, p_cut=100)
+        moments.mixed_moment(3000, 10, 8, 3, primed=True)
+        moments.omega_experiment(3000, 35, 8, 0.3, -0.5)
+        assert [p.name for p in tmp_path.iterdir()] == ["primelab_tables_8.bin"]
 
     @pytest.mark.parametrize("cache", ["damaged-file", "regular-file"])
     def test_sieve_reads_no_cache_dir(self, tmp_path, capsys, monkeypatch, cache):
@@ -671,11 +712,11 @@ def test_correlate_builds_tables_once(monkeypatch, capsys):
 
 
 def test_mixed_correlate_builds_the_range_then_the_weights(monkeypatch, capsys):
-    """Without a cache dir each request sieves afresh: mixed correlate
-    builds the Lambda tables of its range, then the R-sized tables of its
+    """Mixed correlate sieves its Lambda range a block at a time and builds
+    no table for it: the one table it builds is the R-sized one of its
     weights."""
     argv = ["correlate", "--n", "2000", "--r", "8", "--pattern", "0:1,2:1", "--mixed"]
-    assert _table_builds(argv, monkeypatch, capsys) == [2002, 8]
+    assert _table_builds(argv, monkeypatch, capsys) == [8]
 
 
 class TestPinnedBytes:
@@ -698,7 +739,12 @@ class TestPinnedBytes:
     the mixed moment and `omega`, and an exact correlation.  The lemma cells
     at p_cut = 2**18 - 1, 2**18, 2**18 + 1 and 10**6 were recorded while
     the Euler products and prime sums took all primes up to p_cut as one
-    array, before they read them a sieve segment at a time."""
+    array, before they read them a sieve segment at a time.  The cells
+    whose Lambda or psi ranges start and end off the 2**16-entry block and
+    2**18-entry segment edges (N = 2**18 + 3, 2**18 - 5 and 2**17 + 3) were
+    recorded while those commands still read Lambda and psi off a table of
+    spf up to their top n, before they read the sieve's segments of their
+    own range."""
 
     CELLS = {
         "lambda --r 1 --n 30":
@@ -845,6 +891,20 @@ class TestPinnedBytes:
             (0, "720b7a54cb1308a5c24aff9fca37838d2ab940a3f517681155c0cc454eef474a"),
         "lemma --which 5 --ladder 10,1e3 --p-cut 1e6":
             (0, "127fa049d87e5dc9e5813c01898c50e208f3ca70c476016e1e6105105357ab9a"),
+        "correlate --n 262147 --r 30 --pattern 0:1,-3:1 --mixed --primed-range":
+            (0, "7e8d1c7b813486c534bdb83b93d17c1bbad28ef5e1f110de4321f5e28353aa98"),
+        "correlate --n 262147 --r 30 --pattern 5:1,-3:1,-1:1 --mixed --primed-range":
+            (0, "97f8db9ca34d7e954bcfed4aa42f8dbbcbce748c74b341719d725dfbf9b4236c"),
+        "moments --first-moment --n 262139 --h 24":
+            (0, "6df250a625940d4a880042c3ae8ba635e5c0b11c5f86bb3f90051789e138d365"),
+        "moments --psi --centered --primed --n 262147 --h 20 --k 3":
+            (0, "70cda243774f91dda2b4e29c6da5f47b034b6b9c47c17dab7dda21fb5a7303c7"),
+        "moments --psi --primed --n 262147 --h 20 --k 2":
+            (0, "928c167e46902038988247e35cd42458987c4287efb107e9607c97aeb975d535"),
+        "moments --n 262147 --h 10 --r 30 --k 3 --mixed --primed":
+            (0, "d9755ffaa47ac616c449811de6502b6d4efa595501163b99df53e778c767fb9c"),
+        "omega --n 131075 --h 40 --r 30 --rho 0.5":
+            (0, "e7c90e6fb6280c4ab6cf7d9f39b89b58d83fb164158083b44ef591155494df3b"),
     }
 
     @pytest.mark.parametrize("cell", list(CELLS))

@@ -124,14 +124,18 @@ class TestSk:
 class TestOversizeRange:
     def test_refused_before_allocating(self, monkeypatch):
         """A sum reading n beyond tables.TABLE_MAX is refused before any
-        lambda_R range or table is allocated."""
-        from primelab import approximants, correlations
+        lambda_R range or table is allocated and before anything is
+        sieved."""
+        from primelab import approximants, correlations, tables
 
         def fail(*args, **kwargs):
             pytest.fail("allocated for an oversize range")
 
         monkeypatch.setattr(approximants, "lambda_R_range", fail)
         monkeypatch.setattr(correlations, "tables_for", fail)
+        for name in ("sieve_segments", "eratosthenes", "prime_blocks", "build_tables",
+                     "tables_for"):
+            monkeypatch.setattr(tables, name, fail)
         pair = ShiftPattern((0, 2), (1, 1))
         for call in (
             lambda: s_k(3 * 10**9, pair, 10),
@@ -139,6 +143,7 @@ class TestOversizeRange:
             lambda: s_k(TABLE_MAX // 2 + 1, ShiftPattern((0,), (1,)), 10, primed_range=True),
             lambda: s_k(3 * 10**9, pair, 10, exact=True),
             lambda: s_tilde_k(3 * 10**9, pair, 10),
+            lambda: s_tilde_k(TABLE_MAX - 1, pair, 10),
             lambda: psi_tuple(3 * 10**9, (0, 2)),
         ):
             with pytest.raises(ValueError, match="beyond"):

@@ -383,15 +383,29 @@ class TestTableFetches:
         lambda: omega_experiment(8000, 35, 100, 0.3, -0.5),
     ], ids=["mixed_moment", "first_moment_identity", "omega_experiment"])
     def test_lambda_derived_once_per_call(self, monkeypatch, call):
-        """One table fetch and one pass of psi over its prime powers serve
-        both the Lambda and the psi reads."""
+        """One streamed pass of psi over its prime powers serves the psi
+        reads, and the first moment's Lambda reads too."""
         from primelab import tables
         real = tables.psi_blocks
         calls = []
-        monkeypatch.setattr(tables, "psi_blocks",
-                            lambda n, blocks: calls.append(n) or real(n, blocks))
+        monkeypatch.setattr(tables, "psi_blocks", lambda n: calls.append(n) or real(n))
         call()
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("call, want", [
+        (lambda: first_moment_identity(3000, 10), [(0, 3011)]),
+        (lambda: moment_psi(3000, 10, 2), [(0, 3011)]),
+    ], ids=["first_moment_identity", "moment_psi"])
+    def test_higher_prime_powers_listed_once(self, monkeypatch, call, want):
+        """A command that reads psi and Lambda lists the higher prime powers
+        up to its top once: the first moment reads Lambda at 2..h and
+        N+1..N+h off its one psi pass, not through a second reader."""
+        real = tables_mod._higher_prime_powers
+        calls = []
+        monkeypatch.setattr(tables_mod, "_higher_prime_powers",
+                            lambda lo, hi: calls.append((lo, hi)) or real(lo, hi))
+        call()
+        assert calls == want
 
 
 class TestStreamedWindows:
@@ -589,6 +603,30 @@ class TestStreamedMemory:
         assert peak < 4 * 2**20
 
 
+    def test_first_moment_holds_no_table(self, monkeypatch, tmp_path):
+        """first_moment_identity(2*10**6, 20) asks for no table and leaves
+        the cache dir empty, and its heap peak, as traced by tracemalloc,
+        is one sieve segment (2 bytes per entry) and two float64 blocks of
+        BLOCK_MAX entries at a time (psi, and in turn the repeat that fills
+        it and its windows), plus 1 MiB for the stream's per-block prime
+        power arrays: not the 4 MB of spf up to N + h, which a sieved table
+        would take.  A first run loads what the call imports lazily."""
+        for name in ("tables_for", "load_tables", "build_tables"):
+            monkeypatch.setattr(tables_mod, name, lambda *args: pytest.fail("read a table"))
+        monkeypatch.setenv(tables_mod.CACHE_DIR_ENV, str(tmp_path))
+        first_moment_identity(2 * 10**6, 20)
+        tracemalloc.start()
+        try:
+            report = first_moment_identity(2 * 10**6, 20)
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.exact_equal_12 and report.exact_equal_13
+        assert list(tmp_path.iterdir()) == []
+        bound = 2 * tables_mod.SIEVE_SEGMENT + 2 * 8 * tables_mod.BLOCK_MAX + 2**20
+        assert peak < bound < 2 * (2 * 10**6 + 20), peak
+
+
 class TestMomentGuards:
     def test_bad_k_raises(self):
         with pytest.raises(ValueError):
@@ -602,15 +640,19 @@ class TestMomentGuards:
 class TestOversizeWindows:
     def test_refused_before_allocating(self, monkeypatch):
         """Windows reading n beyond tables.TABLE_MAX are refused before any
-        weights, lambda_R range or table is allocated."""
+        weights, lambda_R range or table is allocated and before anything
+        is sieved."""
         from primelab import moments
         from primelab.tables import TABLE_MAX
 
         def fail(*args, **kwargs):
             pytest.fail("allocated for an oversize window range")
 
-        for name in ("build_weights", "lambda_R_range", "tables_for"):
+        for name in ("build_weights", "lambda_R_range"):
             monkeypatch.setattr(moments, name, fail)
+        for name in ("sieve_segments", "eratosthenes", "prime_blocks", "build_tables",
+                     "tables_for"):
+            monkeypatch.setattr(tables_mod, name, fail)
         big = 3 * 10**9
         for call in (
             lambda: moment_psiR(big, 10, 10, 1),
@@ -619,6 +661,8 @@ class TestOversizeWindows:
             lambda: moment_psiR(big, 10, 10, 2, exact=True, expand=True),
             lambda: expand_via_correlations(big, 10, 10, 2),
             lambda: moment_psi(big, 10, 2),
+            lambda: moment_psi(TABLE_MAX, 1, 1),
+            lambda: first_moment_identity(TABLE_MAX, 1),
             lambda: mixed_moment(big, 10, 10, 2),
             lambda: omega_experiment(big, 100, 10, 0.3, -0.5),
         ):

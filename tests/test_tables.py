@@ -273,7 +273,7 @@ class TestBuildTables:
         """Inserting the sorted higher powers among the primes of each block
         of spf and joining the blocks (``ArithTables.prime_powers``) gives
         the bytes of concatenating all prime powers and sorting them, and so
-        does joining the q of the streamed ``psi_blocks(n)``."""
+        does joining the q and the logs of the streamed ``psi_blocks(n)``."""
         primes = primes_up_to(n)
         higher = [(p**e, math.log(p)) for p in primes[primes <= math.isqrt(n)].tolist()
                   for e in range(2, n.bit_length()) if p**e <= n]
@@ -284,8 +284,10 @@ class TestBuildTables:
         got_q, got_logs = build_tables(n).prime_powers
         assert got_q.dtype == q.dtype and got_q.tobytes() == q[order].tobytes()
         assert got_logs.dtype == logs.dtype and got_logs.tobytes() == logs[order].tobytes()
-        streamed = np.concatenate([q for _lo, _hi, _p, q, _s in tables_mod.psi_blocks(n)])
-        assert streamed.dtype == q.dtype and streamed.tobytes() == q[order].tobytes()
+        streamed = list(tables_mod.psi_blocks(n))
+        for i, want in ((3, q[order]), (4, logs[order])):
+            joined = np.concatenate([block[i] for block in streamed])
+            assert joined.dtype == want.dtype and joined.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     @pytest.mark.parametrize("keep", [0, 1, 5, 100])
@@ -371,86 +373,58 @@ def reader_tables():
 
 
 class TestBlockReaders:
-    """``ArithTables.psi_step_blocks`` and ``von_mangoldt``, the two readers
-    every command takes Lambda and psi from, against the whole-array
-    references psi_steps and lam."""
+    """``psi_blocks`` and ``von_mangoldt``, the two streams every command
+    takes Lambda and psi from, against the whole-array references
+    prime_powers, psi_steps and lam."""
 
     @staticmethod
-    def _check_steps(tb: ArithTables, top: int, ref: ArithTables) -> None:
-        """The blocks cover 0..top in order, their prime powers joined are
-        ref's up to top, their steps[1:] joined are the same prefix of
-        ref.psi_steps, and each steps[0] is the step before."""
-        blocks = [(lo, hi, q.copy(), steps.copy())
-                  for lo, hi, q, steps in tb.psi_step_blocks(top)]
+    def _check_stream(n: int, ref: ArithTables) -> None:
+        """The blocks of the streamed ``psi_blocks(n)`` cover 0..n in order,
+        each of at most BLOCK_MAX entries; their primes joined are the
+        primes up to n, their q and logs joined are ref.prime_powers up to
+        n, their steps[1:] joined are the same prefix of ref.psi_steps, and
+        each steps[0] is the step before, byte for byte."""
+        blocks = [tuple(a.copy() if isinstance(a, np.ndarray) else a for a in block)
+                  for block in tables_mod.psi_blocks(n)]
         edges = [0] + [hi for _lo, hi, *_rest in blocks]
-        assert [lo for lo, *_rest in blocks] == edges[:-1] and edges[-1] == top + 1
-        q_ref = ref.prime_powers[0]
-        count = int(np.searchsorted(q_ref, top, side="right"))
-        q = np.concatenate([b[2] for b in blocks])
-        assert q.tobytes() == q_ref[:count].tobytes()
-        steps = np.concatenate([b[3][1:] for b in blocks])
-        assert steps.dtype == np.float64
-        assert steps.tobytes() == ref.psi_steps[1 : count + 1].tobytes()
-        before = np.array([0.0] + [b[3][-1] for b in blocks[:-1]])
-        assert np.array([b[3][0] for b in blocks]).tobytes() == before.tobytes()
-        assert all(b[3].size == b[2].size + 1 for b in blocks)
+        assert [lo for lo, *_rest in blocks] == edges[:-1] and edges[-1] == n + 1
+        assert all(hi - lo <= tables_mod.BLOCK_MAX for lo, hi, *_rest in blocks)
+        primes, q, logs, steps = (np.concatenate([b[i] for b in blocks]) for i in (2, 3, 4, 5))
+        assert primes.tobytes() == primes_up_to(n).tobytes(), n
+        count = int(np.searchsorted(ref.prime_powers[0], n, side="right"))
+        for got, want in ((q, ref.prime_powers[0]), (logs, ref.prime_powers[1])):
+            assert got.dtype == want.dtype and got.tobytes() == want[:count].tobytes(), n
+        assert all(b[5].size == b[3].size + 1 for b in blocks)
+        joined = np.concatenate([blocks[0][5][:1]] + [b[5][1:] for b in blocks])
+        assert joined.dtype == np.float64
+        assert joined.tobytes() == ref.psi_steps[: count + 1].tobytes(), n
+        before = np.array([0.0] + [b[5][-1] for b in blocks[:-1]])
+        assert np.array([b[5][0] for b in blocks]).tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("top", [1, 2, B - 1, B, B + 1, 3 * B + 5])
     def test_psi_step_blocks_are_psi_steps(self, reader_tables, top):
-        self._check_steps(reader_tables, top, reader_tables)
+        self._check_stream(top, reader_tables)
 
     def test_psi_step_blocks_on_small_blocks(self, monkeypatch):
         monkeypatch.setattr(tables_mod, "BLOCK_MAX", 64)
         tb = build_tables(3000)
         for top in (1, 2, 63, 64, 65, 127, 128, 129, 1000, 3000):
-            self._check_steps(tb, top, tb)
-
-    @staticmethod
-    def _joined(blocks, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """q and steps of psi blocks (lo, hi, q, steps) joined, steps[0]
-        of the first block in front, once the blocks are checked to cover
-        0..n in order, each of at most BLOCK_MAX entries."""
-        blocks = [(lo, hi, q.copy(), steps.copy()) for lo, hi, q, steps in blocks]
-        edges = [0] + [hi for _lo, hi, _q, _steps in blocks]
-        assert [lo for lo, *_rest in blocks] == edges[:-1] and edges[-1] == n + 1
-        assert all(hi - lo <= tables_mod.BLOCK_MAX for lo, hi, *_rest in blocks)
-        return (np.concatenate([q for *_edges, q, _steps in blocks]),
-                np.concatenate([blocks[0][3][:1]] + [s[1:] for *_rest, s in blocks]))
-
-    def _check_stream(self, n: int, want_q: np.ndarray, want_steps: np.ndarray) -> None:
-        """The streamed ``psi_blocks(n)`` gives the q and steps of
-        ``psi_step_blocks(n)`` over the tables, byte for byte, and the
-        primes up to n: psi has one route, whether the primes come from the
-        sieve's segments or from a table's spf."""
-        primes = []
-
-        def stream():
-            for lo, hi, block_primes, q, steps in tables_mod.psi_blocks(n):
-                primes.append(block_primes.copy())
-                yield lo, hi, q, steps
-
-        for got, want in zip(self._joined(stream(), n), (want_q, want_steps)):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), n
-        assert np.concatenate(primes).tobytes() == primes_up_to(n).tobytes(), n
+            self._check_stream(top, tb)
 
     @pytest.mark.parametrize("n", [1, 2, 3, B - 1, B + 1, 2**18 - 1, 2**18, 2**18 + 1,
                                    3 * 2**18 + 5])
     def test_streamed_psi_blocks_are_the_tables(self, n):
-        tb = build_tables(max(n, 2))
-        self._check_stream(n, *self._joined(tb.psi_step_blocks(n), n))
+        self._check_stream(n, build_tables(max(n, 2)))
 
     def test_streamed_psi_blocks_on_small_segments(self, monkeypatch):
         """Segments of 96 entries cut into blocks of 64, so that a block
-        may end inside a segment or at its end, at every n <= 3000.  The
-        blocks of the tables to n are, joined, a prefix of those of the
-        tables to 3000 (``_check_steps`` above), so each n is held to
-        that prefix."""
+        may end inside a segment or at its end, at every n <= 3000: each n
+        is held to the prefix of the whole arrays of the tables to 3000."""
         monkeypatch.setattr(tables_mod, "BLOCK_MAX", 64)
         monkeypatch.setattr(tables_mod, "SIEVE_SEGMENT", 96)
-        q, steps = self._joined(build_tables(3000).psi_step_blocks(3000), 3000)
+        tb = build_tables(3000)
         for n in range(1, 3001):
-            count = int(np.searchsorted(q, n, side="right"))
-            self._check_stream(n, q[:count], steps[: count + 1])
+            self._check_stream(n, tb)
 
     @pytest.mark.parametrize("lo, hi", [
         (-5, 1), (-5, 10), (0, 1), (0, 40), (1, 2), (1, 50), (2, 3), (2, 1000),
@@ -462,63 +436,91 @@ class TestBlockReaders:
         (0, READER_N_MAX + 1),
     ])
     @pytest.mark.parametrize("where", ["memory", "mapped"])
-    def test_von_mangoldt_is_lam(self, reader_tables, tmp_path, lo, hi, where):
-        """Lambda over [lo, hi) is lam's, 0 at n <= 1, whether the tables
-        are in memory or mapped from a file whose pages it then drops."""
-        tb = reader_tables
+    def test_von_mangoldt_is_lam(self, reader_tables, tmp_path, monkeypatch, lo, hi, where):
+        """Lambda over [lo, hi) is lam's, 0 at n <= 1, whether or not the
+        cache dir holds a mapped table file that reaches hi: the reader
+        sieves its range and never asks for a table."""
         if where == "mapped":
-            path = tmp_path / "tables.bin"
-            save_tables(reader_tables, path)
-            tb = load_tables(path)
+            save_tables(reader_tables, tmp_path / f"primelab_tables_{READER_N_MAX}.bin")
+            monkeypatch.setenv(tables_mod.CACHE_DIR_ENV, str(tmp_path))
+        else:
+            monkeypatch.delenv(tables_mod.CACHE_DIR_ENV, raising=False)
+        for name in ("tables_for", "load_tables", "build_tables"):
+            monkeypatch.setattr(tables_mod, name, None)
         want = np.zeros(hi - lo)
         want[max(-lo, 0) :] = reader_tables.lam[max(lo, 0) : hi]
-        got = tb.von_mangoldt(lo, hi)
+        got = tables_mod.von_mangoldt(lo, hi)
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
-        assert tb.von_mangoldt(lo, hi).tobytes() == want.tobytes()  # read again
+        assert tables_mod.von_mangoldt(lo, hi).tobytes() == want.tobytes()  # read again
 
-    def test_readers_drop_every_page_below_their_range(self, reader_tables, tmp_path,
-                                                       mapped_rss):
-        """A read fault may map a whole page-cache folio, pages below the
-        range read included, so both readers drop every mapped page below
-        the end of what they read, not only their own range's: with all of
-        spf mapped in first, a short read near the end leaves a few pages."""
-        path = tmp_path / "tables.bin"
-        save_tables(reader_tables, path)
-        tb = load_tables(path)
-        top = tb.n_max
-        for read in (lambda: tb.von_mangoldt(top - 100, top + 1),
-                     lambda: list(tb.psi_step_blocks(top))):
-            np.count_nonzero(tb.spf)  # map every page of spf in
-            assert mapped_rss(path) >= tb.spf.nbytes
-            read()
-            assert mapped_rss(path) <= 4 * mmap.PAGESIZE
+    @pytest.mark.parametrize("sizes", [None, (64, 128), (64, 96)],
+                             ids=["default", "block-64-segment-128", "block-64-segment-96"])
+    def test_range_reader_is_lam_across_the_edges(self, monkeypatch, sizes):
+        """von_mangoldt(lo, hi) is the bytes of build_tables(n).lam[lo:hi]
+        (0 below 0) for lo from -5 to just below a segment edge and every hi
+        from lo to 3 segments and 5 entries up, across the block and
+        segment edges; also with blocks and segments patched small."""
+        if sizes is not None:
+            monkeypatch.setattr(tables_mod, "BLOCK_MAX", sizes[0])
+            monkeypatch.setattr(tables_mod, "SIEVE_SEGMENT", sizes[1])
+        b, seg = tables_mod.BLOCK_MAX, tables_mod.SIEVE_SEGMENT
+        los = [-5, 0, 1, 2, b - 3, seg - 1]
+        his = [b - 1, b, b + 1, seg - 1, seg, seg + 1, 2 * seg + 1, 3 * seg + 5]
+        lam = build_tables(max(his)).lam
+        for lo in los:
+            for hi in sorted({lo, lo + 1, lo + 2, *his} - set(range(lo))):
+                want = np.zeros(hi - lo)
+                want[max(-lo, 0) :] = lam[max(lo, 0) : max(hi, 0)]
+                got = tables_mod.von_mangoldt(lo, hi)
+                assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), (lo, hi)
 
-    def test_only_the_readers_release_pages(self):
-        """No module but tables.py drops table pages (the lemmas' walk
-        reads no table) or names the prime-power helpers: Lambda and psi
-        are read through the two readers alone."""
-        import ast
+    @pytest.mark.parametrize("lo, hi", [(-5, 40), (2**16 - 3, 2**18 + 1),
+                                        (2**18 - 1, 3 * 2**18 + 5), (10**6, 10**6 + 7)])
+    def test_range_reader_sieves_only_its_range(self, monkeypatch, lo, hi):
+        """The reader sieves [max(lo, 0), hi) and nothing below it, with the
+        primes up to isqrt(hi - 1): one segmented sieve from the range's
+        start, whose segments cover the range exactly."""
+        real_segments, real_primes = tables_mod.sieve_segments, tables_mod.eratosthenes
+        asked, covered, tops = [], [], []
+
+        def segments(n, start=0):
+            asked.append((n, start))
+            for seg in real_segments(n, start):
+                covered.append(seg[:2])
+                yield seg
+
+        monkeypatch.setattr(tables_mod, "sieve_segments", segments)
+        monkeypatch.setattr(tables_mod, "eratosthenes",
+                            lambda top: tops.append(top) or real_primes(top))
+        tables_mod.von_mangoldt(lo, hi)
+        assert asked == [(hi - 1, max(lo, 0))]
+        edges = [max(lo, 0)] + [b for _a, b in covered]
+        assert [a for a, _b in covered] == edges[:-1] and edges[-1] == hi
+        assert set(tops) == {math.isqrt(hi - 1)}
+
+    def test_range_reader_refuses_beyond_the_bound(self, monkeypatch):
+        """A range that reaches past TABLE_MAX is refused before a segment
+        is sieved or a sieving prime is listed."""
+        for name in ("sieve_segments", "eratosthenes"):
+            monkeypatch.setattr(tables_mod, name, lambda *args: pytest.fail("sieved"))
+        top = tables_mod.TABLE_MAX
+        with pytest.raises(ValueError, match="beyond"):
+            tables_mod.von_mangoldt(top - 5, top + 2)
+        with pytest.raises(ValueError, match="beyond"):
+            next(tables_mod.psi_blocks(top + 1))
+
+    def test_only_tables_names_the_prime_power_helpers(self):
+        """No module but tables.py names the prime-power helpers: Lambda and
+        psi are read through the two streams alone."""
         import pathlib
         import re
 
         import primelab
         helpers = re.compile(r"\b_?(prime_power_blocks|prime_powers_between"
                              r"|higher_prime_powers)\b")
-        releases, named = [], []
-        for path in sorted(pathlib.Path(primelab.__file__).parent.glob("*.py")):
-            if path.name == "tables.py":
-                continue
-            text = path.read_text()
-            named += [path.name] if helpers.search(text) else []
-            for fn in ast.walk(ast.parse(text)):
-                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    releases += [
-                        f"{path.stem}.{fn.name}" for node in ast.walk(fn)
-                        if isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr == "release"
-                    ]
-        assert releases == []
+        named = [path.name
+                 for path in sorted(pathlib.Path(primelab.__file__).parent.glob("*.py"))
+                 if path.name != "tables.py" and helpers.search(path.read_text())]
         assert named == []
 
 
