@@ -22,9 +22,9 @@ already gives: so spf fits in 16 bits, and ``factor_blocks`` decodes it
 below.
 
 One segmented sieve makes spf (``sieve_segments``): segments of
-SIEVE_SEGMENT = 2**18 entries, one check block of the cache file, sieved in
-turn by the primes p <= isqrt(n_max) of ``eratosthenes``, the one plain
-sieve of Eratosthenes, which ``constants.primes_up_to`` caches too.  In a
+SIEVE_SEGMENT = 2**18 entries, sieved in turn by the primes
+p <= isqrt(n_max) of ``eratosthenes``, the one plain sieve of
+Eratosthenes, which ``constants.primes_up_to`` caches too.  In a
 segment [lo, hi) every p with p^2 < hi writes spf = p at its multiples
 >= p^2, the largest p first so the least prime factor stays.  The same
 segments, read as they come and never stored, are the one prime stream
@@ -67,28 +67,23 @@ per entry, and prime_powers and psi_steps 8 to 16 bytes per prime power
 hold O(SIEVE_SEGMENT) entries whatever n.  They stay, read-only, as the
 references the tests compare those streams with; psi_steps is taken from
 prime_powers alone, so psi_prefix derives no lam.
-A build in memory holds the 2 bytes per entry and one segment's buffer
-(512 KiB at 2**18 entries); a build into a file (``build_tables`` with a
-path) writes each segment where it belongs in the file as it is sieved and
-then maps the file, so it holds only the segment's buffer, whatever n_max.
-``build_tables`` refuses n_max above TABLE_MAX, the limit of the int32
-arithmetic in the recurrences.
+A build holds the 2 bytes per entry and one segment's buffer (512 KiB at
+2**18 entries).  ``build_tables`` refuses n_max above TABLE_MAX, the limit
+of the int32 arithmetic in the recurrences.
 
 ``tables_for`` is the one provider every table reader goes through, and
 the commands read tables only up to R, for the lambda_R weights and the
-exact kernels.  It does one of three things: it maps a prefix of the
-largest cache file in PRIMELAB_CACHE_DIR that reaches n_max; with a cache
-dir but no such file it sieves into a new file there, which replaces the
-smaller files; with no cache dir it sieves afresh in memory.  The process
-keeps no build, so repeated requests in one process are what the cache dir
-is for.  A cache file is a small versioned header, spf, then a CRC32 of
-every block of _CHECK_ENTRIES = 2**18 entries, all little-endian; that
-block is part of the file format and does not follow BLOCK_MAX.
-``load_tables`` maps the file read-only and checks the blocks that cover
-the requested prefix on every load, reading them with ``os.preadv`` into
-one reused buffer rather than through the mapping: the mapping then holds
-only the pages a command reads, pages it never touches are never loaded,
-and damaged bytes are never used.
+exact kernels, so a cache file is R-sized.  The provider reads the prefix
+of the largest cache file in PRIMELAB_CACHE_DIR that reaches n_max;
+otherwise it sieves afresh in memory and, with a cache dir, saves the
+build there, replacing the smaller files.  The process keeps no build, so
+repeated requests in one process are what the cache dir is for.  A cache
+file is a small versioned header, spf, then a CRC32 of every block of
+_CHECK_ENTRIES = 2**18 entries, all little-endian; that block is part of
+the file format and does not follow BLOCK_MAX.  ``load_tables`` reads the
+blocks that cover the requested prefix into memory and checks them on
+every load, so damaged bytes are never used and blocks beyond the prefix
+are never read.
 """
 
 from __future__ import annotations
@@ -97,7 +92,6 @@ import contextlib
 from dataclasses import dataclass
 from functools import cached_property
 import math
-import mmap
 import os
 import re
 import struct
@@ -194,8 +188,8 @@ class ArithTables:
 #: most entries one recurrence step handles; bounds its temporary arrays
 BLOCK_MAX = 1 << 16
 
-#: entries per segment of the sieve: one check block of the table file, so a
-#: build that writes its segments as they come closes one CRC per segment
+#: entries per segment of the sieve, the one buffer it holds whatever n; the
+#: cache file's check block (_CHECK_ENTRIES) is fixed apart from it
 SIEVE_SEGMENT = 1 << 18
 
 #: largest n_max the tables hold: the recurrences index with int32, and
@@ -525,23 +519,16 @@ class PairwiseSum:
         return left + right
 
 
-def build_tables(n_max: int, path: str | os.PathLike | None = None) -> ArithTables:
-    """Sieve spf up to n_max (inclusive); the derived arrays, mu among
-    them, follow on first read.
-
-    Without a path the segments of ``sieve_segments`` fill an array in
-    memory, 2 bytes/entry (uint16 spf).  With one, each segment is written
-    to a table file at path as it is sieved, and the file is mapped
-    (``load_tables``): the build holds one segment, not the table.
-    Requires n_max >= 2; n_max above TABLE_MAX is refused.
+def build_tables(n_max: int) -> ArithTables:
+    """Sieve spf up to n_max (inclusive) in memory, 2 bytes/entry (uint16
+    spf), from the segments of ``sieve_segments``; the derived arrays, mu
+    among them, follow on first read.  Requires n_max >= 2; n_max above
+    TABLE_MAX is refused.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     if n_max > TABLE_MAX:
         raise ValueError(f"n_max={n_max} exceeds the table bound {TABLE_MAX}")
-    if path is not None:
-        _write_tables(path, n_max, sieve_segments(n_max))
-        return load_tables(path)
     spf = np.empty(n_max + 1, dtype=np.uint16)
     for lo, hi, segment in sieve_segments(n_max):
         spf[lo:hi] = segment
@@ -552,42 +539,18 @@ def build_tables(n_max: int, path: str | os.PathLike | None = None) -> ArithTabl
 # binary cache
 # ---------------------------------------------------------------------------
 
-_ARRAY_SPEC = (
-    ("spf", "<u2"),
-)
 _HEADER = struct.Struct("<4sHQ")  # magic, format version, n_max
-_ENTRY_BYTES = sum(np.dtype(dt).itemsize for _name, dt in _ARRAY_SPEC)
+_SPF = np.dtype("<u2")
 
-#: entries per checksummed block of each array: part of the cache format, so
-#: fixed, whatever BLOCK_MAX is
+#: entries per checksummed block of spf: part of the cache format, so fixed,
+#: whatever BLOCK_MAX is
 _CHECK_ENTRIES = 1 << 18
 _CRC = np.dtype("<u4")
 
 
-def _check_blocks(entries: int) -> int:
-    """The checksummed blocks that cover the first ``entries`` entries."""
-    return -(-entries // _CHECK_ENTRIES)
-
-
 def save_tables(tables: ArithTables, path: str | os.PathLike) -> None:
     """Write tables to a little-endian binary file: magic, version, n_max,
-    the arrays, then the CRC32 of each block of _CHECK_ENTRIES entries of
-    each array in turn."""
-    def blocks():
-        arrays = [np.ascontiguousarray(getattr(tables, name), dtype=dt)
-                  for name, dt in _ARRAY_SPEC]
-        for lo in range(0, tables.n_max + 1, _CHECK_ENTRIES):
-            hi = min(lo + _CHECK_ENTRIES, tables.n_max + 1)
-            yield lo, hi, *(arr[lo:hi] for arr in arrays)
-
-    _write_tables(path, tables.n_max, blocks())
-
-
-def _write_tables(path: str | os.PathLike, n_max: int, blocks) -> None:
-    """Write the table file of ``save_tables`` from blocks (lo, hi, spf)
-    that cover 0..n_max in order: each block's arrays are written at their
-    offsets as it comes, and its CRC32 is carried into the check blocks it
-    overlaps, so no more than one block is held.
+    spf, then the CRC32 of each block of _CHECK_ENTRIES entries of spf.
 
     The bytes go to a temporary file in the same directory, which is renamed
     onto ``path`` only when complete: an interrupted or concurrent write never
@@ -595,22 +558,13 @@ def _write_tables(path: str | os.PathLike, n_max: int, blocks) -> None:
     """
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
-    crcs = [[0] * _check_blocks(n_max + 1) for _spec in _ARRAY_SPEC]
     try:
         with open(tmp, "wb") as fh:
-            fh.write(_HEADER.pack(_MAGIC, _FORMAT_VERSION, n_max))
-            for lo, hi, *arrays in blocks:
-                offset = _HEADER.size
-                for (_name, dt), arr, sums in zip(_ARRAY_SPEC, arrays, crcs):
-                    data = np.ascontiguousarray(arr, dtype=dt)
-                    fh.seek(offset + lo * data.itemsize)
-                    fh.write(data.data)
-                    for start in range(lo - lo % _CHECK_ENTRIES, hi, _CHECK_ENTRIES):
-                        b = start // _CHECK_ENTRIES
-                        piece = data[max(start, lo) - lo : min(start + _CHECK_ENTRIES, hi) - lo]
-                        sums[b] = zlib.crc32(piece, sums[b])
-                    offset += (n_max + 1) * data.itemsize
-            fh.seek(_HEADER.size + (n_max + 1) * _ENTRY_BYTES)
+            fh.write(_HEADER.pack(_MAGIC, _FORMAT_VERSION, tables.n_max))
+            spf = np.ascontiguousarray(tables.spf, dtype=_SPF)
+            fh.write(spf.data)
+            crcs = [zlib.crc32(spf[lo : lo + _CHECK_ENTRIES])
+                    for lo in range(0, spf.size, _CHECK_ENTRIES)]
             fh.write(np.array(crcs, dtype=_CRC).data)
         os.replace(tmp, path)
     except BaseException:
@@ -620,73 +574,52 @@ def _write_tables(path: str | os.PathLike, n_max: int, blocks) -> None:
 
 
 def load_tables(path: str | os.PathLike, n_max: int | None = None) -> ArithTables:
-    """Map a file written by save_tables read-only, as tables up to n_max.
+    """Read a file written by save_tables as tables up to n_max.
 
     n_max defaults to the file's own and may not exceed it.  The magic, the
     version and the exact file size are checked, and so is the checksum of
-    every block that holds one of the first n_max + 1 entries of an array,
-    on every load; any failure raises ValueError and no data is used.  The
-    blocks are read for the check with ``os.preadv`` from the file the
-    mapping was made from, into one reused buffer, not through the mapping:
-    each array is a read-only view of the first n_max + 1 entries of the
-    mapping, which holds no page until a command reads it.
+    every block that holds one of the first n_max + 1 entries, on every
+    load; any failure raises ValueError and no data is used.  Only those
+    blocks are read, into one array in memory, and spf is a read-only view
+    of its first n_max + 1 entries: what happens to the file afterwards
+    does not reach the tables.
     """
+    name = os.fspath(path)
     with open(path, "rb") as fh:
-        fd = fh.fileno()
-        size = os.fstat(fd).st_size
+        size = os.fstat(fh.fileno()).st_size
         if size < _HEADER.size:
-            raise ValueError(f"truncated table file {os.fspath(path)!r}")
+            raise ValueError(f"truncated table file {name!r}")
         magic, version, file_max = _HEADER.unpack(fh.read(_HEADER.size))
         if magic != _MAGIC:
             raise ValueError(f"not a primelab table file (magic {magic!r})")
         if version != _FORMAT_VERSION:
             raise ValueError(
-                f"unsupported table format version {version} in {os.fspath(path)!r} "
+                f"unsupported table format version {version} in {name!r} "
                 f"(this release reads version {_FORMAT_VERSION}); delete the file"
             )
-        blocks = _check_blocks(file_max + 1)
-        expected = (_HEADER.size + (file_max + 1) * _ENTRY_BYTES
-                    + len(_ARRAY_SPEC) * blocks * _CRC.itemsize)
+        blocks = -(-(file_max + 1) // _CHECK_ENTRIES)
+        expected = _HEADER.size + (file_max + 1) * _SPF.itemsize + blocks * _CRC.itemsize
         if size != expected:
             raise ValueError(
-                f"table file {os.fspath(path)!r} has {size} bytes, "
+                f"table file {name!r} has {size} bytes, "
                 f"expected {expected} for n_max={file_max}"
             )
         n_max = file_max if n_max is None else n_max
         if not 0 <= n_max <= file_max:
             raise ValueError(f"n_max={n_max} outside the file's range [0, {file_max}]")
-        mapping = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
-        _check_crcs(fd, os.fspath(path), file_max, _check_blocks(n_max + 1))
-    arrays = {}
-    offset = _HEADER.size
-    for name, dt in _ARRAY_SPEC:
-        arrays[name] = np.frombuffer(mapping, dtype=dt, count=n_max + 1, offset=offset)
-        offset += (file_max + 1) * arrays[name].itemsize
-    return ArithTables(n_max=n_max, **arrays)
-
-
-def _check_crcs(fd: int, path: str, file_max: int, need: int) -> None:
-    """Check the CRC32 of the first ``need`` blocks of each array of the
-    table file open at fd, read with ``os.preadv`` into one block-sized
-    buffer."""
-    blocks = _check_blocks(file_max + 1)
-    raw = os.pread(fd, len(_ARRAY_SPEC) * blocks * _CRC.itemsize,
-                   _HEADER.size + (file_max + 1) * _ENTRY_BYTES)
-    crcs = np.frombuffer(raw, dtype=_CRC).reshape(len(_ARRAY_SPEC), blocks)
-    widths = [np.dtype(dt).itemsize for _name, dt in _ARRAY_SPEC]
-    buf = memoryview(bytearray(min(_CHECK_ENTRIES, file_max + 1) * max(widths)))
-    offset = _HEADER.size
-    for (name, _dt), width, sums in zip(_ARRAY_SPEC, widths, crcs):
-        for b in range(need):
-            lo = b * _CHECK_ENTRIES
-            data = buf[: (min(lo + _CHECK_ENTRIES, file_max + 1) - lo) * width]
-            if os.preadv(fd, [data], offset + lo * width) != data.nbytes \
-                    or zlib.crc32(data) != sums[b]:
-                raise ValueError(
-                    f"table file {path!r} fails its checksum in {name} "
-                    f"block {b}; delete the file"
-                )
-        offset += (file_max + 1) * width
+        need = -(-(n_max + 1) // _CHECK_ENTRIES)
+        spf = np.empty(min(need * _CHECK_ENTRIES, file_max + 1), dtype=_SPF)
+        got = fh.readinto(spf)
+        fh.seek(_HEADER.size + (file_max + 1) * _SPF.itemsize)
+        crcs = np.frombuffer(fh.read(need * _CRC.itemsize), dtype=_CRC)
+    if got != spf.nbytes or crcs.size != need:
+        raise ValueError(f"truncated table file {name!r}")
+    for b, crc in enumerate(crcs):
+        if zlib.crc32(spf[b * _CHECK_ENTRIES : (b + 1) * _CHECK_ENTRIES]) != crc:
+            raise ValueError(
+                f"table file {name!r} fails its checksum in spf block {b}; delete the file"
+            )
+    return ArithTables(n_max=n_max, spf=_read_only(spf[: n_max + 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -710,15 +643,15 @@ def tables_for(n_max: int) -> ArithTables:
     """Tables up to max(n_max, 2): the one way the CLI and the library get them.
 
     If PRIMELAB_CACHE_DIR names a directory holding some
-    ``primelab_tables_<m>.bin`` with m >= n_max, the largest such file is
-    mapped read-only (``load_tables``).  With a cache dir but no such file,
-    the tables are sieved straight into a file there (``build_tables`` with
-    a path) and mapped, and the smaller files it now serves are removed: the
-    dir ends with one file, the largest request's, whatever order the
-    requests came in.  Without a cache dir the tables are sieved afresh in
-    memory (``build_tables``); the process keeps no build between calls, so
-    a cache dir is what serves repeated requests.  A cache dir that is not
-    an existing directory raises ValueError; it is never created.
+    ``primelab_tables_<m>.bin`` with m >= n_max, the prefix of the largest
+    such file is read and checked (``load_tables``).  Otherwise the tables
+    are sieved afresh in memory (``build_tables``), and with a cache dir
+    they are saved there (``save_tables``) and the smaller files the new
+    one serves are removed: the dir ends with one file, the largest
+    request's, whatever order the requests came in.  The process keeps no
+    build between calls, so a cache dir is what serves repeated requests.
+    A cache dir that is not an existing directory raises ValueError; it is
+    never created.
     """
     n_max = max(n_max, 2)
     cache_dir = os.environ.get(CACHE_DIR_ENV)
@@ -735,7 +668,8 @@ def tables_for(n_max: int) -> ArithTables:
             return load_tables(files[max(served)], n_max)
         except FileNotFoundError:
             continue  # a larger file replaced it since the listing
-    tables = build_tables(n_max, _cache_path(cache_dir, n_max))
+    tables = build_tables(n_max)
+    save_tables(tables, _cache_path(cache_dir, n_max))
     for m, path in _cache_files(cache_dir).items():
         if m < n_max:
             with contextlib.suppress(FileNotFoundError):

@@ -575,7 +575,7 @@ class TestStreamedMemory:
         reaches every route's range."""
         path = tmp_path_factory.mktemp("cache")
         n = 2 * 10**6 + 2
-        tables_mod.build_tables(n, path / f"primelab_tables_{n}.bin")
+        tables_mod.save_tables(tables_mod.build_tables(n), path / f"primelab_tables_{n}.bin")
         return path
 
     @pytest.mark.parametrize("call", [

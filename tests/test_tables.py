@@ -10,7 +10,10 @@ from __future__ import annotations
 import gc
 import inspect
 import math
-import mmap
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -177,8 +180,12 @@ class TestBuildTables:
         """mu derived from spf by the dyadic recurrence is, byte for byte,
         the mu the segmented sieve made when the tables stored it: around
         the segment edge and past three segments, in memory and from a
-        mapped file."""
-        tb = build_tables(n) if where == "memory" else build_tables(n, tmp_path / "t.bin")
+        saved and loaded file."""
+        if where == "memory":
+            tb = build_tables(n)
+        else:
+            save_tables(build_tables(n), tmp_path / "t.bin")
+            tb = load_tables(tmp_path / "t.bin")
         assert tb.mu.dtype == np.int8 and not tb.mu.flags.writeable
         assert tb.mu.tobytes() == sieved_mu(n).tobytes()
 
@@ -438,7 +445,7 @@ class TestBlockReaders:
     @pytest.mark.parametrize("where", ["memory", "mapped"])
     def test_von_mangoldt_is_lam(self, reader_tables, tmp_path, monkeypatch, lo, hi, where):
         """Lambda over [lo, hi) is lam's, 0 at n <= 1, whether or not the
-        cache dir holds a mapped table file that reaches hi: the reader
+        cache dir holds a table file that reaches hi: the reader
         sieves its range and never asks for a table."""
         if where == "mapped":
             save_tables(reader_tables, tmp_path / f"primelab_tables_{READER_N_MAX}.bin")
@@ -674,23 +681,6 @@ class TestSaveLoad:
         with pytest.raises(ValueError, match="fails its checksum in spf block 2"):
             load_tables(path)
 
-    def test_checked_load_leaves_the_mapping_unread(self, tmp_path, monkeypatch,
-                                                     mapped_rss):
-        """The checksum pass reads the file, not the mapping: after a
-        checked load of a file of several check blocks, its mapping holds a
-        few pages at most, and reading an array maps that array in."""
-        n = 2 * tables_mod._CHECK_ENTRIES + 5
-        path = tmp_path / f"primelab_tables_{n}.bin"
-        save_tables(build_tables(n), path)
-        crcs = []
-        real = tables_mod.zlib.crc32
-        monkeypatch.setattr(tables_mod.zlib, "crc32", lambda data: crcs.append(1) or real(data))
-        tb = load_tables(path)
-        assert len(crcs) == 3  # every block of spf checked
-        assert mapped_rss(path) <= 4 * mmap.PAGESIZE
-        np.count_nonzero(tb.spf)  # read spf through the mapping
-        assert mapped_rss(path) >= tb.spf.nbytes
-
     def test_check_blocks_do_not_follow_block_max(self, tmp_path):
         """The check block is fixed at 2**18 entries, part of the file
         format: a file saved with BLOCK_MAX at 64 carries ceil((n+1)/2**18)
@@ -708,39 +698,6 @@ class TestSaveLoad:
         back = load_tables(path)
         assert back.spf.tobytes() == tb.spf.tobytes()
         assert back.mu.tobytes() == tb.mu.tobytes()
-
-    @pytest.mark.parametrize("segment", [None, 1000])
-    def test_path_build_writes_the_saved_bytes(self, tmp_path, monkeypatch, segment):
-        """build_tables(n, path) writes, segment by segment, the bytes that
-        save_tables writes from the whole arrays, around the check-block
-        edges (also from segments of 1000 entries, which straddle them), and
-        returns the file mapped read-only."""
-        if segment is not None:
-            monkeypatch.setattr(tables_mod, "SIEVE_SEGMENT", segment)
-        block = tables_mod._CHECK_ENTRIES
-        for n in (2, 3, 4, block - 1, block, block + 1, 2 * block + 1):
-            saved, built = tmp_path / f"saved_{n}.bin", tmp_path / f"built_{n}.bin"
-            save_tables(build_tables(n), saved)
-            tb = build_tables(n, built)
-            assert built.read_bytes() == saved.read_bytes(), n
-            assert tb.n_max == n and not tb.spf.flags.writeable
-            assert_same_tables(tb, load_tables(saved))
-        assert not list(tmp_path.glob("*.tmp"))
-
-    def test_path_build_memory_does_not_grow_with_n(self, tmp_path):
-        """A build into a file holds one segment, not the tables: its traced
-        allocations grow by at most 0.1 byte per entry between 10**6 and
-        4 * 10**6 entries, where an in-memory build takes 2."""
-        ns = (1_000_000, 4_000_000)
-        peaks = []
-        for n in ns:
-            tracemalloc.start()
-            try:
-                build_tables(n, tmp_path / f"primelab_tables_{n}.bin")
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert (peaks[1] - peaks[0]) / (ns[1] - ns[0]) <= 0.1
 
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
         """A write that fails part-way leaves neither the target nor a temp
@@ -804,18 +761,53 @@ class TestProvider:
             "other.bin", "primelab_tables_3000.bin"]
         assert_same_tables(tables_mod.tables_for(1000), build_tables(1000))
 
-    def test_cache_dir_build_is_the_mapped_file(self, tmp_path, monkeypatch, mapped_rss):
-        """With a cache dir and no file that serves the request, the tables
-        are sieved into the file and mapped from it, and the smaller file is
-        removed."""
-        save_tables(build_tables(1000), tmp_path / "primelab_tables_1000.bin")
-        monkeypatch.setenv(tables_mod.CACHE_DIR_ENV, str(tmp_path))
-        tb = tables_mod.tables_for(3000)
-        assert [p.name for p in tmp_path.iterdir()] == ["primelab_tables_3000.bin"]
-        assert not tb.spf.flags.writeable and not tb.mu.flags.writeable
-        np.count_nonzero(tb.spf)  # read spf through the mapping
-        assert mapped_rss(tmp_path / "primelab_tables_3000.bin") >= tb.spf.nbytes
-        assert_same_tables(tb, build_tables(3000))
+    def test_cache_miss_writes_through_save_tables(self, tmp_path, monkeypatch):
+        """A request no file serves is sieved in memory and written by one
+        save_tables call: the file is the bytes save_tables writes from a
+        fresh build, and the request it then serves writes nothing."""
+        monkeypatch.setenv(tables_mod.CACHE_DIR_ENV, str(tmp_path / "cache"))
+        (tmp_path / "cache").mkdir()
+        saves = []
+        real = tables_mod.save_tables
+        monkeypatch.setattr(tables_mod, "save_tables",
+                            lambda tb, path: saves.append(path) or real(tb, path))
+        n = 2**18 + 1
+        tb = tables_mod.tables_for(n)
+        path = tmp_path / "cache" / f"primelab_tables_{n}.bin"
+        assert saves == [str(path)]
+        real(build_tables(n), tmp_path / "saved.bin")
+        assert path.read_bytes() == (tmp_path / "saved.bin").read_bytes()
+        assert_same_tables(tb, build_tables(n))
+        assert_same_tables(tables_mod.tables_for(n), tb)
+        assert saves == [str(path)]
+
+    def test_truncated_file_does_not_reach_loaded_tables(self, tmp_path):
+        """Tables served from a cache file hold their entries in memory: in
+        a fresh interpreter, truncating the file to 0 bytes after the load
+        leaves spf and mu readable, with the values of a fresh build."""
+        n = 3000
+        script = textwrap.dedent(f"""
+            import os
+            from primelab import tables
+            tables.tables_for({n})
+            loads = []
+            real = tables.load_tables
+            tables.load_tables = lambda *args: loads.append(args) or real(*args)
+            tb = tables.tables_for({n})
+            assert len(loads) == 1
+            os.truncate(os.path.join(os.environ[tables.CACHE_DIR_ENV],
+                                     "primelab_tables_{n}.bin"), 0)
+            print(int(tb.spf[-1]))
+            print(tb.spf.tobytes().hex())
+            print(tb.mu.tobytes().hex())
+        """)
+        env = dict(os.environ, **{tables_mod.CACHE_DIR_ENV: str(tmp_path)})
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, (done.returncode, done.stderr)
+        want = build_tables(n)
+        assert done.stdout.split() == [str(int(want.spf[-1])), want.spf.tobytes().hex(),
+                                       want.mu.tobytes().hex()]
 
     def test_failed_build_keeps_the_smaller_file(self, tmp_path, monkeypatch):
         """A build into the cache dir that raises part-way leaves neither its
