@@ -6,15 +6,16 @@ This module holds:
   default cutoff;
 * the default truncations ``DEFAULT_P_CUT`` and ``CONST_P_CUT`` of the
   Euler products and prime sums, whose tails the callers record;
-* ``primes_up_to``, a cached prime list (the sieve of
-  ``tables.eratosthenes``, grow-only) bounded by ``tables.TABLE_MAX``.
+* ``primes_up_to``, the prime list (the sieve of ``tables.eratosthenes``)
+  bounded by ``tables.TABLE_MAX``; it keeps nothing between calls, and
+  its one large caller, ``singular._generic_base``, caches its own result.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tables import TABLE_MAX, _read_only, eratosthenes
+from .tables import TABLE_MAX, eratosthenes
 
 # Pinned 16-digit literals (checked against math.log/mpmath in the tests).
 EULER_GAMMA = 0.5772156649015329
@@ -29,21 +30,11 @@ CONST_P_CUT = 10**7
 #: that the default log variant of Lemma 4 sieves no primes to 10**7
 LOGP_P_PMINUS2_SUM = 0.6340925259523582
 
-_prime_cache: dict[str, np.ndarray] = {}
-
-
 def primes_up_to(n: int) -> np.ndarray:
-    """Return all primes <= n as an int64 array (cached, grow-only; a
-    read-only view of the cache).  n above ``tables.TABLE_MAX`` raises
-    ValueError before the sieve is allocated."""
+    """Return all primes <= n as an int64 array, sieved afresh.  n above
+    ``tables.TABLE_MAX`` raises ValueError before the sieve is allocated."""
     if n > TABLE_MAX:
         raise ValueError(f"a prime sieve to {n} is beyond {TABLE_MAX}")
     if n < 2:
         return np.empty(0, dtype=np.int64)
-    cached = _prime_cache.get("primes")
-    if cached is not None and _prime_cache["limit"] >= n:
-        return cached[: np.searchsorted(cached, n, side="right")]
-    primes = _read_only(eratosthenes(n))
-    _prime_cache["primes"] = primes
-    _prime_cache["limit"] = int(n)
-    return primes
+    return eratosthenes(n)

@@ -356,8 +356,8 @@ def _psi_blocks(top: int, keep: int):
     """Yield (lo, hi, q, logs, psi) over the blocks of
     ``tables.psi_blocks(top)``, in order: q the prime powers in the block,
     logs = Lambda(q), psi[keep + i] = psi(lo + i) and psi[:keep] the keep
-    values before the block (0 before 0).  psi is ``ArithTables.psi_prefix``
-    a block at a time, the steps repeated over the gaps between the prime
+    values before the block (0 before 0).  psi is the dense psi(0..top) a
+    block at a time, the steps repeated over the gaps between the prime
     powers, and is valid until the next block is asked for.
     """
     buf = np.zeros(_tables.BLOCK_MAX + keep, dtype=np.float64)
@@ -371,7 +371,7 @@ def _psi_blocks(top: int, keep: int):
 def _psi_window(lo: int, hi: int, psi: np.ndarray, h: int, start: int, N: int):
     """(a, b, w): the n in [start, start + N) whose windows end in the
     block [lo, hi) of ``_psi_blocks`` (keep = h), and w[i] = psi(a+i+h) -
-    psi(a+i) for them, the bits of psi_prefix[n + h] - psi_prefix[n]."""
+    psi(a+i) for them: the difference of the two float64 psi values."""
     a, b = _window_span(lo, hi, h, start, N)
     i = a - lo + h
     return a, b, psi[h + i : h + i + max(b - a, 0)] - psi[i : i + max(b - a, 0)]
@@ -665,9 +665,16 @@ def mixed_moment(
     start, top = _window_range(N, h, primed)
     weights = build_weights(R)
     U = _dense_windows(_lam_windows(N, h, weights, start), N, start)
-    V = _dense_windows(_psi_windows(N, h, start), N, start)
-    # lambda_R and Lambda at start + 1 .. top, the n + j the windows read
-    lamv = _tables.von_mangoldt(start + 1, top + 1)
+    # one pass over psi(0..top): the psi windows, and Lambda at start + 1 ..
+    # top, the n + j the windows read, off the prime powers of its blocks
+    V = np.empty(N, dtype=np.float64)
+    lamv = np.zeros(top - start, dtype=np.float64)
+    for lo, hi, q, logs, psi in _psi_blocks(top, h):
+        a, b, w = _psi_window(lo, hi, psi, h, start, N)
+        if a < b:
+            V[a - start : b - start] = w
+        _place(lamv, start + 1, q, logs)
+    # lambda_R at the same n + j
     lam_vals = lambda_R_block(start + 1, top + 1, weights)
     L1 = script_L_float(R)
 

@@ -1,19 +1,17 @@
-"""Sieved arithmetic tables: spf stored; mu, phi, Lambda and psi derived.
+"""Sieved arithmetic tables: spf stored; mu and phi derived; Lambda and psi
+streamed.
 
 For all n <= n_max the tables store
 
-* ``spf``       smallest prime factor of a composite n, 0 at a prime
-                (uint16; spf[0] = 0, spf[1] = 1),
+* ``spf``   smallest prime factor of a composite n, 0 at a prime
+            (uint16; spf[0] = 0, spf[1] = 1),
 
 and derive from it, on first read,
 
-* ``mu``            Moebius function (int8),
-* ``phi``           Euler totient (int64),
-* ``prime_powers``  the prime powers q <= n_max and Lambda(q) = log p,
-* ``psi_steps``     psi at 0 and at each prime power: one long-double
-                    running sum over Lambda(q), rounded once per entry,
-* ``lam``           von Mangoldt function (float64; log p at prime powers),
-* ``psi_prefix``    psi_prefix[x] = psi(x), psi_steps repeated over the gaps.
+* ``mu``    Moebius function (int8),
+* ``phi``   Euler totient (int64).
+
+Lambda and psi are no table arrays: they stream from the sieve (below).
 
 The least prime factor of a composite n <= TABLE_MAX is at most
 isqrt(TABLE_MAX) < 2**16, and at a prime it is n itself, which the index
@@ -24,16 +22,16 @@ below.
 One segmented sieve makes spf (``sieve_segments``): segments of
 SIEVE_SEGMENT = 2**18 entries, sieved in turn by the primes
 p <= isqrt(n_max) of ``eratosthenes``, the one plain sieve of
-Eratosthenes, which ``constants.primes_up_to`` caches too.  In a
+Eratosthenes, which ``constants.primes_up_to`` returns too.  In a
 segment [lo, hi) every p with p^2 < hi writes spf = p at its multiples
 >= p^2, the largest p first so the least prime factor stays.  The same
 segments, read as they come and never stored, are the one prime stream
 (``prime_blocks``): the primes of each block of BLOCK_MAX entries, with
 one segment held whatever n.  mu and phi come from a dyadic-block
-recurrence: for n in [2^i, 2^(i+1)) write p = spf(n) and m = n/p.  Then m < 2^i, so every n of the block reads only
-finished entries and the block is one vectorised numpy step: mu = 0 and
-phi = phi(m) p where p = spf(m), and mu = -mu(m) and phi = phi(m) (p-1)
-otherwise.  The commands read mu only up to R, for the lambda_R weights,
+recurrence: for n in [2^i, 2^(i+1)) write p = spf(n) and m = n/p.  Then
+m < 2^i, so every n of the block reads only finished entries and the
+block is one vectorised numpy step: mu = 0 and phi = phi(m) p where
+p = spf(m), and mu = -mu(m) and phi = phi(m) (p-1) otherwise.  The commands read mu only up to R, for the lambda_R weights,
 and up to n^(2/3) for ``sieve``'s Mertens and squarefree counts
 (``mertens_squarefree``).
 
@@ -44,32 +42,30 @@ to isqrt(x) from ``eratosthenes`` multiply their factors into a block at
 their multiples and mark their multiples of p^2, and the one larger prime
 a squarefree n may have comes last (``lemmas._walk``).  It reads no table
 and keeps no array over n, and a walk that needs only prefix sums takes
-them as the blocks pass (``lemmas._LadderWalk``).  ``cumsum_blocks`` streams a running sum over an
-array or over such blocks, carrying as many earlier sums as a window
-difference needs.  ``PairwiseSum`` is the one sum over streamed blocks:
-fed them in order, it returns np.sum of all their entries bit for bit, in
-numpy's pairwise order, holding O(log n) partial sums; it serves the lemma
-rungs and every sum over n of ``correlations`` and ``moments``.
+them as the blocks pass (``lemmas._LadderWalk``).  ``cumsum_blocks``
+streams a running sum over such blocks, carrying as many earlier sums as
+a window difference needs.  ``PairwiseSum`` is the one sum over streamed
+blocks: fed them in order, it returns np.sum of all their entries bit for
+bit, in numpy's pairwise order, holding O(log n) partial sums; it serves
+the lemma rungs and every sum over n of ``correlations`` and ``moments``.
 
-``psi_blocks`` is the one route to psi: each block's primes, its prime
-powers, Lambda at them and psi at each of them, read off the prime stream,
-so no command reads psi from a table.  ``sieve`` and the psi moments read
-it, and the lemmas' Euler products read the same stream.
-``von_mangoldt(lo, hi)`` gives Lambda over any one range, with the same
-bits: it sieves that range alone, from its own start, so the mixed
-correlations and moments read no table at the N scale either.
+Lambda has one stream, ``_prime_power_blocks``: each block's primes off
+the prime stream, its prime powers and Lambda at them.  ``psi_blocks``
+sums it into psi at each prime power, so no command reads psi from a
+table; ``sieve`` and the psi moments read it, and the lemmas' Euler
+products read the prime stream.  ``von_mangoldt(lo, hi)`` scatters the
+same stream over any one range, with the same bits: it sieves that range
+alone, from its own start, so the mixed correlations read no table at
+the N scale either.
 
 The stored array takes 2 bytes per entry, so n_max = 10**7 costs ~20 MB.
 mu adds 1 byte and phi 8 bytes per entry once read; the commands read
-them only up to R and up to n^(2/3).  lam and psi_prefix would add 8 bytes
-per entry, and prime_powers and psi_steps 8 to 16 bytes per prime power
-(about 8% of the entries at 10**6), but no command reads them: the streams
-hold O(SIEVE_SEGMENT) entries whatever n.  They stay, read-only, as the
-references the tests compare those streams with; psi_steps is taken from
-prime_powers alone, so psi_prefix derives no lam.
-A build holds the 2 bytes per entry and one segment's buffer (512 KiB at
-2**18 entries).  ``build_tables`` refuses n_max above TABLE_MAX, the limit
-of the int32 arithmetic in the recurrences.
+them only up to R and up to n^(2/3).  The streams hold O(SIEVE_SEGMENT)
+entries whatever n; the whole arrays of Lambda and psi that the tests
+compare them with are built in the tests alone.  A build holds the 2
+bytes per entry and one segment's buffer (512 KiB at 2**18 entries).
+``build_tables`` refuses n_max above TABLE_MAX, the limit of the int32
+arithmetic in the recurrences.
 
 ``tables_for`` is the one provider every table reader goes through, and
 the commands read tables only up to R, for the lambda_R weights and the
@@ -113,7 +109,10 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ArithTables:
-    """Container for the sieved array; index n is the integer n itself."""
+    """The sieved spf up to n_max and the two arrays the commands derive
+    from it, mu and phi, on first read; index n is the integer n itself.
+    Lambda and psi are not table arrays: they stream (``psi_blocks``,
+    ``von_mangoldt``)."""
 
     n_max: int
     spf: np.ndarray  # uint16 least prime factor of a composite, 0 at a prime; spf[1]=1
@@ -139,46 +138,6 @@ class ArithTables:
         for lo, hi, p, m, again in _cofactor_blocks(self.spf):
             phi[lo:hi] = phi[m] * np.where(again, p, p - 1)
         return _read_only(phi)
-
-    @cached_property
-    def prime_powers(self) -> tuple[np.ndarray, np.ndarray]:
-        """(q, Lambda(q)) over the prime powers q <= n_max, q ascending: those
-        of each block of spf (``_prime_powers_between``) joined."""
-        higher = _higher_prime_powers(0, self.n_max + 1)
-        blocks = [_prime_powers_between(primes, lo, hi, higher)
-                  for lo, hi, primes in _prime_blocks([(0, self.n_max + 1, self.spf)])]
-        return tuple(_read_only(np.concatenate(parts)) for parts in zip(*blocks))
-
-    @cached_property
-    def psi_steps(self) -> np.ndarray:
-        """float64, psi_steps[i] = psi(q[i - 1]) over the prime powers q, and
-        psi_steps[0] = 0: psi(x) is psi_steps[number of prime powers <= x].
-
-        One long-double running sum over Lambda(q) in ascending q (not
-        np.sum, which sums pairwise), taken block by block through
-        ``cumsum_blocks`` and rounded to float64 once per entry: the
-        additions of one np.cumsum, without its long-double output.  Lambda
-        is +0.0 off the prime powers and adding +0.0 never changes a sum, so
-        the bits are those of one long-double cumsum over all of lam.  The
-        reference the tests hold ``psi_blocks`` to.
-        """
-        logs = self.prime_powers[1]
-        steps = np.zeros(logs.size + 1, dtype=np.float64)
-        for lo, hi, run in cumsum_blocks(logs, np.longdouble):
-            steps[lo + 1 : hi + 1] = run
-        return _read_only(steps)
-
-    @cached_property
-    def lam(self) -> np.ndarray:
-        """float64 von Mangoldt Lambda(n)."""
-        return _read_only(_von_mangoldt(*self.prime_powers, self.n_max))
-
-    @cached_property
-    def psi_prefix(self) -> np.ndarray:
-        """float64, psi_prefix[x] = sum_{n<=x} Lambda(n): psi_steps
-        repeated over the gaps between the prime powers."""
-        gaps = np.diff(self.prime_powers[0], prepend=0, append=self.n_max + 1)
-        return _read_only(np.repeat(self.psi_steps, gaps))
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +173,8 @@ def dyadic_blocks(n: int):
 def eratosthenes(top: int) -> np.ndarray:
     """The primes up to top, ascending, as int64: a plain sieve of
     Eratosthenes over top + 1 bytes.  The segmented sieve takes its
-    sieving primes from it, and ``constants.primes_up_to`` its cached
-    prime list."""
+    sieving primes from it, and ``constants.primes_up_to`` its prime
+    list."""
     is_prime = np.ones(top + 1, dtype=bool)
     is_prime[:2] = False
     for i in range(2, math.isqrt(top) + 1):
@@ -292,7 +251,7 @@ def prime_blocks(n: int):
     here, before anything is sieved.
     """
     _check_sieve_bound(n)
-    return _prime_blocks(sieve_segments(n))
+    return _prime_blocks(n)
 
 
 def _check_sieve_bound(n: int) -> None:
@@ -301,43 +260,48 @@ def _check_sieve_bound(n: int) -> None:
         raise ValueError(f"a prime sieve to {n} is beyond {TABLE_MAX}")
 
 
-def _prime_blocks(segments):
-    """Yield (lo, hi, primes) over the segments (start, end, spf) of spf
-    entries start..end-1, each cut into blocks of BLOCK_MAX entries, and
-    read a block at a time: the n >= 2 in [lo, hi) where spf[n] = 0."""
-    for start, end, spf in segments:
-        for lo in range(start, end, BLOCK_MAX):
-            hi = min(lo + BLOCK_MAX, end)
-            yield lo, hi, _primes_in(spf[lo - start : hi - start], lo)
+def _prime_blocks(n: int, start: int = 0):
+    """Yield (lo, hi, primes) over the blocks [lo, hi) of at most BLOCK_MAX
+    entries covering start..n, 0 <= start, in order, each cut from a
+    segment of ``sieve_segments(n, start)``: primes the n >= 2 in the block
+    where spf[n] = 0, ascending (int64).  The one place primes are read
+    off the sieve."""
+    for a, b, spf in sieve_segments(n, start):
+        for lo in range(a, b, BLOCK_MAX):
+            hi = min(lo + BLOCK_MAX, b)
+            skip = max(2 - lo, 0)
+            primes = np.flatnonzero(spf[lo - a + skip : hi - a] == 0)
+            primes += lo + skip
+            yield lo, hi, primes
 
 
-def _primes_in(spf: np.ndarray, lo: int) -> np.ndarray:
-    """The primes among lo..lo + spf.size - 1, lo >= 0, ascending (int64),
-    from spf, the entries of those n: the n >= 2 where it is 0."""
-    skip = max(2 - lo, 0)
-    primes = np.flatnonzero(spf[skip:] == 0)
-    primes += lo + skip
-    return primes
+def _prime_power_blocks(n: int, start: int = 0):
+    """Yield (lo, hi, primes, q, logs) over the blocks of
+    ``_prime_blocks(n, start)``: q the prime powers in [lo, hi), ascending
+    (int64), and logs = Lambda(q), np.log at the primes and math.log of p
+    at the higher powers p^e (``_prime_powers_between``).  The one stream
+    of Lambda: ``psi_blocks`` sums it and ``von_mangoldt`` scatters it."""
+    higher = _higher_prime_powers(start, n + 1)
+    for lo, hi, primes in _prime_blocks(n, start):
+        yield lo, hi, primes, *_prime_powers_between(primes, lo, hi, higher)
 
 
 def psi_blocks(n: int):
     """Yield (lo, hi, primes, q, logs, steps) over the blocks [lo, hi) of
-    ``prime_blocks(n)``, which keeps no table, covering 0..n in order: q
-    the prime powers in the block, ascending (int64), logs = Lambda(q),
-    steps[0] psi before the block and steps[1 + i] = psi(q[i]), so psi(x)
-    for x in [lo, hi) is steps[number of q <= x].
+    ``_prime_power_blocks(n)``, which keeps no table, covering 0..n in
+    order: q the prime powers in the block, ascending (int64), logs =
+    Lambda(q), steps[0] psi before the block and steps[1 + i] = psi(q[i]),
+    so psi(x) for x in [lo, hi) is steps[number of q <= x].
 
-    Lambda is np.log at the primes and math.log of p at the higher powers
-    p^e (``_prime_powers_between``), and psi is one long-double running sum
-    over it in ascending q, carried unrounded from block to block and
-    rounded to float64 once per entry: the additions of one long-double
-    np.cumsum over all of Lambda, whatever the blocks.
+    psi is one long-double running sum over Lambda in ascending q, carried
+    unrounded from block to block and rounded to float64 once per entry:
+    the additions of one long-double np.cumsum over all of Lambda, whatever
+    the blocks.  n above TABLE_MAX raises ValueError before anything is
+    sieved.
     """
-    blocks = prime_blocks(n)
-    higher = _higher_prime_powers(0, n + 1)
+    _check_sieve_bound(n)
     run = np.zeros(1, dtype=np.longdouble)
-    for lo, hi, primes in blocks:
-        q, logs = _prime_powers_between(primes, lo, hi, higher)
+    for lo, hi, primes, q, logs in _prime_power_blocks(n):
         run = np.concatenate((run[-1:], logs))
         np.cumsum(run, out=run)
         yield lo, hi, primes, q, logs, run.astype(np.float64)
@@ -345,21 +309,18 @@ def psi_blocks(n: int):
 
 def von_mangoldt(lo: int, hi: int) -> np.ndarray:
     """float64 Lambda(lo..hi-1), 0 at n <= 1: lo may be negative.  The
-    range [max(lo, 0), hi) alone is sieved (``sieve_segments`` from its
-    start, with the primes up to isqrt(hi - 1)) and read a segment at a
-    time, so a range high up costs its own entries, and no table is read.
-    The values are those of ``psi_blocks``: the prime powers of the range
-    and their logs (``_prime_powers_between``), so the bits are lam[lo:hi].
-    hi - 1 above TABLE_MAX raises ValueError before anything is sieved.
+    range [max(lo, 0), hi) alone is sieved (``_prime_power_blocks`` from
+    its start, with the primes up to isqrt(hi - 1)), so a range high up
+    costs its own entries, and no table is read.  The values are those of
+    ``psi_blocks``, bit for bit.  hi - 1 above TABLE_MAX raises ValueError
+    before anything is sieved.
     """
     _check_sieve_bound(hi - 1)
     out = np.zeros(hi - lo, dtype=np.float64)
     start = max(lo, 0)
     if hi <= start:
         return out
-    higher = _higher_prime_powers(start, hi)
-    for a, b, spf in sieve_segments(hi - 1, start):
-        q, logs = _prime_powers_between(_primes_in(spf, a), a, b, higher)
+    for _a, _b, _primes, q, logs in _prime_power_blocks(hi - 1, start):
         out[q - lo] = logs
     return out
 
@@ -384,8 +345,7 @@ def _prime_powers_between(primes: np.ndarray, lo: int, hi: int, higher) -> tuple
     """(q, logs) over the prime powers lo <= q < hi, ascending: the primes
     in [lo, hi), ascending (int64), with np.log of each, and the higher
     powers of ``_higher_prime_powers`` in the range placed among them.
-    lo may be negative.  Where the range holds no higher power, q is
-    primes itself."""
+    Where the range holds no higher power, q is primes itself."""
     higher_q, higher_logs = higher
     logs = primes.astype(np.float64)
     np.log(logs, out=logs)
@@ -404,18 +364,10 @@ def _prime_powers_between(primes: np.ndarray, lo: int, hi: int, higher) -> tuple
     return q, joined
 
 
-def _von_mangoldt(q: np.ndarray, logs: np.ndarray, n: int) -> np.ndarray:
-    """The dense float64 Lambda(0..n) from its values at the prime powers."""
-    lam = np.zeros(n + 1, dtype=np.float64)
-    lam[q] = logs
-    return lam
-
-
 def cumsum_blocks(values, dtype, keep: int = 0):
-    """Yield (lo, hi, s) over the blocks of ``values``, read in turn as one
-    array: the slices of BLOCK_MAX entries of an array, or the arrays of an
-    iterable, each of at most BLOCK_MAX entries (a walk's blocks, say).
-    s[keep + i] is the running sum of the entries before index lo + i + 1,
+    """Yield (lo, hi, s) over the blocks of ``values``, an iterable of
+    arrays of at most BLOCK_MAX entries each (a walk's blocks, say), read
+    in turn as one array: s[keep + i] is the running sum of the entries before index lo + i + 1,
     accumulated in dtype, and s[:keep] holds the keep running sums before
     the block (0 before the first entry), so s[keep:] - s[:-keep] are the
     block's keep-term windows.
@@ -425,8 +377,6 @@ def cumsum_blocks(values, dtype, keep: int = 0):
     those of one long np.cumsum, without its n-entry output; s is only
     valid until the next block is asked for.
     """
-    if isinstance(values, np.ndarray):
-        values = [values[lo : lo + BLOCK_MAX] for lo in range(0, values.size, BLOCK_MAX)]
     head = max(keep, 1)
     buf = np.empty(BLOCK_MAX + head, dtype=dtype)
     buf[:head] = 0
@@ -580,9 +530,10 @@ def load_tables(path: str | os.PathLike, n_max: int | None = None) -> ArithTable
     version and the exact file size are checked, and so is the checksum of
     every block that holds one of the first n_max + 1 entries, on every
     load; any failure raises ValueError and no data is used.  Only those
-    blocks are read, into one array in memory, and spf is a read-only view
-    of its first n_max + 1 entries: what happens to the file afterwards
-    does not reach the tables.
+    blocks are read, into one array in memory, and spf is a read-only copy
+    of its first n_max + 1 entries (that array itself when they fill it):
+    what happens to the file afterwards does not reach the tables, and the
+    tables hold no more of the file than their prefix.
     """
     name = os.fspath(path)
     with open(path, "rb") as fh:
@@ -619,7 +570,10 @@ def load_tables(path: str | os.PathLike, n_max: int | None = None) -> ArithTable
             raise ValueError(
                 f"table file {name!r} fails its checksum in spf block {b}; delete the file"
             )
-    return ArithTables(n_max=n_max, spf=_read_only(spf[: n_max + 1]))
+    prefix = spf[: n_max + 1]
+    if prefix.size < spf.size:
+        prefix = prefix.copy()  # keep none of the rest of the blocks checked
+    return ArithTables(n_max=n_max, spf=_read_only(prefix))
 
 
 # ---------------------------------------------------------------------------

@@ -235,12 +235,6 @@ class TestReadOnly:
         with pytest.raises(ValueError, match="read-only"):
             build(10).y[0] = 0
 
-    def test_primes_up_to(self):
-        primes_up_to(50)
-        for n in (50, 30):  # a fresh sieve, then a view of its cache
-            with pytest.raises(ValueError, match="read-only"):
-                primes_up_to(n)[0] = 1
-
 
 class TestPrimesUpTo:
     def test_refused_beyond_table_max(self, monkeypatch):
@@ -259,13 +253,11 @@ class TestPrimesUpTo:
             primes_up_to(TABLE_MAX + 1)
 
     def test_lists_match_sympy_fresh_and_cached(self, monkeypatch):
-        """The prime list is sympy's, as int64, from a fresh sieve, from a
-        grown one and as a prefix of the cache; and the segmented table
-        sieve's primes come from the same sieve of Eratosthenes."""
-        from primelab import constants
+        """The prime list is sympy's, as int64, at every n, each sieved
+        afresh in any order; and the segmented table sieve's primes come
+        from the same sieve of Eratosthenes."""
         from primelab import tables as tables_mod
 
-        monkeypatch.setattr(constants, "_prime_cache", {})
         for n in (0, 1, 2, 3, 4, 97, 1000, 65537, 30, 2):
             got = primes_up_to(n)
             assert got.dtype == np.int64

@@ -16,6 +16,8 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
+import arith_oracle
+
 from primelab import (
     ShiftPattern,
     lambda_R_direct,
@@ -171,12 +173,13 @@ class TestSTildeK:
                 brute += term
             assert abs(res.computed - brute) < 1e-7 * max(1.0, abs(brute)), (N, R, pattern)
 
-    def test_r1_is_psi_window(self, tables_small):
+    def test_r1_is_psi_window(self):
         """S~_1(N, (j)) = psi(N + j) - psi(j)."""
         N = 4000
+        psi = arith_oracle.psi_prefix(N + 9)
         for j in (0, 2, 9):
             res = s_tilde_k(N, ShiftPattern((j,), (1,)), 10)
-            expected = tables_small.psi_prefix[N + j] - tables_small.psi_prefix[j]
+            expected = psi[N + j] - psi[j]
             assert abs(res.computed - expected) < 1e-9
 
     def test_last_multiplicity_must_be_one(self):
@@ -288,9 +291,9 @@ class TestKernels:
 
 
 class TestPsiTuple:
-    def test_brute_force(self, tables_small):
+    def test_brute_force(self):
         """psi_j(N) = sum_n prod Lambda(n + j_i) against a python loop."""
-        lam = tables_small.lam
+        lam = arith_oracle.lam(2000 + 8)
         rng = np.random.default_rng(SEED + 5)
         for _ in range(10):
             N = int(rng.integers(50, 2000))
@@ -299,8 +302,8 @@ class TestPsiTuple:
                         for n in range(1, N + 1))
             assert abs(psi_tuple(N, shifts) - brute) < 1e-9
 
-    def test_single_shift_is_psi(self, tables_small):
+    def test_single_shift_is_psi(self):
         """psi_(0)(N) = psi(N)."""
         N = 5000
         got = psi_tuple(N, (0,))
-        assert abs(got - tables_small.psi_prefix[N]) < 1e-9
+        assert abs(got - arith_oracle.psi_prefix(N)[N]) < 1e-9

@@ -17,6 +17,8 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+import arith_oracle
+
 from primelab import (
     ShiftPattern,
     coupled_C,
@@ -185,10 +187,10 @@ class TestFirstMomentIdentity:
         rep = first_moment_identity(*cell)
         assert rep.exact_equal_12 and rep.exact_equal_13, cell
 
-    def test_direct_value_brute(self, tables_small):
+    def test_direct_value_brute(self):
         """The shared value equals a literal double loop over the window."""
         N, h = 400, 9
-        lam = tables_small.lam
+        lam = arith_oracle.lam(N + h)
         brute = sum(float(lam[n + 1:n + h + 1].sum()) for n in range(1, N + 1))
         rep = first_moment_identity(N, h)
         assert abs(rep.direct - brute) < 1e-9
@@ -210,16 +212,16 @@ class TestMomentPsi:
             stirling2(k, r) * lam**r for r in range(1, k + 1))
         assert abs(gallagher_prediction(N, h, k) / expected - 1) < 1e-12
 
-    def test_uncentered_moment_against_brute(self, tables_small):
+    def test_uncentered_moment_against_brute(self):
         N, h, k = 600, 7, 2
-        lam = tables_small.lam
+        lam = arith_oracle.lam(N + h)
         brute = sum(float(lam[n + 1:n + h + 1].sum()) ** k for n in range(1, N + 1))
         rep = moment_psi(N, h, k)
         assert abs(rep.computed - brute) < 1e-9
 
-    def test_centered_moment_against_brute(self, tables_small):
+    def test_centered_moment_against_brute(self):
         N, h, k = 600, 7, 2
-        lam = tables_small.lam
+        lam = arith_oracle.lam(N + h)
         brute = sum((float(lam[n + 1:n + h + 1].sum()) - h) ** k
                     for n in range(1, N + 1))
         rep = moment_psi(N, h, k, centered=True)
@@ -283,13 +285,13 @@ class TestMomentPsiRPrediction:
 
 
 class TestMixedMoment:
-    def test_direct_against_brute(self, tables_small):
+    def test_direct_against_brute(self):
         """M~_k = sum_n psi_R-window^{k-1} * psi-window, by literal loops."""
         from primelab import build_weights, lambda_R_range
         N, h, R, k = 300, 6, 8, 2
         w = build_weights(R)
         lamR = lambda_R_range(N + h, w)
-        lam = tables_small.lam
+        lam = arith_oracle.lam(N + h)
         brute = sum(
             float(lamR[n + 1:n + h + 1].sum()) ** (k - 1)
             * float(lam[n + 1:n + h + 1].sum())
@@ -395,11 +397,13 @@ class TestTableFetches:
     @pytest.mark.parametrize("call, want", [
         (lambda: first_moment_identity(3000, 10), [(0, 3011)]),
         (lambda: moment_psi(3000, 10, 2), [(0, 3011)]),
-    ], ids=["first_moment_identity", "moment_psi"])
+        (lambda: mixed_moment(3000, 10, 20, 3), [(0, 3011)]),
+    ], ids=["first_moment_identity", "moment_psi", "mixed_moment"])
     def test_higher_prime_powers_listed_once(self, monkeypatch, call, want):
         """A command that reads psi and Lambda lists the higher prime powers
         up to its top once: the first moment reads Lambda at 2..h and
-        N+1..N+h off its one psi pass, not through a second reader."""
+        N+1..N+h, and the mixed moment Lambda at the n + j of its windows,
+        off their one psi pass, not through a second reader."""
         real = tables_mod._higher_prime_powers
         calls = []
         monkeypatch.setattr(tables_mod, "_higher_prime_powers",
@@ -472,9 +476,9 @@ class TestStreamedWindows:
             "omega_experiment"])
     def test_psi_reads_derive_no_lambda_array(self, monkeypatch, call):
         """psi and the first-moment pieces come from the prime powers alone;
-        the dense Lambda array is never derived for them."""
+        no dense Lambda array is built for them by the range reader."""
         calls = []
-        monkeypatch.setattr(tables_mod, "_von_mangoldt",
+        monkeypatch.setattr(tables_mod, "von_mangoldt",
                             lambda *args: calls.append(args) or pytest.fail("dense Lambda"))
         call()
         assert calls == []
@@ -513,7 +517,7 @@ class TestStreamedRoutes:
         n_lo, n_hi = (N + 1, 2 * N) if primed else (1, N)
         top = n_hi + max(max(shifts), 0)
         lam_r = lambda_R_range(top, build_weights(R))
-        lam = tables_mod.tables_for(top).lam
+        lam = arith_oracle.lam(top)
         want_pure = dense_pattern_sum([lam_r] * len(shifts), shifts, mults, n_lo, n_hi)
         want_mixed = dense_pattern_sum([lam_r] * (len(shifts) - 1) + [lam], shifts,
                                        mixed.multiplicities, n_lo, n_hi)
@@ -538,14 +542,14 @@ class TestStreamedRoutes:
         """moment_psiR, moment_psi and first_moment_identity, streamed
         BLOCK_MAX entries at a time, equal their N-entry forms byte for
         byte: np.sum of the k-th powers of the windows of one long-double
-        cumsum of lambda_R, and of psi_prefix (centred or not), and the
-        first moment's three routes read off psi_prefix and Lambda."""
+        cumsum of lambda_R, and of the oracle's psi_prefix (centred or not),
+        and the first moment's three routes read off it and its Lambda."""
         start = N + 1 if primed else 1
         top = start + N - 1 + h
         pre = np.cumsum(lambda_R_range(top, build_weights(R)).astype(np.longdouble))
         lam_win = (pre[start + h : start + N + h] - pre[start : start + N]).astype(np.float64)
-        tb = tables_mod.tables_for(top)
-        pp = tb.psi_prefix
+        pp = arith_oracle.psi_prefix(top)
+        lam = arith_oracle.lam(top)
         psi_win = pp[start + h : start + N + h] - pp[start : start + N]
         if centered:
             psi_win -= float(h)
@@ -558,8 +562,8 @@ class TestStreamedRoutes:
         assert np.float64(got_r).tobytes() == np.sum(lam_win**k).tobytes()
         assert np.float64(got_psi).tobytes() == np.sum(psi_win**k).tobytes()
         direct = float(np.sum(pp[1 + hh : N + 1 + hh] - pp[1 : N + 1]))
-        piece1 = float(np.dot(np.arange(1, hh, dtype=np.float64), tb.lam[2 : hh + 1])) if hh >= 2 else 0.0
-        piece3 = float(np.dot(np.arange(hh, 0, -1, dtype=np.float64), tb.lam[N + 1 : N + hh + 1]))
+        piece1 = float(np.dot(np.arange(1, hh, dtype=np.float64), lam[2 : hh + 1])) if hh >= 2 else 0.0
+        piece3 = float(np.dot(np.arange(hh, 0, -1, dtype=np.float64), lam[N + 1 : N + hh + 1]))
         mid_lo = float(np.sum(pp[2:hh])) if hh >= 3 else 0.0
         psi_form = (float(pp[N + hh]) - float(pp[N]) - float(pp[hh]) - mid_lo
                     + float(np.sum(pp[N : N + hh])))

@@ -21,6 +21,8 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+import arith_oracle
+from arith_oracle import sieved_mu
 from primelab import ArithTables, build_tables, load_tables, save_tables
 from primelab import tables as tables_mod
 from primelab.constants import primes_up_to
@@ -52,29 +54,17 @@ def naive_lambda(n: int) -> float:
     return 0.0
 
 
-def sieved_mu(n: int) -> np.ndarray:
-    """The int8 Moebius function of 0..n as the segmented sieve made it
-    when the tables stored it, one segment of SIEVE_SEGMENT entries at a
-    time: each prime p <= isqrt(n) with p^2 < hi negates mu at its
-    multiples in [lo, hi), zeroes it at those of p^2 and multiplies an
-    int32 prod by p there; a k < hi has at most one prime factor left out
-    of prod, so mu is negated once more where prod != k."""
-    primes = tables_mod.eratosthenes(math.isqrt(n)).tolist()
-    mu = np.ones(n + 1, dtype=np.int8)
-    for lo in range(0, n + 1, tables_mod.SIEVE_SEGMENT):
-        hi = min(lo + tables_mod.SIEVE_SEGMENT, n + 1)
-        seg = mu[lo:hi]
-        prod = np.ones(hi - lo, dtype=np.int32)
-        for p in reversed(primes):
-            if p * p >= hi:
-                continue
-            first = -lo % p
-            np.negative(seg[first::p], out=seg[first::p])
-            np.multiply(prod[first::p], p, out=prod[first::p])
-            seg[-lo % (p * p) :: p * p] = 0
-        np.negative(seg, out=seg, where=prod != np.arange(lo, hi, dtype=np.int32))
-    mu[:2] = (0, 1)
-    return mu
+def streamed_psi(n: int) -> np.ndarray:
+    """The dense float64 psi(0..n) read off ``psi_blocks(n)``: each block's
+    steps repeated over the gaps between its prime powers."""
+    return np.concatenate([np.repeat(steps, np.diff(q, prepend=lo, append=hi))
+                           for lo, hi, _primes, q, _logs, steps in tables_mod.psi_blocks(n)])
+
+
+def in_blocks(values: np.ndarray) -> list[np.ndarray]:
+    """values cut into the slices of BLOCK_MAX entries ``cumsum_blocks`` takes."""
+    step = tables_mod.BLOCK_MAX
+    return [values[lo : lo + step] for lo in range(0, values.size, step)]
 
 
 def _flip(raw: bytes, at: int) -> bytes:
@@ -85,7 +75,7 @@ def _flip(raw: bytes, at: int) -> bytes:
 def assert_same_tables(small: ArithTables, big: ArithTables) -> None:
     """Every array of ``small`` is byte-equal to the same prefix of ``big``."""
     n = small.n_max
-    for name in ("spf", "mu", "phi", "lam", "psi_prefix"):
+    for name in ("spf", "mu", "phi"):
         a, b = getattr(small, name), getattr(big, name)[: n + 1]
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (n, name)
 
@@ -208,18 +198,24 @@ class TestBuildTables:
             assert tables_small.phi[m * n] == tables_small.phi[m] * tables_small.phi[n]
 
     def test_von_mangoldt(self, tables_small):
-        """lam[n] = log p when n = p^e, else 0."""
-        rng = np.random.default_rng(SEED + 4)
-        for n in rng.integers(2, tables_small.n_max, size=N_TRIALS):
-            n = int(n)
-            assert abs(tables_small.lam[n] - naive_lambda(n)) < 1e-12, n
-        assert tables_small.lam[1] == 0.0
+        """Lambda(n) = log p when n = p^e, else 0: the streamed range reader
+        ``von_mangoldt`` and the oracle's lam both."""
+        n_max = tables_small.n_max
+        for lam in (tables_mod.von_mangoldt(0, n_max + 1), arith_oracle.lam(n_max)):
+            rng = np.random.default_rng(SEED + 4)
+            for n in rng.integers(2, n_max, size=N_TRIALS):
+                n = int(n)
+                assert abs(lam[n] - naive_lambda(n)) < 1e-12, n
+            assert lam[1] == 0.0
 
     def test_psi_prefix_consistency(self, tables_small):
-        """psi_prefix[n] - psi_prefix[n-1] = lam[n] and psi_prefix[0] = 0."""
-        diffs = np.diff(tables_small.psi_prefix)
-        assert tables_small.psi_prefix[0] == 0.0
-        assert np.allclose(diffs, tables_small.lam[1:], rtol=0, atol=1e-9)
+        """The oracle's psi_prefix[n] - psi_prefix[n-1] is the streamed
+        Lambda(n), and psi_prefix[0] = 0."""
+        n_max = tables_small.n_max
+        psi = arith_oracle.psi_prefix(n_max)
+        assert psi[0] == 0.0
+        assert np.allclose(np.diff(psi), tables_mod.von_mangoldt(1, n_max + 1),
+                           rtol=0, atol=1e-9)
 
     def test_known_anchors(self, tables_small):
         """pi(10^4) = 1229, M(10^4) = -23, Q(10^4) = 6083, psi(10^4) ~ 10013.4."""
@@ -228,7 +224,7 @@ class TestBuildTables:
         assert primes == 1229
         assert int(tables_small.mu[1:n + 1].sum()) == -23
         assert int(np.count_nonzero(tables_small.mu[1:n + 1])) == 6083
-        assert abs(tables_small.psi_prefix[n] - 10013.3966932631) < 1e-6
+        assert abs(streamed_psi(n)[n] - 10013.3966932631) < 1e-6
 
     def test_builds_are_prefixes(self):
         """build_tables(n) is an exact prefix of build_tables(m) for n < m,
@@ -241,19 +237,19 @@ class TestBuildTables:
             assert_same_tables(build_tables(n), big)
 
     def test_block_size_does_not_change_tables(self, monkeypatch):
-        """Splitting the dyadic blocks (and the psi prefix sum) into many
-        small steps gives the same bytes as the default block size."""
+        """Splitting the dyadic blocks into many small steps gives the same
+        bytes as the default block size."""
         want = build_tables(5000)
-        want.phi, want.psi_prefix  # derive at the default block size
+        want.mu, want.phi  # derive at the default block size
         monkeypatch.setattr(tables_mod, "BLOCK_MAX", 64)
         assert_same_tables(build_tables(5000), want)
 
     def test_psi_prefix_is_one_extended_precision_cumsum(self):
-        """The block-carried prefix sum rounds exactly like one long-double
-        cumsum over the whole lam array."""
-        tb = build_tables(2 * tables_mod.BLOCK_MAX + 3)
-        want = np.cumsum(tb.lam.astype(np.longdouble)).astype(np.float64)
-        assert tb.psi_prefix.tobytes() == want.tobytes()
+        """psi carried from block to block by ``psi_blocks`` rounds exactly
+        like one long-double cumsum over the whole Lambda array."""
+        n = 2 * tables_mod.BLOCK_MAX + 3
+        want = np.cumsum(arith_oracle.lam(n).astype(np.longdouble)).astype(np.float64)
+        assert streamed_psi(n).tobytes() == want.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.one_of(
@@ -264,37 +260,32 @@ class TestBuildTables:
         )),
     ))
     def test_property_psi_prefix_is_dense_cumsum(self, n):
-        """psi_prefix repeated over the gaps between prime powers is, at any
-        n_max (equal to or just above a prime power included), the bytes of
-        one long-double cumsum over the dense Lambda array, rounded."""
-        tb = tables_mod.tables_for(n)
-        lam = np.zeros(tb.n_max + 1)
-        lam[tb.prime_powers[0]] = tb.prime_powers[1]
-        assert lam.tobytes() == tb.lam.tobytes()
+        """The streamed psi repeated over the gaps between prime powers is, at
+        any n (equal to or just above a prime power included), the bytes of
+        one long-double cumsum over the dense streamed Lambda, rounded; and
+        that Lambda is the oracle's lam."""
+        lam = tables_mod.von_mangoldt(0, n + 1)
+        assert lam.tobytes() == arith_oracle.lam(n).tobytes()
         want = np.cumsum(lam.astype(np.longdouble)).astype(np.float64)
-        assert tb.psi_prefix.tobytes() == want.tobytes()
-        assert tb.psi_prefix.size == tb.n_max + 1 == max(n, 2) + 1
+        psi = streamed_psi(n)
+        assert psi.tobytes() == want.tobytes()
+        assert psi.size == n + 1
 
     @pytest.mark.parametrize("n", [2, 3, 4, 100, 10**5, 10**6 + 3])
     def test_prime_powers_match_concatenate_and_argsort(self, n):
         """Inserting the sorted higher powers among the primes of each block
-        of spf and joining the blocks (``ArithTables.prime_powers``) gives
-        the bytes of concatenating all prime powers and sorting them, and so
-        does joining the q and the logs of the streamed ``psi_blocks(n)``."""
-        primes = primes_up_to(n)
-        higher = [(p**e, math.log(p)) for p in primes[primes <= math.isqrt(n)].tolist()
-                  for e in range(2, n.bit_length()) if p**e <= n]
-        q = np.concatenate([primes, np.array([q for q, _ in higher], dtype=np.int64)])
-        logs = np.concatenate([np.log(primes.astype(np.float64)),
-                               np.array([lp for _, lp in higher])])
-        order = np.argsort(q, kind="stable")
-        got_q, got_logs = build_tables(n).prime_powers
-        assert got_q.dtype == q.dtype and got_q.tobytes() == q[order].tobytes()
-        assert got_logs.dtype == logs.dtype and got_logs.tobytes() == logs[order].tobytes()
+        (``_prime_power_blocks``) gives the bytes of concatenating all prime
+        powers and sorting them (``arith_oracle.prime_powers``): joined over
+        the blocks of ``psi_blocks(n)``, and scattered over 0..n by
+        ``von_mangoldt``."""
+        q, logs = arith_oracle.prime_powers(n)
         streamed = list(tables_mod.psi_blocks(n))
-        for i, want in ((3, q[order]), (4, logs[order])):
+        for i, want in ((3, q), (4, logs)):
             joined = np.concatenate([block[i] for block in streamed])
             assert joined.dtype == want.dtype and joined.tobytes() == want.tobytes()
+        lam = tables_mod.von_mangoldt(0, n + 1)
+        assert np.flatnonzero(lam).tolist() == q.tolist()
+        assert lam[q].tobytes() == logs.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     @pytest.mark.parametrize("keep", [0, 1, 5, 100])
@@ -306,7 +297,7 @@ class TestBuildTables:
         monkeypatch.setattr(tables_mod, "BLOCK_MAX", 64)
         values = rng.normal(size=1000)
         want = np.concatenate([np.zeros(keep, dtype=dtype), np.cumsum(values.astype(dtype))])
-        for lo, hi, run in tables_mod.cumsum_blocks(values, dtype, keep):
+        for lo, hi, run in tables_mod.cumsum_blocks(in_blocks(values), dtype, keep):
             assert run.size == keep + hi - lo
             assert np.array_equal(run, want[lo : hi + keep]), (lo, keep)
 
@@ -321,7 +312,7 @@ class TestBuildTables:
                 values = rng.normal(size=size)
                 want = np.cumsum(values.astype(dtype))
                 got = np.empty(size, dtype=dtype)
-                for lo, hi, run in tables_mod.cumsum_blocks(values, dtype):
+                for lo, hi, run in tables_mod.cumsum_blocks(in_blocks(values), dtype):
                     assert hi - lo <= block_max
                     got[lo:hi] = run
                 # equal nonzero values are equal bits (long double's padding
@@ -329,40 +320,40 @@ class TestBuildTables:
                 assert np.array_equal(got, want), (block_max, size)
 
     def test_psi_steps_match_psi_prefix(self, monkeypatch):
-        """psi(n) read off psi_steps at the last prime power <= n, on tables
-        up to max(n, 2) as ``sieve`` reads them, is bit for bit
-        psi_prefix[n]: around the block boundaries of the prefix sum, and at
-        every n <= 3000 with blocks of 64 entries."""
+        """psi(n) as ``sieve`` reads it, the last step of ``psi_blocks(n)``,
+        is bit for bit the oracle's psi_prefix[n]: around the block
+        boundaries, and at every n <= 3000 with blocks of 64 entries."""
         b = tables_mod.BLOCK_MAX
-        tb = build_tables(3 * b + 7)
+        want = arith_oracle.psi_prefix(3 * b + 7)
 
         def psi(n):
-            top = max(n, 2)
-            own = ArithTables(n_max=top, spf=tb.spf[: top + 1])
-            return own.psi_steps[np.searchsorted(own.prime_powers[0], n, side="right")]
+            for *_rest, steps in tables_mod.psi_blocks(n):
+                pass
+            return steps[-1]
 
         rng = np.random.default_rng(SEED)
         ns = {0, 1, 2, 3, 4, b - 1, b, b + 1, 2 * b, 3 * b + 7}
         ns |= {int(n) for n in rng.integers(5, 3 * b + 7, size=200)}
         for n in sorted(ns):
-            assert psi(n) == tb.psi_prefix[n], n
+            assert psi(n) == want[n], n
         monkeypatch.setattr(tables_mod, "BLOCK_MAX", 64)
-        small = build_tables(3000)
         for n in range(3001):
-            assert psi(n) == small.psi_prefix[n], n
+            assert psi(n) == want[n], n
 
     @pytest.mark.parametrize("block_max", [tables_mod.BLOCK_MAX, 64])
     def test_psi_steps_are_one_long_double_cumsum(self, monkeypatch, block_max):
-        """psi_steps, summed block by block, is np.cumsum of Lambda over the
-        prime powers in long double, rounded once to float64, byte for
-        byte, over more prime powers than one block holds."""
-        tb = build_tables(1_000_000)
-        logs = tb.prime_powers[1]
+        """psi from ``psi_blocks``, summed block by block, is np.cumsum of
+        the oracle's Lambda over the prime powers in long double, rounded
+        once to float64, byte for byte, over more prime powers than one
+        block holds."""
+        n = 1_000_000
+        logs = arith_oracle.prime_powers(n)[1]
         assert logs.size > tables_mod.BLOCK_MAX
         monkeypatch.setattr(tables_mod, "BLOCK_MAX", block_max)
         want = np.cumsum(logs, dtype=np.longdouble).astype(np.float64)
-        assert tb.psi_steps[0] == 0.0
-        assert tb.psi_steps[1:].tobytes() == want.tobytes()
+        blocks = list(tables_mod.psi_blocks(n))
+        assert blocks[0][5][0] == 0.0
+        assert np.concatenate([steps[1:] for *_rest, steps in blocks]).tobytes() == want.tobytes()
 
     def test_rejects_bad_n_max(self):
         import pytest
@@ -380,17 +371,18 @@ def reader_tables():
 
 
 class TestBlockReaders:
-    """``psi_blocks`` and ``von_mangoldt``, the two streams every command
-    takes Lambda and psi from, against the whole-array references
-    prime_powers, psi_steps and lam."""
+    """``psi_blocks`` and ``von_mangoldt``, the two readers every command
+    takes Lambda and psi from, against the whole-array references of
+    ``arith_oracle``: prime_powers, psi_steps and lam."""
 
     @staticmethod
-    def _check_stream(n: int, ref: ArithTables) -> None:
+    def _check_stream(n: int, top: int) -> None:
         """The blocks of the streamed ``psi_blocks(n)`` cover 0..n in order,
         each of at most BLOCK_MAX entries; their primes joined are the
-        primes up to n, their q and logs joined are ref.prime_powers up to
-        n, their steps[1:] joined are the same prefix of ref.psi_steps, and
-        each steps[0] is the step before, byte for byte."""
+        primes up to n, their q and logs joined are the oracle's prime
+        powers up to n, of its arrays to top >= n, their steps[1:] joined
+        are the same prefix of its psi_steps, and each steps[0] is the step
+        before, byte for byte."""
         blocks = [tuple(a.copy() if isinstance(a, np.ndarray) else a for a in block)
                   for block in tables_mod.psi_blocks(n)]
         edges = [0] + [hi for _lo, hi, *_rest in blocks]
@@ -398,40 +390,39 @@ class TestBlockReaders:
         assert all(hi - lo <= tables_mod.BLOCK_MAX for lo, hi, *_rest in blocks)
         primes, q, logs, steps = (np.concatenate([b[i] for b in blocks]) for i in (2, 3, 4, 5))
         assert primes.tobytes() == primes_up_to(n).tobytes(), n
-        count = int(np.searchsorted(ref.prime_powers[0], n, side="right"))
-        for got, want in ((q, ref.prime_powers[0]), (logs, ref.prime_powers[1])):
+        ref_q, ref_logs = arith_oracle.prime_powers(top)
+        count = int(np.searchsorted(ref_q, n, side="right"))
+        for got, want in ((q, ref_q), (logs, ref_logs)):
             assert got.dtype == want.dtype and got.tobytes() == want[:count].tobytes(), n
         assert all(b[5].size == b[3].size + 1 for b in blocks)
         joined = np.concatenate([blocks[0][5][:1]] + [b[5][1:] for b in blocks])
         assert joined.dtype == np.float64
-        assert joined.tobytes() == ref.psi_steps[: count + 1].tobytes(), n
+        assert joined.tobytes() == arith_oracle.psi_steps(top)[: count + 1].tobytes(), n
         before = np.array([0.0] + [b[5][-1] for b in blocks[:-1]])
         assert np.array([b[5][0] for b in blocks]).tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("top", [1, 2, B - 1, B, B + 1, 3 * B + 5])
-    def test_psi_step_blocks_are_psi_steps(self, reader_tables, top):
-        self._check_stream(top, reader_tables)
+    def test_psi_step_blocks_are_psi_steps(self, top):
+        self._check_stream(top, READER_N_MAX)
 
     def test_psi_step_blocks_on_small_blocks(self, monkeypatch):
         monkeypatch.setattr(tables_mod, "BLOCK_MAX", 64)
-        tb = build_tables(3000)
         for top in (1, 2, 63, 64, 65, 127, 128, 129, 1000, 3000):
-            self._check_stream(top, tb)
+            self._check_stream(top, 3000)
 
     @pytest.mark.parametrize("n", [1, 2, 3, B - 1, B + 1, 2**18 - 1, 2**18, 2**18 + 1,
                                    3 * 2**18 + 5])
     def test_streamed_psi_blocks_are_the_tables(self, n):
-        self._check_stream(n, build_tables(max(n, 2)))
+        self._check_stream(n, n)
 
     def test_streamed_psi_blocks_on_small_segments(self, monkeypatch):
         """Segments of 96 entries cut into blocks of 64, so that a block
         may end inside a segment or at its end, at every n <= 3000: each n
-        is held to the prefix of the whole arrays of the tables to 3000."""
+        is held to the prefix of the oracle's arrays to 3000, built once."""
         monkeypatch.setattr(tables_mod, "BLOCK_MAX", 64)
         monkeypatch.setattr(tables_mod, "SIEVE_SEGMENT", 96)
-        tb = build_tables(3000)
         for n in range(1, 3001):
-            self._check_stream(n, tb)
+            self._check_stream(n, 3000)
 
     @pytest.mark.parametrize("lo, hi", [
         (-5, 1), (-5, 10), (0, 1), (0, 40), (1, 2), (1, 50), (2, 3), (2, 1000),
@@ -444,8 +435,8 @@ class TestBlockReaders:
     ])
     @pytest.mark.parametrize("where", ["memory", "mapped"])
     def test_von_mangoldt_is_lam(self, reader_tables, tmp_path, monkeypatch, lo, hi, where):
-        """Lambda over [lo, hi) is lam's, 0 at n <= 1, whether or not the
-        cache dir holds a table file that reaches hi: the reader
+        """Lambda over [lo, hi) is the oracle's lam, 0 at n <= 1, whether or
+        not the cache dir holds a table file that reaches hi: the reader
         sieves its range and never asks for a table."""
         if where == "mapped":
             save_tables(reader_tables, tmp_path / f"primelab_tables_{READER_N_MAX}.bin")
@@ -455,7 +446,7 @@ class TestBlockReaders:
         for name in ("tables_for", "load_tables", "build_tables"):
             monkeypatch.setattr(tables_mod, name, None)
         want = np.zeros(hi - lo)
-        want[max(-lo, 0) :] = reader_tables.lam[max(lo, 0) : hi]
+        want[max(-lo, 0) :] = arith_oracle.lam(READER_N_MAX)[max(lo, 0) : hi]
         got = tables_mod.von_mangoldt(lo, hi)
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
         assert tables_mod.von_mangoldt(lo, hi).tobytes() == want.tobytes()  # read again
@@ -463,7 +454,7 @@ class TestBlockReaders:
     @pytest.mark.parametrize("sizes", [None, (64, 128), (64, 96)],
                              ids=["default", "block-64-segment-128", "block-64-segment-96"])
     def test_range_reader_is_lam_across_the_edges(self, monkeypatch, sizes):
-        """von_mangoldt(lo, hi) is the bytes of build_tables(n).lam[lo:hi]
+        """von_mangoldt(lo, hi) is the bytes of the oracle's lam(n)[lo:hi]
         (0 below 0) for lo from -5 to just below a segment edge and every hi
         from lo to 3 segments and 5 entries up, across the block and
         segment edges; also with blocks and segments patched small."""
@@ -473,7 +464,7 @@ class TestBlockReaders:
         b, seg = tables_mod.BLOCK_MAX, tables_mod.SIEVE_SEGMENT
         los = [-5, 0, 1, 2, b - 3, seg - 1]
         his = [b - 1, b, b + 1, seg - 1, seg, seg + 1, 2 * seg + 1, 3 * seg + 5]
-        lam = build_tables(max(his)).lam
+        lam = arith_oracle.lam(max(his))
         for lo in los:
             for hi in sorted({lo, lo + 1, lo + 2, *his} - set(range(lo))):
                 want = np.zeros(hi - lo)
@@ -517,18 +508,24 @@ class TestBlockReaders:
             next(tables_mod.psi_blocks(top + 1))
 
     def test_only_tables_names_the_prime_power_helpers(self):
-        """No module but tables.py names the prime-power helpers: Lambda and
-        psi are read through the two streams alone."""
+        """No module but tables.py names the prime-power helpers, the one
+        prime-power stream ``_prime_power_blocks`` and the prime reader
+        ``_prime_blocks`` under it among them: Lambda and psi are read
+        through the two readers alone.  And no module names the whole-array
+        references, which only the tests' ``arith_oracle`` builds."""
         import pathlib
         import re
 
         import primelab
-        helpers = re.compile(r"\b_?(prime_power_blocks|prime_powers_between"
-                             r"|higher_prime_powers)\b")
-        named = [path.name
-                 for path in sorted(pathlib.Path(primelab.__file__).parent.glob("*.py"))
-                 if path.name != "tables.py" and helpers.search(path.read_text())]
-        assert named == []
+        helpers = re.compile(r"\b(_?prime_power_blocks|_?prime_powers_between"
+                             r"|_?higher_prime_powers|_prime_blocks)\b")
+        references = re.compile(r"\b(psi_prefix|psi_steps|prime_powers|_von_mangoldt)\b")
+        sources = {path.name: path.read_text()
+                   for path in sorted(pathlib.Path(primelab.__file__).parent.glob("*.py"))}
+        assert "tables.py" in sources
+        assert [name for name, text in sources.items()
+                if name != "tables.py" and helpers.search(text)] == []
+        assert [name for name, text in sources.items() if references.search(text)] == []
 
 
 class TestMertensSquarefree:
@@ -614,12 +611,15 @@ class TestSaveLoad:
         assert np.array_equal(back.spf, tb.spf)
         assert np.array_equal(back.mu, tb.mu)
         assert np.array_equal(back.phi, tb.phi)
-        assert np.array_equal(back.lam.view(np.int64), tb.lam.view(np.int64))
-        assert np.array_equal(back.psi_prefix.view(np.int64),
-                              tb.psi_prefix.view(np.int64))
-        for name in ("spf", "mu", "phi", "lam", "psi_prefix"):
+        # against the oracle: mu as the sieve made it, and the primes the
+        # loaded spf marks, the prime powers q where Lambda(q) = log q
+        assert back.mu.tobytes() == sieved_mu(3000).tobytes()
+        q, logs = arith_oracle.prime_powers(3000)
+        primes = q[logs == np.log(q.astype(np.float64))]
+        assert (np.flatnonzero(back.spf[2:] == 0) + 2).tobytes() == primes.tobytes()
+        for name in ("spf", "mu", "phi"):
             assert not getattr(back, name).flags.writeable, name
-        for name in ("phi", "lam", "psi_prefix"):  # derived, also on a build
+        for name in ("mu", "phi"):  # derived, also on a build
             assert not getattr(tb, name).flags.writeable, name
         # the header, spf (2 bytes per entry), then one 4-byte CRC32, as
         # 3001 entries make one checked block
@@ -627,7 +627,9 @@ class TestSaveLoad:
 
     def test_prefix_load(self, tmp_path):
         """load_tables(path, n) is byte-equal to build_tables(n) for n up to
-        the file's n_max, and refuses n above it."""
+        the file's n_max, and refuses n above it.  A prefix shorter than the
+        check blocks read holds its own entries alone: 1000 entries of a
+        file of two blocks and one entry keep no 2**18-entry block."""
         path = tmp_path / "primelab_tables_3000.bin"
         save_tables(build_tables(3000), path)
         for n in (2, 1000, 2999, 3000):
@@ -636,6 +638,13 @@ class TestSaveLoad:
             assert_same_tables(back, build_tables(n))
         with pytest.raises(ValueError, match="outside the file's range"):
             load_tables(path, 3001)
+        big = 2 * tables_mod._CHECK_ENTRIES + 1
+        path = tmp_path / f"primelab_tables_{big}.bin"
+        save_tables(build_tables(big), path)
+        back = load_tables(path, 1000)
+        assert_same_tables(back, build_tables(1000))
+        held = back.spf if back.spf.base is None else back.spf.base
+        assert back.spf.nbytes == held.nbytes == 2 * 1001
 
     @pytest.mark.parametrize("damage", [
         lambda raw: b"XXXX" + raw[4:],
