@@ -8,7 +8,9 @@ This module holds:
   Euler products and prime sums, whose tails the callers record;
 * ``primes_up_to``, the prime list (the sieve of ``tables.eratosthenes``)
   bounded by ``tables.TABLE_MAX``; it keeps nothing between calls, and
-  its one large caller, ``singular._generic_base``, caches its own result.
+  its one large caller, ``singular._generic_bases``, caches its own
+  result and takes every r it is asked for (C_n reads r = n and n - 1)
+  from one sieve.
 """
 
 from __future__ import annotations

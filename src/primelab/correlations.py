@@ -120,10 +120,12 @@ def _pattern_sum(sources, shifts, mults, n_lo: int, n_hi: int):
     sources[i](lo, hi) gives f_i(lo..hi-1), 0 at arguments <= 0, as
     float64 or as an object array of Python ints; a source given for
     several factors is asked once per block, for the arguments all of them
-    read.  The factors multiply in the order given, so the products have
-    the same bits on every call, and their float sum is np.sum's over all
-    of them, bit for bit, through one ``PairwiseSum``: no array over the
-    values of n is built.  Exact ints give an exact Python int.
+    read: windows of ascending lo and hi that overlap by the spread of
+    those shifts, which ``tables.LambdaWindows`` reads off one sieve pass.
+    The factors multiply in the order given, so the products have the same
+    bits on every call, and their float sum is np.sum's over all of them,
+    bit for bit, through one ``PairwiseSum``: no array over the values of
+    n is built.  Exact ints give an exact Python int.
     """
     reads: dict = {}
     for f, j in zip(sources, shifts):
@@ -202,7 +204,7 @@ def s_tilde_k(
     if pattern.r > 1 and R < 1:
         raise ValueError(f"R must be >= 1, got {R}")
 
-    sources = [_tables.von_mangoldt]
+    sources = [_tables.LambdaWindows(n_hi + pattern.shifts[-1])]
     if pattern.r > 1:
         sources = [_lambda_R_source(ap.build_weights(R))] * (pattern.r - 1) + sources
     total = _pattern_sum(sources, pattern.shifts, pattern.multiplicities, n_lo, n_hi)
@@ -248,7 +250,7 @@ def psi_tuple(N: int, shifts: tuple[int, ...]) -> float:
     """psi_j(N) = sum_{n <= N} prod_i Lambda(n + j_i) over distinct shifts."""
     pattern = ShiftPattern(tuple(shifts), (1,) * len(shifts))
     _check_range(N, pattern, primed=False)
-    sources = [_tables.von_mangoldt] * pattern.r
+    sources = [_tables.LambdaWindows(N + max(shifts))] * pattern.r
     total = _pattern_sum(sources, pattern.shifts, pattern.multiplicities, 1, N)
     return finite_float(total, f"psi_j({N})")
 

@@ -140,16 +140,22 @@ def constant_C(n: int, p_cut: int = DEFAULT_P_CUT) -> SingularValue:
 
 
 def _constant_C_value(n: int, p_cut: int) -> float:
-    return _generic_factor(n - 1, n) * _generic_base(n, p_cut) / _generic_base(n - 1, p_cut)
+    base_n, base_below = _generic_bases((n, n - 1), p_cut)
+    return _generic_factor(n - 1, n) * base_n / base_below
 
 
 @lru_cache(maxsize=64)
-def _generic_base(r: int, p_cut: int) -> float:
-    """prod_{r < p <= p_cut} (1 - 1/p)^(-r) (1 - r/p)."""
-    ps = primes_up_to(p_cut).astype(np.float64)
-    ps = ps[ps > r]
-    logs = -r * np.log1p(-1.0 / ps) + np.log1p(-r / ps)
-    return float(np.exp(np.sum(logs)))
+def _generic_bases(rs: tuple[int, ...], p_cut: int) -> tuple[float, ...]:
+    """prod_{r < p <= p_cut} (1 - 1/p)^(-r) (1 - r/p) for each r of rs,
+    all from one sieve of the primes up to p_cut (each r reads a view of
+    its tail, so the list is held once)."""
+    primes = primes_up_to(p_cut).astype(np.float64)
+    bases = []
+    for r in rs:
+        ps = primes[np.searchsorted(primes, r, side="right") :]
+        logs = -r * np.log1p(-1.0 / ps) + np.log1p(-r / ps)
+        bases.append(float(np.exp(np.sum(logs))))
+    return tuple(bases)
 
 
 def _generic_factor(r: int, p: int) -> float:
@@ -194,7 +200,7 @@ def singular_vector(
         finite *= Fraction((p - nu) * p ** (r - 1), (p - 1) ** r)
         if r < p <= p_cut:
             correction *= _generic_factor(r, p)
-    value = float(finite) * _generic_base(r, p_cut) / correction
+    value = float(finite) * _generic_bases((r,), p_cut)[0] / correction
     return SingularValue(value, finite, p_cut, r * (r + 1) / p_cut)
 
 

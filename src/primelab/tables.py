@@ -53,17 +53,19 @@ Lambda has one stream, ``_prime_power_blocks``: each block's primes off
 the prime stream, its prime powers and Lambda at them.  ``psi_blocks``
 sums it into psi at each prime power, so no command reads psi from a
 table; ``sieve`` and the psi moments read it, and the lemmas' Euler
-products read the prime stream.  ``von_mangoldt(lo, hi)`` scatters the
-same stream over any one range, with the same bits: it sieves that range
-alone, from its own start, so the mixed correlations read no table at
-the N scale either.
+products read the prime stream.  ``LambdaWindows`` scatters the same
+stream over ascending windows, with the same bits: it sieves from the
+first window's start, once, however much the windows overlap, so a
+pattern sum of the mixed correlations reads Lambda off one pass and no
+table at the N scale.  ``von_mangoldt(lo, hi)`` is one such window.
 
-The stored array takes 2 bytes per entry, so n_max = 10**7 costs ~20 MB.
-mu adds 1 byte and phi 8 bytes per entry once read; the commands read
-them only up to R and up to n^(2/3).  The streams hold O(SIEVE_SEGMENT)
-entries whatever n; the whole arrays of Lambda and psi that the tests
-compare them with are built in the tests alone.  A build holds the 2
-bytes per entry and one segment's buffer (512 KiB at 2**18 entries).
+The stored array takes 2 bytes per entry, so n_max = 10**7 costs ~20 MB
+in memory (a cache file holds half of it, below).  mu adds 1 byte and
+phi 8 bytes per entry once read; the commands read them only up to R and
+up to n^(2/3).  The streams hold O(SIEVE_SEGMENT) entries whatever n; the
+whole arrays of Lambda and psi that the tests compare them with are
+built in the tests alone.  A build holds the 2 bytes per entry and one
+segment's buffer (512 KiB at 2**18 entries).
 ``build_tables`` refuses n_max above TABLE_MAX, the limit of the int32
 arithmetic in the recurrences.
 
@@ -74,12 +76,14 @@ of the largest cache file in PRIMELAB_CACHE_DIR that reaches n_max;
 otherwise it sieves afresh in memory and, with a cache dir, saves the
 build there, replacing the smaller files.  The process keeps no build, so
 repeated requests in one process are what the cache dir is for.  A cache
-file is a small versioned header, spf, then a CRC32 of every block of
-_CHECK_ENTRIES = 2**18 entries, all little-endian; that block is part of
-the file format and does not follow BLOCK_MAX.  ``load_tables`` reads the
-blocks that cover the requested prefix into memory and checks them on
-every load, so damaged bytes are never used and blocks beyond the prefix
-are never read.
+file (format 5) is a small versioned header, spf at the odd n alone (at
+an even n > 2 it is 2, so it carries nothing), then a CRC32 of every
+block of _CHECK_ENTRIES = 2**18 stored entries, all little-endian: 1 byte
+per integer, ~10 MB at n_max = 10**7.  The check block is part of the
+file format and does not follow BLOCK_MAX.  ``load_tables`` reads the
+blocks that cover the odd n of the requested prefix one at a time, checks
+each before using it and fills in the even n, on every load, so damaged
+bytes are never used and blocks beyond the prefix are never read.
 """
 
 from __future__ import annotations
@@ -96,7 +100,7 @@ import zlib
 import numpy as np
 
 _MAGIC = b"PRLB"
-_FORMAT_VERSION = 4
+_FORMAT_VERSION = 5
 
 #: environment variable naming the directory for cached table files
 CACHE_DIR_ENV = "PRIMELAB_CACHE_DIR"
@@ -280,7 +284,7 @@ def _prime_power_blocks(n: int, start: int = 0):
     ``_prime_blocks(n, start)``: q the prime powers in [lo, hi), ascending
     (int64), and logs = Lambda(q), np.log at the primes and math.log of p
     at the higher powers p^e (``_prime_powers_between``).  The one stream
-    of Lambda: ``psi_blocks`` sums it and ``von_mangoldt`` scatters it."""
+    of Lambda: ``psi_blocks`` sums it and ``LambdaWindows`` scatters it."""
     higher = _higher_prime_powers(start, n + 1)
     for lo, hi, primes in _prime_blocks(n, start):
         yield lo, hi, primes, *_prime_powers_between(primes, lo, hi, higher)
@@ -308,21 +312,56 @@ def psi_blocks(n: int):
 
 
 def von_mangoldt(lo: int, hi: int) -> np.ndarray:
-    """float64 Lambda(lo..hi-1), 0 at n <= 1: lo may be negative.  The
-    range [max(lo, 0), hi) alone is sieved (``_prime_power_blocks`` from
-    its start, with the primes up to isqrt(hi - 1)), so a range high up
+    """float64 Lambda(lo..hi-1), 0 at n <= 1: lo may be negative.  One
+    window of ``LambdaWindows(hi - 1)``, so the range [max(lo, 0), hi)
+    alone is sieved, with the primes up to isqrt(hi - 1): a range high up
     costs its own entries, and no table is read.  The values are those of
     ``psi_blocks``, bit for bit.  hi - 1 above TABLE_MAX raises ValueError
     before anything is sieved.
     """
-    _check_sieve_bound(hi - 1)
-    out = np.zeros(hi - lo, dtype=np.float64)
-    start = max(lo, 0)
-    if hi <= start:
+    return LambdaWindows(hi - 1)(lo, hi)
+
+
+class LambdaWindows:
+    """Lambda over windows [lo, hi) with ascending lo and hi - 1 <= top,
+    from one pass of ``_prime_power_blocks(top, start)``: the one source of
+    Lambda over ranges, which ``von_mangoldt`` and the pattern sums of
+    ``correlations`` read.
+
+    The pass starts at the first window's max(lo, 0), when that window is
+    asked for, so only the integers from there up to the last window's end
+    are sieved, once, however much the windows overlap.  The prime-power
+    blocks a later window may still reach are carried between calls; each
+    call returns a new float64 array, 0 at n <= 1, with the bits of
+    ``psi_blocks``' Lambda.  top above TABLE_MAX raises ValueError here,
+    before anything is sieved.
+    """
+
+    def __init__(self, top: int):
+        _check_sieve_bound(top)
+        self.top = top
+        self._blocks = None  # the pass, opened at the first window that reads n >= 0
+        self._held: list[tuple[int, np.ndarray, np.ndarray]] = []  # (hi, q, logs) per block
+        self._read_to = self._lo = None
+
+    def __call__(self, lo: int, hi: int) -> np.ndarray:
+        if hi - 1 > self.top or (self._lo is not None and lo < self._lo):
+            raise ValueError(f"window [{lo}, {hi}) starts before the last one or ends past {self.top}")
+        self._lo = lo
+        out = np.zeros(hi - lo, dtype=np.float64)
+        if hi <= max(lo, 0):
+            return out
+        if self._blocks is None:
+            self._blocks = _prime_power_blocks(self.top, max(lo, 0))
+            self._read_to = max(lo, 0)
+        self._held = [block for block in self._held if block[0] > lo]
+        while self._read_to < hi:
+            _a, self._read_to, _primes, q, logs = next(self._blocks)
+            self._held.append((self._read_to, q, logs))
+        for _b, q, logs in self._held:
+            i, k = np.searchsorted(q, (lo, hi))
+            out[q[i:k] - lo] = logs[i:k]
         return out
-    for _a, _b, _primes, q, logs in _prime_power_blocks(hi - 1, start):
-        out[q - lo] = logs
-    return out
 
 
 def _higher_prime_powers(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -492,29 +531,37 @@ def build_tables(n_max: int) -> ArithTables:
 _HEADER = struct.Struct("<4sHQ")  # magic, format version, n_max
 _SPF = np.dtype("<u2")
 
-#: entries per checksummed block of spf: part of the cache format, so fixed,
-#: whatever BLOCK_MAX is
+#: stored entries (odd n, so 2**19 integers) per checksummed block of spf:
+#: part of the cache format, so fixed, whatever BLOCK_MAX is
 _CHECK_ENTRIES = 1 << 18
 _CRC = np.dtype("<u4")
 
 
 def save_tables(tables: ArithTables, path: str | os.PathLike) -> None:
     """Write tables to a little-endian binary file: magic, version, n_max,
-    spf, then the CRC32 of each block of _CHECK_ENTRIES entries of spf.
+    spf at the odd n <= n_max, then the CRC32 of each block of
+    _CHECK_ENTRIES of those stored entries.  The even n need no bytes: spf
+    is 2 at every even n > 2 and 0 at n = 0 and 2.
 
-    The bytes go to a temporary file in the same directory, which is renamed
-    onto ``path`` only when complete: an interrupted or concurrent write never
-    leaves a partial file at ``path`` for a later run to load.
+    The odd entries are copied and written one check block at a time,
+    through one buffer of a block.  The bytes go to a temporary file in the
+    same directory, which is renamed onto ``path`` only when complete: an
+    interrupted or concurrent write never leaves a partial file at ``path``
+    for a later run to load.
     """
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
+    odd = tables.spf[1::2]
+    buf = np.empty(min(odd.size, _CHECK_ENTRIES), dtype=_SPF)
     try:
         with open(tmp, "wb") as fh:
             fh.write(_HEADER.pack(_MAGIC, _FORMAT_VERSION, tables.n_max))
-            spf = np.ascontiguousarray(tables.spf, dtype=_SPF)
-            fh.write(spf.data)
-            crcs = [zlib.crc32(spf[lo : lo + _CHECK_ENTRIES])
-                    for lo in range(0, spf.size, _CHECK_ENTRIES)]
+            crcs = []
+            for lo in range(0, odd.size, _CHECK_ENTRIES):
+                block = buf[: min(odd.size - lo, _CHECK_ENTRIES)]
+                np.copyto(block, odd[lo : lo + block.size])
+                fh.write(block.data)
+                crcs.append(zlib.crc32(block))
             fh.write(np.array(crcs, dtype=_CRC).data)
         os.replace(tmp, path)
     except BaseException:
@@ -528,12 +575,14 @@ def load_tables(path: str | os.PathLike, n_max: int | None = None) -> ArithTable
 
     n_max defaults to the file's own and may not exceed it.  The magic, the
     version and the exact file size are checked, and so is the checksum of
-    every block that holds one of the first n_max + 1 entries, on every
-    load; any failure raises ValueError and no data is used.  Only those
-    blocks are read, into one array in memory, and spf is a read-only copy
-    of its first n_max + 1 entries (that array itself when they fill it):
-    what happens to the file afterwards does not reach the tables, and the
-    tables hold no more of the file than their prefix.
+    every block that holds one of the odd n <= n_max, on every load; any
+    failure raises ValueError and no data is used.  Only those blocks are
+    read, one at a time into one buffer of a block, each checked before its
+    entries are copied into the odd entries of a new (n_max + 1)-entry spf,
+    beside the even entries, 2 but 0 at n = 0 and 2: each pair of entries
+    is written as one uint32.  spf is read-only, and
+    what happens to the file afterwards does not reach the tables: they
+    hold their own n_max + 1 entries and nothing else of the file.
     """
     name = os.fspath(path)
     with open(path, "rb") as fh:
@@ -548,8 +597,9 @@ def load_tables(path: str | os.PathLike, n_max: int | None = None) -> ArithTable
                 f"unsupported table format version {version} in {name!r} "
                 f"(this release reads version {_FORMAT_VERSION}); delete the file"
             )
-        blocks = -(-(file_max + 1) // _CHECK_ENTRIES)
-        expected = _HEADER.size + (file_max + 1) * _SPF.itemsize + blocks * _CRC.itemsize
+        stored = (file_max + 1) // 2
+        blocks = -(-stored // _CHECK_ENTRIES)
+        expected = _HEADER.size + stored * _SPF.itemsize + blocks * _CRC.itemsize
         if size != expected:
             raise ValueError(
                 f"table file {name!r} has {size} bytes, "
@@ -558,22 +608,31 @@ def load_tables(path: str | os.PathLike, n_max: int | None = None) -> ArithTable
         n_max = file_max if n_max is None else n_max
         if not 0 <= n_max <= file_max:
             raise ValueError(f"n_max={n_max} outside the file's range [0, {file_max}]")
-        need = -(-(n_max + 1) // _CHECK_ENTRIES)
-        spf = np.empty(min(need * _CHECK_ENTRIES, file_max + 1), dtype=_SPF)
-        got = fh.readinto(spf)
-        fh.seek(_HEADER.size + (file_max + 1) * _SPF.itemsize)
+        spf = np.empty(n_max + 1, dtype=_SPF)
+        # (spf[2k], spf[2k + 1]) as one little-endian uint32: 2 | odd << 16
+        pairs = spf[: (n_max + 1) // 2 * 2].view("<u4")
+        need = -(-pairs.size // _CHECK_ENTRIES)
+        fh.seek(_HEADER.size + stored * _SPF.itemsize)
         crcs = np.frombuffer(fh.read(need * _CRC.itemsize), dtype=_CRC)
-    if got != spf.nbytes or crcs.size != need:
-        raise ValueError(f"truncated table file {name!r}")
-    for b, crc in enumerate(crcs):
-        if zlib.crc32(spf[b * _CHECK_ENTRIES : (b + 1) * _CHECK_ENTRIES]) != crc:
-            raise ValueError(
-                f"table file {name!r} fails its checksum in spf block {b}; delete the file"
-            )
-    prefix = spf[: n_max + 1]
-    if prefix.size < spf.size:
-        prefix = prefix.copy()  # keep none of the rest of the blocks checked
-    return ArithTables(n_max=n_max, spf=_read_only(prefix))
+        if crcs.size != need:
+            raise ValueError(f"truncated table file {name!r}")
+        fh.seek(_HEADER.size)
+        buf = np.empty(min(stored, _CHECK_ENTRIES), dtype=_SPF)
+        for b, crc in enumerate(crcs):
+            lo = b * _CHECK_ENTRIES
+            block = buf[: min(stored - lo, _CHECK_ENTRIES)]
+            if fh.readinto(block) != block.nbytes:
+                raise ValueError(f"truncated table file {name!r}")
+            if zlib.crc32(block) != crc:
+                raise ValueError(
+                    f"table file {name!r} fails its checksum in spf block {b}; delete the file"
+                )
+            out = pairs[lo : lo + _CHECK_ENTRIES]
+            np.left_shift(block[: out.size], 16, out=out, dtype=out.dtype)
+            out |= 2
+    spf[2 * pairs.size :] = 2
+    spf[0:3:2] = 0  # n = 0 and the prime 2
+    return ArithTables(n_max=n_max, spf=_read_only(spf))
 
 
 # ---------------------------------------------------------------------------

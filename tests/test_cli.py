@@ -551,12 +551,14 @@ class TestCache:
         err = capsys.readouterr().err
         assert "precondition failed" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("stale", ["version-2", "version-3", "spf-byte"])
+    @pytest.mark.parametrize("stale", ["version-2", "version-3", "version-4", "spf-byte"])
     def test_stale_or_corrupt_cache_file_returns_3(self, tmp_path, capsys, monkeypatch, stale):
         """A format-2 file (int32 spf equal to n at a prime, then mu: 5 bytes
         per entry), a format-3 file (uint16 spf, then int8 mu, then a CRC32
-        of each 2**18-entry block of each) and a format-4 file with one spf
-        byte flipped all exit 3, print no row, and stay as they were."""
+        of each 2**18-entry block of each), a format-4 file (uint16 spf at
+        every n, then a CRC32 of each 2**18-entry block) and a format-5 file
+        with one spf byte flipped all exit 3, print no row, and stay as they
+        were."""
         import zlib
 
         from primelab import tables
@@ -573,6 +575,12 @@ class TestCache:
             raw = b"PRLB" + (3).to_bytes(2, "little") + n.to_bytes(8, "little")
             raw += b"".join(arrays)
             raw += np.array([zlib.crc32(a) for a in arrays], dtype="<u4").tobytes()
+        elif stale == "version-4":
+            spf = tb.spf.astype("<u2")
+            raw = b"PRLB" + (4).to_bytes(2, "little") + n.to_bytes(8, "little")
+            raw += spf.tobytes()
+            raw += np.array([zlib.crc32(spf[lo : lo + 2**18]) for lo in range(0, n + 1, 2**18)],
+                            dtype="<u4").tobytes()
         else:
             tables.save_tables(tb, path)
             raw = bytearray(path.read_bytes())

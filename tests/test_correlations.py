@@ -187,6 +187,53 @@ class TestSTildeK:
             s_tilde_k(100, ShiftPattern((0, 2), (1, 2)), 8)
 
 
+class TestLambdaPass:
+    """The pattern sums read Lambda off one sieve pass per sum
+    (``tables.LambdaWindows``), with the bits of the one-range reader
+    ``tables.von_mangoldt`` asked afresh for every block of n."""
+
+    @staticmethod
+    def _count_passes(monkeypatch):
+        from primelab import tables
+        passes = []
+        real = tables.sieve_segments
+        monkeypatch.setattr(tables, "sieve_segments",
+                            lambda n, start=0: passes.append((n, start)) or real(n, start))
+        return passes
+
+    @pytest.mark.parametrize("block_max", [None, 64])
+    @pytest.mark.parametrize("shifts", [(0, 2), (-3, 0, 4), (-7,), (-5, -1)])
+    def test_psi_tuple_sieves_once(self, monkeypatch, block_max, shifts):
+        from primelab import correlations, tables
+        if block_max is not None:
+            monkeypatch.setattr(tables, "BLOCK_MAX", block_max)
+            monkeypatch.setattr(tables, "SIEVE_SEGMENT", 96)
+        N = 3 * tables.BLOCK_MAX + 11
+        pattern = ShiftPattern(shifts, (1,) * len(shifts))
+        per_block = correlations._pattern_sum([tables.von_mangoldt] * len(shifts), shifts,
+                                              pattern.multiplicities, 1, N)
+        passes = self._count_passes(monkeypatch)
+        got = psi_tuple(N, shifts)
+        assert passes == [(N + max(shifts), max(1 + min(shifts), 0))]
+        assert np.float64(got).tobytes() == np.float64(per_block).tobytes()
+
+    @pytest.mark.parametrize("primed", [False, True])
+    @pytest.mark.parametrize("shifts", [(0, 2), (3, -4)])
+    def test_s_tilde_k_sieves_once(self, monkeypatch, primed, shifts):
+        from primelab import approximants, correlations, tables
+        monkeypatch.setattr(tables, "BLOCK_MAX", 64)
+        N, R = 1000, 30
+        pattern = ShiftPattern(shifts, (1, 1))
+        lam_R = correlations._lambda_R_source(approximants.build_weights(R))
+        n_lo, n_hi = (N + 1, 2 * N) if primed else (1, N)
+        per_block = correlations._pattern_sum([lam_R, tables.von_mangoldt], shifts,
+                                              (1, 1), n_lo, n_hi)
+        passes = self._count_passes(monkeypatch)
+        got = s_tilde_k(N, pattern, R, primed_range=primed).computed
+        assert passes == [(n_hi + shifts[-1], max(n_lo + shifts[-1], 0))]
+        assert np.float64(got).tobytes() == np.float64(per_block).tobytes()
+
+
 class TestS2Reduced:
     def test_exact_formula(self):
         """N sum_{r <= R} mu(r) mu((j,r)) phi((j,r))/phi(r)^2 term by term."""

@@ -76,6 +76,34 @@ class TestConstantC:
         assert abs(loose.value - tight.value) <= loose.tail_bound
 
 
+    def test_one_sieve_serves_both_euler_products(self, monkeypatch):
+        """C_n is a ratio of the generic products at r = n and r = n - 1,
+        both taken from one prime list: one sieve per (n, p_cut)."""
+        from primelab import singular
+        calls = []
+        real = singular.primes_up_to
+        monkeypatch.setattr(singular, "primes_up_to",
+                            lambda n: calls.append(n) or real(n))
+        singular._generic_bases.cache_clear()
+        constant_C(3, 10**5)
+        assert calls == [10**5]
+
+    @pytest.mark.parametrize("p_cut", [10**5, 10**6])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_values_are_the_per_r_products(self, n, p_cut):
+        """C_n has the bits of g_{n-1}(n) B_n / B_{n-1}, each B_r the
+        exp of one np.sum over its own primes r < p <= p_cut, as when every
+        r sieved its own primes."""
+        primes = np.array(list(sympy.sieve.primerange(2, p_cut + 1)), dtype=np.float64)
+
+        def base(r):
+            ps = primes[primes > r]
+            return float(np.exp(np.sum(-r * np.log1p(-1.0 / ps) + np.log1p(-r / ps))))
+
+        factor = (1.0 - 1.0 / n) ** (-(n - 1)) * (1.0 - (n - 1) / n)
+        assert constant_C(n, p_cut).value == factor * base(n) / base(n - 1)
+
+
 class TestSingularVector:
     def test_twin_value(self):
         """S((0, 2)) = 2 C_2 with rational finite part 2 (within truncation)."""

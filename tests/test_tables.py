@@ -472,6 +472,46 @@ class TestBlockReaders:
                 got = tables_mod.von_mangoldt(lo, hi)
                 assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), (lo, hi)
 
+    @pytest.mark.parametrize("sizes", [None, (64, 96)], ids=["default", "block-64-segment-96"])
+    @pytest.mark.parametrize("spread", [(0, 0), (-7, 5), (3, 200)])
+    def test_lambda_windows_are_von_mangoldt(self, monkeypatch, sizes, spread):
+        """Ascending windows [a + j0, b + j1) over blocks [a, b) of n, as a
+        pattern sum asks for them, each the bytes of von_mangoldt over the
+        same range and of the oracle's lam, from one sieve pass."""
+        if sizes is not None:
+            monkeypatch.setattr(tables_mod, "BLOCK_MAX", sizes[0])
+            monkeypatch.setattr(tables_mod, "SIEVE_SEGMENT", sizes[1])
+        j0, j1 = spread
+        step = tables_mod.BLOCK_MAX
+        n_hi = 3 * tables_mod.SIEVE_SEGMENT + 5
+        windows = [(a + j0, min(a + step, n_hi + 1) + j1) for a in range(-9, n_hi + 1, step)]
+        lam = arith_oracle.lam(n_hi + j1)
+        wants = []
+        for lo, hi in windows:
+            want = np.zeros(hi - lo)
+            want[max(-lo, 0) :] = lam[max(lo, 0) : max(hi, 0)]
+            assert tables_mod.von_mangoldt(lo, hi).tobytes() == want.tobytes(), (lo, hi)
+            wants.append(want)
+        passes = []
+        real = tables_mod.sieve_segments
+        monkeypatch.setattr(tables_mod, "sieve_segments",
+                            lambda n, start=0: passes.append((n, start)) or real(n, start))
+        source = tables_mod.LambdaWindows(n_hi + j1)
+        for (lo, hi), want in zip(windows, wants):
+            got = source(lo, hi)
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), (lo, hi)
+        assert passes == [(n_hi + j1, 0)]
+
+    def test_lambda_windows_refuse_a_window_back_or_past_the_top(self):
+        source = tables_mod.LambdaWindows(100)
+        source(10, 50)
+        with pytest.raises(ValueError, match="starts before the last one"):
+            source(9, 60)
+        with pytest.raises(ValueError, match="ends past 100"):
+            source(60, 102)
+        with pytest.raises(ValueError, match="beyond"):
+            tables_mod.LambdaWindows(tables_mod.TABLE_MAX + 1)
+
     @pytest.mark.parametrize("lo, hi", [(-5, 40), (2**16 - 3, 2**18 + 1),
                                         (2**18 - 1, 3 * 2**18 + 5), (10**6, 10**6 + 7)])
     def test_range_reader_sieves_only_its_range(self, monkeypatch, lo, hi):
@@ -621,9 +661,9 @@ class TestSaveLoad:
             assert not getattr(back, name).flags.writeable, name
         for name in ("mu", "phi"):  # derived, also on a build
             assert not getattr(tb, name).flags.writeable, name
-        # the header, spf (2 bytes per entry), then one 4-byte CRC32, as
-        # 3001 entries make one checked block
-        assert path.stat().st_size == 14 + 2 * (3000 + 1) + 4
+        # the header, spf at the 1500 odd n <= 3000 (2 bytes each), then one
+        # 4-byte CRC32, as 1500 stored entries make one checked block
+        assert path.stat().st_size == 14 + 2 * 1500 + 4
 
     def test_prefix_load(self, tmp_path):
         """load_tables(path, n) is byte-equal to build_tables(n) for n up to
@@ -646,18 +686,59 @@ class TestSaveLoad:
         held = back.spf if back.spf.base is None else back.spf.base
         assert back.spf.nbytes == held.nbytes == 2 * 1001
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 1000, 2**19 - 1, 2**19, 2**19 + 1, 2**20 + 2])
+    def test_odd_entries_roundtrip_across_check_blocks(self, tmp_path, n):
+        """A file stores spf at the floor((n+1)/2) odd n <= n and one CRC32
+        per 2**18 of them, so check block b holds the odd n below
+        2**19 (b + 1), and the file at n = 1000 takes 1018 bytes.  The
+        whole file and every prefix at an odd and an even n on both sides
+        of each block edge it reaches load byte-identical to a fresh
+        build."""
+        tb = build_tables(n)
+        path = tmp_path / f"primelab_tables_{n}.bin"
+        save_tables(tb, path)
+        stored = (n + 1) // 2
+        assert path.stat().st_size == 14 + 2 * stored + 4 * -(-stored // 2**18)
+        assert_same_tables(load_tables(path), tb)
+        edges = range(2**19, n + 3, 2**19)
+        prefixes = {m for edge in edges for m in range(edge - 2, edge + 2)} | {2, 3, n - 1}
+        for m in sorted(m for m in prefixes if 2 <= m <= n):
+            back = load_tables(path, m)
+            assert back.n_max == m
+            assert back.spf.dtype == tb.spf.dtype, m
+            assert back.spf.tobytes() == tb.spf[: m + 1].tobytes(), m
+            assert not back.spf.flags.writeable, m
+
+    def test_load_holds_one_check_block_beside_the_tables(self, tmp_path):
+        """A load reads the file one check block at a time into one buffer
+        of 2**18 entries: its peak is the 2 (n + 1) bytes of spf and at most
+        1 MiB more, not a second whole array of the odd n."""
+        n = 4 * 10**6
+        path = tmp_path / f"primelab_tables_{n}.bin"
+        save_tables(build_tables(n), path)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            back = load_tables(path)
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back.spf.nbytes == 2 * (n + 1)
+        assert peak <= 2 * (n + 1) + 2**20
+
     @pytest.mark.parametrize("damage", [
         lambda raw: b"XXXX" + raw[4:],
         lambda raw: raw[:4] + (1).to_bytes(2, "little") + raw[6:],
         lambda raw: raw[:4] + (2).to_bytes(2, "little") + raw[6:],
         lambda raw: raw[:4] + (3).to_bytes(2, "little") + raw[6:],
+        lambda raw: raw[:4] + (4).to_bytes(2, "little") + raw[6:],
         lambda raw: raw[:-1],
         lambda raw: raw[:10],
         lambda raw: raw + b"\0",
-        lambda raw: _flip(raw, 14 + 2 * 37),  # spf[37]
-        lambda raw: _flip(raw, 14 + 2 * 101 - 1),  # the high byte of spf[100]
+        lambda raw: _flip(raw, 14 + 2 * 37),  # spf[75], the 38th odd n
+        lambda raw: _flip(raw, 14 + 2 * 50 - 1),  # the high byte of spf[99], the last odd n
         lambda raw: _flip(raw, len(raw) - 1),  # spf's CRC
-    ], ids=["magic", "version", "version-2", "version-3", "truncated",
+    ], ids=["magic", "version", "version-2", "version-3", "version-4", "truncated",
             "short-header", "trailing", "spf-byte", "spf-last-byte", "crc-byte"])
     def test_damaged_file_is_refused(self, tmp_path, damage):
         path = tmp_path / "primelab_tables_100.bin"
@@ -667,12 +748,13 @@ class TestSaveLoad:
             load_tables(path)
 
     def test_checksums_cover_the_mapped_prefix_once(self, tmp_path, monkeypatch):
-        """Every load checks each block that holds the requested prefix of
-        each array once, a repeated load of the same prefix included, and
-        no block beyond it: damage past the prefix is found once a request
-        reaches it."""
+        """Every load checks each block that holds an odd n of the
+        requested prefix once, a repeated load of the same prefix included,
+        and no block beyond it: damage past the prefix is found once a
+        request reaches it.  A block stores 2**18 odd n, so block b covers
+        the integers below 2**19 (b + 1)."""
         block = tables_mod._CHECK_ENTRIES
-        n = 2 * block + 5
+        n = 4 * block + 5
         path = tmp_path / f"primelab_tables_{n}.bin"
         save_tables(build_tables(n), path)
         path.write_bytes(_flip(path.read_bytes(), 14 + 2 * (2 * block) + 3))
@@ -683,27 +765,31 @@ class TestSaveLoad:
         assert len(crcs) == 1  # block 0 of spf
         load_tables(path, 1000)
         assert len(crcs) == 2  # the same block, checked again
-        load_tables(path, block - 1)
+        load_tables(path, 2 * block - 1)
         assert len(crcs) == 3
-        assert_same_tables(load_tables(path, block), build_tables(block))
-        assert len(crcs) == 5  # blocks 0 and 1 of spf
+        assert_same_tables(load_tables(path, 2 * block), build_tables(2 * block))
+        assert len(crcs) == 4  # 2**19 is even: its odd n all lie in block 0
+        assert_same_tables(load_tables(path, 2 * block + 1), build_tables(2 * block + 1))
+        assert len(crcs) == 6  # blocks 0 and 1 of spf
         with pytest.raises(ValueError, match="fails its checksum in spf block 2"):
             load_tables(path)
 
     def test_check_blocks_do_not_follow_block_max(self, tmp_path):
-        """The check block is fixed at 2**18 entries, part of the file
-        format: a file saved with BLOCK_MAX at 64 carries ceil((n+1)/2**18)
-        CRCs and loads at the default block size."""
-        n = 2**18 + 5
+        """The check block is fixed at 2**18 stored entries, part of the
+        file format: a file saved with BLOCK_MAX at 64 stores the
+        floor((n+1)/2) odd n, carries ceil(floor((n+1)/2)/2**18) CRCs and
+        loads at the default block size."""
+        n = 2**19 + 5
         tb = build_tables(n)
         path = tmp_path / f"primelab_tables_{n}.bin"
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tables_mod, "BLOCK_MAX", 64)
             save_tables(tb, path)
         assert tables_mod.BLOCK_MAX != 64
-        crcs = -(-(n + 1) // 2**18)
+        stored = (n + 1) // 2
+        crcs = -(-stored // 2**18)
         assert crcs == 2
-        assert path.stat().st_size == 14 + 2 * (n + 1) + 4 * crcs
+        assert path.stat().st_size == 14 + 2 * stored + 4 * crcs
         back = load_tables(path)
         assert back.spf.tobytes() == tb.spf.tobytes()
         assert back.mu.tobytes() == tb.mu.tobytes()
@@ -713,16 +799,16 @@ class TestSaveLoad:
         file, and the partial bytes are never visible at the target."""
         tb = build_tables(3000)
         path = tmp_path / "primelab_tables_3000.bin"
-        real = np.ascontiguousarray
+        real = np.copyto
         seen_at_failure = []
 
-        def fail_at_spf(arr, dtype=None):  # once the header is written
-            if arr is tb.spf:
+        def fail_at_spf(dst, src, *args, **kwargs):  # the first data block, after the header
+            if getattr(src, "base", None) is tb.spf:
                 seen_at_failure.append(path.exists())
                 raise OSError("disk full")
-            return real(arr, dtype=dtype)
+            return real(dst, src, *args, **kwargs)
 
-        monkeypatch.setattr(tables_mod.np, "ascontiguousarray", fail_at_spf)
+        monkeypatch.setattr(tables_mod.np, "copyto", fail_at_spf)
         with pytest.raises(OSError, match="disk full"):
             save_tables(tb, path)
         assert seen_at_failure == [False]
