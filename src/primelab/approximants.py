@@ -37,6 +37,10 @@ from .tables import ArithTables, _read_only, prime_divisors, tables_for
 #: D = lcm of totients grows exponentially with R
 EXACT_R_MAX = 2000
 
+#: largest R of any weights: ``lambda --n 10`` peaked at 103 and 175 MB at
+#: R = 10**6 and 2 * 10**6, 72 bytes per R, so ~0.75 GB here
+WEIGHTS_R_MAX = 10**7
+
 
 @dataclass(frozen=True)
 class ApproximantWeights:
@@ -65,9 +69,12 @@ _weights_cache: dict[tuple[int, bool], ApproximantWeights] = {}
 
 
 def _squarefree_support(R: int) -> tuple[ArithTables, np.ndarray, np.ndarray]:
-    """(tables, mu[0..R] as int64, the ascending squarefree d <= R as int64)."""
+    """(tables, mu[0..R] as int64, the ascending squarefree d <= R as int64);
+    R > WEIGHTS_R_MAX is refused first."""
     if R < 1:
         raise ValueError(f"R must be >= 1, got {R}")
+    if R > WEIGHTS_R_MAX:
+        raise ValueError(f"R={R} is beyond {WEIGHTS_R_MAX}")
     tb = tables_for(R)
     mu = tb.mu[: R + 1].astype(np.int64)
     sf = np.flatnonzero(mu != 0)

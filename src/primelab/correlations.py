@@ -113,35 +113,46 @@ def _check_range(N: int, pattern: ShiftPattern, primed: bool) -> tuple[int, int,
     return n_lo, n_hi, top
 
 
+def _shift_runs(shifts) -> dict[int, tuple[int, int]]:
+    """Each shift's run (first, last): the distinct shifts, ascending, cut
+    where one lies more than BLOCK_MAX past its run's first."""
+    runs: list[list[int]] = []
+    for j in sorted(set(shifts)):
+        if runs and j - runs[-1][0] <= _tables.BLOCK_MAX:
+            runs[-1].append(j)
+        else:
+            runs.append([j])
+    return {j: (run[0], run[-1]) for run in runs for j in run}
+
+
 def _pattern_sum(sources, shifts, mults, n_lo: int, n_hi: int):
     """sum_{n=n_lo}^{n_hi} prod_i f_i(n + shifts[i]) ** mults[i], taken
     BLOCK_MAX values of n at a time.
 
     sources[i](lo, hi) gives f_i(lo..hi-1), 0 at arguments <= 0, as
-    float64 or as an object array of Python ints; a source given for
-    several factors is asked once per block, for the arguments all of them
-    read: windows of ascending lo and hi that overlap by the spread of
-    those shifts, which ``tables.LambdaWindows`` reads off one sieve pass.
-    The factors multiply in the order given, so the products have the same
-    bits on every call, and their float sum is np.sum's over all of them,
-    bit for bit, through one ``PairwiseSum``: no array over the values of
-    n is built.  Exact ints give an exact Python int.
+    float64 or as an object array of Python ints; a source is asked once
+    per block for each run of its shifts (``_shift_runs``), for the
+    arguments the run reads: windows of ascending lo and hi that overlap by
+    the run's spread, which ``tables.LambdaWindows`` reads off one sieve
+    pass, one per run.  The factors multiply in the order given, so the
+    products have the same bits on every call, and their float sum is
+    np.sum's over all of them, bit for bit, through one ``PairwiseSum``:
+    no array over the values of n is built.  Exact ints give an exact
+    Python int.
     """
-    reads: dict = {}
-    for f, j in zip(sources, shifts):
-        lo, hi = reads.get(f, (j, j))
-        reads[f] = (min(lo, j), max(hi, j))
+    runs = {f: _shift_runs([j for g, j in zip(sources, shifts) if g == f]) for f in set(sources)}
+    reads = [(f, runs[f][j]) for f, j in zip(sources, shifts)]
     acc = PairwiseSum(n_hi - n_lo + 1)
     step = _tables.BLOCK_MAX
     for a in range(n_lo, n_hi + 1, step):
         b = min(a + step, n_hi + 1)
-        vals = {f: f(a + lo, b + hi) for f, (lo, hi) in reads.items()}
+        vals = {(f, run): f(a + run[0], b + run[1]) for f, run in dict.fromkeys(reads)}
         prod = None
         # an overflow leaves inf or nan in the sum, with no warning printed
         with np.errstate(over="ignore", invalid="ignore"):
-            for f, j, m in zip(sources, shifts, mults):
-                at = j - reads[f][0]
-                w = vals[f][at : at + b - a]
+            for read, j, m in zip(reads, shifts, mults):
+                at = j - read[1][0]
+                w = vals[read][at : at + b - a]
                 if prod is None:
                     prod = w**m  # a new array, so the in-place products write into no source
                 else:
@@ -250,7 +261,9 @@ def psi_tuple(N: int, shifts: tuple[int, ...]) -> float:
     """psi_j(N) = sum_{n <= N} prod_i Lambda(n + j_i) over distinct shifts."""
     pattern = ShiftPattern(tuple(shifts), (1,) * len(shifts))
     _check_range(N, pattern, primed=False)
-    sources = [_tables.LambdaWindows(N + max(shifts))] * pattern.r
+    runs = _shift_runs(shifts)
+    windows = {run: _tables.LambdaWindows(N + run[1]) for run in runs.values()}
+    sources = [windows[runs[j]] for j in shifts]
     total = _pattern_sum(sources, pattern.shifts, pattern.multiplicities, 1, N)
     return finite_float(total, f"psi_j({N})")
 

@@ -197,75 +197,125 @@ def _check_ladder(x_ladder: Sequence[int]) -> tuple[int, ...]:
 FactorFn = Callable[[np.ndarray], np.ndarray]
 
 
+#: the wheel's primes: those up to it that sieve a walk, multiplied once
+#: into one period of the values (30030 entries at 2*3*5*7*11*13)
+_WHEEL_TOP = 13
+
+#: entries per step of a walk's larger primes and of its last factor q: each
+#: step's temporaries stay within 64 KiB, under glibc's 128 KiB mmap
+#: threshold, so none is mapped, faulted in and unmapped again every block
+_STEP = 1 << 13
+
+
 def _walk(f: FactorFn, x: int):
     """Yield (lo, hi, v) over the blocks [lo, hi) of BLOCK_MAX entries
     covering 0..x, in order, with v[i] = mu^2(n) * prod_{p|n} f(p) at
     n = lo + i: a segmented sieve of the values.
 
-    In a block v starts at 1.0, and each prime p <= isqrt(x), in ascending
-    order, multiplies f(p) into v at its multiples and p into an int32
-    prod, and marks its multiples of p^2, which are not squarefree.  A
-    squarefree n then has at most one prime factor q > isqrt(x) left out of
-    prod, q = n / prod, and f(q) is multiplied in last where q > 1; v is
-    0.0 at the marked n and at n = 0.  So v[n] is the left-to-right product
-    (((1.0 f(p_1)) f(p_2)) ...) f(q) over the primes p_1 < p_2 < ... < q
-    of n, bit for bit.  The primes p <= isqrt(BLOCK_MAX), with many
-    multiples in a block, take strided slices; the larger ones one
-    np.multiply.at over all their multiples in it, ordered by prime and
-    then by position, so each n still meets its primes in ascending order,
-    and one step for their multiples of p^2, at most one each per block.
+    In a block v starts at 1.0 and an int32 prod at 1, and each prime
+    p <= isqrt(x), in ascending order, multiplies f(p) into v and p into
+    prod at its multiples, and marks its multiples of p^2, which are not
+    squarefree.  A squarefree n then has at most one prime factor
+    q > isqrt(x) left out of prod, q = n / prod, and f(q) is multiplied in
+    last where q > 1; v is 0.0 at the marked n and at n = 0.  So v[n] is
+    the left-to-right product (((1.0 f(p_1)) f(p_2)) ...) f(q) over the
+    primes p_1 < p_2 < ... < q of n, bit for bit.
 
-    f is called once on the int32 sieving primes and then, block by block,
-    on the q of the squarefree n: it sees every prime <= x and nothing
-    else.  v is a view of a buffer reused from block to block, valid until
-    the next block is asked for.  The walk reads no table.
+    The wheel primes p <= min(13, isqrt(BLOCK_MAX)) do this once, into one
+    period of v and prod (30030 entries when all six sieve), and each block
+    starts from that period at lo mod its length: the same products in the
+    same order.  The other primes p <= isqrt(BLOCK_MAX), with many multiples
+    in a block, take strided slices; the larger ones one np.multiply.at per
+    group over all their multiples in it, ordered by prime and then by
+    position, so each n still meets its primes in ascending order, and one
+    step for their multiples of p^2, at most one each per block.  Every
+    smaller prime, the wheel's too, marks its multiples of p^2 by a strided
+    slice.  A group holds at most _STEP multiples a block, and q is taken
+    _STEP entries at a time, so no temporary of a block exceeds 64 KiB.
+
+    f is called once on the int32 sieving primes and then, _STEP entries at
+    a time, on the q of the squarefree n: it sees every prime <= x and
+    nothing else.  v is a view of a buffer reused from block to block,
+    valid until the next block is asked for.  The walk reads no table.
     """
     block = _tables.BLOCK_MAX
     primes = _tables.eratosthenes(math.isqrt(x)).astype(np.int32)
     factors = f(primes)
     split = int(np.searchsorted(primes, math.isqrt(block), side="right"))
+    wheel = int(np.searchsorted(primes[:split], _WHEEL_TOP, side="right"))
     small = list(zip(primes[:split].tolist(), factors[:split]))
+    period = math.prod(primes[:wheel].tolist())
+    wheel_v = np.ones(period, dtype=np.float64)
+    wheel_prod = np.ones(period, dtype=np.int32)
+    for p, fp in small[:wheel]:
+        np.multiply(wheel_v[::p], fp, out=wheel_v[::p])
+        wheel_prod[::p] *= p
+    # the larger primes in groups of at most _STEP multiples in a block, where
+    # p has at most (block - 1) // p + 1 <= isqrt(block) + 1 of them
     big, big_f = primes[split:], factors[split:]
-    big_square = big.astype(np.intp) ** 2  # each > BLOCK_MAX
+    most = (block - 1) // big + 1
+    groups, a = [], 0
+    while a < big.size:
+        b = a + int(np.searchsorted(np.cumsum(most[a:]), _STEP, side="right"))
+        groups.append((big[a:b], big_f[a:b], big[a:b].astype(np.intp) ** 2))  # p^2 > BLOCK_MAX
+        a = b
     # block temporaries, allocated once: a fresh array per block would be
     # mapped, faulted in and unmapped again every time
     size = min(x + 1, block)
     value = np.empty(size, dtype=np.float64)
     prod_buf = np.empty(size, dtype=np.int32)
     zero_buf = np.empty(size, dtype=bool)
+    ramp = np.arange(min(size, _STEP), dtype=np.int32)
+    n_buf = np.empty_like(ramp)
     for lo in range(0, x + 1, block):
         hi = min(lo + block, x + 1)
         v, prod, zero = value[: hi - lo], prod_buf[: hi - lo], zero_buf[: hi - lo]
-        v.fill(1.0)
-        prod.fill(1)
+        _tile(v, wheel_v, lo % period)
+        _tile(prod, wheel_prod, lo % period)
         zero.fill(False)
         zero[0] = lo == 0  # n = 0
         # multiples from n = 1 on: n = 0, which every p divides, is masked,
-        # and prod then divides n, so the int32 products cannot overflow
+        # and prod then divides n (or the wheel's period, at n = 0), so the
+        # int32 products cannot overflow
         start = max(lo, 1)
-        for p, fp in small:
+        for p, fp in small[wheel:]:
             every = slice(start - lo + -start % p, None, p)
             np.multiply(v[every], fp, out=v[every])
             np.multiply(prod[every], p, out=prod[every])
+        for p, _fp in small:
             zero[-lo % (p * p) :: p * p] = True
-        first = start - lo + -start % big
-        counts = np.maximum((hi - lo - 1 - first) // big + 1, 0)
-        steps = np.repeat(big, counts)
-        at = np.arange(steps.size, dtype=np.intp)
-        at -= np.repeat(np.cumsum(counts) - counts, counts)  # i-th multiple
-        at *= steps
-        at += np.repeat(first, counts)
-        np.multiply.at(v, at, np.repeat(big_f, counts))
-        np.multiply.at(prod, at, steps)
-        at = -lo % big_square
-        zero[at[at < hi - lo]] = True
-        # q = n // prod in prod's buffer; the n are made afresh each block,
-        # so no buffer of them is held beside v while f(q) runs
-        q = np.floor_divide(np.arange(lo, hi, dtype=np.int32), prod, out=prod)
-        at = np.flatnonzero((q > 1) & ~zero)
-        v[at] *= f(q[at])
-        np.copyto(v, 0.0, where=zero)
+        for big, big_f, big_square in groups:
+            first = start - lo + -start % big
+            counts = np.maximum((hi - lo - 1 - first) // big + 1, 0)
+            steps = np.repeat(big, counts)
+            at = np.arange(steps.size, dtype=np.intp)
+            at -= np.repeat(np.cumsum(counts) - counts, counts)  # i-th multiple
+            at *= steps
+            at += np.repeat(first, counts)
+            np.multiply.at(v, at, np.repeat(big_f, counts))
+            np.multiply.at(prod, at, steps)
+            at = -lo % big_square
+            zero[at[at < hi - lo]] = True
+        # q = n // prod in prod's buffer, _STEP entries at a time
+        for a in range(0, hi - lo, _STEP):
+            b = min(a + _STEP, hi - lo)
+            n = np.add(ramp[: b - a], lo + a, out=n_buf[: b - a])
+            q = np.floor_divide(n, prod[a:b], out=prod[a:b])
+            at = np.flatnonzero((q > 1) & ~zero[a:b])
+            run = v[a:b]
+            run[at] *= f(q[at])
+        np.putmask(v, zero, 0.0)
         yield lo, hi, v
+
+
+def _tile(out: np.ndarray, period: np.ndarray, at: int) -> None:
+    """Fill out with period repeated, from its entry at on."""
+    done = min(out.size, period.size - at)
+    out[:done] = period[at : at + done]
+    while done < out.size:
+        step = min(out.size - done, period.size)
+        out[done : done + step] = period[:step]
+        done += step
 
 
 def multiplicative_values(f: FactorFn, x: int) -> np.ndarray:

@@ -779,20 +779,24 @@ def omega_experiment(
     U = _dense_windows(_lam_windows(N, h, weights, start), N, start)
     V = _dense_windows(_psi_windows(N, h, start), N, start)
 
-    a = h + C * A
-    b = h + rho * A
-    X = U - a
-    Y = V - b
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below if not finite
-        m1 = float(np.sum(Y))
-        m2 = float(X @ Y)
-        m3 = float((X * X) @ Y)
-
     su = float(np.sum(U))
     sv = float(np.sum(V))
     su2 = float(U @ U)
     suv = float(U @ V)
-    su2v = float((U * U) @ V)
+    square = U * U
+    su2v = float(square @ V)
+
+    # X = U - a and Y = V - b in the buffers of U and V, and X * X in that
+    # of U * U: three N-entry arrays at once, not five
+    a = h + C * A
+    b = h + rho * A
+    X = np.subtract(U, a, out=U)
+    Y = np.subtract(V, b, out=V)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below if not finite
+        m1 = float(np.sum(Y))
+        m2 = float(X @ Y)
+        m3 = float(np.multiply(X, X, out=square) @ Y)
+
     exp_m2, exp_m3 = omega_expansions(su, sv, su2, suv, su2v, a, b, N)
     if not all(map(math.isfinite, (m1, m2, m3, exp_m2, exp_m3))):
         raise ValueError(f"the centred sums overflow float64 at rho={rho}, C={C}")

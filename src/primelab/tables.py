@@ -1,89 +1,52 @@
-"""Sieved arithmetic tables: spf stored; mu and phi derived; Lambda and psi
-streamed.
+"""Sieved arithmetic tables: spf stored; mu and phi derived; primes,
+Lambda and psi streamed.
 
-For all n <= n_max the tables store
+For all n <= n_max the tables store ``spf``, the least prime factor of a
+composite n and 0 at a prime (uint16; spf[0] = 0, spf[1] = 1), and derive
+from it on first read ``mu`` (Moebius, int8) and ``phi`` (totient,
+int64).  The least prime factor of a composite n <= TABLE_MAX is below
+2**16, so spf fits in 16 bits; ``factor_blocks`` decodes it a block at a
+time for the recurrences of mu and phi: for n in [2^i, 2^(i+1)) with
+p = spf(n) and m = n/p < 2^i, mu = 0 and phi = phi(m) p where p divides
+m, and mu = -mu(m) and phi = phi(m) (p-1) otherwise, one vectorised step
+per ``dyadic_blocks`` block of at most BLOCK_MAX = 2**16 entries.  The
+commands read mu only up to R, for the lambda_R weights, and up to
+n^(2/3) for ``sieve``'s Mertens and squarefree counts
+(``mertens_squarefree``).  spf takes 2 bytes per entry, mu 1 and phi 8.
 
-* ``spf``   smallest prime factor of a composite n, 0 at a prime
-            (uint16; spf[0] = 0, spf[1] = 1),
+Two segmented sieves run over segments of SIEVE_SEGMENT = 2**18 entries,
+with the sieving primes p <= isqrt(n) of ``eratosthenes``, the one plain
+sieve (``constants.primes_up_to`` returns it too), and hold one segment
+whatever n.  ``sieve_segments`` makes spf for ``build_tables``: in each
+segment every p with p^2 < hi writes p at its multiples >= p^2, the
+largest p first.  ``odd_sieve_segments`` is the prime stream's: one bool
+per odd n, cleared at the odd multiples >= p^2 of the odd p, over any
+range [start, n] alone.  ``_prime_blocks`` reads it in blocks of
+BLOCK_MAX entries, never stored (``prime_blocks``); Lambda has one
+stream on it, ``_prime_power_blocks``, each block's prime powers and
+Lambda at them.  ``psi_blocks`` sums that into psi, which ``sieve`` and
+the psi moments read; ``LambdaWindows`` scatters it over ascending
+windows, sieving from the first window's start once, so a pattern sum of
+the mixed correlations reads Lambda off one pass; ``von_mangoldt(lo,
+hi)`` is one such window.  No command reads Lambda or psi from a table.
 
-and derive from it, on first read,
+The lemmas' walk is a segmented sieve of its own (``lemmas._walk``).
+``cumsum_blocks`` streams a running sum over blocks, carrying as many
+earlier sums as a window difference needs, and ``PairwiseSum`` is the one
+sum over streamed blocks: np.sum of all their entries, bit for bit,
+holding O(log n) partial sums.
 
-* ``mu``    Moebius function (int8),
-* ``phi``   Euler totient (int64).
-
-Lambda and psi are no table arrays: they stream from the sieve (below).
-
-The least prime factor of a composite n <= TABLE_MAX is at most
-isqrt(TABLE_MAX) < 2**16, and at a prime it is n itself, which the index
-already gives: so spf fits in 16 bits, and ``factor_blocks`` decodes it
-(k where spf[k] = 0) a block at a time for the recurrences of mu and phi
-below.
-
-One segmented sieve makes spf (``sieve_segments``): segments of
-SIEVE_SEGMENT = 2**18 entries, sieved in turn by the primes
-p <= isqrt(n_max) of ``eratosthenes``, the one plain sieve of
-Eratosthenes, which ``constants.primes_up_to`` returns too.  In a
-segment [lo, hi) every p with p^2 < hi writes spf = p at its multiples
->= p^2, the largest p first so the least prime factor stays.  The same
-segments, read as they come and never stored, are the one prime stream
-(``prime_blocks``): the primes of each block of BLOCK_MAX entries, with
-one segment held whatever n.  mu and phi come from a dyadic-block
-recurrence: for n in [2^i, 2^(i+1)) write p = spf(n) and m = n/p.  Then
-m < 2^i, so every n of the block reads only finished entries and the
-block is one vectorised numpy step: mu = 0 and phi = phi(m) p where
-p = spf(m), and mu = -mu(m) and phi = phi(m) (p-1) otherwise.  The commands read mu only up to R, for the lambda_R weights,
-and up to n^(2/3) for ``sieve``'s Mertens and squarefree counts
-(``mertens_squarefree``).
-
-``dyadic_blocks`` yields the blocks, split further so that no step's
-temporaries exceed BLOCK_MAX = 2**16 entries.  The lemmas' walk is a
-segmented sieve of its own, in blocks of BLOCK_MAX values: the primes up
-to isqrt(x) from ``eratosthenes`` multiply their factors into a block at
-their multiples and mark their multiples of p^2, and the one larger prime
-a squarefree n may have comes last (``lemmas._walk``).  It reads no table
-and keeps no array over n, and a walk that needs only prefix sums takes
-them as the blocks pass (``lemmas._LadderWalk``).  ``cumsum_blocks``
-streams a running sum over such blocks, carrying as many earlier sums as
-a window difference needs.  ``PairwiseSum`` is the one sum over streamed
-blocks: fed them in order, it returns np.sum of all their entries bit for
-bit, in numpy's pairwise order, holding O(log n) partial sums; it serves
-the lemma rungs and every sum over n of ``correlations`` and ``moments``.
-
-Lambda has one stream, ``_prime_power_blocks``: each block's primes off
-the prime stream, its prime powers and Lambda at them.  ``psi_blocks``
-sums it into psi at each prime power, so no command reads psi from a
-table; ``sieve`` and the psi moments read it, and the lemmas' Euler
-products read the prime stream.  ``LambdaWindows`` scatters the same
-stream over ascending windows, with the same bits: it sieves from the
-first window's start, once, however much the windows overlap, so a
-pattern sum of the mixed correlations reads Lambda off one pass and no
-table at the N scale.  ``von_mangoldt(lo, hi)`` is one such window.
-
-The stored array takes 2 bytes per entry, so n_max = 10**7 costs ~20 MB
-in memory (a cache file holds half of it, below).  mu adds 1 byte and
-phi 8 bytes per entry once read; the commands read them only up to R and
-up to n^(2/3).  The streams hold O(SIEVE_SEGMENT) entries whatever n; the
-whole arrays of Lambda and psi that the tests compare them with are
-built in the tests alone.  A build holds the 2 bytes per entry and one
-segment's buffer (512 KiB at 2**18 entries).
-``build_tables`` refuses n_max above TABLE_MAX, the limit of the int32
-arithmetic in the recurrences.
-
-``tables_for`` is the one provider every table reader goes through, and
-the commands read tables only up to R, for the lambda_R weights and the
-exact kernels, so a cache file is R-sized.  The provider reads the prefix
-of the largest cache file in PRIMELAB_CACHE_DIR that reaches n_max;
-otherwise it sieves afresh in memory and, with a cache dir, saves the
-build there, replacing the smaller files.  The process keeps no build, so
-repeated requests in one process are what the cache dir is for.  A cache
-file (format 5) is a small versioned header, spf at the odd n alone (at
-an even n > 2 it is 2, so it carries nothing), then a CRC32 of every
-block of _CHECK_ENTRIES = 2**18 stored entries, all little-endian: 1 byte
-per integer, ~10 MB at n_max = 10**7.  The check block is part of the
-file format and does not follow BLOCK_MAX.  ``load_tables`` reads the
-blocks that cover the odd n of the requested prefix one at a time, checks
-each before using it and fills in the even n, on every load, so damaged
-bytes are never used and blocks beyond the prefix are never read.
+``tables_for`` is the one provider every table reader goes through.  It
+reads the prefix of the largest cache file in PRIMELAB_CACHE_DIR that
+reaches n_max, or sieves afresh in memory and, with a cache dir, saves the
+build there, replacing the smaller files; the process keeps no build.  A
+cache file (format 5) is a small versioned header, spf at the odd n alone
+(2 at every even n > 2), then a CRC32 of every block of _CHECK_ENTRIES =
+2**18 stored entries, little-endian: ~10 MB at n_max = 10**7.
+``load_tables`` reads only the blocks that cover the odd n of the prefix,
+checks each before using it and fills in the even n, so damaged bytes are
+never used.  ``build_tables`` refuses n_max above TABLE_MAX, the limit of
+the int32 arithmetic in the recurrences.
 """
 
 from __future__ import annotations
@@ -187,21 +150,17 @@ def eratosthenes(top: int) -> np.ndarray:
     return np.flatnonzero(is_prime).astype(np.int64, copy=False)
 
 
-def sieve_segments(n: int, start: int = 0):
+def sieve_segments(n: int):
     """Yield (lo, hi, spf) over the segments [lo, hi) of SIEVE_SEGMENT
-    entries covering start..n, 0 <= start, in order: spf (uint16) of
-    lo..hi-1, as the tables store it.  Only that range is sieved, so a
-    range high up costs its own entries and the primes up to isqrt(n),
-    not the prefix below it.
-
-    For each prime p with p^2 < hi, spf is set to p at the multiples >= p^2,
-    largest p first, so the least prime factor is written last.  spf is a
-    view of a buffer reused from segment to segment, so it is only valid
-    until the next segment is asked for.
+    entries covering 0..n, in order: spf (uint16) of lo..hi-1, as the
+    tables store it, for ``build_tables``.  Each prime p with p^2 < hi
+    sets spf = p at its multiples >= p^2, largest p first, so the least
+    prime factor is written last.  spf is a view of a buffer reused from
+    segment to segment, valid until the next segment is asked for.
     """
     primes = eratosthenes(math.isqrt(n)).tolist()
-    buf = np.empty(min(SIEVE_SEGMENT, max(n + 1 - start, 0)), dtype=np.uint16)
-    for lo in range(start, n + 1, SIEVE_SEGMENT):
+    buf = np.empty(min(SIEVE_SEGMENT, n + 1), dtype=np.uint16)
+    for lo in range(0, n + 1, SIEVE_SEGMENT):
         hi = min(lo + SIEVE_SEGMENT, n + 1)
         spf = buf[: hi - lo]
         spf.fill(0)
@@ -249,7 +208,7 @@ def _cofactor_blocks(spf: np.ndarray):
 def prime_blocks(n: int):
     """Yield (lo, hi, primes) over blocks [lo, hi) of at most BLOCK_MAX
     entries covering 0..n, n >= 0, in order: primes the ascending primes
-    in the block (int64), read off the segments of ``sieve_segments(n)``.
+    in the block (int64), read off ``odd_sieve_segments(n)``.
     The one prime stream: it holds one segment and one block's primes, no
     list of all the primes up to n.  n above TABLE_MAX raises ValueError
     here, before anything is sieved.
@@ -264,18 +223,42 @@ def _check_sieve_bound(n: int) -> None:
         raise ValueError(f"a prime sieve to {n} is beyond {TABLE_MAX}")
 
 
+def odd_sieve_segments(n: int, start: int = 0):
+    """Yield (lo, hi, odd) over the segments [lo, hi) of SIEVE_SEGMENT
+    entries covering start..n, 0 <= start, in order: odd[i] is True where
+    lo | 1 + 2 i is 1 or an odd prime.  Only that range is sieved, so a
+    range high up costs its own entries, a byte per odd n, and the primes
+    up to isqrt(n).  odd is a view of a buffer reused from segment to
+    segment."""
+    primes = eratosthenes(math.isqrt(n))[1:].tolist()
+    buf = np.empty((min(SIEVE_SEGMENT, max(n + 1 - start, 0)) + 1) // 2, dtype=bool)
+    for lo in range(start, n + 1, SIEVE_SEGMENT):
+        hi = min(lo + SIEVE_SEGMENT, n + 1)
+        odd = buf[: (hi - (lo | 1) + 1) // 2]
+        odd.fill(True)
+        for p in primes:
+            if p * p >= hi:
+                break
+            m = max(p * p, lo + -lo % p)
+            m += p * (m % 2 == 0)  # the first odd multiple
+            odd[(m - (lo | 1)) // 2 :: p] = False
+        yield lo, hi, odd
+
+
 def _prime_blocks(n: int, start: int = 0):
     """Yield (lo, hi, primes) over the blocks [lo, hi) of at most BLOCK_MAX
-    entries covering start..n, 0 <= start, in order, each cut from a
-    segment of ``sieve_segments(n, start)``: primes the n >= 2 in the block
-    where spf[n] = 0, ascending (int64).  The one place primes are read
-    off the sieve."""
-    for a, b, spf in sieve_segments(n, start):
+    entries covering start..n, 0 <= start, in order, cut from the segments
+    of ``odd_sieve_segments(n, start)``: primes the primes in the block,
+    ascending (int64).  The one place primes are read off a sieve."""
+    for a, b, odd in odd_sieve_segments(n, start):
         for lo in range(a, b, BLOCK_MAX):
             hi = min(lo + BLOCK_MAX, b)
-            skip = max(2 - lo, 0)
-            primes = np.flatnonzero(spf[lo - a + skip : hi - a] == 0)
-            primes += lo + skip
+            first = max(lo, 2) | 1  # from 3: 1 is no prime
+            primes = np.flatnonzero(odd[(first - (a | 1)) // 2 : ((hi | 1) - (a | 1)) // 2])
+            primes *= 2
+            primes += first
+            if lo <= 2 < hi:
+                primes = np.concatenate(([2], primes))
             yield lo, hi, primes
 
 

@@ -74,6 +74,34 @@ class TestWeights:
             assert np.allclose(build_weights(int(R)).y, exact, rtol=1e-12, atol=1e-12)
 
 
+class TestWeightsBound:
+    def test_oversize_R_refused_before_any_table(self, monkeypatch, capsys):
+        """R above WEIGHTS_R_MAX is refused, exit 3, before a table is
+        sieved or read, for the weights of both approximants; R at the
+        bound passes the check and reaches the table provider."""
+        from primelab import approximants, cli, tables
+
+        def fail(*args, **kwargs):
+            pytest.fail("sieved for an oversize R")
+
+        for module in (approximants, tables):
+            monkeypatch.setattr(module, "tables_for", fail)
+        monkeypatch.setattr(tables, "build_tables", fail)
+        R = approximants.WEIGHTS_R_MAX + 1
+        for build in (build_weights, biglambda_weights):
+            with pytest.raises(ValueError, match="beyond"):
+                build(R)
+        assert cli.main(["lambda", "--r", str(R), "--n", "10"]) == 3
+        assert "beyond" in capsys.readouterr().err
+
+        def reached(R):
+            raise LookupError(R)
+
+        monkeypatch.setattr(approximants, "tables_for", reached)
+        with pytest.raises(LookupError):
+            build_weights(approximants.WEIGHTS_R_MAX)
+
+
 class TestLambdaRange:
     def test_against_direct_oracle(self):
         """Range evaluation equals the Fraction oracle at random (n, R)."""

@@ -186,7 +186,8 @@ class TestExitCodes:
         def fail(*args, **kwargs):
             pytest.fail("allocated for an oversize sieve")
 
-        for name in ("sieve_segments", "eratosthenes", "build_tables", "tables_for"):
+        for name in ("sieve_segments", "odd_sieve_segments", "eratosthenes", "build_tables",
+                     "tables_for"):
             monkeypatch.setattr(tables, name, fail)
         assert cli.main(["sieve", "--n-max", str(tables.TABLE_MAX + 1)]) == 3
         assert "beyond" in capsys.readouterr().err
@@ -207,8 +208,8 @@ class TestExitCodes:
         def fail(*args, **kwargs):
             pytest.fail("sieved for an oversize range")
 
-        for name in ("sieve_segments", "eratosthenes", "prime_blocks", "build_tables",
-                     "tables_for"):
+        for name in ("sieve_segments", "odd_sieve_segments", "eratosthenes", "prime_blocks",
+                     "build_tables", "tables_for"):
             monkeypatch.setattr(tables, name, fail)
         monkeypatch.setattr(approximants, "build_weights", fail)
         assert cli.main(argv) == 3

@@ -9,6 +9,7 @@ criterion grids run in the acceptance suite).
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -135,8 +136,8 @@ class TestOversizeRange:
 
         monkeypatch.setattr(approximants, "lambda_R_range", fail)
         monkeypatch.setattr(correlations, "tables_for", fail)
-        for name in ("sieve_segments", "eratosthenes", "prime_blocks", "build_tables",
-                     "tables_for"):
+        for name in ("sieve_segments", "odd_sieve_segments", "eratosthenes", "prime_blocks",
+                     "build_tables", "tables_for"):
             monkeypatch.setattr(tables, name, fail)
         pair = ShiftPattern((0, 2), (1, 1))
         for call in (
@@ -196,8 +197,8 @@ class TestLambdaPass:
     def _count_passes(monkeypatch):
         from primelab import tables
         passes = []
-        real = tables.sieve_segments
-        monkeypatch.setattr(tables, "sieve_segments",
+        real = tables.odd_sieve_segments
+        monkeypatch.setattr(tables, "odd_sieve_segments",
                             lambda n, start=0: passes.append((n, start)) or real(n, start))
         return passes
 
@@ -216,6 +217,23 @@ class TestLambdaPass:
         got = psi_tuple(N, shifts)
         assert passes == [(N + max(shifts), max(1 + min(shifts), 0))]
         assert np.float64(got).tobytes() == np.float64(per_block).tobytes()
+
+    def test_far_apart_shifts_read_block_sized_windows(self, monkeypatch):
+        """Shifts 10**6 apart are two runs, each read off its own sieve pass
+        in windows of a block of n: psi_tuple(10**6, (0, 10**6)) allocates
+        less than one float64 array over the spread (8 MB), which one window
+        over both shifts took in every block, and keeps that window's bits
+        (the pinned value)."""
+        passes = self._count_passes(monkeypatch)
+        tracemalloc.start()
+        try:
+            got = psi_tuple(10**6, (0, 10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 10**6
+        assert got.hex() == "0x1.af0aa31006bb0p+20"
+        assert passes == [(10**6, 1), (2 * 10**6, 10**6 + 1)]
 
     @pytest.mark.parametrize("primed", [False, True])
     @pytest.mark.parametrize("shifts", [(0, 2), (3, -4)])

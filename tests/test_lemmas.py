@@ -236,6 +236,42 @@ class TestMultiplicativeValues:
             got = np.concatenate(blocks)
             assert got.tobytes() == want[: x + 1].tobytes(), x
 
+    def test_walk_block_temporaries_stay_small(self):
+        """A walk's block work is bounded: beyond its fixed buffers (13
+        bytes per block entry, for v, prod and the p^2 marks) and its wheel
+        period (12 bytes per entry of 30030), a walk over four blocks holds
+        at most eight 64 KiB temporaries at once, where temporaries over
+        whole blocks (256-512 KiB each) took more."""
+        f = _lemma4_factor(6, 35)
+        block = tables_mod.BLOCK_MAX
+        tracemalloc.start()
+        try:
+            _rung_sums(f, (4 * block,))
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - 13 * block - 12 * 30030 <= 8 * 64 * 1024
+
+    @pytest.mark.parametrize("block_max", [64, 30029, 30031, 1 << 16])
+    def test_wheel_blocks_equal_the_slice_sieve(self, monkeypatch, block_max):
+        """Each block starts from the wheel's period at lo mod its length,
+        and the blocks are the per-prime slice values byte for byte (as
+        int64, so the sign of a zero counts): blocks of 30029 and 30031
+        entries start on either side of the multiples of 30030, x < 169
+        sieves with fewer than the six wheel primes, and with BLOCK_MAX = 64
+        the wheel stops at 7."""
+        from primelab import lemmas
+
+        monkeypatch.setattr(tables_mod, "BLOCK_MAX", block_max)
+        rng = np.random.default_rng(SEED + 3)
+        top = 3 * 30030 + 7
+        fvals = rng.normal(size=top + 1)
+        fvals[rng.random(top + 1) < 0.2] = -0.0
+        want = slice_sieve_mult_values(fvals, top).view(np.int64)
+        for x in (*range(1, 13), 168, 169, 170, 30029, 30030, 30031, 60061, top):
+            got = np.concatenate([v.copy() for _lo, _hi, v in lemmas._walk(fvals.__getitem__, x)])
+            assert np.array_equal(got.view(np.int64), want[: x + 1]), (block_max, x)
+
     @pytest.mark.parametrize("block_max", [UNSPLIT, 64])
     def test_factor_function_sees_every_prime_and_only_primes(
         self, monkeypatch, block_max
@@ -389,7 +425,8 @@ class TestOversizeLadder:
             pytest.fail("allocated for an oversize ladder")
 
         monkeypatch.setattr(constants, "primes_up_to", fail)
-        for name in ("eratosthenes", "sieve_segments", "prime_blocks", "tables_for"):
+        for name in ("eratosthenes", "sieve_segments", "odd_sieve_segments", "prime_blocks",
+                     "tables_for"):
             monkeypatch.setattr(tables_mod, name, fail)
         ladder = (10, tables_mod.TABLE_MAX + 1)
         for call in (

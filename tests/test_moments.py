@@ -654,8 +654,8 @@ class TestOversizeWindows:
 
         for name in ("build_weights", "lambda_R_range"):
             monkeypatch.setattr(moments, name, fail)
-        for name in ("sieve_segments", "eratosthenes", "prime_blocks", "build_tables",
-                     "tables_for"):
+        for name in ("sieve_segments", "odd_sieve_segments", "eratosthenes", "prime_blocks",
+                     "build_tables", "tables_for"):
             monkeypatch.setattr(tables_mod, name, fail)
         big = 3 * 10**9
         for call in (

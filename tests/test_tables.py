@@ -424,6 +424,31 @@ class TestBlockReaders:
         for n in range(1, 3001):
             self._check_stream(n, 3000)
 
+    @pytest.mark.parametrize("block_max", [64, 1 << 16])
+    def test_prime_blocks_are_the_spf_sieve(self, monkeypatch, block_max):
+        """The prime stream's odd-only sieve gives the primes of the spf
+        sieve, the n >= 2 where spf is 0, as int64, in blocks of at most
+        BLOCK_MAX cut from segments [a, b) from start on: at odd and even
+        starts, at n = 0..3 and across the edges of segments of 96
+        entries."""
+        monkeypatch.setattr(tables_mod, "BLOCK_MAX", block_max)
+        monkeypatch.setattr(tables_mod, "SIEVE_SEGMENT", 96)
+        for n in (0, 1, 2, 3, 4, 95, 96, 97, 191, 192, 193, 293, 1000):
+            spf = np.concatenate([s.copy() for _a, _b, s in tables_mod.sieve_segments(n)])
+            for start in {0, 1, 2, 3, 4, 5, 95, 96, 97, 190, n, n + 1, max(n - 1, 0)}:
+                want = []
+                for a in range(start, n + 1, 96):
+                    b = min(a + 96, n + 1)
+                    for lo in range(a, b, block_max):
+                        hi = min(lo + block_max, b)
+                        primes = np.flatnonzero(spf[lo:hi] == 0) + lo
+                        want.append((lo, hi, primes[primes >= 2].tobytes()))
+                got = []
+                for lo, hi, primes in tables_mod._prime_blocks(n, start):
+                    assert primes.dtype == np.int64
+                    got.append((lo, hi, primes.tobytes()))
+                assert got == want, (n, start)
+
     @pytest.mark.parametrize("lo, hi", [
         (-5, 1), (-5, 10), (0, 1), (0, 40), (1, 2), (1, 50), (2, 3), (2, 1000),
         (B - 3, B + 3),             # a block edge, at the prime power 2^16
@@ -493,8 +518,8 @@ class TestBlockReaders:
             assert tables_mod.von_mangoldt(lo, hi).tobytes() == want.tobytes(), (lo, hi)
             wants.append(want)
         passes = []
-        real = tables_mod.sieve_segments
-        monkeypatch.setattr(tables_mod, "sieve_segments",
+        real = tables_mod.odd_sieve_segments
+        monkeypatch.setattr(tables_mod, "odd_sieve_segments",
                             lambda n, start=0: passes.append((n, start)) or real(n, start))
         source = tables_mod.LambdaWindows(n_hi + j1)
         for (lo, hi), want in zip(windows, wants):
@@ -518,7 +543,7 @@ class TestBlockReaders:
         """The reader sieves [max(lo, 0), hi) and nothing below it, with the
         primes up to isqrt(hi - 1): one segmented sieve from the range's
         start, whose segments cover the range exactly."""
-        real_segments, real_primes = tables_mod.sieve_segments, tables_mod.eratosthenes
+        real_segments, real_primes = tables_mod.odd_sieve_segments, tables_mod.eratosthenes
         asked, covered, tops = [], [], []
 
         def segments(n, start=0):
@@ -527,7 +552,7 @@ class TestBlockReaders:
                 covered.append(seg[:2])
                 yield seg
 
-        monkeypatch.setattr(tables_mod, "sieve_segments", segments)
+        monkeypatch.setattr(tables_mod, "odd_sieve_segments", segments)
         monkeypatch.setattr(tables_mod, "eratosthenes",
                             lambda top: tops.append(top) or real_primes(top))
         tables_mod.von_mangoldt(lo, hi)
@@ -539,7 +564,7 @@ class TestBlockReaders:
     def test_range_reader_refuses_beyond_the_bound(self, monkeypatch):
         """A range that reaches past TABLE_MAX is refused before a segment
         is sieved or a sieving prime is listed."""
-        for name in ("sieve_segments", "eratosthenes"):
+        for name in ("sieve_segments", "odd_sieve_segments", "eratosthenes"):
             monkeypatch.setattr(tables_mod, name, lambda *args: pytest.fail("sieved"))
         top = tables_mod.TABLE_MAX
         with pytest.raises(ValueError, match="beyond"):
