@@ -68,13 +68,17 @@ class ApproximantWeights:
 _weights_cache: dict[tuple[int, bool], ApproximantWeights] = {}
 
 
-def _squarefree_support(R: int) -> tuple[ArithTables, np.ndarray, np.ndarray]:
-    """(tables, mu[0..R] as int64, the ascending squarefree d <= R as int64);
-    R > WEIGHTS_R_MAX is refused first."""
+def _check_R(R: int) -> None:
+    """Refuse R < 1 or R > WEIGHTS_R_MAX, before any table is sieved."""
     if R < 1:
         raise ValueError(f"R must be >= 1, got {R}")
     if R > WEIGHTS_R_MAX:
         raise ValueError(f"R={R} is beyond {WEIGHTS_R_MAX}")
+
+
+def _squarefree_support(R: int) -> tuple[ArithTables, np.ndarray, np.ndarray]:
+    """(tables, mu[0..R] as int64, the ascending squarefree d <= R as int64)."""
+    _check_R(R)
     tb = tables_for(R)
     mu = tb.mu[: R + 1].astype(np.int64)
     sf = np.flatnonzero(mu != 0)
@@ -212,8 +216,7 @@ def sigma_phi_bound(R: int) -> Fraction:
     counts by exact multiples in the pair/triple correlation sums (and is
     O(R); the recorded ratio to R is reported by the tests).
     """
-    if R < 1:
-        raise ValueError(f"R must be >= 1, got {R}")
+    _check_R(R)
     tb = tables_for(R)
     acc = Fraction(0)
     for r in range(1, R + 1):
@@ -250,8 +253,7 @@ def script_L(R: int, k: int = 1) -> Fraction:
 def script_L_float(R: int) -> float:
     """float script_L(R) = sum_{r <= R} mu^2(r)/phi(r), the k = 1 case of
     ``script_L``, for large R (array evaluation)."""
-    if R < 1:
-        raise ValueError(f"R must be >= 1, got {R}")
+    _check_R(R)
     tb = tables_for(R)
     mask = tb.mu[: R + 1] != 0
     mask[0] = False

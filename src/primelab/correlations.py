@@ -180,11 +180,11 @@ def s_k(
     within the exact-weight guard); ``computed`` is then its float value.
     primed_range=True sums over n in [N+1, 2N] instead of [1, N].
     Predictions are attached for k <= 3; larger k is computed but carries
-    no prediction.
+    no prediction.  A bad R or p_cut is refused before the sum.
     """
     n_lo, n_hi, top = _check_range(N, pattern, primed_range)
-    if R < 1:
-        raise ValueError(f"R must be >= 1, got {R}")
+    ap._check_R(R)
+    sg._check_p_cut(pattern.r, p_cut)
     weights = ap.build_weights(R, exact=exact)
     total = _pattern_sum([_lambda_R_source(weights)] * pattern.r,
                          pattern.shifts, pattern.multiplicities, n_lo, n_hi)
@@ -207,13 +207,14 @@ def s_tilde_k(
 
     r = 1 needs no approximant at all: S~_1(N, (j)) = psi(N+j) - psi(j)
     for j >= 0 (window of the prefix sums), which is N + O(|j| log N)
-    under the usual error terms.
+    under the usual error terms.  A bad p_cut is refused before the sum.
     """
     n_lo, n_hi, _top = _check_range(N, pattern, primed_range)
     if pattern.multiplicities[-1] != 1:
         raise ValueError("mixed pattern requires multiplicity 1 on the last shift")
     if pattern.r > 1 and R < 1:
         raise ValueError(f"R must be >= 1, got {R}")
+    sg._check_p_cut(pattern.r, p_cut)
 
     sources = [_tables.LambdaWindows(n_hi + pattern.shifts[-1])]
     if pattern.r > 1:

@@ -19,8 +19,9 @@ block as the walk passes (``_LadderWalk``), bit for bit as np.sum would,
 and keep no array over n.  Each lemma then supplies its factor function
 (``_factor``: one formula on the primes, with values overridden at the
 primes dividing j or k), its closed-form main term (Euler products and
-prime log-sums truncated at a recorded p_cut; for Lemma 1 built from the
-same f = P1/P2 its walk reads, for Lemmas 4 and 5 the product
+prime log-sums truncated at a recorded p_cut, streamed over the primes by
+``tables.prime_sums`` as the singular series' are; for Lemma 1 built from
+the same f = P1/P2 its walk reads, for Lemmas 4 and 5 the product
 prod_p (1 + f(p)) of the same factor function, ``_euler_limit``), and the
 normalization under which the error is expected to stay bounded:
 
@@ -60,6 +61,7 @@ from .tables import (
     PairwiseSum,
     cumsum_blocks,
     prime_divisors,
+    prime_sums,
     squarefree_kernel,
 )
 
@@ -383,42 +385,11 @@ def _factor(
     return f
 
 
-def _prime_sums(
-    terms: Callable[[np.ndarray], tuple[np.ndarray, ...]],
-    p_cut: int,
-    extra: Sequence[int] = (),
-    odd: bool = False,
-) -> tuple[float, ...]:
-    """np.sum of each float64 array of terms(ps), bit for bit, where ps is
-    the primes up to p_cut (the odd ones alone if odd) followed by those of
-    extra, as one float64 array; terms maps primes to arrays of their
-    length.
-
-    The primes are read from ``tables.prime_blocks(p_cut)`` twice: a pass
-    that counts them, then one that feeds each sum's ``PairwiseSum`` a
-    block at a time.  So no array over all the primes is held, and a
-    p_cut beyond TABLE_MAX is refused before anything is sieved.
-    """
-    def primes():
-        for _lo, _hi, ps in _tables.prime_blocks(p_cut):
-            yield ps[ps != 2] if odd else ps
-        yield np.array(extra, dtype=np.int64)
-
-    count = sum(ps.size for ps in primes())
-    sums: list[PairwiseSum] = []
-    for ps in primes():
-        parts = terms(ps.astype(np.float64))
-        sums = sums or [PairwiseSum(count) for _part in parts]
-        for total, part in zip(sums, parts):
-            total.add(part)
-    return tuple(total.total for total in sums)
-
-
 def _euler_limit(f: FactorFn, p_cut: int, special: Sequence[int]) -> float:
     """prod (1 + f(p)) over the primes p <= p_cut and the primes of the
     integers in ``special`` above p_cut, fed last: the limit of
     sum mu^2(n) prod f(p), truncated at p_cut, as exp of the sum of
-    log1p(f(p)) (``_prime_sums``).  The factors must be >= 0; a zero
+    log1p(f(p)) (``tables.prime_sums``).  The factors must be >= 0; a zero
     factor (f(p) = -1 exactly) adds log 0 = -inf to the sum, so the
     product is exactly 0.0.
     """
@@ -428,7 +399,7 @@ def _euler_limit(f: FactorFn, p_cut: int, special: Sequence[int]) -> float:
             return (np.log1p(terms),)
 
     extra = sorted({p for m in special for p in prime_divisors(m) if p > p_cut})
-    (logs,) = _prime_sums(log_factors, p_cut, extra)
+    (logs,) = prime_sums(log_factors, p_cut, extra)
     return float(np.exp(logs))
 
 
@@ -496,7 +467,7 @@ def lemma1(
         return (np.log1p(-1.0 / ps) + np.log1p(fp),
                 (1.0 / (ps - 1.0) - fp / (1.0 + fp)) * np.log(ps))
 
-    log_k1, s1 = _prime_sums(parts, p_cut)
+    log_k1, s1 = prime_sums(parts, p_cut)
     k1 = float(np.exp(log_k1))
     k_primes = prime_divisors(k)
     pk = np.array(k_primes, dtype=np.float64)
@@ -587,7 +558,7 @@ def euler_P1(p_cut: int = DEFAULT_P_CUT) -> float:
         c = (3.0 * ps - 4.0) * rt / ((ps - 1.0) * (rt - 1.0))
         return (np.log((1.0 + c / ps) * (1.0 - 1.0 / ps) ** 3),)
 
-    (logs,) = _prime_sums(log_bracket, p_cut)
+    (logs,) = prime_sums(log_bracket, p_cut)
     return float(np.exp(logs))
 
 
@@ -688,7 +659,7 @@ def _sum_logp_p_pminus2(p_cut: int) -> float:
     At the default CONST_P_CUT it is the pinned literal of the same bits."""
     if p_cut == CONST_P_CUT:
         return LOGP_P_PMINUS2_SUM
-    (total,) = _prime_sums(lambda ps: (np.log(ps) / (ps * (ps - 2.0)),), p_cut, odd=True)
+    (total,) = prime_sums(lambda ps: (np.log(ps) / (ps * (ps - 2.0)),), p_cut, above=2)
     return total
 
 

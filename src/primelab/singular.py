@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import DEFAULT_P_CUT, EULER_GAMMA, LOG_2PI, primes_up_to
-from .tables import prime_divisors
+from .tables import _check_sieve_bound, prime_divisors, prime_sums
 
 #: linear coefficient in R_2(h) ~ -h log h + A h
 R2_LINEAR_COEFF = 2.0 - EULER_GAMMA - LOG_2PI
@@ -124,8 +124,8 @@ def constant_C(n: int, p_cut: int = DEFAULT_P_CUT) -> SingularValue:
 
     The factor at p > n is g_n(p)/g_{n-1}(p), with g_r the generic factor
     of an r-tuple, so C_n = g_{n-1}(n) B_n / B_{n-1} with B_r the generic
-    Euler product that ``singular_vector`` reads (B_1 = 1 exactly: each of
-    its factors is).
+    Euler product that ``singular_vector`` reads, one prime stream each
+    (``_generic_base``): B_1 = 1 reads none, so C_2 streams once, C_3 twice.
     """
     if n not in (2, 3):
         raise ValueError(f"constant_C supports n in {{2, 3}}, got {n}")
@@ -140,22 +140,26 @@ def constant_C(n: int, p_cut: int = DEFAULT_P_CUT) -> SingularValue:
 
 
 def _constant_C_value(n: int, p_cut: int) -> float:
-    base_n, base_below = _generic_bases((n, n - 1), p_cut)
-    return _generic_factor(n - 1, n) * base_n / base_below
+    return _generic_factor(n - 1, n) * _generic_base(n, p_cut) / _generic_base(n - 1, p_cut)
 
 
 @lru_cache(maxsize=64)
-def _generic_bases(rs: tuple[int, ...], p_cut: int) -> tuple[float, ...]:
-    """prod_{r < p <= p_cut} (1 - 1/p)^(-r) (1 - r/p) for each r of rs,
-    all from one sieve of the primes up to p_cut (each r reads a view of
-    its tail, so the list is held once)."""
-    primes = primes_up_to(p_cut).astype(np.float64)
-    bases = []
-    for r in rs:
-        ps = primes[np.searchsorted(primes, r, side="right") :]
-        logs = -r * np.log1p(-1.0 / ps) + np.log1p(-r / ps)
-        bases.append(float(np.exp(np.sum(logs))))
-    return tuple(bases)
+def _generic_base(r: int, p_cut: int) -> float:
+    """B_r = prod_{r < p <= p_cut} (1 - 1/p)^(-r) (1 - r/p), the exp of one
+    streamed prime sum (``tables.prime_sums``).  B_1 = 1.0 with no stream:
+    each of its log terms, -log1p(-1/p) + log1p(-1/p), is exactly +0.0."""
+    if r == 1:
+        return 1.0
+    (logs,) = prime_sums(lambda ps: (-r * np.log1p(-1.0 / ps) + np.log1p(-r / ps),),
+                         p_cut, above=r)
+    return float(np.exp(logs))
+
+
+def _check_p_cut(r: int, p_cut: int) -> None:
+    """Refuse a p_cut <= r or beyond TABLE_MAX, before anything is summed."""
+    if p_cut <= r:
+        raise ValueError(f"p_cut must exceed the tuple size r={r}")
+    _check_sieve_bound(p_cut)
 
 
 def _generic_factor(r: int, p: int) -> float:
@@ -179,8 +183,7 @@ def singular_vector(
         return SingularValue(1.0, Fraction(1), p_cut, 0.0)
     if len(set(shifts)) != r:
         raise ValueError(f"shifts must be distinct, got {shifts}")
-    if p_cut <= r:
-        raise ValueError(f"p_cut must exceed the tuple size r={r}")
+    _check_p_cut(r, p_cut)
     if r == 1:
         # (1 - 1/p)^(-1) (1 - 1/p) = 1 for every p
         return SingularValue(1.0, Fraction(1), p_cut, 0.0)
@@ -200,7 +203,7 @@ def singular_vector(
         finite *= Fraction((p - nu) * p ** (r - 1), (p - 1) ** r)
         if r < p <= p_cut:
             correction *= _generic_factor(r, p)
-    value = float(finite) * _generic_bases((r,), p_cut)[0] / correction
+    value = float(finite) * _generic_base(r, p_cut) / correction
     return SingularValue(value, finite, p_cut, r * (r + 1) / p_cut)
 
 

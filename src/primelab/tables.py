@@ -34,7 +34,8 @@ The lemmas' walk is a segmented sieve of its own (``lemmas._walk``).
 ``cumsum_blocks`` streams a running sum over blocks, carrying as many
 earlier sums as a window difference needs, and ``PairwiseSum`` is the one
 sum over streamed blocks: np.sum of all their entries, bit for bit,
-holding O(log n) partial sums.
+holding O(log n) partial sums; ``prime_sums`` feeds them from the prime
+stream, the one reader of sums over the primes up to p_cut.
 
 ``tables_for`` is the one provider every table reader goes through.  It
 reads the prefix of the largest cache file in PRIMELAB_CACHE_DIR that
@@ -58,6 +59,7 @@ import math
 import os
 import re
 import struct
+from typing import Callable, Sequence
 import zlib
 
 import numpy as np
@@ -489,6 +491,30 @@ class PairwiseSum:
                 self._done[a, mid] = left
             return None
         return left + right
+
+
+def prime_sums(terms: Callable[[np.ndarray], tuple[np.ndarray, ...]], p_cut: int,
+               extra: Sequence[int] = (), above: int = 0) -> tuple[float, ...]:
+    """np.sum of each float64 array of terms(ps), bit for bit, where ps is
+    the primes p with above < p <= p_cut followed by those of extra, as one
+    float64 array, and terms maps primes to a tuple of arrays of their
+    length.  ``prime_blocks(p_cut)`` is read twice, a pass that counts the
+    primes and one that feeds each sum's ``PairwiseSum`` a block at a time,
+    so no array over all the primes is held; a p_cut beyond TABLE_MAX is
+    refused before anything is sieved."""
+    def primes():
+        for _lo, _hi, ps in prime_blocks(p_cut):
+            yield ps[ps > above]
+        yield np.array(extra, dtype=np.int64)
+
+    count = sum(ps.size for ps in primes())
+    sums: list[PairwiseSum] = []
+    for ps in primes():
+        parts = terms(ps.astype(np.float64))
+        sums = sums or [PairwiseSum(count) for _part in parts]
+        for total, part in zip(sums, parts):
+            total.add(part)
+    return tuple(total.total for total in sums)
 
 
 def build_tables(n_max: int) -> ArithTables:

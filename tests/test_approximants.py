@@ -101,6 +101,22 @@ class TestWeightsBound:
         with pytest.raises(LookupError):
             build_weights(approximants.WEIGHTS_R_MAX)
 
+    def test_oversize_R_sums_refused_before_any_table(self, monkeypatch):
+        """The float sums over r <= R refuse R above WEIGHTS_R_MAX, by the
+        weights' check, before a table is sieved or read."""
+        from primelab import approximants, tables
+
+        def fail(*args, **kwargs):
+            pytest.fail("sieved for an oversize R")
+
+        for module in (approximants, tables):
+            monkeypatch.setattr(module, "tables_for", fail)
+        monkeypatch.setattr(tables, "build_tables", fail)
+        for R in (approximants.WEIGHTS_R_MAX + 1, tables.TABLE_MAX):
+            for call in (approximants.script_L_float, approximants.sigma_phi_bound):
+                with pytest.raises(ValueError, match="beyond"):
+                    call(R)
+
 
 class TestLambdaRange:
     def test_against_direct_oracle(self):

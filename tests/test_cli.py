@@ -163,9 +163,17 @@ class TestExitCodes:
         assert cli.main(argv) == 3
         assert "beyond" in capsys.readouterr().err
 
-    def test_oversize_p_cut_returns_3(self, monkeypatch, capsys):
-        """A --p-cut beyond tables.TABLE_MAX is refused before the prime
-        sieve is allocated, instead of asking numpy for about 1 TB."""
+    @pytest.mark.parametrize("argv", [
+        ["singular", "--pattern", "0:1,2:1"],
+        ["singular", "--sn", "3", "--j", "6"],
+        ["lemma", "--which", "4", "--ladder", "1e3", "--params", "j=6,k=35"],
+        ["correlate", "--n", "1e4", "--r", "10", "--pattern", "0:1,2:1"],
+    ], ids=["pattern", "sn", "lemma", "correlate"])
+    def test_oversize_p_cut_returns_3(self, monkeypatch, capsys, argv):
+        """A --p-cut beyond tables.TABLE_MAX is refused before anything is
+        sieved: no prime stream or segment, no table and no oversize
+        array, and for ``correlate`` before the sum."""
+        from primelab import approximants, tables
         real = np.ones
 
         def ones(shape, *args, **kwargs):
@@ -173,8 +181,14 @@ class TestExitCodes:
                 pytest.fail("allocated an oversize sieve")
             return real(shape, *args, **kwargs)
 
+        def fail(*args, **kwargs):
+            pytest.fail("sieved for an oversize p_cut")
+
         monkeypatch.setattr(np, "ones", ones)
-        assert cli.main(["singular", "--pattern", "0:1,2:1", "--p-cut", "1e12"]) == 3
+        for name in ("odd_sieve_segments", "sieve_segments", "tables_for", "build_tables"):
+            monkeypatch.setattr(tables, name, fail)
+        monkeypatch.setattr(approximants, "tables_for", fail)
+        assert cli.main(argv + ["--p-cut", "3e9"]) == 3
         assert "beyond" in capsys.readouterr().err
 
     def test_oversize_sieve_returns_3(self, monkeypatch, capsys):

@@ -152,6 +152,26 @@ class TestOversizeRange:
             with pytest.raises(ValueError, match="beyond"):
                 call()
 
+    @pytest.mark.parametrize("p_cut, message", [
+        (TABLE_MAX + 1, "beyond"),
+        (2, "p_cut must exceed the tuple size"),
+    ], ids=["oversize", "tuple-size"])
+    def test_bad_p_cut_refused_before_the_sum(self, monkeypatch, p_cut, message):
+        """A p_cut the prediction's singular series cannot take is refused
+        before the pattern is summed, by the check ``singular_vector``
+        makes."""
+        from primelab import correlations
+
+        def fail(*args, **kwargs):
+            pytest.fail("summed the pattern for a bad p_cut")
+
+        monkeypatch.setattr(correlations, "_pattern_sum", fail)
+        pair = ShiftPattern((0, 2), (1, 1))
+        for call in (lambda: s_k(10**4, pair, 10, p_cut=p_cut),
+                     lambda: s_tilde_k(10**4, pair, 10, p_cut=p_cut)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
 
 class TestSTildeK:
     def test_against_direct_oracle(self):

@@ -76,19 +76,47 @@ class TestConstantC:
         assert abs(loose.value - tight.value) <= loose.tail_bound
 
 
-    def test_one_sieve_serves_both_euler_products(self, monkeypatch):
+    def test_euler_products_stream_their_primes(self, monkeypatch):
         """C_n is a ratio of the generic products at r = n and r = n - 1,
-        both taken from one prime list: one sieve per (n, p_cut)."""
-        from primelab import singular
-        calls = []
-        real = singular.primes_up_to
-        monkeypatch.setattr(singular, "primes_up_to",
-                            lambda n: calls.append(n) or real(n))
-        singular._generic_bases.cache_clear()
+        each the exp of one streamed prime sum (a count pass and a feed
+        pass of ``tables.prime_blocks``), and B_1 = 1 streams nothing:
+        C_2 reads the stream twice and C_3 four times, and no prime list
+        to p_cut is made."""
+        from primelab import constants, singular, tables
+        streams, lists = [], []
+        stream = tables.prime_blocks
+        monkeypatch.setattr(tables, "prime_blocks",
+                            lambda n: streams.append(n) or stream(n))
+        for module in (constants, singular):
+            listed = module.primes_up_to
+            monkeypatch.setattr(module, "primes_up_to",
+                                lambda n, listed=listed: lists.append(n) or listed(n))
+        singular._generic_base.cache_clear()
+        constant_C(2, 10**5)
+        assert streams == [10**5, 10**5]
+        singular._generic_base.cache_clear()
         constant_C(3, 10**5)
-        assert calls == [10**5]
+        assert streams == [10**5] * 6
+        assert 10**5 not in lists
 
-    @pytest.mark.parametrize("p_cut", [10**5, 10**6])
+    def test_euler_products_hold_no_prime_list(self):
+        """With the products uncached, C_3 and S((0, 2, 6)) at p_cut = 10**6
+        each peak under 1 MiB of tracemalloc: the primes stream by blocks,
+        where the 78498 primes as a list, its float64 copy and its logs
+        peaked at 2.4-3.0 MiB."""
+        from primelab import singular
+        for call in (lambda: constant_C(3, 10**6),
+                     lambda: singular_vector((0, 2, 6), 10**6)):
+            singular._generic_base.cache_clear()
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2**20, peak
+
+    @pytest.mark.parametrize("p_cut", [5, 7, 10**5, 10**6])
     @pytest.mark.parametrize("n", [2, 3])
     def test_values_are_the_per_r_products(self, n, p_cut):
         """C_n has the bits of g_{n-1}(n) B_n / B_{n-1}, each B_r the
@@ -122,6 +150,8 @@ class TestSingularVector:
         assert sv.value == 0.0 and sv.tail_bound == 0.0
         sv = singular_vector((0, 2, 6))  # misses a class mod every p
         assert sv.value > 0.0
+        # no prime in (3, 4]: the special primes 2 and 3 alone, 4 * 9/8
+        assert singular_vector((0, 2, 6), p_cut=4).value == 4.5
 
     def test_matches_brute_product(self):
         """Truncated Euler product against a term-by-term evaluation."""
