@@ -16,7 +16,10 @@ their squares, the n that are not squarefree, and the one larger prime a
 squarefree n may have comes last.  ``multiplicative_values`` keeps all of
 v; the lemmas that need only the sums up to each rung take them block by
 block as the walk passes (``_LadderWalk``), bit for bit as np.sum would,
-and keep no array over n.  Each lemma then supplies its factor function
+and keep no array over n.  When f(2) = 0, as for Lemma 2 and for Lemmas 1
+and 4 with k even, every even n has the value +-0.0, and the rung walk
+sieves the odd n alone and gives the even n +0.0: only a zero's sign
+differs, and no sum sees it.  Each lemma then supplies its factor function
 (``_factor``: one formula on the primes, with values overridden at the
 primes dividing j or k), its closed-form main term (Euler products and
 prime log-sums truncated at a recorded p_cut, streamed over the primes by
@@ -209,40 +212,54 @@ _WHEEL_TOP = 13
 _STEP = 1 << 13
 
 
-def _walk(f: FactorFn, x: int):
+def _walk(f: FactorFn, x: int, *, signed_zeros: bool = True):
     """Yield (lo, hi, v) over the blocks [lo, hi) of BLOCK_MAX entries
     covering 0..x, in order, with v[i] = mu^2(n) * prod_{p|n} f(p) at
     n = lo + i: a segmented sieve of the values.
 
-    In a block v starts at 1.0 and an int32 prod at 1, and each prime
-    p <= isqrt(x), in ascending order, multiplies f(p) into v and p into
-    prod at its multiples, and marks its multiples of p^2, which are not
-    squarefree.  A squarefree n then has at most one prime factor
-    q > isqrt(x) left out of prod, q = n / prod, and f(q) is multiplied in
-    last where q > 1; v is 0.0 at the marked n and at n = 0.  So v[n] is
-    the left-to-right product (((1.0 f(p_1)) f(p_2)) ...) f(q) over the
-    primes p_1 < p_2 < ... < q of n, bit for bit.
+    With ``signed_zeros=False``, for callers that only sum v, a walk whose
+    f(2), read off the sieving primes' factors (x >= 4), is zero sieves
+    the odd n alone (step 2, without the prime 2) in a buffer of half a
+    block, and gives every even n +0.0, where the product is f(2) times
+    the rest, a zero of either sign when the factors are finite.  The odd
+    values keep their bits.  No sum sees the difference: y + (+-0.0) = y
+    for y != 0, and a sum of zeros is a zero, which np.sum's 0.0 + root
+    makes +0.0.
+
+    A block sieves n = c + step * i, from the first such n >= lo, c.  For
+    each, the value starts at 1.0 and an int32 prod at 1, and each sieving
+    prime p <= isqrt(x), in ascending order, multiplies f(p) into the
+    value and p into prod at its multiples, and marks its multiples of
+    p^2, which are not squarefree.  A squarefree n then has at most one
+    prime factor q > isqrt(x) left out of prod, q = n / prod, and f(q) is
+    multiplied in last where q > 1; the value is 0.0 at the marked n and
+    at n = 0.  So it is the left-to-right product
+    (((1.0 f(p_1)) f(p_2)) ...) f(q) over the primes p_1 < p_2 < ... < q
+    of n, bit for bit.
 
     The wheel primes p <= min(13, isqrt(BLOCK_MAX)) do this once, into one
-    period of v and prod (30030 entries when all six sieve), and each block
-    starts from that period at lo mod its length: the same products in the
-    same order.  The other primes p <= isqrt(BLOCK_MAX), with many multiples
-    in a block, take strided slices; the larger ones one np.multiply.at per
-    group over all their multiples in it, ordered by prime and then by
-    position, so each n still meets its primes in ascending order, and one
-    step for their multiples of p^2, at most one each per block.  Every
-    smaller prime, the wheel's too, marks its multiples of p^2 by a strided
-    slice.  A group holds at most _STEP multiples a block, and q is taken
-    _STEP entries at a time, so no temporary of a block exceeds 64 KiB.
+    period of the values and prod (30030 entries when all six sieve, and
+    15015 at step 2, without 2), and each block starts from that period at
+    c's place in it: the same products in the same order.  The other
+    primes p <= isqrt(BLOCK_MAX), with many multiples in a block, take
+    strided slices; the larger ones one np.multiply.at per group over all
+    their multiples in it, ordered by prime and then by position, so each
+    n still meets its primes in ascending order, and one step for their
+    multiples of p^2, at most one each per block.  Every smaller prime,
+    the wheel's too, marks its multiples of p^2 by a strided slice.  A
+    group holds at most _STEP multiples a block, and q is taken _STEP
+    entries at a time, so no temporary of a block exceeds 64 KiB.
 
-    f is called once on the int32 sieving primes and then, _STEP entries at
-    a time, on the q of the squarefree n: it sees every prime <= x and
+    f is called once on the int32 sieving primes and then, _STEP entries
+    at a time, on the q of the squarefree n: it sees every prime <= x and
     nothing else.  v is a view of a buffer reused from block to block,
     valid until the next block is asked for.  The walk reads no table.
     """
-    block = _tables.BLOCK_MAX
     primes = _tables.eratosthenes(math.isqrt(x)).astype(np.int32)
     factors = f(primes)
+    step = 1 if signed_zeros or not primes.size or factors[0] != 0.0 else 2
+    primes, factors = primes[step - 1 :], factors[step - 1 :]
+    block = _tables.BLOCK_MAX
     split = int(np.searchsorted(primes, math.isqrt(block), side="right"))
     wheel = int(np.searchsorted(primes[:split], _WHEEL_TOP, side="right"))
     small = list(zip(primes[:split].tolist(), factors[:split]))
@@ -250,8 +267,9 @@ def _walk(f: FactorFn, x: int):
     wheel_v = np.ones(period, dtype=np.float64)
     wheel_prod = np.ones(period, dtype=np.int32)
     for p, fp in small[:wheel]:
-        np.multiply(wheel_v[::p], fp, out=wheel_v[::p])
-        wheel_prod[::p] *= p
+        every = slice(_first(step - 1, p, step), None, p)
+        np.multiply(wheel_v[every], fp, out=wheel_v[every])
+        wheel_prod[every] *= p
     # the larger primes in groups of at most _STEP multiples in a block, where
     # p has at most (block - 1) // p + 1 <= isqrt(block) + 1 of them
     big, big_f = primes[split:], factors[split:]
@@ -264,31 +282,36 @@ def _walk(f: FactorFn, x: int):
     # block temporaries, allocated once: a fresh array per block would be
     # mapped, faulted in and unmapped again every time
     size = min(x + 1, block)
+    per_block = (size + step - 1) // step  # n sieved in a block
     value = np.empty(size, dtype=np.float64)
-    prod_buf = np.empty(size, dtype=np.int32)
-    zero_buf = np.empty(size, dtype=bool)
-    ramp = np.arange(min(size, _STEP), dtype=np.int32)
+    sieved = value if step == 1 else np.empty(per_block, dtype=np.float64)
+    prod_buf = np.empty(per_block, dtype=np.int32)
+    zero_buf = np.empty(per_block, dtype=bool)
+    ramp = np.arange(0, step * min(per_block, _STEP), step, dtype=np.int32)
     n_buf = np.empty_like(ramp)
     for lo in range(0, x + 1, block):
         hi = min(lo + block, x + 1)
-        v, prod, zero = value[: hi - lo], prod_buf[: hi - lo], zero_buf[: hi - lo]
-        _tile(v, wheel_v, lo % period)
-        _tile(prod, wheel_prod, lo % period)
+        c = lo | (step - 1)  # the first n sieved
+        count = (hi - c + step - 1) // step
+        v, prod, zero = sieved[:count], prod_buf[:count], zero_buf[:count]
+        _tile(v, wheel_v, c // step % period)
+        _tile(prod, wheel_prod, c // step % period)
         zero.fill(False)
-        zero[0] = lo == 0  # n = 0
+        zero[:1] = c == 0  # n = 0
         # multiples from n = 1 on: n = 0, which every p divides, is masked,
         # and prod then divides n (or the wheel's period, at n = 0), so the
         # int32 products cannot overflow
-        start = max(lo, 1)
+        start = max(c, 1)
+        skip = start - c
         for p, fp in small[wheel:]:
-            every = slice(start - lo + -start % p, None, p)
+            every = slice(skip + _first(start, p, step), None, p)
             np.multiply(v[every], fp, out=v[every])
             np.multiply(prod[every], p, out=prod[every])
         for p, _fp in small:
-            zero[-lo % (p * p) :: p * p] = True
+            zero[_first(c, p * p, step) :: p * p] = True
         for big, big_f, big_square in groups:
-            first = start - lo + -start % big
-            counts = np.maximum((hi - lo - 1 - first) // big + 1, 0)
+            first = skip + _first(start, big, step)
+            counts = np.maximum((count - 1 - first) // big + 1, 0)
             steps = np.repeat(big, counts)
             at = np.arange(steps.size, dtype=np.intp)
             at -= np.repeat(np.cumsum(counts) - counts, counts)  # i-th multiple
@@ -296,18 +319,30 @@ def _walk(f: FactorFn, x: int):
             at += np.repeat(first, counts)
             np.multiply.at(v, at, np.repeat(big_f, counts))
             np.multiply.at(prod, at, steps)
-            at = -lo % big_square
-            zero[at[at < hi - lo]] = True
+            at = _first(c, big_square, step)
+            zero[at[at < count]] = True
         # q = n // prod in prod's buffer, _STEP entries at a time
-        for a in range(0, hi - lo, _STEP):
-            b = min(a + _STEP, hi - lo)
-            n = np.add(ramp[: b - a], lo + a, out=n_buf[: b - a])
+        for a in range(0, count, _STEP):
+            b = min(a + _STEP, count)
+            n = np.add(ramp[: b - a], c + step * a, out=n_buf[: b - a])
             q = np.floor_divide(n, prod[a:b], out=prod[a:b])
             at = np.flatnonzero((q > 1) & ~zero[a:b])
             run = v[a:b]
             run[at] *= f(q[at])
         np.putmask(v, zero, 0.0)
-        yield lo, hi, v
+        if step == 2:
+            value[lo % 2 : hi - lo : 2] = 0.0
+            value[c - lo : hi - lo : 2] = v
+        yield lo, hi, value[: hi - lo]
+
+
+def _first(c, m, step: int):
+    """The least i >= 0 with m | c + step * i, for step 1, or step 2 and m
+    odd; m an int or an int array.  Nothing it computes reaches 2 m, so
+    it cannot overflow m's dtype, as -c (m + 1) / 2 mod m would from
+    c ~ 2.56e6 on for int32 primes."""
+    d = -c % m
+    return d if step == 1 else (d + m * (d & 1)) // 2
 
 
 def _tile(out: np.ndarray, period: np.ndarray, at: int) -> None:
@@ -327,9 +362,11 @@ def multiplicative_values(f: FactorFn, x: int) -> np.ndarray:
     by element; excluded primes should map to 0.  f sees only primes, every
     prime <= x at least once, and must not raise floating-point warnings
     there.  v is the blocks of ``_walk`` joined, so v[n] is bit for bit
-    the left-to-right product over the primes of n in ascending order.
+    the left-to-right product over the primes of n in ascending order,
+    signed zeros included: this walk sieves every n, whatever f(2) is.
     The lemmas that only need prefix sums take them from the same walk
-    (``_LadderWalk``) and keep no x-entry array.
+    (``_LadderWalk``), which may give an even n +0.0 for a zero of the
+    other sign, and keep no x-entry array.
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
@@ -345,7 +382,10 @@ class _LadderWalk:
     r + 1 entries per rung, all fed the one pass of blocks.
 
     Iterating it yields the walk's blocks (lo, hi, v), from n = 0; once
-    they are exhausted, ``sums`` holds the rung sums.
+    they are exhausted, ``sums`` holds the rung sums.  It walks with
+    ``signed_zeros=False``: when f(2) = 0 only the odd n are sieved and
+    every even n is +0.0, where the full product is a zero of either sign,
+    which leaves each sum's bits as they are.
     """
 
     def __init__(self, f: FactorFn, ladder: tuple[int, ...]):
@@ -353,7 +393,7 @@ class _LadderWalk:
 
     def __iter__(self):
         rungs = [PairwiseSum(r + 1) for r in self.ladder]
-        for lo, hi, v in _walk(self.f, self.ladder[-1]):
+        for lo, hi, v in _walk(self.f, self.ladder[-1], signed_zeros=False):
             for rung in rungs:
                 rung.add(v)
             yield lo, hi, v
@@ -512,11 +552,15 @@ def lemma2(x_ladder: Sequence[int]) -> LemmaReport:
     integer prefix and the successive ladder differences |S(x_{i+1})-S(x_i)|,
     which should shrink (the series converges).
 
-    One walk (``_LadderWalk``) gives both, sieving BLOCK_MAX values at a
-    time and keeping none of them: S at each rung is np.sum of the values,
-    bit for bit, in numpy's pairwise order, and the sup is taken over one
-    running sum streamed through ``cumsum_blocks``, the additions of
-    np.cumsum(values[1:]) without its x-entry output or an |S| temporary.
+    One walk (``_LadderWalk``) gives both, keeping none of the values:
+    S at each rung is np.sum of the values, bit for bit, in numpy's
+    pairwise order, and the sup is taken over one running sum streamed
+    through ``cumsum_blocks``.  f(2) = 0, so the walk sieves the odd n
+    only, and the running sum is taken over the odd n only: S at an even
+    n is S at the odd n before it (up to the sign of a zero, and
+    S(1) = 1.0 keeps the sup away from zero), so the sup is that of
+    np.cumsum(values[1:]), bit for bit, without its x-entry output or an
+    |S| temporary.
     """
     ladder = _check_ladder(x_ladder)
     # mu(n) folded in: f(p) = -(p-2)/(p(p-1)); the p=2 factor is 0 since
@@ -524,7 +568,7 @@ def lemma2(x_ladder: Sequence[int]) -> LemmaReport:
     f = _factor(lambda ps: -(ps - 2.0) / (ps * (ps - 1.0)))
     walk = _LadderWalk(f, ladder)
     top, bottom = -math.inf, math.inf
-    blocks = (v[1:] if lo == 0 else v for lo, _hi, v in walk)  # from n = 1
+    blocks = (v[(lo + 1) % 2 :: 2] for lo, _hi, v in walk)  # the odd n, from 1
     for _lo, _hi, run in cumsum_blocks(blocks, np.float64):
         top = max(top, run.max())
         bottom = min(bottom, run.min())

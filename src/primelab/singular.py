@@ -124,8 +124,9 @@ def constant_C(n: int, p_cut: int = DEFAULT_P_CUT) -> SingularValue:
 
     The factor at p > n is g_n(p)/g_{n-1}(p), with g_r the generic factor
     of an r-tuple, so C_n = g_{n-1}(n) B_n / B_{n-1} with B_r the generic
-    Euler product that ``singular_vector`` reads, one prime stream each
-    (``_generic_base``): B_1 = 1 reads none, so C_2 streams once, C_3 twice.
+    Euler product that ``singular_vector`` reads (``_generic_bases``):
+    B_1 = 1 reads no primes, and C_3 takes B_3 and B_2 off one prime
+    stream, so C_2 and C_3 each count the primes once and feed them once.
     """
     if n not in (2, 3):
         raise ValueError(f"constant_C supports n in {{2, 3}}, got {n}")
@@ -140,19 +141,24 @@ def constant_C(n: int, p_cut: int = DEFAULT_P_CUT) -> SingularValue:
 
 
 def _constant_C_value(n: int, p_cut: int) -> float:
-    return _generic_factor(n - 1, n) * _generic_base(n, p_cut) / _generic_base(n - 1, p_cut)
+    b_n, b_below = _generic_bases((n, n - 1), p_cut)
+    return _generic_factor(n - 1, n) * b_n / b_below
 
 
 @lru_cache(maxsize=64)
-def _generic_base(r: int, p_cut: int) -> float:
-    """B_r = prod_{r < p <= p_cut} (1 - 1/p)^(-r) (1 - r/p), the exp of one
-    streamed prime sum (``tables.prime_sums``).  B_1 = 1.0 with no stream:
-    each of its log terms, -log1p(-1/p) + log1p(-1/p), is exactly +0.0."""
-    if r == 1:
-        return 1.0
-    (logs,) = prime_sums(lambda ps: (-r * np.log1p(-1.0 / ps) + np.log1p(-r / ps),),
-                         p_cut, above=r)
-    return float(np.exp(logs))
+def _generic_bases(rs: tuple[int, ...], p_cut: int) -> tuple[float, ...]:
+    """B_r = prod_{r < p <= p_cut} (1 - 1/p)^(-r) (1 - r/p) for each r of
+    rs, each the exp of its own prime sum, all read off one prime stream
+    (``tables.prime_sums``).  B_1 = 1.0 with no stream: each of its log
+    terms, -log1p(-1/p) + log1p(-1/p), is exactly +0.0."""
+    streamed = tuple(r for r in rs if r > 1)
+
+    def logs(ps: np.ndarray) -> tuple[np.ndarray, ...]:
+        with np.errstate(divide="ignore"):  # log1p(-1) at p = r, which B_r drops
+            return tuple(-r * np.log1p(-1.0 / ps) + np.log1p(-r / ps) for r in streamed)
+
+    sums = dict(zip(streamed, prime_sums(logs, p_cut, above=streamed))) if streamed else {}
+    return tuple(float(np.exp(sums[r])) if r > 1 else 1.0 for r in rs)
 
 
 def _check_p_cut(r: int, p_cut: int) -> None:
@@ -203,7 +209,8 @@ def singular_vector(
         finite *= Fraction((p - nu) * p ** (r - 1), (p - 1) ** r)
         if r < p <= p_cut:
             correction *= _generic_factor(r, p)
-    value = float(finite) * _generic_base(r, p_cut) / correction
+    (base,) = _generic_bases((r,), p_cut)
+    value = float(finite) * base / correction
     return SingularValue(value, finite, p_cut, r * (r + 1) / p_cut)
 
 

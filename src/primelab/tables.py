@@ -494,26 +494,38 @@ class PairwiseSum:
 
 
 def prime_sums(terms: Callable[[np.ndarray], tuple[np.ndarray, ...]], p_cut: int,
-               extra: Sequence[int] = (), above: int = 0) -> tuple[float, ...]:
+               extra: Sequence[int] = (), above: int | tuple[int, ...] = 0
+               ) -> tuple[float, ...]:
     """np.sum of each float64 array of terms(ps), bit for bit, where ps is
-    the primes p with above < p <= p_cut followed by those of extra, as one
-    float64 array, and terms maps primes to a tuple of arrays of their
-    length.  ``prime_blocks(p_cut)`` is read twice, a pass that counts the
-    primes and one that feeds each sum's ``PairwiseSum`` a block at a time,
-    so no array over all the primes is held; a p_cut beyond TABLE_MAX is
-    refused before anything is sieved."""
+    the primes p with above < p <= p_cut followed by those of extra above
+    it, as one float64 array, and terms maps primes to a tuple of arrays of
+    their length.  ``above`` may instead hold one bound per sum: terms
+    then sees the primes above the least of them, and each sum takes its
+    entries at the primes above its own.  ``prime_blocks(p_cut)`` is read
+    twice, a pass that counts the primes and one that feeds each sum's
+    ``PairwiseSum`` a block at a time, so no array over all the primes is
+    held; a p_cut beyond TABLE_MAX is refused before anything is sieved."""
+    bounds = list(above) if isinstance(above, tuple) else [above]
+    least = min(bounds)
+
     def primes():
         for _lo, _hi, ps in prime_blocks(p_cut):
-            yield ps[ps > above]
-        yield np.array(extra, dtype=np.int64)
+            yield ps[ps > least]
+        ps = np.array(extra, dtype=np.int64)
+        yield ps[ps > least]
 
-    count = sum(ps.size for ps in primes())
+    counts = [0] * len(bounds)
+    for ps in primes():
+        counts = [n + int(np.count_nonzero(ps > b)) for n, b in zip(counts, bounds)]
     sums: list[PairwiseSum] = []
     for ps in primes():
         parts = terms(ps.astype(np.float64))
-        sums = sums or [PairwiseSum(count) for _part in parts]
-        for total, part in zip(sums, parts):
-            total.add(part)
+        if not sums:
+            if len(bounds) < len(parts):  # one bound for every sum
+                bounds, counts = bounds * len(parts), counts * len(parts)
+            sums = [PairwiseSum(n) for n in counts]
+        for total, part, b in zip(sums, parts, bounds):
+            total.add(part if b == least else part[ps > b])
     return tuple(total.total for total in sums)
 
 

@@ -767,7 +767,12 @@ class TestPinnedBytes:
     2**18-entry segment edges (N = 2**18 + 3, 2**18 - 5 and 2**17 + 3) were
     recorded while those commands still read Lambda and psi off a table of
     spf up to their top n, before they read the sieve's segments of their
-    own range."""
+    own range.  The Lemma 2 and Lemma 4 (j = 6, k = 10) cells at
+    x = 3000007, whose factors vanish at 2, were recorded while the walk
+    still sieved every n, before it sieved the odd n alone.  They run past
+    n ~ 2.56e6, from where -n (p + 1) / 2 mod p, the index of a larger
+    prime's first odd multiple, overflows int32 if taken in the primes'
+    dtype."""
 
     CELLS = {
         "lambda --r 1 --n 30":
@@ -840,6 +845,10 @@ class TestPinnedBytes:
             (0, "1d796c130969f880f1e96def6234f26bf10eea0a6d6a35863a2c6e01126f6fc6"),
         "lemma --which 5 --ladder 1,10,1e3,2e5 --params J=30,k=3 --p-cut 1e5":
             (0, "4805fdd4c68a3d6bf5ce78c166980372060952f240ce46382158417b1c9ee383"),
+        "lemma --which 2 --ladder 1e3,3000007":
+            (0, "0884b9a5e488cdc8aed0b6327dc2d3767eed5452e1753cd2cc8b72ee144dd0a1"),
+        "lemma --which 4 --ladder 1e3,3000007 --params j=6,k=10":
+            (0, "ca5a5252ca88aa2e68cc514305192dbe1fc543f7ea019e2b2cc260ed92acea87"),
         "correlate --n 2e5 --r 30 --pattern 0:1,-3:2":
             (0, "c9993c1ba18daf73571fa670bed33009ed75cfe438fe8c7c0bcc31a7b9d79209"),
         "correlate --n 2e5 --r 30 --pattern 0:1,2:1 --mixed --primed-range":

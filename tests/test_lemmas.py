@@ -252,6 +252,88 @@ class TestMultiplicativeValues:
             tracemalloc.stop()
         assert peak - 13 * block - 12 * 30030 <= 8 * 64 * 1024
 
+    def test_odd_walk_temporaries_stay_small(self):
+        """A walk whose factor vanishes at 2 sieves the odd n alone, with
+        buffers of its own: beyond 14.5 bytes per block entry (the block's
+        values, and the odd n's values, prod and p^2 marks over half a
+        block) and its odd wheel period (12 bytes per entry of 15015), a
+        walk over four blocks holds at most eight 64 KiB temporaries at
+        once."""
+        f = _lemma4_factor(6, 10)
+        block = tables_mod.BLOCK_MAX
+        tracemalloc.start()
+        try:
+            _rung_sums(f, (4 * block,))
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - 29 * block // 2 - 12 * 15015 <= 8 * 64 * 1024
+
+    @pytest.mark.parametrize("x, block_max", [
+        (3_000_007, None),
+        (2 * tables_mod.BLOCK_MAX - 1, None),
+        (2 * tables_mod.BLOCK_MAX + 1, None),
+        (127, 64), (128, 64), (129, 64), (4 * 64 + 3, 64),
+        (3 * 65 + 2, 65), (2 * 30031 + 1, 30031),
+    ])
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_odd_walk_matches_the_full_walk(self, monkeypatch, x, block_max, zero):
+        """With f(2) = +-0.0 the rung walk sieves the odd n alone, and its
+        rung sums are np.sum of the prefixes of ``multiplicative_values``,
+        byte for byte; its blocks carry the full walk's odd values byte for
+        byte and +0.0 at every even n.  x = 2 * BLOCK_MAX +- 1 ends on
+        either side of a block edge, with an even or an odd last n; with
+        an odd BLOCK_MAX the blocks start at even and odd n in turn; and
+        x = 3 * 10**6 + 7 runs past n ~ 2.56e6, from where the first odd
+        multiple of a larger prime, -n (p + 1) / 2 mod p, overflows int32."""
+        from primelab import lemmas
+
+        if block_max is not None:
+            monkeypatch.setattr(tables_mod, "BLOCK_MAX", block_max)
+        block = tables_mod.BLOCK_MAX
+        rng = np.random.default_rng(SEED + 4)
+        fvals = rng.normal(size=x + 1)
+        fvals[rng.random(x + 1) < 0.2] = -0.0
+        fvals[2] = zero
+        f = fvals.__getitem__
+        want = multiplicative_values(f, x)
+        edges = {m * block + d for m in (1, 2, 3) for d in (-1, 0, 1)}
+        ladder = tuple(sorted({1, 2, 3, 4, x // 2, x - 1, x} | {e for e in edges if e <= x}))
+        sums = [np.sum(want[: r + 1]) for r in ladder]
+        assert np.array(_rung_sums(f, ladder)).tobytes() == np.array(sums).tobytes()
+        got = np.concatenate(
+            [v.copy() for _lo, _hi, v in lemmas._walk(f, x, signed_zeros=False)])
+        assert got[1::2].tobytes() == want[1::2].tobytes()
+        assert not got[::2].view(np.int64).any()  # +0.0
+
+    def test_odd_walk_calls_f_on_the_odd_n_only(self):
+        """The spy factor of a rung walk with f(2) = 0 sees the last prime
+        factor q of the odd squarefree n only: about two thirds of the q
+        that the full walk of ``multiplicative_values`` passes it, as the
+        odd squarefree n are two thirds of the squarefree n."""
+        x = 20_000
+        fvals = np.ones(x + 1)
+        fvals[2] = 0.0
+        lpf = np.zeros(x + 1, dtype=np.int64)  # largest prime factor
+        squarefree = np.ones(x + 1, dtype=bool)
+        for p in sympy.primerange(2, x + 1):
+            lpf[p::p] = p
+            squarefree[p * p :: p * p] = False
+        has_q = squarefree & (lpf > math.isqrt(x))
+        counts = []
+        for walk in (lambda f: _rung_sums(f, (x,)),
+                     lambda f: multiplicative_values(f, x)):
+            seen = []
+
+            def spy(ps):
+                seen.append(len(ps))
+                return fvals[ps]
+
+            walk(spy)
+            counts.append(sum(seen[1:]))  # after the sieving primes
+        assert counts == [int(has_q[1::2].sum()), int(has_q.sum())]
+        assert 0.6 < counts[0] / counts[1] < 0.75
+
     @pytest.mark.parametrize("block_max", [64, 30029, 30031, 1 << 16])
     def test_wheel_blocks_equal_the_slice_sieve(self, monkeypatch, block_max):
         """Each block starts from the wheel's period at lo mod its length,
@@ -365,9 +447,9 @@ class TestMultiplicativeValues:
         walked = []
         real = lemmas._walk
 
-        def spy(f, x):
+        def spy(f, x, **kwargs):
             walked.append(f)
-            return real(f, x)
+            return real(f, x, **kwargs)
 
         monkeypatch.setattr(lemmas, "_walk", spy)
         monkeypatch.setattr(tables_mod, "BLOCK_MAX", block_max)

@@ -78,10 +78,11 @@ class TestConstantC:
 
     def test_euler_products_stream_their_primes(self, monkeypatch):
         """C_n is a ratio of the generic products at r = n and r = n - 1,
-        each the exp of one streamed prime sum (a count pass and a feed
-        pass of ``tables.prime_blocks``), and B_1 = 1 streams nothing:
-        C_2 reads the stream twice and C_3 four times, and no prime list
-        to p_cut is made."""
+        each the exp of a prime sum streamed by a count pass and a feed
+        pass of ``tables.prime_blocks``, and B_1 = 1 streams nothing: C_2
+        reads the stream twice, and so does C_3, whose B_3 and B_2 share
+        both passes, where it read it four times; no prime list to p_cut
+        is made."""
         from primelab import constants, singular, tables
         streams, lists = [], []
         stream = tables.prime_blocks
@@ -91,12 +92,12 @@ class TestConstantC:
             listed = module.primes_up_to
             monkeypatch.setattr(module, "primes_up_to",
                                 lambda n, listed=listed: lists.append(n) or listed(n))
-        singular._generic_base.cache_clear()
+        singular._generic_bases.cache_clear()
         constant_C(2, 10**5)
         assert streams == [10**5, 10**5]
-        singular._generic_base.cache_clear()
+        singular._generic_bases.cache_clear()
         constant_C(3, 10**5)
-        assert streams == [10**5] * 6
+        assert streams == [10**5] * 4
         assert 10**5 not in lists
 
     def test_euler_products_hold_no_prime_list(self):
@@ -107,7 +108,7 @@ class TestConstantC:
         from primelab import singular
         for call in (lambda: constant_C(3, 10**6),
                      lambda: singular_vector((0, 2, 6), 10**6)):
-            singular._generic_base.cache_clear()
+            singular._generic_bases.cache_clear()
             tracemalloc.start()
             try:
                 call()

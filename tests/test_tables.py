@@ -1139,3 +1139,23 @@ class TestPairwiseSum:
         acc.add(np.array(big[1:], dtype=object))
         assert acc.total == sum(big) and isinstance(acc.total, int)
         assert PairwiseSum(0).total == 0.0
+
+    @pytest.mark.parametrize("above", [0, 2, (2, 3), (3, 2, 0, 101)])
+    def test_prime_sums_take_each_sum_above_its_bound(self, monkeypatch, above):
+        """``prime_sums`` over a stream of 64-entry blocks: each sum is
+        np.sum of its terms at the primes above its own bound (one bound
+        for all of them, or one each), then those of extra, byte for byte,
+        and the stream is read twice whatever the bounds."""
+        monkeypatch.setattr(tables_mod, "BLOCK_MAX", 64)
+        reads = []
+        stream = tables_mod.prime_blocks
+        monkeypatch.setattr(tables_mod, "prime_blocks",
+                            lambda n: reads.append(n) or stream(n))
+        bounds = above if isinstance(above, tuple) else (above,) * 3
+        extra = (3011, 3001)
+        terms = lambda ps: tuple(np.log(ps) / ps ** (k + 0.5) for k in range(len(bounds)))
+        got = tables_mod.prime_sums(terms, 3000, extra, above=above)
+        ps = np.concatenate([primes_up_to(3000), extra]).astype(np.float64)
+        want = [np.sum(t[ps > b]) for t, b in zip(terms(ps), bounds)]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert reads == [3000, 3000]
